@@ -23,9 +23,8 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from .distribution import (
     SampleKind,
@@ -39,11 +38,10 @@ from .errors import ConfigError, DomainError, VerificationError
 from .ghost import (
     GhostContext,
     WeightPoint,
-    _floor_log,
     dimensions,
     ghost_multiplicity,
     ghost_polynomial,
-    hatted_valuation_table,
+    ghost_zero_set,
     max_zero_distance,
 )
 from .polygon import dual_graph, lower_hull
@@ -69,34 +67,6 @@ from .wedge import (
 )
 
 FORMATS = ("json", "csv", "table")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated CLI parameters; building the context enforces the
-    GhostContext rules before any computation starts."""
-
-    p: int
-    a: int
-    s_eps: int
-    global_mult: int
-    mode: str
-    fmt: str
-    seed: int
-    jobs: int
-    k: Optional[int] = None
-    k_range: Optional[Tuple[int, int]] = None
-    n: Optional[int] = None
-    radius: Optional[str] = None
-
-    def context(self) -> GhostContext:
-        return GhostContext(
-            p=self.p,
-            a=self.a,
-            s_eps=self.s_eps,
-            global_mult=self.global_mult,
-            mode=self.mode,
-        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -162,21 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        p=args.p,
-        a=args.a,
-        s_eps=args.s_eps,
-        global_mult=args.global_mult,
-        mode=args.mode,
-        fmt=args.fmt,
-        seed=args.seed,
-        jobs=args.jobs,
-        k=getattr(args, "k", None),
-        k_range=_parse_range(args.k_range) if getattr(args, "k_range", None) else None,
-        n=getattr(args, "n", None),
-        radius=getattr(args, "radius", None),
-    )
+def _context(args) -> GhostContext:
+    """The context the parsed flags name; GhostContext validates them."""
+    return GhostContext(args.p, args.a, args.s_eps, args.global_mult, args.mode)
 
 
 def _json_text(obj) -> str:
@@ -198,8 +156,8 @@ def _cached_text(key: str, build: Callable[[], str]) -> str:
     return text
 
 
-def _ctx_key(cfg: RunConfig) -> str:
-    return f"p{cfg.p}-a{cfg.a}-e{cfg.s_eps}-m{cfg.global_mult}-{cfg.mode}"
+def _ctx_key(args) -> str:
+    return f"p{args.p}-a{args.a}-e{args.s_eps}-m{args.global_mult}-{args.mode}"
 
 
 # -- command implementations ------------------------------------------------
@@ -213,14 +171,14 @@ def render_ghost_polynomial(gp) -> str:
     return f"g_{gp.n}(w) = " + " ".join(factors)
 
 
-def cmd_ghost(cfg: RunConfig) -> str:
-    if cfg.n is None or cfg.n < 0:
+def cmd_ghost(args) -> str:
+    if args.n < 0:
         raise ConfigError("ghost needs -n >= 0")
-    ctx = cfg.context()
-    polys = [ghost_polynomial(ctx, n) for n in range(1, cfg.n + 1)]
-    if cfg.fmt == "json":
+    ctx = _context(args)
+    polys = [ghost_polynomial(ctx, n) for n in range(1, args.n + 1)]
+    if args.fmt == "json":
         return _json_text([gp.to_json_dict() for gp in polys])
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         lines = ["n,k,mult"]
         for gp in polys:
             lines.extend(f"{gp.n},{k},{m}" for k, m in gp.zeros)
@@ -228,30 +186,30 @@ def cmd_ghost(cfg: RunConfig) -> str:
     return "".join(render_ghost_polynomial(gp) + "\n" for gp in polys)
 
 
-def cmd_slopes(cfg: RunConfig) -> str:
-    ctx = cfg.context()
-    radius = _parse_radius(cfg.radius)
-    slopes = k_newslopes(ctx, cfg.k, WeightPoint(cfg.k, radius))
+def cmd_slopes(args) -> str:
+    ctx = _context(args)
+    radius = _parse_radius(args.radius)
+    slopes = k_newslopes(ctx, args.k, WeightPoint(args.k, radius))
     rendered = [format_rational(s) for s in slopes]
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         return _json_text(
-            {"k": cfg.k, "radius": cfg.radius.strip(), "newslopes": rendered}
+            {"k": args.k, "radius": args.radius.strip(), "newslopes": rendered}
         )
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         lines = ["i,slope"]
         lines.extend(f"{i},{s}" for i, s in enumerate(rendered, 1))
         return "\n".join(lines) + "\n"
     return "".join(s + "\n" for s in rendered)
 
 
-def cmd_thresholds(cfg: RunConfig) -> str:
+def cmd_thresholds(args) -> str:
     def build() -> str:
-        ctx = cfg.context()
-        tv = k_thresholds(ctx, cfg.k)
-        if cfg.fmt == "json":
+        ctx = _context(args)
+        tv = k_thresholds(ctx, args.k)
+        if args.fmt == "json":
             return _json_text(tv.to_json_dict())
         pairs = list(zip(tv.local_thresholds, tv.provenance))
-        if cfg.fmt == "csv":
+        if args.fmt == "csv":
             lines = ["n,value,provenance"]
             lines.extend(
                 f"{n},{format_rational(v)},{prov}"
@@ -259,19 +217,19 @@ def cmd_thresholds(cfg: RunConfig) -> str:
             )
             return "\n".join(lines) + "\n"
         return "".join(
-            f"CS_{n}({cfg.k}) = {format_rational(v)} [{prov}]\n"
+            f"CS_{n}({args.k}) = {format_rational(v)} [{prov}]\n"
             for n, (v, prov) in enumerate(pairs, 1)
         )
 
-    return _cached_text(f"thresholds-{_ctx_key(cfg)}-k{cfg.k}-{cfg.fmt}.txt", build)
+    return _cached_text(f"thresholds-{_ctx_key(args)}-k{args.k}-{args.fmt}.txt", build)
 
 
-def cmd_predict(cfg: RunConfig) -> str:
-    ctx = cfg.context()
-    pred = predict_slopes(ctx, cfg.k)
-    if cfg.fmt == "json":
+def cmd_predict(args) -> str:
+    ctx = _context(args)
+    pred = predict_slopes(ctx, args.k)
+    if args.fmt == "json":
         return _json_text(pred.to_json_dict())
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         lines = ["kind,slope,mult"]
         lines.extend(
             f"known,{format_rational(v)},{m}" for v, m in pred.linv_slopes_known
@@ -290,55 +248,42 @@ def cmd_predict(cfg: RunConfig) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _sample_task(params):
-    p, a, e, m, mode, k = params
-    ctx = GhostContext(p, a, e, m, mode)
-    out = []
-    for kind in SampleKind:
-        s = sample(ctx, k, kind)
-        if s.values:
-            out.append(s)
-    return out
+def _samples_at(ctx: GhostContext, k: int) -> list:
+    """The nonempty samples of weight k, one per kind at most."""
+    return [s for kind in SampleKind if (s := sample(ctx, k, kind)).values]
 
 
-def _collect_samples(cfg: RunConfig, ks: List[int]) -> list:
-    if cfg.jobs > 1 and len(ks) >= 8:
+def _sample_task(args, k: int) -> list:
+    # a worker process builds its own context from the parsed flags
+    return _samples_at(_context(args), k)
+
+
+def _collect_samples(args, ctx: GhostContext, ks: List[int]) -> list:
+    workers = min(args.jobs, len(ks), os.cpu_count() or 1)
+    if workers > 1 and len(ks) >= 8:
         from concurrent.futures import ProcessPoolExecutor
 
-        tasks = [
-            (cfg.p, cfg.a, cfg.s_eps, cfg.global_mult, cfg.mode, k) for k in ks
-        ]
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            groups = list(pool.map(_sample_task, tasks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            groups = list(pool.map(_sample_task, [args] * len(ks), ks))
     else:
-        ctx = cfg.context()
-        groups = []
-        for k in ks:
-            groups.append(
-                [
-                    s
-                    for kind in SampleKind
-                    if (s := sample(ctx, k, kind)).values
-                ]
-            )
+        # one shared context, so degree tables carry over between weights
+        groups = [_samples_at(ctx, k) for k in ks]
     return [s for group in groups for s in group]
 
 
-def cmd_dist(cfg: RunConfig) -> str:
-    if cfg.k_range is None:
-        raise ConfigError("dist needs --k-range lo:hi")
-    n_max = cfg.n if cfg.n else 2
+def cmd_dist(args) -> str:
+    lo, hi = _parse_range(args.k_range)
+    n_max = args.n
     if n_max < 1:
         raise ConfigError("moment order must be >= 1")
 
     def build() -> str:
-        lo, hi = cfg.k_range
-        ctx = cfg.context()
+        ctx = _context(args)
         ks = list(ctx.class_members(lo, hi))
-        samples = _collect_samples(cfg, ks)
+        samples = _collect_samples(args, ctx, ks)
         if not samples:
             raise DomainError(f"no nonempty samples for weights in [{lo}, {hi}]")
-        if cfg.fmt == "csv":
+        if args.fmt == "csv":
             return weyl_csv(samples, n_max)
         by_kind = {}
         for s in samples:
@@ -365,7 +310,7 @@ def cmd_dist(cfg: RunConfig) -> str:
                 )
         if not rows:
             raise DomainError("need at least three weights per kind in range")
-        if cfg.fmt == "json":
+        if args.fmt == "json":
             return _json_text(rows)
         lines = []
         for r in rows:
@@ -376,8 +321,7 @@ def cmd_dist(cfg: RunConfig) -> str:
             )
         return "".join(line + "\n" for line in lines)
 
-    lo, hi = cfg.k_range
-    key = f"dist-{_ctx_key(cfg)}-r{lo}-{hi}-n{n_max}-{cfg.fmt}.txt"
+    key = f"dist-{_ctx_key(args)}-r{lo}-{hi}-n{n_max}-{args.fmt}.txt"
     return _cached_text(key, build)
 
 
@@ -425,10 +369,7 @@ def _suite_multiplicity_symmetry(ctx, rng, ks):
 
 def _suite_zero_distance_bound(ctx, rng, ks):
     for k in rng.sample(ks, min(15, len(ks))):
-        kb = ctx.weight(k).k_bullet
-        cap = (_floor_log(ctx.p, kb) if kb >= 1 else 0) + 3
-        if max_zero_distance(ctx, k).value > cap:
-            raise VerificationError(f"M({k}) exceeds log cap {cap}")
+        ghost_zero_set(ctx, k)  # raises when M(k) exceeds its log cap
 
 
 def _suite_hull_idempotence(ctx, rng, ks):
@@ -472,12 +413,7 @@ def _suite_criterion_vs_hull(ctx, rng, ks):
 
 def _suite_hatted_duality(ctx, rng, ks):
     for k in rng.sample(ks, min(10, len(ks))):
-        trip = dimensions(ctx, k)
-        half = trip.d_iw // 2
-        table = hatted_valuation_table(ctx, k, trip.d_iw)
-        for l in range(1, trip.d_new // 2 + 1):
-            if table[half + l] - table[half - l] != (k - 2) * l:
-                raise VerificationError(f"hatted duality fails at (k, l) = ({k}, {l})")
+        derivative_polygon(ctx, k)  # raises when the hatted duality fails
 
 
 def _suite_slope_integrality(ctx, rng, ks):
@@ -649,15 +585,15 @@ SUITES = (
 )
 
 
-def cmd_verify(cfg: RunConfig) -> str:
-    ctx = cfg.context()
-    lo, hi = cfg.k_range if cfg.k_range else (10, 600)
+def cmd_verify(args) -> str:
+    lo, hi = _parse_range(args.k_range)
+    ctx = _context(args)
     ks = list(ctx.class_members(lo, hi))
     if len(ks) < 3:
         raise ConfigError(f"range [{lo}, {hi}] holds fewer than three class weights")
     failures = []
     for name, suite in SUITES:
-        rng = random.Random(f"{cfg.seed}:{name}")
+        rng = random.Random(f"{args.seed}:{name}")
         try:
             suite(ctx, rng, ks)
         except VerificationError as exc:
@@ -683,8 +619,9 @@ DISPATCH = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        cfg = _config_from_args(args)
-        sys.stdout.write(DISPATCH[args.command](cfg))
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        sys.stdout.write(DISPATCH[args.command](args))
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,10 +23,9 @@ from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 from .errors import DomainError
-from .ghost import GhostContext, WeightIndex, _floor_log
+from .ghost import GhostContext, WeightIndex, floor_log_bullet
 from .prediction import predict_slopes
 from .slopes import derivative_polygon, k_thresholds
-from .valuation import format_rational
 
 
 class SampleKind(Enum):
@@ -181,8 +180,7 @@ def discrepancy(sample_: DistributionSample, include_floor: bool = False) -> Fra
 
 def sample_difference_bound(ctx: GhostContext, k: int) -> Fraction:
     """Cap on how many entries thresholds and derivative data can differ."""
-    kb = ctx.weight(k).k_bullet
-    log_kb = _floor_log(ctx.p, kb) if kb >= 1 else 0
+    log_kb = floor_log_bullet(ctx, k)
     return Fraction(4 * log_kb + 10, ctx.p - 1) + 2
 
 

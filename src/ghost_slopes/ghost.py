@@ -20,15 +20,16 @@ looping over (n, k) pairs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator
 
 from .errors import ConfigError, DomainError, VerificationError
 from .valuation import INF, Valuation, vp_int_raw, weight_distance
 
-Rational = Union[int, Fraction]
+#: Hard cap for upward weight scans; exceeding it raises, guarding against
+#: misconfiguration (mathematically the scans terminate).
+K_CEILING = 10**9
 
 
 def _is_prime(n: int) -> bool:
@@ -45,9 +46,9 @@ def _is_prime(n: int) -> bool:
 
 
 def _floor_log(base: int, n: int) -> int:
-    """floor(log_base(n)) for n >= 1, exactly."""
-    if n < 1:
-        raise ValueError("log of a nonpositive integer")
+    """floor(log_base(n)) for n >= 1 exactly, and 0 for n = 0."""
+    if n < 0:
+        raise ValueError("log of a negative integer")
     e = 0
     power = base
     while power <= n:
@@ -93,7 +94,6 @@ class WeightPoint:
 
     anchor: int
     radius: Valuation
-    generic: bool = True
 
     def __post_init__(self):
         if isinstance(self.anchor, WeightIndex):
@@ -150,11 +150,9 @@ class GhostContext:
     mode : str
         "strict" enforces p >= 11 and 2 <= a <= p-5, the range where
         every slope statement is unconditional; "exploratory" allows
-        p >= 5 and 1 <= a <= p-4 (the combinatorics is defined there)
-        and flags the output with a warning.
-    k_ceiling : int
-        Hard cap for upward weight scans; exceeding it raises, guarding
-        against misconfiguration (mathematically the scans terminate).
+        p >= 5 and 1 <= a <= p-4 (the combinatorics is defined there).
+        Output is the same in both modes; the :attr:`warning` property
+        tells whether the parameters lie outside the strict range.
 
     Examples
     --------
@@ -168,7 +166,6 @@ class GhostContext:
     s_eps: int
     global_mult: int = 1
     mode: str = "exploratory"
-    k_ceiling: int = 10**9
 
     k_eps: int = field(init=False)
     delta_eps: int = field(init=False)
@@ -281,7 +278,7 @@ def _first_bullet_with(ctx: GhostContext, pred: Callable[[int], bool], hint: int
     if pred(0):
         return 0
     hi = max(4, hint)
-    ceiling = ctx.k_ceiling // (ctx.p - 1) + 2
+    ceiling = K_CEILING // (ctx.p - 1) + 2
     while not pred(hi):
         hi *= 2
         if hi > ceiling:
@@ -364,6 +361,19 @@ def ghost_polynomials_json(ctx: GhostContext, n_max: int) -> list:
 # -- ghost zero sets and the good-region radius M(k) -----------------------
 
 
+def floor_log_bullet(ctx: GhostContext, k: int) -> int:
+    """floor(log_p k_bullet) for a class weight k, 0 when k_bullet = 0:
+    the logarithmic term of the caps on M(k) and the exceptional count.
+
+    Examples
+    --------
+    >>> ctx = GhostContext(p=7, a=2, s_eps=1)
+    >>> floor_log_bullet(ctx, 6), floor_log_bullet(ctx, 42), floor_log_bullet(ctx, 48)
+    (0, 0, 1)
+    """
+    return _floor_log(ctx.p, ctx.weight(k).k_bullet)
+
+
 def _zero_set_bullet_bound(ctx: GhostContext, k: int) -> int:
     """Bullets j < bound are the candidates for GZ(k) membership."""
     d_iw = dimensions(ctx, k).d_iw
@@ -395,7 +405,7 @@ def max_zero_distance(ctx: GhostContext, k: int) -> Valuation:
     if bound <= 0 or (bound == 1 and kb == 0):
         return Valuation(0)
     reach = max(kb, bound - 1 - kb)
-    e = _floor_log(ctx.p, reach) if reach >= 1 else 0
+    e = _floor_log(ctx.p, reach)
     while e >= 0:
         pe = ctx.p**e
         # nearest congruent candidates first; they are valid unless they
@@ -430,14 +440,13 @@ def ghost_zero_set(ctx: GhostContext, k: int) -> GhostZeroSet:
     >>> ghost_zero_set(ctx, 24).m_of_k
     Valuation(2)
     """
-    kb = ctx.weight(k).k_bullet
     bound = _zero_set_bullet_bound(ctx, k)
     zeros = tuple(
         ctx.weight_of_bullet(j) for j in range(bound) if _is_zero_bullet(ctx, j, bound)
     )
     m_of_k = max_zero_distance(ctx, k)
     # Good-region radius bound; a failure here is an implementation bug.
-    cap = (_floor_log(ctx.p, kb) if kb >= 1 else 0) + 3
+    cap = floor_log_bullet(ctx, k) + 3
     if m_of_k > cap:
         raise VerificationError(f"M({k}) = {m_of_k} exceeds the log bound {cap}")
     return GhostZeroSet(k=k, zeros=zeros, m_of_k=m_of_k)

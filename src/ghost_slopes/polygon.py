@@ -31,6 +31,31 @@ def _as_valuation(y) -> Valuation:
     return y if isinstance(y, Valuation) else Valuation(y)
 
 
+def _chain(points: Iterable[Tuple[int, object]]) -> list:
+    """Lower monotone chain of (x, y) pairs given in increasing x, with
+    exact y (int or Fraction); collinear points drop."""
+    stack: list = []
+    for x, y in points:
+        while len(stack) >= 2:
+            (x1, y1), (x2, y2) = stack[-2], stack[-1]
+            # keep x2 only on a strict left turn
+            if (y2 - y1) * (x - x2) < (y - y2) * (x2 - x1):
+                break
+            stack.pop()
+        stack.append((x, y))
+    return stack
+
+
+def _interpolate(xs: Sequence[int], ys: Sequence, x: int):
+    """Ordinate at x of the polyline through (xs[i], ys[i]), for
+    xs[0] <= x <= xs[-1]."""
+    i = bisect_right(xs, x) - 1
+    if xs[i] == x:
+        return ys[i]
+    x0, x1 = xs[i], xs[i + 1]
+    return ys[i] + (ys[i + 1] - ys[i]) * Fraction(x - x0, x1 - x0)
+
+
 @dataclass(frozen=True)
 class RationalPolygon:
     """A lower convex hull over points with integer x and exact ordinates.
@@ -63,12 +88,7 @@ class RationalPolygon:
         xs = [vx for vx, _ in self.vertices]
         if not xs or x < xs[0] or x > xs[-1]:
             raise DomainError(f"x = {x} outside hull range")
-        i = bisect_right(xs, x) - 1
-        x0, y0 = self.vertices[i]
-        if x == x0:
-            return y0
-        x1, y1 = self.vertices[i + 1]
-        return Valuation(y0.value + (y1.value - y0.value) * Fraction(x - x0, x1 - x0))
+        return Valuation(_interpolate(xs, [y.value for _, y in self.vertices], x))
 
     def to_json_dict(self) -> dict:
         return {
@@ -102,16 +122,7 @@ def lower_hull(points: Iterable[Tuple[int, object]]) -> RationalPolygon:
     if not finite:
         raise DomainError("every ordinate is infinite")
 
-    stack: list = []
-    for x, y in finite:
-        while len(stack) >= 2:
-            (x1, y1), (x2, y2) = stack[-2], stack[-1]
-            # keep x2 only on a strict left turn; collinear points drop
-            if (y2 - y1) * (x - x2) < (y - y2) * (x2 - x1):
-                break
-            stack.pop()
-        stack.append((x, y))
-
+    stack = _chain(finite)
     vertices = tuple((x, Valuation(y)) for x, y in stack)
     vertex_set = {x for x, _ in stack}
     slopes = tuple(

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Tuple
 
 from .errors import VerificationError
-from .ghost import GhostContext, WeightIndex, _floor_log
+from .ghost import GhostContext, WeightIndex, floor_log_bullet
 from .polygon import lower_hull
 from .slopes import derivative_polygon, slope_window
 from .valuation import Valuation, format_rational
@@ -256,8 +256,7 @@ def predict_slopes(ctx: GhostContext, k: int) -> SlopePrediction:
 
 def exceptional_bound(ctx: GhostContext, k: int) -> Fraction:
     """Logarithmic cap on the exceptional count at weight k."""
-    kb = ctx.weight(k).k_bullet
-    log_kb = _floor_log(ctx.p, kb) if kb >= 1 else 0
+    log_kb = floor_log_bullet(ctx, k)
     return 2 * ctx.global_mult * (Fraction(2 * log_kb + 5, ctx.p - 1) + 1)
 
 

@@ -29,6 +29,7 @@ from .ghost import (
     GhostContext,
     WeightIndex,
     WeightPoint,
+    _floor_log,
     degree_table,
     dimensions,
     hatted_valuation_table,
@@ -37,8 +38,8 @@ from .ghost import (
     point_distance,
     support_interval,
 )
-from .polygon import RationalPolygon, lower_hull, newton_polygon_at
-from .valuation import INF, Valuation, format_rational
+from .polygon import RationalPolygon, _chain, _interpolate, lower_hull, newton_polygon_at
+from .valuation import Valuation, format_rational
 
 # -- derivative polygons ------------------------------------------------------
 
@@ -182,14 +183,6 @@ def _near_steinberg_witness(ctx: GhostContext, n: int, w: WeightPoint) -> int:
     return -1
 
 
-def _floor_log(base: int, n: int) -> int:
-    e, v = 0, base
-    while v <= n:
-        v *= base
-        e += 1
-    return e
-
-
 def breakpoints_by_criterion(ctx: GhostContext, w: WeightPoint, n_range: int) -> set:
     """Indices n in [0, n_range] that are near-Steinberg for no weight.
 
@@ -236,6 +229,16 @@ def _degree_increment_floor(ctx: GhostContext, n: int) -> int:
     return min(lower(m) for m in range(n, n + 2 * p))
 
 
+def _tail_certified(rfac, deg, inc_floor, n_window, q_hi, y_q, sigma_q) -> bool:
+    """Whether every coefficient past the window edge n_window lies above
+    the supporting line through (q_hi, y_q) of slope sigma_q, given
+    v_p(g_n) >= rfac * deg(g_n) and deg increments >= inc_floor there."""
+    return (
+        rfac * deg[n_window] >= y_q + sigma_q * (n_window - q_hi)
+        and rfac * inc_floor >= sigma_q
+    )
+
+
 def certified_newton_polygon(
     ctx: GhostContext, w: WeightPoint, q_hi: int
 ) -> RationalPolygon:
@@ -257,10 +260,8 @@ def certified_newton_polygon(
         y_q = np_.hull_value(q_hi).value
         sigma_q = np_.slope_list()[q_hi]
         deg = degree_table(ctx, n_window)
-        if (
-            rfac * deg[n_window] >= y_q + sigma_q * (n_window - q_hi)
-            and rfac * _degree_increment_floor(ctx, n_window) >= sigma_q
-        ):
+        inc_floor = _degree_increment_floor(ctx, n_window)
+        if _tail_certified(rfac, deg, inc_floor, n_window, q_hi, y_q, sigma_q):
             return np_
         n_window *= 2
     raise VerificationError("newton polygon window certification diverged")
@@ -448,19 +449,6 @@ def slope_window(ctx: GhostContext, k: int, i: int) -> tuple:
 # on values scaled by the radius denominator, in plain integers.
 
 
-def _int_hull_xs(vals: list) -> list:
-    # monotone chain over (index, value); collinear points drop
-    stack: list = []
-    for x, y in enumerate(vals):
-        while len(stack) >= 2:
-            (x1, y1), (x2, y2) = stack[-2], stack[-1]
-            if (y2 - y1) * (x - x2) < (y - y2) * (x2 - x1):
-                break
-            stack.pop()
-        stack.append((x, y))
-    return [x for x, _ in stack]
-
-
 def _piece_violation(A, B, deg, xs, r: Fraction, q_hi, n_window, inc_floor, level):
     """First failed certificate at radius r, as ("kind", data), or None."""
     u, v = r.numerator, r.denominator
@@ -480,9 +468,7 @@ def _piece_violation(A, B, deg, xs, r: Fraction, q_hi, n_window, inc_floor, leve
     e = x1 - x0
     y_q = Fraction(vn[x0] * (x1 - q_hi) + vn[x1] * (q_hi - x0), v * e)
     sigma_q = Fraction(vn[x1] - vn[x0], v * e)
-    if rfac * deg[n_window] < y_q + sigma_q * (n_window - q_hi):
-        return ("tail", None)
-    if rfac * inc_floor < sigma_q:
+    if not _tail_certified(rfac, deg, inc_floor, n_window, q_hi, y_q, sigma_q):
         return ("tail", None)
     return None
 
@@ -536,7 +522,8 @@ def _level_pieces(ctx: GhostContext, k: int, level: int, r_lo, r_hi, q_hi: int):
             r1, r2 = stack.pop()
             mid = (r1 + r2) / 2
             u, v = mid.numerator, mid.denominator
-            xs = _int_hull_xs([A[q] * v + B[q] * u for q in range(n_window + 1)])
+            vals = [A[q] * v + B[q] * u for q in range(n_window + 1)]
+            xs = [x for x, _ in _chain(enumerate(vals))]
             viol = None
             for r in (r1, r2):
                 viol = _piece_violation(
@@ -565,18 +552,9 @@ def _level_pieces(ctx: GhostContext, k: int, level: int, r_lo, r_hi, q_hi: int):
     raise VerificationError("sweep window certification diverged")
 
 
-def _hull_value_at(xs, vals, x) -> Fraction:
-    # linear interpolation of hull values between bracketing vertices
-    i = bisect_right(xs, x) - 1
-    if xs[i] == x:
-        return vals[i]
-    x0, x1 = xs[i], xs[i + 1]
-    return vals[i] + (vals[i + 1] - vals[i]) * Fraction(x - x0, x1 - x0)
-
-
 def _newslope_at(xs, A, B, x_pos, r) -> Fraction:
     vals = [Fraction(A[x]) + B[x] * r for x in xs]
-    return _hull_value_at(xs, vals, x_pos) - _hull_value_at(xs, vals, x_pos - 1)
+    return _interpolate(xs, vals, x_pos) - _interpolate(xs, vals, x_pos - 1)
 
 
 def sweep_threshold(ctx: GhostContext, k: int, n: int) -> Valuation:

@@ -97,7 +97,9 @@ class Valuation:
         return self._key() >= _coerce(other)._key()
 
     def __hash__(self):
-        return hash(self._key())
+        # a finite value hashes as its Fraction, so it agrees with the
+        # equal int or Fraction in sets and dict keys
+        return hash(self._key() if self._value is None else self._value)
 
     def __repr__(self):
         return "INF" if self._value is None else f"Valuation({self._value})"
@@ -176,11 +178,6 @@ def weight_distance(k1: int, k2: int, p: int) -> Valuation:
     return Valuation(1 + vp_int_raw(k1 - k2, p))
 
 
-def weight_distance_raw(k1: int, k2: int, p: int) -> int:
-    """Integer weight distance for k1 != k2 (hot path)."""
-    return 1 + vp_int_raw(k1 - k2, p)
-
-
 def format_rational(x) -> str:
     """Canonical string for a rational or Valuation: "num/den" in lowest
     terms, bare "num" when the denominator is 1, "inf" for INF.
@@ -199,8 +196,3 @@ def format_rational(x) -> str:
             return "inf"
         x = x.value
     return str(Fraction(x))
-
-
-def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`format_rational` for finite values ("3", "11/2")."""
-    return Fraction(text.strip())

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line driver: output bytes and exit codes."""
 
+import concurrent.futures
 import json
+import os
 import subprocess
 import sys
 
@@ -175,6 +177,49 @@ class TestDistCommand:
         _, serial, _ = run(capsys, "dist", "--k-range", "10:100", "--format", "csv", "--jobs", "1")
         _, parallel, _ = run(capsys, "dist", "--k-range", "10:100", "--format", "csv", "--jobs", "2")
         assert serial == parallel
+
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_rejected(self, capsys, jobs):
+        code, out, err = run(capsys, "dist", "--k-range", "10:100", "--jobs", jobs)
+        assert code == 1
+        assert out == ""
+        assert "--jobs" in err
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, expected",
+        [("1000", 4, 4), ("1000", 64, 15), ("3", 64, 3), ("2", 1, None)],
+    )
+    def test_pool_size_is_capped(self, capsys, monkeypatch, jobs, cpus, expected):
+        # a recording stand-in for the pool: no process is started
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        # weights 12..96 of the class: 15 of them
+        code, out, _ = run(capsys, "dist", "--k-range", "10:100", "--format", "csv", "--jobs", jobs)
+        _, serial, _ = run(capsys, "dist", "--k-range", "10:100", "--format", "csv", "--jobs", "1")
+        assert code == 0
+        assert out == serial
+        assert sizes == ([] if expected is None else [expected])
+
+    def test_zero_moment_order_rejected(self, capsys):
+        code, out, err = run(capsys, "dist", "--k-range", "10:60", "-n", "0")
+        assert code == 1
+        assert out == ""
+        assert "moment order" in err
 
     def test_empty_range_is_domain_error(self, capsys):
         code, _, err = run(capsys, "dist", "--k-range", "3:5")

@@ -12,7 +12,6 @@ from ghost_slopes.valuation import (
     vp_int,
     vp_int_raw,
     weight_distance,
-    weight_distance_raw,
 )
 
 
@@ -31,6 +30,19 @@ def test_equality_and_hash():
     assert INF == INF
     assert INF != Valuation(10**9)
     assert len({Valuation(1), Valuation(Fraction(2, 2)), INF, INF}) == 2
+
+
+def test_hash_agrees_with_equal_numbers():
+    # equal values must find each other in sets and dicts, in both directions
+    assert Valuation(3) in {3}
+    assert 3 in {Valuation(3)}
+    assert Valuation(Fraction(1, 2)) in {Fraction(1, 2)}
+    assert {Fraction(1, 2): 1}.get(Valuation(Fraction(1, 2))) == 1
+    assert {Valuation(-4): "v"}.get(-4) == "v"
+    assert {Valuation(Fraction(6, 3)): "v"}.get(Fraction(2)) == "v"
+    assert len({3, Valuation(3), Fraction(3)}) == 1
+    assert INF not in {Valuation(0)}
+    assert {INF: 1}.get(INF) == 1
 
 
 def test_addition_absorbs_infinity():
@@ -82,8 +94,8 @@ def test_weight_distance():
     assert weight_distance(24, 66, 7) == Valuation(2)  # 42 = 6*7
     assert weight_distance(24, 30, 7) == Valuation(1)
     assert weight_distance(24, 24, 7).is_infinite
-    assert weight_distance_raw(24, 108, 7) == 2
-    assert weight_distance_raw(24, 318, 7) == 3  # 294 = 6*49
+    assert weight_distance(24, 108, 7) == 2
+    assert weight_distance(24, 318, 7) == 3  # 294 = 6*49
 
 
 @given(
