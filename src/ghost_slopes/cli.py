@@ -19,10 +19,13 @@ output between runs; without it nothing touches the filesystem.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import pathlib
 import random
 import sys
+import tempfile
 from fractions import Fraction
 from typing import Callable, List, Tuple
 
@@ -45,7 +48,7 @@ from .ghost import (
     max_zero_distance,
 )
 from .polygon import dual_graph, lower_hull
-from .prediction import build_model, exceptional_bound, predict_slopes
+from .prediction import Rel, build_model, exceptional_bound, predict_slopes
 from .slopes import (
     breakpoints_by_criterion,
     certified_newton_polygon,
@@ -90,9 +93,12 @@ def _parse_radius(text: str):
     if text.strip() == "inf":
         return INF
     try:
-        return Fraction(text.strip())
+        radius = Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"radius must be an integer or num/den, got {text!r}") from None
+    if radius < 0:
+        raise ConfigError(f"radius must be >= 0, got {text!r}")
+    return radius
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,18 +147,36 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
+@functools.lru_cache(maxsize=None)
+def _source_digest() -> str:
+    """Short digest of the package's own .py sources, read once."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()[:12]
+
+
 def _cached_text(key: str, build: Callable[[], str]) -> str:
     root = os.environ.get("GHOST_SLOPES_CACHE")
     if not root:
         return build()
     os.makedirs(root, exist_ok=True)
-    path = os.path.join(root, key)
+    path = os.path.join(root, f"{_source_digest()}-{key}")
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     text = build()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    # a crash mid-write leaves at most a temp file, never a short entry
+    fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return text
 
 
@@ -193,7 +217,7 @@ def cmd_slopes(args) -> str:
     rendered = [format_rational(s) for s in slopes]
     if args.fmt == "json":
         return _json_text(
-            {"k": args.k, "radius": args.radius.strip(), "newslopes": rendered}
+            {"k": args.k, "radius": format_rational(radius), "newslopes": rendered}
         )
     if args.fmt == "csv":
         lines = ["i,slope"]
@@ -450,12 +474,10 @@ def _suite_increment_lower_bound(ctx, rng, ks):
 
 
 def _suite_model_and_pattern(ctx, rng, ks):
-    from .prediction import Rel
-
     for k in rng.sample(ks, min(10, len(ks))):
         model = build_model(ctx, k)  # hull profile asserted internally
-        for i, j in model.eq_cells():
-            strict = sum(1 for row in model.pattern if row[j - 1] == Rel.GT)
+        for _, j in model.eq_cells():
+            strict = [model.rel(i, j) for i in range(1, model.d + 1)].count(Rel.GT)
             if strict != j - 1:
                 raise VerificationError(
                     f"column {j} carries {strict} strict entries at k = {k}"

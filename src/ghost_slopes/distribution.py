@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import DomainError
 from .ghost import GhostContext, WeightIndex, floor_log_bullet
@@ -39,15 +39,13 @@ class DistributionSample:
     """A normalized slope multiset with exact power means.
 
     ``values`` is sorted ascending and includes ``floor_count`` floor
-    stand-ins (LINV only; zero otherwise).  ``moments`` holds the first
-    three power means over the genuine values; ``moment`` recomputes
-    any order on demand.
+    stand-ins (LINV only; zero otherwise).  ``moment`` computes the
+    power mean of any order over the genuine values.
     """
 
     k: WeightIndex
     kind: SampleKind
     values: Tuple[Fraction, ...]
-    moments: Dict[int, Fraction]
     floor_value: Fraction
     floor_count: int
 
@@ -99,21 +97,10 @@ def sample(ctx: GhostContext, k: int, kind: SampleKind) -> DistributionSample:
         vals.extend([floor_value] * floor_count)
     else:
         raise DomainError(f"unknown sample kind {kind!r}")
-    genuine = sorted(vals)
-    if floor_count:
-        for _ in range(floor_count):
-            genuine.remove(floor_value)
-    moments = {}
-    if genuine:
-        moments = {
-            n: Fraction(sum(v**n for v in genuine), len(genuine))
-            for n in (1, 2, 3)
-        }
     return DistributionSample(
         k=ctx.weight(k),
         kind=kind,
         values=tuple(sorted(vals)),
-        moments=moments,
         floor_value=floor_value,
         floor_count=floor_count,
     )

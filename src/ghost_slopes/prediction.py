@@ -4,10 +4,10 @@ The model sequence L_1 < ... < L_d grows by r_N = s_N on the first
 2*d_N steps, then by s_{N-1}, and so on down to the model radius R on
 the last d - 2*(d_N + ... + d_M) steps, so the hull of {(j, -L_j)} and
 the origin replays the known derivative slopes and then flattens at -R.
-The pattern matrix records, entry by entry, how v_p(F_{i,j}) compares
-to i*(k-2) - L_j: equality exactly on the breakpoint diagonal cells and
-their mirror rows, strict above the doubled index, the bottom row
-strict everywhere.
+The comparison rule ``PredictionModel.rel`` says, entry by entry, how
+v_p(F_{i,j}) compares to i*(k-2) - L_j: equality exactly on the
+breakpoint diagonal cells and their mirror rows, strict above the
+doubled index, the bottom row strict everywhere.
 
 Predicted slopes come in a known block read off the closed threshold
 relation (L-invariant slope = -(threshold + 1)) plus a floor for the
@@ -40,14 +40,14 @@ class Rel(Enum):
 
 @dataclass(frozen=True)
 class PredictionModel:
-    """The L/K/pattern model for one weight.
+    """The L/K model and its comparison rule for one weight.
 
     ``r_list[l-1]`` is the block slope r_l: the derivative slope s_l for
     l >= M_index and the model radius R below.  ``L_seq`` holds
     L_1..L_d with L_j built block by block from the top slope down;
-    ``K_vals[i-1] = (k-2)*i``.  ``pattern`` is the d x d matrix of
-    comparison kinds; ``block_sizes[l-1]`` is the stretched multiplicity
-    of s_l.
+    ``K_vals[i-1] = (k-2)*i``.  ``block_sizes[l-1]`` is the stretched
+    multiplicity of s_l.  :meth:`rel` gives the comparison kind of each
+    entry of the d x d pattern.
     """
 
     k: WeightIndex
@@ -55,7 +55,6 @@ class PredictionModel:
     r_list: Tuple[Fraction, ...]
     L_seq: Tuple[Fraction, ...]
     K_vals: Tuple[int, ...]
-    pattern: Tuple[Tuple[Rel, ...], ...]
     R: Fraction
     M_index: int
     block_sizes: Tuple[int, ...]
@@ -65,14 +64,32 @@ class PredictionModel:
         return 2 * sum(self.block_sizes[self.M_index - 1 :])
 
     def eq_cells(self) -> Tuple[Tuple[int, int], ...]:
-        """(row, column) positions of the equality entries, sorted."""
-        cells = [
-            (i + 1, j + 1)
-            for i, row in enumerate(self.pattern)
-            for j, rel in enumerate(row)
-            if rel is Rel.EQ
-        ]
+        """(row, column) positions of the equality entries, sorted: each
+        running total acc of the known blocks, top slope first, marks
+        (acc, 2*acc) and (d - acc, 2*acc), never on row d."""
+        cells = set()
+        acc = 0
+        for size in reversed(self.block_sizes[self.M_index - 1 :]):
+            acc += size
+            cells.update(((acc, 2 * acc), (self.d - acc, 2 * acc)))
         return tuple(sorted(cells))
+
+    def rel(self, i: int, j: int) -> Rel:
+        """Comparison kind of the pattern entry (i, j), 1 <= i, j <= d.
+
+        The bottom row is GT and the :meth:`eq_cells` are EQ; right of
+        column 2*i in the top known rows, and of column 2*(d - i) in the
+        bottom known rows, entries are GT; every other entry is GE.
+        """
+        d, known = self.d, self.known_size() // 2
+        if i == d:
+            return Rel.GT
+        # every equality cell sits in column 2*i or its mirror 2*(d - i)
+        if j in (2 * i, 2 * (d - i)) and (i, j) in self.eq_cells():
+            return Rel.EQ
+        if (i <= known and j > 2 * i) or (i >= d - known and j > 2 * (d - i)):
+            return Rel.GT
+        return Rel.GE
 
 
 @dataclass(frozen=True)
@@ -139,33 +156,6 @@ def model_radius(ctx: GhostContext, k: int) -> Fraction:
     return cache[kb]
 
 
-def _pattern_matrix(d: int, block_sizes: Tuple[int, ...], m_index: int) -> tuple:
-    n_top = len(block_sizes)
-    known = sum(block_sizes[m_index - 1 :])
-    cells = set()
-    acc = 0
-    for l in range(n_top, m_index - 1, -1):
-        acc += block_sizes[l - 1]
-        cells.add((acc, 2 * acc))
-        cells.add((d - acc, 2 * acc))
-    rows = []
-    for i in range(1, d + 1):
-        row = []
-        for j in range(1, d + 1):
-            if i == d:
-                row.append(Rel.GT)
-            elif (i, j) in cells:
-                row.append(Rel.EQ)
-            elif i <= known and j > 2 * i:
-                row.append(Rel.GT)
-            elif i >= d - known and j > 2 * (d - i):
-                row.append(Rel.GT)
-            else:
-                row.append(Rel.GE)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def _assert_model_hull(model: PredictionModel) -> None:
     # the hull of {(j, -L_j)} u {(0,0)} must replay -s_N < ... < -s_M < -R
     if model.d == 0:
@@ -187,7 +177,7 @@ def _assert_model_hull(model: PredictionModel) -> None:
 
 
 def build_model(ctx: GhostContext, k: int) -> PredictionModel:
-    """Assemble the L sequence, K values, and pattern matrix for k.
+    """Assemble the L sequence and K values for k.
 
     >>> ctx = GhostContext(7, 2, 1)
     >>> build_model(ctx, 24).L_seq[:4]
@@ -214,7 +204,6 @@ def build_model(ctx: GhostContext, k: int) -> PredictionModel:
         r_list=r_list,
         L_seq=tuple(seq),
         K_vals=tuple((k - 2) * i for i in range(1, d + 1)),
-        pattern=_pattern_matrix(d, block_sizes, dp.M_index),
         R=R,
         M_index=dp.M_index,
         block_sizes=block_sizes,

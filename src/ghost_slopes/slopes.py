@@ -198,6 +198,11 @@ def breakpoints_by_criterion(ctx: GhostContext, w: WeightPoint, n_range: int) ->
 
 # -- window certification ---------------------------------------------------------
 
+# iteration caps; hitting one raises a VerificationError that names it
+NEWTON_WINDOW_DOUBLINGS = 60  # windows tried by certified_newton_polygon
+SWEEP_WINDOW_DOUBLINGS = 40  # windows tried per sweep level
+SWEEP_PIECE_GUARD = 100000  # pieces examined per sweep window
+
 
 def _period_maxima(ctx: GhostContext) -> tuple:
     cache = ctx._cache("period")
@@ -255,7 +260,7 @@ def certified_newton_polygon(
     if rfac <= 0:
         raise DomainError("hull certification needs a positive radius")
     n_window = max(q_hi + 8, trip.d_iw)
-    for _ in range(60):
+    for _ in range(NEWTON_WINDOW_DOUBLINGS):
         np_ = newton_polygon_at(ctx, n_window, w)
         y_q = np_.hull_value(q_hi).value
         sigma_q = np_.slope_list()[q_hi]
@@ -264,7 +269,9 @@ def certified_newton_polygon(
         if _tail_certified(rfac, deg, inc_floor, n_window, q_hi, y_q, sigma_q):
             return np_
         n_window *= 2
-    raise VerificationError("newton polygon window certification diverged")
+    raise VerificationError(
+        f"window certification diverged: NEWTON_WINDOW_DOUBLINGS = {NEWTON_WINDOW_DOUBLINGS}"
+    )
 
 
 # -- k-newslopes -------------------------------------------------------------------
@@ -446,10 +453,11 @@ def slope_window(ctx: GhostContext, k: int, i: int) -> tuple:
 # supporting line; each check is linear in r, so endpoint validity
 # extends to the whole piece.  A failed check is solved exactly for its
 # crossing radius and the piece splits there.  All hull comparisons run
-# on values scaled by the radius denominator, in plain integers.
+# on values scaled by the radius denominator, in plain integers.  Levels
+# start at 1, so the tail bound's factor min(r, 1) is always 1.
 
 
-def _piece_violation(A, B, deg, xs, r: Fraction, q_hi, n_window, inc_floor, level):
+def _piece_violation(A, B, deg, xs, r: Fraction, q_hi, n_window, inc_floor):
     """First failed certificate at radius r, as ("kind", data), or None."""
     u, v = r.numerator, r.denominator
     vn = [A[q] * v + B[q] * u for q in range(n_window + 1)]
@@ -462,13 +470,12 @@ def _piece_violation(A, B, deg, xs, r: Fraction, q_hi, n_window, inc_floor, leve
         for q in range(x0 + 1, x1):
             if vn[q] * e < y0 * (x1 - q) + y1 * (q - x0):
                 return ("point", q)
-    rfac = min(r, Fraction(1)) if level == 0 else Fraction(1)
     i = bisect_right(xs, q_hi) - 1
     x0, x1 = xs[i], xs[i + 1]
     e = x1 - x0
     y_q = Fraction(vn[x0] * (x1 - q_hi) + vn[x1] * (q_hi - x0), v * e)
     sigma_q = Fraction(vn[x1] - vn[x0], v * e)
-    if not _tail_certified(rfac, deg, inc_floor, n_window, q_hi, y_q, sigma_q):
+    if not _tail_certified(1, deg, inc_floor, n_window, q_hi, y_q, sigma_q):
         return ("tail", None)
     return None
 
@@ -495,8 +502,8 @@ def _violation_root(A, B, xs, kind, data, r1, r2):
     return None
 
 
-def _level_pieces(ctx: GhostContext, k: int, level: int, r_lo, r_hi, q_hi: int):
-    """Certified constant-hull pieces of [r_lo, r_hi] at one radius level.
+def _level_pieces(ctx: GhostContext, k: int, level: int, q_hi: int):
+    """Certified constant-hull pieces of [level, level + 1], for level >= 1.
 
     Returns [(r1, r2, vertex_xs, A, B)], consecutive, covering the range.
     """
@@ -507,18 +514,20 @@ def _level_pieces(ctx: GhostContext, k: int, level: int, r_lo, r_hi, q_hi: int):
         return cache[key]
     trip = dimensions(ctx, k)
     n_window = max(q_hi + 8, trip.d_iw)
-    for _ in range(40):
+    for _ in range(SWEEP_WINDOW_DOUBLINGS):
         A, B = level_tables(ctx, k, level, n_window)
         deg = degree_table(ctx, n_window)
         inc_floor = _degree_increment_floor(ctx, n_window)
         done: list = []
-        stack = [(Fraction(r_lo), Fraction(r_hi))]
+        stack = [(Fraction(level), Fraction(level + 1))]
         grew = False
         guard = 0
         while stack:
             guard += 1
-            if guard > 100000:
-                raise VerificationError("newslope sweep failed to stabilize")
+            if guard > SWEEP_PIECE_GUARD:
+                raise VerificationError(
+                    f"newslope sweep failed to stabilize: SWEEP_PIECE_GUARD = {SWEEP_PIECE_GUARD}"
+                )
             r1, r2 = stack.pop()
             mid = (r1 + r2) / 2
             u, v = mid.numerator, mid.denominator
@@ -526,9 +535,7 @@ def _level_pieces(ctx: GhostContext, k: int, level: int, r_lo, r_hi, q_hi: int):
             xs = [x for x, _ in _chain(enumerate(vals))]
             viol = None
             for r in (r1, r2):
-                viol = _piece_violation(
-                    A, B, deg, xs, r, q_hi, n_window, inc_floor, level
-                )
+                viol = _piece_violation(A, B, deg, xs, r, q_hi, n_window, inc_floor)
                 if viol:
                     break
             if viol is None:
@@ -549,7 +556,9 @@ def _level_pieces(ctx: GhostContext, k: int, level: int, r_lo, r_hi, q_hi: int):
             cache[key] = out
             return out
         n_window *= 2
-    raise VerificationError("sweep window certification diverged")
+    raise VerificationError(
+        f"sweep window certification diverged: SWEEP_WINDOW_DOUBLINGS = {SWEEP_WINDOW_DOUBLINGS}"
+    )
 
 
 def _newslope_at(xs, A, B, x_pos, r) -> Fraction:
@@ -579,20 +588,11 @@ def sweep_threshold(ctx: GhostContext, k: int, n: int) -> Valuation:
     m_int = int(max_zero_distance(ctx, k).value)
     x_pos = trip.d_ur + n
     q_hi = trip.d_iw - trip.d_ur
-    best = Fraction(0)
-    # below radius 1 every valuation is radius * degree, so the newslope
-    # is radius * (degree-hull slope): linear through 0, never locked
-    for r1, r2, xs, A, B in _level_pieces(ctx, k, 0, Fraction(1, 1000), 1, q_hi):
-        e1 = _newslope_at(xs, A, B, x_pos, r1)
-        e2 = _newslope_at(xs, A, B, x_pos, r2)
-        if not (e1 == target and e2 == target):
-            best = max(best, r2)
+    # below radius 1 each distance min(r, d_j) is r, so the newslope is r
+    # times a fixed slope: never locked on a piece, hence threshold >= 1
+    best = Fraction(1)
     for level in range(1, m_int):
-        for r1, r2, xs, A, B in _level_pieces(
-            ctx, k, level, level, level + 1, q_hi
-        ):
-            e1 = _newslope_at(xs, A, B, x_pos, r1)
-            e2 = _newslope_at(xs, A, B, x_pos, r2)
-            if not (e1 == target and e2 == target):
+        for r1, r2, xs, A, B in _level_pieces(ctx, k, level, q_hi):
+            if any(_newslope_at(xs, A, B, x_pos, r) != target for r in (r1, r2)):
                 best = max(best, r2)
     return Valuation(best)

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from ghost_slopes import cli
 from ghost_slopes.cli import build_parser, main
 
 
@@ -82,6 +83,14 @@ class TestSlopesCommand:
         code, out, _ = run(capsys, "slopes", "-k", "24", "-r", "10", "--format", "json")
         data = json.loads(out)
         assert data == {"k": 24, "radius": "10", "newslopes": ["11"] * 6}
+        # every spelling of one radius prints it in lowest terms
+        for radius in ("10/4", "2.5", "5/2"):
+            code, out, _ = run(capsys, "slopes", "-k", "24", "-r", radius, "--format", "json")
+            assert json.loads(out) == {
+                "k": 24,
+                "radius": "5/2",
+                "newslopes": ["9/2", "15/2", "11", "11", "29/2", "35/2"],
+            }
 
     def test_off_class_weight_is_domain_error(self, capsys):
         code, _, err = run(capsys, "slopes", "-k", "25", "-r", "2")
@@ -89,8 +98,9 @@ class TestSlopesCommand:
         assert "not in the class" in err
 
     def test_bad_radius_is_config_error(self, capsys):
-        code, _, err = run(capsys, "slopes", "-k", "24", "-r", "three")
-        assert code == 1
+        for radius in ("three", "-1"):
+            code, _, err = run(capsys, "slopes", "-k", "24", "-r", radius)
+            assert code == 1
 
 
 class TestThresholdsCommand:
@@ -292,6 +302,28 @@ class TestCache:
         code, second, _ = run(capsys, "thresholds", "-k", "24", "--format", "json")
         assert code == 0
         assert second == '{"tampered": true}\n'
+
+    def test_failed_replace_leaves_no_entry(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GHOST_SLOPES_CACHE", str(tmp_path))
+
+        def crash(src, dst):
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError):
+            main(["thresholds", "-k", "24"])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_entry_of_other_sources_not_served(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("GHOST_SLOPES_CACHE", str(tmp_path))
+        code, first, _ = run(capsys, "thresholds", "-k", "24", "--format", "json")
+        [entry] = tmp_path.iterdir()
+        entry.write_text('{"tampered": true}\n')
+        monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 12)
+        code, second, _ = run(capsys, "thresholds", "-k", "24", "--format", "json")
+        assert code == 0
+        assert second == first
+        assert len(list(tmp_path.iterdir())) == 2
 
     def test_no_env_no_files(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("GHOST_SLOPES_CACHE", raising=False)

@@ -36,7 +36,6 @@ def make_sample(values, floor_value=Fraction(0), floor_count=0):
         k=CTX.weight(24),
         kind=SampleKind.THRESHOLD,
         values=tuple(sorted(values)),
-        moments={},
         floor_value=floor_value,
         floor_count=floor_count,
     )
@@ -57,14 +56,6 @@ class TestSampleValues:
     def test_threshold_first_moment_frozen(self):
         s = sample(CTX, 24, SampleKind.THRESHOLD)
         assert s.moment(1) == Fraction(11, 18)
-        assert s.moments[1] == Fraction(11, 18)
-
-    def test_moments_field_matches_method(self):
-        for kind in SampleKind:
-            s = sample(CTX, 24, kind)
-            assert set(s.moments) == {1, 2, 3}
-            for n, v in s.moments.items():
-                assert v == s.moment(n)
 
     def test_derivative_values_frozen(self):
         s = sample(CTX, 24, SampleKind.DERIVATIVE)
@@ -109,7 +100,6 @@ class TestSampleValues:
         s = sample(CTX, 24, SampleKind.LINV)
         assert s.moment(1) == Fraction(17, 18)
         assert s.moment(1, include_floor=True) == Fraction(83, 108)
-        assert s.moments[1] == Fraction(17, 18)
 
     def test_floor_sits_below_known_block(self):
         # the model radius is below every closed-form slope, so the
@@ -140,7 +130,6 @@ class TestSampleValues:
         ctx = GhostContext(11, 2, 0)
         s = sample(ctx, 4, SampleKind.THRESHOLD)
         assert s.values == ()
-        assert s.moments == {}
         with pytest.raises(DomainError):
             s.moment(1)
         with pytest.raises(DomainError):
@@ -237,7 +226,6 @@ class TestWeylMoments:
                 k=CTX.weight(k),
                 kind=s.kind,
                 values=s.values,
-                moments={},
                 floor_value=s.floor_value,
                 floor_count=s.floor_count,
             )
@@ -249,7 +237,6 @@ class TestWeylMoments:
                 k=s.k,
                 kind=s.kind,
                 values=t.values,
-                moments={},
                 floor_value=s.floor_value,
                 floor_count=s.floor_count,
             )

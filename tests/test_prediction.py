@@ -1,4 +1,4 @@
-"""Tests for the slope-prediction model, pattern matrix, and floors."""
+"""Tests for the slope-prediction model, comparison rule, and floors."""
 
 import json
 from fractions import Fraction
@@ -21,7 +21,7 @@ from ghost_slopes import (
     slope_window,
 )
 from ghost_slopes.polygon import lower_hull
-from ghost_slopes.prediction import Rel, _pattern_matrix
+from ghost_slopes.prediction import PredictionModel, Rel
 
 CTX = GhostContext(7, 2, 1)
 CTX_WRAP = GhostContext(11, 6, 9)
@@ -34,6 +34,13 @@ def sample_weights(ctx, lo, hi, count, seed):
     rng = random.Random(seed)
     pool = list(ctx.class_members(lo, hi))
     return sorted(rng.sample(pool, min(count, len(pool))))
+
+
+def pattern(m):
+    """The d x d comparison table, entry by entry through ``rel``."""
+    return tuple(
+        tuple(m.rel(i, j) for j in range(1, m.d + 1)) for i in range(1, m.d + 1)
+    )
 
 
 # -- the model ----------------------------------------------------------------
@@ -117,17 +124,17 @@ def test_model_empty_when_no_new_dimension():
     m = build_model(ctx, 4)
     assert m.d == 0
     assert m.L_seq == ()
-    assert m.pattern == ()
+    assert pattern(m) == ()
     assert predict_slopes(ctx, 4).exceptional_count == 0
 
 
-# -- the pattern matrix -------------------------------------------------------
+# -- the comparison rule ------------------------------------------------------
 
 
 def test_pattern_frozen_k24():
     GT, GE, EQ = Rel.GT, Rel.GE, Rel.EQ
     m = build_model(CTX, 24)
-    assert m.pattern == (
+    assert pattern(m) == (
         (GE, EQ, GT, GT, GT, GT),
         (GE, GE, GE, EQ, GT, GT),
         (GE, GE, GE, GE, GE, GE),
@@ -141,7 +148,12 @@ def test_pattern_frozen_k24():
 def test_pattern_all_known_depth_four():
     # d = 8 with four unit blocks, every slope cleared: equalities walk the
     # doubled diagonal and mirror back up, bottom row strict throughout
-    rows = _pattern_matrix(8, (1, 1, 1, 1), 1)
+    # rel reads only d, block_sizes and M_index
+    m = PredictionModel(
+        k=None, d=8, r_list=(), L_seq=(), K_vals=(), R=Fraction(0),
+        M_index=1, block_sizes=(1, 1, 1, 1),
+    )
+    rows = pattern(m)
     text = ["".join({Rel.GT: ">", Rel.GE: "e", Rel.EQ: "="}[r] for r in row) for row in rows]
     assert text == [
         "e=>>>>>>",
@@ -158,8 +170,9 @@ def test_pattern_all_known_depth_four():
 def test_pattern_row_mirror():
     for ctx, k in ((CTX, 174), (CTX_WRAP, 276), (CTX_ODD, 115)):
         m = build_model(ctx, k)
+        rows = pattern(m)
         for i in range(1, m.d // 2 + 1):
-            assert m.pattern[i - 1] == m.pattern[m.d - i - 1]
+            assert rows[i - 1] == rows[m.d - i - 1]
 
 
 def test_pattern_equality_count():
@@ -176,7 +189,7 @@ def test_pattern_strict_count_in_equality_columns():
     for ctx, k in ((CTX, 24), (CTX, 90), (CTX_WRAP, 276), (CTX_ODD, 1535)):
         m = build_model(ctx, k)
         for j in sorted({c for _, c in m.eq_cells()}):
-            col = [m.pattern[i][j - 1] for i in range(m.d)]
+            col = [m.rel(i, j) for i in range(1, m.d + 1)]
             assert col.count(Rel.GT) == j - 1
             assert col.count(Rel.EQ) in (1, 2)
 
@@ -184,7 +197,7 @@ def test_pattern_strict_count_in_equality_columns():
 def test_pattern_last_row_strict():
     for k in (24, 48, 90):
         m = build_model(CTX, k)
-        assert set(m.pattern[-1]) == {Rel.GT}
+        assert set(pattern(m)[-1]) == {Rel.GT}
 
 
 # -- predictions --------------------------------------------------------------

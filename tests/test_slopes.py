@@ -3,11 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghost_slopes import (
     INF,
     DomainError,
     GhostContext,
+    VerificationError,
     Valuation,
     WeightPoint,
     breakpoints_by_criterion,
@@ -22,6 +25,7 @@ from ghost_slopes import (
     slope_window,
     sweep_threshold,
 )
+from ghost_slopes import slopes
 from ghost_slopes.ghost import support_interval
 
 
@@ -441,6 +445,46 @@ def test_thresholds_central_block_size_bound(ctx):
         central = 2 * dp.breakpoints[dp.M_index - 1]
         cap = 2 * ((2 * math.floor(math.log(kb, ctx.p)) + 5) / (ctx.p - 1) + 1)
         assert central <= cap, (k, central, cap)
+
+
+@st.composite
+def context_and_weight(draw):
+    """A random context (p, a, s_eps, m) in either mode and a class weight <= 300."""
+    mode = draw(st.sampled_from(("strict", "exploratory")))
+    p = draw(st.sampled_from((11, 13) if mode == "strict" else (5, 7, 11, 13)))
+    a = draw(st.integers(2, p - 5) if mode == "strict" else st.integers(1, p - 4))
+    ctx = GhostContext(
+        p, a, draw(st.integers(0, p - 2)), draw(st.integers(1, 3)), mode
+    )
+    return ctx, draw(st.sampled_from(list(ctx.class_members(ctx.k_eps, 300))))
+
+
+@given(case=context_and_weight(), num=st.integers(1, 12), den=st.integers(1, 12))
+@settings(max_examples=40, deadline=None)
+def test_no_lock_at_radius_one_or_below(case, num, den):
+    # for r <= 1 every valuation is r * degree, so each newslope is r times
+    # its value at r = 1: it meets (k-2)/2 at one radius at most and never
+    # locks on an interval, which leaves every sweep threshold >= 1
+    ctx, k = case
+    r = Fraction(min(num, den), den)
+    at_one = k_newslopes(ctx, k, WeightPoint(k, 1), method="hull")
+    at_r = k_newslopes(ctx, k, WeightPoint(k, r), method="hull")
+    assert at_r == [r * s for s in at_one]
+    for n in range(1, len(at_one) + 1):
+        assert sweep_threshold(ctx, k, n) >= Valuation(1)
+
+
+@pytest.mark.parametrize(
+    "cap", ("NEWTON_WINDOW_DOUBLINGS", "SWEEP_WINDOW_DOUBLINGS", "SWEEP_PIECE_GUARD")
+)
+def test_iteration_cap_is_named_in_its_error(monkeypatch, cap):
+    monkeypatch.setattr(slopes, cap, 0)
+    fresh = GhostContext(p=7, a=2, s_eps=1)  # no cached sweep pieces
+    with pytest.raises(VerificationError, match=f"{cap} = 0"):
+        if cap == "NEWTON_WINDOW_DOUBLINGS":
+            certified_newton_polygon(fresh, WeightPoint(24, 7), 8)
+        else:
+            sweep_threshold(fresh, 24, 3)
 
 
 def test_thresholds_wraparound_runs(wrap_ctx):
