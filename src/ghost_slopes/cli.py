@@ -96,8 +96,8 @@ def _parse_radius(text: str):
         radius = Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"radius must be an integer or num/den, got {text!r}") from None
-    if radius < 0:
-        raise ConfigError(f"radius must be >= 0, got {text!r}")
+    if radius <= 0:
+        raise ConfigError(f"radius must be > 0, got {text!r}")
     return radius
 
 
@@ -162,21 +162,27 @@ def _cached_text(key: str, build: Callable[[], str]) -> str:
     root = os.environ.get("GHOST_SLOPES_CACHE")
     if not root:
         return build()
-    os.makedirs(root, exist_ok=True)
-    path = os.path.join(root, f"{_source_digest()}-{key}")
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+    try:
+        os.makedirs(root, exist_ok=True)
+        path = os.path.join(root, f"{_source_digest()}-{key}")
+        if os.path.exists(path):
+            with open(path, "r", encoding="utf-8") as fh:
+                return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"GHOST_SLOPES_CACHE={root!r} is unusable: {exc}") from None
     text = build()
     # a crash mid-write leaves at most a temp file, never a short entry
-    fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    except OSError as exc:
+        raise ConfigError(f"GHOST_SLOPES_CACHE={root!r}: write failed: {exc}") from None
     return text
 
 

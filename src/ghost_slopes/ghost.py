@@ -13,15 +13,21 @@ built from the dimension triple (d_iw, d_ur, d_new) of each weight.
 
 Everything here is exact integer/rational arithmetic.  The module also
 provides batch kernels (valuation tables over all n at once) used by the
-polygon and threshold layers; these run in O(number of contributing
-zeros) by accumulating second differences of the triangles instead of
-looping over (n, k) pairs.
+polygon and threshold layers.  They accumulate second differences of the
+triangles instead of looping over (n, k) pairs, and they split the zeros
+mod p: every bullet j not congruent to the anchor's mod p sits at
+distance 1 from it, so an anchored table is a multiple of the degree
+table plus a correction from the anchor's residue class.  For N zeros up
+to n_hi that costs O(N/p + n_hi) per anchor.  The degree table is one
+list per context, grown by doubling and read as a prefix, since its
+entry n only sees bullets with d_ur < n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterator
 
 from .errors import ConfigError, DomainError, VerificationError
@@ -525,83 +531,106 @@ def anchored_valuation(ctx: GhostContext, n: int, k: int) -> int:
 
 # -- batch kernels ----------------------------------------------------------
 #
-# All tables below aggregate weighted triangles with a difference array:
-# the triangle of bullet j contributes slope +w on [d_ur, mid) and -w on
-# [mid, b) where b = d_iw - d_ur and mid = d_iw/2, so two cumulative sums
-# of a sparse array reconstruct every value at once.
+# Every table is f(n) = sum_j wt(j) * m_n(bullet j) for n = 0..n_hi, built
+# with a difference array: the triangle of bullet j contributes slope +w
+# on [d_ur, mid) and -w on [mid, b) where b = d_iw - d_ur and mid = d_iw/2,
+# so two cumulative sums of a sparse array reconstruct every value.
+#
+# An anchored table weighs bullet j by w(1 + v_p(kb - j)), and w_anchor at
+# j = kb.  Every j not congruent to kb mod p has weight w(1), so
+#
+#     f(n) = w(1) * deg g_n + sum_{j = kb mod p} (wt(j) - w(1)) * m_n(j):
+#
+# the walk covers N/p of the N ~ (p+1)/2 * n_hi bullets, then one O(n_hi)
+# pass adds the degree table.  That table is one list per context, grown
+# by doubling; its entry n only sees bullets with d_ur < n, so the table
+# of a larger n_hi holds that of a smaller one as its prefix.
 
 
-def _triangle_accumulate(dg: list, a: int, mid: int, b: int, w: int, n_hi: int):
-    if w == 0 or b - a < 2:
-        return
-    if a <= n_hi + 1:
-        dg[a] += w
-    if mid <= n_hi + 1:
-        dg[mid] -= 2 * w
-    if b <= n_hi + 1:
-        dg[b] += w
-
-
-def _tables_from_triangles(ctx, n_hi: int, weight_of_bullet) -> list:
-    """[f(0), ..., f(n_hi)] with f(n) = sum_j weight(j) * m_n(bullet j)."""
-    dg = [0] * (n_hi + 2)
-    direct = []  # raw d_ur < 0 triangles poke below n = 0; add them pointwise
-    hi = _first_bullet_with(
+def _bullet_bound(ctx: GhostContext, n_hi: int) -> int:
+    """First bullet with d_ur >= n_hi; later ones vanish on 0..n_hi."""
+    return _first_bullet_with(
         ctx,
         lambda j: ctx.dims_of_bullet(j)[1] >= n_hi,
         (ctx.p + 1) * (n_hi + abs(ctx.t1) + 4) // 2,
     )
-    for j in range(hi):
+
+
+def _triangle_table(ctx, bullets, n_hi: int, weight_of_bullet) -> list:
+    """[f(0), ..., f(n_hi)] with f(n) = sum over ``bullets`` of
+    weight(j) * m_n(bullet j)."""
+    dg = [0] * n_hi
+    direct = []  # raw d_ur < 0 triangles poke below n = 0; add them pointwise
+    for j in bullets:
         d_iw, d_ur = ctx.dims_of_bullet(j)
         if d_iw - 2 * d_ur < 2:
             continue
-        if d_ur < 0:
-            direct.append(j)
+        w = weight_of_bullet(j)
+        if w == 0:
             continue
-        w = weight_of_bullet(j)
-        _triangle_accumulate(dg, d_ur, d_iw // 2, d_iw - d_ur, w, n_hi)
-    out = [0] * (n_hi + 1)
-    slope = 0
-    val = 0
-    for n in range(n_hi + 1):
-        out[n] = val
-        slope += dg[n]
-        val += slope
-    for j in direct:
+        if d_ur < 0:
+            direct.append((j, w))
+            continue
+        if d_ur < n_hi:  # d_ur < d_iw/2 < d_iw - d_ur
+            dg[d_ur] += w
+            if d_iw // 2 < n_hi:
+                dg[d_iw // 2] -= 2 * w
+                if d_iw - d_ur < n_hi:
+                    dg[d_iw - d_ur] += w
+    out = [0]
+    out.extend(accumulate(accumulate(dg)))
+    for j, w in direct:
         d_iw, d_ur = ctx.dims_of_bullet(j)
-        w = weight_of_bullet(j)
         for n in range(1, min(d_iw - d_ur - 1, n_hi) + 1):
             out[n] += w * min(n - d_ur, d_iw - d_ur - n)
     return out
 
 
+def _degrees(ctx: GhostContext, n_hi: int) -> list:
+    """The context's degree table, grown by doubling to cover n_hi; read
+    entries 0..n_hi only."""
+    cache = ctx._cache("tables")
+    deg = cache.get("deg")
+    if deg is None or len(deg) <= n_hi:
+        size = max(n_hi, 2 * (len(deg) - 1)) if deg else n_hi
+        deg = _triangle_table(ctx, range(_bullet_bound(ctx, size)), size, lambda j: 1)
+        cache["deg"] = deg
+    return deg
+
+
+def _anchored_table(ctx: GhostContext, kb: int, n_hi: int, weight_of_distance) -> list:
+    """[f(0), ..., f(n_hi)] with f(n) = sum_j w(dist(kb, j)) * m_n(bullet j),
+    where dist is 1 + v_p(kb - j) and ``weight_of_distance(None)`` weighs
+    the anchor j = kb itself."""
+    p = ctx.p
+    w1 = weight_of_distance(1)
+
+    def excess(j):
+        d = None if j == kb else 1 + vp_int_raw(kb - j, p)
+        return weight_of_distance(d) - w1
+
+    fix = _triangle_table(ctx, range(kb % p, _bullet_bound(ctx, n_hi), p), n_hi, excess)
+    if w1 == 0:
+        return fix
+    return [w1 * d + f for d, f in zip(_degrees(ctx, n_hi), fix)]
+
+
 def degree_table(ctx: GhostContext, n_hi: int) -> list:
     """deg g_n for n = 0..n_hi (deg g_0 = 0)."""
-    key = ("deg", n_hi)
-    cache = ctx._cache("tables")
-    if key not in cache:
-        cache[key] = _tables_from_triangles(ctx, n_hi, lambda j: 1)
-    return cache[key]
+    return _degrees(ctx, n_hi)[: n_hi + 1]
 
 
 def hatted_valuation_table(ctx: GhostContext, k: int, n_hi: int) -> list:
     """[v_p(g_{n, k-hat}(w_k))]_{n=0..n_hi} as plain ints.
 
-    Matches :func:`anchored_valuation` pointwise; runs in one pass.
+    Matches :func:`anchored_valuation` pointwise.
     """
     kb = ctx.weight(k).k_bullet
     key = ("hat", kb, n_hi)
     cache = ctx._cache("tables")
-    if key in cache:
-        return cache[key]
-    p = ctx.p
-
-    def wt(j):
-        return 0 if j == kb else 1 + vp_int_raw(kb - j, p)
-
-    table = _tables_from_triangles(ctx, n_hi, wt)
-    cache[key] = table
-    return table
+    if key not in cache:
+        cache[key] = _anchored_table(ctx, kb, n_hi, lambda d: 0 if d is None else d)
+    return cache[key]
 
 
 def valuation_table_at(ctx: GhostContext, k: int, radius, n_hi: int) -> tuple:
@@ -612,14 +641,11 @@ def valuation_table_at(ctx: GhostContext, k: int, radius, n_hi: int) -> tuple:
         raise DomainError("radius must be >= 0")
     kb = ctx.weight(k).k_bullet
     num, den = radius.numerator, radius.denominator
-    p = ctx.p
 
-    def wt(j):
-        if j == kb:
-            return num
-        return min(num, (1 + vp_int_raw(kb - j, p)) * den)
+    def wt(d):
+        return num if d is None else min(num, d * den)
 
-    return _tables_from_triangles(ctx, n_hi, wt), den
+    return _anchored_table(ctx, kb, n_hi, wt), den
 
 
 def infinite_radius_table(ctx: GhostContext, k: int, n_hi: int) -> tuple:
@@ -638,24 +664,9 @@ def level_tables(ctx: GhostContext, k: int, level: int, n_hi: int) -> tuple:
     kb = ctx.weight(k).k_bullet
     key = ("level", kb, level, n_hi)
     cache = ctx._cache("tables")
-    if key in cache:
-        return cache[key]
-    p = ctx.p
-
-    def wt_a(j):
-        if j == kb:
-            return 0
-        d = 1 + vp_int_raw(kb - j, p)
-        return d if d <= level else 0
-
-    def wt_b(j):
-        if j == kb:
-            return 1
-        return 0 if 1 + vp_int_raw(kb - j, p) <= level else 1
-
-    pair = (
-        _tables_from_triangles(ctx, n_hi, wt_a),
-        _tables_from_triangles(ctx, n_hi, wt_b),
-    )
-    cache[key] = pair
-    return pair
+    if key not in cache:
+        cache[key] = (
+            _anchored_table(ctx, kb, n_hi, lambda d: d if d is not None and d <= level else 0),
+            _anchored_table(ctx, kb, n_hi, lambda d: 0 if d is not None and d <= level else 1),
+        )
+    return cache[key]

@@ -38,7 +38,7 @@ from .ghost import (
     point_distance,
     support_interval,
 )
-from .polygon import RationalPolygon, _chain, _interpolate, lower_hull, newton_polygon_at
+from .polygon import RationalPolygon, _chain, lower_hull, newton_polygon_at
 from .valuation import Valuation, format_rational
 
 # -- derivative polygons ------------------------------------------------------
@@ -561,9 +561,13 @@ def _level_pieces(ctx: GhostContext, k: int, level: int, q_hi: int):
     )
 
 
-def _newslope_at(xs, A, B, x_pos, r) -> Fraction:
-    vals = [Fraction(A[x]) + B[x] * r for x in xs]
-    return _interpolate(xs, vals, x_pos) - _interpolate(xs, vals, x_pos - 1)
+def _locked_at(xs, A, B, x_pos, k, r: Fraction) -> bool:
+    """Whether the newslope over [x_pos - 1, x_pos] is (k-2)/2 at radius r,
+    read on the one hull edge [x0, x1] that contains that unit interval."""
+    i = bisect_right(xs, x_pos - 1) - 1
+    x0, x1 = xs[i], xs[i + 1]
+    u, v = r.numerator, r.denominator
+    return 2 * ((A[x1] - A[x0]) * v + (B[x1] - B[x0]) * u) == (k - 2) * (x1 - x0) * v
 
 
 def sweep_threshold(ctx: GhostContext, k: int, n: int) -> Valuation:
@@ -584,7 +588,6 @@ def sweep_threshold(ctx: GhostContext, k: int, n: int) -> Valuation:
     trip = dimensions(ctx, k)
     if not 1 <= n <= trip.d_new:
         raise DomainError(f"newslope index {n} outside [1, {trip.d_new}]")
-    target = Fraction(k - 2, 2)
     m_int = int(max_zero_distance(ctx, k).value)
     x_pos = trip.d_ur + n
     q_hi = trip.d_iw - trip.d_ur
@@ -593,6 +596,6 @@ def sweep_threshold(ctx: GhostContext, k: int, n: int) -> Valuation:
     best = Fraction(1)
     for level in range(1, m_int):
         for r1, r2, xs, A, B in _level_pieces(ctx, k, level, q_hi):
-            if any(_newslope_at(xs, A, B, x_pos, r) != target for r in (r1, r2)):
+            if not (_locked_at(xs, A, B, x_pos, k, r1) and _locked_at(xs, A, B, x_pos, k, r2)):
                 best = max(best, r2)
     return Valuation(best)

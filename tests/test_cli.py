@@ -98,7 +98,7 @@ class TestSlopesCommand:
         assert "not in the class" in err
 
     def test_bad_radius_is_config_error(self, capsys):
-        for radius in ("three", "-1"):
+        for radius in ("three", "-1", "0"):
             code, _, err = run(capsys, "slopes", "-k", "24", "-r", radius)
             assert code == 1
 
@@ -303,16 +303,28 @@ class TestCache:
         assert code == 0
         assert second == '{"tampered": true}\n'
 
-    def test_failed_replace_leaves_no_entry(self, tmp_path, monkeypatch):
+    def test_failed_replace_leaves_no_entry(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("GHOST_SLOPES_CACHE", str(tmp_path))
 
         def crash(src, dst):
             raise OSError("simulated crash before the rename")
 
         monkeypatch.setattr(os, "replace", crash)
-        with pytest.raises(OSError):
-            main(["thresholds", "-k", "24"])
+        code, out, err = run(capsys, "thresholds", "-k", "24")
+        assert code == 1
+        assert out == ""
+        assert "GHOST_SLOPES_CACHE" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_unusable_directory_is_config_error(self, capsys, tmp_path, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setenv("GHOST_SLOPES_CACHE", str(blocker / "cache"))
+        code, out, err = run(capsys, "thresholds", "-k", "24")
+        assert code == 1
+        assert out == ""
+        assert "GHOST_SLOPES_CACHE" in err
+        assert "Traceback" not in err
 
     def test_entry_of_other_sources_not_served(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("GHOST_SLOPES_CACHE", str(tmp_path))

@@ -1,0 +1,96 @@
+"""Every batch table kernel and the sweep's integer lock test against
+their pointwise oracles, over random contexts (p, a, s_eps, m) in both
+modes."""
+
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from ghost_slopes import Valuation, WeightPoint, lower_hull
+from ghost_slopes.ghost import (
+    anchored_valuation,
+    degree_table,
+    dimensions,
+    evaluate_ghost_valuation,
+    ghost_polynomial,
+    hatted_valuation_table,
+    level_tables,
+    max_zero_distance,
+    valuation_table_at,
+)
+from ghost_slopes.slopes import _level_pieces, _locked_at
+from strategies import context_and_weight
+
+N_HI = st.integers(0, 120)
+
+
+@given(case=context_and_weight(), n_hi=N_HI)
+@settings(max_examples=100, deadline=None)
+def test_hatted_table_matches_anchored_valuation(case, n_hi):
+    ctx, k = case
+    table = hatted_valuation_table(ctx, k, n_hi)
+    assert table == [anchored_valuation(ctx, n, k) for n in range(n_hi + 1)]
+
+
+@given(
+    case=context_and_weight(),
+    n_hi=N_HI,
+    num=st.integers(0, 40),
+    den=st.integers(1, 9),
+)
+@settings(max_examples=100, deadline=None)
+def test_valuation_table_matches_evaluate(case, n_hi, num, den):
+    ctx, k = case
+    radius = Fraction(num, den)
+    nums, d = valuation_table_at(ctx, k, radius, n_hi)
+    point = WeightPoint(k, radius)
+    assert [Valuation(Fraction(x, d)) for x in nums] == [
+        evaluate_ghost_valuation(ctx, n, point) for n in range(n_hi + 1)
+    ]
+
+
+@given(
+    case=context_and_weight(),
+    n_hi=N_HI,
+    level=st.integers(0, 4),
+    step=st.integers(0, 12),
+)
+@settings(max_examples=100, deadline=None)
+def test_level_tables_match_evaluate(case, n_hi, level, step):
+    ctx, k = case
+    A, B = level_tables(ctx, k, level, n_hi)
+    r = level + Fraction(step, 12)  # anywhere in [level, level + 1]
+    point = WeightPoint(k, r)
+    assert [Valuation(a + b * r) for a, b in zip(A, B)] == [
+        evaluate_ghost_valuation(ctx, n, point) for n in range(n_hi + 1)
+    ]
+
+
+@given(case=context_and_weight(), small=N_HI, extra=st.integers(1, 200))
+@settings(max_examples=40, deadline=None)
+def test_degree_table_prefix_matches_polynomials(case, small, extra):
+    ctx, _ = case
+    big = degree_table(ctx, small + extra)  # built first, so `small` reads its prefix
+    table = degree_table(ctx, small)
+    assert table == big[: small + 1]
+    assert table == [0] + [ghost_polynomial(ctx, n).degree() for n in range(1, small + 1)]
+
+
+@given(case=context_and_weight())
+@settings(max_examples=60, deadline=None)
+def test_lock_test_matches_hull_slope(case):
+    ctx, k = case
+    trip = dimensions(ctx, k)
+    m_int = int(max_zero_distance(ctx, k).value)
+    assume(trip.d_new > 0 and m_int >= 2)
+    target = Fraction(k - 2, 2)
+    q_hi = trip.d_iw - trip.d_ur
+    for level in range(1, m_int):
+        for r1, r2, xs, A, B in _level_pieces(ctx, k, level, q_hi):
+            for r in (r1, r2):
+                slopes = lower_hull((q, A[q] + B[q] * r) for q in range(len(A))).slope_list()
+                for n in range(1, trip.d_new + 1):
+                    x_pos = trip.d_ur + n
+                    locked = slopes[x_pos - 1] == target
+                    assert _locked_at(xs, A, B, x_pos, k, r) == locked, (k, level, r, n)

@@ -27,6 +27,7 @@ from ghost_slopes import (
 )
 from ghost_slopes import slopes
 from ghost_slopes.ghost import support_interval
+from strategies import context_and_weight
 
 
 @pytest.fixture(scope="module")
@@ -445,18 +446,6 @@ def test_thresholds_central_block_size_bound(ctx):
         central = 2 * dp.breakpoints[dp.M_index - 1]
         cap = 2 * ((2 * math.floor(math.log(kb, ctx.p)) + 5) / (ctx.p - 1) + 1)
         assert central <= cap, (k, central, cap)
-
-
-@st.composite
-def context_and_weight(draw):
-    """A random context (p, a, s_eps, m) in either mode and a class weight <= 300."""
-    mode = draw(st.sampled_from(("strict", "exploratory")))
-    p = draw(st.sampled_from((11, 13) if mode == "strict" else (5, 7, 11, 13)))
-    a = draw(st.integers(2, p - 5) if mode == "strict" else st.integers(1, p - 4))
-    ctx = GhostContext(
-        p, a, draw(st.integers(0, p - 2)), draw(st.integers(1, 3)), mode
-    )
-    return ctx, draw(st.sampled_from(list(ctx.class_members(ctx.k_eps, 300))))
 
 
 @given(case=context_and_weight(), num=st.integers(1, 12), den=st.integers(1, 12))
