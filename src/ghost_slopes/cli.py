@@ -4,8 +4,9 @@ Subcommands map one-to-one onto the library layers: ``ghost`` renders
 coefficient polynomials, ``slopes`` evaluates newslopes at a radius,
 ``thresholds`` and ``predict`` emit the threshold and L-invariant
 pipelines, ``dist`` sweeps a weight range for equidistribution tables,
-and ``verify`` replays every module's invariant suite and exits nonzero
-on any failure.
+and ``verify`` runs the sampled invariant suites of
+:mod:`ghost_slopes.checks`, whose checks the tests call too, and exits
+nonzero on any failure.
 
 Output is canonical: identical configuration produces identical bytes,
 JSON keys are sorted, and rationals render as "num/den" in lowest
@@ -29,45 +30,13 @@ import tempfile
 from fractions import Fraction
 from typing import Callable, List, Tuple
 
-from .distribution import (
-    SampleKind,
-    discrepancy,
-    sample,
-    sample_difference_bound,
-    weyl_csv,
-    weyl_moments,
-)
+from .checks import SUITES
+from .distribution import SampleKind, discrepancy, sample, weyl_csv, weyl_moments
 from .errors import ConfigError, DomainError, VerificationError
-from .ghost import (
-    GhostContext,
-    WeightPoint,
-    dimensions,
-    ghost_multiplicity,
-    ghost_polynomial,
-    ghost_zero_set,
-    max_zero_distance,
-)
-from .polygon import dual_graph, lower_hull
-from .prediction import Rel, build_model, exceptional_bound, predict_slopes
-from .slopes import (
-    breakpoints_by_criterion,
-    certified_newton_polygon,
-    derivative_polygon,
-    k_newslopes,
-    k_thresholds,
-)
-from .valuation import INF, format_rational, weight_distance
-from .wedge import (
-    ExactMatrix,
-    TruncationMode,
-    binomial_vandermonde,
-    d_matrix_truncated,
-    determinant,
-    formal_wedge_trace,
-    linear_system_roundtrip,
-    random_int_matrix,
-    wedge_collapse_check,
-)
+from .ghost import GhostContext, WeightPoint, ghost_polynomial
+from .prediction import predict_slopes
+from .slopes import k_newslopes, k_thresholds
+from .valuation import INF, format_rational
 
 FORMATS = ("json", "csv", "table")
 
@@ -353,264 +322,6 @@ def cmd_dist(args) -> str:
 
     key = f"dist-{_ctx_key(args)}-r{lo}-{hi}-n{n_max}-{args.fmt}.txt"
     return _cached_text(key, build)
-
-
-# -- verification suites ------------------------------------------------------
-
-# each suite raises VerificationError with a pinpointed message
-
-
-def _suite_ultrametric(ctx, rng, ks):
-    for _ in range(40):
-        k1, k2, k3 = rng.sample(ks, 3)
-        d12 = weight_distance(k1, k2, ctx.p)
-        if d12 != weight_distance(k2, k1, ctx.p) or d12 < 1:
-            raise VerificationError(f"distance axioms fail at ({k1}, {k2})")
-        trio = sorted(
-            [d12, weight_distance(k1, k3, ctx.p), weight_distance(k2, k3, ctx.p)]
-        )
-        if trio[0] != trio[1]:
-            raise VerificationError(
-                f"ultrametric minimum unique at ({k1}, {k2}, {k3})"
-            )
-
-
-def _suite_dimensions(ctx, rng, ks):
-    step = ctx.p**2 - 1
-    for k in ks:
-        trip = dimensions(ctx, k)
-        if trip.d_iw != trip.d_new + 2 * trip.d_ur:
-            raise VerificationError(f"d_iw != d_new + 2 d_ur at k = {k}")
-        if dimensions(ctx, k + step).d_ur - trip.d_ur != 2:
-            raise VerificationError(f"d_ur step != 2 at k = {k}")
-        if abs(trip.d_iw - Fraction(2 * k, ctx.p - 1)) > 16:
-            raise VerificationError(f"d_iw drifts from 2k/(p-1) at k = {k}")
-        if abs(trip.d_new - Fraction(2 * k, ctx.p + 1)) > 16:
-            raise VerificationError(f"d_new drifts from 2k/(p+1) at k = {k}")
-
-
-def _suite_multiplicity_symmetry(ctx, rng, ks):
-    for k in rng.sample(ks, min(12, len(ks))):
-        d_iw = dimensions(ctx, k).d_iw
-        for n in range(1, d_iw):
-            if ghost_multiplicity(ctx, n, k) != ghost_multiplicity(ctx, d_iw - n, k):
-                raise VerificationError(f"m_n(k) asymmetric at (n, k) = ({n}, {k})")
-
-
-def _suite_zero_distance_bound(ctx, rng, ks):
-    for k in rng.sample(ks, min(15, len(ks))):
-        ghost_zero_set(ctx, k)  # raises when M(k) exceeds its log cap
-
-
-def _suite_hull_idempotence(ctx, rng, ks):
-    for _ in range(25):
-        pts = [
-            (x, Fraction(rng.randint(-40, 40), rng.randint(1, 9)))
-            for x in range(rng.randint(2, 12))
-        ]
-        hull = lower_hull(pts)
-        again = lower_hull(list(hull.vertices))
-        if again.vertices != hull.vertices:
-            raise VerificationError(f"hull not idempotent on {pts}")
-
-
-def _suite_gauss_norm_duality(ctx, rng, ks):
-    for _ in range(25):
-        vals = [Fraction(rng.randint(0, 30)) for _ in range(rng.randint(2, 10))]
-        hull = lower_hull(list(enumerate(vals)))
-        r_min = -max(s for s, _ in hull.slopes) - 1
-        dg = dual_graph(vals, r_min)
-        kinks = [(-r.value, drop) for r, drop in dg.breakpoints()]
-        if sorted(kinks) != sorted((s, m) for s, m in hull.slopes):
-            raise VerificationError(f"polygon/dual mismatch on {vals}")
-        for r_lo, r_hi, n, intercept in dg.segments:
-            if intercept != vals[n]:
-                raise VerificationError(f"dual intercept != v_p(a_{n}) on {vals}")
-
-
-def _suite_criterion_vs_hull(ctx, rng, ks):
-    radii = [Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(5, 2), 4, INF]
-    for k in rng.sample(ks, min(8, len(ks))):
-        trip = dimensions(ctx, k)
-        if trip.d_iw < 2:
-            continue
-        w = WeightPoint(k, rng.choice(radii))
-        crit = breakpoints_by_criterion(ctx, w, trip.d_iw)
-        hull = certified_newton_polygon(ctx, w, trip.d_iw)
-        if crit != {x for x in hull.vertex_xs() if x <= trip.d_iw}:
-            raise VerificationError(f"criterion != hull vertices at (k, r) = ({k}, {w.radius})")
-
-
-def _suite_hatted_duality(ctx, rng, ks):
-    for k in rng.sample(ks, min(10, len(ks))):
-        derivative_polygon(ctx, k)  # raises when the hatted duality fails
-
-
-def _suite_slope_integrality(ctx, rng, ks):
-    for k in rng.sample(ks, min(20, len(ks))):
-        for sl, m in derivative_polygon(ctx, k).slopes:
-            if m == 1:
-                if (sl - Fraction(ctx.a, 2)).denominator != 1:
-                    raise VerificationError(f"unit-mult slope {sl} not in a/2 + Z at k = {k}")
-            elif m % 2 or sl.denominator != 1:
-                raise VerificationError(f"slope {sl} x{m} breaks parity at k = {k}")
-
-
-def _suite_threshold_consistency(ctx, rng, ks):
-    half_ks = rng.sample(ks, min(5, len(ks)))
-    for k in half_ks:
-        half = Fraction(k - 2, 2)
-        tv = k_thresholds(ctx, k)
-        for n, cs in enumerate(tv.local_thresholds, 1):
-            cs = cs.value
-            above = k_newslopes(ctx, k, WeightPoint(k, cs + 1))
-            if above[n - 1] != half:
-                raise VerificationError(f"newslope {n} not locked above CS at k = {k}")
-            below = cs / 2 if cs <= Fraction(1, 2) else cs - Fraction(1, 2)
-            if below > 0 and k_newslopes(ctx, k, WeightPoint(k, below))[n - 1] == half:
-                raise VerificationError(f"newslope {n} locked below CS at k = {k}")
-
-
-def _suite_increment_lower_bound(ctx, rng, ks):
-    for k in rng.sample(ks, min(15, len(ks))):
-        dp = derivative_polygon(ctx, k)
-        for l in range(1, len(dp.raw)):
-            if dp.raw[l] - dp.raw[l - 1] < Fraction(3, 2) + Fraction(ctx.p - 1, 2) * (l - 1):
-                raise VerificationError(f"increment bound fails at (k, l) = ({k}, {l})")
-
-
-def _suite_model_and_pattern(ctx, rng, ks):
-    for k in rng.sample(ks, min(10, len(ks))):
-        model = build_model(ctx, k)  # hull profile asserted internally
-        for _, j in model.eq_cells():
-            strict = [model.rel(i, j) for i in range(1, model.d + 1)].count(Rel.GT)
-            if strict != j - 1:
-                raise VerificationError(
-                    f"column {j} carries {strict} strict entries at k = {k}"
-                )
-
-
-def _suite_threshold_relation(ctx, rng, ks):
-    for k in rng.sample(ks, min(10, len(ks))):
-        pred = predict_slopes(ctx, k)
-        tv = k_thresholds(ctx, k)
-        closed = []
-        sweep_count = 0
-        for cs, prov in zip(tv.local_thresholds, tv.provenance):
-            if prov == "closed":
-                closed.extend([cs.value] * ctx.global_mult)
-            else:
-                sweep_count += ctx.global_mult
-        flat = []
-        for v, m in pred.linv_slopes_known:
-            flat.extend([v] * m)
-        if sorted(-(c + 1) for c in closed) != sorted(flat):
-            raise VerificationError(f"linv block != -(CS + 1) at k = {k}")
-        if pred.exceptional_count != sweep_count:
-            raise VerificationError(f"exceptional count != central block at k = {k}")
-        if pred.exceptional_count > exceptional_bound(ctx, k):
-            raise VerificationError(f"exceptional count above log bound at k = {k}")
-
-
-def _suite_wedge(ctx, rng, ks):
-    for trial in range(5):
-        d = 2 + trial % 3
-        mats = [random_int_matrix(rng, d) for _ in range(rng.randint(1, d))]
-        alpha = Fraction(rng.randint(1, 5))
-        n = rng.randint(0, d - len(mats))
-        if not wedge_collapse_check(mats, n, alpha, d=d):
-            raise VerificationError(f"collapse identity fails for d = {d}")
-    for d in range(1, 9):
-        for j in range(1, d + 1):
-            if determinant(d_matrix_truncated(d, j, TruncationMode.UPPER_LEFT)) != 1:
-                raise VerificationError(f"det D_{d}({j}) != 1")
-            if j % 2 == 0 and determinant(
-                d_matrix_truncated(d, j, TruncationMode.SPLIT)
-            ) != 1:
-                raise VerificationError(f"det D'_{d}({j}) != 1")
-    for n in range(1, 7):
-        for n0 in range(0, 4):
-            xs = tuple(range(n0 + n - 1, n0 - 1, -1))
-            if binomial_vandermonde(xs) != 1:
-                raise VerificationError(f"BV{xs} != 1")
-    for trial in range(5):
-        d = rng.randint(2, 6)
-        j = rng.randint(1, d)
-        ms = [Fraction(rng.randint(-9, 9)) for _ in range(j)]
-        if not linear_system_roundtrip(d, j, Fraction(rng.randint(1, 7)), ms):
-            raise VerificationError(f"round trip fails for (d, j) = ({d}, {j})")
-    b1, b2 = (random_int_matrix(rng, 3) for _ in range(2))
-    lhs = formal_wedge_trace([b1, b2]) + formal_wedge_trace([b2, b1])
-    prod = ExactMatrix.from_rows(
-        [
-            [
-                sum(b1.entries[i][t] * b2.entries[t][j] for t in range(3))
-                for j in range(3)
-            ]
-            for i in range(3)
-        ]
-    )
-    tr = lambda m: sum(m.entries[i][i] for i in range(3))
-    if lhs != tr(b1) * tr(b2) - tr(prod):
-        raise VerificationError("symmetrized pair identity fails")
-
-
-def _suite_sample_relations(ctx, rng, ks):
-    norm_ks = rng.sample(ks, min(8, len(ks)))
-    for k in norm_ks:
-        st = sample(ctx, k, SampleKind.THRESHOLD)
-        sd = sample(ctx, k, SampleKind.DERIVATIVE)
-        if not st.values:
-            continue
-        if ctx.global_mult == 1:
-            cut = Fraction(2 * (ctx.p + 1), (ctx.p - 1) * k) * max_zero_distance(
-                ctx, k
-            ).value
-            if [v for v in st.values if v > cut] != [v for v in sd.values if v > cut]:
-                raise VerificationError(f"threshold/derivative blocks differ at k = {k}")
-            diff = sum(1 for x, y in zip(st.values, sd.values) if x != y)
-            if diff > sample_difference_bound(ctx, k):
-                raise VerificationError(f"sample difference above bound at k = {k}")
-        top = max(sd.values)
-        for n in (1, 2, 3):
-            if sd.moment(n) > top**n:
-                raise VerificationError(f"moment exceeds max-value bound at k = {k}")
-
-
-def _suite_moment_trend(ctx, rng, ks):
-    samples = [sample(ctx, k, SampleKind.THRESHOLD) for k in ks]
-    samples = [s for s in samples if s.values]
-    if len(samples) < 3:
-        raise VerificationError("too few nonempty samples for a trend")
-    for n in (1, 2, 3):
-        target = Fraction(1, n + 1)
-        first = abs(samples[0].moment(n) - target)
-        last = abs(samples[-1].moment(n) - target)
-        if last >= first:
-            raise VerificationError(
-                f"moment {n} drifts: |{last}| at k = {samples[-1].k.k} "
-                f"vs |{first}| at k = {samples[0].k.k}"
-            )
-
-
-SUITES = (
-    ("ultrametric-distance", _suite_ultrametric),
-    ("dimension-structure", _suite_dimensions),
-    ("multiplicity-symmetry", _suite_multiplicity_symmetry),
-    ("zero-distance-bound", _suite_zero_distance_bound),
-    ("hull-idempotence", _suite_hull_idempotence),
-    ("gauss-norm-duality", _suite_gauss_norm_duality),
-    ("criterion-vs-hull", _suite_criterion_vs_hull),
-    ("hatted-duality", _suite_hatted_duality),
-    ("slope-integrality", _suite_slope_integrality),
-    ("threshold-consistency", _suite_threshold_consistency),
-    ("increment-lower-bound", _suite_increment_lower_bound),
-    ("model-hull-and-pattern", _suite_model_and_pattern),
-    ("threshold-relation", _suite_threshold_relation),
-    ("wedge-identities", _suite_wedge),
-    ("sample-relations", _suite_sample_relations),
-    ("moment-trend", _suite_moment_trend),
-)
 
 
 def cmd_verify(args) -> str:

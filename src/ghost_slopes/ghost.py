@@ -299,6 +299,15 @@ def _first_bullet_with(ctx: GhostContext, pred: Callable[[int], bool], hint: int
     return hi
 
 
+def _bullet_bound(ctx: GhostContext, n_hi: int) -> int:
+    """First bullet with d_ur >= n_hi; later ones vanish on 0..n_hi."""
+    return _first_bullet_with(
+        ctx,
+        lambda j: ctx.dims_of_bullet(j)[1] >= n_hi,
+        (ctx.p + 1) * (n_hi + abs(ctx.t1) + 4) // 2,
+    )
+
+
 def support_interval(ctx: GhostContext, n: int) -> tuple:
     """Bullet range [lo, hi) of the zero support of g_n.
 
@@ -308,9 +317,8 @@ def support_interval(ctx: GhostContext, n: int) -> tuple:
     """
     if n < 1:
         return (0, 0)
+    hi = _bullet_bound(ctx, n)
     est = (ctx.p + 1) * (n + abs(ctx.t1) + 4) // 2
-    # first j whose unramified dimension has caught up with n
-    hi = _first_bullet_with(ctx, lambda j: ctx.dims_of_bullet(j)[1] >= n, est)
     # first j whose span d_iw - d_ur exceeds n
     lo = _first_bullet_with(
         ctx, lambda j: ctx.dims_of_bullet(j)[0] - ctx.dims_of_bullet(j)[1] > n, est
@@ -380,21 +388,21 @@ def floor_log_bullet(ctx: GhostContext, k: int) -> int:
     return _floor_log(ctx.p, ctx.weight(k).k_bullet)
 
 
-def _zero_set_bullet_bound(ctx: GhostContext, k: int) -> int:
-    """Bullets j < bound are the candidates for GZ(k) membership."""
-    d_iw = dimensions(ctx, k).d_iw
-    if d_iw < 1:
-        return 0
-    est = (ctx.p + 1) * (d_iw + abs(ctx.t1) + 4) // 2
-    return _first_bullet_with(ctx, lambda j: ctx.dims_of_bullet(j)[1] >= d_iw, est)
-
-
 def _is_zero_bullet(ctx: GhostContext, j: int, bound: int) -> bool:
     if not (0 <= j < bound):
         return False
     d_iw, d_ur = ctx.dims_of_bullet(j)
     # a zero of some g_n with n >= 1 needs a nonempty triangle meeting n >= 1
     return d_iw - 2 * d_ur >= 2 and d_iw - d_ur >= 2
+
+
+def _zero_bullet_near(ctx: GhostContext, kb: int, bound: int, pe: int) -> bool:
+    """Whether a zero bullet j != kb below ``bound`` has j = kb mod pe."""
+    # nearest congruent candidates first; they are valid unless they land
+    # on a degenerate small weight, in which case enumerate
+    if any(_is_zero_bullet(ctx, kb + t * pe, bound) for t in (-1, 1, -2, 2, -3, 3)):
+        return True
+    return any(j != kb and _is_zero_bullet(ctx, j, bound) for j in range(kb % pe, bound, pe))
 
 
 def max_zero_distance(ctx: GhostContext, k: int) -> Valuation:
@@ -404,37 +412,21 @@ def max_zero_distance(ctx: GhostContext, k: int) -> Valuation:
     Runs in O(log k): the candidate bullets form the interval
     [0, bound), minus finitely many degenerate small weights, and the
     largest attainable v_p(k_bullet - j) is found by descending over
-    powers of p with explicit witnesses.
+    powers of p with explicit witnesses.  Raises VerificationError when
+    M(k) exceeds the good-region bound floor(log_p k_bullet) + 3, which
+    would be an implementation bug.
     """
     kb = ctx.weight(k).k_bullet
-    bound = _zero_set_bullet_bound(ctx, k)
-    if bound <= 0 or (bound == 1 and kb == 0):
-        return Valuation(0)
-    reach = max(kb, bound - 1 - kb)
-    e = _floor_log(ctx.p, reach)
-    while e >= 0:
-        pe = ctx.p**e
-        # nearest congruent candidates first; they are valid unless they
-        # land on a degenerate small weight, in which case enumerate.
-        found = False
-        for t in (1, 2, 3):
-            for j in (kb - t * pe, kb + t * pe):
-                if _is_zero_bullet(ctx, j, bound):
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            j = kb % pe
-            while j < bound:
-                if j != kb and _is_zero_bullet(ctx, j, bound):
-                    found = True
-                    break
-                j += pe
-        if found:
-            return Valuation(1 + e)
-        e -= 1
-    return Valuation(0)
+    d_iw = dimensions(ctx, k).d_iw
+    bound = _bullet_bound(ctx, d_iw) if d_iw >= 1 else 0
+    top = _floor_log(ctx.p, max(kb, bound - 1 - kb))
+    m_of_k = next(
+        (1 + e for e in range(top, -1, -1) if _zero_bullet_near(ctx, kb, bound, ctx.p**e)), 0
+    )
+    cap = floor_log_bullet(ctx, k) + 3
+    if m_of_k > cap:
+        raise VerificationError(f"M({k}) = {m_of_k} exceeds the log bound {cap}")
+    return Valuation(m_of_k)
 
 
 def ghost_zero_set(ctx: GhostContext, k: int) -> GhostZeroSet:
@@ -446,16 +438,12 @@ def ghost_zero_set(ctx: GhostContext, k: int) -> GhostZeroSet:
     >>> ghost_zero_set(ctx, 24).m_of_k
     Valuation(2)
     """
-    bound = _zero_set_bullet_bound(ctx, k)
+    d_iw = dimensions(ctx, k).d_iw
+    bound = _bullet_bound(ctx, d_iw) if d_iw >= 1 else 0
     zeros = tuple(
         ctx.weight_of_bullet(j) for j in range(bound) if _is_zero_bullet(ctx, j, bound)
     )
-    m_of_k = max_zero_distance(ctx, k)
-    # Good-region radius bound; a failure here is an implementation bug.
-    cap = floor_log_bullet(ctx, k) + 3
-    if m_of_k > cap:
-        raise VerificationError(f"M({k}) = {m_of_k} exceeds the log bound {cap}")
-    return GhostZeroSet(k=k, zeros=zeros, m_of_k=m_of_k)
+    return GhostZeroSet(k=k, zeros=zeros, m_of_k=max_zero_distance(ctx, k))
 
 
 # -- pointwise evaluation ---------------------------------------------------
@@ -545,15 +533,6 @@ def anchored_valuation(ctx: GhostContext, n: int, k: int) -> int:
 # pass adds the degree table.  That table is one list per context, grown
 # by doubling; its entry n only sees bullets with d_ur < n, so the table
 # of a larger n_hi holds that of a smaller one as its prefix.
-
-
-def _bullet_bound(ctx: GhostContext, n_hi: int) -> int:
-    """First bullet with d_ur >= n_hi; later ones vanish on 0..n_hi."""
-    return _first_bullet_with(
-        ctx,
-        lambda j: ctx.dims_of_bullet(j)[1] >= n_hi,
-        (ctx.p + 1) * (n_hi + abs(ctx.t1) + 4) // 2,
-    )
 
 
 def _triangle_table(ctx, bullets, n_hi: int, weight_of_bullet) -> list:

@@ -277,15 +277,12 @@ def certified_newton_polygon(
 # -- k-newslopes -------------------------------------------------------------------
 
 
-def k_newslopes(
-    ctx: GhostContext, k: int, w: WeightPoint, method: str = "auto"
-) -> List[Fraction]:
+def k_newslopes(ctx: GhostContext, k: int, w: WeightPoint) -> List[Fraction]:
     """The d_new slopes attached to k on the ghost polygon at w, ascending.
 
-    ``method`` picks the evaluation route: "closed" uses the three-part
-    description valid above the zero radius M(k) (error outside its
-    regions), "hull" always reads the certified polygon, and "auto"
-    prefers the closed form where it applies.
+    The closed three-part description applies above the zero radius
+    M(k) and off the derivative slopes; elsewhere the slopes are read
+    from the certified polygon.
 
     Examples
     --------
@@ -295,19 +292,15 @@ def k_newslopes(
     >>> k_newslopes(ctx, 24, WeightPoint(24, 7))
     [Fraction(9, 1), Fraction(11, 1), Fraction(11, 1), Fraction(11, 1), Fraction(11, 1), Fraction(13, 1)]
     """
-    if method not in ("auto", "closed", "hull"):
-        raise DomainError(f"unknown newslope method {method!r}")
-    trip = dimensions(ctx, k)
-    if trip.d_new == 0:
+    if dimensions(ctx, k).d_new == 0:
         return []
-    if method != "hull":
-        closed = _closed_form_newslopes(ctx, k, w)
-        if closed is not None:
-            return closed
-        if method == "closed":
-            raise DomainError(
-                "closed form needs radius above M(k) and off the derivative slopes"
-            )
+    closed = _closed_form_newslopes(ctx, k, w)
+    return _hull_newslopes(ctx, k, w) if closed is None else closed
+
+
+def _hull_newslopes(ctx, k, w):
+    # the newslopes read from the certified polygon, valid at every radius
+    trip = dimensions(ctx, k)
     hull = certified_newton_polygon(ctx, w, trip.d_iw - trip.d_ur)
     return hull.slope_list()[trip.d_ur : trip.d_iw - trip.d_ur]
 

@@ -1,13 +1,14 @@
 """Every batch table kernel and the sweep's integer lock test against
-their pointwise oracles, over random contexts (p, a, s_eps, m) in both
-modes."""
+their pointwise oracles, and the near-Steinberg criterion against the
+certified hull, over random contexts (p, a, s_eps, m) in both modes."""
 
 from fractions import Fraction
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ghost_slopes import Valuation, WeightPoint, lower_hull
+from ghost_slopes import INF, Valuation, WeightPoint, lower_hull
+from ghost_slopes import checks
 from ghost_slopes.ghost import (
     anchored_valuation,
     degree_table,
@@ -94,3 +95,13 @@ def test_lock_test_matches_hull_slope(case):
                     x_pos = trip.d_ur + n
                     locked = slopes[x_pos - 1] == target
                     assert _locked_at(xs, A, B, x_pos, k, r) == locked, (k, level, r, n)
+
+
+@given(
+    case=context_and_weight(),
+    radius=st.one_of(st.just(INF), st.builds(Fraction, st.integers(1, 40), st.integers(1, 9))),
+)
+@settings(max_examples=150, deadline=None)
+def test_criterion_matches_certified_hull(case, radius):
+    ctx, k = case
+    checks.check_criterion_matches_hull(ctx, WeightPoint(k, radius))

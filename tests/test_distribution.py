@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ghost_slopes import checks
 from ghost_slopes.distribution import (
     DistributionSample,
     SampleKind,
@@ -17,7 +18,7 @@ from ghost_slopes.distribution import (
     weyl_moments,
 )
 from ghost_slopes.errors import DomainError
-from ghost_slopes.ghost import GhostContext, max_zero_distance
+from ghost_slopes.ghost import GhostContext
 from ghost_slopes.slopes import derivative_polygon
 
 CTX = GhostContext(7, 2, 1)
@@ -141,26 +142,11 @@ class TestThresholdDerivativeComparison:
         # entries above the normalized zero-distance cutoff coincide
         assert CTX.global_mult == 1
         for k in sample_weights(CTX, 10, 800, 8, seed=7):
-            st_ = sample(CTX, k, SampleKind.THRESHOLD)
-            sd = sample(CTX, k, SampleKind.DERIVATIVE)
-            cut = (
-                Fraction(2 * (CTX.p + 1), (CTX.p - 1) * k)
-                * max_zero_distance(CTX, k).value
-            )
-            assert [v for v in st_.values if v > cut] == [
-                v for v in sd.values if v > cut
-            ]
+            checks.check_sample_blocks(CTX, k)
 
     def test_difference_count_within_bound(self):
         for k in sample_weights(CTX, 10, 2000, 12, seed=9):
-            st_ = sample(CTX, k, SampleKind.THRESHOLD)
-            sd = sample(CTX, k, SampleKind.DERIVATIVE)
-            diff = sum(
-                1
-                for a, b in zip(st_.values, sd.values)
-                if a != b
-            )
-            assert diff <= sample_difference_bound(CTX, k)
+            checks.check_sample_difference(CTX, k)
 
     def test_difference_bound_frozen(self):
         assert sample_difference_bound(CTX, 24) == Fraction(11, 3)

@@ -15,11 +15,11 @@ from ghost_slopes import (
     exceptional_bound,
     gs_translate,
     integrality_report,
-    k_thresholds,
     model_radius,
     predict_slopes,
     slope_window,
 )
+from ghost_slopes import checks
 from ghost_slopes.polygon import lower_hull
 from ghost_slopes.prediction import PredictionModel, Rel
 
@@ -256,17 +256,7 @@ def test_known_block_matches_thresholds():
         (CTX_WRAP, (56, 276)),
     ):
         for k in ks:
-            tv = k_thresholds(ctx, k)
-            closed = [
-                -(cs.value) - 1
-                for cs, tag in zip(tv.local_thresholds, tv.provenance)
-                if tag == "closed"
-            ]
-            expected = sorted(closed)
-            got = []
-            for v, mult in predict_slopes(ctx, k).linv_slopes_known:
-                got.extend([v] * mult)
-            assert got == expected
+            checks.check_known_block(ctx, k)
 
 
 def test_exceptional_count_matches_sweep_block():
@@ -275,9 +265,7 @@ def test_exceptional_count_matches_sweep_block():
         (GhostContext(11, 6, 9, global_mult=3), (56, 276)),
     ):
         for k in ks:
-            tv = k_thresholds(ctx, k)
-            sweep = sum(1 for tag in tv.provenance if tag == "sweep")
-            assert predict_slopes(ctx, k).exceptional_count == ctx.global_mult * sweep
+            checks.check_exceptional_count(ctx, k)
 
 
 def test_exceptional_bound_frozen_k24():
@@ -291,7 +279,7 @@ def test_exceptional_within_bound():
         (GhostContext(11, 6, 9, global_mult=3), (56, 276, 496, 1046)),
     ):
         for k in ks:
-            assert predict_slopes(ctx, k).exceptional_count <= exceptional_bound(ctx, k)
+            checks.check_exceptional_bound(ctx, k)
 
 
 # -- the eigenvalue translation -----------------------------------------------

@@ -25,8 +25,9 @@ from ghost_slopes import (
     slope_window,
     sweep_threshold,
 )
-from ghost_slopes import slopes
+from ghost_slopes import checks, slopes
 from ghost_slopes.ghost import support_interval
+from ghost_slopes.slopes import _closed_form_newslopes, _hull_newslopes
 from strategies import context_and_weight
 
 
@@ -113,10 +114,7 @@ def test_raw_increment_lower_bound(p, a, s):
     # every raw increment is at least 3/2 + (p-1)(l-1)/2
     ctx = GhostContext(p=p, a=a, s_eps=s)
     for k in ctx.class_members(3, 900):
-        dp = derivative_polygon(ctx, k)
-        for l in range(1, len(dp.raw)):
-            lb = Fraction(3, 2) + Fraction((p - 1) * (l - 1), 2)
-            assert dp.raw[l] - dp.raw[l - 1] >= lb, (k, l)
+        checks.check_raw_increments(ctx, k)
 
 
 @pytest.mark.parametrize(
@@ -164,12 +162,7 @@ def test_slope_integrality_classes(p, a, s):
     # multiplicity and are integers
     ctx = GhostContext(p=p, a=a, s_eps=s)
     for k in ctx.class_members(3, 1600):
-        for sl, m in derivative_polygon(ctx, k).slopes:
-            if m == 1:
-                assert (sl - Fraction(a, 2)).denominator == 1, (k, sl, m)
-            else:
-                assert m % 2 == 0, (k, sl, m)
-                assert sl.denominator == 1, (k, sl, m)
+        checks.check_slope_integrality(ctx, k)
 
 
 # -- near-Steinberg -----------------------------------------------------------
@@ -235,20 +228,12 @@ def test_triple_equivalence_wraparound(wrap_ctx):
 
 def test_breakpoints_match_hull_vertices(ctx):
     for k, r in [(24, 7), (24, Fraction(1, 2)), (48, 2), (174, Fraction(5, 2)), (174, INF)]:
-        trip = dimensions(ctx, k)
-        w = WeightPoint(k, r)
-        crit = breakpoints_by_criterion(ctx, w, trip.d_iw)
-        hull = certified_newton_polygon(ctx, w, trip.d_iw)
-        assert crit == {x for x in hull.vertex_xs() if x <= trip.d_iw}
+        checks.check_criterion_matches_hull(ctx, WeightPoint(k, r))
 
 
 def test_breakpoints_match_hull_vertices_wraparound(wrap_ctx):
     for k, r in [(276, Fraction(5, 2)), (276, 1), (56, 3), (496, INF)]:
-        trip = dimensions(wrap_ctx, k)
-        w = WeightPoint(k, r)
-        crit = breakpoints_by_criterion(wrap_ctx, w, trip.d_iw)
-        hull = certified_newton_polygon(wrap_ctx, w, trip.d_iw)
-        assert crit == {x for x in hull.vertex_xs() if x <= trip.d_iw}
+        checks.check_criterion_matches_hull(wrap_ctx, WeightPoint(k, r))
 
 
 def test_pruned_witness_agrees_with_full_scan(ctx):
@@ -293,8 +278,9 @@ NEWSLOPE_TABLES_24 = {
 @pytest.mark.parametrize("nu", sorted(NEWSLOPE_TABLES_24))
 def test_newslopes_frozen_tables(ctx, nu):
     expect = [Fraction(s) for s in NEWSLOPE_TABLES_24[nu]]
-    for method in ("auto", "closed", "hull"):
-        assert k_newslopes(ctx, 24, WeightPoint(24, nu), method=method) == expect
+    w = WeightPoint(24, nu)
+    for route in (k_newslopes, _closed_form_newslopes, _hull_newslopes):
+        assert route(ctx, 24, w) == expect
 
 
 def test_newslopes_infinite_radius_all_central(ctx):
@@ -340,9 +326,8 @@ def test_newslopes_closed_hull_agree_many(ctx):
                 probes.append(Valuation((lo + ss[i - 1]) / 2))
         for r in probes:
             w = WeightPoint(k, r)
-            closed = k_newslopes(ctx, k, w, method="closed")
-            hull = k_newslopes(ctx, k, w, method="hull")
-            assert closed == hull, (k, r)
+            closed = _closed_form_newslopes(ctx, k, w)
+            assert closed is not None and closed == _hull_newslopes(ctx, k, w), (k, r)
 
 
 def test_newslopes_sorted_and_counted(ctx):
@@ -358,12 +343,9 @@ def test_newslopes_empty_without_newforms():
 
 
 def test_newslopes_closed_method_errors_off_region(ctx):
-    with pytest.raises(DomainError):
-        k_newslopes(ctx, 24, WeightPoint(24, Fraction(1, 2)), method="closed")
-    with pytest.raises(DomainError):
-        k_newslopes(ctx, 24, WeightPoint(24, 6), method="closed")
-    with pytest.raises(DomainError):
-        k_newslopes(ctx, 24, WeightPoint(24, 7), method="bogus")
+    # below M(k) = 2, and on the derivative slope 6, the closed form is out
+    assert _closed_form_newslopes(ctx, 24, WeightPoint(24, Fraction(1, 2))) is None
+    assert _closed_form_newslopes(ctx, 24, WeightPoint(24, 6)) is None
 
 
 # -- thresholds ---------------------------------------------------------------
@@ -456,8 +438,8 @@ def test_no_lock_at_radius_one_or_below(case, num, den):
     # locks on an interval, which leaves every sweep threshold >= 1
     ctx, k = case
     r = Fraction(min(num, den), den)
-    at_one = k_newslopes(ctx, k, WeightPoint(k, 1), method="hull")
-    at_r = k_newslopes(ctx, k, WeightPoint(k, r), method="hull")
+    at_one = _hull_newslopes(ctx, k, WeightPoint(k, 1))
+    at_r = _hull_newslopes(ctx, k, WeightPoint(k, r))
     assert at_r == [r * s for s in at_one]
     for n in range(1, len(at_one) + 1):
         assert sweep_threshold(ctx, k, n) >= Valuation(1)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ghost_slopes import checks
 from ghost_slopes.valuation import (
     INF,
     Valuation,
@@ -104,6 +105,4 @@ def test_weight_distance():
     st.integers(min_value=0, max_value=10**5),
 )
 def test_weight_distance_ultrametric(a, b, c):
-    p = 5
-    dab, dbc, dac = (weight_distance(x, y, p) for x, y in ((a, b), (b, c), (a, c)))
-    assert dac >= min(dab, dbc)
+    checks.check_ultrametric(5, a, b, c)
