@@ -1,44 +1,13 @@
-"""Exact ghost-series combinatorics: slopes, thresholds, and statistics."""
+"""Exact ghost-series combinatorics: slopes, thresholds, and statistics.
 
-from .distribution import (
-    DistributionSample,
-    MomentReport,
-    SampleKind,
-    discrepancy,
-    sample,
-    sample_difference_bound,
-    weyl_csv,
-    weyl_moments,
-)
-from .errors import ConfigError, DomainError, VerificationError
-from .ghost import (
-    DimensionTriple,
-    GhostContext,
-    GhostPolynomial,
-    GhostZeroSet,
-    WeightIndex,
-    WeightPoint,
-    anchored_valuation,
-    dimensions,
-    evaluate_ghost_valuation,
-    ghost_multiplicity,
-    ghost_polynomial,
-    ghost_polynomials_json,
-    ghost_zero_set,
-    max_zero_distance,
-)
-from .polygon import (
-    DualGraph,
-    RationalPolygon,
-    dual_graph,
-    lower_hull,
-    newton_polygon_at,
-)
+The root holds the names that the README and the tests import; every
+other public name is imported from its own module.
+"""
+
+from .errors import DomainError, VerificationError
+from .ghost import GhostContext, WeightPoint, dimensions
+from .polygon import dual_graph, lower_hull, newton_polygon_at
 from .prediction import (
-    IntegralityReport,
-    PredictionModel,
-    Rel,
-    SlopePrediction,
     build_model,
     exceptional_bound,
     gs_translate,
@@ -47,8 +16,6 @@ from .prediction import (
     predict_slopes,
 )
 from .slopes import (
-    DerivativePolygon,
-    ThresholdVector,
     breakpoints_by_criterion,
     certified_newton_polygon,
     derivative_polygon,
@@ -59,66 +26,25 @@ from .slopes import (
     slope_window,
     sweep_threshold,
 )
-from .valuation import INF, Valuation, format_rational, vp_int, weight_distance
-from .wedge import (
-    ExactMatrix,
-    TruncationMode,
-    binomial_vandermonde,
-    d_matrix,
-    d_matrix_truncated,
-    determinant,
-    formal_wedge_trace,
-    linear_system_roundtrip,
-    minor_unit_check,
-    solve_unit_system,
-    wedge_collapse_check,
-)
+from .valuation import INF, Valuation
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DistributionSample",
-    "MomentReport",
-    "SampleKind",
-    "discrepancy",
-    "sample",
-    "sample_difference_bound",
-    "weyl_csv",
-    "weyl_moments",
-    "ConfigError",
     "DomainError",
     "VerificationError",
-    "DimensionTriple",
     "GhostContext",
-    "GhostPolynomial",
-    "GhostZeroSet",
-    "WeightIndex",
     "WeightPoint",
-    "anchored_valuation",
     "dimensions",
-    "evaluate_ghost_valuation",
-    "ghost_multiplicity",
-    "ghost_polynomial",
-    "ghost_polynomials_json",
-    "ghost_zero_set",
-    "max_zero_distance",
-    "DualGraph",
-    "RationalPolygon",
     "dual_graph",
     "lower_hull",
     "newton_polygon_at",
-    "IntegralityReport",
-    "PredictionModel",
-    "Rel",
-    "SlopePrediction",
     "build_model",
     "exceptional_bound",
     "gs_translate",
     "integrality_report",
     "model_radius",
     "predict_slopes",
-    "DerivativePolygon",
-    "ThresholdVector",
     "breakpoints_by_criterion",
     "certified_newton_polygon",
     "derivative_polygon",
@@ -130,19 +56,5 @@ __all__ = [
     "sweep_threshold",
     "INF",
     "Valuation",
-    "format_rational",
-    "vp_int",
-    "weight_distance",
-    "ExactMatrix",
-    "TruncationMode",
-    "binomial_vandermonde",
-    "d_matrix",
-    "d_matrix_truncated",
-    "determinant",
-    "formal_wedge_trace",
-    "linear_system_roundtrip",
-    "minor_unit_check",
-    "solve_unit_system",
-    "wedge_collapse_check",
     "__version__",
 ]

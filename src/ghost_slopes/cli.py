@@ -12,23 +12,17 @@ Output is canonical: identical configuration produces identical bytes,
 JSON keys are sorted, and rationals render as "num/den" in lowest
 terms.  Exit codes: 0 success, 1 invalid configuration, 2 domain error
 during computation, 3 verification failure.
-
-Set GHOST_SLOPES_CACHE to a directory to persist threshold and sweep
-output between runs; without it nothing touches the filesystem.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
-import pathlib
 import random
 import sys
-import tempfile
 from fractions import Fraction
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 from .checks import SUITES
 from .distribution import SampleKind, discrepancy, sample, weyl_csv, weyl_moments
@@ -116,49 +110,6 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
-@functools.lru_cache(maxsize=None)
-def _source_digest() -> str:
-    """Short digest of the package's own .py sources, read once."""
-    import hashlib
-
-    h = hashlib.sha256()
-    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
-        h.update(path.name.encode() + b"\0" + path.read_bytes())
-    return h.hexdigest()[:12]
-
-
-def _cached_text(key: str, build: Callable[[], str]) -> str:
-    root = os.environ.get("GHOST_SLOPES_CACHE")
-    if not root:
-        return build()
-    try:
-        os.makedirs(root, exist_ok=True)
-        path = os.path.join(root, f"{_source_digest()}-{key}")
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                return fh.read()
-    except OSError as exc:
-        raise ConfigError(f"GHOST_SLOPES_CACHE={root!r} is unusable: {exc}") from None
-    text = build()
-    # a crash mid-write leaves at most a temp file, never a short entry
-    try:
-        fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-    except OSError as exc:
-        raise ConfigError(f"GHOST_SLOPES_CACHE={root!r}: write failed: {exc}") from None
-    return text
-
-
-def _ctx_key(args) -> str:
-    return f"p{args.p}-a{args.a}-e{args.s_eps}-m{args.global_mult}-{args.mode}"
-
-
 # -- command implementations ------------------------------------------------
 
 
@@ -202,25 +153,22 @@ def cmd_slopes(args) -> str:
 
 
 def cmd_thresholds(args) -> str:
-    def build() -> str:
-        ctx = _context(args)
-        tv = k_thresholds(ctx, args.k)
-        if args.fmt == "json":
-            return _json_text(tv.to_json_dict())
-        pairs = list(zip(tv.local_thresholds, tv.provenance))
-        if args.fmt == "csv":
-            lines = ["n,value,provenance"]
-            lines.extend(
-                f"{n},{format_rational(v)},{prov}"
-                for n, (v, prov) in enumerate(pairs, 1)
-            )
-            return "\n".join(lines) + "\n"
-        return "".join(
-            f"CS_{n}({args.k}) = {format_rational(v)} [{prov}]\n"
+    ctx = _context(args)
+    tv = k_thresholds(ctx, args.k)
+    if args.fmt == "json":
+        return _json_text(tv.to_json_dict())
+    pairs = list(zip(tv.local_thresholds, tv.provenance))
+    if args.fmt == "csv":
+        lines = ["n,value,provenance"]
+        lines.extend(
+            f"{n},{format_rational(v)},{prov}"
             for n, (v, prov) in enumerate(pairs, 1)
         )
-
-    return _cached_text(f"thresholds-{_ctx_key(args)}-k{args.k}-{args.fmt}.txt", build)
+        return "\n".join(lines) + "\n"
+    return "".join(
+        f"CS_{n}({args.k}) = {format_rational(v)} [{prov}]\n"
+        for n, (v, prov) in enumerate(pairs, 1)
+    )
 
 
 def cmd_predict(args) -> str:
@@ -276,52 +224,48 @@ def cmd_dist(args) -> str:
     if n_max < 1:
         raise ConfigError("moment order must be >= 1")
 
-    def build() -> str:
-        ctx = _context(args)
-        ks = list(ctx.class_members(lo, hi))
-        samples = _collect_samples(args, ctx, ks)
-        if not samples:
-            raise DomainError(f"no nonempty samples for weights in [{lo}, {hi}]")
-        if args.fmt == "csv":
-            return weyl_csv(samples, n_max)
-        by_kind = {}
-        for s in samples:
-            by_kind.setdefault(s.kind, []).append(s)
-        rows = []
-        for kind in SampleKind:
-            group = by_kind.get(kind, [])
-            if len(group) < 3:
-                continue
-            for rep in weyl_moments(group, n_max):
-                rows.append(
-                    {
-                        "kind": kind.value,
-                        "n": rep.n,
-                        "target": format_rational(rep.target),
-                        "ks": list(rep.ks),
-                        "moments": [format_rational(m) for m in rep.moments],
-                        "final_error": format_rational(rep.final_error),
-                        "trend_monotone": rep.trend_monotone,
-                        "final_discrepancy": format_rational(
-                            discrepancy(group[-1])
-                        ),
-                    }
-                )
-        if not rows:
-            raise DomainError("need at least three weights per kind in range")
-        if args.fmt == "json":
-            return _json_text(rows)
-        lines = []
-        for r in rows:
-            lines.append(
-                f"{r['kind']} n={r['n']} target={r['target']} "
-                f"final_moment={r['moments'][-1]} final_error={r['final_error']} "
-                f"trend={'ok' if r['trend_monotone'] else 'drift'}"
+    ctx = _context(args)
+    ks = list(ctx.class_members(lo, hi))
+    samples = _collect_samples(args, ctx, ks)
+    if not samples:
+        raise DomainError(f"no nonempty samples for weights in [{lo}, {hi}]")
+    if args.fmt == "csv":
+        return weyl_csv(samples, n_max)
+    by_kind = {}
+    for s in samples:
+        by_kind.setdefault(s.kind, []).append(s)
+    rows = []
+    for kind in SampleKind:
+        group = by_kind.get(kind, [])
+        if len(group) < 3:
+            continue
+        for rep in weyl_moments(group, n_max):
+            rows.append(
+                {
+                    "kind": kind.value,
+                    "n": rep.n,
+                    "target": format_rational(rep.target),
+                    "ks": list(rep.ks),
+                    "moments": [format_rational(m) for m in rep.moments],
+                    "final_error": format_rational(rep.final_error),
+                    "trend_monotone": rep.trend_monotone,
+                    "final_discrepancy": format_rational(
+                        discrepancy(group[-1])
+                    ),
+                }
             )
-        return "".join(line + "\n" for line in lines)
-
-    key = f"dist-{_ctx_key(args)}-r{lo}-{hi}-n{n_max}-{args.fmt}.txt"
-    return _cached_text(key, build)
+    if not rows:
+        raise DomainError("need at least three weights per kind in range")
+    if args.fmt == "json":
+        return _json_text(rows)
+    lines = []
+    for r in rows:
+        lines.append(
+            f"{r['kind']} n={r['n']} target={r['target']} "
+            f"final_moment={r['moments'][-1]} final_error={r['final_error']} "
+            f"trend={'ok' if r['trend_monotone'] else 'drift'}"
+        )
+    return "".join(line + "\n" for line in lines)
 
 
 def cmd_verify(args) -> str:

@@ -367,11 +367,6 @@ def ghost_polynomial(ctx: GhostContext, n: int) -> GhostPolynomial:
     return GhostPolynomial(n=n, zeros=tuple(zeros))
 
 
-def ghost_polynomials_json(ctx: GhostContext, n_max: int) -> list:
-    """JSON-ready dump of g_1 .. g_{n_max} with zeros ascending in k."""
-    return [ghost_polynomial(ctx, n).to_json_dict() for n in range(1, n_max + 1)]
-
-
 # -- ghost zero sets and the good-region radius M(k) -----------------------
 
 

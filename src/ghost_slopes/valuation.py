@@ -137,12 +137,7 @@ def vp_int(n: int, p: int) -> Valuation:
         raise ValueError(f"p must be at least 2, got {p}")
     if n == 0:
         return INF
-    n = abs(n)
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return Valuation(e)
+    return Valuation(vp_int_raw(n, p))
 
 
 def vp_int_raw(n: int, p: int) -> int:

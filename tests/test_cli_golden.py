@@ -12,7 +12,6 @@ To record the file again (only when an output change is intended):
 import contextlib
 import io
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -54,7 +53,6 @@ def run_cli(argv: list) -> tuple:
 
 
 def record() -> None:
-    os.environ.pop("GHOST_SLOPES_CACHE", None)
     cases = []
     for argv in golden_argvs():
         code, stdout = run_cli(argv)
@@ -74,8 +72,7 @@ def test_golden_covers_every_command():
 
 
 @pytest.mark.parametrize("case", _cases(), ids=lambda case: " ".join(case["argv"]))
-def test_golden_bytes(case, monkeypatch):
-    monkeypatch.delenv("GHOST_SLOPES_CACHE", raising=False)
+def test_golden_bytes(case):
     code, stdout = run_cli(case["argv"])
     assert (code, stdout) == (case["code"], case["stdout"])
 

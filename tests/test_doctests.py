@@ -1,7 +1,8 @@
-"""The ``>>>`` examples in the library docstrings stay true."""
+"""The ``>>>`` examples in the library docstrings and the README stay true."""
 
 import doctest
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -12,5 +13,13 @@ MODULES = ("valuation", "ghost", "polygon", "slopes", "prediction", "distributio
 def test_docstring_examples(name):
     module = importlib.import_module(f"ghost_slopes.{name}")
     result = doctest.testmod(module)
+    assert result.failed == 0
+    assert result.attempted > 0
+
+
+def test_readme_examples():
+    # the README's Library example pins the names the package root promises
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
     assert result.failed == 0
     assert result.attempted > 0

@@ -5,6 +5,7 @@ formulas (dimension triples, triangle multiplicities, distance sums) for
 the context (p=7, a=2, s_eps=1) before the kernels were written.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghost_slopes import checks
+from ghost_slopes.cli import main
 from ghost_slopes.errors import ConfigError, DomainError
 from ghost_slopes.ghost import (
     GhostContext,
@@ -22,7 +24,6 @@ from ghost_slopes.ghost import (
     evaluate_ghost_valuation,
     ghost_multiplicity,
     ghost_polynomial,
-    ghost_polynomials_json,
     ghost_zero_set,
     hatted_valuation_table,
     infinite_radius_table,
@@ -253,8 +254,9 @@ def test_polynomial_matches_naive_scan_other_contexts():
             assert dict(ghost_polynomial(c, n).zeros) == _naive_polynomial(c, n)
 
 
-def test_json_schema(ctx):
-    dump = ghost_polynomials_json(ctx, 3)
+def test_json_schema(capsys):
+    assert main(["ghost", "-n", "3", "--format", "json"]) == 0
+    dump = json.loads(capsys.readouterr().out)
     assert dump[0] == {"n": 1, "zeros": [{"k": 6, "mult": 1}]}
     assert [entry["n"] for entry in dump] == [1, 2, 3]
     assert all(
