@@ -117,12 +117,6 @@ class GhostPolynomial:
     n: int
     zeros: tuple  # ((k, mult), ...) ascending in k
 
-    def multiplicity(self, k: int) -> int:
-        for kk, m in self.zeros:
-            if kk == k:
-                return m
-        return 0
-
     def degree(self) -> int:
         return sum(m for _, m in self.zeros)
 
@@ -283,8 +277,8 @@ def _first_bullet_with(ctx: GhostContext, pred: Callable[[int], bool], hint: int
     """Smallest bullet j >= 0 with pred(j), for monotone pred (False then True)."""
     if pred(0):
         return 0
-    hi = max(4, hint)
     ceiling = K_CEILING // (ctx.p - 1) + 2
+    hi = min(max(4, hint), ceiling)
     while not pred(hi):
         hi *= 2
         if hi > ceiling:

@@ -62,14 +62,13 @@ class RationalPolygon:
 
     ``points`` is the full input (INFINITY ordinates included), sorted by
     x.  ``vertices`` are the hull points where the slope strictly
-    increases (endpoints always qualify); ``touch_points`` lie on the
-    hull without breaking it.  ``slopes`` pairs each distinct hull slope
-    with its multiplicity (the x-extent it covers), strictly increasing.
+    increases (endpoints always qualify).  ``slopes`` pairs each distinct
+    hull slope with its multiplicity (the x-extent it covers), strictly
+    increasing.
     """
 
     points: Tuple[Point, ...]
     vertices: Tuple[Point, ...]
-    touch_points: Tuple[Point, ...]
     slopes: Tuple[Tuple[Fraction, int], ...]
 
     def vertex_xs(self) -> Tuple[int, ...]:
@@ -123,28 +122,13 @@ def lower_hull(points: Iterable[Tuple[int, object]]) -> RationalPolygon:
         raise DomainError("every ordinate is infinite")
 
     stack = _chain(finite)
-    vertices = tuple((x, Valuation(y)) for x, y in stack)
-    vertex_set = {x for x, _ in stack}
     slopes = tuple(
         (Fraction(y1 - y0, x1 - x0), x1 - x0)
         for (x0, y0), (x1, y1) in zip(stack, stack[1:])
     )
-
-    touch = []
-    xs = [x for x, _ in stack]
-    for x, y in finite:
-        if x in vertex_set:
-            continue
-        i = bisect_right(xs, x) - 1
-        x0, y0 = stack[i]
-        x1, y1 = stack[i + 1]
-        if (y - y0) * (x1 - x0) == (y1 - y0) * (x - x0):
-            touch.append((x, Valuation(y)))
-
     return RationalPolygon(
         points=tuple(pts),
-        vertices=vertices,
-        touch_points=tuple(touch),
+        vertices=tuple((x, Valuation(y)) for x, y in stack),
         slopes=slopes,
     )
 
@@ -217,19 +201,6 @@ class DualGraph:
         return tuple(
             (slope, intercept) for _, _, slope, intercept in reversed(self.segments)
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "segments": [
-                {
-                    "r_lo": format_rational(r_lo),
-                    "r_hi": format_rational(r_hi),
-                    "slope": slope,
-                    "intercept": format_rational(intercept),
-                }
-                for r_lo, r_hi, slope, intercept in self.segments
-            ]
-        }
 
 
 def dual_graph(

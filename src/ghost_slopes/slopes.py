@@ -6,8 +6,11 @@ drive everything else here.  A pair (n, w) is near-Steinberg for k2 when
 the distance from w to w_{k2} reaches the l-th hull increment of k2's
 derivative polygon (l the offset of n from k2's center); indices that
 are near-Steinberg for nobody are exactly the breakpoints of the ghost
-Newton polygon at w.  Newslopes follow a closed form above the zero
-radius M(k) and an exact parametric sweep below it.
+Newton polygon at w.  The increments do not decrease with l, so the
+indices near-Steinberg for one k2 form an interval around its center,
+and the breakpoints are what no such interval covers.  Newslopes follow
+a closed form above the zero radius M(k) and an exact parametric sweep
+below it.
 
 All hull reads from finite windows are certified against the infinite
 series: a window is accepted only once every omitted coefficient
@@ -29,14 +32,13 @@ from .ghost import (
     GhostContext,
     WeightIndex,
     WeightPoint,
-    _floor_log,
+    _bullet_bound,
     degree_table,
     dimensions,
     hatted_valuation_table,
     level_tables,
     max_zero_distance,
     point_distance,
-    support_interval,
 )
 from .polygon import RationalPolygon, _chain, lower_hull, newton_polygon_at
 from .valuation import Valuation, format_rational
@@ -67,10 +69,6 @@ class DerivativePolygon:
 
     def distinct_slopes(self) -> List[Fraction]:
         return [s for s, _ in self.slopes]
-
-    def hull_increment(self, l: int) -> Fraction:
-        """Hull slope over [l, l+1]; the near-Steinberg threshold at offset l."""
-        return self.increments[l]
 
 
 def derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
@@ -144,56 +142,36 @@ def is_near_steinberg(ctx: GhostContext, n: int, w: WeightPoint, k2: int) -> boo
     if not trip.d_ur < n < trip.d_iw - trip.d_ur:
         return False
     l = abs(n - trip.d_iw // 2)
-    need = derivative_polygon(ctx, k2).hull_increment(l)
+    need = derivative_polygon(ctx, k2).increments[l]
     return point_distance(ctx, w, k2) >= Valuation(need)
-
-
-def _near_steinberg_witness(ctx: GhostContext, n: int, w: WeightPoint) -> int:
-    """A bullet index whose weight makes (n, w) near-Steinberg, or -1.
-
-    The scan is pruned by two provable facts: the hull increment at
-    offset l is at least 3/2 + (p-1) * l / 4 (convexity plus the raw
-    increment lower bound), so a witness k2 needs distance >= 3/2 --
-    ruling out every weight at the generic distance 1 -- and can only
-    have its center within 4 * (dist - 3/2) / (p - 1) of n.
-    """
-    p = ctx.p
-    lo, hi = support_interval(ctx, n)
-    kb = ctx.weight(w.anchor).k_bullet
-    if lo <= kb < hi and is_near_steinberg(ctx, n, w, w.anchor):
-        return kb
-    # widest possible window: distance can't beat 1 + v_p of the largest
-    # bullet gap (and never beats the radius)
-    dmax = Valuation(1 + _floor_log(p, max(kb + hi, p)) + 1)
-    if w.radius < dmax:
-        dmax = w.radius
-    if dmax < Fraction(3, 2):
-        return -1
-    width = int(4 * (dmax.value - Fraction(3, 2)) / (p - 1)) + 1
-    center0 = n - 1 + ctx.delta_eps  # bullet whose center index is n
-    for j in range(max(lo, center0 - width), min(hi, center0 + width + 1)):
-        if j == kb:
-            continue
-        dist = point_distance(ctx, w, ctx.weight_of_bullet(j))
-        l = abs(n - (j + 1 - ctx.delta_eps))
-        if dist < Fraction(3, 2) + Fraction((p - 1) * l, 4):
-            continue
-        if is_near_steinberg(ctx, n, w, ctx.weight_of_bullet(j)):
-            return j
-    return -1
 
 
 def breakpoints_by_criterion(ctx: GhostContext, w: WeightPoint, n_range: int) -> set:
     """Indices n in [0, n_range] that are near-Steinberg for no weight.
 
     By the breakpoint criterion these are exactly the vertex abscissae
-    of the ghost Newton polygon at w; index 0 always qualifies.
+    of the ghost Newton polygon at w; index 0 always qualifies.  For a
+    fixed k2 the hull increments do not decrease, so the n that k2 makes
+    near-Steinberg form one interval: |n - center(k2)| < L, L the number
+    of increments that the distance from w to w_{k2} reaches.  Only
+    bullets congruent to the anchor's mod p can reach the 3/2 floor of
+    every increment (the others sit at distance <= 1), and since the
+    l-th increment is at least 3/2 + (p-1) l / 4, a center more than
+    4 * (dist - 3/2) / (p - 1) past n_range marks nothing in range.
     """
-    out = {0}
-    for n in range(1, n_range + 1):
-        if _near_steinberg_witness(ctx, n, w) < 0:
-            out.add(n)
-    return out
+    p = ctx.p
+    marked = set()
+    for j in range(ctx.weight(w.anchor).k_bullet % p, _bullet_bound(ctx, n_range), p):
+        k2 = ctx.weight_of_bullet(j)
+        dist = point_distance(ctx, w, k2)
+        if dist < Fraction(3, 2):
+            continue
+        c = j + 1 - ctx.delta_eps  # center(k2) = d_iw(k2) / 2
+        if not dist.is_infinite and c - 4 * (dist.value - Fraction(3, 2)) / (p - 1) > n_range:
+            continue
+        reached = bisect_right(derivative_polygon(ctx, k2).increments, dist)
+        marked.update(range(max(1, c - reached + 1), min(n_range, c + reached - 1) + 1))
+    return {0} | set(range(1, n_range + 1)) - marked
 
 
 # -- window certification ---------------------------------------------------------

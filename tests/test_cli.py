@@ -281,6 +281,19 @@ class TestConfigValidation:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("thresholds",), ("predict",), ("slopes", "-r", "3")],
+        ids=["thresholds", "predict", "slopes"],
+    )
+    def test_weight_above_k_ceiling_is_domain_error(self, capsys, argv):
+        # a class weight whose bullet search starts past K_CEILING: the
+        # guard fires before any table is allocated
+        code, out, err = run(capsys, *argv, "-k", "1000000000002")
+        assert code == 2
+        assert out == ""
+        assert "k_ceiling" in err
+
     def test_parser_builds_all_subcommands(self):
         parser = build_parser()
         args = parser.parse_args(["thresholds", "-k", "24", "--format", "csv"])

@@ -1,13 +1,22 @@
-"""Every batch table kernel and the sweep's integer lock test against
-their pointwise oracles, and the near-Steinberg criterion against the
-certified hull, over random contexts (p, a, s_eps, m) in both modes."""
+"""Every batch table kernel, the sweep's integer lock test and the
+interval-marking breakpoint criterion against their pointwise oracles,
+and the near-Steinberg criterion against the certified hull, over
+random contexts (p, a, s_eps, m) in both modes."""
 
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ghost_slopes import INF, Valuation, WeightPoint, lower_hull
+from ghost_slopes import (
+    INF,
+    GhostContext,
+    Valuation,
+    WeightPoint,
+    breakpoints_by_criterion,
+    is_near_steinberg,
+    lower_hull,
+)
 from ghost_slopes import checks
 from ghost_slopes.ghost import (
     anchored_valuation,
@@ -18,6 +27,7 @@ from ghost_slopes.ghost import (
     hatted_valuation_table,
     level_tables,
     max_zero_distance,
+    support_interval,
     valuation_table_at,
 )
 from ghost_slopes.slopes import _level_pieces, _locked_at
@@ -95,6 +105,33 @@ def test_lock_test_matches_hull_slope(case):
                     x_pos = trip.d_ur + n
                     locked = slopes[x_pos - 1] == target
                     assert _locked_at(xs, A, B, x_pos, k, r) == locked, (k, level, r, n)
+
+
+RADII = st.one_of(
+    st.just(INF),
+    st.just(Fraction(3, 2)),
+    st.builds(Fraction, st.integers(1, 40), st.integers(1, 9)),
+)
+
+
+# odd a gives first hull increments of exactly 3/2, met by radius 3/2
+@example(case=(GhostContext(7, 1, 0), 39), radius=Fraction(3, 2))
+@example(case=(GhostContext(5, 1, 0), 7), radius=Fraction(3, 2))
+@given(case=context_and_weight(), radius=RADII)
+@settings(max_examples=30, deadline=None)
+def test_criterion_matches_unpruned_walk(case, radius):
+    ctx, k = case
+    w = WeightPoint(k, radius)
+    d_iw = dimensions(ctx, k).d_iw
+    walk = {0} | {
+        n
+        for n in range(1, d_iw + 1)
+        if not any(
+            is_near_steinberg(ctx, n, w, ctx.weight_of_bullet(j))
+            for j in range(*support_interval(ctx, n))
+        )
+    }
+    assert breakpoints_by_criterion(ctx, w, d_iw) == walk
 
 
 @given(

@@ -28,21 +28,18 @@ def ctx():
 def test_already_convex_points_all_vertices():
     hull = lower_hull([(0, 17), (1, 19), (2, 25), (3, 34)])
     assert hull.vertex_xs() == (0, 1, 2, 3)
-    assert hull.touch_points == ()
     assert hull.slopes == ((Fraction(2), 1), (Fraction(6), 1), (Fraction(9), 1))
 
 
 def test_interior_point_above_hull_dropped():
     hull = lower_hull([(0, 0), (1, 5), (2, 6)])
     assert hull.vertex_xs() == (0, 2)
-    assert hull.touch_points == ()
     assert hull.slopes == ((Fraction(3), 2),)
 
 
 def test_collinear_point_is_touch_not_vertex():
     hull = lower_hull([(0, 0), (1, 3), (2, 6), (3, 10)])
     assert hull.vertex_xs() == (0, 2, 3)
-    assert hull.touch_points == ((1, Valuation(3)),)
     assert hull.slopes == ((Fraction(3), 2), (Fraction(4), 1))
 
 

@@ -122,7 +122,7 @@ def test_raw_increment_lower_bound(p, a, s):
     [(7, 2, 1), (11, 6, 9), (11, 3, 0)],
 )
 def test_hull_increment_lower_bound(p, a, s):
-    # the pruning bound: hull slope over [l, l+1] >= 3/2 + (p-1) l / 4
+    # the criterion's reach bound: hull slope over [l, l+1] >= 3/2 + (p-1) l / 4
     ctx = GhostContext(p=p, a=a, s_eps=s)
     for k in ctx.class_members(3, 900):
         dp = derivative_polygon(ctx, k)
@@ -237,14 +237,11 @@ def test_breakpoints_match_hull_vertices_wraparound(wrap_ctx):
 
 
 def test_pruned_witness_agrees_with_full_scan(ctx):
-    from ghost_slopes.slopes import _near_steinberg_witness
-
     for k, r in [(24, 7), (90, 2), (174, Fraction(3, 2)), (366, INF)]:
         w = WeightPoint(k, r)
-        for n in range(1, dimensions(ctx, k).d_iw + 1):
-            pruned = _near_steinberg_witness(ctx, n, w) >= 0
-            full = bool(_full_scan_witnesses(ctx, n, w))
-            assert pruned == full, (k, r, n)
+        d_iw = dimensions(ctx, k).d_iw
+        full = {n for n in range(1, d_iw + 1) if not _full_scan_witnesses(ctx, n, w)}
+        assert breakpoints_by_criterion(ctx, w, d_iw) == {0} | full, (k, r)
 
 
 def test_dimension_edges_are_breakpoints_at_exact_weight(ctx):
