@@ -12,7 +12,6 @@ from .prediction import (
     exceptional_bound,
     gs_translate,
     integrality_report,
-    model_radius,
     predict_slopes,
 )
 from .slopes import (
@@ -43,7 +42,6 @@ __all__ = [
     "exceptional_bound",
     "gs_translate",
     "integrality_report",
-    "model_radius",
     "predict_slopes",
     "breakpoints_by_criterion",
     "certified_newton_polygon",

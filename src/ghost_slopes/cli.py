@@ -27,7 +27,7 @@ from typing import List, Tuple
 from .checks import SUITES
 from .distribution import SampleKind, discrepancy, sample, weyl_csv, weyl_moments
 from .errors import ConfigError, DomainError, VerificationError
-from .ghost import GhostContext, WeightPoint, ghost_polynomial
+from .ghost import K_CEILING, GhostContext, WeightPoint, ghost_polynomial
 from .prediction import predict_slopes
 from .slopes import k_newslopes, k_thresholds
 from .valuation import INF, format_rational
@@ -49,6 +49,8 @@ def _parse_range(text: str) -> Tuple[int, int]:
         raise ConfigError(f"expected lo:hi, got {text!r}") from None
     if lo > hi:
         raise ConfigError(f"empty weight range {text!r}")
+    if hi > K_CEILING:
+        raise DomainError(f"weight range {text!r} exceeds k_ceiling = {K_CEILING}")
     return lo, hi
 
 

@@ -6,8 +6,8 @@ THRESHOLD samples normalize the stretched threshold vector, DERIVATIVE
 samples duplicate each derivative-polygon hull slope twice, and LINV
 samples normalize the predicted inverse L-invariant valuations, with
 the exceptional block standing in at its floor value.  Floor stand-ins
-are tracked separately and stay out of moments unless asked for, since
-they are bounds rather than values.
+are tracked separately and stay out of moments and the discrepancy,
+since they are bounds rather than values.
 
 Moments are exact rationals; the Weyl table compares them to the
 uniform-limit targets 1/(n+1), and the discrepancy is the exact
@@ -17,6 +17,7 @@ uniform on [0, 1].
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -50,16 +51,13 @@ class DistributionSample:
     floor_count: int
 
     def genuine_values(self) -> Tuple[Fraction, ...]:
-        """The values with floor stand-ins removed."""
-        if not self.floor_count:
-            return self.values
-        out = list(self.values)
-        for _ in range(self.floor_count):
-            out.remove(self.floor_value)
-        return tuple(out)
+        """The values with floor stand-ins removed: every stand-in equals
+        ``floor_value``, so they form one block of the sorted values."""
+        i = bisect_left(self.values, self.floor_value)
+        return self.values[:i] + self.values[i + self.floor_count :]
 
-    def moment(self, n: int, include_floor: bool = False) -> Fraction:
-        vals = self.values if include_floor else self.genuine_values()
+    def moment(self, n: int) -> Fraction:
+        vals = self.genuine_values()
         if not vals:
             raise DomainError("no values to average")
         return Fraction(sum(v**n for v in vals), len(vals))
@@ -85,7 +83,7 @@ def sample(ctx: GhostContext, k: int, kind: SampleKind) -> DistributionSample:
     elif kind is SampleKind.DERIVATIVE:
         dp = derivative_polygon(ctx, k)
         vals = []
-        for s in dp.hull.slope_list():
+        for s in dp.increments:
             vals.extend([norm * s, norm * s])
     elif kind is SampleKind.LINV:
         pred = predict_slopes(ctx, k)
@@ -148,14 +146,14 @@ def weyl_moments(samples: Sequence[DistributionSample], n_max: int) -> tuple:
     return tuple(reports)
 
 
-def discrepancy(sample_: DistributionSample, include_floor: bool = False) -> Fraction:
+def discrepancy(sample_: DistributionSample) -> Fraction:
     """Exact Kolmogorov distance of the sample from uniform on [0, 1].
 
     >>> ctx = GhostContext(7, 2, 1)
     >>> discrepancy(sample(ctx, 24, SampleKind.THRESHOLD))
     Fraction(1, 3)
     """
-    vals = sample_.values if include_floor else sample_.genuine_values()
+    vals = sample_.genuine_values()
     if not vals:
         raise DomainError("empty sample has no distribution")
     m = len(vals)

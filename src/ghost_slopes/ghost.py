@@ -178,6 +178,8 @@ class GhostContext:
         p, a, s = self.p, self.a, self.s_eps
         if self.mode not in ("strict", "exploratory"):
             raise ConfigError(f"unknown mode {self.mode!r}")
+        if p > K_CEILING:
+            raise ConfigError(f"p = {p} exceeds k_ceiling = {K_CEILING}")
         if not _is_prime(p):
             raise ConfigError(f"p = {p} is not prime")
         if self.mode == "strict":
@@ -593,12 +595,7 @@ def hatted_valuation_table(ctx: GhostContext, k: int, n_hi: int) -> list:
 
     Matches :func:`anchored_valuation` pointwise.
     """
-    kb = ctx.weight(k).k_bullet
-    key = ("hat", kb, n_hi)
-    cache = ctx._cache("tables")
-    if key not in cache:
-        cache[key] = _anchored_table(ctx, kb, n_hi, lambda d: 0 if d is None else d)
-    return cache[key]
+    return _anchored_table(ctx, ctx.weight(k).k_bullet, n_hi, lambda d: 0 if d is None else d)
 
 
 def valuation_table_at(ctx: GhostContext, k: int, radius, n_hi: int) -> tuple:
@@ -616,25 +613,12 @@ def valuation_table_at(ctx: GhostContext, k: int, radius, n_hi: int) -> tuple:
     return _anchored_table(ctx, kb, n_hi, wt), den
 
 
-def infinite_radius_table(ctx: GhostContext, k: int, n_hi: int) -> tuple:
-    """(table, zero_lo, zero_hi) for w_* = w_k exactly: table[n] is
-    v_p(g_n(w_k)) for n outside (zero_lo, zero_hi), and the valuation is
-    INFINITY for n strictly inside (where m_n(k) > 0)."""
-    table = hatted_valuation_table(ctx, k, n_hi)
-    trip = dimensions(ctx, k)
-    return table, trip.d_ur, trip.d_iw - trip.d_ur
-
-
 def level_tables(ctx: GhostContext, k: int, level: int, n_hi: int) -> tuple:
     """(A, B) with v_p(g_n(w_*)) = A[n] + B[n]*r exactly for every radius
     r in [level, level+1] (level >= 0): distances <= level contribute their
     full weight to A, strictly larger ones ride the radius in B."""
     kb = ctx.weight(k).k_bullet
-    key = ("level", kb, level, n_hi)
-    cache = ctx._cache("tables")
-    if key not in cache:
-        cache[key] = (
-            _anchored_table(ctx, kb, n_hi, lambda d: d if d is not None and d <= level else 0),
-            _anchored_table(ctx, kb, n_hi, lambda d: 0 if d is not None and d <= level else 1),
-        )
-    return cache[key]
+    return (
+        _anchored_table(ctx, kb, n_hi, lambda d: d if d is not None and d <= level else 0),
+        _anchored_table(ctx, kb, n_hi, lambda d: 0 if d is not None and d <= level else 1),
+    )

@@ -19,10 +19,10 @@ from .ghost import (
     GhostContext,
     WeightPoint,
     dimensions,
-    infinite_radius_table,
+    hatted_valuation_table,
     valuation_table_at,
 )
-from .valuation import INF, Valuation, format_rational
+from .valuation import INF, Valuation
 
 Point = Tuple[int, Valuation]
 
@@ -89,12 +89,6 @@ class RationalPolygon:
             raise DomainError(f"x = {x} outside hull range")
         return Valuation(_interpolate(xs, [y.value for _, y in self.vertices], x))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": [[x, format_rational(y)] for x, y in self.vertices],
-            "slopes": [[format_rational(s), m] for s, m in self.slopes],
-        }
-
 
 def lower_hull(points: Iterable[Tuple[int, object]]) -> RationalPolygon:
     """Lower convex hull of points with distinct integer x.
@@ -153,9 +147,10 @@ def newton_polygon_at(ctx: GhostContext, n_range: int, w: WeightPoint) -> Ration
             f"n_range = {n_range} is below the anchor's full span {trip.d_iw}"
         )
     if w.radius.is_infinite:
-        table, z_lo, z_hi = infinite_radius_table(ctx, w.anchor, n_range)
+        # the coefficients with m_n(anchor) > 0 vanish at w_anchor
+        table = hatted_valuation_table(ctx, w.anchor, n_range)
         pts = [
-            (n, INF if z_lo < n < z_hi else Valuation(table[n]))
+            (n, INF if trip.d_ur < n < trip.d_iw - trip.d_ur else Valuation(table[n]))
             for n in range(n_range + 1)
         ]
     else:

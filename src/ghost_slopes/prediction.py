@@ -40,21 +40,20 @@ class Rel(Enum):
 
 @dataclass(frozen=True)
 class PredictionModel:
-    """The L/K model and its comparison rule for one weight.
+    """The L model and its comparison rule for one weight.
 
     ``r_list[l-1]`` is the block slope r_l: the derivative slope s_l for
     l >= M_index and the model radius R below.  ``L_seq`` holds
-    L_1..L_d with L_j built block by block from the top slope down;
-    ``K_vals[i-1] = (k-2)*i``.  ``block_sizes[l-1]`` is the stretched
-    multiplicity of s_l.  :meth:`rel` gives the comparison kind of each
-    entry of the d x d pattern.
+    L_1..L_d with L_j built block by block from the top slope down.
+    ``block_sizes[l-1]`` is the stretched multiplicity of s_l.
+    :meth:`rel` gives the comparison kind of each entry of the d x d
+    pattern.
     """
 
     k: WeightIndex
     d: int
     r_list: Tuple[Fraction, ...]
     L_seq: Tuple[Fraction, ...]
-    K_vals: Tuple[int, ...]
     R: Fraction
     M_index: int
     block_sizes: Tuple[int, ...]
@@ -142,18 +141,13 @@ def model_radius(ctx: GhostContext, k: int) -> Fraction:
     R < s_M.  When no slope clears M(k) the caps collapse and R is
     M(k) + 1/2.
     """
-    cache = ctx._cache("model_radius")
-    kb = ctx.weight(k).k_bullet
-    if kb not in cache:
-        dp = derivative_polygon(ctx, k)
-        m_val = dp.m_of_k.value
-        ss = dp.distinct_slopes()
-        if dp.M_index > len(ss):
-            cache[kb] = m_val + Fraction(1, 2)
-        else:
-            r_dag = slope_window(ctx, k, dp.M_index)[0].value
-            cache[kb] = (r_dag + min(m_val + 1, ss[dp.M_index - 1])) / 2
-    return cache[kb]
+    dp = derivative_polygon(ctx, k)
+    m_val = dp.m_of_k.value
+    ss = dp.distinct_slopes()
+    if dp.M_index > len(ss):
+        return m_val + Fraction(1, 2)
+    r_dag = slope_window(ctx, k, dp.M_index)[0].value
+    return (r_dag + min(m_val + 1, ss[dp.M_index - 1])) / 2
 
 
 def _assert_model_hull(model: PredictionModel) -> None:
@@ -177,7 +171,7 @@ def _assert_model_hull(model: PredictionModel) -> None:
 
 
 def build_model(ctx: GhostContext, k: int) -> PredictionModel:
-    """Assemble the L sequence and K values for k.
+    """Assemble the L sequence and block data of the model for k.
 
     >>> ctx = GhostContext(7, 2, 1)
     >>> build_model(ctx, 24).L_seq[:4]
@@ -203,7 +197,6 @@ def build_model(ctx: GhostContext, k: int) -> PredictionModel:
         d=d,
         r_list=r_list,
         L_seq=tuple(seq),
-        K_vals=tuple((k - 2) * i for i in range(1, d + 1)),
         R=R,
         M_index=dp.M_index,
         block_sizes=block_sizes,

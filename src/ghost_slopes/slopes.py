@@ -40,7 +40,7 @@ from .ghost import (
     max_zero_distance,
     point_distance,
 )
-from .polygon import RationalPolygon, _chain, lower_hull, newton_polygon_at
+from .polygon import RationalPolygon, _chain, newton_polygon_at
 from .valuation import Valuation, format_rational
 
 # -- derivative polygons ------------------------------------------------------
@@ -48,19 +48,19 @@ from .valuation import Valuation, format_rational
 
 @dataclass(frozen=True)
 class DerivativePolygon:
-    """Raw values, hull, and slope data of a weight's derivative polygon.
+    """Raw values and hull slope data of a weight's derivative polygon.
 
     ``raw[l]`` is the anchored valuation at center + l minus (k-2)/2 * l,
-    for l = 0..d_new/2.  ``slopes`` pairs the distinct hull slopes
-    s_1 < ... < s_N with multiplicities; ``breakpoints`` lists the hull
-    vertex abscissae n_0 = 0 < ... < n_N = d_new/2; ``increments[l]`` is
-    the hull slope over [l, l+1].  ``M_index`` is the smallest i with
-    s_i > M(k), or N + 1 when no slope clears M(k).
+    for l = 0..d_new/2.  ``slopes`` pairs the distinct slopes
+    s_1 < ... < s_N of the lower hull of the points (l, raw[l]) with
+    multiplicities; ``breakpoints`` lists the hull vertex abscissae
+    n_0 = 0 < ... < n_N = d_new/2; ``increments[l]`` is the hull slope
+    over [l, l+1].  ``M_index`` is the smallest i with s_i > M(k), or
+    N + 1 when no slope clears M(k).
     """
 
     k: WeightIndex
     raw: Tuple[Fraction, ...]
-    hull: RationalPolygon
     slopes: Tuple[Tuple[Fraction, int], ...]
     breakpoints: Tuple[int, ...]
     increments: Tuple[Fraction, ...]
@@ -95,11 +95,13 @@ def derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
             raise VerificationError(
                 f"anchored-valuation duality fails at k = {k}, offset {l}"
             )
-    half = Fraction(k - 2, 2)
-    raw = tuple(table[c + l] - half * l for l in range(h + 1))
-    hull = lower_hull(enumerate(raw))
-    slopes = hull.slopes
-    increments = tuple(hull.slope_list())
+    # raw values are half-integers, so the hull runs on twice[l] = 2 * raw[l]
+    twice = [2 * table[c + l] - (k - 2) * l for l in range(h + 1)]
+    chain = _chain(enumerate(twice))
+    slopes = tuple(
+        (Fraction(y1 - y0, 2 * (x1 - x0)), x1 - x0)
+        for (x0, y0), (x1, y1) in zip(chain, chain[1:])
+    )
     m_of_k = max_zero_distance(ctx, k)
     m_index = len(slopes) + 1
     for i, (s, _) in enumerate(slopes, start=1):
@@ -108,11 +110,10 @@ def derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
             break
     dp = DerivativePolygon(
         k=wi,
-        raw=raw,
-        hull=hull,
+        raw=tuple(Fraction(t, 2) for t in twice),
         slopes=slopes,
-        breakpoints=hull.vertex_xs(),
-        increments=increments,
+        breakpoints=tuple(x for x, _ in chain),
+        increments=tuple(s for s, m in slopes for _ in range(m)),
         M_index=m_index,
         m_of_k=m_of_k,
     )

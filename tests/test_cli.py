@@ -294,6 +294,21 @@ class TestConfigValidation:
         assert out == ""
         assert "k_ceiling" in err
 
+    @pytest.mark.parametrize("command", ["dist", "verify"])
+    def test_k_range_above_k_ceiling_is_domain_error(self, capsys, command):
+        # rejected before the class weights of the range are listed
+        code, out, err = run(capsys, command, "--k-range", "10:10000000000")
+        assert code == 2
+        assert out == ""
+        assert "k_ceiling" in err
+
+    def test_prime_above_k_ceiling_is_config_error(self, capsys):
+        # rejected before the trial division of the primality test
+        code, out, err = run(capsys, "ghost", "-n", "1", "-p", "1000000000000000003")
+        assert code == 1
+        assert out == ""
+        assert "k_ceiling" in err
+
     def test_parser_builds_all_subcommands(self):
         parser = build_parser()
         args = parser.parse_args(["thresholds", "-k", "24", "--format", "csv"])

@@ -1,7 +1,8 @@
-"""Every batch table kernel, the sweep's integer lock test and the
-interval-marking breakpoint criterion against their pointwise oracles,
-and the near-Steinberg criterion against the certified hull, over
-random contexts (p, a, s_eps, m) in both modes."""
+"""Every batch table kernel, the integer derivative polygon, the sweep's
+integer lock test and the interval-marking breakpoint criterion against
+their pointwise or Fraction oracles, and the near-Steinberg criterion
+against the certified hull, over random contexts (p, a, s_eps, m) in
+both modes."""
 
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from ghost_slopes import (
     Valuation,
     WeightPoint,
     breakpoints_by_criterion,
+    derivative_polygon,
     is_near_steinberg,
     lower_hull,
 )
@@ -76,6 +78,24 @@ def test_level_tables_match_evaluate(case, n_hi, level, step):
     assert [Valuation(a + b * r) for a, b in zip(A, B)] == [
         evaluate_ghost_valuation(ctx, n, point) for n in range(n_hi + 1)
     ]
+
+
+@given(case=context_and_weight())
+@settings(max_examples=100, deadline=None)
+def test_derivative_polygon_matches_fraction_hull(case):
+    # the integer hull over 2 * raw against lower_hull over the raw Fractions
+    ctx, k = case
+    dp = derivative_polygon(ctx, k)
+    trip = dimensions(ctx, k)
+    c = trip.d_iw // 2
+    assert dp.raw == tuple(
+        anchored_valuation(ctx, c + l, k) - Fraction((k - 2) * l, 2)
+        for l in range(trip.d_new // 2 + 1)
+    )
+    hull = lower_hull(enumerate(dp.raw))
+    assert dp.slopes == hull.slopes
+    assert dp.breakpoints == hull.vertex_xs()
+    assert dp.increments == tuple(hull.slope_list())
 
 
 @given(case=context_and_weight(), small=N_HI, extra=st.integers(1, 200))

@@ -74,7 +74,7 @@ class TestSampleValues:
             s = sample(CTX, k, SampleKind.DERIVATIVE)
             norm = Fraction(2 * (CTX.p + 1), (CTX.p - 1) * k)
             expected = []
-            for sl in derivative_polygon(CTX, k).hull.slope_list():
+            for sl in derivative_polygon(CTX, k).increments:
                 expected.extend([norm * sl, norm * sl])
             assert s.values == tuple(sorted(expected))
 
@@ -100,7 +100,6 @@ class TestSampleValues:
     def test_linv_moment_excludes_floor_by_default(self):
         s = sample(CTX, 24, SampleKind.LINV)
         assert s.moment(1) == Fraction(17, 18)
-        assert s.moment(1, include_floor=True) == Fraction(83, 108)
 
     def test_floor_sits_below_known_block(self):
         # the model radius is below every closed-form slope, so the
@@ -116,7 +115,7 @@ class TestSampleValues:
         for ctx in (CTX, CTX_WRAP):
             for k in sample_weights(ctx, 10, 500, 5, seed=5):
                 d_new = 2 * sum(
-                    m for _, m in derivative_polygon(ctx, k).hull.slopes
+                    m for _, m in derivative_polygon(ctx, k).slopes
                 )
                 m = ctx.global_mult
                 assert len(sample(ctx, k, SampleKind.THRESHOLD).values) == m * d_new
@@ -170,7 +169,6 @@ class TestDiscrepancy:
     def test_include_floor_frozen(self):
         s = sample(CTX, 24, SampleKind.LINV)
         assert discrepancy(s) == Fraction(7, 9)
-        assert discrepancy(s, include_floor=True) == Fraction(4, 9)
 
     @given(
         st.lists(

@@ -26,7 +26,6 @@ from ghost_slopes.ghost import (
     ghost_polynomial,
     ghost_zero_set,
     hatted_valuation_table,
-    infinite_radius_table,
     level_tables,
     max_zero_distance,
     support_interval,
@@ -414,9 +413,9 @@ def test_evaluate_at_ghost_zero_is_infinite(ctx):
             assert val.is_infinite
         else:
             assert val == Valuation(HATTED_24[n])
-    table, lo, hi = infinite_radius_table(ctx, 24, 8)
-    assert (lo, hi) == (1, 7)
-    assert table == HATTED_24
+    trip = dimensions(ctx, 24)
+    assert (trip.d_ur, trip.d_iw - trip.d_ur) == (1, 7)
+    assert hatted_valuation_table(ctx, 24, 8) == HATTED_24
 
 
 def test_valuation_table_matches_evaluate(ctx):

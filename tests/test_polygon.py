@@ -79,14 +79,6 @@ def test_slope_multiplicities_cover_extent():
     assert slopes == sorted(slopes)
 
 
-def test_json_schema_polygon():
-    hull = lower_hull([(0, 0), (2, Fraction(13, 2))])
-    assert hull.to_json_dict() == {
-        "vertices": [[0, "0"], [2, "13/2"]],
-        "slopes": [["13/4", 2]],
-    }
-
-
 @st.composite
 def point_sets(draw):
     xs = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=12, unique=True))

@@ -15,13 +15,12 @@ from ghost_slopes import (
     exceptional_bound,
     gs_translate,
     integrality_report,
-    model_radius,
     predict_slopes,
     slope_window,
 )
 from ghost_slopes import checks
 from ghost_slopes.polygon import lower_hull
-from ghost_slopes.prediction import PredictionModel, Rel
+from ghost_slopes.prediction import PredictionModel, Rel, model_radius
 
 CTX = GhostContext(7, 2, 1)
 CTX_WRAP = GhostContext(11, 6, 9)
@@ -61,7 +60,6 @@ def test_model_frozen_k24():
         Fraction(30) + Fraction(11, 4),
         Fraction(30) + 2 * Fraction(11, 4),
     )
-    assert m.K_vals == (22, 44, 66, 88, 110, 132)
     assert m.known_size() == 4
 
 
@@ -150,7 +148,7 @@ def test_pattern_all_known_depth_four():
     # doubled diagonal and mirror back up, bottom row strict throughout
     # rel reads only d, block_sizes and M_index
     m = PredictionModel(
-        k=None, d=8, r_list=(), L_seq=(), K_vals=(), R=Fraction(0),
+        k=None, d=8, r_list=(), L_seq=(), R=Fraction(0),
         M_index=1, block_sizes=(1, 1, 1, 1),
     )
     rows = pattern(m)
