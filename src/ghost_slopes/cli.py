@@ -241,6 +241,7 @@ def cmd_dist(args) -> str:
         group = by_kind.get(kind, [])
         if len(group) < 3:
             continue
+        final_discrepancy = format_rational(discrepancy(group[-1]))
         for rep in weyl_moments(group, n_max):
             rows.append(
                 {
@@ -251,9 +252,7 @@ def cmd_dist(args) -> str:
                     "moments": [format_rational(m) for m in rep.moments],
                     "final_error": format_rational(rep.final_error),
                     "trend_monotone": rep.trend_monotone,
-                    "final_discrepancy": format_rational(
-                        discrepancy(group[-1])
-                    ),
+                    "final_discrepancy": final_discrepancy,
                 }
             )
     if not rows:

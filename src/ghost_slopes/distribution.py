@@ -158,7 +158,7 @@ def discrepancy(sample_: DistributionSample) -> Fraction:
         raise DomainError("empty sample has no distribution")
     m = len(vals)
     best = Fraction(0)
-    for i, v in enumerate(sorted(vals), 1):
+    for i, v in enumerate(vals, 1):
         best = max(best, v - Fraction(i - 1, m), Fraction(i, m) - v)
     return best
 

@@ -1,6 +1,7 @@
 """Exact lower convex hulls, Newton polygons, and Gauss-norm dual graphs.
 
-Everything here is rational arithmetic: hull membership and vertex
+Every hull runs on integer ordinates over one positive denominator, with
+Valuations built only when read: hull membership and vertex
 classification are structural facts, never tolerance calls.  The two
 transforms determine each other: the dual graph of a power series has a
 breakpoint at r exactly when -r is a slope of its Newton polygon, and
@@ -12,7 +13,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Tuple, Union
+from functools import cached_property
+from math import lcm
+from operator import itemgetter
+from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
 from .ghost import (
@@ -22,18 +26,14 @@ from .ghost import (
     hatted_valuation_table,
     valuation_table_at,
 )
-from .valuation import INF, Valuation
+from .valuation import INF, Valuation, _coerce
 
 Point = Tuple[int, Valuation]
 
 
-def _as_valuation(y) -> Valuation:
-    return y if isinstance(y, Valuation) else Valuation(y)
-
-
-def _chain(points: Iterable[Tuple[int, object]]) -> list:
-    """Lower monotone chain of (x, y) pairs given in increasing x, with
-    exact y (int or Fraction); collinear points drop."""
+def _chain(points: Iterable[Tuple[int, int]]) -> list:
+    """Lower monotone chain of (x, y) int pairs given in increasing x;
+    collinear points drop."""
     stack: list = []
     for x, y in points:
         while len(stack) >= 2:
@@ -46,34 +46,53 @@ def _chain(points: Iterable[Tuple[int, object]]) -> list:
     return stack
 
 
-def _interpolate(xs: Sequence[int], ys: Sequence, x: int):
-    """Ordinate at x of the polyline through (xs[i], ys[i]), for
-    xs[0] <= x <= xs[-1]."""
-    i = bisect_right(xs, x) - 1
-    if xs[i] == x:
-        return ys[i]
-    x0, x1 = xs[i], xs[i + 1]
-    return ys[i] + (ys[i + 1] - ys[i]) * Fraction(x - x0, x1 - x0)
+def edge_at(hull: Sequence[Tuple[int, int]], den: int, x: int) -> Tuple[Fraction, Fraction]:
+    """(value, slope) at x of the polyline through the points (x_i, y_i / den)
+    of ``hull``, read on the edge [x_i, x_{i+1}] with x_i <= x < x_{i+1}."""
+    i = bisect_right(hull, x, key=itemgetter(0)) - 1
+    (x0, y0), (x1, y1) = hull[i], hull[i + 1]
+    e = (x1 - x0) * den
+    return Fraction(y0 * (x1 - x) + y1 * (x - x0), e), Fraction(y1 - y0, e)
 
 
 @dataclass(frozen=True)
 class RationalPolygon:
-    """A lower convex hull over points with integer x and exact ordinates.
+    """A lower convex hull over points with integer x, held on integers.
 
-    ``points`` is the full input (INFINITY ordinates included), sorted by
-    x.  ``vertices`` are the hull points where the slope strictly
-    increases (endpoints always qualify).  ``slopes`` pairs each distinct
-    hull slope with its multiplicity (the x-extent it covers), strictly
-    increasing.
+    Input point i is (xs[i], ys[i] / den), sorted by x, with ys[i] None
+    for INFINITY; ``hull`` is the chain of (x, y) with vertex (x, y / den).
+    ``points`` is the full input.  ``vertices`` are the hull points where
+    the slope strictly increases (endpoints always qualify).  ``slopes``
+    pairs each distinct hull slope with its multiplicity (the x-extent it
+    covers), strictly increasing.
     """
 
-    points: Tuple[Point, ...]
-    vertices: Tuple[Point, ...]
-    slopes: Tuple[Tuple[Fraction, int], ...]
+    xs: Sequence[int]
+    ys: Sequence[Optional[int]]
+    den: int
+    hull: Tuple[Tuple[int, int], ...]
+
+    @property
+    def points(self) -> Tuple[Point, ...]:
+        return tuple(
+            (x, INF if y is None else Valuation(Fraction(y, self.den)))
+            for x, y in zip(self.xs, self.ys)
+        )
+
+    @property
+    def vertices(self) -> Tuple[Point, ...]:
+        return tuple((x, Valuation(Fraction(y, self.den))) for x, y in self.hull)
+
+    @cached_property
+    def slopes(self) -> Tuple[Tuple[Fraction, int], ...]:
+        return tuple(
+            (Fraction(y1 - y0, (x1 - x0) * self.den), x1 - x0)
+            for (x0, y0), (x1, y1) in zip(self.hull, self.hull[1:])
+        )
 
     def vertex_xs(self) -> Tuple[int, ...]:
         """Breakpoint abscissae, ascending."""
-        return tuple(x for x, _ in self.vertices)
+        return tuple(x for x, _ in self.hull)
 
     def slope_list(self) -> list:
         """All hull slopes, one per unit of x-extent, non-decreasing."""
@@ -84,18 +103,32 @@ class RationalPolygon:
 
     def hull_value(self, x: int) -> Valuation:
         """Exact ordinate of the hull at integer x inside the x-range."""
-        xs = [vx for vx, _ in self.vertices]
-        if not xs or x < xs[0] or x > xs[-1]:
+        (x_first, _), (x_last, y_last) = self.hull[0], self.hull[-1]
+        if x < x_first or x > x_last:
             raise DomainError(f"x = {x} outside hull range")
-        return Valuation(_interpolate(xs, [y.value for _, y in self.vertices], x))
+        if x == x_last:
+            return Valuation(Fraction(y_last, self.den))
+        return Valuation(edge_at(self.hull, self.den, x)[0])
+
+
+def integer_hull(xs: Sequence[int], ys: Sequence[Optional[int]], den: int) -> RationalPolygon:
+    """The polygon of the points (xs[i], ys[i] / den): xs ascending, ys
+    ints or None for INFINITY (no constraint), den positive.  Raises
+    DomainError when no ordinate is finite."""
+    hull = tuple(_chain((x, y) for x, y in zip(xs, ys) if y is not None))
+    if not hull:
+        raise DomainError("no finite ordinate")
+    return RationalPolygon(xs, ys, den, hull)
 
 
 def lower_hull(points: Iterable[Tuple[int, object]]) -> RationalPolygon:
-    """Lower convex hull of points with distinct integer x.
+    """Lower convex hull of points with distinct int x.
 
-    Ordinates may be rationals or Valuations; INFINITY ordinates impose
-    no constraint and never appear on the hull.  Raises DomainError on
-    an empty input, duplicate abscissae, or all-INFINITY ordinates.
+    Ordinates may be ints, Fractions or Valuations, scaled onto integers
+    over the lcm of their denominators; INFINITY ordinates impose no
+    constraint and never appear on the hull.  Raises DomainError on a
+    non-int or duplicate abscissa or when no ordinate is finite (an
+    empty input included), and TypeError on any other ordinate type.
 
     Examples
     --------
@@ -105,25 +138,18 @@ def lower_hull(points: Iterable[Tuple[int, object]]) -> RationalPolygon:
     >>> hull.slopes
     ((Fraction(3, 1), 2),)
     """
-    pts = sorted((int(x), _as_valuation(y)) for x, y in points)
-    if not pts:
-        raise DomainError("empty point list")
+    pts = [(x, _coerce(y)) for x, y in points]
+    if bad := [x for x, _ in pts if not isinstance(x, int)]:
+        raise DomainError(f"abscissa {bad[0]!r} is not an int")
+    pts.sort()
     for i in range(1, len(pts)):
         if pts[i][0] == pts[i - 1][0]:
             raise DomainError(f"duplicate abscissa x = {pts[i][0]}")
-    finite = [(x, y.value) for x, y in pts if not y.is_infinite]
-    if not finite:
-        raise DomainError("every ordinate is infinite")
-
-    stack = _chain(finite)
-    slopes = tuple(
-        (Fraction(y1 - y0, x1 - x0), x1 - x0)
-        for (x0, y0), (x1, y1) in zip(stack, stack[1:])
-    )
-    return RationalPolygon(
-        points=tuple(pts),
-        vertices=tuple((x, Valuation(y)) for x, y in stack),
-        slopes=slopes,
+    den = lcm(*(y.value.denominator for _, y in pts if not y.is_infinite))
+    return integer_hull(
+        tuple(x for x, _ in pts),
+        tuple(None if y.is_infinite else int(y.value * den) for _, y in pts),
+        den,
     )
 
 
@@ -148,15 +174,12 @@ def newton_polygon_at(ctx: GhostContext, n_range: int, w: WeightPoint) -> Ration
         )
     if w.radius.is_infinite:
         # the coefficients with m_n(anchor) > 0 vanish at w_anchor
+        lo, hi = trip.d_ur, trip.d_iw - trip.d_ur
         table = hatted_valuation_table(ctx, w.anchor, n_range)
-        pts = [
-            (n, INF if trip.d_ur < n < trip.d_iw - trip.d_ur else Valuation(table[n]))
-            for n in range(n_range + 1)
-        ]
+        nums, den = [None if lo < n < hi else y for n, y in enumerate(table)], 1
     else:
         nums, den = valuation_table_at(ctx, w.anchor, w.radius.value, n_range)
-        pts = [(n, Valuation(Fraction(nums[n], den))) for n in range(n_range + 1)]
-    return lower_hull(pts)
+    return integer_hull(range(n_range + 1), nums, den)
 
 
 @dataclass(frozen=True)
@@ -173,7 +196,7 @@ class DualGraph:
 
     def nu(self, r) -> Valuation:
         """nu_r at any radius >= the graph's left edge."""
-        r = _as_valuation(r)
+        r = _coerce(r)
         if r.is_infinite:
             _, _, slope, intercept = self.segments[-1]
             return INF if slope > 0 else intercept
@@ -212,36 +235,24 @@ def dual_graph(
         items = coefficient_valuations.items()
     else:
         items = enumerate(coefficient_valuations)
-    coeffs = []
-    for n, v in items:
-        if n < 0:
-            raise DomainError(f"coefficient degree {n} is negative")
-        v = _as_valuation(v)
-        if not v.is_infinite:
-            coeffs.append((n, v))
-    if not coeffs:
-        raise DomainError("no finite coefficient valuations")
-    r_min = _as_valuation(r_min)
+    hull = lower_hull(items)
+    if hull.xs[0] < 0:
+        raise DomainError(f"coefficient degree {hull.xs[0]} is negative")
+    r_min = _coerce(r_min)
     if r_min.is_infinite:
         raise DomainError("r_min must be finite")
 
-    hull = lower_hull(coeffs)
-    verts = [(x, y.value) for x, y in hull.vertices]
+    verts = hull.vertices
     # line n_i cuts line n_{i-1} at r = -slope(v_{i-1}, v_i); walking r
     # upward the active degree steps down from n_t to n_0
-    cuts = [
-        Valuation(-Fraction(y1 - y0, x1 - x0))
-        for (x0, y0), (x1, y1) in zip(verts, verts[1:])
-    ]
+    cuts = [Valuation(-s) for s, _ in hull.slopes]
     segments = []
     lo: Valuation = r_min
     for i in range(len(verts) - 1, 0, -1):
         hi = cuts[i - 1]
         if hi <= lo:
             continue
-        n, y = verts[i]
-        segments.append((lo, hi, n, Valuation(y)))
+        segments.append((lo, hi, *verts[i]))
         lo = hi
-    n, y = verts[0]
-    segments.append((lo, INF, n, Valuation(y)))
+    segments.append((lo, INF, *verts[0]))
     return DualGraph(segments=tuple(segments))

@@ -40,7 +40,7 @@ from .ghost import (
     max_zero_distance,
     point_distance,
 )
-from .polygon import RationalPolygon, _chain, newton_polygon_at
+from .polygon import RationalPolygon, edge_at, integer_hull, newton_polygon_at
 from .valuation import Valuation, format_rational
 
 # -- derivative polygons ------------------------------------------------------
@@ -97,11 +97,8 @@ def derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
             )
     # raw values are half-integers, so the hull runs on twice[l] = 2 * raw[l]
     twice = [2 * table[c + l] - (k - 2) * l for l in range(h + 1)]
-    chain = _chain(enumerate(twice))
-    slopes = tuple(
-        (Fraction(y1 - y0, 2 * (x1 - x0)), x1 - x0)
-        for (x0, y0), (x1, y1) in zip(chain, chain[1:])
-    )
+    hull = integer_hull(range(h + 1), twice, 2)
+    slopes = hull.slopes
     m_of_k = max_zero_distance(ctx, k)
     m_index = len(slopes) + 1
     for i, (s, _) in enumerate(slopes, start=1):
@@ -112,8 +109,8 @@ def derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
         k=wi,
         raw=tuple(Fraction(t, 2) for t in twice),
         slopes=slopes,
-        breakpoints=tuple(x for x, _ in chain),
-        increments=tuple(s for s, m in slopes for _ in range(m)),
+        breakpoints=hull.vertex_xs(),
+        increments=tuple(hull.slope_list()),
         M_index=m_index,
         m_of_k=m_of_k,
     )
@@ -241,8 +238,7 @@ def certified_newton_polygon(
     n_window = max(q_hi + 8, trip.d_iw)
     for _ in range(NEWTON_WINDOW_DOUBLINGS):
         np_ = newton_polygon_at(ctx, n_window, w)
-        y_q = np_.hull_value(q_hi).value
-        sigma_q = np_.slope_list()[q_hi]
+        y_q, sigma_q = edge_at(np_.hull, np_.den, q_hi)
         deg = degree_table(ctx, n_window)
         inc_floor = _degree_increment_floor(ctx, n_window)
         if _tail_certified(rfac, deg, inc_floor, n_window, q_hi, y_q, sigma_q):
@@ -442,11 +438,7 @@ def _piece_violation(A, B, deg, xs, r: Fraction, q_hi, n_window, inc_floor):
         for q in range(x0 + 1, x1):
             if vn[q] * e < y0 * (x1 - q) + y1 * (q - x0):
                 return ("point", q)
-    i = bisect_right(xs, q_hi) - 1
-    x0, x1 = xs[i], xs[i + 1]
-    e = x1 - x0
-    y_q = Fraction(vn[x0] * (x1 - q_hi) + vn[x1] * (q_hi - x0), v * e)
-    sigma_q = Fraction(vn[x1] - vn[x0], v * e)
+    y_q, sigma_q = edge_at([(x, vn[x]) for x in xs], v, q_hi)
     if not _tail_certified(1, deg, inc_floor, n_window, q_hi, y_q, sigma_q):
         return ("tail", None)
     return None
@@ -504,14 +496,14 @@ def _level_pieces(ctx: GhostContext, k: int, level: int, q_hi: int):
             mid = (r1 + r2) / 2
             u, v = mid.numerator, mid.denominator
             vals = [A[q] * v + B[q] * u for q in range(n_window + 1)]
-            xs = [x for x, _ in _chain(enumerate(vals))]
+            xs = integer_hull(range(n_window + 1), vals, v).vertex_xs()
             viol = None
             for r in (r1, r2):
                 viol = _piece_violation(A, B, deg, xs, r, q_hi, n_window, inc_floor)
                 if viol:
                     break
             if viol is None:
-                done.append((r1, r2, tuple(xs)))
+                done.append((r1, r2, xs))
                 continue
             kind, data = viol
             if kind == "tail":

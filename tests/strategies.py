@@ -1,8 +1,18 @@
 """Hypothesis strategies shared by the property tests."""
 
+from fractions import Fraction
+
 from hypothesis import strategies as st
 
-from ghost_slopes import GhostContext
+from ghost_slopes import INF, GhostContext
+
+# radii of weight points: the anchor itself, the 3/2 floor of every
+# derivative-hull increment, and num/den with num in 1..40, den in 1..9
+RADII = st.one_of(
+    st.just(INF),
+    st.just(Fraction(3, 2)),
+    st.builds(Fraction, st.integers(1, 40), st.integers(1, 9)),
+)
 
 
 @st.composite

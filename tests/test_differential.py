@@ -33,7 +33,7 @@ from ghost_slopes.ghost import (
     valuation_table_at,
 )
 from ghost_slopes.slopes import _level_pieces, _locked_at
-from strategies import context_and_weight
+from strategies import RADII, context_and_weight
 
 N_HI = st.integers(0, 120)
 
@@ -125,13 +125,6 @@ def test_lock_test_matches_hull_slope(case):
                     x_pos = trip.d_ur + n
                     locked = slopes[x_pos - 1] == target
                     assert _locked_at(xs, A, B, x_pos, k, r) == locked, (k, level, r, n)
-
-
-RADII = st.one_of(
-    st.just(INF),
-    st.just(Fraction(3, 2)),
-    st.builds(Fraction, st.integers(1, 40), st.integers(1, 9)),
-)
 
 
 # odd a gives first hull increments of exactly 3/2, met by radius 3/2

@@ -1,9 +1,10 @@
-"""Hulls, Newton polygons, and dual graphs: frozen examples and duality."""
+"""Hulls, Newton polygons, and dual graphs: frozen examples, duality, and
+a brute-force hull oracle built from chords alone."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ghost_slopes import (
     INF,
@@ -15,6 +16,9 @@ from ghost_slopes import (
     lower_hull,
     newton_polygon_at,
 )
+from ghost_slopes.ghost import dimensions, evaluate_ghost_valuation
+from ghost_slopes.polygon import edge_at
+from strategies import RADII, context_and_weight
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +68,20 @@ def test_hull_errors():
         lower_hull([(0, 0), (0, 1)])
 
 
+def test_hull_rejects_inexact_input():
+    # truncating a float abscissa would put 1.7 at x = 1 and report 0.9
+    # as a duplicate of x = 0
+    with pytest.raises(DomainError, match="1.7"):
+        lower_hull([(0, 0), (1.7, 1), (3, 9)])
+    with pytest.raises(DomainError, match="0.9"):
+        lower_hull([(0, 0), (0.9, 5), (2, 6)])
+    with pytest.raises(DomainError):
+        lower_hull([(Fraction(1, 2), 0)])
+    # a float ordinate would become a Fraction over 2**55
+    with pytest.raises(TypeError):
+        lower_hull([(0, 0), (1, 0.1)])
+
+
 def test_hull_value_and_range():
     hull = lower_hull([(0, 0), (1, 5), (2, 6)])
     assert hull.hull_value(1) == Valuation(3)
@@ -105,6 +123,69 @@ def test_hull_idempotent_and_below_points(pts):
     assert slopes == sorted(set(slopes))
 
 
+def brute_hull(pts):
+    """(vertices, value) of the lower hull of the finite points of pts,
+    from chords alone.
+
+    A finite point is a vertex iff it lies strictly below every chord
+    between a finite point on its left and one on its right: iff every
+    slope into it from the left is below every slope out of it to the
+    right (the extreme finite points always qualify).  value(x) is the
+    minimum over the chords (and the points) spanning x.
+    """
+    fin = sorted((x, Fraction(y)) for x, y in pts if y is not INF)
+
+    def slope(a, b):
+        return (b[1] - a[1]) / (b[0] - a[0])
+
+    verts = []
+    for j, pt in enumerate(fin):
+        into = [slope(a, pt) for a in fin[:j]]
+        out = [slope(pt, b) for b in fin[j + 1 :]]
+        if not into or not out or max(into) < min(out):
+            verts.append(pt)
+
+    def value(x):
+        return min(
+            a[1] if a == b else a[1] + slope(a, b) * (x - a[0])
+            for a in fin
+            if a[0] <= x
+            for b in fin
+            if b[0] >= x and (a != b or a[0] == x)
+        )
+
+    return verts, value
+
+
+@st.composite
+def sparse_point_sets(draw):
+    """Up to 30 points: non-contiguous and negative x, Fraction ordinates
+    over mixed denominators, about one in six INFINITY."""
+    xs = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=30, unique=True))
+    fracs = st.fractions(min_value=-60, max_value=60, max_denominator=12)
+    ys = [INF if draw(st.integers(0, 5)) == 0 else draw(fracs) for _ in xs]
+    assume(any(y is not INF for y in ys))
+    return list(zip(xs, ys))
+
+
+@given(sparse_point_sets())
+@settings(max_examples=100, deadline=None)
+def test_lower_hull_matches_brute_force(pts):
+    hull = lower_hull(pts)
+    verts, value = brute_hull(pts)
+    assert hull.vertices == tuple((x, Valuation(y)) for x, y in verts)
+    assert hull.slopes == tuple(
+        ((y1 - y0) / (x1 - x0), x1 - x0) for (x0, y0), (x1, y1) in zip(verts, verts[1:])
+    )
+    assert hull.points == tuple(
+        (x, y if y is INF else Valuation(y)) for x, y in sorted(pts, key=lambda pt: pt[0])
+    )
+    xs = range(verts[0][0], verts[-1][0] + 1)
+    values = [value(x) for x in xs]
+    assert [hull.hull_value(x) for x in xs] == [Valuation(v) for v in values]
+    assert hull.slope_list() == [b - a for a, b in zip(values, values[1:])]
+
+
 # -- newton_polygon_at -----------------------------------------------------------
 
 
@@ -144,6 +225,27 @@ def test_newton_polygon_leading_point(ctx):
     np_ = newton_polygon_at(ctx, 10, WeightPoint(ctx.weight(6), 2))
     assert np_.points[0] == (0, Valuation(0))
     assert np_.vertices[0] == (0, Valuation(0))
+
+
+@given(case=context_and_weight(), radius=RADII, extra=st.integers(0, 24))
+@settings(max_examples=60, deadline=None)
+def test_newton_polygon_matches_brute_force(case, radius, extra):
+    # the integer polygon against the chord oracle over pointwise valuations
+    ctx, k = case
+    w = WeightPoint(k, radius)
+    n = dimensions(ctx, k).d_iw + extra
+    pts = [(q, evaluate_ghost_valuation(ctx, q, w)) for q in range(n + 1)]
+    np_ = newton_polygon_at(ctx, n, w)
+    assert np_.points == tuple(pts)
+    verts, _ = brute_hull([(q, v if v.is_infinite else v.value) for q, v in pts])
+    assert np_.vertices == tuple((x, Valuation(y)) for x, y in verts)
+    assert np_.slopes == tuple(
+        ((y1 - y0) / (x1 - x0), x1 - x0) for (x0, y0), (x1, y1) in zip(verts, verts[1:])
+    )
+    # the shared edge reader: value and right-hand slope at every q_hi < n
+    slopes = np_.slope_list()
+    for q_hi in range(n):
+        assert edge_at(np_.hull, np_.den, q_hi) == (np_.hull_value(q_hi).value, slopes[q_hi])
 
 
 # -- dual graphs -----------------------------------------------------------------
@@ -197,6 +299,17 @@ def test_dual_graph_errors():
         dual_graph({-1: 0}, 0)
     with pytest.raises(DomainError):
         dual_graph({0: 0}, INF)
+
+
+def test_dual_graph_rejects_inexact_input():
+    with pytest.raises(DomainError, match="1.5"):
+        dual_graph({0: 0, 1.5: 1, 3: 2}, 0)
+    with pytest.raises(TypeError):
+        dual_graph([0, 0.5], 0)
+    with pytest.raises(TypeError):
+        dual_graph([0, 1], 0.5)
+    with pytest.raises(TypeError):
+        dual_graph([0, 1], 0).nu(0.5)
 
 
 @st.composite
