@@ -251,6 +251,8 @@ class GhostContext:
         return d_iw, d_ur
 
     def _cache(self, name: str) -> dict:
+        # only what later calls re-read: "tables" (the degree table) and
+        # "derivative" (derivative polygons by bullet)
         return self._caches.setdefault(name, {})
 
 
@@ -265,14 +267,8 @@ def dimensions(ctx: GhostContext, k: int) -> DimensionTriple:
     >>> dimensions(ctx, 6)
     DimensionTriple(d_iw=2, d_ur=0, d_new=2)
     """
-    j = ctx.weight(k).k_bullet
-    cache = ctx._cache("dims")
-    trip = cache.get(j)
-    if trip is None:
-        d_iw, d_ur = ctx.dims_of_bullet(j)
-        trip = DimensionTriple(d_iw=d_iw, d_ur=d_ur, d_new=d_iw - 2 * d_ur)
-        cache[j] = trip
-    return trip
+    d_iw, d_ur = ctx.dims_of_bullet(ctx.weight(k).k_bullet)
+    return DimensionTriple(d_iw=d_iw, d_ur=d_ur, d_new=d_iw - 2 * d_ur)
 
 
 def _first_bullet_with(ctx: GhostContext, pred: Callable[[int], bool], hint: int) -> int:

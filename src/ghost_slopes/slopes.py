@@ -180,18 +180,6 @@ SWEEP_WINDOW_DOUBLINGS = 40  # windows tried per sweep level
 SWEEP_PIECE_GUARD = 100000  # pieces examined per sweep window
 
 
-def _period_maxima(ctx: GhostContext) -> tuple:
-    cache = ctx._cache("period")
-    if "maxima" not in cache:
-        durs = [ctx.dims_of_bullet(j)[1] for j in range(ctx.p + 1)]
-        spans = [
-            ctx.dims_of_bullet(j)[0] - ctx.dims_of_bullet(j)[1]
-            for j in range(ctx.p + 1)
-        ]
-        cache["maxima"] = (max(durs), max(spans))
-    return cache["maxima"]
-
-
 def _degree_increment_floor(ctx: GhostContext, n: int) -> int:
     """A provable lower bound for deg g_{m+1} - deg g_m, all m >= n.
 
@@ -200,7 +188,9 @@ def _degree_increment_floor(ctx: GhostContext, n: int) -> int:
     level m grows linearly in m with slope (p+1)/2 + (p+1)/(2p).
     """
     p = ctx.p
-    max_ur, max_span = _period_maxima(ctx)
+    period = [ctx.dims_of_bullet(j) for j in range(p + 1)]
+    max_ur = max(d_ur for _, d_ur in period)
+    max_span = max(d_iw - d_ur for d_iw, d_ur in period)
 
     def lower(m):
         j1 = (p + 1) * max(0, (m - max_ur) // 2 + 1)
@@ -220,6 +210,18 @@ def _tail_certified(rfac, deg, inc_floor, n_window, q_hi, y_q, sigma_q) -> bool:
     )
 
 
+def _windows(ctx: GhostContext, k: int, q_hi: int, cap: str):
+    """Yield (n_window, degree table, increment floor) for windows that
+    start at max(q_hi + 8, d_iw(k)) and double, as many as the module
+    constant named ``cap`` allows; one more request raises."""
+    limit = globals()[cap]
+    n_window = max(q_hi + 8, dimensions(ctx, k).d_iw)
+    for _ in range(limit):
+        yield n_window, degree_table(ctx, n_window), _degree_increment_floor(ctx, n_window)
+        n_window *= 2
+    raise VerificationError(f"window certification diverged: {cap} = {limit}")
+
+
 def certified_newton_polygon(
     ctx: GhostContext, w: WeightPoint, q_hi: int
 ) -> RationalPolygon:
@@ -231,22 +233,14 @@ def certified_newton_polygon(
     and the degree increments beyond the window edge are bounded below
     by :func:`_degree_increment_floor`.
     """
-    trip = dimensions(ctx, w.anchor)
     rfac = Fraction(1) if w.radius.is_infinite else min(w.radius.value, Fraction(1))
     if rfac <= 0:
         raise DomainError("hull certification needs a positive radius")
-    n_window = max(q_hi + 8, trip.d_iw)
-    for _ in range(NEWTON_WINDOW_DOUBLINGS):
+    for n_window, deg, inc_floor in _windows(ctx, w.anchor, q_hi, "NEWTON_WINDOW_DOUBLINGS"):
         np_ = newton_polygon_at(ctx, n_window, w)
         y_q, sigma_q = edge_at(np_.hull, np_.den, q_hi)
-        deg = degree_table(ctx, n_window)
-        inc_floor = _degree_increment_floor(ctx, n_window)
         if _tail_certified(rfac, deg, inc_floor, n_window, q_hi, y_q, sigma_q):
             return np_
-        n_window *= 2
-    raise VerificationError(
-        f"window certification diverged: NEWTON_WINDOW_DOUBLINGS = {NEWTON_WINDOW_DOUBLINGS}"
-    )
 
 
 # -- k-newslopes -------------------------------------------------------------------
@@ -344,7 +338,8 @@ def k_thresholds(ctx: GhostContext, k: int) -> ThresholdVector:
     """All d_new threshold radii for k.
 
     Indices in the outer blocks take the closed-form value s_j; the
-    central 2 * n_{M_index - 1} indices are found by the exact sweep.
+    central 2 * n_{M_index - 1} indices are found by one pass of the
+    exact sweep.
 
     Examples
     --------
@@ -365,9 +360,9 @@ def k_thresholds(ctx: GhostContext, k: int) -> ThresholdVector:
             local[n], prov[n] = val, "closed"
         for n in range(h + ns[j - 1] + 1, h + ns[j] + 1):
             local[n], prov[n] = val, "closed"
-    central = ns[dp.M_index - 1]
-    for n in range(h - central + 1, h + central + 1):
-        local[n], prov[n] = sweep_threshold(ctx, k, n), "sweep"
+    block = range(h - ns[dp.M_index - 1] + 1, h + ns[dp.M_index - 1] + 1)
+    for n, cs in zip(block, _sweep(ctx, k, block)):
+        local[n], prov[n] = cs, "sweep"
     return ThresholdVector(
         k=dp.k,
         local_thresholds=tuple(local[1:]),
@@ -423,6 +418,12 @@ def slope_window(ctx: GhostContext, k: int, i: int) -> tuple:
 # crossing radius and the piece splits there.  All hull comparisons run
 # on values scaled by the radius denominator, in plain integers.  Levels
 # start at 1, so the tail bound's factor min(r, 1) is always 1.
+#
+# On a piece the newslope is linear in r, so it is (k-2)/2 on the whole
+# piece iff it is at two distinct radii, iff its edge's B-difference is 0
+# and its A-difference is (k-2)/2 times the edge width: the lock test
+# needs no radius.  One pass over the levels serves every index of a
+# weight's central block, and a weight's pieces live only for that pass.
 
 
 def _piece_violation(A, B, deg, xs, r: Fraction, q_hi, n_window, inc_floor):
@@ -469,19 +470,13 @@ def _violation_root(A, B, xs, kind, data, r1, r2):
 def _level_pieces(ctx: GhostContext, k: int, level: int, q_hi: int):
     """Certified constant-hull pieces of [level, level + 1], for level >= 1.
 
-    Returns [(r1, r2, vertex_xs, A, B)], consecutive, covering the range.
+    Returns [(r1, r2, vertex_xs, A, B)], consecutive, covering the range,
+    with r1 < r2 on every piece, so :func:`_locked_on` decides a lock on
+    a whole piece without a radius.  Nothing is cached: the pieces live
+    only for the sweep that builds them.
     """
-    kb = ctx.weight(k).k_bullet
-    cache = ctx._cache("pieces")
-    key = (kb, level, q_hi)
-    if key in cache:
-        return cache[key]
-    trip = dimensions(ctx, k)
-    n_window = max(q_hi + 8, trip.d_iw)
-    for _ in range(SWEEP_WINDOW_DOUBLINGS):
+    for n_window, deg, inc_floor in _windows(ctx, k, q_hi, "SWEEP_WINDOW_DOUBLINGS"):
         A, B = level_tables(ctx, k, level, n_window)
-        deg = degree_table(ctx, n_window)
-        inc_floor = _degree_increment_floor(ctx, n_window)
         done: list = []
         stack = [(Fraction(level), Fraction(level + 1))]
         grew = False
@@ -515,23 +510,33 @@ def _level_pieces(ctx: GhostContext, k: int, level: int, q_hi: int):
             stack.append((r1, root))
             stack.append((root, r2))
         if not grew:
-            done.sort()
-            out = [(r1, r2, xs, A, B) for r1, r2, xs in done]
-            cache[key] = out
-            return out
-        n_window *= 2
-    raise VerificationError(
-        f"sweep window certification diverged: SWEEP_WINDOW_DOUBLINGS = {SWEEP_WINDOW_DOUBLINGS}"
-    )
+            return [(r1, r2, xs, A, B) for r1, r2, xs in sorted(done)]
 
 
-def _locked_at(xs, A, B, x_pos, k, r: Fraction) -> bool:
-    """Whether the newslope over [x_pos - 1, x_pos] is (k-2)/2 at radius r,
-    read on the one hull edge [x0, x1] that contains that unit interval."""
+def _locked_on(xs, A, B, x_pos, k) -> bool:
+    """Whether the newslope over [x_pos - 1, x_pos] is (k-2)/2 on the whole
+    piece, read on the one hull edge [x0, x1] that contains that unit
+    interval: the edge's slope (dA + dB * r) / (x1 - x0) is constant."""
     i = bisect_right(xs, x_pos - 1) - 1
     x0, x1 = xs[i], xs[i + 1]
-    u, v = r.numerator, r.denominator
-    return 2 * ((A[x1] - A[x0]) * v + (B[x1] - B[x0]) * u) == (k - 2) * (x1 - x0) * v
+    return B[x1] == B[x0] and 2 * (A[x1] - A[x0]) == (k - 2) * (x1 - x0)
+
+
+def _sweep(ctx: GhostContext, k: int, ns) -> List[Valuation]:
+    # lock radii of the newslopes ns, from one pass over levels 1..M(k)-1
+    if not ns:
+        return []
+    trip = dimensions(ctx, k)
+    q_hi = trip.d_iw - trip.d_ur
+    # below radius 1 each distance min(r, d_j) is r, so the newslope is r
+    # times a fixed slope: never locked on a piece, hence threshold >= 1
+    best = [Fraction(1)] * len(ns)
+    for level in range(1, int(max_zero_distance(ctx, k).value)):
+        for r1, r2, xs, A, B in _level_pieces(ctx, k, level, q_hi):
+            for i, n in enumerate(ns):
+                if not _locked_on(xs, A, B, trip.d_ur + n, k):
+                    best[i] = max(best[i], r2)
+    return [Valuation(b) for b in best]
 
 
 def sweep_threshold(ctx: GhostContext, k: int, n: int) -> Valuation:
@@ -539,7 +544,9 @@ def sweep_threshold(ctx: GhostContext, k: int, n: int) -> Valuation:
 
     The newslope is piecewise linear in the radius; the threshold is the
     largest piece endpoint to the right of which every piece holds the
-    value (k-2)/2 identically.
+    value (k-2)/2 identically.  Linearity makes that a test on the
+    piece's hull edge alone, with no radius (see :func:`_locked_on`).
+    :func:`k_thresholds` sweeps a weight's whole central block at once.
 
     Examples
     --------
@@ -549,17 +556,7 @@ def sweep_threshold(ctx: GhostContext, k: int, n: int) -> Valuation:
     >>> sweep_threshold(ctx, 24, 3)
     Valuation(2)
     """
-    trip = dimensions(ctx, k)
-    if not 1 <= n <= trip.d_new:
-        raise DomainError(f"newslope index {n} outside [1, {trip.d_new}]")
-    m_int = int(max_zero_distance(ctx, k).value)
-    x_pos = trip.d_ur + n
-    q_hi = trip.d_iw - trip.d_ur
-    # below radius 1 each distance min(r, d_j) is r, so the newslope is r
-    # times a fixed slope: never locked on a piece, hence threshold >= 1
-    best = Fraction(1)
-    for level in range(1, m_int):
-        for r1, r2, xs, A, B in _level_pieces(ctx, k, level, q_hi):
-            if not (_locked_at(xs, A, B, x_pos, k, r1) and _locked_at(xs, A, B, x_pos, k, r2)):
-                best = max(best, r2)
-    return Valuation(best)
+    d_new = dimensions(ctx, k).d_new
+    if not 1 <= n <= d_new:
+        raise DomainError(f"newslope index {n} outside [1, {d_new}]")
+    return _sweep(ctx, k, [n])[0]

@@ -1,8 +1,8 @@
 """Every batch table kernel, the integer derivative polygon, the sweep's
-integer lock test and the interval-marking breakpoint criterion against
-their pointwise or Fraction oracles, and the near-Steinberg criterion
-against the certified hull, over random contexts (p, a, s_eps, m) in
-both modes."""
+radius-free lock test and the interval-marking breakpoint criterion
+against their pointwise or Fraction oracles, and the one-pass sweep and
+the near-Steinberg criterion against the certified hull, over random
+contexts (p, a, s_eps, m) in both modes."""
 
 from fractions import Fraction
 
@@ -17,7 +17,9 @@ from ghost_slopes import (
     breakpoints_by_criterion,
     derivative_polygon,
     is_near_steinberg,
+    k_thresholds,
     lower_hull,
+    sweep_threshold,
 )
 from ghost_slopes import checks
 from ghost_slopes.ghost import (
@@ -32,7 +34,7 @@ from ghost_slopes.ghost import (
     support_interval,
     valuation_table_at,
 )
-from ghost_slopes.slopes import _level_pieces, _locked_at
+from ghost_slopes.slopes import _hull_newslopes, _level_pieces, _locked_on
 from strategies import RADII, context_and_weight
 
 N_HI = st.integers(0, 120)
@@ -111,6 +113,8 @@ def test_degree_table_prefix_matches_polynomials(case, small, extra):
 @given(case=context_and_weight())
 @settings(max_examples=60, deadline=None)
 def test_lock_test_matches_hull_slope(case):
+    # the radius-free lock test holds iff the Fraction hull's newslope is
+    # (k-2)/2 at both ends of the piece
     ctx, k = case
     trip = dimensions(ctx, k)
     m_int = int(max_zero_distance(ctx, k).value)
@@ -119,12 +123,32 @@ def test_lock_test_matches_hull_slope(case):
     q_hi = trip.d_iw - trip.d_ur
     for level in range(1, m_int):
         for r1, r2, xs, A, B in _level_pieces(ctx, k, level, q_hi):
-            for r in (r1, r2):
-                slopes = lower_hull((q, A[q] + B[q] * r) for q in range(len(A))).slope_list()
-                for n in range(1, trip.d_new + 1):
-                    x_pos = trip.d_ur + n
-                    locked = slopes[x_pos - 1] == target
-                    assert _locked_at(xs, A, B, x_pos, k, r) == locked, (k, level, r, n)
+            ends = [
+                lower_hull((q, A[q] + B[q] * r) for q in range(len(A))).slope_list()
+                for r in (r1, r2)
+            ]
+            for n in range(1, trip.d_new + 1):
+                x_pos = trip.d_ur + n
+                locked = all(slopes[x_pos - 1] == target for slopes in ends)
+                assert _locked_on(xs, A, B, x_pos, k) == locked, (k, level, r1, r2, n)
+
+
+@given(case=context_and_weight())
+@settings(max_examples=40, deadline=None)
+def test_sweep_block_matches_certified_hull(case):
+    # every threshold of the one-pass central sweep equals the single-index
+    # sweep, and the certified hull's newslope is locked above it up to M(k) + 1
+    ctx, k = case
+    tv = k_thresholds(ctx, k)
+    top = max_zero_distance(ctx, k).value + 1
+    target = Fraction(k - 2, 2)
+    for n, (cs, prov) in enumerate(zip(tv.local_thresholds, tv.provenance), 1):
+        if prov != "sweep":
+            continue
+        assert sweep_threshold(ctx, k, n) == cs, (k, n)
+        for t in (Fraction(1, 3), Fraction(2, 3), 1):
+            r = cs.value + t * (top - cs.value)
+            assert _hull_newslopes(ctx, k, WeightPoint(k, r))[n - 1] == target, (k, n, r)
 
 
 # odd a gives first hull increments of exactly 3/2, met by radius 3/2

@@ -23,10 +23,12 @@ from ghost_slopes import (
     k_thresholds,
     lower_hull,
     newton_polygon_at,
+    predict_slopes,
     slope_window,
     sweep_threshold,
 )
 from ghost_slopes import checks, slopes
+from ghost_slopes.distribution import SampleKind, sample
 from ghost_slopes.ghost import support_interval
 from ghost_slopes.slopes import _closed_form_newslopes, _hull_newslopes
 from strategies import context_and_weight
@@ -450,12 +452,27 @@ def test_no_lock_at_radius_one_or_below(case, num, den):
 )
 def test_iteration_cap_is_named_in_its_error(monkeypatch, cap):
     monkeypatch.setattr(slopes, cap, 0)
-    fresh = GhostContext(p=7, a=2, s_eps=1)  # no cached sweep pieces
+    fresh = GhostContext(p=7, a=2, s_eps=1)
     with pytest.raises(VerificationError, match=f"{cap} = 0"):
         if cap == "NEWTON_WINDOW_DOUBLINGS":
             certified_newton_polygon(fresh, WeightPoint(24, 7), 8)
         else:
             sweep_threshold(fresh, 24, 3)
+
+
+def test_context_keeps_only_reread_caches():
+    # the degree table and derivative polygons are re-read across weights;
+    # nothing else a query builds may stay on the context
+    fresh = GhostContext(p=7, a=2, s_eps=1)
+    for k in (24, 66, 120, 444):
+        k_thresholds(fresh, k)
+        predict_slopes(fresh, k)
+        for kind in SampleKind:
+            sample(fresh, k, kind)
+        trip = dimensions(fresh, k)
+        certified_newton_polygon(fresh, WeightPoint(k, Fraction(3, 2)), trip.d_iw - trip.d_ur)
+        breakpoints_by_criterion(fresh, WeightPoint(k, 3), trip.d_iw)
+    assert set(fresh._caches) <= {"tables", "derivative"}
 
 
 def test_thresholds_wraparound_runs(wrap_ctx):
