@@ -34,6 +34,11 @@ from .valuation import INF, format_rational
 
 FORMATS = ("json", "csv", "table")
 
+# class weights one dist or verify range may hold; far above the widest
+# range in use (832 weights in 10:5000 on (7,2,1)), and refused before
+# any weight is listed
+MAX_RANGE_WEIGHTS = 10_000
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; remap to the config exit code
@@ -52,6 +57,16 @@ def _parse_range(text: str) -> Tuple[int, int]:
     if hi > K_CEILING:
         raise DomainError(f"weight range {text!r} exceeds k_ceiling = {K_CEILING}")
     return lo, hi
+
+
+def _range_weights(ctx: GhostContext, text: str, lo: int, hi: int) -> List[int]:
+    ks = ctx.class_members(lo, hi)
+    if len(ks) > MAX_RANGE_WEIGHTS:
+        raise DomainError(
+            f"weight range {text!r} holds {len(ks)} class weights, "
+            f"above MAX_RANGE_WEIGHTS = {MAX_RANGE_WEIGHTS}"
+        )
+    return list(ks)
 
 
 def _parse_radius(text: str):
@@ -227,7 +242,7 @@ def cmd_dist(args) -> str:
         raise ConfigError("moment order must be >= 1")
 
     ctx = _context(args)
-    ks = list(ctx.class_members(lo, hi))
+    ks = _range_weights(ctx, args.k_range, lo, hi)
     samples = _collect_samples(args, ctx, ks)
     if not samples:
         raise DomainError(f"no nonempty samples for weights in [{lo}, {hi}]")
@@ -272,7 +287,7 @@ def cmd_dist(args) -> str:
 def cmd_verify(args) -> str:
     lo, hi = _parse_range(args.k_range)
     ctx = _context(args)
-    ks = list(ctx.class_members(lo, hi))
+    ks = _range_weights(ctx, args.k_range, lo, hi)
     if len(ks) < 3:
         raise ConfigError(f"range [{lo}, {hi}] holds fewer than three class weights")
     failures = []

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterator
+from typing import Callable
 
 from .errors import ConfigError, DomainError, VerificationError
 from .valuation import INF, Valuation, vp_int_raw, weight_distance
@@ -233,12 +233,11 @@ class GhostContext:
     def weight_of_bullet(self, j: int) -> int:
         return self.k_eps + j * (self.p - 1)
 
-    def class_members(self, lo: int, hi: int) -> Iterator[int]:
-        """Weights of the class in [lo, hi], ascending."""
+    def class_members(self, lo: int, hi: int) -> range:
+        """Weights of the class in [lo, hi], ascending, as a lazy range."""
         pm1 = self.p - 1
         start = lo + (self.k_eps - lo) % pm1
-        for k in range(max(start, self.k_eps), hi + 1, pm1):
-            yield k
+        return range(max(start, self.k_eps), hi + 1, pm1)
 
     # -- dimensions --------------------------------------------------------
 

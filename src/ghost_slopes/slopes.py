@@ -420,10 +420,17 @@ def slope_window(ctx: GhostContext, k: int, i: int) -> tuple:
 # start at 1, so the tail bound's factor min(r, 1) is always 1.
 #
 # On a piece the newslope is linear in r, so it is (k-2)/2 on the whole
-# piece iff it is at two distinct radii, iff its edge's B-difference is 0
-# and its A-difference is (k-2)/2 times the edge width: the lock test
-# needs no radius.  One pass over the levels serves every index of a
-# weight's central block, and a weight's pieces live only for that pass.
+# piece iff its edge's B-difference is 0 and its A-difference is (k-2)/2
+# times the edge width: the lock test needs no radius.  A threshold is the
+# largest r2 of a piece where its index is unlocked, else 1.  Walking the
+# levels M(k)-1 down to 1, each right to left, meets the r2 in decreasing
+# order, so an index is settled exactly at its first unlocked piece.  An
+# index locked everywhere needs every level and keeps 1: below radius 1
+# the newslope is r times a fixed slope, never locked.  The walk stops
+# after the first level that leaves no index open: per level, since
+# _level_pieces certifies a whole level at once, and on (7,2,1) over
+# 10..1200 and every 4th weight of 4200..4600 each of the 301 levels
+# walked is one piece, so a mid-level stop would skip no certificate.
 
 
 def _piece_violation(A, B, deg, xs, r: Fraction, q_hi, n_window, inc_floor):
@@ -523,30 +530,29 @@ def _locked_on(xs, A, B, x_pos, k) -> bool:
 
 
 def _sweep(ctx: GhostContext, k: int, ns) -> List[Valuation]:
-    # lock radii of the newslopes ns, from one pass over levels 1..M(k)-1
-    if not ns:
-        return []
+    # lock radii of the newslopes ns, by the walk down from M(k) above
     trip = dimensions(ctx, k)
-    q_hi = trip.d_iw - trip.d_ur
-    # below radius 1 each distance min(r, d_j) is r, so the newslope is r
-    # times a fixed slope: never locked on a piece, hence threshold >= 1
-    best = [Fraction(1)] * len(ns)
-    for level in range(1, int(max_zero_distance(ctx, k).value)):
-        for r1, r2, xs, A, B in _level_pieces(ctx, k, level, q_hi):
-            for i, n in enumerate(ns):
+    settled = [Fraction(1)] * len(ns)
+    open_ = dict(enumerate(ns))
+    level = int(max_zero_distance(ctx, k).value)
+    while open_ and level > 1:
+        level -= 1
+        for r1, r2, xs, A, B in reversed(_level_pieces(ctx, k, level, trip.d_iw - trip.d_ur)):
+            for i, n in list(open_.items()):
                 if not _locked_on(xs, A, B, trip.d_ur + n, k):
-                    best[i] = max(best[i], r2)
-    return [Valuation(b) for b in best]
+                    settled[i] = r2
+                    del open_[i]
+    return [Valuation(c) for c in settled]
 
 
 def sweep_threshold(ctx: GhostContext, k: int, n: int) -> Valuation:
     """Exact lock radius of the n-th newslope, searched below M(k).
 
     The newslope is piecewise linear in the radius; the threshold is the
-    largest piece endpoint to the right of which every piece holds the
-    value (k-2)/2 identically.  Linearity makes that a test on the
-    piece's hull edge alone, with no radius (see :func:`_locked_on`).
-    :func:`k_thresholds` sweeps a weight's whole central block at once.
+    right end of the highest piece below M(k) where it is not (k-2)/2
+    identically, else 1, found by walking the pieces down from M(k) (see
+    :func:`_locked_on` for the radius-free lock test).  :func:`k_thresholds`
+    sweeps a weight's whole central block at once.
 
     Examples
     --------

@@ -3,12 +3,13 @@
 import concurrent.futures
 import json
 import os
+import resource
 import subprocess
 import sys
 
 import pytest
 
-from ghost_slopes.cli import build_parser, main
+from ghost_slopes.cli import MAX_RANGE_WEIGHTS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -301,6 +302,24 @@ class TestConfigValidation:
         assert code == 2
         assert out == ""
         assert "k_ceiling" in err
+
+    @pytest.mark.parametrize("command", ["dist", "verify"])
+    def test_range_above_max_range_weights_is_domain_error(self, command):
+        # 166,666,665 class weights under K_CEILING: refused before they are
+        # listed, so a 1 GB address space is plenty
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghost_slopes", command, "--k-range", "10:1000000000", "--jobs", "1"],
+            capture_output=True,
+            text=True,
+            preexec_fn=limit,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert f"MAX_RANGE_WEIGHTS = {MAX_RANGE_WEIGHTS}" in proc.stderr
 
     def test_prime_above_k_ceiling_is_config_error(self, capsys):
         # rejected before the trial division of the primality test

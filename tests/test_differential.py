@@ -1,9 +1,11 @@
 """Every batch table kernel, the integer derivative polygon, the sweep's
 radius-free lock test and the interval-marking breakpoint criterion
-against their pointwise or Fraction oracles, and the one-pass sweep and
-the near-Steinberg criterion against the certified hull, over random
-contexts (p, a, s_eps, m) in both modes."""
+against their pointwise or Fraction oracles, the one-pass sweep and the
+near-Steinberg criterion against the certified hull, and the sweep's
+thresholds against a perturbed hull that never runs the sweep, over
+random contexts (p, a, s_eps, m) in both modes."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import assume, example, given, settings
@@ -34,7 +36,12 @@ from ghost_slopes.ghost import (
     support_interval,
     valuation_table_at,
 )
-from ghost_slopes.slopes import _hull_newslopes, _level_pieces, _locked_on
+from ghost_slopes.slopes import (
+    _degree_increment_floor,
+    _hull_newslopes,
+    _level_pieces,
+    _locked_on,
+)
 from strategies import RADII, context_and_weight
 
 N_HI = st.integers(0, 120)
@@ -149,6 +156,98 @@ def test_sweep_block_matches_certified_hull(case):
         for t in (Fraction(1, 3), Fraction(2, 3), 1):
             r = cs.value + t * (top - cs.value)
             assert _hull_newslopes(ctx, k, WeightPoint(k, r))[n - 1] == target, (k, n, r)
+
+
+# -- the sweep against a perturbed hull -------------------------------------------
+#
+# A radius r0 + s*eps (s = +1 or -1, eps -> 0+) is handled by symbolic
+# perturbation (Edelsbrunner & Muecke, ACM TOG 9(1), 1990): v_p(g_n) is
+# linear in r on the unit level holding the radius, so its value there
+# is the pair (v(r0), s * dv/dr), compared lexicographically.  Every hull
+# test is linear in the ordinates, so the hull on pairs is the hull at
+# r0 + s*eps for every small enough eps.
+
+
+def _pair_chain(ys):
+    # lower monotone chain of the points (n, ys[n]) with pair ordinates;
+    # a middle point stays only on a strict left turn
+    stack = []
+    for x, y in enumerate(ys):
+        while len(stack) >= 2:
+            (x1, y1), (x2, y2) = stack[-2], stack[-1]
+            lhs = tuple((b - a) * (x - x2) for a, b in zip(y1, y2))
+            rhs = tuple((c - b) * (x2 - x1) for b, c in zip(y2, y))
+            if lhs < rhs:
+                break
+            stack.pop()
+        stack.append((x, y))
+    return stack
+
+
+def _pair_edge(hull, x):
+    # (left vertex, slope pair) of the hull edge [x0, x1] with x0 <= x < x1
+    i = max(j for j, (x0, _) in enumerate(hull[:-1]) if x0 <= x)
+    (x0, y0), (x1, y1) = hull[i], hull[i + 1]
+    return (x0, y0), tuple((b - a) / (x1 - x0) for a, b in zip(y0, y1))
+
+
+def _perturbed_newslopes(ctx, k, r0, s):
+    """Newslopes 1..d_new at radius r0 + s*eps as (value, rate) pairs, from
+    valuation tables at the two ends of the level and a certified window."""
+    trip = dimensions(ctx, k)
+    q_hi = trip.d_iw - trip.d_ur
+    lo = math.floor(r0) if s > 0 else math.ceil(r0) - 1
+    rfac = min((Fraction(r0), s), (1, 0))  # min(r, 1) in the tail bound
+    n_window = max(q_hi + 8, trip.d_iw)
+    for _ in range(20):
+        (a, da), (b, db) = (valuation_table_at(ctx, k, r, n_window) for r in (lo, lo + 1))
+        ys = []
+        for n in range(n_window + 1):
+            va, vb = Fraction(a[n], da), Fraction(b[n], db)
+            ys.append((va + (r0 - lo) * (vb - va), s * (vb - va)))
+        hull = _pair_chain(ys)
+        # every omitted point lies above the supporting line at q_hi
+        (x0, y0), sigma = _pair_edge(hull, q_hi)
+        line = tuple(y + m * (n_window - x0) for y, m in zip(y0, sigma))
+        deg = degree_table(ctx, n_window)[n_window]
+        floor = _degree_increment_floor(ctx, n_window)
+        if tuple(f * deg for f in rfac) >= line and tuple(f * floor for f in rfac) >= sigma:
+            return [_pair_edge(hull, trip.d_ur + n - 1)[1] for n in range(1, trip.d_new + 1)]
+        n_window *= 2
+    raise AssertionError(f"no certified window for k = {k} at {r0} {s:+d} eps")
+
+
+# k = 24 has a threshold 1 (an index locked on every piece); at k = 34 on
+# (7,2,0) an outer index meets a piece whose edge has the A-difference of
+# a lock but a nonzero B-difference
+@example(case=(GhostContext(7, 2, 1), 24))
+@example(case=(GhostContext(7, 2, 0), 34))
+@given(case=context_and_weight())
+@settings(max_examples=40, deadline=None)
+def test_sweep_thresholds_match_perturbed_hull(case):
+    # each "sweep" threshold c of k_thresholds, and sweep_threshold of every
+    # other index: newslope n is (k-2)/2 just above c and just below every
+    # integer t in (c, M(k)], and not just below c when c > 1
+    ctx, k = case
+    tv = k_thresholds(ctx, k)
+    m_int = int(max_zero_distance(ctx, k).value)
+    locked = (Fraction(k - 2, 2), 0)
+    seen = {}
+
+    def newslope(n, r0, s):
+        if (r0, s) not in seen:
+            seen[r0, s] = _perturbed_newslopes(ctx, k, r0, s)
+        return seen[r0, s][n - 1]
+
+    for n, (cs, prov) in enumerate(zip(tv.local_thresholds, tv.provenance), 1):
+        c = (cs if prov == "sweep" else sweep_threshold(ctx, k, n)).value
+        probes = [(t, -1) for t in range(math.floor(c) + 1, m_int + 1)]
+        if c < m_int:
+            probes.append((c, 1))
+        for r0, s in probes:
+            assert newslope(n, r0, s) == locked, (k, n, c, r0, s)
+        if c > 1:
+            assert newslope(n, c, -1) != locked, (k, n, c)
 
 
 # odd a gives first hull increments of exactly 3/2, met by radius 3/2

@@ -1,5 +1,7 @@
 """Derivative polygons, near-Steinberg breakpoints, newslopes, thresholds."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -365,6 +367,35 @@ def test_thresholds_frozen_k24(ctx):
         "provenance": ["closed", "closed", "sweep", "sweep", "closed", "closed"],
         "global_mult": 1,
     }
+
+
+# k_thresholds off (7,2,1), recorded before the sweep walked its levels top
+# down: (p, a, s_eps, m), k, d_new, the central "sweep" block as
+# (first index, values), and the sha256 of the canonical JSON of the whole
+# vector.  Each sweep visits only the top one of M(k) - 1 = 3 levels.
+FROZEN_THRESHOLDS = [
+    ((11, 6, 9, 3), 1246, 208, (104, ["4", "4"]), "372be006bc01762dc6b0a013bd67251f95f460fcfba422f5bc1553c2cb86fb18"),
+    ((11, 6, 9, 3), 1466, 244, (122, ["4", "4"]), "e5b52409c89b8a3798f3d5d4c0c3963eaa876fec980646090e6311a330f33a1f"),
+    ((11, 6, 9, 3), 1696, 282, (141, ["4", "4"]), "8aa246ae4572752148f8aba12ecfc452474df894ae5392e3850238602596b92e"),
+    ((13, 5, 11, 1), 2045, 292, (146, ["7/2", "7/2"]), "d747abe7c0e75b820d3587ae7b8ef17bbbfeaa178d4442213e50c72a93b45ea6"),
+    ((13, 5, 11, 1), 2201, 314, (157, ["7/2", "7/2"]), "a0d6279fcb5de7c47b47b6fca55847a339e79a00a1e83aaa9119d2d56690e738"),
+    ((13, 5, 11, 1), 2453, 350, (175, ["7/2", "7/2"]), "a7cb828ac631e69a6bf5937f5ffd467308b9ca324462dd23a7f4fa2d415d113c"),
+]
+
+
+@pytest.mark.parametrize(
+    "params,k,d_new,block,digest",
+    FROZEN_THRESHOLDS,
+    ids=[f"{','.join(map(str, params))}:{k}" for params, k, *_ in FROZEN_THRESHOLDS],
+)
+def test_thresholds_frozen_off_721(params, k, d_new, block, digest):
+    tv = k_thresholds(GhostContext(*params), k).to_json_dict()
+    first, values = block
+    sweep = [n for n, tag in enumerate(tv["provenance"], 1) if tag == "sweep"]
+    assert len(tv["local"]) == d_new
+    assert sweep == list(range(first, first + len(values)))
+    assert tv["local"][first - 1 : first - 1 + len(values)] == values
+    assert hashlib.sha256(json.dumps(tv, sort_keys=True).encode()).hexdigest() == digest
 
 
 def test_sweep_threshold_frozen(ctx):
