@@ -1,9 +1,11 @@
 """Invariant checks shared by ``ghost-slopes verify`` and the tests.
 
 Each ``check_*`` tests one invariant on one item and raises
-VerificationError naming the item.  Three invariants are checked by the
-function that computes them: the hatted duality by ``derivative_polygon``,
-the model hull by ``build_model`` and M(k) <= floor(log_p k_bullet) + 3 by
+VerificationError naming the item; ``check_threshold_relation`` tests the
+three facts that tie a weight's prediction to its thresholds, computing
+each of the two once.  Three invariants are checked by the function that
+computes them: the hatted duality by ``derivative_polygon``, the model
+hull by ``build_model`` and M(k) <= floor(log_p k_bullet) + 3 by
 ``max_zero_distance``.  ``SUITES`` samples items for ``verify``.
 """
 
@@ -123,25 +125,18 @@ def check_model_pattern(ctx, k: int) -> None:
             raise VerificationError(f"column {j} carries {strict} strict entries at k = {k}")
 
 
-def check_known_block(ctx, k: int) -> None:
-    """The known L-invariant block, ascending, is -(CS + 1) over the closed thresholds."""
-    tv = k_thresholds(ctx, k)
+def check_threshold_relation(ctx, k: int) -> None:
+    """Against k's thresholds: the known L-invariant block, ascending, is -(CS + 1)
+    over the closed thresholds, and the exceptional count is m times the number of
+    sweep thresholds and at most ``exceptional_bound``."""
+    tv, pred = k_thresholds(ctx, k), predict_slopes(ctx, k)
     closed = [cs.value for cs, prov in zip(tv.local_thresholds, tv.provenance) if prov == "closed"]
-    flat = [v for v, m in predict_slopes(ctx, k).linv_slopes_known for _ in range(m)]
+    flat = [v for v, m in pred.linv_slopes_known for _ in range(m)]
     if flat != sorted(-(c + 1) for c in closed for _ in range(ctx.global_mult)):
         raise VerificationError(f"linv block != -(CS + 1) at k = {k}")
-
-
-def check_exceptional_count(ctx, k: int) -> None:
-    """The exceptional count is m times the number of sweep thresholds."""
-    sweeps = k_thresholds(ctx, k).provenance.count("sweep")
-    if predict_slopes(ctx, k).exceptional_count != ctx.global_mult * sweeps:
+    if pred.exceptional_count != ctx.global_mult * tv.provenance.count("sweep"):
         raise VerificationError(f"exceptional count != central block at k = {k}")
-
-
-def check_exceptional_bound(ctx, k: int) -> None:
-    """The exceptional count is at most ``exceptional_bound``."""
-    if predict_slopes(ctx, k).exceptional_count > exceptional_bound(ctx, k):
+    if pred.exceptional_count > exceptional_bound(ctx, k):
         raise VerificationError(f"exceptional count above log bound at k = {k}")
 
 
@@ -307,7 +302,7 @@ SUITES = (
     ("threshold-consistency", _sampled(5, check_threshold_lock)),
     ("increment-lower-bound", _sampled(15, check_raw_increments)),
     ("model-hull-and-pattern", _sampled(10, check_model_pattern)),
-    ("threshold-relation", _sampled(10, check_known_block, check_exceptional_count, check_exceptional_bound)),
+    ("threshold-relation", _sampled(10, check_threshold_relation)),
     ("wedge-identities", _suite_wedge),
     ("sample-relations", _suite_sample_relations),
     ("moment-trend", _suite_moment_trend),

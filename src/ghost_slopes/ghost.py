@@ -317,8 +317,23 @@ def support_interval(ctx: GhostContext, n: int) -> tuple:
     return (lo, hi) if lo < hi else (0, 0)
 
 
+def _multiplicity(d_iw: int, d_ur: int, n: int) -> int:
+    # the ghost multiplicity triangle at n of a weight with dimensions (d_iw, d_ur)
+    return max(0, min(n - d_ur, d_iw - d_ur - n))
+
+
+def _zeros(ctx: GhostContext, n: int):
+    """(bullet j, m_n(bullet j)) for each zero of g_n, walking
+    :func:`support_interval` upward."""
+    for j in range(*support_interval(ctx, n)):
+        m = _multiplicity(*ctx.dims_of_bullet(j), n)
+        if m:
+            yield j, m
+
+
 def ghost_multiplicity(ctx: GhostContext, n: int, k: int) -> int:
-    """m_n(k): the triangle min(n - d_ur, d_iw - d_ur - n), clipped at 0.
+    """m_n(k), the multiplicity of w_k as a zero of g_n: the triangle of
+    the module docstring.
 
     Examples
     --------
@@ -331,10 +346,7 @@ def ghost_multiplicity(ctx: GhostContext, n: int, k: int) -> int:
     if n < 1:
         raise DomainError(f"ghost index n must be >= 1, got {n}")
     trip = dimensions(ctx, k)
-    lo, hi = trip.d_ur, trip.d_iw - trip.d_ur
-    if lo < n < hi:
-        return min(n - lo, hi - n)
-    return 0
+    return _multiplicity(trip.d_iw, trip.d_ur, n)
 
 
 def ghost_polynomial(ctx: GhostContext, n: int) -> GhostPolynomial:
@@ -348,14 +360,8 @@ def ghost_polynomial(ctx: GhostContext, n: int) -> GhostPolynomial:
     """
     if n < 1:
         raise DomainError(f"ghost index n must be >= 1, got {n}")
-    lo, hi = support_interval(ctx, n)
-    zeros = []
-    for j in range(lo, hi):
-        d_iw, d_ur = ctx.dims_of_bullet(j)
-        m = min(n - d_ur, d_iw - d_ur - n)
-        if m > 0:
-            zeros.append((ctx.weight_of_bullet(j), m))
-    return GhostPolynomial(n=n, zeros=tuple(zeros))
+    zeros = tuple((ctx.weight_of_bullet(j), m) for j, m in _zeros(ctx, n))
+    return GhostPolynomial(n=n, zeros=zeros)
 
 
 # -- ghost zero sets and the good-region radius M(k) -----------------------
@@ -450,32 +456,21 @@ def evaluate_ghost_valuation(ctx: GhostContext, n: int, w: WeightPoint) -> Valua
     """
     if n == 0:
         return Valuation(0)
-    lo, hi = support_interval(ctx, n)
     anchor_b = ctx.weight(w.anchor).k_bullet
-    p = ctx.p
     if w.radius.is_infinite:
-        if lo <= anchor_b < hi:
-            d_iw, d_ur = ctx.dims_of_bullet(anchor_b)
-            if min(n - d_ur, d_iw - d_ur - n) > 0:
-                return INF  # anchor itself is a zero: g_n(w_k) = 0
         radius_scaled, den = None, 1
     else:
         den = w.radius.value.denominator
         radius_scaled = w.radius.value.numerator
     total = 0
-    for j in range(lo, hi):
-        d_iw, d_ur = ctx.dims_of_bullet(j)
-        m = min(n - d_ur, d_iw - d_ur - n)
-        if m <= 0:
-            continue
+    for j, m in _zeros(ctx, n):
         if j == anchor_b:
+            if radius_scaled is None:
+                return INF  # anchor itself is a zero: g_n(w_k) = 0
             total += m * radius_scaled  # min(radius, INF) = radius
             continue
-        d = 1 + vp_int_raw(anchor_b - j, p)
-        if radius_scaled is None:
-            total += m * d
-        else:
-            total += m * min(radius_scaled, d * den)
+        d = 1 + vp_int_raw(anchor_b - j, ctx.p)
+        total += m * (d if radius_scaled is None else min(radius_scaled, d * den))
     return Valuation(Fraction(total, den))
 
 
@@ -489,18 +484,8 @@ def anchored_valuation(ctx: GhostContext, n: int, k: int) -> int:
     >>> anchored_valuation(ctx, 4, 24)
     17
     """
-    lo, hi = support_interval(ctx, n)
     kb = ctx.weight(k).k_bullet
-    p = ctx.p
-    total = 0
-    for j in range(lo, hi):
-        if j == kb:
-            continue
-        d_iw, d_ur = ctx.dims_of_bullet(j)
-        m = min(n - d_ur, d_iw - d_ur - n)
-        if m > 0:
-            total += m * (1 + vp_int_raw(kb - j, p))
-    return total
+    return sum(m * (1 + vp_int_raw(kb - j, ctx.p)) for j, m in _zeros(ctx, n) if j != kb)
 
 
 # -- batch kernels ----------------------------------------------------------
@@ -547,7 +532,7 @@ def _triangle_table(ctx, bullets, n_hi: int, weight_of_bullet) -> list:
     for j, w in direct:
         d_iw, d_ur = ctx.dims_of_bullet(j)
         for n in range(1, min(d_iw - d_ur - 1, n_hi) + 1):
-            out[n] += w * min(n - d_ur, d_iw - d_ur - n)
+            out[n] += w * _multiplicity(d_iw, d_ur, n)
     return out
 
 

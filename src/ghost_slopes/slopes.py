@@ -200,10 +200,12 @@ def _degree_increment_floor(ctx: GhostContext, n: int) -> int:
     return min(lower(m) for m in range(n, n + 2 * p))
 
 
-def _tail_certified(rfac, deg, inc_floor, n_window, q_hi, y_q, sigma_q) -> bool:
+def _tail_certified(rfac, deg, inc_floor, n_window, q_hi, hull, den) -> bool:
     """Whether every coefficient past the window edge n_window lies above
-    the supporting line through (q_hi, y_q) of slope sigma_q, given
-    v_p(g_n) >= rfac * deg(g_n) and deg increments >= inc_floor there."""
+    the supporting line of ``hull`` (ordinates over ``den``) at q_hi,
+    given v_p(g_n) >= rfac * deg(g_n) and deg increments >= inc_floor
+    there."""
+    y_q, sigma_q = edge_at(hull, den, q_hi)
     return (
         rfac * deg[n_window] >= y_q + sigma_q * (n_window - q_hi)
         and rfac * inc_floor >= sigma_q
@@ -238,8 +240,7 @@ def certified_newton_polygon(
         raise DomainError("hull certification needs a positive radius")
     for n_window, deg, inc_floor in _windows(ctx, w.anchor, q_hi, "NEWTON_WINDOW_DOUBLINGS"):
         np_ = newton_polygon_at(ctx, n_window, w)
-        y_q, sigma_q = edge_at(np_.hull, np_.den, q_hi)
-        if _tail_certified(rfac, deg, inc_floor, n_window, q_hi, y_q, sigma_q):
+        if _tail_certified(rfac, deg, inc_floor, n_window, q_hi, np_.hull, np_.den):
             return np_
 
 
@@ -411,11 +412,14 @@ def slope_window(ctx: GhostContext, k: int, i: int) -> tuple:
 # On each radius interval [level, level + 1] every coefficient valuation
 # is A_n + B_n * r with integer tables, so the n-th newslope is piecewise
 # linear in r.  A piece [r1, r2] is certified by taking the hull at the
-# midpoint and checking, at both endpoints, that its slopes stay sorted,
-# every point stays on or above it, and the tail stays above the
-# supporting line; each check is linear in r, so endpoint validity
-# extends to the whole piece.  A failed check is solved exactly for its
-# crossing radius and the piece splits there.  All hull comparisons run
+# midpoint and checking, at both endpoints, that every vertex still turns
+# left, every point stays on or above its edge, and the tail stays above
+# the supporting line.  The first two are signs of one orientation test,
+# _turn, which is linear in the table and so in r: a sign that holds at
+# both endpoints holds on the whole piece.  One that fails at an endpoint
+# held at the midpoint (turns of hull vertices are > 0 there, turns over
+# points on or above an edge <= 0), so its one root -_turn(A)/_turn(B)
+# lies in (r1, r2) and the piece splits there.  All hull comparisons run
 # on values scaled by the radius denominator, in plain integers.  Levels
 # start at 1, so the tail bound's factor min(r, 1) is always 1.
 #
@@ -433,44 +437,30 @@ def slope_window(ctx: GhostContext, k: int, i: int) -> tuple:
 # walked is one piece, so a mid-level stop would skip no certificate.
 
 
+def _turn(T, a, b, c):
+    """(T[c] - T[b])(b - a) - (T[b] - T[a])(c - b): positive exactly when
+    (a, T[a]), (b, T[b]), (c, T[c]) make a strict left turn, for a < b < c."""
+    return (T[c] - T[b]) * (b - a) - (T[b] - T[a]) * (c - b)
+
+
 def _piece_violation(A, B, deg, xs, r: Fraction, q_hi, n_window, inc_floor):
-    """First failed certificate at radius r, as ("kind", data), or None."""
+    """The first certificate of the hull xs that fails at radius r: a
+    triple (a, b, c) whose _turn on the values has the wrong sign (a
+    vertex b of xs that stops turning left, or a point b below its edge
+    [a, c]), or "tail" when the tail leaves the supporting line, else
+    None."""
     u, v = r.numerator, r.denominator
     vn = [A[q] * v + B[q] * u for q in range(n_window + 1)]
-    for t in range(len(xs) - 2):
-        x0, x1, x2 = xs[t], xs[t + 1], xs[t + 2]
-        if (vn[x1] - vn[x0]) * (x2 - x1) > (vn[x2] - vn[x1]) * (x1 - x0):
-            return ("slope", t)
+    for a, b, c in zip(xs, xs[1:], xs[2:]):
+        if _turn(vn, a, b, c) < 0:
+            return (a, b, c)
     for x0, x1 in zip(xs, xs[1:]):
         e, y0, y1 = x1 - x0, vn[x0], vn[x1]
         for q in range(x0 + 1, x1):
-            if vn[q] * e < y0 * (x1 - q) + y1 * (q - x0):
-                return ("point", q)
-    y_q, sigma_q = edge_at([(x, vn[x]) for x in xs], v, q_hi)
-    if not _tail_certified(1, deg, inc_floor, n_window, q_hi, y_q, sigma_q):
-        return ("tail", None)
-    return None
-
-
-def _violation_root(A, B, xs, kind, data, r1, r2):
-    # exact crossing radius of a linear certificate inside (r1, r2)
-    if kind == "slope":
-        t = data
-        x0, x1, x2 = xs[t], xs[t + 1], xs[t + 2]
-        lhs_a = (A[x1] - A[x0]) * (x2 - x1) - (A[x2] - A[x1]) * (x1 - x0)
-        lhs_b = (B[x1] - B[x0]) * (x2 - x1) - (B[x2] - B[x1]) * (x1 - x0)
-    else:
-        q = data
-        i = bisect_right(xs, q) - 1
-        x0, x1 = xs[i], xs[i + 1]
-        e = x1 - x0
-        lhs_a = A[x0] * (x1 - q) + A[x1] * (q - x0) - A[q] * e
-        lhs_b = B[x0] * (x1 - q) + B[x1] * (q - x0) - B[q] * e
-    if lhs_b == 0:
-        return None
-    root = Fraction(-lhs_a, lhs_b)
-    if r1 < root < r2:
-        return root
+            if vn[q] * e < y0 * (x1 - q) + y1 * (q - x0):  # _turn(vn, x0, q, x1) > 0
+                return (x0, q, x1)
+    if not _tail_certified(1, deg, inc_floor, n_window, q_hi, [(x, vn[x]) for x in xs], v):
+        return "tail"
     return None
 
 
@@ -499,20 +489,17 @@ def _level_pieces(ctx: GhostContext, k: int, level: int, q_hi: int):
             u, v = mid.numerator, mid.denominator
             vals = [A[q] * v + B[q] * u for q in range(n_window + 1)]
             xs = integer_hull(range(n_window + 1), vals, v).vertex_xs()
-            viol = None
-            for r in (r1, r2):
-                viol = _piece_violation(A, B, deg, xs, r, q_hi, n_window, inc_floor)
-                if viol:
-                    break
+            viol = _piece_violation(A, B, deg, xs, r1, q_hi, n_window, inc_floor) or (
+                _piece_violation(A, B, deg, xs, r2, q_hi, n_window, inc_floor)
+            )
             if viol is None:
                 done.append((r1, r2, xs))
                 continue
-            kind, data = viol
-            if kind == "tail":
+            if viol == "tail":
                 grew = True
                 break
-            root = _violation_root(A, B, xs, kind, data, r1, r2)
-            if root is None:
+            rate = _turn(B, *viol)  # the turn is _turn(A) + rate * r
+            if not rate or not r1 < (root := Fraction(-_turn(A, *viol), rate)) < r2:
                 raise VerificationError("sweep certificate root escaped its piece")
             stack.append((r1, root))
             stack.append((root, r2))

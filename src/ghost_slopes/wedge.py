@@ -259,23 +259,18 @@ def minor_unit_check(d: int, j: int) -> bool:
 
 
 def solve_unit_system(mat: ExactMatrix, rhs: Sequence[Fraction]) -> List[Fraction]:
-    """Solve mat * x = rhs exactly (square, invertible)."""
+    """Solve mat * x = rhs exactly (square, invertible) by Cramer's rule:
+    x_c is det(mat with column c replaced by rhs) / det(mat)."""
     if not mat.is_square() or mat.rows != len(rhs):
         raise DomainError("system shape mismatch")
-    n = mat.rows
-    rows = [list(r) + [Fraction(v)] for r, v in zip(mat.entries, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            raise DomainError("singular system")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return [rows[r][n] for r in range(n)]
+    det = determinant(mat)
+    if not det:
+        raise DomainError("singular system")
+    return [
+        determinant(ExactMatrix.from_rows([r[:c] + (v,) + r[c + 1 :] for r, v in zip(mat.entries, rhs)]))
+        / det
+        for c in range(mat.cols)
+    ]
 
 
 def linear_system_roundtrip(

@@ -190,9 +190,7 @@ def test_criterion_9_threshold_cross_consistency():
         ctx = GhostContext(p, a, e, m)
         ks = list(ctx.class_members(10, 1500))
         for k in rng.sample(ks, count):
-            checks.check_known_block(ctx, k)
-            checks.check_exceptional_count(ctx, k)
-            checks.check_exceptional_bound(ctx, k)
+            checks.check_threshold_relation(ctx, k)
             checked += 1
     assert checked == 50
     _finish(9, 60.0, t0, "linv block = -(CS+1), exceptional = central block, in bound")

@@ -46,11 +46,15 @@ WEIGHT_PLANTS = [
     (checks.check_raw_increments, checks, "derivative_polygon", lambda ctx, k: SimpleNamespace(raw=(0, 1))),
     (prediction.build_model, prediction, "model_radius", lambda ctx, k: Fraction(100)),
     (checks.check_model_pattern, PredictionModel, "rel", lambda self, i, j: Rel.GE),
-    (checks.check_known_block, checks, "predict_slopes",
-     lambda ctx, k: replace(PREDICT(ctx, k), linv_slopes_known=())),
-    (checks.check_exceptional_count, checks, "predict_slopes",
-     lambda ctx, k: replace(PREDICT(ctx, k), exceptional_count=99)),
-    (checks.check_exceptional_bound, checks, "exceptional_bound", lambda ctx, k: -1),
+    # one plant per fact of the threshold relation, each breaking that fact alone
+    pytest.param(checks.check_threshold_relation, checks, "predict_slopes",
+                 lambda ctx, k: replace(PREDICT(ctx, k), linv_slopes_known=()),
+                 id="check_threshold_relation-known_block"),
+    pytest.param(checks.check_threshold_relation, checks, "predict_slopes",
+                 lambda ctx, k: replace(PREDICT(ctx, k), exceptional_count=0),
+                 id="check_threshold_relation-exceptional_count"),
+    pytest.param(checks.check_threshold_relation, checks, "exceptional_bound", lambda ctx, k: -1,
+                 id="check_threshold_relation-exceptional_bound"),
     (checks.check_sample_blocks, checks, "sample", shifted),
     (checks.check_sample_difference, checks, "sample_difference_bound", lambda ctx, k: -1),
     (checks.check_sample_moments, checks, "sample", spread),
@@ -77,7 +81,8 @@ ITEM_PLANTS = {
 
 
 @pytest.mark.parametrize(
-    "check, owner, attr, planted", WEIGHT_PLANTS, ids=[c[0].__name__ for c in WEIGHT_PLANTS]
+    "check, owner, attr, planted", WEIGHT_PLANTS,
+    ids=[getattr(c, "id", None) or c[0].__name__ for c in WEIGHT_PLANTS],
 )
 def test_planted_violation_fails_weight_check(monkeypatch, check, owner, attr, planted):
     check(GhostContext(7, 2, 1), 24)

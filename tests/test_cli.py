@@ -231,6 +231,27 @@ class TestDistCommand:
         assert out == ""
         assert "moment order" in err
 
+    @pytest.mark.parametrize(
+        "context, k_range",
+        [
+            (("-p", "5", "-a", "1", "-e", "0"), "6:40"),
+            (("-p", "7", "-a", "3", "-e", "0"), "10:60"),
+        ],
+        ids=["p5-k7", "p7-k11"],
+    )
+    def test_floor_only_linv_sample_is_left_out(self, capsys, context, k_range):
+        # (5,1,0) k = 7 and (7,3,0) k = 11 predict only floor stand-ins
+        code, _, err = run(capsys, "dist", *context, "--k-range", k_range, "--jobs", "1")
+        assert code == 0, err
+
+    def test_floor_only_weight_has_no_linv_rows(self, capsys):
+        code, out, _ = run(
+            capsys, "dist", "-p", "5", "-a", "1", "-e", "0", "--k-range", "6:40", "--format", "csv", "--jobs", "1"
+        )
+        rows = [line.split(",")[:3] for line in out.split("\n") if line.startswith("7,")]
+        assert code == 0
+        assert rows == [["7", kind, n] for kind in ("derivative", "threshold") for n in ("1", "2")]
+
     def test_empty_range_is_domain_error(self, capsys):
         code, _, err = run(capsys, "dist", "--k-range", "3:5")
         assert code == 2

@@ -254,7 +254,7 @@ def test_known_block_matches_thresholds():
         (CTX_WRAP, (56, 276)),
     ):
         for k in ks:
-            checks.check_known_block(ctx, k)
+            checks.check_threshold_relation(ctx, k)
 
 
 def test_exceptional_count_matches_sweep_block():
@@ -263,7 +263,7 @@ def test_exceptional_count_matches_sweep_block():
         (GhostContext(11, 6, 9, global_mult=3), (56, 276)),
     ):
         for k in ks:
-            checks.check_exceptional_count(ctx, k)
+            checks.check_threshold_relation(ctx, k)
 
 
 def test_exceptional_bound_frozen_k24():
@@ -277,7 +277,7 @@ def test_exceptional_within_bound():
         (GhostContext(11, 6, 9, global_mult=3), (56, 276, 496, 1046)),
     ):
         for k in ks:
-            checks.check_exceptional_bound(ctx, k)
+            checks.check_threshold_relation(ctx, k)
 
 
 # -- the eigenvalue translation -----------------------------------------------

@@ -491,6 +491,33 @@ def test_iteration_cap_is_named_in_its_error(monkeypatch, cap):
             sweep_threshold(fresh, 24, 3)
 
 
+# Hand-built level tables on the window 0..4, value A[x] + B[x] * r.  Only
+# x = 2 rides the radius: it crosses the chord from (0, 0) to (4, 6) at
+# r = 4/3, a hull vertex below that radius and above the chord past it.
+SWEEP_A, SWEEP_B, SWEEP_DEG = (0, 4, -1, 5, 6), (0, 0, 3, 0, 0), (0, 10, 20, 30, 40)
+
+
+@pytest.mark.parametrize(
+    "xs, r, inc_floor, expected",
+    [
+        ((0, 2, 4), Fraction(3, 2), 2, (0, 2, 4)),  # vertex 2 turns right
+        ((0, 4), Fraction(1), 2, (0, 2, 4)),  # point 2 lies below its edge
+        ((0, 4), Fraction(3, 2), 1, "tail"),  # edge slope 3/2 above the increment floor
+        ((0, 4), Fraction(3, 2), 2, None),
+        ((0, 2, 4), Fraction(4, 3), 2, None),  # collinear at the root: neither fails
+        ((0, 4), Fraction(4, 3), 2, None),
+    ],
+    ids=["convexity", "point", "tail", "certified", "vertex-on-root", "point-on-root"],
+)
+def test_piece_violation_outcomes(xs, r, inc_floor, expected):
+    got = slopes._piece_violation(SWEEP_A, SWEEP_B, SWEEP_DEG, xs, r, 2, 4, inc_floor)
+    assert got == expected
+    if isinstance(expected, tuple):
+        root = Fraction(-slopes._turn(SWEEP_A, *got), slopes._turn(SWEEP_B, *got))
+        assert root == Fraction(4, 3)
+        assert slopes._turn([a + b * root for a, b in zip(SWEEP_A, SWEEP_B)], *got) == 0
+
+
 def test_context_keeps_only_reread_caches():
     # the degree table and derivative polygons are re-read across weights;
     # nothing else a query builds may stay on the context
