@@ -195,11 +195,11 @@ def check_sample_difference(ctx, k: int) -> None:
 def check_sample_moments(ctx, k: int) -> None:
     """Moments 1..3 of the derivative sample stay below its top value's powers."""
     sd = sample(ctx, k, SampleKind.DERIVATIVE)
-    if not sd.values:
+    if not sd.nums:
         return
     top = max(sd.values)
-    for n in (1, 2, 3):
-        if sd.moment(n) > top**n:
+    for n, mo in enumerate(sd.moments(3), 1):
+        if mo > top**n:
             raise VerificationError(f"moment exceeds max-value bound at k = {k}")
 
 
@@ -272,18 +272,25 @@ def _suite_sample_relations(ctx, rng, ks):
 
 
 def _suite_moment_trend(ctx, rng, ks):
-    samples = [sample(ctx, k, SampleKind.THRESHOLD) for k in ks]
-    samples = [s for s in samples if s.values]
-    if len(samples) < 3:
+    def nonempty(indices):
+        # the first index of ``indices`` whose threshold sample is nonempty, and that sample
+        for i in indices:
+            if (s := sample(ctx, ks[i], SampleKind.THRESHOLD)).nums:
+                return i, s
+        return len(ks), None
+
+    # the first and last nonempty samples, scanned from each end, and a third between them
+    i, head = nonempty(range(len(ks)))
+    j, tail = nonempty(range(len(ks) - 1, i, -1))
+    if tail is None or nonempty(range(i + 1, j))[1] is None:
         raise VerificationError("too few nonempty samples for a trend")
-    for n in (1, 2, 3):
+    for n, mo_head, mo_tail in zip((1, 2, 3), head.moments(3), tail.moments(3)):
         target = Fraction(1, n + 1)
-        first = abs(samples[0].moment(n) - target)
-        last = abs(samples[-1].moment(n) - target)
+        first, last = abs(mo_head - target), abs(mo_tail - target)
         if last >= first:
             raise VerificationError(
-                f"moment {n} drifts: |{last}| at k = {samples[-1].k.k} "
-                f"vs |{first}| at k = {samples[0].k.k}"
+                f"moment {n} drifts: |{last}| at k = {tail.k.k} "
+                f"vs |{first}| at k = {head.k.k}"
             )
 
 

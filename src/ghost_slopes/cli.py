@@ -215,7 +215,7 @@ def cmd_predict(args) -> str:
 def _samples_at(ctx: GhostContext, k: int) -> list:
     """The samples of weight k that hold a genuine value, not only floor
     stand-ins, one per kind at most."""
-    return [s for kind in SampleKind if len((s := sample(ctx, k, kind)).values) > s.floor_count]
+    return [s for kind in SampleKind if len((s := sample(ctx, k, kind)).nums) > s.floor_count]
 
 
 def _sample_task(args, k: int) -> list:

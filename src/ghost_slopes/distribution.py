@@ -9,10 +9,13 @@ the exceptional block standing in at its floor value.  Floor stand-ins
 are tracked separately and stay out of moments and the discrepancy,
 since they are bounds rather than values.
 
-Moments are exact rationals; the Weyl table compares them to the
-uniform-limit targets 1/(n+1), and the discrepancy is the exact
-two-sided Kolmogorov distance of the empirical distribution from
-uniform on [0, 1].
+A sample holds its values as sorted integer numerators over one
+denominator, (p-1)k times the lcm of the raw denominators, and builds
+``Fraction``s only when they are read.  Moments are exact rationals,
+one ``Fraction`` per order from integer power sums; the Weyl table
+compares them to the uniform-limit targets 1/(n+1), and the discrepancy
+is the exact two-sided Kolmogorov distance of the empirical
+distribution from uniform on [0, 1], found on the numerators.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence, Tuple
 
 from .errors import DomainError
@@ -39,32 +44,56 @@ class SampleKind(Enum):
 class DistributionSample:
     """A normalized slope multiset with exact power means.
 
-    ``values`` is sorted ascending and includes ``floor_count`` floor
-    stand-ins (LINV only; zero otherwise).  ``moment`` computes the
-    power mean of any order over the genuine values.
+    Value i is ``nums[i] / den``; ``nums`` is sorted ascending and
+    includes ``floor_count`` floor stand-ins at ``floor_num`` (LINV only;
+    zero otherwise).  ``values``, ``floor_value`` and
+    :meth:`genuine_values` read them as ``Fraction``s; :meth:`moments`
+    computes the power means over the genuine values.
     """
 
     k: WeightIndex
     kind: SampleKind
-    values: Tuple[Fraction, ...]
-    floor_value: Fraction
+    nums: Tuple[int, ...]
+    den: int
+    floor_num: int
     floor_count: int
 
+    @property
+    def values(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.nums)
+
+    @property
+    def floor_value(self) -> Fraction:
+        return Fraction(self.floor_num, self.den)
+
+    def _genuine_nums(self) -> Tuple[int, ...]:
+        # every stand-in equals floor_num, so they form one block of nums
+        if not self.floor_count:
+            return self.nums
+        i = bisect_left(self.nums, self.floor_num)
+        return self.nums[:i] + self.nums[i + self.floor_count :]
+
     def genuine_values(self) -> Tuple[Fraction, ...]:
-        """The values with floor stand-ins removed: every stand-in equals
-        ``floor_value``, so they form one block of the sorted values."""
-        i = bisect_left(self.values, self.floor_value)
-        return self.values[:i] + self.values[i + self.floor_count :]
+        """The values with floor stand-ins removed."""
+        return tuple(Fraction(a, self.den) for a in self._genuine_nums())
+
+    def moments(self, n_max: int) -> Tuple[Fraction, ...]:
+        """Power means of orders 1..n_max over the m genuine values,
+        sum(a**n) / (m * den**n) over their numerators a; the powers of
+        each order are one elementwise product on those of the last."""
+        nums = self._genuine_nums()
+        if not nums:
+            raise DomainError("no values to average")
+        sums = [sum(nums)]
+        powers = nums
+        for _ in range(n_max - 1):
+            powers = list(map(mul, powers, nums))
+            sums.append(sum(powers))
+        m = len(nums)
+        return tuple(Fraction(s, m * self.den**n) for n, s in enumerate(sums, 1))
 
     def moment(self, n: int) -> Fraction:
-        vals = self.genuine_values()
-        if not vals:
-            raise DomainError("no values to average")
-        return Fraction(sum(v**n for v in vals), len(vals))
-
-
-def _norm(ctx: GhostContext, k: int) -> Fraction:
-    return Fraction(2 * (ctx.p + 1), (ctx.p - 1) * k)
+        return self.moments(n)[-1]
 
 
 def sample(ctx: GhostContext, k: int, kind: SampleKind) -> DistributionSample:
@@ -74,32 +103,33 @@ def sample(ctx: GhostContext, k: int, kind: SampleKind) -> DistributionSample:
     >>> sample(ctx, 24, SampleKind.THRESHOLD).values
     (Fraction(1, 9), Fraction(2, 9), Fraction(2, 3), Fraction(2, 3), Fraction(1, 1), Fraction(1, 1))
     """
-    norm = _norm(ctx, k)
-    floor_value = Fraction(0)
+    # (raw value, multiplicity) pairs, each value scaled by 2(p+1)/((p-1)k)
+    floor_raw = Fraction(0)
     floor_count = 0
     if kind is SampleKind.THRESHOLD:
-        tv = k_thresholds(ctx, k)
-        vals = [norm * cs.value for cs in tv.global_thresholds]
+        raw = [(cs.value, 1) for cs in k_thresholds(ctx, k).global_thresholds]
     elif kind is SampleKind.DERIVATIVE:
-        dp = derivative_polygon(ctx, k)
-        vals = []
-        for s in dp.increments:
-            vals.extend([norm * s, norm * s])
+        raw = [(s, 2 * mult) for s, mult in derivative_polygon(ctx, k).slopes]
     elif kind is SampleKind.LINV:
         pred = predict_slopes(ctx, k)
-        vals = []
-        for v, mult in pred.linv_slopes_known:
-            vals.extend([norm * (-v)] * mult)
-        floor_value = norm * (-pred.linv_floor.value)
+        floor_raw = -pred.linv_floor.value
         floor_count = pred.exceptional_count
-        vals.extend([floor_value] * floor_count)
+        raw = [(-v, mult) for v, mult in pred.linv_slopes_known]
+        raw.append((floor_raw, floor_count))
     else:
         raise DomainError(f"unknown sample kind {kind!r}")
+    lcd = lcm(floor_raw.denominator, *(v.denominator for v, _ in raw))
+    scale = 2 * (ctx.p + 1)
+    nums = []
+    for v, mult in raw:
+        nums += [scale * v.numerator * (lcd // v.denominator)] * mult
+    nums.sort()
     return DistributionSample(
         k=ctx.weight(k),
         kind=kind,
-        values=tuple(sorted(vals)),
-        floor_value=floor_value,
+        nums=tuple(nums),
+        den=(ctx.p - 1) * k * lcd,
+        floor_num=scale * floor_raw.numerator * (lcd // floor_raw.denominator),
         floor_count=floor_count,
     )
 
@@ -126,10 +156,11 @@ def weyl_moments(samples: Sequence[DistributionSample], n_max: int) -> tuple:
         raise DomainError("need at least three samples for a trend")
     ordered = sorted(samples, key=lambda s: s.k.k)
     ks = tuple(s.k.k for s in ordered)
+    table = [s.moments(n_max) for s in ordered]
     reports = []
     for n in range(1, n_max + 1):
         target = Fraction(1, n + 1)
-        moments = tuple(s.moment(n) for s in ordered)
+        moments = tuple(row[n - 1] for row in table)
         errs = [abs(m - target) for m in moments]
         half = errs[len(errs) // 2 :]
         trend = all(b <= a for a, b in zip(half, half[1:]))
@@ -153,14 +184,13 @@ def discrepancy(sample_: DistributionSample) -> Fraction:
     >>> discrepancy(sample(ctx, 24, SampleKind.THRESHOLD))
     Fraction(1, 3)
     """
-    vals = sample_.genuine_values()
-    if not vals:
+    nums, den = sample_._genuine_nums(), sample_.den
+    if not nums:
         raise DomainError("empty sample has no distribution")
-    m = len(vals)
-    best = Fraction(0)
-    for i, v in enumerate(vals, 1):
-        best = max(best, v - Fraction(i - 1, m), Fraction(i, m) - v)
-    return best
+    m = len(nums)
+    # with v = a / den, v - (i-1)/m = t / (m den) and i/m - v = (den - t) / (m den)
+    ts = [a * m - i * den for i, a in enumerate(nums)]
+    return Fraction(max(0, max(ts), den - min(ts)), m * den)
 
 
 def sample_difference_bound(ctx: GhostContext, k: int) -> Fraction:
@@ -175,8 +205,7 @@ def weyl_csv(samples: Sequence[DistributionSample], n_max: int) -> str:
         "k,kind,n,moment_num,moment_den,target_num,target_den,abs_error_decimal"
     ]
     for s in sorted(samples, key=lambda s: (s.k.k, s.kind.value)):
-        for n in range(1, n_max + 1):
-            mo = s.moment(n)
+        for n, mo in enumerate(s.moments(n_max), 1):
             target = Fraction(1, n + 1)
             err = float(abs(mo - target))
             lines.append(

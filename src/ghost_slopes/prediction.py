@@ -21,11 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate, chain, repeat
+from math import lcm
 from typing import Iterable, Tuple
 
 from .errors import VerificationError
 from .ghost import GhostContext, WeightIndex, floor_log_bullet
-from .polygon import lower_hull
+from .polygon import integer_hull
 from .slopes import derivative_polygon, slope_window
 from .valuation import Valuation, format_rational
 
@@ -43,35 +46,49 @@ class PredictionModel:
     """The L model and its comparison rule for one weight.
 
     ``r_list[l-1]`` is the block slope r_l: the derivative slope s_l for
-    l >= M_index and the model radius R below.  ``L_seq`` holds
-    L_1..L_d with L_j built block by block from the top slope down.
-    ``block_sizes[l-1]`` is the stretched multiplicity of s_l.
-    :meth:`rel` gives the comparison kind of each entry of the d x d
-    pattern.
+    l >= M_index and the model radius R below.  L_1..L_d, built block by
+    block from the top slope down, are held as integers ``L_nums`` over
+    one denominator ``L_den``, the lcm of the r_l denominators;
+    ``L_seq`` reads them as ``Fraction``s.  ``block_sizes[l-1]`` is the
+    stretched multiplicity of s_l.  :meth:`rel` gives the comparison
+    kind of each entry of the d x d pattern.
     """
 
     k: WeightIndex
     d: int
     r_list: Tuple[Fraction, ...]
-    L_seq: Tuple[Fraction, ...]
+    L_nums: Tuple[int, ...]
+    L_den: int
     R: Fraction
     M_index: int
     block_sizes: Tuple[int, ...]
 
-    def known_size(self) -> int:
-        """Total multiplicity 2*(d_N + ... + d_M) of the known block."""
+    @property
+    def L_seq(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.L_den) for a in self.L_nums)
+
+    @cached_property
+    def _known_size(self) -> int:
         return 2 * sum(self.block_sizes[self.M_index - 1 :])
 
-    def eq_cells(self) -> Tuple[Tuple[int, int], ...]:
-        """(row, column) positions of the equality entries, sorted: each
-        running total acc of the known blocks, top slope first, marks
-        (acc, 2*acc) and (d - acc, 2*acc), never on row d."""
+    @cached_property
+    def _eq_cells(self) -> frozenset:
         cells = set()
         acc = 0
         for size in reversed(self.block_sizes[self.M_index - 1 :]):
             acc += size
             cells.update(((acc, 2 * acc), (self.d - acc, 2 * acc)))
-        return tuple(sorted(cells))
+        return frozenset(cells)
+
+    def known_size(self) -> int:
+        """Total multiplicity 2*(d_N + ... + d_M) of the known block."""
+        return self._known_size
+
+    def eq_cells(self) -> Tuple[Tuple[int, int], ...]:
+        """(row, column) positions of the equality entries, sorted: each
+        running total acc of the known blocks, top slope first, marks
+        (acc, 2*acc) and (d - acc, 2*acc), never on row d."""
+        return tuple(sorted(self._eq_cells))
 
     def rel(self, i: int, j: int) -> Rel:
         """Comparison kind of the pattern entry (i, j), 1 <= i, j <= d.
@@ -80,11 +97,10 @@ class PredictionModel:
         column 2*i in the top known rows, and of column 2*(d - i) in the
         bottom known rows, entries are GT; every other entry is GE.
         """
-        d, known = self.d, self.known_size() // 2
+        d, known = self.d, self._known_size // 2
         if i == d:
             return Rel.GT
-        # every equality cell sits in column 2*i or its mirror 2*(d - i)
-        if j in (2 * i, 2 * (d - i)) and (i, j) in self.eq_cells():
+        if (i, j) in self._eq_cells:
             return Rel.EQ
         if (i <= known and j > 2 * i) or (i >= d - known and j > 2 * (d - i)):
             return Rel.GT
@@ -154,19 +170,25 @@ def _assert_model_hull(model: PredictionModel) -> None:
     # the hull of {(j, -L_j)} u {(0,0)} must replay -s_N < ... < -s_M < -R
     if model.d == 0:
         return
-    hull = lower_hull(
-        [(0, Fraction(0))] + [(j, -L) for j, L in enumerate(model.L_seq, 1)]
+    hull = integer_hull(
+        range(model.d + 1), [0, *(-a for a in model.L_nums)], model.L_den
     )
+    # (r, m): the hull edge with slope -r and x-extent m, in order
     expected = []
     for l in range(len(model.block_sizes), model.M_index - 1, -1):
-        expected.append((-model.r_list[l - 1], 2 * model.block_sizes[l - 1]))
+        expected.append((model.r_list[l - 1], 2 * model.block_sizes[l - 1]))
     flat = model.d - model.known_size()
     if flat:
-        expected.append((-model.R, flat))
-    got = [(s, m) for s, m in hull.slopes]
-    if got != expected:
+        expected.append((model.R, flat))
+    edges = list(zip(hull.hull, hull.hull[1:]))
+    # edge slope (y1 - y0) / ((x1 - x0) L_den) = -r, cross-multiplied in integers
+    if len(edges) != len(expected) or any(
+        x1 - x0 != m or (y0 - y1) * r.denominator != r.numerator * m * model.L_den
+        for ((x0, y0), (x1, y1)), (r, m) in zip(edges, expected)
+    ):
+        want = [(-r, m) for r, m in expected]
         raise VerificationError(
-            f"model hull mismatch at k = {model.k.k}: {got} != {expected}"
+            f"model hull mismatch at k = {model.k.k}: {list(hull.slopes)} != {want}"
         )
 
 
@@ -186,17 +208,16 @@ def build_model(ctx: GhostContext, k: int) -> PredictionModel:
     r_list = tuple(
         ss[l - 1] if l >= dp.M_index else R for l in range(1, len(ss) + 1)
     )
-    seq = []
-    acc = Fraction(0)
-    for l in range(len(ss), 0, -1):
-        for _ in range(2 * block_sizes[l - 1]):
-            acc += r_list[l - 1]
-            seq.append(acc)
+    # L grows by r_l on each of the 2 * block_sizes[l-1] steps of block l, top block first
+    L_den = lcm(*(r.denominator for r in r_list))
+    steps = [r.numerator * (L_den // r.denominator) for r in r_list]
+    blocks = (repeat(steps[l], 2 * block_sizes[l]) for l in reversed(range(len(ss))))
     model = PredictionModel(
         k=kw,
         d=d,
         r_list=r_list,
-        L_seq=tuple(seq),
+        L_nums=tuple(accumulate(chain.from_iterable(blocks))),
+        L_den=L_den,
         R=R,
         M_index=dp.M_index,
         block_sizes=block_sizes,

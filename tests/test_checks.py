@@ -26,11 +26,11 @@ HATTED, PREDICT, SAMPLE = slopes.hatted_valuation_table, checks.predict_slopes, 
 
 def shifted(ctx, k, kind):
     s = SAMPLE(ctx, k, kind)
-    return replace(s, values=tuple(v + (kind is SampleKind.THRESHOLD) for v in s.values))
+    return replace(s, nums=tuple(a + s.den * (kind is SampleKind.THRESHOLD) for a in s.nums))
 
 
 def spread(ctx, k, kind):
-    return DistributionSample(None, kind, (Fraction(-3), Fraction(1)), Fraction(0), 0)
+    return DistributionSample(None, kind, (-3, 1), 1, 0, 0)
 
 
 # (check of a weight, module or class, attribute, planted value)
@@ -103,3 +103,11 @@ def test_verify_reports_a_planted_violation(monkeypatch, capsys):
     monkeypatch.setattr(checks, "ghost_multiplicity", lambda ctx, n, k: n)
     assert main(["verify"]) == 3
     assert "FAIL multiplicity-symmetry: m_n(k) asymmetric" in capsys.readouterr().out
+
+
+def test_moment_trend_needs_three_nonempty_samples():
+    # on (11, 2, 0) the threshold sample of k = 4 is empty, wherever it sits in ks
+    ctx = GhostContext(11, 2, 0)
+    for ks in ([4, 14, 24], [14, 4, 24], [14, 24, 4]):
+        with pytest.raises(VerificationError, match="too few"):
+            checks._suite_moment_trend(ctx, None, ks)

@@ -1,13 +1,17 @@
 """Every batch table kernel, the integer derivative polygon, the sweep's
-radius-free lock test and the interval-marking breakpoint criterion
-against their pointwise or Fraction oracles, the one-pass sweep and the
-near-Steinberg criterion against the certified hull, and the sweep's
-thresholds against a perturbed hull that never runs the sweep, over
-random contexts (p, a, s_eps, m) in both modes."""
+radius-free lock test, the interval-marking breakpoint criterion and the
+integer L model against their pointwise or Fraction oracles, the
+one-pass sweep and the near-Steinberg criterion against the certified
+hull, and the sweep's thresholds against a perturbed hull that never
+runs the sweep, over random contexts (p, a, s_eps, m) in both modes;
+and the integer sample statistics against their Fraction definitions
+over random samples."""
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +28,8 @@ from ghost_slopes import (
     sweep_threshold,
 )
 from ghost_slopes import checks
+from ghost_slopes.distribution import DistributionSample, SampleKind, discrepancy, weyl_csv
+from ghost_slopes.errors import DomainError
 from ghost_slopes.ghost import (
     anchored_valuation,
     degree_table,
@@ -36,6 +42,7 @@ from ghost_slopes.ghost import (
     support_interval,
     valuation_table_at,
 )
+from ghost_slopes.prediction import build_model
 from ghost_slopes.slopes import (
     _degree_increment_floor,
     _hull_newslopes,
@@ -278,3 +285,92 @@ def test_criterion_matches_unpruned_walk(case, radius):
 def test_criterion_matches_certified_hull(case, radius):
     ctx, k = case
     checks.check_criterion_matches_hull(ctx, WeightPoint(k, radius))
+
+
+@given(case=context_and_weight())
+@example(case=(GhostContext(11, 6, 9, 3, "strict"), 36))
+@example(case=(GhostContext(13, 5, 11), 41))
+@settings(max_examples=60, deadline=None)
+def test_model_L_matches_fraction_accumulation(case):
+    # L over one denominator against L accumulated step by step in Fractions
+    ctx, k = case
+    model = build_model(ctx, k)
+    seq, acc = [], Fraction(0)
+    for l in range(len(model.r_list), 0, -1):
+        for _ in range(2 * model.block_sizes[l - 1]):
+            acc += model.r_list[l - 1]
+            seq.append(acc)
+    assert model.L_seq == tuple(seq)
+    assert len(seq) == model.d
+
+
+# -- sample statistics against their Fraction definitions --------------------
+
+
+def _oracle_genuine(values, floor_value, floor_count):
+    i = bisect_left(values, floor_value)
+    return values[:i] + values[i + floor_count :]
+
+
+def _oracle_moment(vals, n):
+    if not vals:
+        raise DomainError("no values to average")
+    return Fraction(sum(v**n for v in vals), len(vals))
+
+
+def _oracle_discrepancy(vals):
+    if not vals:
+        raise DomainError("empty sample has no distribution")
+    m = len(vals)
+    best = Fraction(0)
+    for i, v in enumerate(vals, 1):
+        best = max(best, v - Fraction(i - 1, m), Fraction(i, m) - v)
+    return best
+
+
+def _oracle_csv_rows(k, kind, vals, n_max):
+    for n in range(1, n_max + 1):
+        mo = _oracle_moment(vals, n)
+        target = Fraction(1, n + 1)
+        err = float(abs(mo - target))
+        yield (
+            f"{k},{kind},{n},{mo.numerator},{mo.denominator},"
+            f"{target.numerator},{target.denominator},{err:.12g}"
+        )
+
+
+@st.composite
+def integer_samples(draw):
+    """A sample over a random denominator, with floor stand-ins or without."""
+    den = draw(st.integers(1, 60))
+    nums = draw(st.lists(st.integers(-den, 3 * den), max_size=25))
+    floor_count = draw(st.sampled_from((0, 0, 1, 2, 5)))
+    floor_num = draw(st.integers(-den, 3 * den)) if floor_count else 0
+    return DistributionSample(
+        k=GhostContext(7, 2, 1).weight(24),
+        kind=SampleKind.LINV if floor_count else SampleKind.THRESHOLD,
+        nums=tuple(sorted(nums + [floor_num] * floor_count)),
+        den=den,
+        floor_num=floor_num,
+        floor_count=floor_count,
+    )
+
+
+@given(s=integer_samples())
+@settings(max_examples=200, deadline=None)
+def test_sample_statistics_match_fraction_oracles(s):
+    values = tuple(sorted(Fraction(a, s.den) for a in s.nums))
+    assert s.values == values
+    assert s.floor_value == Fraction(s.floor_num, s.den)
+    genuine = _oracle_genuine(values, s.floor_value, s.floor_count)
+    assert s.genuine_values() == genuine
+    if not genuine:
+        for stat in (lambda: s.moments(1), lambda: discrepancy(s)):
+            with pytest.raises(DomainError):
+                stat()
+        return
+    assert s.moments(4) == tuple(_oracle_moment(genuine, n) for n in range(1, 5))
+    assert [s.moment(n) for n in (1, 3)] == [_oracle_moment(genuine, n) for n in (1, 3)]
+    assert discrepancy(s) == _oracle_discrepancy(genuine)
+    rows = weyl_csv([s], 4).splitlines()[1:]
+    assert rows == list(_oracle_csv_rows(s.k.k, s.kind.value, genuine, 4))

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -32,12 +33,14 @@ def sample_weights(ctx, lo, hi, count, seed):
 
 
 def make_sample(values, floor_value=Fraction(0), floor_count=0):
-    # hand-built sample for statistics-only tests
+    # hand-built sample for statistics-only tests, over the lcm of the denominators
+    den = lcm(floor_value.denominator, *(v.denominator for v in values))
     return DistributionSample(
         k=CTX.weight(24),
         kind=SampleKind.THRESHOLD,
-        values=tuple(sorted(values)),
-        floor_value=floor_value,
+        nums=tuple(sorted(int(v * den) for v in values)),
+        den=den,
+        floor_num=int(floor_value * den),
         floor_count=floor_count,
     )
 
@@ -209,8 +212,9 @@ class TestWeylMoments:
             DistributionSample(
                 k=CTX.weight(k),
                 kind=s.kind,
-                values=s.values,
-                floor_value=s.floor_value,
+                nums=s.nums,
+                den=s.den,
+                floor_num=s.floor_num,
                 floor_count=s.floor_count,
             )
             for k, s in zip(ks, shrinking)
@@ -220,8 +224,9 @@ class TestWeylMoments:
             DistributionSample(
                 k=s.k,
                 kind=s.kind,
-                values=t.values,
-                floor_value=s.floor_value,
+                nums=t.nums,
+                den=t.den,
+                floor_num=s.floor_num,
                 floor_count=s.floor_count,
             )
             for s, t in zip(shrinking, reversed(shrinking))

@@ -148,7 +148,7 @@ def test_pattern_all_known_depth_four():
     # doubled diagonal and mirror back up, bottom row strict throughout
     # rel reads only d, block_sizes and M_index
     m = PredictionModel(
-        k=None, d=8, r_list=(), L_seq=(), R=Fraction(0),
+        k=None, d=8, r_list=(), L_nums=(), L_den=1, R=Fraction(0),
         M_index=1, block_sizes=(1, 1, 1, 1),
     )
     rows = pattern(m)
