@@ -39,6 +39,11 @@ FORMATS = ("json", "csv", "table")
 # any weight is listed
 MAX_RANGE_WEIGHTS = 10_000
 
+# largest ghost -n and dist -n: the polynomials and power sums they ask
+# for grow with n, and these are far above the widest in use (8 and 3)
+MAX_GHOST_N = 64
+MAX_MOMENT_ORDER = 32
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; remap to the config exit code
@@ -139,8 +144,8 @@ def render_ghost_polynomial(gp) -> str:
 
 
 def cmd_ghost(args) -> str:
-    if args.n < 0:
-        raise ConfigError("ghost needs -n >= 0")
+    if not (0 <= args.n <= MAX_GHOST_N):
+        raise ConfigError(f"ghost needs 0 <= -n <= MAX_GHOST_N = {MAX_GHOST_N}")
     ctx = _context(args)
     polys = [ghost_polynomial(ctx, n) for n in range(1, args.n + 1)]
     if args.fmt == "json":
@@ -239,8 +244,8 @@ def _collect_samples(args, ctx: GhostContext, ks: List[int]) -> list:
 def cmd_dist(args) -> str:
     lo, hi = _parse_range(args.k_range)
     n_max = args.n
-    if n_max < 1:
-        raise ConfigError("moment order must be >= 1")
+    if not (1 <= n_max <= MAX_MOMENT_ORDER):
+        raise ConfigError(f"moment order must lie in [1, MAX_MOMENT_ORDER = {MAX_MOMENT_ORDER}]")
 
     ctx = _context(args)
     ks = _range_weights(ctx, args.k_range, lo, hi)

@@ -25,10 +25,11 @@ entry n only sees bullets with d_ur < n.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable
+from operator import sub
 
 from .errors import ConfigError, DomainError, VerificationError
 from .valuation import INF, Valuation, vp_int_raw, weight_distance
@@ -36,6 +37,14 @@ from .valuation import INF, Valuation, vp_int_raw, weight_distance
 #: Hard cap for upward weight scans; exceeding it raises, guarding against
 #: misconfiguration (mathematically the scans terminate).
 K_CEILING = 10**9
+
+#: Largest global multiplicity m(rbar) a context accepts: every threshold
+#: and L-invariant block is stretched m times, so m bounds the output.
+MAX_GLOBAL_MULT = 32
+
+#: Largest index n a valuation table may reach, refused before the table
+#: is allocated; the degree table's doubling stops here too.
+MAX_TABLE_INDEX = 500_000
 
 
 def _is_prime(n: int) -> bool:
@@ -78,9 +87,9 @@ class WeightIndex:
 class DimensionTriple:
     """(d_iw, d_ur, d_new) for one weight; d_iw = d_new + 2*d_ur always.
 
-    The raw formulas can produce d_ur = -1 / d_iw = 0 for degenerate tiny
-    weights below the first genuinely new form; multiplicity lookups
-    treat those as empty support, so no clamping is applied.
+    d_ur >= 0 for every weight.  Bullet 0 is degenerate, with d_new = 0,
+    when s_eps = 0 or delta_eps = 1, and then d_iw = 0 too in the latter
+    case; its multiplicity triangle is empty, so no clamping is applied.
     """
 
     d_iw: int
@@ -194,8 +203,11 @@ class GhostContext:
                 raise ConfigError(f"a must satisfy 1 <= a <= p-4, got a={a}")
         if not (0 <= s <= p - 2):
             raise ConfigError(f"s_eps must lie in [0, p-2], got {s}")
-        if self.global_mult < 1:
-            raise ConfigError(f"global_mult must be >= 1, got {self.global_mult}")
+        if not (1 <= self.global_mult <= MAX_GLOBAL_MULT):
+            raise ConfigError(
+                f"global_mult must lie in [1, MAX_GLOBAL_MULT = {MAX_GLOBAL_MULT}], "
+                f"got {self.global_mult}"
+            )
 
         pm1 = p - 1
         bar = lambda x: x % pm1  # representative in [0, p-2]
@@ -270,50 +282,36 @@ def dimensions(ctx: GhostContext, k: int) -> DimensionTriple:
     return DimensionTriple(d_iw=d_iw, d_ur=d_ur, d_new=d_iw - 2 * d_ur)
 
 
-def _first_bullet_with(ctx: GhostContext, pred: Callable[[int], bool], hint: int) -> int:
-    """Smallest bullet j >= 0 with pred(j), for monotone pred (False then True)."""
-    if pred(0):
-        return 0
-    ceiling = K_CEILING // (ctx.p - 1) + 2
-    hi = min(max(4, hint), ceiling)
-    while not pred(hi):
-        hi *= 2
-        if hi > ceiling:
-            raise DomainError("weight scan exceeded k_ceiling; misconfigured context?")
-    lo = 0  # invariant: pred(lo) false, pred(hi) true
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _first_reaching(ctx: GhostContext, f, n: int, rise: int) -> int:
+    """Smallest bullet j >= 0 with f(j) >= n, for f non-decreasing with
+    f(j + p + 1) = f(j) + rise, as both dimension counts are."""
+    period = ctx.p + 1
+    # f(lo + 2 * period - 1) >= n, and f(lo - 1) < n when lo > 0, so j lies
+    # in the two periods from lo
+    lo = max(0, (n - f(period - 1)) // rise * period)
+    j = lo + bisect_left(range(lo, lo + 2 * period), n, key=f)
+    if j > K_CEILING // (ctx.p - 1) + 2:
+        raise DomainError("weight scan exceeded k_ceiling; misconfigured context?")
+    return j
 
 
 def _bullet_bound(ctx: GhostContext, n_hi: int) -> int:
     """First bullet with d_ur >= n_hi; later ones vanish on 0..n_hi."""
-    return _first_bullet_with(
-        ctx,
-        lambda j: ctx.dims_of_bullet(j)[1] >= n_hi,
-        (ctx.p + 1) * (n_hi + abs(ctx.t1) + 4) // 2,
-    )
+    return _first_reaching(ctx, lambda j: ctx.dims_of_bullet(j)[1], n_hi, 2)
 
 
 def support_interval(ctx: GhostContext, n: int) -> tuple:
     """Bullet range [lo, hi) of the zero support of g_n.
 
-    The support is exactly the j with d_ur(j) < n < d_iw(j) - d_ur(j);
-    both bounding functions are non-decreasing in j, so the support is a
-    contiguous interval found by binary search.
+    The support is exactly the j with d_ur(j) < n < d_iw(j) - d_ur(j).
+    Both bounding functions are non-decreasing in j and rise by 2 and 2p
+    over each period of p + 1 bullets, so the support is a contiguous
+    interval whose ends are read off within two periods.
     """
     if n < 1:
         return (0, 0)
     hi = _bullet_bound(ctx, n)
-    est = (ctx.p + 1) * (n + abs(ctx.t1) + 4) // 2
-    # first j whose span d_iw - d_ur exceeds n
-    lo = _first_bullet_with(
-        ctx, lambda j: ctx.dims_of_bullet(j)[0] - ctx.dims_of_bullet(j)[1] > n, est
-    )
+    lo = _first_reaching(ctx, lambda j: sub(*ctx.dims_of_bullet(j)), n + 1, 2 * ctx.p)
     return (lo, hi) if lo < hi else (0, 0)
 
 
@@ -380,41 +378,39 @@ def floor_log_bullet(ctx: GhostContext, k: int) -> int:
     return _floor_log(ctx.p, ctx.weight(k).k_bullet)
 
 
-def _is_zero_bullet(ctx: GhostContext, j: int, bound: int) -> bool:
-    if not (0 <= j < bound):
-        return False
+def _is_zero_bullet(ctx: GhostContext, j: int) -> bool:
     d_iw, d_ur = ctx.dims_of_bullet(j)
     # a zero of some g_n with n >= 1 needs a nonempty triangle meeting n >= 1
     return d_iw - 2 * d_ur >= 2 and d_iw - d_ur >= 2
-
-
-def _zero_bullet_near(ctx: GhostContext, kb: int, bound: int, pe: int) -> bool:
-    """Whether a zero bullet j != kb below ``bound`` has j = kb mod pe."""
-    # nearest congruent candidates first; they are valid unless they land
-    # on a degenerate small weight, in which case enumerate
-    if any(_is_zero_bullet(ctx, kb + t * pe, bound) for t in (-1, 1, -2, 2, -3, 3)):
-        return True
-    return any(j != kb and _is_zero_bullet(ctx, j, bound) for j in range(kb % pe, bound, pe))
 
 
 def max_zero_distance(ctx: GhostContext, k: int) -> Valuation:
     """M(k): the largest weight distance from w_k to another ghost zero
     of g_1 .. g_{d_iw(k)}.  Returns 0 when no other zero exists.
 
-    Runs in O(log k): the candidate bullets form the interval
-    [0, bound), minus finitely many degenerate small weights, and the
-    largest attainable v_p(k_bullet - j) is found by descending over
-    powers of p with explicit witnesses.  Raises VerificationError when
+    Runs in O(log k): the zeros are the bullets below ``bound``, the first
+    with d_ur >= d_iw(k), bullet 0 perhaps excepted, and bound - 1 is the
+    one farthest from k_bullet, so
+    the largest v_p(k_bullet - j) over the zeros j != k_bullet is
+    floor(log_p(bound - 1 - k_bullet)).  Raises VerificationError when
     M(k) exceeds the good-region bound floor(log_p k_bullet) + 3, which
     would be an implementation bug.
     """
+    # Every bullet j >= 1 is a zero.  With q = (j - t1) // (p + 1), in
+    # either branch of GhostContext.__post_init__:
+    # - j < t1: q = -1 and j + p + 1 >= t2, so d_ur = 0 <= j - delta_eps;
+    # - q >= 1: d_ur <= 2q + 2 < q(p + 1) <= j - delta_eps;
+    # - q = 0: d_ur <= j - delta_eps fails only at j = 0 with s_eps = 0,
+    #   in the a + s_eps < p - 1 branch.
+    # So for j >= 1, d_new = 2(j + 1 - delta_eps - d_ur) >= 2 and
+    # d_iw - d_ur >= 2.  And bound - 1 is the farthest zero: d_ur(j) <=
+    # d_iw(j)/2 = j + 1 - delta_eps, so bound >= 2 k_bullet + 1 - delta_eps,
+    # and the lowest zero is at least delta_eps (d_iw = 0 at bullet 0 when
+    # delta_eps = 1).
     kb = ctx.weight(k).k_bullet
-    d_iw = dimensions(ctx, k).d_iw
-    bound = _bullet_bound(ctx, d_iw) if d_iw >= 1 else 0
-    top = _floor_log(ctx.p, max(kb, bound - 1 - kb))
-    m_of_k = next(
-        (1 + e for e in range(top, -1, -1) if _zero_bullet_near(ctx, kb, bound, ctx.p**e)), 0
-    )
+    bound = _bullet_bound(ctx, dimensions(ctx, k).d_iw)
+    reach = bound - 1 - kb
+    m_of_k = 1 + _floor_log(ctx.p, reach) if reach >= 1 else 0
     cap = floor_log_bullet(ctx, k) + 3
     if m_of_k > cap:
         raise VerificationError(f"M({k}) = {m_of_k} exceeds the log bound {cap}")
@@ -430,11 +426,8 @@ def ghost_zero_set(ctx: GhostContext, k: int) -> GhostZeroSet:
     >>> ghost_zero_set(ctx, 24).m_of_k
     Valuation(2)
     """
-    d_iw = dimensions(ctx, k).d_iw
-    bound = _bullet_bound(ctx, d_iw) if d_iw >= 1 else 0
-    zeros = tuple(
-        ctx.weight_of_bullet(j) for j in range(bound) if _is_zero_bullet(ctx, j, bound)
-    )
+    bound = _bullet_bound(ctx, dimensions(ctx, k).d_iw)
+    zeros = tuple(ctx.weight_of_bullet(j) for j in range(bound) if _is_zero_bullet(ctx, j))
     return GhostZeroSet(k=k, zeros=zeros, m_of_k=max_zero_distance(ctx, k))
 
 
@@ -509,19 +502,15 @@ def anchored_valuation(ctx: GhostContext, n: int, k: int) -> int:
 def _triangle_table(ctx, bullets, n_hi: int, weight_of_bullet) -> list:
     """[f(0), ..., f(n_hi)] with f(n) = sum over ``bullets`` of
     weight(j) * m_n(bullet j)."""
+    if n_hi > MAX_TABLE_INDEX:
+        raise DomainError(f"table index {n_hi} exceeds MAX_TABLE_INDEX = {MAX_TABLE_INDEX}")
     dg = [0] * n_hi
-    direct = []  # raw d_ur < 0 triangles poke below n = 0; add them pointwise
     for j in bullets:
         d_iw, d_ur = ctx.dims_of_bullet(j)
         if d_iw - 2 * d_ur < 2:
             continue
         w = weight_of_bullet(j)
-        if w == 0:
-            continue
-        if d_ur < 0:
-            direct.append((j, w))
-            continue
-        if d_ur < n_hi:  # d_ur < d_iw/2 < d_iw - d_ur
+        if w and d_ur < n_hi:  # 0 <= d_ur < d_iw/2 < d_iw - d_ur
             dg[d_ur] += w
             if d_iw // 2 < n_hi:
                 dg[d_iw // 2] -= 2 * w
@@ -529,10 +518,6 @@ def _triangle_table(ctx, bullets, n_hi: int, weight_of_bullet) -> list:
                     dg[d_iw - d_ur] += w
     out = [0]
     out.extend(accumulate(accumulate(dg)))
-    for j, w in direct:
-        d_iw, d_ur = ctx.dims_of_bullet(j)
-        for n in range(1, min(d_iw - d_ur - 1, n_hi) + 1):
-            out[n] += w * _multiplicity(d_iw, d_ur, n)
     return out
 
 
@@ -542,7 +527,7 @@ def _degrees(ctx: GhostContext, n_hi: int) -> list:
     cache = ctx._cache("tables")
     deg = cache.get("deg")
     if deg is None or len(deg) <= n_hi:
-        size = max(n_hi, 2 * (len(deg) - 1)) if deg else n_hi
+        size = max(n_hi, min(2 * (len(deg) - 1), MAX_TABLE_INDEX)) if deg else n_hi
         deg = _triangle_table(ctx, range(_bullet_bound(ctx, size)), size, lambda j: 1)
         cache["deg"] = deg
     return deg

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from ghost_slopes import cli, ghost
 from ghost_slopes.cli import MAX_RANGE_WEIGHTS, build_parser, main
 
 
@@ -16,6 +17,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_in_1gb(*argv):
+    """The CLI in a subprocess whose address space is capped at 1 GiB."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "ghost_slopes", *argv],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit,
+    )
 
 
 class TestGhostCommand:
@@ -328,19 +343,44 @@ class TestConfigValidation:
     def test_range_above_max_range_weights_is_domain_error(self, command):
         # 166,666,665 class weights under K_CEILING: refused before they are
         # listed, so a 1 GB address space is plenty
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "ghost_slopes", command, "--k-range", "10:1000000000", "--jobs", "1"],
-            capture_output=True,
-            text=True,
-            preexec_fn=limit,
-        )
+        proc = run_in_1gb(command, "--k-range", "10:1000000000", "--jobs", "1")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert f"MAX_RANGE_WEIGHTS = {MAX_RANGE_WEIGHTS}" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, code, module, cap",
+        [
+            (("thresholds", "-k", "24", "-m", "1000000000"), 1, ghost, "MAX_GLOBAL_MULT"),
+            (("predict", "-k", "24", "-m", "1000000000"), 1, ghost, "MAX_GLOBAL_MULT"),
+            (("ghost", "-n", "100000000"), 1, cli, "MAX_GHOST_N"),
+            (("dist", "--k-range", "10:100", "-n", "100000", "--jobs", "1"), 1, cli, "MAX_MOMENT_ORDER"),
+            # a weight below K_CEILING whose tables would run to n = 33,333,332
+            (("predict", "-k", "99999996"), 2, ghost, "MAX_TABLE_INDEX"),
+        ],
+        ids=["thresholds-m", "predict-m", "ghost-n", "dist-n", "predict-table"],
+    )
+    def test_request_above_cap_is_refused(self, argv, code, module, cap):
+        # each once ran out of a 1 GB address space with a MemoryError
+        proc = run_in_1gb(*argv)
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert f"{cap} = {getattr(module, cap)}" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("thresholds", "-k", "6"), ("ghost", "-n", "3")],
+        ids=["thresholds", "ghost"],
+    )
+    def test_prime_near_k_ceiling_is_domain_error(self, capsys, argv):
+        # K_CEILING // (p - 1) + 2 = 3: every bullet range past bullet 3
+        # is refused, after it is found and before it is walked
+        code, out, err = run(capsys, *argv, "-p", "999999937", "-a", "2", "-e", "1")
+        assert code == 2
+        assert out == ""
+        assert "k_ceiling" in err
 
     def test_prime_above_k_ceiling_is_config_error(self, capsys):
         # rejected before the trial division of the primality test

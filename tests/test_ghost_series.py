@@ -7,9 +7,10 @@ the context (p=7, a=2, s_eps=1) before the kernels were written.
 
 import json
 from fractions import Fraction
+from operator import sub
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghost_slopes import checks
@@ -18,6 +19,8 @@ from ghost_slopes.errors import ConfigError, DomainError
 from ghost_slopes.ghost import (
     GhostContext,
     WeightPoint,
+    _bullet_bound,
+    _is_zero_bullet,
     anchored_valuation,
     degree_table,
     dimensions,
@@ -33,6 +36,7 @@ from ghost_slopes.ghost import (
 )
 from ghost_slopes.slopes import derivative_polygon
 from ghost_slopes.valuation import INF, Valuation, weight_distance
+from strategies import context_and_weight
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +158,64 @@ def test_dimension_identity_and_monotonicity(ctx):
             assert d_ur >= prev_ur
             assert d_iw - d_ur >= prev_span
         prev_ur, prev_span = d_ur, d_iw - d_ur
+
+
+def _dimension_classes(p_below):
+    """One context per (p, t1, t2, delta_eps), all that dims_of_bullet
+    reads, over every exploratory (p, a, s_eps) with p < p_below."""
+    classes = {}
+    for p in range(5, p_below):
+        if all(p % d for d in range(2, p)):
+            for a in range(1, p - 3):
+                for s in range(p - 1):
+                    c = GhostContext(p, a, s)
+                    classes.setdefault((p, c.t1, c.t2, c.delta_eps), c)
+    return list(classes.values())
+
+
+def test_bullets_past_zero_are_ghost_zeros():
+    # d_ur rises by 2 and d_new by 2p - 2 over each period of p + 1
+    # bullets, so two periods carry both facts to every bullet
+    for c in _dimension_classes(100):
+        period = c.p + 1
+        assert all(c.dims_of_bullet(j)[1] >= 0 for j in range(2 * period)), c
+        assert all(_is_zero_bullet(c, j) for j in range(1, 2 * period)), c
+
+
+def test_bullet_ranges_match_scan():
+    for c in _dimension_classes(32):
+        n_top = 4 * (c.p + 1)
+        dims = [c.dims_of_bullet(0)]
+        while dims[-1][1] < n_top:
+            dims.append(c.dims_of_bullet(len(dims)))
+        ur = [d_ur for _, d_ur in dims]
+        span = [d_iw - d_ur for d_iw, d_ur in dims]
+        assert ur == sorted(ur) and span == sorted(span), c
+        # both counts are non-decreasing, so two pointers scan the ranges:
+        # hi to the first d_ur >= n, lo past every span <= n
+        lo = hi = 0
+        for n in range(n_top):
+            while ur[hi] < n:
+                hi += 1
+            while span[lo] <= n:
+                lo += 1
+            assert _bullet_bound(c, n) == hi, (c, n)
+            if n >= 1:
+                assert support_interval(c, n) == ((lo, hi) if lo < hi else (0, 0)), (c, n)
+
+
+@given(case=context_and_weight(), n=st.integers(4 * 32, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_bullet_ranges_at_large_n(case, n):
+    # past the scan above: the ranges' ends are the first bullets at which
+    # the non-decreasing counts reach n and pass n
+    c, _ = case
+    d_ur = lambda j: c.dims_of_bullet(j)[1]
+    span = lambda j: sub(*c.dims_of_bullet(j))
+    lo, hi = support_interval(c, n)
+    assert hi == _bullet_bound(c, n)
+    assert d_ur(hi - 1) < n <= d_ur(hi)
+    assert span(lo - 1) <= n < span(lo)
 
 
 # -- ghost multiplicities and polynomials -------------------------------------
@@ -303,6 +365,17 @@ def test_m_of_k_matches_naive_other_context():
     c = GhostContext(p=11, a=6, s_eps=9, mode="strict")
     for k in c.class_members(2, 800):
         assert max_zero_distance(c, k) == _naive_m_of_k(c, k), k
+
+
+@given(case=context_and_weight())
+# weights whose farthest zero lies p^e - 1 bullets away, one short of
+# raising M(k)
+@example(case=(GhostContext(5, 1, 2), 23))
+@example(case=(GhostContext(7, 1, 4), 47))
+@settings(max_examples=150, deadline=None)
+def test_m_of_k_matches_naive_random_contexts(case):
+    c, k = case
+    assert max_zero_distance(c, k) == _naive_m_of_k(c, k)
 
 
 # -- anchored valuations (hatted coefficients) ---------------------------------
