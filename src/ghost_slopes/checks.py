@@ -109,10 +109,10 @@ def check_threshold_lock(ctx, k: int) -> None:
 
 
 def check_raw_increments(ctx, k: int) -> None:
-    """raw[l] - raw[l-1] >= 3/2 + (p-1)(l-1)/2 on the derivative polygon."""
-    raw = derivative_polygon(ctx, k).raw
-    for l in range(1, len(raw)):
-        if raw[l] - raw[l - 1] < Fraction(3, 2) + Fraction(ctx.p - 1, 2) * (l - 1):
+    """ys[l] - ys[l-1] >= 3 + (p-1)(l-1) on the derivative hull's ordinates ys = 2 * raw."""
+    ys = derivative_polygon(ctx, k).hull.ys
+    for l in range(1, len(ys)):
+        if ys[l] - ys[l - 1] < 3 + (ctx.p - 1) * (l - 1):
             raise VerificationError(f"increment bound fails at (k, l) = ({k}, {l})")
 
 

@@ -11,7 +11,7 @@ nonzero on any failure.
 Output is canonical: identical configuration produces identical bytes,
 JSON keys are sorted, and rationals render as "num/den" in lowest
 terms.  Exit codes: 0 success, 1 invalid configuration, 2 domain error
-during computation, 3 verification failure.
+during computation, 3 verification failure, 141 stdout closed early.
 """
 
 from __future__ import annotations
@@ -327,7 +327,11 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         sys.stdout.write(DISPATCH[args.command](args))
+        sys.stdout.flush()
         return 0
+    except BrokenPipeError:  # the reader left; the flush at shutdown goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -48,24 +48,24 @@ from .valuation import Valuation, format_rational
 
 @dataclass(frozen=True)
 class DerivativePolygon:
-    """Raw values and hull slope data of a weight's derivative polygon.
+    """A weight's derivative polygon, held as its integer hull over 2.
 
-    ``raw[l]`` is the anchored valuation at center + l minus (k-2)/2 * l,
-    for l = 0..d_new/2.  ``slopes`` pairs the distinct slopes
-    s_1 < ... < s_N of the lower hull of the points (l, raw[l]) with
-    multiplicities; ``breakpoints`` lists the hull vertex abscissae
-    n_0 = 0 < ... < n_N = d_new/2; ``increments[l]`` is the hull slope
-    over [l, l+1].  ``M_index`` is the smallest i with s_i > M(k), or
-    N + 1 when no slope clears M(k).
+    ``raw[l]``, the anchored valuation at center + l minus (k-2)/2 * l for
+    l = 0..d_new/2, is a half-integer; ``hull`` is the lower hull of the
+    points (l, 2 * raw[l]) over 2, and ``raw``, ``slopes`` (distinct
+    s_1 < ... < s_N with multiplicities) and ``breakpoints`` (vertex
+    abscissae 0 = n_0 < ... < n_N = d_new/2) read it as Fractions.
+    ``M_index`` is the least i with s_i > M(k), else N + 1.
     """
 
     k: WeightIndex
-    raw: Tuple[Fraction, ...]
-    slopes: Tuple[Tuple[Fraction, int], ...]
-    breakpoints: Tuple[int, ...]
-    increments: Tuple[Fraction, ...]
+    hull: RationalPolygon
     M_index: int
     m_of_k: Valuation
+
+    raw = property(lambda self: tuple(Fraction(y, 2) for y in self.hull.ys))
+    slopes = property(lambda self: self.hull.slopes)
+    breakpoints = property(lambda self: self.hull.vertex_xs())
 
     def distinct_slopes(self) -> List[Fraction]:
         return [s for s, _ in self.slopes]
@@ -92,30 +92,27 @@ def derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
     table = hatted_valuation_table(ctx, k, trip.d_iw)
     for l in range(1, h + 1):
         if table[c + l] - table[c - l] != (k - 2) * l:
-            raise VerificationError(
-                f"anchored-valuation duality fails at k = {k}, offset {l}"
-            )
-    # raw values are half-integers, so the hull runs on twice[l] = 2 * raw[l]
-    twice = [2 * table[c + l] - (k - 2) * l for l in range(h + 1)]
+            raise VerificationError(f"anchored-valuation duality fails at k = {k}, offset {l}")
+    twice = tuple(2 * table[c + l] - (k - 2) * l for l in range(h + 1))
     hull = integer_hull(range(h + 1), twice, 2)
-    slopes = hull.slopes
     m_of_k = max_zero_distance(ctx, k)
-    m_index = len(slopes) + 1
-    for i, (s, _) in enumerate(slopes, start=1):
-        if Valuation(s) > m_of_k:
-            m_index = i
-            break
-    dp = DerivativePolygon(
-        k=wi,
-        raw=tuple(Fraction(t, 2) for t in twice),
-        slopes=slopes,
-        breakpoints=hull.vertex_xs(),
-        increments=tuple(hull.slope_list()),
-        M_index=m_index,
-        m_of_k=m_of_k,
-    )
+    # one hull edge per distinct slope, so the reach of M(k) is vertex M_index - 1
+    m_index = 1 + hull.vertex_xs().index(_reach(hull.hull, m_of_k))
+    dp = DerivativePolygon(k=wi, hull=hull, M_index=m_index, m_of_k=m_of_k)
     cache[wi.k_bullet] = dp
     return dp
+
+
+def _reach(hull, dist: Valuation) -> int:
+    """How many unit increments of a derivative hull (ordinates over 2) are
+    at most ``dist`` = u / v: the slopes increase, so x0 on the first edge
+    [x0, x1] with (y1 - y0) v > 2 (x1 - x0) u, else the last abscissa."""
+    if not dist.is_infinite:
+        u, v = dist.value.numerator, dist.value.denominator
+        for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
+            if (y1 - y0) * v > 2 * (x1 - x0) * u:
+                return x0
+    return hull[-1][0]
 
 
 # -- near-Steinberg criterion ---------------------------------------------------
@@ -140,7 +137,7 @@ def is_near_steinberg(ctx: GhostContext, n: int, w: WeightPoint, k2: int) -> boo
     if not trip.d_ur < n < trip.d_iw - trip.d_ur:
         return False
     l = abs(n - trip.d_iw // 2)
-    need = derivative_polygon(ctx, k2).increments[l]
+    need = edge_at(derivative_polygon(ctx, k2).hull.hull, 2, l)[1]
     return point_distance(ctx, w, k2) >= Valuation(need)
 
 
@@ -162,22 +159,20 @@ def breakpoints_by_criterion(ctx: GhostContext, w: WeightPoint, n_range: int) ->
     for j in range(ctx.weight(w.anchor).k_bullet % p, _bullet_bound(ctx, n_range), p):
         k2 = ctx.weight_of_bullet(j)
         dist = point_distance(ctx, w, k2)
-        if dist < Fraction(3, 2):
-            continue
         c = j + 1 - ctx.delta_eps  # center(k2) = d_iw(k2) / 2
-        if not dist.is_infinite and c - 4 * (dist.value - Fraction(3, 2)) / (p - 1) > n_range:
-            continue
-        reached = bisect_right(derivative_polygon(ctx, k2).increments, dist)
+        if not dist.is_infinite:
+            u, v = dist.value.numerator, dist.value.denominator
+            # dist < 3/2, or c - 4 (dist - 3/2) / (p - 1) > n_range
+            if 2 * u < 3 * v or (c - n_range) * (p - 1) * v > 4 * u - 6 * v:
+                continue
+        reached = _reach(derivative_polygon(ctx, k2).hull.hull, dist)
         marked.update(range(max(1, c - reached + 1), min(n_range, c + reached - 1) + 1))
     return {0} | set(range(1, n_range + 1)) - marked
 
 
 # -- window certification ---------------------------------------------------------
 
-# iteration caps; hitting one raises a VerificationError that names it
-NEWTON_WINDOW_DOUBLINGS = 60  # windows tried by certified_newton_polygon
-SWEEP_WINDOW_DOUBLINGS = 40  # windows tried per sweep level
-SWEEP_PIECE_GUARD = 100000  # pieces examined per sweep window
+SWEEP_PIECE_GUARD = 100000  # pieces examined per sweep window; a VerificationError names it
 
 
 def _degree_increment_floor(ctx: GhostContext, n: int) -> int:
@@ -212,16 +207,14 @@ def _tail_certified(rfac, deg, inc_floor, n_window, q_hi, hull, den) -> bool:
     )
 
 
-def _windows(ctx: GhostContext, k: int, q_hi: int, cap: str):
+def _windows(ctx: GhostContext, k: int, q_hi: int):
     """Yield (n_window, degree table, increment floor) for windows that
-    start at max(q_hi + 8, d_iw(k)) and double, as many as the module
-    constant named ``cap`` allows; one more request raises."""
-    limit = globals()[cap]
+    start at max(q_hi + 8, d_iw(k)) and double; the degree table of a
+    window past MAX_TABLE_INDEX raises DomainError, which ends the walk."""
     n_window = max(q_hi + 8, dimensions(ctx, k).d_iw)
-    for _ in range(limit):
+    while True:
         yield n_window, degree_table(ctx, n_window), _degree_increment_floor(ctx, n_window)
         n_window *= 2
-    raise VerificationError(f"window certification diverged: {cap} = {limit}")
 
 
 def certified_newton_polygon(
@@ -238,7 +231,7 @@ def certified_newton_polygon(
     rfac = Fraction(1) if w.radius.is_infinite else min(w.radius.value, Fraction(1))
     if rfac <= 0:
         raise DomainError("hull certification needs a positive radius")
-    for n_window, deg, inc_floor in _windows(ctx, w.anchor, q_hi, "NEWTON_WINDOW_DOUBLINGS"):
+    for n_window, deg, inc_floor in _windows(ctx, w.anchor, q_hi):
         np_ = newton_polygon_at(ctx, n_window, w)
         if _tail_certified(rfac, deg, inc_floor, n_window, q_hi, np_.hull, np_.den):
             return np_
@@ -472,7 +465,7 @@ def _level_pieces(ctx: GhostContext, k: int, level: int, q_hi: int):
     a whole piece without a radius.  Nothing is cached: the pieces live
     only for the sweep that builds them.
     """
-    for n_window, deg, inc_floor in _windows(ctx, k, q_hi, "SWEEP_WINDOW_DOUBLINGS"):
+    for n_window, deg, inc_floor in _windows(ctx, k, q_hi):
         A, B = level_tables(ctx, k, level, n_window)
         done: list = []
         stack = [(Fraction(level), Fraction(level + 1))]

@@ -424,3 +424,20 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "g_1(w) = (w - w_6)\n"
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # unbuffered, so each verify line is one write; the write after the
+    # reader is gone raises BrokenPipeError inside main
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ghost_slopes", "verify", "--k-range", "10:2000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"ok ultrametric-distance\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert err == b""  # no traceback, no message

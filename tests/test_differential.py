@@ -8,7 +8,7 @@ and the integer sample statistics against their Fraction definitions
 over random samples."""
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -48,6 +48,7 @@ from ghost_slopes.slopes import (
     _hull_newslopes,
     _level_pieces,
     _locked_on,
+    _reach,
 )
 from strategies import RADII, context_and_weight
 
@@ -111,7 +112,24 @@ def test_derivative_polygon_matches_fraction_hull(case):
     hull = lower_hull(enumerate(dp.raw))
     assert dp.slopes == hull.slopes
     assert dp.breakpoints == hull.vertex_xs()
-    assert dp.increments == tuple(hull.slope_list())
+    assert dp.hull.slope_list() == hull.slope_list()
+    cleared = [i for i, (s, _) in enumerate(hull.slopes, 1) if Valuation(s) > dp.m_of_k]
+    assert dp.M_index == (cleared[0] if cleared else len(hull.slopes) + 1)
+
+
+@given(case=context_and_weight(), radius=RADII)
+@settings(max_examples=100, deadline=None)
+def test_criterion_reach_matches_fraction_bisect(case, radius):
+    # the integer reach against bisect over the Fraction increments, at a
+    # random distance, INFINITY, and every increment exactly and just below
+    ctx, k = case
+    dp = derivative_polygon(ctx, k)
+    incs = lower_hull(enumerate(dp.raw)).slope_list()
+    dists = [INF, radius if radius is INF else Valuation(radius)]
+    for s in incs:
+        dists += [Valuation(s), Valuation(s - Fraction(1, 1000))]
+    for dist in dists:
+        assert _reach(dp.hull.hull, dist) == bisect_right(incs, dist), dist
 
 
 @given(case=context_and_weight(), small=N_HI, extra=st.integers(1, 200))
@@ -258,11 +276,14 @@ def test_sweep_thresholds_match_perturbed_hull(case):
 
 
 # odd a gives first hull increments of exactly 3/2, met by radius 3/2
-@example(case=(GhostContext(7, 1, 0), 39), radius=Fraction(3, 2))
-@example(case=(GhostContext(5, 1, 0), 7), radius=Fraction(3, 2))
-@given(case=context_and_weight(), radius=RADII)
+@example(case=(GhostContext(7, 1, 0), 39), radius=Fraction(3, 2), eighths=8)
+@example(case=(GhostContext(5, 1, 0), 7), radius=Fraction(3, 2), eighths=8)
+# a center past the prefix [0, 2] still marks index 2
+@example(case=(GhostContext(5, 1, 0), 11), radius=Fraction(5), eighths=3)
+@given(case=context_and_weight(), radius=RADII, eighths=st.integers(1, 8))
 @settings(max_examples=30, deadline=None)
-def test_criterion_matches_unpruned_walk(case, radius):
+def test_criterion_matches_unpruned_walk(case, radius, eighths):
+    # over the full span and over a prefix of it
     ctx, k = case
     w = WeightPoint(k, radius)
     d_iw = dimensions(ctx, k).d_iw
@@ -275,6 +296,8 @@ def test_criterion_matches_unpruned_walk(case, radius):
         )
     }
     assert breakpoints_by_criterion(ctx, w, d_iw) == walk
+    n_range = d_iw * eighths // 8
+    assert breakpoints_by_criterion(ctx, w, n_range) == {n for n in walk if n <= n_range}
 
 
 @given(

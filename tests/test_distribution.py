@@ -77,7 +77,7 @@ class TestSampleValues:
             s = sample(CTX, k, SampleKind.DERIVATIVE)
             norm = Fraction(2 * (CTX.p + 1), (CTX.p - 1) * k)
             expected = []
-            for sl in derivative_polygon(CTX, k).increments:
+            for sl in derivative_polygon(CTX, k).hull.slope_list():
                 expected.extend([norm * sl, norm * sl])
             assert s.values == tuple(sorted(expected))
 

@@ -1,5 +1,6 @@
 """Derivative polygons, near-Steinberg breakpoints, newslopes, thresholds."""
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -29,10 +30,10 @@ from ghost_slopes import (
     slope_window,
     sweep_threshold,
 )
-from ghost_slopes import checks, slopes
+from ghost_slopes import checks, ghost, slopes
 from ghost_slopes.distribution import SampleKind, sample
 from ghost_slopes.ghost import support_interval
-from ghost_slopes.slopes import _closed_form_newslopes, _hull_newslopes
+from ghost_slopes.slopes import DerivativePolygon, _closed_form_newslopes, _hull_newslopes
 from strategies import context_and_weight
 
 
@@ -70,7 +71,7 @@ def test_derivative_polygon_frozen_k24(ctx):
     assert dp.raw == (Fraction(17), Fraction(19), Fraction(25), Fraction(34))
     assert dp.slopes == ((Fraction(2), 1), (Fraction(6), 1), (Fraction(9), 1))
     assert dp.breakpoints == (0, 1, 2, 3)
-    assert dp.increments == (Fraction(2), Fraction(6), Fraction(9))
+    assert dp.hull.slope_list() == [Fraction(2), Fraction(6), Fraction(9)]
     assert dp.M_index == 2
     assert dp.m_of_k == Valuation(2)
     assert dp.k.k == 24
@@ -97,7 +98,7 @@ def test_derivative_polygon_empty_when_no_newforms():
     dp = derivative_polygon(ctx, 4)
     assert dp.slopes == ()
     assert dp.breakpoints == (0,)
-    assert dp.increments == ()
+    assert dp.hull.slope_list() == []
 
 
 def test_derivative_polygon_cached(ctx):
@@ -131,7 +132,7 @@ def test_hull_increment_lower_bound(p, a, s):
     ctx = GhostContext(p=p, a=a, s_eps=s)
     for k in ctx.class_members(3, 900):
         dp = derivative_polygon(ctx, k)
-        for l, inc in enumerate(dp.increments):
+        for l, inc in enumerate(dp.hull.slope_list()):
             assert inc >= Fraction(3, 2) + Fraction((p - 1) * l, 4), (k, l)
 
 
@@ -478,17 +479,33 @@ def test_no_lock_at_radius_one_or_below(case, num, den):
         assert sweep_threshold(ctx, k, n) >= Valuation(1)
 
 
-@pytest.mark.parametrize(
-    "cap", ("NEWTON_WINDOW_DOUBLINGS", "SWEEP_WINDOW_DOUBLINGS", "SWEEP_PIECE_GUARD")
-)
+@pytest.mark.parametrize("cap", ("SWEEP_PIECE_GUARD", "MAX_TABLE_INDEX"))
 def test_iteration_cap_is_named_in_its_error(monkeypatch, cap):
-    monkeypatch.setattr(slopes, cap, 0)
+    # the doubling windows need no cap of their own: a window's table past
+    # MAX_TABLE_INDEX raises DomainError before anything is certified on it
+    calls = [lambda ctx: sweep_threshold(ctx, 24, 3)]
+    if cap == "SWEEP_PIECE_GUARD":
+        monkeypatch.setattr(slopes, cap, 0)
+        error = VerificationError
+    else:
+        monkeypatch.setattr(ghost, cap, 0)
+        error = DomainError
+        calls.append(lambda ctx: certified_newton_polygon(ctx, WeightPoint(24, 7), 8))
+    for call in calls:
+        with pytest.raises(error, match=f"{cap} = 0"):
+            call(GhostContext(p=7, a=2, s_eps=1))
+
+
+def test_windows_end_at_max_table_index(monkeypatch):
+    # the window walk doubles until its degree table passes the table cap
+    monkeypatch.setattr(ghost, "MAX_TABLE_INDEX", 64)
     fresh = GhostContext(p=7, a=2, s_eps=1)
-    with pytest.raises(VerificationError, match=f"{cap} = 0"):
-        if cap == "NEWTON_WINDOW_DOUBLINGS":
-            certified_newton_polygon(fresh, WeightPoint(24, 7), 8)
-        else:
-            sweep_threshold(fresh, 24, 3)
+    sizes = []
+    with pytest.raises(DomainError, match="MAX_TABLE_INDEX = 64"):
+        for n_window, deg, _ in slopes._windows(fresh, 24, 8):
+            assert len(deg) == n_window + 1
+            sizes.append(n_window)
+    assert sizes == [16, 32, 64]
 
 
 # Hand-built level tables on the window 0..4, value A[x] + B[x] * r.  Only
@@ -531,6 +548,22 @@ def test_context_keeps_only_reread_caches():
         certified_newton_polygon(fresh, WeightPoint(k, Fraction(3, 2)), trip.d_iw - trip.d_ur)
         breakpoints_by_criterion(fresh, WeightPoint(k, 3), trip.d_iw)
     assert set(fresh._caches) <= {"tables", "derivative"}
+
+
+@pytest.mark.parametrize("radius", (Fraction(3, 2), 7, INF))
+def test_criterion_scan_caches_integer_polygons(radius):
+    # a derivative polygon holds its integer hull and nothing else; the
+    # criterion scan reads it without building a Fraction on it
+    assert [f.name for f in dataclasses.fields(DerivativePolygon)] == [
+        "k", "hull", "M_index", "m_of_k",
+    ]
+    fresh = GhostContext(p=7, a=2, s_eps=1)
+    breakpoints_by_criterion(fresh, WeightPoint(120, radius), 400)
+    cached = fresh._caches["derivative"].values()
+    assert len(cached) > 1
+    for dp in cached:
+        assert all(type(y) is int for y in dp.hull.ys)
+        assert "slopes" not in vars(dp.hull)
 
 
 def test_thresholds_wraparound_runs(wrap_ctx):
