@@ -479,21 +479,26 @@ def test_no_lock_at_radius_one_or_below(case, num, den):
         assert sweep_threshold(ctx, k, n) >= Valuation(1)
 
 
-@pytest.mark.parametrize("cap", ("SWEEP_PIECE_GUARD", "MAX_TABLE_INDEX"))
+@pytest.mark.parametrize(
+    "cap", ("NEWTON_WINDOW_DOUBLINGS", "SWEEP_WINDOW_DOUBLINGS", "SWEEP_PIECE_GUARD")
+)
 def test_iteration_cap_is_named_in_its_error(monkeypatch, cap):
-    # the doubling windows need no cap of their own: a window's table past
-    # MAX_TABLE_INDEX raises DomainError before anything is certified on it
-    calls = [lambda ctx: sweep_threshold(ctx, 24, 3)]
+    # The *_WINDOW_DOUBLINGS cases keep the names of the caps the two window
+    # walks once had. Those caps could never fire and are gone: a window's
+    # table past MAX_TABLE_INDEX raises DomainError before anything is
+    # certified on it, so each walk now ends in an error naming that cap.
     if cap == "SWEEP_PIECE_GUARD":
         monkeypatch.setattr(slopes, cap, 0)
-        error = VerificationError
+        named, error = cap, VerificationError
     else:
-        monkeypatch.setattr(ghost, cap, 0)
-        error = DomainError
-        calls.append(lambda ctx: certified_newton_polygon(ctx, WeightPoint(24, 7), 8))
-    for call in calls:
-        with pytest.raises(error, match=f"{cap} = 0"):
-            call(GhostContext(p=7, a=2, s_eps=1))
+        monkeypatch.setattr(ghost, "MAX_TABLE_INDEX", 0)
+        named, error = "MAX_TABLE_INDEX", DomainError
+    fresh = GhostContext(p=7, a=2, s_eps=1)
+    with pytest.raises(error, match=f"{named} = 0"):
+        if cap == "NEWTON_WINDOW_DOUBLINGS":
+            certified_newton_polygon(fresh, WeightPoint(24, 7), 8)
+        else:
+            sweep_threshold(fresh, 24, 3)
 
 
 def test_windows_end_at_max_table_index(monkeypatch):
