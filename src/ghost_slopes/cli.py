@@ -60,7 +60,7 @@ def _parse_range(text: str) -> Tuple[int, int]:
     if lo > hi:
         raise ConfigError(f"empty weight range {text!r}")
     if hi > K_CEILING:
-        raise DomainError(f"weight range {text!r} exceeds k_ceiling = {K_CEILING}")
+        raise DomainError(f"weight range {text!r} exceeds K_CEILING = {K_CEILING}")
     return lo, hi
 
 
@@ -217,28 +217,21 @@ def cmd_predict(args) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _samples_at(ctx: GhostContext, k: int) -> list:
+def _samples_at(args, k: int) -> list:
     """The samples of weight k that hold a genuine value, not only floor
-    stand-ins, one per kind at most."""
+    stand-ins, one per kind at most, on a context of k's own."""
+    ctx = _context(args)
     return [s for kind in SampleKind if len((s := sample(ctx, k, kind)).nums) > s.floor_count]
 
 
-def _sample_task(args, k: int) -> list:
-    # a worker process builds its own context from the parsed flags
-    return _samples_at(_context(args), k)
-
-
-def _collect_samples(args, ctx: GhostContext, ks: List[int]) -> list:
+def _collect_samples(args, ks: List[int]) -> list:
     workers = min(args.jobs, len(ks), os.cpu_count() or 1)
-    if workers > 1 and len(ks) >= 8:
-        from concurrent.futures import ProcessPoolExecutor
+    if workers == 1 or len(ks) < 8:
+        return [s for k in ks for s in _samples_at(args, k)]
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(_sample_task, [args] * len(ks), ks))
-    else:
-        # one shared context, so degree tables carry over between weights
-        groups = [_samples_at(ctx, k) for k in ks]
-    return [s for group in groups for s in group]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [s for group in pool.map(_samples_at, [args] * len(ks), ks) for s in group]
 
 
 def cmd_dist(args) -> str:
@@ -247,9 +240,8 @@ def cmd_dist(args) -> str:
     if not (1 <= n_max <= MAX_MOMENT_ORDER):
         raise ConfigError(f"moment order must lie in [1, MAX_MOMENT_ORDER = {MAX_MOMENT_ORDER}]")
 
-    ctx = _context(args)
-    ks = _range_weights(ctx, args.k_range, lo, hi)
-    samples = _collect_samples(args, ctx, ks)
+    ks = _range_weights(_context(args), args.k_range, lo, hi)
+    samples = _collect_samples(args, ks)
     if not samples:
         raise DomainError(f"no nonempty samples for weights in [{lo}, {hi}]")
     if args.fmt == "csv":

@@ -19,8 +19,8 @@ mod p: every bullet j not congruent to the anchor's mod p sits at
 distance 1 from it, so an anchored table is a multiple of the degree
 table plus a correction from the anchor's residue class.  For N zeros up
 to n_hi that costs O(N/p + n_hi) per anchor.  The degree table is one
-list per context, grown by doubling and read as a prefix, since its
-entry n only sees bullets with d_ur < n.
+list per context, read as a prefix and grown by the period recurrence
+of :func:`_degrees`.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ K_CEILING = 10**9
 #: and L-invariant block is stretched m times, so m bounds the output.
 MAX_GLOBAL_MULT = 32
 
-#: Largest index n a valuation table may reach, refused before the table
-#: is allocated; the degree table's doubling stops here too.
+#: Largest index n a valuation table may reach, refused by :func:`_degrees`
+#: before any table is allocated or grown.
 MAX_TABLE_INDEX = 500_000
 
 
@@ -188,7 +188,7 @@ class GhostContext:
         if self.mode not in ("strict", "exploratory"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if p > K_CEILING:
-            raise ConfigError(f"p = {p} exceeds k_ceiling = {K_CEILING}")
+            raise ConfigError(f"p = {p} exceeds K_CEILING = {K_CEILING}")
         if not _is_prime(p):
             raise ConfigError(f"p = {p} is not prime")
         if self.mode == "strict":
@@ -291,7 +291,7 @@ def _first_reaching(ctx: GhostContext, f, n: int, rise: int) -> int:
     lo = max(0, (n - f(period - 1)) // rise * period)
     j = lo + bisect_left(range(lo, lo + 2 * period), n, key=f)
     if j > K_CEILING // (ctx.p - 1) + 2:
-        raise DomainError("weight scan exceeded k_ceiling; misconfigured context?")
+        raise DomainError(f"weight scan exceeds K_CEILING = {K_CEILING}")
     return j
 
 
@@ -494,16 +494,14 @@ def anchored_valuation(ctx: GhostContext, n: int, k: int) -> int:
 #     f(n) = w(1) * deg g_n + sum_{j = kb mod p} (wt(j) - w(1)) * m_n(j):
 #
 # the walk covers N/p of the N ~ (p+1)/2 * n_hi bullets, then one O(n_hi)
-# pass adds the degree table.  That table is one list per context, grown
-# by doubling; its entry n only sees bullets with d_ur < n, so the table
-# of a larger n_hi holds that of a smaller one as its prefix.
+# pass adds the degree table, one list per context that :func:`_degrees`
+# grows; the table of a larger n_hi holds that of a smaller one as its
+# prefix.
 
 
 def _triangle_table(ctx, bullets, n_hi: int, weight_of_bullet) -> list:
     """[f(0), ..., f(n_hi)] with f(n) = sum over ``bullets`` of
     weight(j) * m_n(bullet j)."""
-    if n_hi > MAX_TABLE_INDEX:
-        raise DomainError(f"table index {n_hi} exceeds MAX_TABLE_INDEX = {MAX_TABLE_INDEX}")
     dg = [0] * n_hi
     for j in bullets:
         d_iw, d_ur = ctx.dims_of_bullet(j)
@@ -522,14 +520,24 @@ def _triangle_table(ctx, bullets, n_hi: int, weight_of_bullet) -> list:
 
 
 def _degrees(ctx: GhostContext, n_hi: int) -> list:
-    """The context's degree table, grown by doubling to cover n_hi; read
-    entries 0..n_hi only."""
+    """The context's degree table, grown in place to cover n_hi; read
+    entries 0..n_hi only.  Every p + 1 bullets d_ur rises by 2 and
+    d_iw - d_ur by 2p, so past lead = 1 + max(d_iw - d_ur) over bullets
+    0..p the triangle corners repeat with period 2p, and each period adds
+    p(p+1) - 4p + (p+1) = (p-1)^2 to the slope of deg.  Bullets are walked
+    up to min(n_hi, head = lead + 2p) only; past head,
+    deg[m+1] = deg[m] + (deg[m+1-2p] - deg[m-2p]) + (p-1)^2."""
     cache = ctx._cache("tables")
-    deg = cache.get("deg")
-    if deg is None or len(deg) <= n_hi:
-        size = max(n_hi, min(2 * (len(deg) - 1), MAX_TABLE_INDEX)) if deg else n_hi
-        deg = _triangle_table(ctx, range(_bullet_bound(ctx, size)), size, lambda j: 1)
-        cache["deg"] = deg
+    deg = cache.get("deg", ())
+    if len(deg) <= n_hi:
+        if n_hi > MAX_TABLE_INDEX:
+            raise DomainError(f"table index {n_hi} exceeds MAX_TABLE_INDEX = {MAX_TABLE_INDEX}")
+        p = ctx.p
+        walked = min(n_hi, 2 * p + 1 + sub(*ctx.dims_of_bullet(p)))
+        if len(deg) <= walked:
+            deg = cache["deg"] = _triangle_table(ctx, range(_bullet_bound(ctx, walked)), walked, lambda j: 1)
+        for m in range(len(deg) - 1, n_hi):
+            deg.append(deg[m] + deg[m + 1 - 2 * p] - deg[m - 2 * p] + (p - 1) ** 2)
     return deg
 
 
@@ -544,10 +552,10 @@ def _anchored_table(ctx: GhostContext, kb: int, n_hi: int, weight_of_distance) -
         d = None if j == kb else 1 + vp_int_raw(kb - j, p)
         return weight_of_distance(d) - w1
 
-    fix = _triangle_table(ctx, range(kb % p, _bullet_bound(ctx, n_hi), p), n_hi, excess)
-    if w1 == 0:
-        return fix
-    return [w1 * d + f for d, f in zip(_degrees(ctx, n_hi), fix)]
+    bullets = range(kb % p, _bullet_bound(ctx, n_hi), p)
+    deg = _degrees(ctx, n_hi)  # refuses n_hi past MAX_TABLE_INDEX before fix is allocated
+    fix = _triangle_table(ctx, bullets, n_hi, excess)
+    return fix if w1 == 0 else [w1 * d + f for d, f in zip(deg, fix)]
 
 
 def degree_table(ctx: GhostContext, n_hi: int) -> list:

@@ -240,6 +240,21 @@ class TestDistCommand:
         assert out == serial
         assert sizes == ([] if expected is None else [expected])
 
+    def test_no_context_outlives_its_weight(self, capsys, monkeypatch):
+        # every weight samples on a context of its own, in-process too, so
+        # no context holds the derivative polygons of two weights
+        make, built = cli._context, []
+
+        def recording(args):
+            built.append(make(args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_context", recording)
+        code, _, _ = run(capsys, "dist", "--k-range", "10:200", "--jobs", "1")
+        assert code == 0
+        assert len(built) > 1
+        assert all(len(ctx._caches.get("derivative", {})) <= 1 for ctx in built)
+
     def test_zero_moment_order_rejected(self, capsys):
         code, out, err = run(capsys, "dist", "--k-range", "10:60", "-n", "0")
         assert code == 1
@@ -329,7 +344,7 @@ class TestConfigValidation:
         code, out, err = run(capsys, *argv, "-k", "1000000000002")
         assert code == 2
         assert out == ""
-        assert "k_ceiling" in err
+        assert "K_CEILING = 1000000000" in err
 
     @pytest.mark.parametrize("command", ["dist", "verify"])
     def test_k_range_above_k_ceiling_is_domain_error(self, capsys, command):
@@ -337,7 +352,7 @@ class TestConfigValidation:
         code, out, err = run(capsys, command, "--k-range", "10:10000000000")
         assert code == 2
         assert out == ""
-        assert "k_ceiling" in err
+        assert "K_CEILING = 1000000000" in err
 
     @pytest.mark.parametrize("command", ["dist", "verify"])
     def test_range_above_max_range_weights_is_domain_error(self, command):
@@ -358,8 +373,10 @@ class TestConfigValidation:
             (("dist", "--k-range", "10:100", "-n", "100000", "--jobs", "1"), 1, cli, "MAX_MOMENT_ORDER"),
             # a weight below K_CEILING whose tables would run to n = 33,333,332
             (("predict", "-k", "99999996"), 2, ghost, "MAX_TABLE_INDEX"),
+            # a valid weight whose bullet scan for n = 333,333,332 passes K_CEILING
+            (("thresholds", "-k", "999999996"), 2, ghost, "K_CEILING"),
         ],
-        ids=["thresholds-m", "predict-m", "ghost-n", "dist-n", "predict-table"],
+        ids=["thresholds-m", "predict-m", "ghost-n", "dist-n", "predict-table", "thresholds-scan"],
     )
     def test_request_above_cap_is_refused(self, argv, code, module, cap):
         # each once ran out of a 1 GB address space with a MemoryError
@@ -380,14 +397,14 @@ class TestConfigValidation:
         code, out, err = run(capsys, *argv, "-p", "999999937", "-a", "2", "-e", "1")
         assert code == 2
         assert out == ""
-        assert "k_ceiling" in err
+        assert "K_CEILING = 1000000000" in err
 
     def test_prime_above_k_ceiling_is_config_error(self, capsys):
         # rejected before the trial division of the primality test
         code, out, err = run(capsys, "ghost", "-n", "1", "-p", "1000000000000000003")
         assert code == 1
         assert out == ""
-        assert "k_ceiling" in err
+        assert "K_CEILING = 1000000000" in err
 
     def test_parser_builds_all_subcommands(self):
         parser = build_parser()

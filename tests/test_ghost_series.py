@@ -21,6 +21,7 @@ from ghost_slopes.ghost import (
     WeightPoint,
     _bullet_bound,
     _is_zero_bullet,
+    _triangle_table,
     anchored_valuation,
     degree_table,
     dimensions,
@@ -434,6 +435,27 @@ def test_degree_table(ctx):
     table = degree_table(ctx, 40)
     for n in (1, 2, 3, 9, 17, 40):
         assert table[n] == ghost_polynomial(ctx, n).degree()
+
+
+@pytest.mark.parametrize(
+    "p, mode",
+    [(p, mode) for p in (5, 7, 11, 13, 17, 19, 23, 29, 31) for mode in ("strict", "exploratory")
+     if p >= 11 or mode == "exploratory"],
+)
+def test_degree_table_past_its_period(p, mode):
+    # past head the table comes from the period recurrence, not the walk;
+    # built at once or grown across head, it must equal the full walk
+    lo = 2 if mode == "strict" else 1
+    hi = p - 3 - lo
+    for a, s_eps in {(lo, 0), (hi, p - 2), ((lo + hi) // 2, (p - 1) // 2), (lo, p - 2)}:
+        ctx = GhostContext(p, a, s_eps, mode=mode)
+        head = 2 * p + 1 + sub(*ctx.dims_of_bullet(p))
+        n = 3 * head + 5
+        walk = _triangle_table(ctx, range(_bullet_bound(ctx, n)), n, lambda j: 1)
+        assert degree_table(ctx, n) == walk, (a, s_eps)
+        grown = GhostContext(p, a, s_eps, mode=mode)
+        for m in (head // 2, head, n):
+            assert degree_table(grown, m) == walk[: m + 1], (a, s_eps, m)
 
 
 # -- pointwise evaluation -------------------------------------------------------
