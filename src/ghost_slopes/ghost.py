@@ -19,8 +19,8 @@ mod p: every bullet j not congruent to the anchor's mod p sits at
 distance 1 from it, so an anchored table is a multiple of the degree
 table plus a correction from the anchor's residue class.  For N zeros up
 to n_hi that costs O(N/p + n_hi) per anchor.  The degree table is one
-list per context, read as a prefix and grown by the period recurrence
-of :func:`_degrees`.
+list per context, read as a prefix and built from the first period's
+bullets by :func:`_degrees`.
 """
 
 from __future__ import annotations
@@ -300,6 +300,11 @@ def _bullet_bound(ctx: GhostContext, n_hi: int) -> int:
     return _first_reaching(ctx, lambda j: ctx.dims_of_bullet(j)[1], n_hi, 2)
 
 
+def _period_span(ctx: GhostContext) -> int:
+    """Largest d_iw - d_ur over bullets 0..p: bullet p's, as spans never fall."""
+    return sub(*ctx.dims_of_bullet(ctx.p))
+
+
 def support_interval(ctx: GhostContext, n: int) -> tuple:
     """Bullet range [lo, hi) of the zero support of g_n.
 
@@ -519,23 +524,43 @@ def _triangle_table(ctx, bullets, n_hi: int, weight_of_bullet) -> list:
     return out
 
 
+def _corner_steps(ctx: GhostContext, n: int) -> list:
+    """[dg(0), ..., dg(n-1)], where every bullet j >= 0 adds 1 to dg at its
+    triangle's corners d_ur and d_iw - d_ur and 2 below it at
+    d_iw/2 = j + 1 - delta_eps (d_new >= 0, so the corners of an empty
+    triangle cancel).  Bullet j + p + 1 has d_ur 2 and d_iw - d_ur 2p
+    higher, so the counts of bullets 0..p, carried along residues mod 2
+    and mod 2p, give every corner."""
+    ur, end = [0] * n, [0] * n
+    for j in range(ctx.p + 1):
+        d_iw, d_ur = ctx.dims_of_bullet(j)
+        if d_ur >= n:
+            break
+        ur[d_ur] += 1
+        if d_iw - d_ur < n:
+            end[d_iw - d_ur] += 1
+    for counts, rise in ((ur, 2), (end, 2 * ctx.p)):
+        for m in range(rise, n):
+            counts[m] += counts[m - rise]
+    return [u - 2 * (m + ctx.delta_eps >= 1) + e for m, (u, e) in enumerate(zip(ur, end))]
+
+
 def _degrees(ctx: GhostContext, n_hi: int) -> list:
     """The context's degree table, grown in place to cover n_hi; read
-    entries 0..n_hi only.  Every p + 1 bullets d_ur rises by 2 and
-    d_iw - d_ur by 2p, so past lead = 1 + max(d_iw - d_ur) over bullets
-    0..p the triangle corners repeat with period 2p, and each period adds
-    p(p+1) - 4p + (p+1) = (p-1)^2 to the slope of deg.  Bullets are walked
-    up to min(n_hi, head = lead + 2p) only; past head,
-    deg[m+1] = deg[m] + (deg[m+1-2p] - deg[m-2p]) + (p-1)^2."""
-    cache = ctx._cache("tables")
-    deg = cache.get("deg", ())
+    entries 0..n_hi only.  deg is the double cumulative sum of
+    :func:`_corner_steps`.  Past lead = 1 + :func:`_period_span` the
+    corners repeat with period 2p, each adding p(p+1) - 4p + (p+1) =
+    (p-1)^2 to the slope, so past head = lead + 2p
+    deg[m+1] = deg[m] + (deg[m+1-2p] - deg[m-2p]) + (p-1)^2.  Below head
+    the table doubles, so small steps rebuild it O(log head) times."""
+    deg = ctx._cache("tables").setdefault("deg", [0])
     if len(deg) <= n_hi:
         if n_hi > MAX_TABLE_INDEX:
             raise DomainError(f"table index {n_hi} exceeds MAX_TABLE_INDEX = {MAX_TABLE_INDEX}")
-        p = ctx.p
-        walked = min(n_hi, 2 * p + 1 + sub(*ctx.dims_of_bullet(p)))
-        if len(deg) <= walked:
-            deg = cache["deg"] = _triangle_table(ctx, range(_bullet_bound(ctx, walked)), walked, lambda j: 1)
+        p, head = ctx.p, 2 * ctx.p + 1 + _period_span(ctx)
+        if len(deg) <= min(n_hi, head):
+            size = min(head, max(n_hi, 2 * (len(deg) - 1)))
+            deg[:] = [0, *accumulate(accumulate(_corner_steps(ctx, size)))]
         for m in range(len(deg) - 1, n_hi):
             deg.append(deg[m] + deg[m + 1 - 2 * p] - deg[m - 2 * p] + (p - 1) ** 2)
     return deg

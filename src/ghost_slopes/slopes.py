@@ -33,6 +33,7 @@ from .ghost import (
     WeightIndex,
     WeightPoint,
     _bullet_bound,
+    _period_span,
     degree_table,
     dimensions,
     hatted_valuation_table,
@@ -183,9 +184,8 @@ def _degree_increment_floor(ctx: GhostContext, n: int) -> int:
     level m grows linearly in m with slope (p+1)/2 + (p+1)/(2p).
     """
     p = ctx.p
-    period = [ctx.dims_of_bullet(j) for j in range(p + 1)]
-    max_ur = max(d_ur for _, d_ur in period)
-    max_span = max(d_iw - d_ur for d_iw, d_ur in period)
+    max_ur = max(ctx.dims_of_bullet(j)[1] for j in range(p + 1))
+    max_span = _period_span(ctx)
 
     def lower(m):
         j1 = (p + 1) * max(0, (m - max_ur) // 2 + 1)

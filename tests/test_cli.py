@@ -144,6 +144,14 @@ class TestThresholdsCommand:
         assert lines[1] == "1,9,closed"
         assert lines[4] == "4,1,sweep"
 
+    def test_large_prime_weight_far_below_k_ceiling(self, capsys):
+        # the first class weight at p = 1009 whose degree table once grew
+        # by doubling past K_CEILING's bullet bound
+        code, out, err = run(capsys, "thresholds", "-p", "1009", "-a", "2", "-e", "1", "-k", "247974")
+        assert code == 0
+        assert err == ""
+        assert out.startswith("CS_1(247974) = ")
+
 
 class TestPredictCommand:
     def test_json(self, capsys):

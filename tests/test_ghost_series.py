@@ -21,6 +21,7 @@ from ghost_slopes.ghost import (
     WeightPoint,
     _bullet_bound,
     _is_zero_bullet,
+    _period_span,
     _triangle_table,
     anchored_valuation,
     degree_table,
@@ -443,13 +444,13 @@ def test_degree_table(ctx):
      if p >= 11 or mode == "exploratory"],
 )
 def test_degree_table_past_its_period(p, mode):
-    # past head the table comes from the period recurrence, not the walk;
-    # built at once or grown across head, it must equal the full walk
+    # below head the table comes from the corners of bullets 0..p, past it
+    # from the period recurrence; built at once or grown, it equals the walk
     lo = 2 if mode == "strict" else 1
     hi = p - 3 - lo
     for a, s_eps in {(lo, 0), (hi, p - 2), ((lo + hi) // 2, (p - 1) // 2), (lo, p - 2)}:
         ctx = GhostContext(p, a, s_eps, mode=mode)
-        head = 2 * p + 1 + sub(*ctx.dims_of_bullet(p))
+        head = 2 * p + 1 + _period_span(ctx)
         n = 3 * head + 5
         walk = _triangle_table(ctx, range(_bullet_bound(ctx, n)), n, lambda j: 1)
         assert degree_table(ctx, n) == walk, (a, s_eps)
