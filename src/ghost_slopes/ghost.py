@@ -14,13 +14,12 @@ built from the dimension triple (d_iw, d_ur, d_new) of each weight.
 Everything here is exact integer/rational arithmetic.  The module also
 provides batch kernels (valuation tables over all n at once) used by the
 polygon and threshold layers.  They accumulate second differences of the
-triangles instead of looping over (n, k) pairs, and they split the zeros
-mod p: every bullet j not congruent to the anchor's mod p sits at
-distance 1 from it, so an anchored table is a multiple of the degree
-table plus a correction from the anchor's residue class.  For N zeros up
-to n_hi that costs O(N/p + n_hi) per anchor.  The degree table is one
-list per context, read as a prefix and built from the first period's
-bullets by :func:`_degrees`.
+triangles instead of looping over (n, k) pairs, and an anchored table is
+a multiple of the degree table plus one constant weight per stride of
+bullets j = kb (mod p^i) through the anchor's bullet kb.  For N zeros up
+to n_hi that costs O(N/(p-1) + n_hi) per anchor.  The degree table is one list per
+context, read as a prefix and built from the first period's bullets by
+:func:`_degrees`.
 """
 
 from __future__ import annotations
@@ -488,40 +487,41 @@ def anchored_valuation(ctx: GhostContext, n: int, k: int) -> int:
 
 # -- batch kernels ----------------------------------------------------------
 #
-# Every table is f(n) = sum_j wt(j) * m_n(bullet j) for n = 0..n_hi, built
-# with a difference array: the triangle of bullet j contributes slope +w
-# on [d_ur, mid) and -w on [mid, b) where b = d_iw - d_ur and mid = d_iw/2,
-# so two cumulative sums of a sparse array reconstruct every value.
+# A table f(n) = sum_j wt(j) * m_n(bullet j), n = 0..n_hi, is built with a
+# difference array: bullet j's triangle has slope +w on [d_ur, mid) and -w
+# on [mid, d_iw - d_ur), mid = d_iw/2, so two cumulative sums give f.
 #
-# An anchored table weighs bullet j by w(1 + v_p(kb - j)), and w_anchor at
-# j = kb.  Every j not congruent to kb mod p has weight w(1), so
+# An anchored table weighs bullet j != kb by w(1 + v_p(kb - j)) and kb by
+# w_anchor.  With S_i(n) the sum of m_n over stride i, the bullets
+# j = kb (mod p^i) below bound = _bullet_bound(n_hi), the weights telescope:
 #
-#     f(n) = w(1) * deg g_n + sum_{j = kb mod p} (wt(j) - w(1)) * m_n(j):
+#     f(n) = w(1) * deg g_n + sum_{i=1}^{I-1} (w(i+1) - w(i)) * S_i(n)
+#            + (w_anchor - w(I)) * m_n(kb),
 #
-# the walk covers N/p of the N ~ (p+1)/2 * n_hi bullets, then one O(n_hi)
-# pass adds the degree table, one list per context that :func:`_degrees`
-# grows; the table of a larger n_hi holds that of a smaller one as its
-# prefix.
+# I the least i with p^i > max(kb, bound), where stride I holds only kb.
+# Each stride adds one constant weight, none when it is 0, so a table walks
+# at most N/(p-1) of the N ~ (p+1)/2 * n_hi bullets, plus one O(n_hi) pass
+# over the degree table, one list per context that :func:`_degrees` grows.
 
 
-def _triangle_table(ctx, bullets, n_hi: int, weight_of_bullet) -> list:
-    """[f(0), ..., f(n_hi)] with f(n) = sum over ``bullets`` of
-    weight(j) * m_n(bullet j)."""
+def _triangle_table(ctx, strides, n_hi: int) -> list:
+    """[f(0), ..., f(n_hi)] with f(n) = sum over (bullets, w) in ``strides``
+    of w * sum_{j in bullets} m_n(bullet j), every bullet below
+    _bullet_bound(ctx, n_hi)."""
+    P, t1, t2, lift = ctx.p + 1, ctx.t1, ctx.t2, 1 - ctx.delta_eps
     dg = [0] * n_hi
-    for j in bullets:
-        d_iw, d_ur = ctx.dims_of_bullet(j)
-        if d_iw - 2 * d_ur < 2:
-            continue
-        w = weight_of_bullet(j)
-        if w and d_ur < n_hi:  # 0 <= d_ur < d_iw/2 < d_iw - d_ur
+    for bullets, w in strides:
+        for j in bullets if w else ():
+            # ctx.dims_of_bullet inline: d_ur < n_hi below the bound, and an
+            # empty triangle's corners d_ur = mid = d_iw - d_ur cancel
+            q = (j - t1) // P
+            d_ur, mid = 2 * q + 1 + (j - P * q >= t2), j + lift
             dg[d_ur] += w
-            if d_iw // 2 < n_hi:
-                dg[d_iw // 2] -= 2 * w
-                if d_iw - d_ur < n_hi:
-                    dg[d_iw - d_ur] += w
-    out = [0]
-    out.extend(accumulate(accumulate(dg)))
-    return out
+            if mid < n_hi:
+                dg[mid] -= 2 * w
+                if 2 * mid - d_ur < n_hi:
+                    dg[2 * mid - d_ur] += w
+    return [0, *accumulate(accumulate(dg))]
 
 
 def _corner_steps(ctx: GhostContext, n: int) -> list:
@@ -569,17 +569,15 @@ def _degrees(ctx: GhostContext, n_hi: int) -> list:
 def _anchored_table(ctx: GhostContext, kb: int, n_hi: int, weight_of_distance) -> list:
     """[f(0), ..., f(n_hi)] with f(n) = sum_j w(dist(kb, j)) * m_n(bullet j),
     where dist is 1 + v_p(kb - j) and ``weight_of_distance(None)`` weighs
-    the anchor j = kb itself."""
-    p = ctx.p
-    w1 = weight_of_distance(1)
-
-    def excess(j):
-        d = None if j == kb else 1 + vp_int_raw(kb - j, p)
-        return weight_of_distance(d) - w1
-
-    bullets = range(kb % p, _bullet_bound(ctx, n_hi), p)
-    deg = _degrees(ctx, n_hi)  # refuses n_hi past MAX_TABLE_INDEX before fix is allocated
-    fix = _triangle_table(ctx, bullets, n_hi, excess)
+    the anchor j = kb itself: one stride of the sum above per distance."""
+    bound, w, w1 = _bullet_bound(ctx, n_hi), weight_of_distance, weight_of_distance(1)
+    deg = _degrees(ctx, n_hi)  # refuses n_hi past MAX_TABLE_INDEX before dg is allocated
+    strides, i, step = [], 1, ctx.p
+    while step <= max(kb, bound):
+        strides.append((range(kb % step, bound, step), w(i + 1) - w(i)))
+        i, step = i + 1, step * ctx.p
+    strides.append((range(kb, min(kb + 1, bound)), w(None) - w(i)))
+    fix = _triangle_table(ctx, strides, n_hi)
     return fix if w1 == 0 else [w1 * d + f for d, f in zip(deg, fix)]
 
 
@@ -602,13 +600,9 @@ def valuation_table_at(ctx: GhostContext, k: int, radius, n_hi: int) -> tuple:
     radius = Fraction(radius)
     if radius < 0:
         raise DomainError("radius must be >= 0")
-    kb = ctx.weight(k).k_bullet
     num, den = radius.numerator, radius.denominator
-
-    def wt(d):
-        return num if d is None else min(num, d * den)
-
-    return _anchored_table(ctx, kb, n_hi, wt), den
+    wt = lambda d: num if d is None else min(num, d * den)
+    return _anchored_table(ctx, ctx.weight(k).k_bullet, n_hi, wt), den
 
 
 def level_tables(ctx: GhostContext, k: int, level: int, n_hi: int) -> tuple:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Tuple
 
+from . import ghost
 from .errors import DomainError, VerificationError
 from .ghost import (
     GhostContext,
@@ -184,7 +185,7 @@ def _degree_increment_floor(ctx: GhostContext, n: int) -> int:
     level m grows linearly in m with slope (p+1)/2 + (p+1)/(2p).
     """
     p = ctx.p
-    max_ur = max(ctx.dims_of_bullet(j)[1] for j in range(p + 1))
+    max_ur = ctx.dims_of_bullet(p)[1]  # the largest d_ur over bullets 0..p, as d_ur never falls
     max_span = _period_span(ctx)
 
     def lower(m):
@@ -208,10 +209,22 @@ def _tail_certified(rfac, deg, inc_floor, n_window, q_hi, hull, den) -> bool:
 
 
 def _windows(ctx: GhostContext, k: int, q_hi: int):
-    """Yield (n_window, degree table, increment floor) for windows that
-    start at max(q_hi + 8, d_iw(k)) and double; the degree table of a
-    window past MAX_TABLE_INDEX raises DomainError, which ends the walk."""
-    n_window = max(q_hi + 8, dimensions(ctx, k).d_iw)
+    """Yield (n_window, degree table, increment floor), doubling from a
+    first window sized to pass :func:`_tail_certified`; the degree table
+    of a window past MAX_TABLE_INDEX raises DomainError, ending the walk.
+
+    Past the anchor's triangle, distance i + 1 weighs on about 1/p^i of
+    deg, so a hull's line at q_hi runs near p/(p-1) times deg's tangent
+    there.  The first window is the least n in [n0, min(2 n0, cap)], n0 =
+    max(q_hi + 8, d_iw(k)), with (p-1) deg[n] above p times the tangent,
+    plus n/64 (the estimate alone fell short by one entry at most on
+    (7,2,1), (5,1,0) and (11,6,9)), else 2 n0.
+    """
+    p, n_window = ctx.p, max(q_hi + 8, dimensions(ctx, k).d_iw)
+    deg = degree_table(ctx, max(q_hi + 1, min(2 * n_window, ghost.MAX_TABLE_INDEX)))
+    y, s = p * deg[q_hi], p * (deg[q_hi + 1] - deg[q_hi])
+    fits = (n for n in range(n_window, len(deg)) if (p - 1) * deg[n] >= y + s * (n - q_hi))
+    n_window = next((n + -(-n // 64) for n in fits), 2 * n_window)
     while True:
         yield n_window, degree_table(ctx, n_window), _degree_increment_floor(ctx, n_window)
         n_window *= 2
@@ -221,13 +234,9 @@ def certified_newton_polygon(
     ctx: GhostContext, w: WeightPoint, q_hi: int
 ) -> RationalPolygon:
     """Finite-window ghost Newton polygon whose restriction to [0, q_hi]
-    provably equals that of the full series.
-
-    The window grows until every omitted coefficient lies above the
-    supporting line at q_hi: v_p(g_n(w)) >= min(radius, 1) * deg(g_n),
-    and the degree increments beyond the window edge are bounded below
-    by :func:`_degree_increment_floor`.
-    """
+    provably equals that of the full series: the hull of the first window
+    of :func:`_windows` that passes :func:`_tail_certified` with factor
+    min(radius, 1)."""
     rfac = Fraction(1) if w.radius.is_infinite else min(w.radius.value, Fraction(1))
     if rfac <= 0:
         raise DomainError("hull certification needs a positive radius")
@@ -469,7 +478,6 @@ def _level_pieces(ctx: GhostContext, k: int, level: int, q_hi: int):
         A, B = level_tables(ctx, k, level, n_window)
         done: list = []
         stack = [(Fraction(level), Fraction(level + 1))]
-        grew = False
         guard = 0
         while stack:
             guard += 1
@@ -489,14 +497,12 @@ def _level_pieces(ctx: GhostContext, k: int, level: int, q_hi: int):
                 done.append((r1, r2, xs))
                 continue
             if viol == "tail":
-                grew = True
-                break
+                break  # on to a wider window
             rate = _turn(B, *viol)  # the turn is _turn(A) + rate * r
             if not rate or not r1 < (root := Fraction(-_turn(A, *viol), rate)) < r2:
                 raise VerificationError("sweep certificate root escaped its piece")
-            stack.append((r1, root))
-            stack.append((root, r2))
-        if not grew:
+            stack += [(r1, root), (root, r2)]
+        else:
             return [(r1, r2, xs, A, B) for r1, r2, xs in sorted(done)]
 
 

@@ -2,14 +2,16 @@
 radius-free lock test, the interval-marking breakpoint criterion and the
 integer L model against their pointwise or Fraction oracles, the
 one-pass sweep and the near-Steinberg criterion against the certified
-hull, and the sweep's thresholds against a perturbed hull that never
-runs the sweep, over random contexts (p, a, s_eps, m) in both modes;
+hull, the sweep's thresholds against a perturbed hull that never runs
+the sweep, and the first certification window against one 4x wider,
+over random contexts (p, a, s_eps, m) in both modes;
 and the integer sample statistics against their Fraction definitions
 over random samples."""
 
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -27,10 +29,11 @@ from ghost_slopes import (
     lower_hull,
     sweep_threshold,
 )
-from ghost_slopes import checks
+from ghost_slopes import checks, slopes
 from ghost_slopes.distribution import DistributionSample, SampleKind, discrepancy, weyl_csv
 from ghost_slopes.errors import DomainError
 from ghost_slopes.ghost import (
+    _bullet_bound,
     anchored_valuation,
     degree_table,
     dimensions,
@@ -42,6 +45,7 @@ from ghost_slopes.ghost import (
     support_interval,
     valuation_table_at,
 )
+from ghost_slopes.polygon import newton_polygon_at
 from ghost_slopes.prediction import build_model
 from ghost_slopes.slopes import (
     _degree_increment_floor,
@@ -49,6 +53,9 @@ from ghost_slopes.slopes import (
     _level_pieces,
     _locked_on,
     _reach,
+    _sweep,
+    _windows,
+    certified_newton_polygon,
 )
 from strategies import RADII, context_and_weight
 
@@ -95,6 +102,57 @@ def test_level_tables_match_evaluate(case, n_hi, level, step):
     assert [Valuation(a + b * r) for a, b in zip(A, B)] == [
         evaluate_ghost_valuation(ctx, n, point) for n in range(n_hi + 1)
     ]
+
+
+def test_deep_strides_match_pointwise_oracles():
+    # on p = 5 the bullets below the bound of n_hi = 240 reach stride 5^4:
+    # the anchor kb = 50, 0 mod 25, has bullet 675 at distance 5 in it
+    ctx = GhostContext(5, 1, 0)
+    k, n_hi = ctx.weight_of_bullet(50), 240
+    assert _bullet_bound(ctx, n_hi) > 675
+    assert hatted_valuation_table(ctx, k, n_hi) == [
+        anchored_valuation(ctx, n, k) for n in range(n_hi + 1)
+    ]
+    for radius in (Fraction(1, 3), Fraction(5, 2), Fraction(7)):
+        nums, den = valuation_table_at(ctx, k, radius, n_hi)
+        point = WeightPoint(k, radius)
+        assert [Valuation(Fraction(x, den)) for x in nums] == [
+            evaluate_ghost_valuation(ctx, n, point) for n in range(n_hi + 1)
+        ], radius
+    for level in range(5):
+        A, B = level_tables(ctx, k, level, n_hi)
+        r = level + Fraction(1, 3)
+        point = WeightPoint(k, r)
+        assert [Valuation(a + b * r) for a, b in zip(A, B)] == [
+            evaluate_ghost_valuation(ctx, n, point) for n in range(n_hi + 1)
+        ], level
+
+
+def _wider_windows(ctx, k, q_hi):
+    # each window of _windows, 4 times wider
+    for n_window, _, _ in _windows(ctx, k, q_hi):
+        n = 4 * n_window
+        yield n, degree_table(ctx, n), _degree_increment_floor(ctx, n)
+
+
+@given(case=context_and_weight(), radius=RADII)
+@settings(max_examples=60, deadline=None)
+def test_first_window_matches_a_wider_one(case, radius):
+    # the first window of _windows certifies the hull on [0, q_hi], and a
+    # window 4x wider shows the same hull there and moves no sweep threshold
+    ctx, k = case
+    trip = dimensions(ctx, k)
+    q_hi = trip.d_iw - trip.d_ur
+    w = WeightPoint(k, radius)
+    first = next(_windows(ctx, k, q_hi))[0]
+    hull = certified_newton_polygon(ctx, w, q_hi)
+    assert hull.xs[-1] == first
+    wide = newton_polygon_at(ctx, 4 * first, w)
+    assert hull.slope_list()[:q_hi] == wide.slope_list()[:q_hi]
+    ns = range(1, trip.d_new + 1)
+    thresholds = _sweep(ctx, k, ns)
+    with mock.patch.object(slopes, "_windows", _wider_windows):
+        assert _sweep(ctx, k, ns) == thresholds
 
 
 @given(case=context_and_weight())

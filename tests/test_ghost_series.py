@@ -452,7 +452,7 @@ def test_degree_table_past_its_period(p, mode):
         ctx = GhostContext(p, a, s_eps, mode=mode)
         head = 2 * p + 1 + _period_span(ctx)
         n = 3 * head + 5
-        walk = _triangle_table(ctx, range(_bullet_bound(ctx, n)), n, lambda j: 1)
+        walk = _triangle_table(ctx, [(range(_bullet_bound(ctx, n)), 1)], n)
         assert degree_table(ctx, n) == walk, (a, s_eps)
         grown = GhostContext(p, a, s_eps, mode=mode)
         for m in (head // 2, head, n):

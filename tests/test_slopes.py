@@ -502,7 +502,8 @@ def test_iteration_cap_is_named_in_its_error(monkeypatch, cap):
 
 
 def test_windows_end_at_max_table_index(monkeypatch):
-    # the window walk doubles until its degree table passes the table cap
+    # the window walk starts at its estimate, 16 + 16/64 rounded up, and
+    # doubles until its degree table passes the table cap
     monkeypatch.setattr(ghost, "MAX_TABLE_INDEX", 64)
     fresh = GhostContext(p=7, a=2, s_eps=1)
     sizes = []
@@ -510,7 +511,31 @@ def test_windows_end_at_max_table_index(monkeypatch):
         for n_window, deg, _ in slopes._windows(fresh, 24, 8):
             assert len(deg) == n_window + 1
             sizes.append(n_window)
-    assert sizes == [16, 32, 64]
+    assert sizes == [17, 34]
+
+
+def test_one_window_per_certification(monkeypatch):
+    # the first window passes the tail test: over the sweeps and hull
+    # certifications of these weights, at most one call takes a second
+    windows, used = slopes._windows, []
+
+    def counted(*args):
+        used.append(0)
+        for item in windows(*args):
+            used[-1] += 1
+            yield item
+
+    monkeypatch.setattr(slopes, "_windows", counted)
+    fresh = GhostContext(p=7, a=2, s_eps=1)
+    ks = fresh.class_members(24, 3000)[::10]
+    for k in ks:
+        k_thresholds(fresh, k)
+        sweeps = len(used)
+        for radius in (Fraction(1, 2), Fraction(3, 2), 7, INF):
+            certified_newton_polygon(fresh, WeightPoint(k, radius), dimensions(fresh, k).d_iw)
+        assert len(used) - sweeps == 4
+    assert len(used) - 4 * len(ks) > 50  # the sweeps' levels
+    assert sum(n > 1 for n in used) <= 1
 
 
 # Hand-built level tables on the window 0..4, value A[x] + B[x] * r.  Only
