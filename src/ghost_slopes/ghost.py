@@ -33,8 +33,10 @@ from operator import sub
 from .errors import ConfigError, DomainError, VerificationError
 from .valuation import INF, Valuation, vp_int_raw, weight_distance
 
-#: Hard cap for upward weight scans; exceeding it raises, guarding against
-#: misconfiguration (mathematically the scans terminate).
+#: Largest weight a query may name, and the largest weight a walk over
+#: bullets one at a time may reach; either raises past it.  Strided table
+#: walks visit about n_hi / 2 bullets per stride and answer to
+#: MAX_TABLE_INDEX instead.
 K_CEILING = 10**9
 
 #: Largest global multiplicity m(rbar) a context accepts: every threshold
@@ -239,6 +241,8 @@ class GhostContext:
             raise DomainError(
                 f"k = {k} is not in the class k = {self.k_eps} mod {self.p - 1}"
             )
+        if k > K_CEILING:
+            raise DomainError(f"weight k = {k} exceeds K_CEILING = {K_CEILING}")
         return WeightIndex(k=k, k_bullet=(k - self.k_eps) // (self.p - 1))
 
     def weight_of_bullet(self, j: int) -> int:
@@ -288,10 +292,18 @@ def _first_reaching(ctx: GhostContext, f, n: int, rise: int) -> int:
     # f(lo + 2 * period - 1) >= n, and f(lo - 1) < n when lo > 0, so j lies
     # in the two periods from lo
     lo = max(0, (n - f(period - 1)) // rise * period)
-    j = lo + bisect_left(range(lo, lo + 2 * period), n, key=f)
-    if j > K_CEILING // (ctx.p - 1) + 2:
-        raise DomainError(f"weight scan exceeds K_CEILING = {K_CEILING}")
-    return j
+    return lo + bisect_left(range(lo, lo + 2 * period), n, key=f)
+
+
+def _walk_end(ctx: GhostContext, j_end: int) -> int:
+    """j_end, for a walk over the bullets below it one at a time, refused
+    (after it is found, before it is walked) once their weights pass
+    K_CEILING, with two bullets of slack."""
+    if j_end > K_CEILING // (ctx.p - 1) + 2:
+        raise DomainError(
+            f"bullet walk to weight {ctx.weight_of_bullet(j_end)} exceeds K_CEILING = {K_CEILING}"
+        )
+    return j_end
 
 
 def _bullet_bound(ctx: GhostContext, n_hi: int) -> int:
@@ -327,7 +339,8 @@ def _multiplicity(d_iw: int, d_ur: int, n: int) -> int:
 def _zeros(ctx: GhostContext, n: int):
     """(bullet j, m_n(bullet j)) for each zero of g_n, walking
     :func:`support_interval` upward."""
-    for j in range(*support_interval(ctx, n)):
+    lo, hi = support_interval(ctx, n)
+    for j in range(lo, _walk_end(ctx, hi)):
         m = _multiplicity(*ctx.dims_of_bullet(j), n)
         if m:
             yield j, m
@@ -430,7 +443,7 @@ def ghost_zero_set(ctx: GhostContext, k: int) -> GhostZeroSet:
     >>> ghost_zero_set(ctx, 24).m_of_k
     Valuation(2)
     """
-    bound = _bullet_bound(ctx, dimensions(ctx, k).d_iw)
+    bound = _walk_end(ctx, _bullet_bound(ctx, dimensions(ctx, k).d_iw))
     zeros = tuple(ctx.weight_of_bullet(j) for j in range(bound) if _is_zero_bullet(ctx, j))
     return GhostZeroSet(k=k, zeros=zeros, m_of_k=max_zero_distance(ctx, k))
 
@@ -532,10 +545,8 @@ def _corner_steps(ctx: GhostContext, n: int) -> list:
     higher, so the counts of bullets 0..p, carried along residues mod 2
     and mod 2p, give every corner."""
     ur, end = [0] * n, [0] * n
-    for j in range(ctx.p + 1):
-        d_iw, d_ur = ctx.dims_of_bullet(j)
-        if d_ur >= n:
-            break
+    for j in range(_walk_end(ctx, min(ctx.p + 1, _bullet_bound(ctx, n)))):
+        d_iw, d_ur = ctx.dims_of_bullet(j)  # d_ur < n below the bullet bound
         ur[d_ur] += 1
         if d_iw - d_ur < n:
             end[d_iw - d_ur] += 1

@@ -22,7 +22,7 @@ dimension sequences.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Tuple
@@ -413,17 +413,29 @@ def slope_window(ctx: GhostContext, k: int, i: int) -> tuple:
 #
 # On each radius interval [level, level + 1] every coefficient valuation
 # is A_n + B_n * r with integer tables, so the n-th newslope is piecewise
-# linear in r.  A piece [r1, r2] is certified by taking the hull at the
-# midpoint and checking, at both endpoints, that every vertex still turns
-# left, every point stays on or above its edge, and the tail stays above
-# the supporting line.  The first two are signs of one orientation test,
-# _turn, which is linear in the table and so in r: a sign that holds at
-# both endpoints holds on the whole piece.  One that fails at an endpoint
-# held at the midpoint (turns of hull vertices are > 0 there, turns over
-# points on or above an edge <= 0), so its one root -_turn(A)/_turn(B)
-# lies in (r1, r2) and the piece splits there.  All hull comparisons run
-# on values scaled by the radius denominator, in plain integers.  Levels
-# start at 1, so the tail bound's factor min(r, 1) is always 1.
+# linear in r.  The sweep reads only the hull edges over [lo - 1, hi],
+# lo..hi the abscissae d_ur + n of the indices asked for, so a piece
+# [r1, r2] certifies only the sub-chain of hull vertices from the last one
+# at or left of lo - 1 to the first one at or right of hi.  At both
+# endpoints every turn inside the sub-chain must be a left turn or
+# straight, every window point must lie on or above the line of its own
+# edge (left of the sub-chain the first edge's line, right of it the last
+# edge's, extended), and the tail must lie above the last edge's line.
+# Those lines bound a convex function that every coefficient lies on or
+# above and that the sub-chain's vertices touch, so the full series' hull
+# runs along the sub-chain over [lo - 1, hi].  Hull shape away from the
+# block, which nothing reads, goes unchecked.
+#
+# The turn and point tests are signs of one orientation test, _turn,
+# which is linear in the table and so in r: a sign that holds at both
+# endpoints holds on the whole piece.  The candidate sub-chain comes from
+# the midpoint, as the chain over a slice around the block, widened 4x
+# until every window point lies on or above its lines there; there its
+# turns are > 0 and its point tests <= 0, so a test that fails at an
+# endpoint has its one root -_turn(A)/_turn(B) in (r1, r2), and the piece
+# splits there.  All hull comparisons run on values scaled by the radius
+# denominator, in plain integers.  Levels start at 1, so the tail bound's
+# factor min(r, 1) is always 1.
 #
 # On a piece the newslope is linear in r, so it is (k-2)/2 on the whole
 # piece iff its edge's B-difference is 0 and its A-difference is (k-2)/2
@@ -433,10 +445,8 @@ def slope_window(ctx: GhostContext, k: int, i: int) -> tuple:
 # order, so an index is settled exactly at its first unlocked piece.  An
 # index locked everywhere needs every level and keeps 1: below radius 1
 # the newslope is r times a fixed slope, never locked.  The walk stops
-# after the first level that leaves no index open: per level, since
-# _level_pieces certifies a whole level at once, and on (7,2,1) over
-# 10..1200 and every 4th weight of 4200..4600 each of the 301 levels
-# walked is one piece, so a mid-level stop would skip no certificate.
+# after the first level that leaves no index open, since _level_pieces
+# certifies a whole level at once.
 
 
 def _turn(T, a, b, c):
@@ -445,36 +455,74 @@ def _turn(T, a, b, c):
     return (T[c] - T[b]) * (b - a) - (T[b] - T[a]) * (c - b)
 
 
-def _piece_violation(A, B, deg, xs, r: Fraction, q_hi, n_window, inc_floor):
-    """The first certificate of the hull xs that fails at radius r: a
-    triple (a, b, c) whose _turn on the values has the wrong sign (a
-    vertex b of xs that stops turning left, or a point b below its edge
-    [a, c]), or "tail" when the tail leaves the supporting line, else
-    None."""
+def _values(A, B, r: Fraction):
+    """v_p(g_q) = A[q] + B[q] * r over every q of the tables, times r's denominator."""
     u, v = r.numerator, r.denominator
-    vn = [A[q] * v + B[q] * u for q in range(n_window + 1)]
+    return [a * v + b * u for a, b in zip(A, B)]
+
+
+def _chain_violation(vn, xs):
+    """The first triple (a, b, c) of the sub-chain xs, on values vn, whose
+    _turn has the wrong sign: a vertex b of xs that turns right, or a point
+    q below the line of its edge [x0, x1], the first edge for q < xs[0] and
+    the last for q > xs[-1], as the sorted triple of q, x0 and x1; else None."""
     for a, b, c in zip(xs, xs[1:], xs[2:]):
         if _turn(vn, a, b, c) < 0:
             return (a, b, c)
-    for x0, x1 in zip(xs, xs[1:]):
-        e, y0, y1 = x1 - x0, vn[x0], vn[x1]
-        for q in range(x0 + 1, x1):
-            if vn[q] * e < y0 * (x1 - q) + y1 * (q - x0):  # _turn(vn, x0, q, x1) > 0
-                return (x0, q, x1)
-    if not _tail_certified(1, deg, inc_floor, n_window, q_hi, [(x, vn[x]) for x in xs], v):
-        return "tail"
+    bounds = [0, *xs[1:-1], len(vn)]  # edge i judges the points bounds[i]..bounds[i+1]-1
+    for q0, q1, x0, x1 in zip(bounds, bounds[1:], xs, xs[1:]):
+        e, dy, c0 = x1 - x0, vn[x1] - vn[x0], vn[x0] * x1 - vn[x1] * x0
+        # e * (the line at q) is c0 + dy * q; a point on it never fails
+        for q in range(q0, q1):
+            if vn[q] * e < c0 + dy * q:
+                return tuple(sorted((q, x0, x1)))
     return None
 
 
-def _level_pieces(ctx: GhostContext, k: int, level: int, q_hi: int):
-    """Certified constant-hull pieces of [level, level + 1], for level >= 1.
+def _piece_violation(A, B, deg, xs, r: Fraction, inc_floor):
+    """The first certificate of the sub-chain xs on the window 0..len(A)-1
+    that fails at radius r: a triple from :func:`_chain_violation`, or
+    "tail" when the tail leaves the last edge's line, else None."""
+    vn = _values(A, B, r)
+    viol = _chain_violation(vn, xs)
+    if viol is None:
+        last = [(x, vn[x]) for x in xs[-2:]]
+        if not _tail_certified(1, deg, inc_floor, len(vn) - 1, xs[-2], last, r.denominator):
+            return "tail"
+    return viol
+
+
+def _midpoint_chain(A, B, r: Fraction, lo, hi):
+    """The hull's sub-chain over [lo - 1, hi] at radius r: the vertices
+    from the last at or left of lo - 1 to the first at or right of hi, of
+    the chain over a slice around the block, widened 4x until every window
+    point lies on or above the sub-chain's lines at r."""
+    vn = _values(A, B, r)
+    pad = 2 * (hi - lo) + 8
+    while True:
+        s0, s1 = max(0, lo - 1 - pad), min(len(vn) - 1, hi + pad)
+        xs = integer_hull(range(s0, s1 + 1), vn[s0 : s1 + 1], r.denominator).vertex_xs()
+        xs = xs[bisect_right(xs, lo - 1) - 1 : bisect_left(xs, hi) + 1]
+        if s1 - s0 == len(vn) - 1 or _chain_violation(vn, xs) is None:
+            return xs
+        pad *= 4
+
+
+def _level_pieces(ctx: GhostContext, k: int, level: int, lo: int, hi: int):
+    """Certified pieces of [level, level + 1], for level >= 1, on each of
+    which the hull edges over [lo - 1, hi] stay fixed, 1 <= lo <= hi.
 
     Returns [(r1, r2, vertex_xs, A, B)], consecutive, covering the range,
-    with r1 < r2 on every piece, so :func:`_locked_on` decides a lock on
-    a whole piece without a radius.  Nothing is cached: the pieces live
-    only for the sweep that builds them.
+    with r1 < r2 on every piece and vertex_xs the sub-chain from the last
+    vertex at or left of lo - 1 to the first at or right of hi, so
+    :func:`_locked_on` decides a lock at any x_pos in lo..hi on a whole
+    piece without a radius.  Each piece is certified on the sub-chain
+    alone (see the comment above :func:`_turn`), in the first window of
+    :func:`_windows` for q_hi = hi whose tail stays above the last edge's
+    line.  Nothing is cached: the pieces live only for the sweep that
+    builds them.
     """
-    for n_window, deg, inc_floor in _windows(ctx, k, q_hi):
+    for n_window, deg, inc_floor in _windows(ctx, k, hi):
         A, B = level_tables(ctx, k, level, n_window)
         done: list = []
         stack = [(Fraction(level), Fraction(level + 1))]
@@ -486,12 +534,9 @@ def _level_pieces(ctx: GhostContext, k: int, level: int, q_hi: int):
                     f"newslope sweep failed to stabilize: SWEEP_PIECE_GUARD = {SWEEP_PIECE_GUARD}"
                 )
             r1, r2 = stack.pop()
-            mid = (r1 + r2) / 2
-            u, v = mid.numerator, mid.denominator
-            vals = [A[q] * v + B[q] * u for q in range(n_window + 1)]
-            xs = integer_hull(range(n_window + 1), vals, v).vertex_xs()
-            viol = _piece_violation(A, B, deg, xs, r1, q_hi, n_window, inc_floor) or (
-                _piece_violation(A, B, deg, xs, r2, q_hi, n_window, inc_floor)
+            xs = _midpoint_chain(A, B, (r1 + r2) / 2, lo, hi)
+            viol = _piece_violation(A, B, deg, xs, r1, inc_floor) or (
+                _piece_violation(A, B, deg, xs, r2, inc_floor)
             )
             if viol is None:
                 done.append((r1, r2, xs))
@@ -517,15 +562,16 @@ def _locked_on(xs, A, B, x_pos, k) -> bool:
 
 def _sweep(ctx: GhostContext, k: int, ns) -> List[Valuation]:
     # lock radii of the newslopes ns, by the walk down from M(k) above
-    trip = dimensions(ctx, k)
+    d_ur = dimensions(ctx, k).d_ur
     settled = [Fraction(1)] * len(ns)
     open_ = dict(enumerate(ns))
     level = int(max_zero_distance(ctx, k).value)
     while open_ and level > 1:
         level -= 1
-        for r1, r2, xs, A, B in reversed(_level_pieces(ctx, k, level, trip.d_iw - trip.d_ur)):
+        pieces = _level_pieces(ctx, k, level, d_ur + min(ns), d_ur + max(ns))
+        for r1, r2, xs, A, B in reversed(pieces):
             for i, n in list(open_.items()):
-                if not _locked_on(xs, A, B, trip.d_ur + n, k):
+                if not _locked_on(xs, A, B, d_ur + n, k):
                     settled[i] = r2
                     del open_[i]
     return [Valuation(c) for c in settled]

@@ -144,6 +144,17 @@ class TestThresholdsCommand:
         assert lines[1] == "1,9,closed"
         assert lines[4] == "4,1,sweep"
 
+    @pytest.mark.parametrize("k", ["1008006", "2016006"])
+    def test_large_prime_tables_past_k_ceiling_bullets(self, capsys, k):
+        # a thousandth of K_CEILING: the tables reach n ~ 2,000, whose bullet
+        # bound lies past weight K_CEILING, walked in strides of p; K_CEILING
+        # once refused these with exit 2 ("weight scan exceeds K_CEILING")
+        code, out, err = run(capsys, "thresholds", "-p", "1009", "-a", "2", "-e", "1", "-k", k)
+        assert code == 0
+        assert err == ""
+        assert out.startswith(f"CS_1({k}) = ")
+        assert "[sweep]" in out
+
     def test_large_prime_weight_far_below_k_ceiling(self, capsys):
         # the first class weight at p = 1009 whose degree table once grew
         # by doubling past K_CEILING's bullet bound
@@ -347,12 +358,12 @@ class TestConfigValidation:
         ids=["thresholds", "predict", "slopes"],
     )
     def test_weight_above_k_ceiling_is_domain_error(self, capsys, argv):
-        # a class weight whose bullet search starts past K_CEILING: the
-        # guard fires before any table is allocated
+        # a class weight above K_CEILING: refused as its bullet is found,
+        # before any table is allocated
         code, out, err = run(capsys, *argv, "-k", "1000000000002")
         assert code == 2
         assert out == ""
-        assert "K_CEILING = 1000000000" in err
+        assert "weight k = 1000000000002 exceeds K_CEILING = 1000000000" in err
 
     @pytest.mark.parametrize("command", ["dist", "verify"])
     def test_k_range_above_k_ceiling_is_domain_error(self, capsys, command):
@@ -381,8 +392,10 @@ class TestConfigValidation:
             (("dist", "--k-range", "10:100", "-n", "100000", "--jobs", "1"), 1, cli, "MAX_MOMENT_ORDER"),
             # a weight below K_CEILING whose tables would run to n = 33,333,332
             (("predict", "-k", "99999996"), 2, ghost, "MAX_TABLE_INDEX"),
-            # a valid weight whose bullet scan for n = 333,333,332 passes K_CEILING
-            (("thresholds", "-k", "999999996"), 2, ghost, "K_CEILING"),
+            # a weight below K_CEILING whose tables would run to n = 333,333,332:
+            # its bullet bound passes weight K_CEILING, but the tables walk it
+            # by strides and answer to the table cap
+            (("thresholds", "-k", "999999996"), 2, ghost, "MAX_TABLE_INDEX"),
         ],
         ids=["thresholds-m", "predict-m", "ghost-n", "dist-n", "predict-table", "thresholds-scan"],
     )

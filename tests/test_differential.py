@@ -1,12 +1,12 @@
 """Every batch table kernel, the integer derivative polygon, the sweep's
-radius-free lock test, the interval-marking breakpoint criterion and the
-integer L model against their pointwise or Fraction oracles, the
-one-pass sweep and the near-Steinberg criterion against the certified
-hull, the sweep's thresholds against a perturbed hull that never runs
-the sweep, and the first certification window against one 4x wider,
-over random contexts (p, a, s_eps, m) in both modes;
-and the integer sample statistics against their Fraction definitions
-over random samples."""
+radius-free lock test and its block-local pieces, the interval-marking
+breakpoint criterion and the integer L model against their pointwise or
+Fraction oracles, the one-pass sweep and the near-Steinberg criterion
+against the certified hull, the sweep's thresholds against a perturbed
+hull that never runs the sweep, and the first certification window
+against one 4x wider, over random contexts (p, a, s_eps, m) in both
+modes; and the integer sample statistics against their Fraction
+definitions over random samples."""
 
 import math
 from bisect import bisect_left, bisect_right
@@ -204,15 +204,14 @@ def test_degree_table_prefix_matches_polynomials(case, small, extra):
 @settings(max_examples=60, deadline=None)
 def test_lock_test_matches_hull_slope(case):
     # the radius-free lock test holds iff the Fraction hull's newslope is
-    # (k-2)/2 at both ends of the piece
+    # (k-2)/2 at both ends of the piece, for every index of the full span
     ctx, k = case
     trip = dimensions(ctx, k)
     m_int = int(max_zero_distance(ctx, k).value)
     assume(trip.d_new > 0 and m_int >= 2)
     target = Fraction(k - 2, 2)
-    q_hi = trip.d_iw - trip.d_ur
     for level in range(1, m_int):
-        for r1, r2, xs, A, B in _level_pieces(ctx, k, level, q_hi):
+        for r1, r2, xs, A, B in _level_pieces(ctx, k, level, trip.d_ur + 1, trip.d_ur + trip.d_new):
             ends = [
                 lower_hull((q, A[q] + B[q] * r) for q in range(len(A))).slope_list()
                 for r in (r1, r2)
@@ -221,6 +220,32 @@ def test_lock_test_matches_hull_slope(case):
                 x_pos = trip.d_ur + n
                 locked = all(slopes[x_pos - 1] == target for slopes in ends)
                 assert _locked_on(xs, A, B, x_pos, k) == locked, (k, level, r1, r2, n)
+
+
+@given(case=context_and_weight(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_level_pieces_match_fraction_hull_on_spans(case, data):
+    # on a random span lo..hi and level, the sub-chain of every piece runs
+    # along the hull of a window 4x wider, over Fractions, at both ends of
+    # the piece: its edge over each x_pos meets that hull at x_pos - 1 and x_pos
+    ctx, k = case
+    top = max(dimensions(ctx, k).d_iw, 1)
+    lo = data.draw(st.integers(1, top), label="lo")
+    hi = data.draw(st.integers(lo, top), label="hi")
+    level = data.draw(st.integers(1, max(1, int(max_zero_distance(ctx, k).value) - 1)), label="level")
+    n_wide = 4 * next(_windows(ctx, k, hi))[0]
+    A, B = level_tables(ctx, k, level, n_wide)
+    for r1, r2, xs, _, _ in _level_pieces(ctx, k, level, lo, hi):
+        assert xs[0] <= lo - 1 and hi <= xs[-1], (lo, hi, xs)
+        for r in (r1, r2):
+            ys = [A[q] + B[q] * r for q in range(n_wide + 1)]
+            hull = lower_hull(enumerate(ys))
+            for x_pos in range(lo, hi + 1):
+                i = bisect_right(xs, x_pos - 1) - 1
+                x0, x1 = xs[i], xs[i + 1]
+                for x in (x_pos - 1, x_pos):
+                    on_edge = (ys[x0] * (x1 - x) + ys[x1] * (x - x0)) / (x1 - x0)
+                    assert hull.hull_value(x) == Valuation(on_edge), (k, level, r, x_pos, xs)
 
 
 @given(case=context_and_weight())

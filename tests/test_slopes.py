@@ -549,20 +549,42 @@ SWEEP_A, SWEEP_B, SWEEP_DEG = (0, 4, -1, 5, 6), (0, 0, 3, 0, 0), (0, 10, 20, 30,
     [
         ((0, 2, 4), Fraction(3, 2), 2, (0, 2, 4)),  # vertex 2 turns right
         ((0, 4), Fraction(1), 2, (0, 2, 4)),  # point 2 lies below its edge
+        ((2, 4), Fraction(3, 2), 2, (0, 2, 4)),  # point 0 lies below the first edge's line
+        ((0, 2), Fraction(7, 5), 2, (0, 2, 4)),  # point 4 lies below the last edge's line
         ((0, 4), Fraction(3, 2), 1, "tail"),  # edge slope 3/2 above the increment floor
+        ((0, 2), Fraction(1), 0, "tail"),  # the tail meets the last edge's line, slope 1
         ((0, 4), Fraction(3, 2), 2, None),
         ((0, 2, 4), Fraction(4, 3), 2, None),  # collinear at the root: neither fails
         ((0, 4), Fraction(4, 3), 2, None),
+        ((2, 4), Fraction(4, 3), 2, None),
     ],
-    ids=["convexity", "point", "tail", "certified", "vertex-on-root", "point-on-root"],
+    ids=[
+        "convexity", "point", "left-of-first", "right-of-last", "tail", "tail-last-edge",
+        "certified", "vertex-on-root", "point-on-root", "line-on-root",
+    ],
 )
 def test_piece_violation_outcomes(xs, r, inc_floor, expected):
-    got = slopes._piece_violation(SWEEP_A, SWEEP_B, SWEEP_DEG, xs, r, 2, 4, inc_floor)
+    got = slopes._piece_violation(SWEEP_A, SWEEP_B, SWEEP_DEG, xs, r, inc_floor)
     assert got == expected
     if isinstance(expected, tuple):
         root = Fraction(-slopes._turn(SWEEP_A, *got), slopes._turn(SWEEP_B, *got))
         assert root == Fraction(4, 3)
         assert slopes._turn([a + b * root for a, b in zip(SWEEP_A, SWEEP_B)], *got) == 0
+        # xs is certified at the mirror radius, so the root splits a piece
+        # [2 root - r, r] strictly inside
+        mirror = 2 * root - r
+        assert slopes._piece_violation(SWEEP_A, SWEEP_B, SWEEP_DEG, xs, mirror, inc_floor) is None
+
+
+def test_midpoint_chain_widens_past_a_far_vertex():
+    # on the convex points (q, q^2) one deep point at q = 30 lies outside
+    # the first slice around x = 1..2, below the narrow chain's first-edge
+    # line; the slice widens until the sub-chain runs from 0 to that point
+    A, B = [q * q for q in range(41)], [0] * 41
+    A[30] = -1000
+    assert slopes._midpoint_chain(A, B, Fraction(3, 2), 2, 2) == (0, 30)
+    A[30] = 900  # back on the parabola: the first slice suffices
+    assert slopes._midpoint_chain(A, B, Fraction(3, 2), 2, 2) == (1, 2)
 
 
 def test_context_keeps_only_reread_caches():
