@@ -103,33 +103,37 @@ def sample(ctx: GhostContext, k: int, kind: SampleKind) -> DistributionSample:
     >>> sample(ctx, 24, SampleKind.THRESHOLD).values
     (Fraction(1, 9), Fraction(2, 9), Fraction(2, 3), Fraction(2, 3), Fraction(1, 1), Fraction(1, 1))
     """
-    # (raw value, multiplicity) pairs, each value scaled by 2(p+1)/((p-1)k)
-    floor_raw = Fraction(0)
-    floor_count = 0
+    # (numerator, multiplicity) pairs of the raw values over their lcm lcd,
+    # each value then scaled by 2(p+1)/((p-1)k)
+    floor_num = floor_count = 0
     if kind is SampleKind.THRESHOLD:
-        raw = [(cs.value, 1) for cs in k_thresholds(ctx, k).global_thresholds]
+        tv = k_thresholds(ctx, k)
+        lcd, raw = tv.den, [(a, tv.global_mult) for a in tv.nums]
     elif kind is SampleKind.DERIVATIVE:
-        raw = [(s, 2 * mult) for s, mult in derivative_polygon(ctx, k).slopes]
+        edges = derivative_polygon(ctx, k).edges
+        lcd = lcm(*{b for _, b, _ in edges})
+        raw = [(a * (lcd // b), 2 * mult) for a, b, mult in edges]
     elif kind is SampleKind.LINV:
+        # the known block -(s + 1) and the floor -(R + 1), negated
         pred = predict_slopes(ctx, k)
-        floor_raw = -pred.linv_floor.value
-        floor_count = pred.exceptional_count
-        raw = [(-v, mult) for v, mult in pred.linv_slopes_known]
-        raw.append((floor_raw, floor_count))
+        floor_raw, floor_count = pred.R + 1, pred.exceptional_count
+        lcd = lcm(pred.den, floor_raw.denominator)
+        floor_num = floor_raw.numerator * (lcd // floor_raw.denominator)
+        raw = [((a + pred.den) * (lcd // pred.den), mult) for a, mult in pred.known]
+        raw.append((floor_num, floor_count))
     else:
         raise DomainError(f"unknown sample kind {kind!r}")
-    lcd = lcm(floor_raw.denominator, *(v.denominator for v, _ in raw))
     scale = 2 * (ctx.p + 1)
     nums = []
-    for v, mult in raw:
-        nums += [scale * v.numerator * (lcd // v.denominator)] * mult
+    for a, mult in raw:
+        nums += [scale * a] * mult
     nums.sort()
     return DistributionSample(
         k=ctx.weight(k),
         kind=kind,
         nums=tuple(nums),
         den=(ctx.p - 1) * k * lcd,
-        floor_num=scale * floor_raw.numerator * (lcd // floor_raw.denominator),
+        floor_num=scale * floor_num,
         floor_count=floor_count,
     )
 

@@ -24,11 +24,11 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from math import lcm
+from operator import sub
 from typing import Iterable, Tuple
 
 from .errors import VerificationError
 from .ghost import GhostContext, WeightIndex, floor_log_bullet
-from .polygon import integer_hull
 from .slopes import derivative_polygon, slope_window
 from .valuation import Valuation, format_rational
 
@@ -45,23 +45,28 @@ class Rel(Enum):
 class PredictionModel:
     """The L model and its comparison rule for one weight.
 
-    ``r_list[l-1]`` is the block slope r_l: the derivative slope s_l for
-    l >= M_index and the model radius R below.  L_1..L_d, built block by
-    block from the top slope down, are held as integers ``L_nums`` over
-    one denominator ``L_den``, the lcm of the r_l denominators;
-    ``L_seq`` reads them as ``Fraction``s.  ``block_sizes[l-1]`` is the
-    stretched multiplicity of s_l.  :meth:`rel` gives the comparison
-    kind of each entry of the d x d pattern.
+    The block slope r_l is the derivative slope s_l for l >= M_index and
+    the model radius R below.  The steps r_l and L_1..L_d, built block by
+    block from the top slope down, are held as integers ``steps`` and
+    ``L_nums`` over one denominator ``L_den``, the lcm of the r_l
+    denominators; ``r_list`` and ``L_seq`` read them as ``Fraction``s.
+    ``block_sizes[l-1]`` is the stretched multiplicity of s_l.
+    :meth:`rel` gives the comparison kind of each entry of the d x d
+    pattern.
     """
 
     k: WeightIndex
     d: int
-    r_list: Tuple[Fraction, ...]
+    steps: Tuple[int, ...]
     L_nums: Tuple[int, ...]
     L_den: int
     R: Fraction
     M_index: int
     block_sizes: Tuple[int, ...]
+
+    @property
+    def r_list(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.L_den) for a in self.steps)
 
     @property
     def L_seq(self) -> Tuple[Fraction, ...]:
@@ -79,6 +84,12 @@ class PredictionModel:
             acc += size
             cells.update(((acc, 2 * acc), (self.d - acc, 2 * acc)))
         return frozenset(cells)
+
+    def known_blocks(self) -> Tuple[Tuple[int, int], ...]:
+        """(step numerator over L_den, width 2 * block size) of the blocks
+        l = N down to M_index, whose steps are the derivative slopes."""
+        known = reversed(range(self.M_index - 1, len(self.steps)))
+        return tuple((self.steps[l], 2 * self.block_sizes[l]) for l in known)
 
     def known_size(self) -> int:
         """Total multiplicity 2*(d_N + ... + d_M) of the known block."""
@@ -111,17 +122,30 @@ class PredictionModel:
 class SlopePrediction:
     """Known slope blocks and floors for one weight.
 
-    The known multisets pair each value with its multiplicity, values
-    ascending; the floors bound every remaining slope from below.
-    ``exceptional_count`` is how many slopes the floors account for.
+    ``known`` pairs each closed threshold s_N > ... > s_M, as a numerator
+    over ``den``, with its multiplicity.  The known multisets read it as
+    ``Fraction``s, values ascending: the L-invariant slope -(s + 1) and
+    the derivative-matrix slope k - 2 - s.  The floors, read off the
+    model radius R, bound every remaining slope from below;
+    ``exceptional_count`` is how many slopes they account for.
     """
 
     k: WeightIndex
-    a1_slopes_known: Tuple[Tuple[Fraction, int], ...]
-    a1_floor: Valuation
-    linv_slopes_known: Tuple[Tuple[Fraction, int], ...]
-    linv_floor: Valuation
+    known: Tuple[Tuple[int, int], ...]
+    den: int
+    R: Fraction
     exceptional_count: int
+
+    @property
+    def a1_slopes_known(self) -> Tuple[Tuple[Fraction, int], ...]:
+        return tuple((Fraction((self.k.k - 2) * self.den - a, self.den), m) for a, m in self.known)
+
+    @property
+    def linv_slopes_known(self) -> Tuple[Tuple[Fraction, int], ...]:
+        return tuple((Fraction(-a - self.den, self.den), m) for a, m in self.known)
+
+    a1_floor = property(lambda self: Valuation(self.k.k - 2 - self.R))
+    linv_floor = property(lambda self: Valuation(-self.R - 1))
 
     def to_json_dict(self) -> dict:
         return {
@@ -159,37 +183,39 @@ def model_radius(ctx: GhostContext, k: int) -> Fraction:
     """
     dp = derivative_polygon(ctx, k)
     m_val = dp.m_of_k.value
-    ss = dp.distinct_slopes()
-    if dp.M_index > len(ss):
+    if dp.M_index > len(dp.edges):
         return m_val + Fraction(1, 2)
     r_dag = slope_window(ctx, k, dp.M_index)[0].value
-    return (r_dag + min(m_val + 1, ss[dp.M_index - 1])) / 2
+    return (r_dag + min(m_val + 1, dp.slope(dp.M_index))) / 2
 
 
 def _assert_model_hull(model: PredictionModel) -> None:
-    # the hull of {(j, -L_j)} u {(0,0)} must replay -s_N < ... < -s_M < -R
-    if model.d == 0:
-        return
-    hull = integer_hull(
-        range(model.d + 1), [0, *(-a for a in model.L_nums)], model.L_den
-    )
-    # (r, m): the hull edge with slope -r and x-extent m, in order
-    expected = []
-    for l in range(len(model.block_sizes), model.M_index - 1, -1):
-        expected.append((model.r_list[l - 1], 2 * model.block_sizes[l - 1]))
-    flat = model.d - model.known_size()
-    if flat:
-        expected.append((model.R, flat))
-    edges = list(zip(hull.hull, hull.hull[1:]))
-    # edge slope (y1 - y0) / ((x1 - x0) L_den) = -r, cross-multiplied in integers
-    if len(edges) != len(expected) or any(
-        x1 - x0 != m or (y0 - y1) * r.denominator != r.numerator * m * model.L_den
-        for ((x0, y0), (x1, y1)), (r, m) in zip(edges, expected)
-    ):
-        want = [(-r, m) for r, m in expected]
+    # the hull of {(j, -L_j)} u {(0,0)} replays -s_N < ... < -s_M < -R iff
+    # L steps by a constant r on each of these blocks, r strictly falls
+    # from one block to the next and the blocks end at d: the block ends
+    # are then the hull's vertices and every other point lies on an edge
+    blocks = list(model.known_blocks())
+    if flat := model.d - model.known_size():
+        blocks.append((model.R * model.L_den, flat))
+    L = (0, *model.L_nums)
+    steps, end = list(map(sub, L[1:], L)), 0
+
+    def text(a) -> str:
+        return format_rational(Fraction(a) / model.L_den)
+
+    for i, (r, width) in enumerate(blocks, 1):
+        seen, end = steps[end : end + width], end + width
+        if i > 1 and r >= blocks[i - 2][0]:
+            want, found = f"below {text(blocks[i - 2][0])}", text(r)
+        elif seen != [r] * width:
+            want, found = text(r), next((text(a) for a in seen if a != r), "the end of L")
+        else:
+            continue
         raise VerificationError(
-            f"model hull mismatch at k = {model.k.k}: {list(hull.slopes)} != {want}"
+            f"model hull mismatch at k = {model.k.k}: block {i} expects step {want}, found {found}"
         )
+    if end != len(steps):
+        raise VerificationError(f"model hull mismatch at k = {model.k.k}: L runs past d = {end}")
 
 
 def build_model(ctx: GhostContext, k: int) -> PredictionModel:
@@ -200,22 +226,19 @@ def build_model(ctx: GhostContext, k: int) -> PredictionModel:
     (Fraction(9, 1), Fraction(18, 1), Fraction(24, 1), Fraction(30, 1))
     """
     dp = derivative_polygon(ctx, k)
-    kw = ctx.weight(k)
-    ss = dp.distinct_slopes()
-    block_sizes = tuple(ctx.global_mult * m for _, m in dp.slopes)
-    d = 2 * sum(block_sizes)
     R = model_radius(ctx, k)
-    r_list = tuple(
-        ss[l - 1] if l >= dp.M_index else R for l in range(1, len(ss) + 1)
-    )
+    m = dp.M_index - 1
+    # r_l = s_l = a / b for l >= M_index and R below, each a numerator over their lcm
+    pairs = [(R.numerator, R.denominator)] * m + [(a, b) for a, b, _ in dp.edges[m:]]
+    L_den = lcm(*{b for _, b in pairs})
+    steps = tuple(a * (L_den // b) for a, b in pairs)
+    block_sizes = tuple(ctx.global_mult * mult for _, _, mult in dp.edges)
     # L grows by r_l on each of the 2 * block_sizes[l-1] steps of block l, top block first
-    L_den = lcm(*(r.denominator for r in r_list))
-    steps = [r.numerator * (L_den // r.denominator) for r in r_list]
-    blocks = (repeat(steps[l], 2 * block_sizes[l]) for l in reversed(range(len(ss))))
+    blocks = (repeat(steps[l], 2 * block_sizes[l]) for l in reversed(range(len(steps))))
     model = PredictionModel(
-        k=kw,
-        d=d,
-        r_list=r_list,
+        k=dp.k,
+        d=2 * sum(block_sizes),
+        steps=steps,
         L_nums=tuple(accumulate(chain.from_iterable(blocks))),
         L_den=L_den,
         R=R,
@@ -239,20 +262,11 @@ def predict_slopes(ctx: GhostContext, k: int) -> SlopePrediction:
     ((Fraction(-10, 1), 2), (Fraction(-7, 1), 2))
     """
     model = build_model(ctx, k)
-    dp = derivative_polygon(ctx, k)
-    ss = dp.distinct_slopes()
-    a1 = []
-    linv = []
-    for l in range(len(ss), model.M_index - 1, -1):
-        mult = 2 * model.block_sizes[l - 1]
-        a1.append((k - 2 - ss[l - 1], mult))
-        linv.append((-ss[l - 1] - 1, mult))
     return SlopePrediction(
         k=model.k,
-        a1_slopes_known=tuple(a1),
-        a1_floor=Valuation(k - 2 - model.R),
-        linv_slopes_known=tuple(linv),
-        linv_floor=Valuation(-model.R - 1),
+        known=model.known_blocks(),
+        den=model.L_den,
+        R=model.R,
         exceptional_count=model.d - model.known_size(),
     )
 

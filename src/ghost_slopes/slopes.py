@@ -25,6 +25,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain, repeat
+from math import gcd, lcm
 from typing import Iterable, List, Tuple
 
 from . import ghost
@@ -57,6 +60,8 @@ class DerivativePolygon:
     points (l, 2 * raw[l]) over 2, and ``raw``, ``slopes`` (distinct
     s_1 < ... < s_N with multiplicities) and ``breakpoints`` (vertex
     abscissae 0 = n_0 < ... < n_N = d_new/2) read it as Fractions.
+    ``edges`` holds each s_i on integers, as the reduced pair (num, den)
+    with den > 0, and its multiplicity; read once, it stays on the polygon.
     ``M_index`` is the least i with s_i > M(k), else N + 1.
     """
 
@@ -69,8 +74,17 @@ class DerivativePolygon:
     slopes = property(lambda self: self.hull.slopes)
     breakpoints = property(lambda self: self.hull.vertex_xs())
 
-    def distinct_slopes(self) -> List[Fraction]:
-        return [s for s, _ in self.slopes]
+    @cached_property
+    def edges(self) -> Tuple[Tuple[int, int, int], ...]:
+        out = []
+        for (x0, y0), (x1, y1) in zip(self.hull.hull, self.hull.hull[1:]):
+            g = gcd(y1 - y0, 2 * (x1 - x0))
+            out.append(((y1 - y0) // g, 2 * (x1 - x0) // g, x1 - x0))
+        return tuple(out)
+
+    def slope(self, i: int) -> Fraction:
+        """s_i, for 1 <= i <= N."""
+        return Fraction(*self.edges[i - 1][:2])
 
 
 def derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
@@ -82,8 +96,8 @@ def derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
     >>> dp = derivative_polygon(ctx, 24)
     >>> dp.raw
     (Fraction(17, 1), Fraction(19, 1), Fraction(25, 1), Fraction(34, 1))
-    >>> dp.distinct_slopes()
-    [Fraction(2, 1), Fraction(6, 1), Fraction(9, 1)]
+    >>> dp.edges
+    ((2, 1, 1), (6, 1, 1), (9, 1, 1))
     """
     wi = ctx.weight(k)
     cache = ctx._cache("derivative")
@@ -281,30 +295,24 @@ def _closed_form_newslopes(ctx, k, w):
     # valid for radius > max(M(k), s_{i-1}) strictly between derivative
     # slopes, or at/above max(s_N, M(k)); None signals "out of region"
     dp = derivative_polygon(ctx, k)
-    trip = dimensions(ctx, k)
-    half = Fraction(k - 2, 2)
-    ss = dp.distinct_slopes()
-    m_of_k = dp.m_of_k
-    top = max(Valuation(ss[-1]), m_of_k) if ss else m_of_k
+    edges, half = dp.edges, Fraction(k - 2, 2)
+    top = max(Valuation(dp.slope(len(edges))), dp.m_of_k) if edges else dp.m_of_k
     if w.radius >= top:
-        return [half] * trip.d_new
+        return [half] * dimensions(ctx, k).d_new
     nu = w.radius.value
-    i = None
-    for idx, s in enumerate(ss, start=1):
-        prev = ss[idx - 2] if idx >= 2 else Fraction(0)
-        lo = max(m_of_k.value, prev)
-        if lo < nu < s:
-            i = idx
-            break
-    if i is None:
+    u, v = nu.numerator, nu.denominator
+    # i is the first index with nu < s_i (i <= N, as nu < top); the
+    # region needs s_{i-1} < nu and M(k) < nu
+    i = 1 + bisect_left(edges, True, key=lambda e: e[0] * v > u * e[1])
+    if nu <= dp.m_of_k.value or (i > 1 and dp.slope(i - 1) == nu):
         return None
-    ns, counts = dp.breakpoints, [m for _, m in dp.slopes]
+    gaps = [(Fraction(a, b) - nu, m) for a, b, m in edges[i - 1 :]]
     out = []
-    for j in range(len(ss), i - 1, -1):
-        out.extend([half + nu - ss[j - 1]] * counts[j - 1])
-    out.extend([half] * (2 * ns[i - 1]))
-    for j in range(i, len(ss) + 1):
-        out.extend([half + ss[j - 1] - nu] * counts[j - 1])
+    for g, m in reversed(gaps):
+        out.extend([half - g] * m)
+    out.extend([half] * (2 * dp.breakpoints[i - 1]))
+    for g, m in gaps:
+        out.extend([half + g] * m)
     return out
 
 
@@ -315,23 +323,32 @@ def _closed_form_newslopes(ctx, k, w):
 class ThresholdVector:
     """Radii where each newslope locks to (k-2)/2, with provenance.
 
-    ``local_thresholds`` has one entry per newslope index 1..d_new;
-    entries tagged "closed" equal a derivative slope s_j with
-    j >= M_index, entries tagged "sweep" come from the exact parametric
-    search below M(k).  ``global_thresholds`` repeats each entry
-    global_mult times, one per stretched index.
+    The threshold of newslope n, 1 <= n <= d_new, is ``nums[n-1] / den``:
+    integers over one denominator, the lcm of the thresholds' own.
+    ``local_thresholds`` reads them as Valuations and ``global_thresholds``
+    repeats each global_mult times, one per stretched index.  Entries
+    tagged "closed" equal a derivative slope s_j with j >= M_index,
+    entries tagged "sweep" come from the exact parametric search below M(k).
     """
 
     k: WeightIndex
-    local_thresholds: Tuple[Valuation, ...]
-    global_thresholds: Tuple[Valuation, ...]
+    nums: Tuple[int, ...]
+    den: int
     provenance: Tuple[str, ...]
     global_mult: int
+
+    @property
+    def local_thresholds(self) -> Tuple[Valuation, ...]:
+        return tuple(Valuation(Fraction(a, self.den)) for a in self.nums)
+
+    @property
+    def global_thresholds(self) -> Tuple[Valuation, ...]:
+        return tuple(global_stretch(self.local_thresholds, self.global_mult))
 
     def to_json_dict(self) -> dict:
         return {
             "k": self.k.k,
-            "local": [format_rational(v) for v in self.local_thresholds],
+            "local": [format_rational(Fraction(a, self.den)) for a in self.nums],
             "provenance": list(self.provenance),
             "global_mult": self.global_mult,
         }
@@ -351,28 +368,15 @@ def k_thresholds(ctx: GhostContext, k: int) -> ThresholdVector:
     ['9', '6', '2', '1', '6', '9']
     """
     dp = derivative_polygon(ctx, k)
-    trip = dimensions(ctx, k)
-    h = trip.d_new // 2
-    ss = dp.distinct_slopes()
-    ns = dp.breakpoints
-    local: list = [None] * (trip.d_new + 1)
-    prov: list = [None] * (trip.d_new + 1)
-    for j in range(dp.M_index, len(ss) + 1):
-        val = Valuation(ss[j - 1])
-        for n in range(h - ns[j] + 1, h - ns[j - 1] + 1):
-            local[n], prov[n] = val, "closed"
-        for n in range(h + ns[j - 1] + 1, h + ns[j] + 1):
-            local[n], prov[n] = val, "closed"
-    block = range(h - ns[dp.M_index - 1] + 1, h + ns[dp.M_index - 1] + 1)
-    for n, cs in zip(block, _sweep(ctx, k, block)):
-        local[n], prov[n] = cs, "sweep"
-    return ThresholdVector(
-        k=dp.k,
-        local_thresholds=tuple(local[1:]),
-        global_thresholds=tuple(global_stretch(local[1:], ctx.global_mult)),
-        provenance=tuple(prov[1:]),
-        global_mult=ctx.global_mult,
-    )
+    h, c = dimensions(ctx, k).d_new // 2, dp.breakpoints[dp.M_index - 1]
+    swept = _sweep(ctx, k, range(h - c + 1, h + c + 1))
+    closed = dp.edges[dp.M_index - 1 :]
+    den = lcm(*{b for _, b, _ in closed}, *{r.denominator for r in swept})
+    # s_j fills the indices h + n_{j-1} + 1..h + n_j and their mirror images
+    right = list(chain.from_iterable(repeat(a * (den // b), m) for a, b, m in closed))
+    central = [r.numerator * (den // r.denominator) for r in swept]
+    nums, prov = (*right[::-1], *central, *right), ("closed",) * len(right)
+    return ThresholdVector(dp.k, nums, den, (*prov, *("sweep",) * (2 * c), *prov), ctx.global_mult)
 
 
 def global_stretch(local: Iterable, m: int) -> list:
@@ -393,15 +397,14 @@ def slope_window(ctx: GhostContext, k: int, i: int) -> tuple:
     newslopes over the disc of that radius are (k-2)/2 +- (s_N - r_i).
     """
     dp = derivative_polygon(ctx, k)
-    ss = dp.distinct_slopes()
-    if not dp.M_index <= i <= len(ss):
-        raise DomainError(f"index {i} outside [{dp.M_index}, {len(ss)}]")
-    prev = ss[i - 2] if i >= 2 else Fraction(0)
-    lo = max(dp.m_of_k.value, prev)
-    gap = ss[i - 1] - lo
+    n_top = len(dp.edges)
+    if not dp.M_index <= i <= n_top:
+        raise DomainError(f"index {i} outside [{dp.M_index}, {n_top}]")
+    lo = max(dp.m_of_k.value, dp.slope(i - 1) if i >= 2 else Fraction(0))
+    gap = dp.slope(i) - lo
     r_i = lo + min(Fraction(1), gap) / 2
     half = Fraction(k - 2, 2)
-    s_top = ss[-1]
+    s_top = dp.slope(n_top)
     return (
         Valuation(r_i),
         Valuation(half + s_top - r_i),
@@ -560,7 +563,7 @@ def _locked_on(xs, A, B, x_pos, k) -> bool:
     return B[x1] == B[x0] and 2 * (A[x1] - A[x0]) == (k - 2) * (x1 - x0)
 
 
-def _sweep(ctx: GhostContext, k: int, ns) -> List[Valuation]:
+def _sweep(ctx: GhostContext, k: int, ns) -> List[Fraction]:
     # lock radii of the newslopes ns, by the walk down from M(k) above
     d_ur = dimensions(ctx, k).d_ur
     settled = [Fraction(1)] * len(ns)
@@ -574,7 +577,7 @@ def _sweep(ctx: GhostContext, k: int, ns) -> List[Valuation]:
                 if not _locked_on(xs, A, B, d_ur + n, k):
                     settled[i] = r2
                     del open_[i]
-    return [Valuation(c) for c in settled]
+    return settled
 
 
 def sweep_threshold(ctx: GhostContext, k: int, n: int) -> Valuation:
@@ -597,4 +600,4 @@ def sweep_threshold(ctx: GhostContext, k: int, n: int) -> Valuation:
     d_new = dimensions(ctx, k).d_new
     if not 1 <= n <= d_new:
         raise DomainError(f"newslope index {n} outside [1, {d_new}]")
-    return _sweep(ctx, k, [n])[0]
+    return Valuation(_sweep(ctx, k, [n])[0])

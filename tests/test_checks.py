@@ -48,7 +48,7 @@ WEIGHT_PLANTS = [
     (checks.check_model_pattern, PredictionModel, "rel", lambda self, i, j: Rel.GE),
     # one plant per fact of the threshold relation, each breaking that fact alone
     pytest.param(checks.check_threshold_relation, checks, "predict_slopes",
-                 lambda ctx, k: replace(PREDICT(ctx, k), linv_slopes_known=()),
+                 lambda ctx, k: replace(PREDICT(ctx, k), known=()),
                  id="check_threshold_relation-known_block"),
     pytest.param(checks.check_threshold_relation, checks, "predict_slopes",
                  lambda ctx, k: replace(PREDICT(ctx, k), exceptional_count=0),

@@ -1,7 +1,7 @@
 """Every batch table kernel, the integer derivative polygon, the sweep's
 radius-free lock test and its block-local pieces, the interval-marking
-breakpoint criterion and the integer L model against their pointwise or
-Fraction oracles, the one-pass sweep and the near-Steinberg criterion
+breakpoint criterion and the integer thresholds, L model, prediction and
+samples against their pointwise or Fraction oracles, the one-pass sweep and the near-Steinberg criterion
 against the certified hull, the sweep's thresholds against a perturbed
 hull that never runs the sweep, and the first certification window
 against one 4x wider, over random contexts (p, a, s_eps, m) in both
@@ -30,7 +30,7 @@ from ghost_slopes import (
     sweep_threshold,
 )
 from ghost_slopes import checks, slopes
-from ghost_slopes.distribution import DistributionSample, SampleKind, discrepancy, weyl_csv
+from ghost_slopes.distribution import DistributionSample, SampleKind, discrepancy, sample, weyl_csv
 from ghost_slopes.errors import DomainError
 from ghost_slopes.ghost import (
     _bullet_bound,
@@ -46,7 +46,7 @@ from ghost_slopes.ghost import (
     valuation_table_at,
 )
 from ghost_slopes.polygon import newton_polygon_at
-from ghost_slopes.prediction import build_model
+from ghost_slopes.prediction import build_model, model_radius, predict_slopes
 from ghost_slopes.slopes import (
     _degree_increment_floor,
     _hull_newslopes,
@@ -169,6 +169,7 @@ def test_derivative_polygon_matches_fraction_hull(case):
     )
     hull = lower_hull(enumerate(dp.raw))
     assert dp.slopes == hull.slopes
+    assert dp.edges == tuple((s.numerator, s.denominator, m) for s, m in hull.slopes)
     assert dp.breakpoints == hull.vertex_xs()
     assert dp.hull.slope_list() == hull.slope_list()
     cleared = [i for i, (s, _) in enumerate(hull.slopes, 1) if Valuation(s) > dp.m_of_k]
@@ -408,6 +409,101 @@ def test_model_L_matches_fraction_accumulation(case):
             seq.append(acc)
     assert model.L_seq == tuple(seq)
     assert len(seq) == model.d
+
+
+# -- thresholds, the L model, the prediction and the samples against their Fraction path
+
+
+def _oracle_thresholds(ctx, k):
+    """Local thresholds and provenance, each threshold a Valuation of a Fraction slope."""
+    dp = derivative_polygon(ctx, k)
+    h = dimensions(ctx, k).d_new // 2
+    ss, ns = [s for s, _ in dp.slopes], dp.breakpoints
+    local, prov = [None] * (2 * h + 1), [None] * (2 * h + 1)
+    for j in range(dp.M_index, len(ss) + 1):
+        for n in (*range(h - ns[j] + 1, h - ns[j - 1] + 1), *range(h + ns[j - 1] + 1, h + ns[j] + 1)):
+            local[n], prov[n] = Valuation(ss[j - 1]), "closed"
+    block = range(h - ns[dp.M_index - 1] + 1, h + ns[dp.M_index - 1] + 1)
+    for n, cs in zip(block, _sweep(ctx, k, block)):
+        local[n], prov[n] = Valuation(cs), "sweep"
+    return tuple(local[1:]), tuple(prov[1:])
+
+
+def _oracle_model(ctx, k):
+    """r_list and L_seq, with L accumulated step by step in Fractions."""
+    dp = derivative_polygon(ctx, k)
+    R = model_radius(ctx, k)
+    r_list = tuple(s if l >= dp.M_index else R for l, (s, _) in enumerate(dp.slopes, 1))
+    seq, acc = [], Fraction(0)
+    for l in range(len(r_list), 0, -1):
+        for _ in range(2 * ctx.global_mult * dp.slopes[l - 1][1]):
+            acc += r_list[l - 1]
+            seq.append(acc)
+    return r_list, tuple(seq)
+
+
+def _oracle_prediction(ctx, k):
+    """(a1 known, a1 floor, linv known, linv floor, exceptional count), read
+    off the Fraction slopes s_N..s_M and the model radius R."""
+    dp = derivative_polygon(ctx, k)
+    R = model_radius(ctx, k)
+    known = [(s, 2 * ctx.global_mult * m) for s, m in dp.slopes[dp.M_index - 1 :]][::-1]
+    return (
+        tuple((k - 2 - s, m) for s, m in known),
+        Valuation(k - 2 - R),
+        tuple((-s - 1, m) for s, m in known),
+        Valuation(-R - 1),
+        2 * ctx.global_mult * sum(m for _, m in dp.slopes[: dp.M_index - 1]),
+    )
+
+
+def _oracle_sample(ctx, k, kind):
+    """The sample built from (Fraction value, multiplicity) pairs over their lcm."""
+    floor_raw, floor_count = Fraction(0), 0
+    if kind is SampleKind.THRESHOLD:
+        local, _ = _oracle_thresholds(ctx, k)
+        raw = [(cs.value, ctx.global_mult) for cs in local]
+    elif kind is SampleKind.DERIVATIVE:
+        raw = [(s, 2 * m) for s, m in derivative_polygon(ctx, k).slopes]
+    else:
+        _, _, linv, linv_floor, floor_count = _oracle_prediction(ctx, k)
+        floor_raw = -linv_floor.value
+        raw = [(-v, m) for v, m in linv] + [(floor_raw, floor_count)]
+    lcd = math.lcm(floor_raw.denominator, *(v.denominator for v, _ in raw))
+    scale = 2 * (ctx.p + 1)
+    nums = sorted(scale * v.numerator * (lcd // v.denominator) for v, m in raw for _ in range(m))
+    return DistributionSample(
+        k=ctx.weight(k),
+        kind=kind,
+        nums=tuple(nums),
+        den=(ctx.p - 1) * k * lcd,
+        floor_num=scale * floor_raw.numerator * (lcd // floor_raw.denominator),
+        floor_count=floor_count,
+    )
+
+
+@given(case=context_and_weight())
+@example(case=(GhostContext(5, 1, 0), 383))  # half-integer slopes and a floor over 8
+@example(case=(GhostContext(13, 5, 11, 2), 293))
+@settings(max_examples=80, deadline=None)
+def test_integer_paths_match_fraction_oracle(case):
+    # thresholds, the L model, the prediction and every sample kind, held on
+    # integers, against the same values built from Fraction slopes
+    ctx, k = case
+    tv = k_thresholds(ctx, k)
+    local, prov = _oracle_thresholds(ctx, k)
+    assert (tv.local_thresholds, tv.provenance) == (local, prov)
+    assert tv.global_thresholds == tuple(v for v in local for _ in range(ctx.global_mult))
+    assert tv.den == math.lcm(*(v.value.denominator for v in local))
+    model = build_model(ctx, k)
+    assert (model.r_list, model.L_seq) == _oracle_model(ctx, k)
+    pred = predict_slopes(ctx, k)
+    assert (
+        pred.a1_slopes_known, pred.a1_floor, pred.linv_slopes_known, pred.linv_floor,
+        pred.exceptional_count,
+    ) == _oracle_prediction(ctx, k)
+    for kind in SampleKind:
+        assert sample(ctx, k, kind) == _oracle_sample(ctx, k, kind), kind
 
 
 # -- sample statistics against their Fraction definitions --------------------

@@ -1,7 +1,9 @@
 """Tests for the slope-prediction model, comparison rule, and floors."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate, chain, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +20,8 @@ from ghost_slopes import (
     predict_slopes,
     slope_window,
 )
-from ghost_slopes import checks
-from ghost_slopes.polygon import lower_hull
+from ghost_slopes import VerificationError, checks, prediction
+from ghost_slopes.polygon import integer_hull, lower_hull
 from ghost_slopes.prediction import PredictionModel, Rel, model_radius
 
 CTX = GhostContext(7, 2, 1)
@@ -74,12 +76,12 @@ def test_model_radius_bracket():
     ):
         for k in ks:
             dp = derivative_polygon(ctx, k)
-            if not dp.raw or dp.M_index > len(dp.distinct_slopes()):
+            if not dp.raw or dp.M_index > len(dp.slopes):
                 continue
             r = model_radius(ctx, k)
             m_val = dp.m_of_k.value
             assert m_val < r < m_val + 1
-            assert r < dp.distinct_slopes()[dp.M_index - 1]
+            assert r < dp.slopes[dp.M_index - 1][0]
             assert slope_window(ctx, k, dp.M_index)[0].value < r
 
 
@@ -117,6 +119,61 @@ def test_model_hull_asserted_across_contexts():
             build_model(ctx, k)  # raises VerificationError on a bad hull
 
 
+def _hull_check(model):
+    """The model hull checked by a hull: the lower hull of {(j, -L_j)} and
+    the origin has the edges (-r_l, 2 * block l) for l = N..M_index, then
+    (-R, the rest of d)."""
+    hull = integer_hull(range(model.d + 1), [0, *(-a for a in model.L_nums)], model.L_den)
+    expected = [
+        (-model.r_list[l - 1], 2 * model.block_sizes[l - 1])
+        for l in range(len(model.block_sizes), model.M_index - 1, -1)
+    ]
+    if flat := model.d - model.known_size():
+        expected.append((-model.R, flat))
+    if list(hull.slopes) != expected:
+        raise VerificationError(f"{list(hull.slopes)} != {expected}")
+
+
+def _with_steps(model, steps):
+    blocks = (repeat(steps[l], 2 * model.block_sizes[l]) for l in reversed(range(len(steps))))
+    return replace(model, steps=steps, L_nums=tuple(accumulate(chain.from_iterable(blocks))))
+
+
+# planted model faults: (plant, its error at k = 24 on (7,2,1), where L_den = 4
+# and the steps are 36, 24 and 11, top block first)
+MODEL_PLANTS = {
+    # L_2 - L_1, inside the top block, grows by 1 / L_den
+    "step-inside-block": (lambda m: replace(m, L_nums=(m.L_nums[0], *(a + 1 for a in m.L_nums[1:]))),
+                          "block 1 expects step 9, found 37/4"),
+    # the second block steps by the top block's slope, so a hull merges them
+    "equal-adjacent-blocks": (lambda m: _with_steps(m, m.steps[:-2] + m.steps[-1:] * 2),
+                              "block 2 expects step below 9, found 9"),
+    "L-one-short": (lambda m: replace(m, L_nums=m.L_nums[:-1]),
+                    "block 3 expects step 11/4, found the end of L"),
+}
+
+
+@pytest.mark.parametrize("plant, message", MODEL_PLANTS.values(), ids=MODEL_PLANTS)
+def test_model_hull_proof_fails_on_planted_faults(plant, message):
+    for ctx, k in ((CTX, 24), (CTX, 366), (CTX_WRAP, 276), (CTX_ODD, 1535)):
+        model = build_model(ctx, k)
+        assert len(model.steps) - model.M_index >= 1  # two known blocks to merge
+        _hull_check(model)
+        planted = plant(model)
+        with pytest.raises(VerificationError, match=message if k == 24 else "model hull mismatch"):
+            prediction._assert_model_hull(planted)
+        with pytest.raises(VerificationError):
+            _hull_check(planted)
+
+
+def test_model_hull_proof_fails_on_an_entry_past_d():
+    # a hull over the abscissae 0..d never reads L_{d+1}; the proof does
+    model = build_model(CTX, 24)
+    planted = replace(model, L_nums=model.L_nums + (model.L_nums[-1] + model.steps[0],))
+    with pytest.raises(VerificationError, match="L runs past d = 6"):
+        prediction._assert_model_hull(planted)
+
+
 def test_model_empty_when_no_new_dimension():
     ctx = GhostContext(11, 2, 0)
     m = build_model(ctx, 4)
@@ -148,7 +205,7 @@ def test_pattern_all_known_depth_four():
     # doubled diagonal and mirror back up, bottom row strict throughout
     # rel reads only d, block_sizes and M_index
     m = PredictionModel(
-        k=None, d=8, r_list=(), L_nums=(), L_den=1, R=Fraction(0),
+        k=None, d=8, steps=(), L_nums=(), L_den=1, R=Fraction(0),
         M_index=1, block_sizes=(1, 1, 1, 1),
     )
     rows = pattern(m)
