@@ -22,7 +22,7 @@ import os
 import random
 import sys
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 from .checks import SUITES
 from .distribution import SampleKind, discrepancy, sample, weyl_csv, weyl_moments
@@ -35,7 +35,7 @@ from .valuation import INF, format_rational
 FORMATS = ("json", "csv", "table")
 
 # class weights one dist or verify range may hold; far above the widest
-# range in use (832 weights in 10:5000 on (7,2,1)), and refused before
+# range in use (1,999 weights in 10:12000 on (7,2,1)), and refused before
 # any weight is listed
 MAX_RANGE_WEIGHTS = 10_000
 
@@ -224,14 +224,16 @@ def _samples_at(args, k: int) -> list:
     return [s for kind in SampleKind if len((s := sample(ctx, k, kind)).nums) > s.floor_count]
 
 
-def _collect_samples(args, ks: List[int]) -> list:
+def _collect_samples(args, ks: List[int]) -> Iterator:
+    """The samples of every weight in ks, yielded in weight order."""
     workers = min(args.jobs, len(ks), os.cpu_count() or 1)
     if workers == 1 or len(ks) < 8:
-        return [s for k in ks for s in _samples_at(args, k)]
+        yield from (s for k in ks for s in _samples_at(args, k))
+        return
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [s for group in pool.map(_samples_at, [args] * len(ks), ks) for s in group]
+        yield from (s for group in pool.map(_samples_at, [args] * len(ks), ks) for s in group)
 
 
 def cmd_dist(args) -> str:
@@ -241,21 +243,22 @@ def cmd_dist(args) -> str:
         raise ConfigError(f"moment order must lie in [1, MAX_MOMENT_ORDER = {MAX_MOMENT_ORDER}]")
 
     ks = _range_weights(_context(args), args.k_range, lo, hi)
-    samples = _collect_samples(args, ks)
-    if not samples:
+    # each sample shrinks to its moment row; discrepancy reads the last of each kind
+    moment_rows, last = [], {}
+    for s in _collect_samples(args, ks):
+        moment_rows.append((s.k.k, s.kind, s.moments(n_max)))
+        last[s.kind] = s
+    if not moment_rows:
         raise DomainError(f"no nonempty samples for weights in [{lo}, {hi}]")
     if args.fmt == "csv":
-        return weyl_csv(samples, n_max)
-    by_kind = {}
-    for s in samples:
-        by_kind.setdefault(s.kind, []).append(s)
+        return weyl_csv(moment_rows)
     rows = []
     for kind in SampleKind:
-        group = by_kind.get(kind, [])
+        group = [(k, mo) for k, kind_, mo in moment_rows if kind_ is kind]
         if len(group) < 3:
             continue
-        final_discrepancy = format_rational(discrepancy(group[-1]))
-        for rep in weyl_moments(group, n_max):
+        final_discrepancy = format_rational(discrepancy(last[kind]))
+        for rep in weyl_moments(group):
             rows.append(
                 {
                     "kind": kind.value,
@@ -272,14 +275,12 @@ def cmd_dist(args) -> str:
         raise DomainError("need at least three weights per kind in range")
     if args.fmt == "json":
         return _json_text(rows)
-    lines = []
-    for r in rows:
-        lines.append(
-            f"{r['kind']} n={r['n']} target={r['target']} "
-            f"final_moment={r['moments'][-1]} final_error={r['final_error']} "
-            f"trend={'ok' if r['trend_monotone'] else 'drift'}"
-        )
-    return "".join(line + "\n" for line in lines)
+    return "".join(
+        f"{r['kind']} n={r['n']} target={r['target']} "
+        f"final_moment={r['moments'][-1]} final_error={r['final_error']} "
+        f"trend={'ok' if r['trend_monotone'] else 'drift'}\n"
+        for r in rows
+    )
 
 
 def cmd_verify(args) -> str:

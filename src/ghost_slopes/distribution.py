@@ -12,10 +12,13 @@ since they are bounds rather than values.
 A sample holds its values as sorted integer numerators over one
 denominator, (p-1)k times the lcm of the raw denominators, and builds
 ``Fraction``s only when they are read.  Moments are exact rationals,
-one ``Fraction`` per order from integer power sums; the Weyl table
-compares them to the uniform-limit targets 1/(n+1), and the discrepancy
-is the exact two-sided Kolmogorov distance of the empirical
-distribution from uniform on [0, 1], found on the numerators.
+one ``Fraction`` per order from integer power sums; the Weyl table and
+CSV read them as one (k, kind, moments) row per sample and compare them
+to the uniform-limit targets 1/(n+1).  The discrepancy is the exact
+two-sided Kolmogorov distance of the empirical distribution from uniform
+on [0, 1], found on the numerators.  ``dist`` keeps one row per sample
+and whole only the last sample of each kind, for its discrepancy, so its
+memory no longer grows with the samples.
 """
 
 from __future__ import annotations
@@ -92,9 +95,6 @@ class DistributionSample:
         m = len(nums)
         return tuple(Fraction(s, m * self.den**n) for n, s in enumerate(sums, 1))
 
-    def moment(self, n: int) -> Fraction:
-        return self.moments(n)[-1]
-
 
 def sample(ctx: GhostContext, k: int, kind: SampleKind) -> DistributionSample:
     """Normalized multiset of thresholds, derivative slopes, or L-data.
@@ -150,21 +150,19 @@ class MomentReport:
     trend_monotone: bool
 
 
-def weyl_moments(samples: Sequence[DistributionSample], n_max: int) -> tuple:
+def weyl_moments(rows: Sequence[Tuple[int, Tuple[Fraction, ...]]]) -> tuple:
     """Moment sequences with limit targets 1/(n+1) and trend flags.
 
-    The trend flag records whether the distance to the target is
-    non-increasing over the second half of the (k-sorted) sequence.
+    ``rows`` are one kind's ``(k, moments)`` pairs in ascending k.  The
+    trend flag records whether the distance to the target is
+    non-increasing over the second half of the sequence.
     """
-    if len(samples) < 3:
+    if len(rows) < 3:
         raise DomainError("need at least three samples for a trend")
-    ordered = sorted(samples, key=lambda s: s.k.k)
-    ks = tuple(s.k.k for s in ordered)
-    table = [s.moments(n_max) for s in ordered]
+    ks, table = zip(*rows)
     reports = []
-    for n in range(1, n_max + 1):
+    for n, moments in enumerate(zip(*table), 1):
         target = Fraction(1, n + 1)
-        moments = tuple(row[n - 1] for row in table)
         errs = [abs(m - target) for m in moments]
         half = errs[len(errs) // 2 :]
         trend = all(b <= a for a, b in zip(half, half[1:]))
@@ -203,17 +201,18 @@ def sample_difference_bound(ctx: GhostContext, k: int) -> Fraction:
     return Fraction(4 * log_kb + 10, ctx.p - 1) + 2
 
 
-def weyl_csv(samples: Sequence[DistributionSample], n_max: int) -> str:
-    """CSV of exact moments against targets, one row per (k, kind, n)."""
+def weyl_csv(rows: Sequence[Tuple[int, SampleKind, Tuple[Fraction, ...]]]) -> str:
+    """CSV of exact moments against targets, one row per (k, kind, n),
+    from ``(k, kind, moments)`` rows in any order."""
     lines = [
         "k,kind,n,moment_num,moment_den,target_num,target_den,abs_error_decimal"
     ]
-    for s in sorted(samples, key=lambda s: (s.k.k, s.kind.value)):
-        for n, mo in enumerate(s.moments(n_max), 1):
+    for k, kind, moments in sorted(rows, key=lambda r: (r[0], r[1].value)):
+        for n, mo in enumerate(moments, 1):
             target = Fraction(1, n + 1)
             err = float(abs(mo - target))
             lines.append(
-                f"{s.k.k},{s.kind.value},{n},{mo.numerator},{mo.denominator},"
+                f"{k},{kind.value},{n},{mo.numerator},{mo.denominator},"
                 f"{target.numerator},{target.denominator},{err:.12g}"
             )
     return "\n".join(lines) + "\n"

@@ -1,16 +1,19 @@
 """End-to-end tests of the command-line driver: output bytes and exit codes."""
 
 import concurrent.futures
+import gc
 import json
 import os
 import resource
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 from ghost_slopes import cli, ghost
-from ghost_slopes.cli import MAX_RANGE_WEIGHTS, build_parser, main
+from ghost_slopes.cli import FORMATS, MAX_RANGE_WEIGHTS, build_parser, main
+from ghost_slopes.distribution import SampleKind
 
 
 def run(capsys, *argv):
@@ -217,10 +220,47 @@ class TestDistCommand:
         assert row["ks"] == sorted(row["ks"])
         assert all("/" in m or m.lstrip("-").isdigit() for m in row["moments"])
 
-    def test_jobs_do_not_change_bytes(self, capsys):
-        _, serial, _ = run(capsys, "dist", "--k-range", "10:100", "--format", "csv", "--jobs", "1")
-        _, parallel, _ = run(capsys, "dist", "--k-range", "10:100", "--format", "csv", "--jobs", "2")
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize(
+        "argv",
+        [("--k-range", "10:100"), ("--k-range", "6:400", "-p", "5", "-a", "1", "-e", "0")],
+        ids=["p7", "p5-floor-only"],
+    )
+    def test_jobs_do_not_change_bytes(self, capsys, argv, fmt):
+        # pins the streamed weight order and the last sample of each kind;
+        # (5,1,0) has weights whose LINV sample holds only floor stand-ins
+        _, serial, _ = run(capsys, "dist", *argv, "--format", fmt, "--jobs", "1")
+        code, parallel, _ = run(capsys, "dist", *argv, "--format", fmt, "--jobs", "2")
+        assert code == 0
         assert serial == parallel
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_report_holds_one_sample_per_kind(self, capsys, monkeypatch, fmt):
+        # each sample shrinks to its moment row on arrival, so when the
+        # report starts only the last sample of each kind is still alive
+        alive, make, entered = weakref.WeakSet(), cli.sample, []
+
+        def recording(*args):
+            alive.add(s := make(*args))
+            return s
+
+        def checked(report):
+            def entry(*args):
+                gc.collect()
+                kinds = [s.kind for s in alive]
+                assert all(kinds.count(kind) <= 1 for kind in SampleKind), len(kinds)
+                entered.append(report.__name__)
+                return report(*args)
+
+            return entry
+
+        monkeypatch.setattr(cli, "sample", recording)
+        for name in ("weyl_moments", "weyl_csv"):
+            monkeypatch.setattr(cli, name, checked(getattr(cli, name)))
+        # weights 12..198 of the class: 32 of them
+        code, _, err = run(capsys, "dist", "--k-range", "10:200", "--format", fmt, "--jobs", "1")
+        assert code == 0, err
+        assert entered
 
     @pytest.mark.parametrize("jobs", ["0", "-5"])
     def test_jobs_below_one_rejected(self, capsys, jobs):

@@ -572,7 +572,7 @@ def test_sample_statistics_match_fraction_oracles(s):
                 stat()
         return
     assert s.moments(4) == tuple(_oracle_moment(genuine, n) for n in range(1, 5))
-    assert [s.moment(n) for n in (1, 3)] == [_oracle_moment(genuine, n) for n in (1, 3)]
+    assert [s.moments(n)[-1] for n in (1, 3)] == [_oracle_moment(genuine, n) for n in (1, 3)]
     assert discrepancy(s) == _oracle_discrepancy(genuine)
-    rows = weyl_csv([s], 4).splitlines()[1:]
+    rows = weyl_csv([(s.k.k, s.kind, s.moments(4))]).splitlines()[1:]
     assert rows == list(_oracle_csv_rows(s.k.k, s.kind.value, genuine, 4))

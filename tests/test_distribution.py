@@ -59,7 +59,7 @@ class TestSampleValues:
 
     def test_threshold_first_moment_frozen(self):
         s = sample(CTX, 24, SampleKind.THRESHOLD)
-        assert s.moment(1) == Fraction(11, 18)
+        assert s.moments(1)[-1] == Fraction(11, 18)
 
     def test_derivative_values_frozen(self):
         s = sample(CTX, 24, SampleKind.DERIVATIVE)
@@ -102,7 +102,7 @@ class TestSampleValues:
 
     def test_linv_moment_excludes_floor_by_default(self):
         s = sample(CTX, 24, SampleKind.LINV)
-        assert s.moment(1) == Fraction(17, 18)
+        assert s.moments(1)[-1] == Fraction(17, 18)
 
     def test_floor_sits_below_known_block(self):
         # the model radius is below every closed-form slope, so the
@@ -134,7 +134,7 @@ class TestSampleValues:
         s = sample(ctx, 4, SampleKind.THRESHOLD)
         assert s.values == ()
         with pytest.raises(DomainError):
-            s.moment(1)
+            s.moments(1)
         with pytest.raises(DomainError):
             discrepancy(s)
 
@@ -183,61 +183,41 @@ class TestDiscrepancy:
         assert Fraction(1, 2 * len(vals)) <= d <= 1
 
 
+def moment_rows(samples, n_max):
+    """The (k, moments) rows the report reads, one per sample."""
+    return [(s.k.k, s.moments(n_max)) for s in samples]
+
+
 class TestWeylMoments:
     def test_reports(self):
         samples = [
             sample(CTX, k, SampleKind.THRESHOLD)
             for k in list(CTX.class_members(10, 400))
         ]
-        reports = weyl_moments(samples, 3)
+        reports = weyl_moments(moment_rows(samples, 3))
         assert [r.n for r in reports] == [1, 2, 3]
         for r in reports:
             assert r.target == Fraction(1, r.n + 1)
-            assert r.ks == tuple(sorted(r.ks))
-            assert len(r.moments) == len(samples)
+            assert r.ks == tuple(s.k.k for s in samples)
+            assert r.moments == tuple(s.moments(r.n)[-1] for s in samples)
             assert r.final_error == abs(r.moments[-1] - r.target)
 
     def test_needs_three_samples(self):
         samples = [sample(CTX, k, SampleKind.THRESHOLD) for k in (24, 30)]
         with pytest.raises(DomainError):
-            weyl_moments(samples, 1)
+            weyl_moments(moment_rows(samples, 1))
 
     def test_trend_flag(self):
         ks = list(CTX.class_members(10, 200))[:4]
-        shrinking = [
-            make_sample([Fraction(1, 2) + Fraction(1, 10 + i)])
-            for i in range(4)
-        ]
-        shrinking = [
-            DistributionSample(
-                k=CTX.weight(k),
-                kind=s.kind,
-                nums=s.nums,
-                den=s.den,
-                floor_num=s.floor_num,
-                floor_count=s.floor_count,
-            )
-            for k, s in zip(ks, shrinking)
-        ]
-        assert weyl_moments(shrinking, 1)[0].trend_monotone
-        growing = [
-            DistributionSample(
-                k=s.k,
-                kind=s.kind,
-                nums=t.nums,
-                den=t.den,
-                floor_num=s.floor_num,
-                floor_count=s.floor_count,
-            )
-            for s, t in zip(shrinking, reversed(shrinking))
-        ]
-        assert not weyl_moments(growing, 1)[0].trend_monotone
+        means = [(Fraction(1, 2) + Fraction(1, 10 + i),) for i in range(4)]
+        assert weyl_moments(list(zip(ks, means)))[0].trend_monotone
+        assert not weyl_moments(list(zip(ks, reversed(means))))[0].trend_monotone
 
 
 class TestCsv:
     def test_header_and_rows(self):
         s = sample(CTX, 24, SampleKind.THRESHOLD)
-        text = weyl_csv([s], 2)
+        text = weyl_csv([(24, s.kind, s.moments(2))])
         lines = text.strip().split("\n")
         assert lines[0] == (
             "k,kind,n,moment_num,moment_den,target_num,target_den,"
@@ -250,8 +230,9 @@ class TestCsv:
         assert abs(err - abs(11 / 18 - 1 / 2)) < 1e-12
 
     def test_rows_sorted_by_weight(self):
-        samples = [
-            sample(CTX, k, SampleKind.THRESHOLD) for k in (102, 24, 66)
+        rows = [
+            (k, SampleKind.THRESHOLD, sample(CTX, k, SampleKind.THRESHOLD).moments(1))
+            for k in (102, 24, 66)
         ]
-        lines = weyl_csv(samples, 1).strip().split("\n")[1:]
+        lines = weyl_csv(rows).strip().split("\n")[1:]
         assert [int(line.split(",", 1)[0]) for line in lines] == [24, 66, 102]
