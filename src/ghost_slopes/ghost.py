@@ -17,9 +17,8 @@ polygon and threshold layers.  They accumulate second differences of the
 triangles instead of looping over (n, k) pairs, and an anchored table is
 a multiple of the degree table plus one constant weight per stride of
 bullets j = kb (mod p^i) through the anchor's bullet kb.  For N zeros up
-to n_hi that costs O(N/(p-1) + n_hi) per anchor.  The degree table is one list per
-context, read as a prefix and built from the first period's bullets by
-:func:`_degrees`.
+to n_hi that costs O(N/(p-1) + n_hi) per anchor.  One degree table per
+(p, t1, t2, delta_eps), built by :func:`_degrees`, serves every context.
 """
 
 from __future__ import annotations
@@ -44,8 +43,10 @@ K_CEILING = 10**9
 MAX_GLOBAL_MULT = 32
 
 #: Largest index n a valuation table may reach, refused by :func:`_degrees`
-#: before any table is allocated or grown.
+#: before any table is read, allocated or grown.
 MAX_TABLE_INDEX = 500_000
+
+_DEGREE_TABLES: dict = {}  # (p, t1, t2, delta_eps) -> its degree table, see _degrees
 
 
 def _is_prime(n: int) -> bool:
@@ -265,8 +266,8 @@ class GhostContext:
         return d_iw, d_ur
 
     def _cache(self, name: str) -> dict:
-        # only what later calls re-read: "tables" (the degree table) and
-        # "derivative" (derivative polygons by bullet)
+        # only what later calls re-read: "derivative" (derivative polygons
+        # by bullet); the degree table is shared, see _degrees
         return self._caches.setdefault(name, {})
 
 
@@ -514,7 +515,7 @@ def anchored_valuation(ctx: GhostContext, n: int, k: int) -> int:
 # I the least i with p^i > max(kb, bound), where stride I holds only kb.
 # Each stride adds one constant weight, none when it is 0, so a table walks
 # at most N/(p-1) of the N ~ (p+1)/2 * n_hi bullets, plus one O(n_hi) pass
-# over the degree table, one list per context that :func:`_degrees` grows.
+# over the degree table, one list per parameter set that :func:`_degrees` grows.
 
 
 def _triangle_table(ctx, strides, n_hi: int) -> list:
@@ -557,17 +558,17 @@ def _corner_steps(ctx: GhostContext, n: int) -> list:
 
 
 def _degrees(ctx: GhostContext, n_hi: int) -> list:
-    """The context's degree table, grown in place to cover n_hi; read
-    entries 0..n_hi only.  deg is the double cumulative sum of
-    :func:`_corner_steps`.  Past lead = 1 + :func:`_period_span` the
-    corners repeat with period 2p, each adding p(p+1) - 4p + (p+1) =
-    (p-1)^2 to the slope, so past head = lead + 2p
-    deg[m+1] = deg[m] + (deg[m+1-2p] - deg[m-2p]) + (p-1)^2.  Below head
-    the table doubles, so small steps rebuild it O(log head) times."""
-    deg = ctx._cache("tables").setdefault("deg", [0])
+    """The degree table of ctx's (p, t1, t2, delta_eps), shared by every context
+    with them and grown in place to cover n_hi; read entries 0..n_hi only,
+    never write.  deg is the double cumulative sum of :func:`_corner_steps`.
+    Past lead = 1 + :func:`_period_span` the corners repeat with period 2p,
+    each adding p(p+1) - 4p + (p+1) = (p-1)^2 to the slope, so past head =
+    lead + 2p deg[m+1] = deg[m] + (deg[m+1-2p] - deg[m-2p]) + (p-1)^2.  Below
+    head the table doubles, so small steps rebuild it O(log head) times."""
+    if n_hi > MAX_TABLE_INDEX:
+        raise DomainError(f"table index {n_hi} exceeds MAX_TABLE_INDEX = {MAX_TABLE_INDEX}")
+    deg = _DEGREE_TABLES.setdefault((ctx.p, ctx.t1, ctx.t2, ctx.delta_eps), [0])
     if len(deg) <= n_hi:
-        if n_hi > MAX_TABLE_INDEX:
-            raise DomainError(f"table index {n_hi} exceeds MAX_TABLE_INDEX = {MAX_TABLE_INDEX}")
         p, head = ctx.p, 2 * ctx.p + 1 + _period_span(ctx)
         if len(deg) <= min(n_hi, head):
             size = min(head, max(n_hi, 2 * (len(deg) - 1)))
@@ -593,7 +594,7 @@ def _anchored_table(ctx: GhostContext, kb: int, n_hi: int, weight_of_distance) -
 
 
 def degree_table(ctx: GhostContext, n_hi: int) -> list:
-    """deg g_n for n = 0..n_hi (deg g_0 = 0)."""
+    """deg g_n for n = 0..n_hi (deg g_0 = 0), as a list of the caller's own."""
     return _degrees(ctx, n_hi)[: n_hi + 1]
 
 

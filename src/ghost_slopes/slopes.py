@@ -37,8 +37,8 @@ from .ghost import (
     WeightIndex,
     WeightPoint,
     _bullet_bound,
+    _degrees,
     _period_span,
-    degree_table,
     dimensions,
     hatted_valuation_table,
     level_tables,
@@ -223,9 +223,9 @@ def _tail_certified(rfac, deg, inc_floor, n_window, q_hi, hull, den) -> bool:
 
 
 def _windows(ctx: GhostContext, k: int, q_hi: int):
-    """Yield (n_window, degree table, increment floor), doubling from a
-    first window sized to pass :func:`_tail_certified`; the degree table
-    of a window past MAX_TABLE_INDEX raises DomainError, ending the walk.
+    """Yield (n_window, the shared degree table, increment floor), doubling
+    from a first window sized to pass :func:`_tail_certified`; a window past
+    MAX_TABLE_INDEX raises DomainError, ending the walk.
 
     Past the anchor's triangle, distance i + 1 weighs on about 1/p^i of
     deg, so a hull's line at q_hi runs near p/(p-1) times deg's tangent
@@ -235,12 +235,13 @@ def _windows(ctx: GhostContext, k: int, q_hi: int):
     (7,2,1), (5,1,0) and (11,6,9)), else 2 n0.
     """
     p, n_window = ctx.p, max(q_hi + 8, dimensions(ctx, k).d_iw)
-    deg = degree_table(ctx, max(q_hi + 1, min(2 * n_window, ghost.MAX_TABLE_INDEX)))
+    cap = max(q_hi + 1, min(2 * n_window, ghost.MAX_TABLE_INDEX))
+    deg = _degrees(ctx, cap)
     y, s = p * deg[q_hi], p * (deg[q_hi + 1] - deg[q_hi])
-    fits = (n for n in range(n_window, len(deg)) if (p - 1) * deg[n] >= y + s * (n - q_hi))
+    fits = (n for n in range(n_window, cap + 1) if (p - 1) * deg[n] >= y + s * (n - q_hi))
     n_window = next((n + -(-n // 64) for n in fits), 2 * n_window)
     while True:
-        yield n_window, degree_table(ctx, n_window), _degree_increment_floor(ctx, n_window)
+        yield n_window, _degrees(ctx, n_window), _degree_increment_floor(ctx, n_window)
         n_window *= 2
 
 
@@ -431,14 +432,14 @@ def slope_window(ctx: GhostContext, k: int, i: int) -> tuple:
 #
 # The turn and point tests are signs of one orientation test, _turn,
 # which is linear in the table and so in r: a sign that holds at both
-# endpoints holds on the whole piece.  The candidate sub-chain comes from
-# the midpoint, as the chain over a slice around the block, widened 4x
-# until every window point lies on or above its lines there; there its
-# turns are > 0 and its point tests <= 0, so a test that fails at an
-# endpoint has its one root -_turn(A)/_turn(B) in (r1, r2), and the piece
-# splits there.  All hull comparisons run on values scaled by the radius
-# denominator, in plain integers.  Levels start at 1, so the tail bound's
-# factor min(r, 1) is always 1.
+# endpoints holds on the whole piece.  The midpoint's hull chain over a
+# slice around the block proposes the sub-chain.  A test that fails at an
+# endpoint splits the piece at its root -_turn(A)/_turn(B) when that lies
+# in (r1, r2), else the slice widens 4x.  On the whole window the chain's
+# turns are > 0 and its point tests <= 0 at the midpoint, so there every
+# root lies in (r1, r2).  All hull comparisons run on values scaled by the
+# radius denominator, in plain integers.  Levels start at 1, so the tail
+# bound's factor min(r, 1) is always 1.
 #
 # On a piece the newslope is linear in r, so it is (k-2)/2 on the whole
 # piece iff its edge's B-difference is 0 and its A-difference is (k-2)/2
@@ -495,20 +496,14 @@ def _piece_violation(A, B, deg, xs, r: Fraction, inc_floor):
     return viol
 
 
-def _midpoint_chain(A, B, r: Fraction, lo, hi):
-    """The hull's sub-chain over [lo - 1, hi] at radius r: the vertices
-    from the last at or left of lo - 1 to the first at or right of hi, of
-    the chain over a slice around the block, widened 4x until every window
-    point lies on or above the sub-chain's lines at r."""
-    vn = _values(A, B, r)
-    pad = 2 * (hi - lo) + 8
-    while True:
-        s0, s1 = max(0, lo - 1 - pad), min(len(vn) - 1, hi + pad)
-        xs = integer_hull(range(s0, s1 + 1), vn[s0 : s1 + 1], r.denominator).vertex_xs()
-        xs = xs[bisect_right(xs, lo - 1) - 1 : bisect_left(xs, hi) + 1]
-        if s1 - s0 == len(vn) - 1 or _chain_violation(vn, xs) is None:
-            return xs
-        pad *= 4
+def _midpoint_chain(A, B, r: Fraction, lo, hi, pad):
+    """The sub-chain over [lo - 1, hi] of the hull at radius r of the slice
+    lo - 1 - pad .. hi + pad alone, from its last vertex at or left of lo - 1
+    to its first at or right of hi: a proposal that :func:`_level_pieces` certifies."""
+    s0, s1 = max(0, lo - 1 - pad), min(len(A) - 1, hi + pad)
+    vn = _values(A[s0 : s1 + 1], B[s0 : s1 + 1], r)
+    xs = integer_hull(range(s0, s1 + 1), vn, r.denominator).vertex_xs()
+    return xs[bisect_right(xs, lo - 1) - 1 : bisect_left(xs, hi) + 1]
 
 
 def _level_pieces(ctx: GhostContext, k: int, level: int, lo: int, hi: int):
@@ -528,7 +523,7 @@ def _level_pieces(ctx: GhostContext, k: int, level: int, lo: int, hi: int):
     for n_window, deg, inc_floor in _windows(ctx, k, hi):
         A, B = level_tables(ctx, k, level, n_window)
         done: list = []
-        stack = [(Fraction(level), Fraction(level + 1))]
+        stack = [(Fraction(level), Fraction(level + 1), 2 * (hi - lo) + 8)]
         guard = 0
         while stack:
             guard += 1
@@ -536,8 +531,8 @@ def _level_pieces(ctx: GhostContext, k: int, level: int, lo: int, hi: int):
                 raise VerificationError(
                     f"newslope sweep failed to stabilize: SWEEP_PIECE_GUARD = {SWEEP_PIECE_GUARD}"
                 )
-            r1, r2 = stack.pop()
-            xs = _midpoint_chain(A, B, (r1 + r2) / 2, lo, hi)
+            r1, r2, pad = stack.pop()
+            xs = _midpoint_chain(A, B, (r1 + r2) / 2, lo, hi, pad)
             viol = _piece_violation(A, B, deg, xs, r1, inc_floor) or (
                 _piece_violation(A, B, deg, xs, r2, inc_floor)
             )
@@ -547,9 +542,12 @@ def _level_pieces(ctx: GhostContext, k: int, level: int, lo: int, hi: int):
             if viol == "tail":
                 break  # on to a wider window
             rate = _turn(B, *viol)  # the turn is _turn(A) + rate * r
-            if not rate or not r1 < (root := Fraction(-_turn(A, *viol), rate)) < r2:
+            if rate and r1 < (root := Fraction(-_turn(A, *viol), rate)) < r2:
+                stack += [(r1, root, pad), (root, r2, pad)]
+            elif pad < max(lo - 1, n_window - hi):  # the slice misses some of the window
+                stack.append((r1, r2, 4 * pad))
+            else:
                 raise VerificationError("sweep certificate root escaped its piece")
-            stack += [(r1, root), (root, r2)]
         else:
             return [(r1, r2, xs, A, B) for r1, r2, xs in sorted(done)]
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ghost_slopes import checks
+from ghost_slopes import checks, ghost
 from ghost_slopes.cli import main
 from ghost_slopes.errors import ConfigError, DomainError
 from ghost_slopes.ghost import (
@@ -443,9 +443,10 @@ def test_degree_table(ctx):
     [(p, mode) for p in (5, 7, 11, 13, 17, 19, 23, 29, 31) for mode in ("strict", "exploratory")
      if p >= 11 or mode == "exploratory"],
 )
-def test_degree_table_past_its_period(p, mode):
+def test_degree_table_past_its_period(p, mode, monkeypatch):
     # below head the table comes from the corners of bullets 0..p, past it
-    # from the period recurrence; built at once or grown, it equals the walk
+    # from the period recurrence; built at once or grown from empty, it
+    # equals the walk
     lo = 2 if mode == "strict" else 1
     hi = p - 3 - lo
     for a, s_eps in {(lo, 0), (hi, p - 2), ((lo + hi) // 2, (p - 1) // 2), (lo, p - 2)}:
@@ -453,7 +454,9 @@ def test_degree_table_past_its_period(p, mode):
         head = 2 * p + 1 + _period_span(ctx)
         n = 3 * head + 5
         walk = _triangle_table(ctx, [(range(_bullet_bound(ctx, n)), 1)], n)
+        monkeypatch.setattr(ghost, "_DEGREE_TABLES", {})
         assert degree_table(ctx, n) == walk, (a, s_eps)
+        monkeypatch.setattr(ghost, "_DEGREE_TABLES", {})
         grown = GhostContext(p, a, s_eps, mode=mode)
         for m in (head // 2, head, n):
             assert degree_table(grown, m) == walk[: m + 1], (a, s_eps, m)

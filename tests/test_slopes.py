@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -509,9 +510,31 @@ def test_windows_end_at_max_table_index(monkeypatch):
     sizes = []
     with pytest.raises(DomainError, match="MAX_TABLE_INDEX = 64"):
         for n_window, deg, _ in slopes._windows(fresh, 24, 8):
-            assert len(deg) == n_window + 1
+            assert len(deg) > n_window  # the shared table, read to n_window
             sizes.append(n_window)
     assert sizes == [17, 34]
+
+
+def test_windows_and_thresholds_ignore_how_far_the_table_grew(monkeypatch):
+    # one degree table serves every context with the same parameters, so
+    # a table that another context grew far past a window must give the
+    # same windows, thresholds and MAX_TABLE_INDEX refusals as a fresh one
+    monkeypatch.setattr(ghost, "_DEGREE_TABLES", {})
+
+    def read(k):
+        fresh = GhostContext(p=7, a=2, s_eps=1)
+        walk = islice(slopes._windows(fresh, k, dimensions(fresh, k).d_iw), 3)
+        return [(n, deg[: n + 1], floor) for n, deg, floor in walk], k_thresholds(fresh, k)
+
+    ks = (24, 444, 1206)
+    first = [read(k) for k in ks]
+    ghost.degree_table(GhostContext(p=7, a=2, s_eps=1, global_mult=3), 100_000)
+    assert len(ghost._DEGREE_TABLES[(7, 1, 5, 0)]) > 100_000
+    assert [read(k) for k in ks] == first
+    monkeypatch.setattr(ghost, "MAX_TABLE_INDEX", 1000)
+    assert len(ghost.degree_table(GhostContext(p=7, a=2, s_eps=1), 1000)) == 1001
+    with pytest.raises(DomainError, match="MAX_TABLE_INDEX = 1000"):
+        ghost.degree_table(GhostContext(p=7, a=2, s_eps=1), 1001)
 
 
 def test_one_window_per_certification(monkeypatch):
@@ -576,20 +599,33 @@ def test_piece_violation_outcomes(xs, r, inc_floor, expected):
         assert slopes._piece_violation(SWEEP_A, SWEEP_B, SWEEP_DEG, xs, mirror, inc_floor) is None
 
 
-def test_midpoint_chain_widens_past_a_far_vertex():
+def test_midpoint_chain_widens_past_a_far_vertex(monkeypatch):
     # on the convex points (q, q^2) one deep point at q = 30 lies outside
     # the first slice around x = 1..2, below the narrow chain's first-edge
-    # line; the slice widens until the sub-chain runs from 0 to that point
+    # line; B = 0, so that test's rate is 0 and the piece loop widens the
+    # slice until the sub-chain runs from 0 to that point
     A, B = [q * q for q in range(41)], [0] * 41
-    A[30] = -1000
-    assert slopes._midpoint_chain(A, B, Fraction(3, 2), 2, 2) == (0, 30)
-    A[30] = 900  # back on the parabola: the first slice suffices
-    assert slopes._midpoint_chain(A, B, Fraction(3, 2), 2, 2) == (1, 2)
+    monkeypatch.setattr(slopes, "level_tables", lambda *args: (A, B))
+    window = (40, [100 * q for q in range(41)], 100)  # n_window, deg, inc_floor: tails certify
+    monkeypatch.setattr(slopes, "_windows", lambda *args: iter([window]))
+    chain, pads = slopes._midpoint_chain, []
+
+    def spied(*args):
+        pads.append(args[-1])
+        return chain(*args)
+
+    monkeypatch.setattr(slopes, "_midpoint_chain", spied)
+    fresh = GhostContext(p=7, a=2, s_eps=1)
+    for deep, widened, xs in ((-1000, [8, 32], (0, 30)), (900, [8], (1, 2))):  # 900: on the parabola
+        A[30], pads[:] = deep, []
+        assert slopes._level_pieces(fresh, 24, 1, 2, 2) == [(1, 2, xs, A, B)]
+        assert pads == widened
 
 
 def test_context_keeps_only_reread_caches():
-    # the degree table and derivative polygons are re-read across weights;
-    # nothing else a query builds may stay on the context
+    # derivative polygons are re-read across weights; nothing else a query
+    # builds may stay on the context (the degree table is shared per
+    # parameter set, off the context)
     fresh = GhostContext(p=7, a=2, s_eps=1)
     for k in (24, 66, 120, 444):
         k_thresholds(fresh, k)
@@ -599,7 +635,7 @@ def test_context_keeps_only_reread_caches():
         trip = dimensions(fresh, k)
         certified_newton_polygon(fresh, WeightPoint(k, Fraction(3, 2)), trip.d_iw - trip.d_ur)
         breakpoints_by_criterion(fresh, WeightPoint(k, 3), trip.d_iw)
-    assert set(fresh._caches) <= {"tables", "derivative"}
+    assert set(fresh._caches) == {"derivative"}
 
 
 @pytest.mark.parametrize("radius", (Fraction(3, 2), 7, INF))
