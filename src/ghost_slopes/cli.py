@@ -22,6 +22,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Iterator, List, Tuple
 
 from .checks import SUITES
@@ -29,8 +30,8 @@ from .distribution import SampleKind, discrepancy, sample, weyl_csv, weyl_moment
 from .errors import ConfigError, DomainError, VerificationError
 from .ghost import K_CEILING, GhostContext, WeightPoint, ghost_polynomial
 from .prediction import predict_slopes
-from .slopes import k_newslopes, k_thresholds
-from .valuation import INF, format_rational
+from .slopes import k_thresholds, newslope_runs
+from .valuation import INF, format_rational, ratio_text
 
 FORMATS = ("json", "csv", "table")
 
@@ -43,6 +44,10 @@ MAX_RANGE_WEIGHTS = 10_000
 # for grow with n, and these are far above the widest in use (8 and 3)
 MAX_GHOST_N = 64
 MAX_MOMENT_ORDER = 32
+
+# longest -r text; longer texts and exponents are refused before parsing, as
+# 1e20000000 takes seconds and 1e-100000 passes Python's int-to-text digit limit
+MAX_RADIUS_CHARS = 64
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,6 +80,8 @@ def _range_weights(ctx: GhostContext, text: str, lo: int, hi: int) -> List[int]:
 
 
 def _parse_radius(text: str):
+    if len(text) > MAX_RADIUS_CHARS or "e" in text.lower():
+        raise ConfigError(f"radius needs at most MAX_RADIUS_CHARS = {MAX_RADIUS_CHARS} characters, no exponent")
     if text.strip() == "inf":
         return INF
     try:
@@ -161,12 +168,10 @@ def cmd_ghost(args) -> str:
 def cmd_slopes(args) -> str:
     ctx = _context(args)
     radius = _parse_radius(args.radius)
-    slopes = k_newslopes(ctx, args.k, WeightPoint(args.k, radius))
-    rendered = [format_rational(s) for s in slopes]
+    runs = newslope_runs(ctx, args.k, WeightPoint(args.k, radius))
+    rendered = list(chain.from_iterable(repeat(ratio_text(a, b), m) for a, b, m in runs))
     if args.fmt == "json":
-        return _json_text(
-            {"k": args.k, "radius": format_rational(radius), "newslopes": rendered}
-        )
+        return _json_text({"k": args.k, "radius": format_rational(radius), "newslopes": rendered})
     if args.fmt == "csv":
         lines = ["i,slope"]
         lines.extend(f"{i},{s}" for i, s in enumerate(rendered, 1))
@@ -176,44 +181,27 @@ def cmd_slopes(args) -> str:
 
 def cmd_thresholds(args) -> str:
     ctx = _context(args)
-    tv = k_thresholds(ctx, args.k)
+    data = k_thresholds(ctx, args.k).to_json_dict()
     if args.fmt == "json":
-        return _json_text(tv.to_json_dict())
-    pairs = list(zip(tv.local_thresholds, tv.provenance))
+        return _json_text(data)
+    pairs = list(zip(data["local"], data["provenance"]))
     if args.fmt == "csv":
         lines = ["n,value,provenance"]
-        lines.extend(
-            f"{n},{format_rational(v)},{prov}"
-            for n, (v, prov) in enumerate(pairs, 1)
-        )
+        lines.extend(f"{n},{v},{prov}" for n, (v, prov) in enumerate(pairs, 1))
         return "\n".join(lines) + "\n"
-    return "".join(
-        f"CS_{n}({args.k}) = {format_rational(v)} [{prov}]\n"
-        for n, (v, prov) in enumerate(pairs, 1)
-    )
+    return "".join(f"CS_{n}({args.k}) = {v} [{prov}]\n" for n, (v, prov) in enumerate(pairs, 1))
 
 
 def cmd_predict(args) -> str:
     ctx = _context(args)
-    pred = predict_slopes(ctx, args.k)
+    data = predict_slopes(ctx, args.k).to_json_dict()
     if args.fmt == "json":
-        return _json_text(pred.to_json_dict())
+        return _json_text(data)
+    known, floor, count = data["linv_known"], data["floor"], data["exceptional"]
     if args.fmt == "csv":
-        lines = ["kind,slope,mult"]
-        lines.extend(
-            f"known,{format_rational(v)},{m}" for v, m in pred.linv_slopes_known
-        )
-        lines.append(
-            f"floor,{format_rational(pred.linv_floor.value)},{pred.exceptional_count}"
-        )
+        lines = ["kind,slope,mult", *(f"known,{v},{m}" for v, m in known), f"floor,{floor},{count}"]
         return "\n".join(lines) + "\n"
-    lines = [f"k = {pred.k.k}"]
-    lines.extend(
-        f"linv {format_rational(v)} x{m}" for v, m in pred.linv_slopes_known
-    )
-    lines.append(
-        f"floor {format_rational(pred.linv_floor.value)} x{pred.exceptional_count}"
-    )
+    lines = [f"k = {args.k}", *(f"linv {v} x{m}" for v, m in known), f"floor {floor} x{count}"]
     return "".join(line + "\n" for line in lines)
 
 

@@ -10,11 +10,11 @@ the multiplicity of the slope equals the slope drop at the breakpoint.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -53,6 +53,19 @@ def edge_at(hull: Sequence[Tuple[int, int]], den: int, x: int) -> Tuple[Fraction
     (x0, y0), (x1, y1) = hull[i], hull[i + 1]
     e = (x1 - x0) * den
     return Fraction(y0 * (x1 - x) + y1 * (x - x0), e), Fraction(y1 - y0, e)
+
+
+def edge_runs(hull: Sequence[Tuple[int, int]], den: int, lo: int, hi: int) -> list:
+    """(num, d, width) for each edge of the polyline through the points
+    (x_i, y_i / den) of ``hull`` that meets [lo, hi], x_0 <= lo < hi <= x_last
+    or lo = hi a vertex: its slope num / d in lowest terms, d > 0, and how
+    much of [lo, hi] it covers."""
+    i, j = bisect_right(hull, lo, key=itemgetter(0)) - 1, bisect_left(hull, hi, key=itemgetter(0))
+    ends, runs = [lo, *(x for x, _ in hull[i + 1 : j]), hi], []
+    for (x0, y0), (x1, y1), c0, c1 in zip(hull[i:j], hull[i + 1 : j + 1], ends, ends[1:]):
+        g = gcd(y1 - y0, (x1 - x0) * den)
+        runs.append(((y1 - y0) // g, (x1 - x0) * den // g, c1 - c0))
+    return runs
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain, repeat
 from math import lcm
 from operator import sub
@@ -30,7 +30,7 @@ from typing import Iterable, Tuple
 from .errors import VerificationError
 from .ghost import GhostContext, WeightIndex, floor_log_bullet
 from .slopes import derivative_polygon, slope_window
-from .valuation import Valuation, format_rational
+from .valuation import Valuation, format_rational, ratio_text
 
 
 class Rel(Enum):
@@ -150,9 +150,7 @@ class SlopePrediction:
     def to_json_dict(self) -> dict:
         return {
             "k": self.k.k,
-            "linv_known": [
-                [format_rational(v), m] for v, m in self.linv_slopes_known
-            ],
+            "linv_known": [[ratio_text(-a - self.den, self.den), m] for a, m in self.known],
             "floor": format_rational(self.linv_floor.value),
             "exceptional": self.exceptional_count,
         }
@@ -196,13 +194,10 @@ def _assert_model_hull(model: PredictionModel) -> None:
     # are then the hull's vertices and every other point lies on an edge
     blocks = list(model.known_blocks())
     if flat := model.d - model.known_size():
-        blocks.append((model.R * model.L_den, flat))
+        blocks.append((int(model.R * model.L_den), flat))
     L = (0, *model.L_nums)
     steps, end = list(map(sub, L[1:], L)), 0
-
-    def text(a) -> str:
-        return format_rational(Fraction(a) / model.L_den)
-
+    text = partial(ratio_text, den=model.L_den)
     for i, (r, width) in enumerate(blocks, 1):
         seen, end = steps[end : end + width], end + width
         if i > 1 and r >= blocks[i - 2][0]:

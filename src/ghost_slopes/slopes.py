@@ -9,8 +9,9 @@ are near-Steinberg for nobody are exactly the breakpoints of the ghost
 Newton polygon at w.  The increments do not decrease with l, so the
 indices near-Steinberg for one k2 form an interval around its center,
 and the breakpoints are what no such interval covers.  Newslopes follow
-a closed form above the zero radius M(k) and an exact parametric sweep
-below it.
+a closed form above the zero radius M(k), else the certified polygon,
+both on integers as ascending runs (num, den, mult) of reduced slopes;
+their lock radii below M(k) come from an exact parametric sweep.
 
 All hull reads from finite windows are certified against the infinite
 series: a window is accepted only once every omitted coefficient
@@ -45,8 +46,8 @@ from .ghost import (
     max_zero_distance,
     point_distance,
 )
-from .polygon import RationalPolygon, edge_at, integer_hull, newton_polygon_at
-from .valuation import Valuation, format_rational
+from .polygon import RationalPolygon, edge_at, edge_runs, integer_hull, newton_polygon_at
+from .valuation import Valuation, ratio_text
 
 # -- derivative polygons ------------------------------------------------------
 
@@ -76,11 +77,7 @@ class DerivativePolygon:
 
     @cached_property
     def edges(self) -> Tuple[Tuple[int, int, int], ...]:
-        out = []
-        for (x0, y0), (x1, y1) in zip(self.hull.hull, self.hull.hull[1:]):
-            g = gcd(y1 - y0, 2 * (x1 - x0))
-            out.append(((y1 - y0) // g, 2 * (x1 - x0) // g, x1 - x0))
-        return tuple(out)
+        return tuple(edge_runs(self.hull.hull, 2, 0, self.hull.hull[-1][0]))
 
     def slope(self, i: int) -> Fraction:
         """s_i, for 1 <= i <= N."""
@@ -264,12 +261,28 @@ def certified_newton_polygon(
 # -- k-newslopes -------------------------------------------------------------------
 
 
-def k_newslopes(ctx: GhostContext, k: int, w: WeightPoint) -> List[Fraction]:
-    """The d_new slopes attached to k on the ghost polygon at w, ascending.
+def newslope_runs(ctx: GhostContext, k: int, w: WeightPoint) -> List[Tuple[int, int, int]]:
+    """The d_new slopes attached to k on the ghost polygon at w, as runs
+    (num, den, mult): the slope num / den in lowest terms, den > 0, mult > 0
+    times, strictly ascending.  The closed three-part description applies
+    above the zero radius M(k) and off the derivative slopes; elsewhere the
+    runs are the certified polygon's edges over [d_ur, d_iw - d_ur].
 
-    The closed three-part description applies above the zero radius
-    M(k) and off the derivative slopes; elsewhere the slopes are read
-    from the certified polygon.
+    Examples
+    --------
+    >>> ctx = GhostContext(p=7, a=2, s_eps=1)
+    >>> newslope_runs(ctx, 24, WeightPoint(24, 7))
+    [(9, 1, 1), (11, 1, 4), (13, 1, 1)]
+    """
+    if dimensions(ctx, k).d_new == 0:
+        return []
+    closed = _closed_form_runs(ctx, k, w)
+    return _hull_runs(ctx, k, w) if closed is None else closed
+
+
+def k_newslopes(ctx: GhostContext, k: int, w: WeightPoint) -> List[Fraction]:
+    """The d_new slopes attached to k on the ghost polygon at w, ascending:
+    the runs of :func:`newslope_runs`, each expanded to its multiplicity.
 
     Examples
     --------
@@ -279,27 +292,30 @@ def k_newslopes(ctx: GhostContext, k: int, w: WeightPoint) -> List[Fraction]:
     >>> k_newslopes(ctx, 24, WeightPoint(24, 7))
     [Fraction(9, 1), Fraction(11, 1), Fraction(11, 1), Fraction(11, 1), Fraction(11, 1), Fraction(13, 1)]
     """
-    if dimensions(ctx, k).d_new == 0:
-        return []
-    closed = _closed_form_newslopes(ctx, k, w)
-    return _hull_newslopes(ctx, k, w) if closed is None else closed
+    runs = newslope_runs(ctx, k, w)
+    return list(chain.from_iterable(repeat(Fraction(a, b), m) for a, b, m in runs))
 
 
-def _hull_newslopes(ctx, k, w):
-    # the newslopes read from the certified polygon, valid at every radius
+def _run(num: int, den: int, mult: int) -> Tuple[int, int, int]:
+    g = gcd(num, den)
+    return num // g, den // g, mult
+
+
+def _hull_runs(ctx, k, w):
+    # the certified polygon's edges over [d_ur, d_iw - d_ur], valid at every radius
     trip = dimensions(ctx, k)
-    hull = certified_newton_polygon(ctx, w, trip.d_iw - trip.d_ur)
-    return hull.slope_list()[trip.d_ur : trip.d_iw - trip.d_ur]
+    np_ = certified_newton_polygon(ctx, w, trip.d_iw - trip.d_ur)
+    return edge_runs(np_.hull, np_.den, trip.d_ur, trip.d_iw - trip.d_ur)
 
 
-def _closed_form_newslopes(ctx, k, w):
+def _closed_form_runs(ctx, k, w):
     # valid for radius > max(M(k), s_{i-1}) strictly between derivative
     # slopes, or at/above max(s_N, M(k)); None signals "out of region"
     dp = derivative_polygon(ctx, k)
-    edges, half = dp.edges, Fraction(k - 2, 2)
+    edges = dp.edges
     top = max(Valuation(dp.slope(len(edges))), dp.m_of_k) if edges else dp.m_of_k
     if w.radius >= top:
-        return [half] * dimensions(ctx, k).d_new
+        return [_run(k - 2, 2, dimensions(ctx, k).d_new)]
     nu = w.radius.value
     u, v = nu.numerator, nu.denominator
     # i is the first index with nu < s_i (i <= N, as nu < top); the
@@ -307,14 +323,12 @@ def _closed_form_newslopes(ctx, k, w):
     i = 1 + bisect_left(edges, True, key=lambda e: e[0] * v > u * e[1])
     if nu <= dp.m_of_k.value or (i > 1 and dp.slope(i - 1) == nu):
         return None
-    gaps = [(Fraction(a, b) - nu, m) for a, b, m in edges[i - 1 :]]
-    out = []
-    for g, m in reversed(gaps):
-        out.extend([half - g] * m)
-    out.extend([half] * (2 * dp.breakpoints[i - 1]))
-    for g, m in gaps:
-        out.extend([half + g] * m)
-    return out
+    # (k-2)/2 -+ (a/b - nu), over 2 b v, for each s_j = a/b with j >= i
+    sides = [((k - 2) * b * v, 2 * (a * v - u * b), 2 * b * v, m) for a, b, m in edges[i - 1 :]]
+    centre = 2 * dp.breakpoints[i - 1]
+    low = [_run(c - g, e, m) for c, g, e, m in reversed(sides)]
+    mid = [_run(k - 2, 2, centre)] if centre else []
+    return low + mid + [_run(c + g, e, m) for c, g, e, m in sides]
 
 
 # -- thresholds --------------------------------------------------------------------
@@ -349,7 +363,7 @@ class ThresholdVector:
     def to_json_dict(self) -> dict:
         return {
             "k": self.k.k,
-            "local": [format_rational(Fraction(a, self.den)) for a in self.nums],
+            "local": [ratio_text(a, self.den) for a in self.nums],
             "provenance": list(self.provenance),
             "global_mult": self.global_mult,
         }
@@ -365,7 +379,7 @@ def k_thresholds(ctx: GhostContext, k: int) -> ThresholdVector:
     Examples
     --------
     >>> ctx = GhostContext(p=7, a=2, s_eps=1)
-    >>> [format_rational(v) for v in k_thresholds(ctx, 24).local_thresholds]
+    >>> k_thresholds(ctx, 24).to_json_dict()["local"]
     ['9', '6', '2', '1', '6', '9']
     """
     dp = derivative_polygon(ctx, k)

@@ -12,6 +12,7 @@ The normalization is v_p(p) = 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -173,9 +174,23 @@ def weight_distance(k1: int, k2: int, p: int) -> Valuation:
     return Valuation(1 + vp_int_raw(k1 - k2, p))
 
 
+def ratio_text(num: int, den: int) -> str:
+    """The text of num / den, ints with den > 0: "num/den" in lowest terms,
+    bare "num" when that denominator is 1, the bytes of str(Fraction(num, den)).
+    Every rational the library prints goes through here.
+
+    Examples
+    --------
+    >>> ratio_text(-22, 4), ratio_text(12, 4), ratio_text(0, 7)
+    ('-11/2', '3', '0')
+    """
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def format_rational(x) -> str:
-    """Canonical string for a rational or Valuation: "num/den" in lowest
-    terms, bare "num" when the denominator is 1, "inf" for INF.
+    """Canonical string for an int, Fraction or Valuation: the text of
+    :func:`ratio_text` for a finite value, "inf" for INF.
 
     Examples
     --------
@@ -190,4 +205,4 @@ def format_rational(x) -> str:
         if x.is_infinite:
             return "inf"
         x = x.value
-    return str(Fraction(x))
+    return ratio_text(x.numerator, x.denominator)

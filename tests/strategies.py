@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared by the property tests."""
+"""Hypothesis strategies and helpers shared by the property tests."""
 
 from fractions import Fraction
 
@@ -25,3 +25,8 @@ def context_and_weight(draw):
         p, a, draw(st.integers(0, p - 2)), draw(st.integers(1, 3)), mode
     )
     return ctx, draw(st.sampled_from(list(ctx.class_members(ctx.k_eps, 300))))
+
+
+def expand_runs(runs) -> list:
+    """Newslope runs (num, den, mult) as the ascending list of their Fractions."""
+    return [Fraction(a, b) for a, b, m in runs for _ in range(m)]

@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import weakref
 
 import pytest
@@ -119,6 +120,21 @@ class TestSlopesCommand:
         for radius in ("three", "-1", "0"):
             code, _, err = run(capsys, "slopes", "-k", "24", "-r", radius)
             assert code == 1
+
+    @pytest.mark.parametrize(
+        "radius, fmt",
+        [("1e-100000", "table"), ("1e5000", "json"), ("7" * 4300 + "/" + "3" * 4300, "table"),
+         ("1e20000000", "table")],
+        ids=["1e-100000", "1e5000-json", "4300-digits-over-4300", "1e20000000"],
+    )
+    def test_unbounded_radius_is_config_error(self, capsys, radius, fmt):
+        # exponent notation and long texts are refused before they are parsed:
+        # these once printed past Python's int-to-text digit limit with a
+        # traceback, or ran for half a minute
+        start = time.perf_counter()
+        code, out, err = run(capsys, "slopes", "-k", "24", "-r", radius, "--format", fmt)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "") and "MAX_RADIUS_CHARS" in err and "Traceback" not in err
 
 
 class TestThresholdsCommand:

@@ -1,8 +1,9 @@
 """Every batch table kernel, the integer derivative polygon, the sweep's
 radius-free lock test and its block-local pieces, the interval-marking
-breakpoint criterion and the integer thresholds, L model, prediction and
-samples against their pointwise or Fraction oracles, the one-pass sweep and the near-Steinberg criterion
-against the certified hull, the sweep's thresholds against a perturbed
+breakpoint criterion and the integer thresholds, L model, prediction, their
+JSON texts and samples against their pointwise or Fraction oracles, the
+one-pass sweep, the newslope runs and the near-Steinberg criterion against
+the certified hull, the sweep's thresholds against a perturbed
 hull that never runs the sweep, and the first certification window
 against one 4x wider, over random contexts (p, a, s_eps, m) in both
 modes; and the integer sample statistics against their Fraction
@@ -49,15 +50,16 @@ from ghost_slopes.polygon import newton_polygon_at
 from ghost_slopes.prediction import build_model, model_radius, predict_slopes
 from ghost_slopes.slopes import (
     _degree_increment_floor,
-    _hull_newslopes,
+    _hull_runs,
     _level_pieces,
     _locked_on,
     _reach,
     _sweep,
     _windows,
     certified_newton_polygon,
+    newslope_runs,
 )
-from strategies import RADII, context_and_weight
+from strategies import RADII, context_and_weight, expand_runs
 
 N_HI = st.integers(0, 120)
 
@@ -264,7 +266,29 @@ def test_sweep_block_matches_certified_hull(case):
         assert sweep_threshold(ctx, k, n) == cs, (k, n)
         for t in (Fraction(1, 3), Fraction(2, 3), 1):
             r = cs.value + t * (top - cs.value)
-            assert _hull_newslopes(ctx, k, WeightPoint(k, r))[n - 1] == target, (k, n, r)
+            assert expand_runs(_hull_runs(ctx, k, WeightPoint(k, r)))[n - 1] == target, (k, n, r)
+
+
+@example(case=(GhostContext(11, 2, 0), 4))  # d_new = 0
+@given(case=context_and_weight())
+@settings(max_examples=40, deadline=None)
+def test_newslope_runs_match_certified_hull(case):
+    # the runs, expanded, against the certified polygon's Fraction slope list
+    # at INF, at M(k), on each derivative slope, between two slopes and below
+    # M(k): both the closed form and the hull path, and the region edges
+    ctx, k = case
+    trip = dimensions(ctx, k)
+    lo, hi = trip.d_ur, trip.d_iw - trip.d_ur
+    dp = derivative_polygon(ctx, k)
+    m_k, ss = dp.m_of_k.value, [Fraction(a, b) for a, b, _ in dp.edges]
+    between = [(max(s, m_k) + t) / 2 for s, t in zip([Fraction(0), *ss], ss) if t > m_k]
+    radii = [INF, m_k, *ss, *((s + t) / 2 for s, t in zip(ss, ss[1:])), *between, m_k - 1, m_k / 3]
+    for r in (r for r in radii if r > 0):
+        w = WeightPoint(k, r)
+        runs = newslope_runs(ctx, k, w)
+        assert expand_runs(runs) == certified_newton_polygon(ctx, w, hi).slope_list()[lo:hi], (k, r)
+        assert all(b > 0 and m > 0 and math.gcd(a, b) == 1 for a, b, m in runs), (k, r)
+        assert all(a * d < c * b for (a, b, _), (c, d, _) in zip(runs, runs[1:])), (k, r)
 
 
 # -- the sweep against a perturbed hull -------------------------------------------
@@ -495,6 +519,7 @@ def test_integer_paths_match_fraction_oracle(case):
     assert (tv.local_thresholds, tv.provenance) == (local, prov)
     assert tv.global_thresholds == tuple(v for v in local for _ in range(ctx.global_mult))
     assert tv.den == math.lcm(*(v.value.denominator for v in local))
+    assert tv.to_json_dict()["local"] == [str(v.value) for v in local]
     model = build_model(ctx, k)
     assert (model.r_list, model.L_seq) == _oracle_model(ctx, k)
     pred = predict_slopes(ctx, k)
@@ -502,6 +527,7 @@ def test_integer_paths_match_fraction_oracle(case):
         pred.a1_slopes_known, pred.a1_floor, pred.linv_slopes_known, pred.linv_floor,
         pred.exceptional_count,
     ) == _oracle_prediction(ctx, k)
+    assert pred.to_json_dict()["linv_known"] == [[str(v), m] for v, m in _oracle_prediction(ctx, k)[2]]
     for kind in SampleKind:
         assert sample(ctx, k, kind) == _oracle_sample(ctx, k, kind), kind
 

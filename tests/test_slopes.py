@@ -34,8 +34,8 @@ from ghost_slopes import (
 from ghost_slopes import checks, ghost, slopes
 from ghost_slopes.distribution import SampleKind, sample
 from ghost_slopes.ghost import support_interval
-from ghost_slopes.slopes import DerivativePolygon, _closed_form_newslopes, _hull_newslopes
-from strategies import context_and_weight
+from ghost_slopes.slopes import DerivativePolygon, _closed_form_runs, _hull_runs
+from strategies import context_and_weight, expand_runs
 
 
 @pytest.fixture(scope="module")
@@ -285,8 +285,9 @@ NEWSLOPE_TABLES_24 = {
 def test_newslopes_frozen_tables(ctx, nu):
     expect = [Fraction(s) for s in NEWSLOPE_TABLES_24[nu]]
     w = WeightPoint(24, nu)
-    for route in (k_newslopes, _closed_form_newslopes, _hull_newslopes):
-        assert route(ctx, 24, w) == expect
+    assert k_newslopes(ctx, 24, w) == expect
+    for route in (_closed_form_runs, _hull_runs):
+        assert expand_runs(route(ctx, 24, w)) == expect
 
 
 def test_newslopes_infinite_radius_all_central(ctx):
@@ -332,8 +333,8 @@ def test_newslopes_closed_hull_agree_many(ctx):
                 probes.append(Valuation((lo + ss[i - 1]) / 2))
         for r in probes:
             w = WeightPoint(k, r)
-            closed = _closed_form_newslopes(ctx, k, w)
-            assert closed is not None and closed == _hull_newslopes(ctx, k, w), (k, r)
+            closed = _closed_form_runs(ctx, k, w)
+            assert closed is not None and closed == _hull_runs(ctx, k, w), (k, r)
 
 
 def test_newslopes_sorted_and_counted(ctx):
@@ -350,8 +351,8 @@ def test_newslopes_empty_without_newforms():
 
 def test_newslopes_closed_method_errors_off_region(ctx):
     # below M(k) = 2, and on the derivative slope 6, the closed form is out
-    assert _closed_form_newslopes(ctx, 24, WeightPoint(24, Fraction(1, 2))) is None
-    assert _closed_form_newslopes(ctx, 24, WeightPoint(24, 6)) is None
+    assert _closed_form_runs(ctx, 24, WeightPoint(24, Fraction(1, 2))) is None
+    assert _closed_form_runs(ctx, 24, WeightPoint(24, 6)) is None
 
 
 # -- thresholds ---------------------------------------------------------------
@@ -473,8 +474,8 @@ def test_no_lock_at_radius_one_or_below(case, num, den):
     # locks on an interval, which leaves every sweep threshold >= 1
     ctx, k = case
     r = Fraction(min(num, den), den)
-    at_one = _hull_newslopes(ctx, k, WeightPoint(k, 1))
-    at_r = _hull_newslopes(ctx, k, WeightPoint(k, r))
+    at_one = expand_runs(_hull_runs(ctx, k, WeightPoint(k, 1)))
+    at_r = expand_runs(_hull_runs(ctx, k, WeightPoint(k, r)))
     assert at_r == [r * s for s in at_one]
     for n in range(1, len(at_one) + 1):
         assert sweep_threshold(ctx, k, n) >= Valuation(1)

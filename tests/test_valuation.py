@@ -10,6 +10,7 @@ from ghost_slopes import checks
 from ghost_slopes.valuation import (
     INF,
     Valuation,
+    ratio_text,
     vp_int,
     vp_int_raw,
     weight_distance,
@@ -106,3 +107,10 @@ def test_weight_distance():
 )
 def test_weight_distance_ultrametric(a, b, c):
     checks.check_ultrametric(5, a, b, c)
+
+
+@given(st.integers(-(10**30), 10**30), st.integers(1, 10**12), st.integers(-(10**6), 10**6))
+def test_ratio_text_matches_fraction_text(num, den, quotient):
+    # negative numerators, and denominators that divide the numerator
+    assert ratio_text(num, den) == str(Fraction(num, den))
+    assert ratio_text(quotient * den, den) == str(quotient)
