@@ -9,9 +9,11 @@ and ``verify`` runs the sampled invariant suites of
 nonzero on any failure.
 
 Output is canonical: identical configuration produces identical bytes,
-JSON keys are sorted, and rationals render as "num/den" in lowest
-terms.  Exit codes: 0 success, 1 invalid configuration, 2 domain error
-during computation, 3 verification failure, 141 stdout closed early.
+JSON keys are sorted, and rationals render as "num/den" in lowest terms.
+Every command but ``verify`` prints through one renderer, :func:`_emit`,
+which picks its JSON value, CSV rows or table lines by ``--format``.
+Exit codes: 0 success, 1 invalid configuration, 2 domain error during
+computation, 3 verification failure, 141 stdout closed early.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from .checks import SUITES
 from .distribution import SampleKind, discrepancy, sample, weyl_csv, weyl_moments
@@ -135,8 +137,14 @@ def _context(args) -> GhostContext:
     return GhostContext(args.p, args.a, args.s_eps, args.global_mult, args.mode)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True) + "\n"
+def _emit(args, value, header: str, rows: Iterable[tuple], lines: Iterable[str]) -> str:
+    """``value`` as sorted JSON, ``header`` and the comma-joined ``rows``
+    as CSV, or the table ``lines``, as ``--format`` asks; newline-ended."""
+    if args.fmt == "json":
+        return json.dumps(value, sort_keys=True) + "\n"
+    if args.fmt == "csv":
+        lines = chain([header], (",".join(map(str, row)) for row in rows))
+    return "".join(line + "\n" for line in lines)
 
 
 # -- command implementations ------------------------------------------------
@@ -155,14 +163,8 @@ def cmd_ghost(args) -> str:
         raise ConfigError(f"ghost needs 0 <= -n <= MAX_GHOST_N = {MAX_GHOST_N}")
     ctx = _context(args)
     polys = [ghost_polynomial(ctx, n) for n in range(1, args.n + 1)]
-    if args.fmt == "json":
-        return _json_text([gp.to_json_dict() for gp in polys])
-    if args.fmt == "csv":
-        lines = ["n,k,mult"]
-        for gp in polys:
-            lines.extend(f"{gp.n},{k},{m}" for k, m in gp.zeros)
-        return "\n".join(lines) + "\n"
-    return "".join(render_ghost_polynomial(gp) + "\n" for gp in polys)
+    rows = ((gp.n, k, m) for gp in polys for k, m in gp.zeros)
+    return _emit(args, [gp.to_json_dict() for gp in polys], "n,k,mult", rows, map(render_ghost_polynomial, polys))
 
 
 def cmd_slopes(args) -> str:
@@ -170,39 +172,23 @@ def cmd_slopes(args) -> str:
     radius = _parse_radius(args.radius)
     runs = newslope_runs(ctx, args.k, WeightPoint(args.k, radius))
     rendered = list(chain.from_iterable(repeat(ratio_text(a, b), m) for a, b, m in runs))
-    if args.fmt == "json":
-        return _json_text({"k": args.k, "radius": format_rational(radius), "newslopes": rendered})
-    if args.fmt == "csv":
-        lines = ["i,slope"]
-        lines.extend(f"{i},{s}" for i, s in enumerate(rendered, 1))
-        return "\n".join(lines) + "\n"
-    return "".join(s + "\n" for s in rendered)
+    value = {"k": args.k, "radius": format_rational(radius), "newslopes": rendered}
+    return _emit(args, value, "i,slope", enumerate(rendered, 1), rendered)
 
 
 def cmd_thresholds(args) -> str:
-    ctx = _context(args)
-    data = k_thresholds(ctx, args.k).to_json_dict()
-    if args.fmt == "json":
-        return _json_text(data)
-    pairs = list(zip(data["local"], data["provenance"]))
-    if args.fmt == "csv":
-        lines = ["n,value,provenance"]
-        lines.extend(f"{n},{v},{prov}" for n, (v, prov) in enumerate(pairs, 1))
-        return "\n".join(lines) + "\n"
-    return "".join(f"CS_{n}({args.k}) = {v} [{prov}]\n" for n, (v, prov) in enumerate(pairs, 1))
+    data = k_thresholds(_context(args), args.k).to_json_dict()
+    rows = [(n, v, prov) for n, (v, prov) in enumerate(zip(data["local"], data["provenance"]), 1)]
+    lines = (f"CS_{n}({args.k}) = {v} [{prov}]" for n, v, prov in rows)
+    return _emit(args, data, "n,value,provenance", rows, lines)
 
 
 def cmd_predict(args) -> str:
-    ctx = _context(args)
-    data = predict_slopes(ctx, args.k).to_json_dict()
-    if args.fmt == "json":
-        return _json_text(data)
+    data = predict_slopes(_context(args), args.k).to_json_dict()
     known, floor, count = data["linv_known"], data["floor"], data["exceptional"]
-    if args.fmt == "csv":
-        lines = ["kind,slope,mult", *(f"known,{v},{m}" for v, m in known), f"floor,{floor},{count}"]
-        return "\n".join(lines) + "\n"
+    rows = [*(("known", v, m) for v, m in known), ("floor", floor, count)]
     lines = [f"k = {args.k}", *(f"linv {v} x{m}" for v, m in known), f"floor {floor} x{count}"]
-    return "".join(line + "\n" for line in lines)
+    return _emit(args, data, "kind,slope,mult", rows, lines)
 
 
 def _samples_at(args, k: int) -> list:
@@ -261,14 +247,13 @@ def cmd_dist(args) -> str:
             )
     if not rows:
         raise DomainError("need at least three weights per kind in range")
-    if args.fmt == "json":
-        return _json_text(rows)
-    return "".join(
+    lines = (
         f"{r['kind']} n={r['n']} target={r['target']} "
         f"final_moment={r['moments'][-1]} final_error={r['final_error']} "
-        f"trend={'ok' if r['trend_monotone'] else 'drift'}\n"
+        f"trend={'ok' if r['trend_monotone'] else 'drift'}"
         for r in rows
     )
+    return _emit(args, rows, "", (), lines)
 
 
 def cmd_verify(args) -> str:

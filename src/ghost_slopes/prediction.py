@@ -29,7 +29,7 @@ from typing import Iterable, Tuple
 
 from .errors import VerificationError
 from .ghost import GhostContext, WeightIndex, floor_log_bullet
-from .slopes import derivative_polygon, slope_window
+from .slopes import derivative_polygon
 from .valuation import Valuation, format_rational, ratio_text
 
 
@@ -172,19 +172,19 @@ class IntegralityReport:
 
 
 def model_radius(ctx: GhostContext, k: int) -> Fraction:
-    """The shared radius R: midpoint of (r_M, min(M(k) + 1, s_M)).
+    """The shared radius R = M(k) + 3/4 * min(1, s_M - M(k)), s_M the first
+    derivative slope above M(k), or M(k) + 1/2 when no slope clears M(k).
 
-    r_M is the test radius of the M_index-th disc, which always sits
-    strictly between M(k) and both caps, so M(k) < R < M(k) + 1 and
-    R < s_M.  When no slope clears M(k) the caps collapse and R is
-    M(k) + 1/2.
+    That is the midpoint of min(M(k) + 1, s_M) and the test radius r_M =
+    M(k) + 1/2 * min(1, s_M - M(k)) of :func:`slope_window`, whose window
+    starts at M(k) as s_{M_index - 1} <= M(k).  So M(k) < R < M(k) + 1, R < s_M.
     """
     dp = derivative_polygon(ctx, k)
     m_val = dp.m_of_k.value
     if dp.M_index > len(dp.edges):
         return m_val + Fraction(1, 2)
-    r_dag = slope_window(ctx, k, dp.M_index)[0].value
-    return (r_dag + min(m_val + 1, dp.slope(dp.M_index))) / 2
+    a, b, _ = dp.edges[dp.M_index - 1]
+    return m_val + 3 * min(Fraction(1), Fraction(a, b) - m_val) / 4
 
 
 def _assert_model_hull(model: PredictionModel) -> None:

@@ -79,10 +79,6 @@ class DerivativePolygon:
     def edges(self) -> Tuple[Tuple[int, int, int], ...]:
         return tuple(edge_runs(self.hull.hull, 2, 0, self.hull.hull[-1][0]))
 
-    def slope(self, i: int) -> Fraction:
-        """s_i, for 1 <= i <= N."""
-        return Fraction(*self.edges[i - 1][:2])
-
 
 def derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
     """Derivative polygon of k, with the duality check run on the way.
@@ -309,23 +305,22 @@ def _hull_runs(ctx, k, w):
 
 
 def _closed_form_runs(ctx, k, w):
-    # valid for radius > max(M(k), s_{i-1}) strictly between derivative
+    # valid for radius nu > max(M(k), s_{i-1}) strictly between derivative
     # slopes, or at/above max(s_N, M(k)); None signals "out of region"
     dp = derivative_polygon(ctx, k)
-    edges = dp.edges
-    top = max(Valuation(dp.slope(len(edges))), dp.m_of_k) if edges else dp.m_of_k
-    if w.radius >= top:
-        return [_run(k - 2, 2, dimensions(ctx, k).d_new)]
-    nu = w.radius.value
-    u, v = nu.numerator, nu.denominator
-    # i is the first index with nu < s_i (i <= N, as nu < top); the
-    # region needs s_{i-1} < nu and M(k) < nu
+    edges, mu = dp.edges, dp.m_of_k.value
+    # nu = u / v, INF as 1 / 0, which every cross-multiplication puts on top
+    u, v = (1, 0) if w.radius.is_infinite else w.radius.value.as_integer_ratio()
+    # i is the first index with nu < s_i, N + 1 when nu >= s_N
     i = 1 + bisect_left(edges, True, key=lambda e: e[0] * v > u * e[1])
-    if nu <= dp.m_of_k.value or (i > 1 and dp.slope(i - 1) == nu):
+    over_m = u * mu.denominator - mu.numerator * v  # the sign of nu - M(k)
+    if i > len(edges) and over_m >= 0:
+        return [_run(k - 2, 2, dimensions(ctx, k).d_new)]
+    if over_m <= 0 or (i > 1 and edges[i - 2][0] * v == u * edges[i - 2][1]):
         return None
     # (k-2)/2 -+ (a/b - nu), over 2 b v, for each s_j = a/b with j >= i
     sides = [((k - 2) * b * v, 2 * (a * v - u * b), 2 * b * v, m) for a, b, m in edges[i - 1 :]]
-    centre = 2 * dp.breakpoints[i - 1]
+    centre = 2 * dp.hull.hull[i - 1][0]
     low = [_run(c - g, e, m) for c, g, e, m in reversed(sides)]
     mid = [_run(k - 2, 2, centre)] if centre else []
     return low + mid + [_run(c + g, e, m) for c, g, e, m in sides]
@@ -407,24 +402,19 @@ def global_stretch(local: Iterable, m: int) -> list:
 def slope_window(ctx: GhostContext, k: int, i: int) -> tuple:
     """(test radius r_i, max newslope, min newslope) over the i-th disc.
 
-    The radius sits just above max(M(k), s_{i-1}): the midpoint of the
-    gap up to s_i, clipped to within 1 of the left edge.  The extreme
-    newslopes over the disc of that radius are (k-2)/2 +- (s_N - r_i).
+    The radius sits just above the left edge max(M(k), s_{i-1}), which is
+    M(k) at i = M_index, as s_{M_index - 1} <= M(k), and s_{i-1} above it:
+    the midpoint of the gap up to s_i, clipped to within 1 of the edge.  The
+    extreme newslopes over the disc of that radius are (k-2)/2 +- (s_N - r_i).
     """
     dp = derivative_polygon(ctx, k)
     n_top = len(dp.edges)
     if not dp.M_index <= i <= n_top:
         raise DomainError(f"index {i} outside [{dp.M_index}, {n_top}]")
-    lo = max(dp.m_of_k.value, dp.slope(i - 1) if i >= 2 else Fraction(0))
-    gap = dp.slope(i) - lo
-    r_i = lo + min(Fraction(1), gap) / 2
-    half = Fraction(k - 2, 2)
-    s_top = dp.slope(n_top)
-    return (
-        Valuation(r_i),
-        Valuation(half + s_top - r_i),
-        Valuation(half - s_top + r_i),
-    )
+    lo = dp.m_of_k.value if i == dp.M_index else Fraction(*dp.edges[i - 2][:2])
+    r_i = lo + min(Fraction(1), Fraction(*dp.edges[i - 1][:2]) - lo) / 2
+    half, spread = Fraction(k - 2, 2), Fraction(*dp.edges[-1][:2]) - r_i
+    return Valuation(r_i), Valuation(half + spread), Valuation(half - spread)
 
 
 # -- the exact sweep below M(k) ---------------------------------------------------

@@ -3,7 +3,8 @@ radius-free lock test and its block-local pieces, the interval-marking
 breakpoint criterion and the integer thresholds, L model, prediction, their
 JSON texts and samples against their pointwise or Fraction oracles, the
 one-pass sweep, the newslope runs and the near-Steinberg criterion against
-the certified hull, the sweep's thresholds against a perturbed
+the certified hull, the closed form's region against its rule in Fractions,
+the model radius against its two-step definition, the sweep's thresholds against a perturbed
 hull that never runs the sweep, and the first certification window
 against one 4x wider, over random contexts (p, a, s_eps, m) in both
 modes; and the integer sample statistics against their Fraction
@@ -28,6 +29,7 @@ from ghost_slopes import (
     is_near_steinberg,
     k_thresholds,
     lower_hull,
+    slope_window,
     sweep_threshold,
 )
 from ghost_slopes import checks, slopes
@@ -49,6 +51,7 @@ from ghost_slopes.ghost import (
 from ghost_slopes.polygon import newton_polygon_at
 from ghost_slopes.prediction import build_model, model_radius, predict_slopes
 from ghost_slopes.slopes import (
+    _closed_form_runs,
     _degree_increment_floor,
     _hull_runs,
     _level_pieces,
@@ -291,6 +294,25 @@ def test_newslope_runs_match_certified_hull(case):
         assert all(a * d < c * b for (a, b, _), (c, d, _) in zip(runs, runs[1:])), (k, r)
 
 
+@example(case=(GhostContext(7, 2, 1), 24))
+@example(case=(GhostContext(11, 2, 0), 4))  # no derivative slope
+@given(case=context_and_weight())
+@settings(max_examples=60, deadline=None)
+def test_closed_form_region_membership(case):
+    # the closed form declines (None) exactly below max(s_N, M(k)) at or
+    # below M(k) or on a derivative slope; probed at INF, M(k), every s_j,
+    # the midpoints between them, above the top and below M(k)
+    ctx, k = case
+    dp = derivative_polygon(ctx, k)
+    m_k, ss = dp.m_of_k.value, [Fraction(a, b) for a, b, _ in dp.edges]
+    marks = sorted({m_k, *ss})
+    mids = [(s + t) / 2 for s, t in zip(marks, marks[1:])]
+    radii = [*marks, *mids, marks[-1] + 1, m_k - 1, m_k / 3, m_k * 2 / 3]
+    for r in [INF, *(r for r in radii if r > 0)]:
+        declines = r is not INF and r < marks[-1] and (r <= m_k or r in ss)
+        assert (_closed_form_runs(ctx, k, WeightPoint(k, r)) is None) == declines, (k, r)
+
+
 # -- the sweep against a perturbed hull -------------------------------------------
 #
 # A radius r0 + s*eps (s = +1 or -1, eps -> 0+) is handled by symbolic
@@ -433,6 +455,30 @@ def test_model_L_matches_fraction_accumulation(case):
             seq.append(acc)
     assert model.L_seq == tuple(seq)
     assert len(seq) == model.d
+
+
+@given(case=context_and_weight())
+@example(case=(GhostContext(7, 2, 1), 24))
+@example(case=(GhostContext(5, 1, 0), 299))
+@example(case=(GhostContext(11, 6, 9, 3, "strict"), 36))
+@example(case=(GhostContext(13, 5, 11), 41))
+@example(case=(GhostContext(7, 2, 1, 2), 90))
+@settings(max_examples=100, deadline=None)
+def test_model_radius_matches_window_midpoint(case):
+    # the closed form against the two-step definition: the midpoint of the
+    # test radius r_M, read off the window max(M(k), s_{M-1}) .. s_M, and
+    # min(M(k) + 1, s_M); M(k) + 1/2 when no slope clears M(k)
+    ctx, k = case
+    dp = derivative_polygon(ctx, k)
+    m_k, ss = dp.m_of_k.value, [Fraction(a, b) for a, b, _ in dp.edges]
+    if dp.M_index > len(ss):
+        assert model_radius(ctx, k) == m_k + Fraction(1, 2)
+        return
+    s_m = ss[dp.M_index - 1]
+    lo = max(m_k, ss[dp.M_index - 2] if dp.M_index >= 2 else Fraction(0))
+    r_m = lo + min(Fraction(1), s_m - lo) / 2
+    assert slope_window(ctx, k, dp.M_index)[0] == Valuation(r_m)
+    assert model_radius(ctx, k) == (r_m + min(m_k + 1, s_m)) / 2
 
 
 # -- thresholds, the L model, the prediction and the samples against their Fraction path
