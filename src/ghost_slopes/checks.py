@@ -289,8 +289,8 @@ def _suite_moment_trend(ctx, rng, ks):
         first, last = abs(mo_head - target), abs(mo_tail - target)
         if last >= first:
             raise VerificationError(
-                f"moment {n} drifts: |{last}| at k = {tail.k.k} "
-                f"vs |{first}| at k = {head.k.k}"
+                f"moment {n} drifts: |{last}| at k = {tail.k} "
+                f"vs |{first}| at k = {head.k}"
             )
 
 

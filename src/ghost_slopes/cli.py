@@ -151,11 +151,10 @@ def _emit(args, value, header: str, rows: Iterable[tuple], lines: Iterable[str])
 
 
 def render_ghost_polynomial(gp) -> str:
-    """Display form "g_n(w) = (w - w_k)^m ..." with zeros ascending."""
-    factors = [
-        f"(w - w_{k})" + (f"^{m}" if m > 1 else "") for k, m in gp.zeros
-    ]
-    return f"g_{gp.n}(w) = " + " ".join(factors)
+    """Display form "g_n(w) = (w - w_k)^m ..." with zeros ascending, and
+    "g_n(w) = 1" for the empty product."""
+    factors = [f"(w - w_{k})" + (f"^{m}" if m > 1 else "") for k, m in gp.zeros]
+    return f"g_{gp.n}(w) = " + (" ".join(factors) or "1")
 
 
 def cmd_ghost(args) -> str:
@@ -195,7 +194,7 @@ def _samples_at(args, k: int) -> list:
     """The samples of weight k that hold a genuine value, not only floor
     stand-ins, one per kind at most, on a context of k's own."""
     ctx = _context(args)
-    return [s for kind in SampleKind if len((s := sample(ctx, k, kind)).nums) > s.floor_count]
+    return [s for kind in SampleKind if (s := sample(ctx, k, kind)).nums]
 
 
 def _collect_samples(args, ks: List[int]) -> Iterator:
@@ -220,7 +219,7 @@ def cmd_dist(args) -> str:
     # each sample shrinks to its moment row; discrepancy reads the last of each kind
     moment_rows, last = [], {}
     for s in _collect_samples(args, ks):
-        moment_rows.append((s.k.k, s.kind, s.moments(n_max)))
+        moment_rows.append((s.k, s.kind, s.moments(n_max)))
         last[s.kind] = s
     if not moment_rows:
         raise DomainError(f"no nonempty samples for weights in [{lo}, {hi}]")

@@ -6,10 +6,10 @@ THRESHOLD samples normalize the stretched threshold vector, DERIVATIVE
 samples duplicate each derivative-polygon hull slope twice, and LINV
 samples normalize the predicted inverse L-invariant valuations, with
 the exceptional block standing in at its floor value.  Floor stand-ins
-are tracked separately and stay out of moments and the discrepancy,
-since they are bounds rather than values.
+are bounds rather than values: a sample counts them beside its
+numerators, and they stay out of moments and the discrepancy.
 
-A sample holds its values as sorted integer numerators over one
+A sample holds its genuine values as sorted integer numerators over one
 denominator, (p-1)k times the lcm of the raw denominators, and builds
 ``Fraction``s only when they are read.  Moments are exact rationals,
 one ``Fraction`` per order from integer power sums; the Weyl table and
@@ -23,7 +23,6 @@ memory no longer grows with the samples.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -32,7 +31,7 @@ from operator import mul
 from typing import Sequence, Tuple
 
 from .errors import DomainError
-from .ghost import GhostContext, WeightIndex, floor_log_bullet
+from .ghost import GhostContext, floor_log_bullet
 from .prediction import predict_slopes
 from .slopes import derivative_polygon, k_thresholds
 
@@ -47,14 +46,15 @@ class SampleKind(Enum):
 class DistributionSample:
     """A normalized slope multiset with exact power means.
 
-    Value i is ``nums[i] / den``; ``nums`` is sorted ascending and
-    includes ``floor_count`` floor stand-ins at ``floor_num`` (LINV only;
-    zero otherwise).  ``values``, ``floor_value`` and
-    :meth:`genuine_values` read them as ``Fraction``s; :meth:`moments`
-    computes the power means over the genuine values.
+    Genuine value i is ``nums[i] / den``, ``nums`` sorted ascending.  The
+    ``floor_count`` floor stand-ins at ``floor_num`` (LINV only; zero
+    otherwise) are bounds, not values, so they are counted beside ``nums``,
+    not in it.  ``values`` reads every value, stand-ins included, ascending,
+    and :meth:`genuine_values` only ``nums``, as ``Fraction``s;
+    :meth:`moments` and :func:`discrepancy` read ``nums`` alone.
     """
 
-    k: WeightIndex
+    k: int
     kind: SampleKind
     nums: Tuple[int, ...]
     den: int
@@ -63,29 +63,22 @@ class DistributionSample:
 
     @property
     def values(self) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(a, self.den) for a in self.nums)
+        nums = sorted(self.nums + (self.floor_num,) * self.floor_count)
+        return tuple(Fraction(a, self.den) for a in nums)
 
     @property
     def floor_value(self) -> Fraction:
         return Fraction(self.floor_num, self.den)
 
-    def _genuine_nums(self) -> Tuple[int, ...]:
-        # every stand-in equals floor_num, so they form one block of nums
-        if not self.floor_count:
-            return self.nums
-        i = bisect_left(self.nums, self.floor_num)
-        return self.nums[:i] + self.nums[i + self.floor_count :]
-
     def genuine_values(self) -> Tuple[Fraction, ...]:
-        """The values with floor stand-ins removed."""
-        return tuple(Fraction(a, self.den) for a in self._genuine_nums())
+        """The genuine values, floor stand-ins left out."""
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     def moments(self, n_max: int) -> Tuple[Fraction, ...]:
         """Power means of orders 1..n_max over the m genuine values,
         sum(a**n) / (m * den**n) over their numerators a; the powers of
         each order are one elementwise product on those of the last."""
-        nums = self._genuine_nums()
-        if not nums:
+        if not (nums := self.nums):
             raise DomainError("no values to average")
         sums = [sum(nums)]
         powers = nums
@@ -120,7 +113,6 @@ def sample(ctx: GhostContext, k: int, kind: SampleKind) -> DistributionSample:
         lcd = lcm(pred.den, floor_raw.denominator)
         floor_num = floor_raw.numerator * (lcd // floor_raw.denominator)
         raw = [((a + pred.den) * (lcd // pred.den), mult) for a, mult in pred.known]
-        raw.append((floor_num, floor_count))
     else:
         raise DomainError(f"unknown sample kind {kind!r}")
     scale = 2 * (ctx.p + 1)
@@ -129,7 +121,7 @@ def sample(ctx: GhostContext, k: int, kind: SampleKind) -> DistributionSample:
         nums += [scale * a] * mult
     nums.sort()
     return DistributionSample(
-        k=ctx.weight(k),
+        k=k,
         kind=kind,
         nums=tuple(nums),
         den=(ctx.p - 1) * k * lcd,
@@ -186,7 +178,7 @@ def discrepancy(sample_: DistributionSample) -> Fraction:
     >>> discrepancy(sample(ctx, 24, SampleKind.THRESHOLD))
     Fraction(1, 3)
     """
-    nums, den = sample_._genuine_nums(), sample_.den
+    nums, den = sample_.nums, sample_.den
     if not nums:
         raise DomainError("empty sample has no distribution")
     m = len(nums)

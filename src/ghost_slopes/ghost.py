@@ -75,17 +75,6 @@ def _floor_log(base: int, n: int) -> int:
 
 
 @dataclass(frozen=True)
-class WeightIndex:
-    """A classical weight k in the fixed congruence class.
-
-    ``k_bullet`` is the class index: k = k_eps + k_bullet*(p-1).
-    """
-
-    k: int
-    k_bullet: int
-
-
-@dataclass(frozen=True)
 class DimensionTriple:
     """(d_iw, d_ur, d_new) for one weight; d_iw = d_new + 2*d_ur always.
 
@@ -113,8 +102,6 @@ class WeightPoint:
     radius: Valuation
 
     def __post_init__(self):
-        if isinstance(self.anchor, WeightIndex):
-            object.__setattr__(self, "anchor", self.anchor.k)
         if not isinstance(self.radius, Valuation):
             object.__setattr__(self, "radius", Valuation(self.radius))
         if self.radius < 0:
@@ -237,14 +224,16 @@ class GhostContext:
     def in_class(self, k: int) -> bool:
         return k >= 2 and (k - self.k_eps) % (self.p - 1) == 0
 
-    def weight(self, k: int) -> WeightIndex:
+    def bullet(self, k: int) -> int:
+        """k_bullet with k = k_eps + k_bullet*(p-1), the inverse of :meth:`weight_of_bullet`;
+        raises DomainError for a weight outside the class or past K_CEILING."""
         if not self.in_class(k):
             raise DomainError(
                 f"k = {k} is not in the class k = {self.k_eps} mod {self.p - 1}"
             )
         if k > K_CEILING:
             raise DomainError(f"weight k = {k} exceeds K_CEILING = {K_CEILING}")
-        return WeightIndex(k=k, k_bullet=(k - self.k_eps) // (self.p - 1))
+        return (k - self.k_eps) // (self.p - 1)
 
     def weight_of_bullet(self, j: int) -> int:
         return self.k_eps + j * (self.p - 1)
@@ -282,7 +271,7 @@ def dimensions(ctx: GhostContext, k: int) -> DimensionTriple:
     >>> dimensions(ctx, 6)
     DimensionTriple(d_iw=2, d_ur=0, d_new=2)
     """
-    d_iw, d_ur = ctx.dims_of_bullet(ctx.weight(k).k_bullet)
+    d_iw, d_ur = ctx.dims_of_bullet(ctx.bullet(k))
     return DimensionTriple(d_iw=d_iw, d_ur=d_ur, d_new=d_iw - 2 * d_ur)
 
 
@@ -393,7 +382,7 @@ def floor_log_bullet(ctx: GhostContext, k: int) -> int:
     >>> floor_log_bullet(ctx, 6), floor_log_bullet(ctx, 42), floor_log_bullet(ctx, 48)
     (0, 0, 1)
     """
-    return _floor_log(ctx.p, ctx.weight(k).k_bullet)
+    return _floor_log(ctx.p, ctx.bullet(k))
 
 
 def _is_zero_bullet(ctx: GhostContext, j: int) -> bool:
@@ -425,7 +414,7 @@ def max_zero_distance(ctx: GhostContext, k: int) -> Valuation:
     # d_iw(j)/2 = j + 1 - delta_eps, so bound >= 2 k_bullet + 1 - delta_eps,
     # and the lowest zero is at least delta_eps (d_iw = 0 at bullet 0 when
     # delta_eps = 1).
-    kb = ctx.weight(k).k_bullet
+    kb = ctx.bullet(k)
     bound = _bullet_bound(ctx, dimensions(ctx, k).d_iw)
     reach = bound - 1 - kb
     m_of_k = 1 + _floor_log(ctx.p, reach) if reach >= 1 else 0
@@ -467,7 +456,7 @@ def evaluate_ghost_valuation(ctx: GhostContext, n: int, w: WeightPoint) -> Valua
     """
     if n == 0:
         return Valuation(0)
-    anchor_b = ctx.weight(w.anchor).k_bullet
+    anchor_b = ctx.bullet(w.anchor)
     if w.radius.is_infinite:
         radius_scaled, den = None, 1
     else:
@@ -495,7 +484,7 @@ def anchored_valuation(ctx: GhostContext, n: int, k: int) -> int:
     >>> anchored_valuation(ctx, 4, 24)
     17
     """
-    kb = ctx.weight(k).k_bullet
+    kb = ctx.bullet(k)
     return sum(m * (1 + vp_int_raw(kb - j, ctx.p)) for j, m in _zeros(ctx, n) if j != kb)
 
 
@@ -603,7 +592,7 @@ def hatted_valuation_table(ctx: GhostContext, k: int, n_hi: int) -> list:
 
     Matches :func:`anchored_valuation` pointwise.
     """
-    return _anchored_table(ctx, ctx.weight(k).k_bullet, n_hi, lambda d: 0 if d is None else d)
+    return _anchored_table(ctx, ctx.bullet(k), n_hi, lambda d: 0 if d is None else d)
 
 
 def valuation_table_at(ctx: GhostContext, k: int, radius, n_hi: int) -> tuple:
@@ -614,14 +603,14 @@ def valuation_table_at(ctx: GhostContext, k: int, radius, n_hi: int) -> tuple:
         raise DomainError("radius must be >= 0")
     num, den = radius.numerator, radius.denominator
     wt = lambda d: num if d is None else min(num, d * den)
-    return _anchored_table(ctx, ctx.weight(k).k_bullet, n_hi, wt), den
+    return _anchored_table(ctx, ctx.bullet(k), n_hi, wt), den
 
 
 def level_tables(ctx: GhostContext, k: int, level: int, n_hi: int) -> tuple:
     """(A, B) with v_p(g_n(w_*)) = A[n] + B[n]*r exactly for every radius
     r in [level, level+1] (level >= 0): distances <= level contribute their
     full weight to A, strictly larger ones ride the radius in B."""
-    kb = ctx.weight(k).k_bullet
+    kb = ctx.bullet(k)
     return (
         _anchored_table(ctx, kb, n_hi, lambda d: d if d is not None and d <= level else 0),
         _anchored_table(ctx, kb, n_hi, lambda d: 0 if d is not None and d <= level else 1),

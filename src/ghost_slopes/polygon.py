@@ -176,7 +176,7 @@ def newton_polygon_at(ctx: GhostContext, n_range: int, w: WeightPoint) -> Ration
     Examples
     --------
     >>> ctx = GhostContext(p=7, a=2, s_eps=1)
-    >>> np = newton_polygon_at(ctx, 8, WeightPoint(ctx.weight(24), 10))
+    >>> np = newton_polygon_at(ctx, 8, WeightPoint(24, 10))
     >>> np.slope_list()[1:7]
     [Fraction(11, 1), Fraction(11, 1), Fraction(11, 1), Fraction(11, 1), Fraction(11, 1), Fraction(11, 1)]
     """

@@ -28,7 +28,7 @@ from operator import sub
 from typing import Iterable, Tuple
 
 from .errors import VerificationError
-from .ghost import GhostContext, WeightIndex, floor_log_bullet
+from .ghost import GhostContext, floor_log_bullet
 from .slopes import derivative_polygon
 from .valuation import Valuation, format_rational, ratio_text
 
@@ -55,7 +55,7 @@ class PredictionModel:
     pattern.
     """
 
-    k: WeightIndex
+    k: int
     d: int
     steps: Tuple[int, ...]
     L_nums: Tuple[int, ...]
@@ -130,7 +130,7 @@ class SlopePrediction:
     ``exceptional_count`` is how many slopes they account for.
     """
 
-    k: WeightIndex
+    k: int
     known: Tuple[Tuple[int, int], ...]
     den: int
     R: Fraction
@@ -138,18 +138,18 @@ class SlopePrediction:
 
     @property
     def a1_slopes_known(self) -> Tuple[Tuple[Fraction, int], ...]:
-        return tuple((Fraction((self.k.k - 2) * self.den - a, self.den), m) for a, m in self.known)
+        return tuple((Fraction((self.k - 2) * self.den - a, self.den), m) for a, m in self.known)
 
     @property
     def linv_slopes_known(self) -> Tuple[Tuple[Fraction, int], ...]:
         return tuple((Fraction(-a - self.den, self.den), m) for a, m in self.known)
 
-    a1_floor = property(lambda self: Valuation(self.k.k - 2 - self.R))
+    a1_floor = property(lambda self: Valuation(self.k - 2 - self.R))
     linv_floor = property(lambda self: Valuation(-self.R - 1))
 
     def to_json_dict(self) -> dict:
         return {
-            "k": self.k.k,
+            "k": self.k,
             "linv_known": [[ratio_text(-a - self.den, self.den), m] for a, m in self.known],
             "floor": format_rational(self.linv_floor.value),
             "exceptional": self.exceptional_count,
@@ -165,7 +165,7 @@ class IntegralityReport:
     ``exceptional_count`` is never checked.
     """
 
-    k: WeightIndex
+    k: int
     entries: Tuple[Tuple[Fraction, int, bool], ...]
     exception_count: int
     exceptional_count: int
@@ -207,10 +207,10 @@ def _assert_model_hull(model: PredictionModel) -> None:
         else:
             continue
         raise VerificationError(
-            f"model hull mismatch at k = {model.k.k}: block {i} expects step {want}, found {found}"
+            f"model hull mismatch at k = {model.k}: block {i} expects step {want}, found {found}"
         )
     if end != len(steps):
-        raise VerificationError(f"model hull mismatch at k = {model.k.k}: L runs past d = {end}")
+        raise VerificationError(f"model hull mismatch at k = {model.k}: L runs past d = {end}")
 
 
 def build_model(ctx: GhostContext, k: int) -> PredictionModel:

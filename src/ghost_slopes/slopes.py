@@ -35,7 +35,6 @@ from . import ghost
 from .errors import DomainError, VerificationError
 from .ghost import (
     GhostContext,
-    WeightIndex,
     WeightPoint,
     _bullet_bound,
     _degrees,
@@ -66,7 +65,7 @@ class DerivativePolygon:
     ``M_index`` is the least i with s_i > M(k), else N + 1.
     """
 
-    k: WeightIndex
+    k: int
     hull: RationalPolygon
     M_index: int
     m_of_k: Valuation
@@ -92,10 +91,10 @@ def derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
     >>> dp.edges
     ((2, 1, 1), (6, 1, 1), (9, 1, 1))
     """
-    wi = ctx.weight(k)
+    kb = ctx.bullet(k)
     cache = ctx._cache("derivative")
-    if wi.k_bullet in cache:
-        return cache[wi.k_bullet]
+    if kb in cache:
+        return cache[kb]
     trip = dimensions(ctx, k)
     c, h = trip.d_iw // 2, trip.d_new // 2
     table = hatted_valuation_table(ctx, k, trip.d_iw)
@@ -107,8 +106,7 @@ def derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
     m_of_k = max_zero_distance(ctx, k)
     # one hull edge per distinct slope, so the reach of M(k) is vertex M_index - 1
     m_index = 1 + hull.vertex_xs().index(_reach(hull.hull, m_of_k))
-    dp = DerivativePolygon(k=wi, hull=hull, M_index=m_index, m_of_k=m_of_k)
-    cache[wi.k_bullet] = dp
+    cache[kb] = dp = DerivativePolygon(k=k, hull=hull, M_index=m_index, m_of_k=m_of_k)
     return dp
 
 
@@ -165,7 +163,7 @@ def breakpoints_by_criterion(ctx: GhostContext, w: WeightPoint, n_range: int) ->
     """
     p = ctx.p
     marked = set()
-    for j in range(ctx.weight(w.anchor).k_bullet % p, _bullet_bound(ctx, n_range), p):
+    for j in range(ctx.bullet(w.anchor) % p, _bullet_bound(ctx, n_range), p):
         k2 = ctx.weight_of_bullet(j)
         dist = point_distance(ctx, w, k2)
         c = j + 1 - ctx.delta_eps  # center(k2) = d_iw(k2) / 2
@@ -341,7 +339,7 @@ class ThresholdVector:
     entries tagged "sweep" come from the exact parametric search below M(k).
     """
 
-    k: WeightIndex
+    k: int
     nums: Tuple[int, ...]
     den: int
     provenance: Tuple[str, ...]
@@ -357,7 +355,7 @@ class ThresholdVector:
 
     def to_json_dict(self) -> dict:
         return {
-            "k": self.k.k,
+            "k": self.k,
             "local": [ratio_text(a, self.den) for a in self.nums],
             "provenance": list(self.provenance),
             "global_mult": self.global_mult,

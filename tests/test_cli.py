@@ -72,6 +72,12 @@ class TestGhostCommand:
         assert lines[1] == "1,6,1"
         assert lines[2] == "2,12,1"
 
+    def test_empty_coefficient_renders_as_one(self, capsys):
+        # (5,1,0) has t1 = 0, so g_1 has no zeros: the empty product is 1
+        code, out, _ = run(capsys, "ghost", "-n", "2", "-p", "5", "-a", "1", "-e", "0")
+        assert code == 0
+        assert out == "g_1(w) = 1\ng_2(w) = (w - w_7) (w - w_11)\n"
+
     def test_negative_count_rejected(self, capsys):
         code, _, err = run(capsys, "ghost", "-n", "-3")
         assert code == 1
@@ -356,6 +362,23 @@ class TestDistCommand:
         rows = [line.split(",")[:3] for line in out.split("\n") if line.startswith("7,")]
         assert code == 0
         assert rows == [["7", kind, n] for kind in ("derivative", "threshold") for n in ("1", "2")]
+
+    def test_kind_with_two_samples_has_no_report(self, capsys):
+        # in 6:16 only k = 11 and 15 hold a genuine LINV value, one short of a trend
+        argv = ("dist", "--k-range", "6:16", "-p", "5", "-a", "1", "-e", "0", "--jobs", "1")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert [(r["kind"], r["n"], r["ks"]) for r in json.loads(out)] == [
+            (kind, n, [7, 11, 15]) for kind in ("threshold", "derivative") for n in (1, 2)
+        ]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert [line.split()[:2] for line in out.splitlines()] == [
+            [kind, f"n={n}"] for kind in ("threshold", "derivative") for n in (1, 2)
+        ]
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert [line[:8] for line in out.splitlines() if ",linv," in line] == ["11,linv,", "11,linv,", "15,linv,", "15,linv,"]
 
     def test_empty_range_is_domain_error(self, capsys):
         code, _, err = run(capsys, "dist", "--k-range", "3:5")

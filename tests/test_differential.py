@@ -538,12 +538,12 @@ def _oracle_sample(ctx, k, kind):
     else:
         _, _, linv, linv_floor, floor_count = _oracle_prediction(ctx, k)
         floor_raw = -linv_floor.value
-        raw = [(-v, m) for v, m in linv] + [(floor_raw, floor_count)]
+        raw = [(-v, m) for v, m in linv]
     lcd = math.lcm(floor_raw.denominator, *(v.denominator for v, _ in raw))
     scale = 2 * (ctx.p + 1)
     nums = sorted(scale * v.numerator * (lcd // v.denominator) for v, m in raw for _ in range(m))
     return DistributionSample(
-        k=ctx.weight(k),
+        k=k,
         kind=kind,
         nums=tuple(nums),
         den=(ctx.p - 1) * k * lcd,
@@ -621,9 +621,9 @@ def integer_samples(draw):
     floor_count = draw(st.sampled_from((0, 0, 1, 2, 5)))
     floor_num = draw(st.integers(-den, 3 * den)) if floor_count else 0
     return DistributionSample(
-        k=GhostContext(7, 2, 1).weight(24),
+        k=24,
         kind=SampleKind.LINV if floor_count else SampleKind.THRESHOLD,
-        nums=tuple(sorted(nums + [floor_num] * floor_count)),
+        nums=tuple(sorted(nums)),
         den=den,
         floor_num=floor_num,
         floor_count=floor_count,
@@ -633,7 +633,7 @@ def integer_samples(draw):
 @given(s=integer_samples())
 @settings(max_examples=200, deadline=None)
 def test_sample_statistics_match_fraction_oracles(s):
-    values = tuple(sorted(Fraction(a, s.den) for a in s.nums))
+    values = tuple(sorted(Fraction(a, s.den) for a in s.nums + (s.floor_num,) * s.floor_count))
     assert s.values == values
     assert s.floor_value == Fraction(s.floor_num, s.den)
     genuine = _oracle_genuine(values, s.floor_value, s.floor_count)
@@ -646,5 +646,5 @@ def test_sample_statistics_match_fraction_oracles(s):
     assert s.moments(4) == tuple(_oracle_moment(genuine, n) for n in range(1, 5))
     assert [s.moments(n)[-1] for n in (1, 3)] == [_oracle_moment(genuine, n) for n in (1, 3)]
     assert discrepancy(s) == _oracle_discrepancy(genuine)
-    rows = weyl_csv([(s.k.k, s.kind, s.moments(4))]).splitlines()[1:]
-    assert rows == list(_oracle_csv_rows(s.k.k, s.kind.value, genuine, 4))
+    rows = weyl_csv([(s.k, s.kind, s.moments(4))]).splitlines()[1:]
+    assert rows == list(_oracle_csv_rows(s.k, s.kind.value, genuine, 4))

@@ -36,7 +36,7 @@ def make_sample(values, floor_value=Fraction(0), floor_count=0):
     # hand-built sample for statistics-only tests, over the lcm of the denominators
     den = lcm(floor_value.denominator, *(v.denominator for v in values))
     return DistributionSample(
-        k=CTX.weight(24),
+        k=24,
         kind=SampleKind.THRESHOLD,
         nums=tuple(sorted(int(v * den) for v in values)),
         den=den,
@@ -103,6 +103,16 @@ class TestSampleValues:
     def test_linv_moment_excludes_floor_by_default(self):
         s = sample(CTX, 24, SampleKind.LINV)
         assert s.moments(1)[-1] == Fraction(17, 18)
+
+    def test_floor_only_sample_has_no_numerators(self):
+        # (5,1,0) k = 7 predicts only floor stand-ins
+        s = sample(GhostContext(5, 1, 0), 7, SampleKind.LINV)
+        assert s.nums == () and s.floor_count > 0
+        assert s.values == (s.floor_value,) * s.floor_count
+        with pytest.raises(DomainError):
+            s.moments(1)
+        with pytest.raises(DomainError):
+            discrepancy(s)
 
     def test_floor_sits_below_known_block(self):
         # the model radius is below every closed-form slope, so the
@@ -185,7 +195,7 @@ class TestDiscrepancy:
 
 def moment_rows(samples, n_max):
     """The (k, moments) rows the report reads, one per sample."""
-    return [(s.k.k, s.moments(n_max)) for s in samples]
+    return [(s.k, s.moments(n_max)) for s in samples]
 
 
 class TestWeylMoments:
@@ -198,7 +208,7 @@ class TestWeylMoments:
         assert [r.n for r in reports] == [1, 2, 3]
         for r in reports:
             assert r.target == Fraction(1, r.n + 1)
-            assert r.ks == tuple(s.k.k for s in samples)
+            assert r.ks == tuple(s.k for s in samples)
             assert r.moments == tuple(s.moments(r.n)[-1] for s in samples)
             assert r.final_error == abs(r.moments[-1] - r.target)
 

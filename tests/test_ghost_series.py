@@ -116,10 +116,10 @@ def test_invalid_contexts_rejected(kwargs):
 def test_class_membership(ctx):
     assert ctx.in_class(6) and ctx.in_class(24) and ctx.in_class(600)
     assert not ctx.in_class(7) and not ctx.in_class(25) and not ctx.in_class(0)
-    assert ctx.weight(24).k_bullet == 3
+    assert ctx.bullet(24) == 3
     assert ctx.weight_of_bullet(3) == 24
     with pytest.raises(DomainError):
-        ctx.weight(25)
+        ctx.bullet(25)
     assert list(ctx.class_members(1, 30)) == [6, 12, 18, 24, 30]
     assert list(ctx.class_members(7, 18)) == [12, 18]
 

@@ -190,25 +190,25 @@ def test_lower_hull_matches_brute_force(pts):
 
 
 def test_newton_polygon_large_radius(ctx):
-    np_ = newton_polygon_at(ctx, 8, WeightPoint(ctx.weight(24), 10))
+    np_ = newton_polygon_at(ctx, 8, WeightPoint(24, 10))
     assert np_.slope_list() == [Fraction(s) for s in (1, 11, 11, 11, 11, 11, 11, 22)]
 
 
 def test_newton_polygon_mid_radius(ctx):
-    np_ = newton_polygon_at(ctx, 8, WeightPoint(ctx.weight(24), 7))
+    np_ = newton_polygon_at(ctx, 8, WeightPoint(24, 7))
     assert np_.slope_list() == [Fraction(s) for s in (1, 9, 11, 11, 11, 11, 13, 22)]
 
 
 def test_newton_polygon_small_radius(ctx):
     nu = Fraction(1, 2)
-    np_ = newton_polygon_at(ctx, 8, WeightPoint(ctx.weight(24), nu))
+    np_ = newton_polygon_at(ctx, 8, WeightPoint(24, nu))
     assert np_.slope_list() == [
         nu * c for c in (1, 3, 6, 9, 11, 14, 16, 19)
     ]
 
 
 def test_newton_polygon_at_exact_anchor(ctx):
-    np_ = newton_polygon_at(ctx, 8, WeightPoint(ctx.weight(24), INF))
+    np_ = newton_polygon_at(ctx, 8, WeightPoint(24, INF))
     # coefficients 2..6 vanish at w_24; the hull bridges n = 1 to n = 7
     assert (1, Valuation(1)) in np_.vertices
     assert (7, Valuation(67)) in np_.vertices
@@ -218,11 +218,11 @@ def test_newton_polygon_at_exact_anchor(ctx):
 
 def test_newton_polygon_range_guard(ctx):
     with pytest.raises(DomainError):
-        newton_polygon_at(ctx, 5, WeightPoint(ctx.weight(24), 3))
+        newton_polygon_at(ctx, 5, WeightPoint(24, 3))
 
 
 def test_newton_polygon_leading_point(ctx):
-    np_ = newton_polygon_at(ctx, 10, WeightPoint(ctx.weight(6), 2))
+    np_ = newton_polygon_at(ctx, 10, WeightPoint(6, 2))
     assert np_.points[0] == (0, Valuation(0))
     assert np_.vertices[0] == (0, Valuation(0))
 

@@ -75,7 +75,7 @@ def test_derivative_polygon_frozen_k24(ctx):
     assert dp.hull.slope_list() == [Fraction(2), Fraction(6), Fraction(9)]
     assert dp.M_index == 2
     assert dp.m_of_k == Valuation(2)
-    assert dp.k.k == 24
+    assert dp.k == 24
 
 
 def test_derivative_polygon_wraparound_frozen(wrap_ctx):
@@ -458,7 +458,7 @@ def test_thresholds_central_block_size_bound(ctx):
 
     for k in ctx.class_members(20, 700):
         dp = derivative_polygon(ctx, k)
-        kb = ctx.weight(k).k_bullet
+        kb = ctx.bullet(k)
         if kb < 1 or not dp.slopes:
             continue
         central = 2 * dp.breakpoints[dp.M_index - 1]
