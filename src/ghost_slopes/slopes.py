@@ -27,7 +27,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from math import gcd, lcm
 from typing import Iterable, List, Tuple
 
@@ -46,7 +46,7 @@ from .ghost import (
     point_distance,
 )
 from .polygon import RationalPolygon, edge_at, edge_runs, integer_hull, newton_polygon_at
-from .valuation import Valuation, ratio_text
+from .valuation import Valuation, ratio_text, vp_int_raw
 
 # -- derivative polygons ------------------------------------------------------
 
@@ -105,21 +105,25 @@ def derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
     hull = integer_hull(range(h + 1), twice, 2)
     m_of_k = max_zero_distance(ctx, k)
     # one hull edge per distinct slope, so the reach of M(k) is vertex M_index - 1
-    m_index = 1 + hull.vertex_xs().index(_reach(hull.hull, m_of_k))
+    m_index = 1 + hull.vertex_xs().index(_reach(hull.hull, *_ratio(m_of_k)))
     cache[kb] = dp = DerivativePolygon(k=k, hull=hull, M_index=m_index, m_of_k=m_of_k)
     return dp
 
 
-def _reach(hull, dist: Valuation) -> int:
+def _reach(hull, u: int, v: int) -> int:
     """How many unit increments of a derivative hull (ordinates over 2) are
-    at most ``dist`` = u / v: the slopes increase, so x0 on the first edge
-    [x0, x1] with (y1 - y0) v > 2 (x1 - x0) u, else the last abscissa."""
-    if not dist.is_infinite:
-        u, v = dist.value.numerator, dist.value.denominator
-        for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
-            if (y1 - y0) * v > 2 * (x1 - x0) * u:
-                return x0
+    at most the distance u / v, INF as 1 / 0: the slopes increase, so x0 on
+    the first edge [x0, x1] with (y1 - y0) v > 2 (x1 - x0) u, else the last
+    abscissa."""
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
+        if (y1 - y0) * v > 2 * (x1 - x0) * u:
+            return x0
     return hull[-1][0]
+
+
+def _ratio(val: Valuation) -> Tuple[int, int]:
+    # val as u / v, INF as 1 / 0, which every cross-multiplication puts on top
+    return (1, 0) if val.is_infinite else val.value.as_integer_ratio()
 
 
 # -- near-Steinberg criterion ---------------------------------------------------
@@ -156,23 +160,29 @@ def breakpoints_by_criterion(ctx: GhostContext, w: WeightPoint, n_range: int) ->
     fixed k2 the hull increments do not decrease, so the n that k2 makes
     near-Steinberg form one interval: |n - center(k2)| < L, L the number
     of increments that the distance from w to w_{k2} reaches.  Only
-    bullets congruent to the anchor's mod p can reach the 3/2 floor of
-    every increment (the others sit at distance <= 1), and since the
-    l-th increment is at least 3/2 + (p-1) l / 4, a center more than
-    4 * (dist - 3/2) / (p - 1) past n_range marks nothing in range.
+    bullets j congruent to the anchor's k_bullet mod p, below ``bound`` (the
+    first with d_ur >= n_range), can reach the 3/2 floor of every increment
+    and mark the range, and since the l-th increment is at least
+    3/2 + (p-1) l / 4, a center more than 4 * (dist - 3/2) / (p - 1) past
+    n_range marks nothing in range.  Off the anchor, dist is at most
+    1 + v_p(k_bullet - j) <= D = 1 + floor(log_p max(k_bullet, bound)), as
+    0 < |k_bullet - j| <= max(k_bullet, bound); so the walk ends at the
+    first center past n_range + 4 (D - 3/2) / (p - 1), the anchor (dist the
+    radius) kept.  Distances are integer pairs u / v, INF as 1 / 0.
     """
-    p = ctx.p
+    p, kb, (ru, rv) = ctx.p, ctx.bullet(w.anchor), _ratio(w.radius)
+    bound = _bullet_bound(ctx, n_range)
+    d_max = next(i for i in count(1) if p**i > max(kb, bound))  # D
+    end = min(bound, n_range + (4 * d_max - 6) // (p - 1) + ctx.delta_eps)
     marked = set()
-    for j in range(ctx.bullet(w.anchor) % p, _bullet_bound(ctx, n_range), p):
-        k2 = ctx.weight_of_bullet(j)
-        dist = point_distance(ctx, w, k2)
-        c = j + 1 - ctx.delta_eps  # center(k2) = d_iw(k2) / 2
-        if not dist.is_infinite:
-            u, v = dist.value.numerator, dist.value.denominator
-            # dist < 3/2, or c - 4 (dist - 3/2) / (p - 1) > n_range
-            if 2 * u < 3 * v or (c - n_range) * (p - 1) * v > 4 * u - 6 * v:
-                continue
-        reached = _reach(derivative_polygon(ctx, k2).hull.hull, dist)
+    for j in chain(range(kb % p, end, p), [kb] if end <= kb < bound else []):
+        c, u, v = j + 1 - ctx.delta_eps, ru, rv  # center(k2) = d_iw(k2) / 2
+        if j != kb and (d := 1 + vp_int_raw(kb - j, p)) * rv < ru:
+            u, v = d, 1
+        # dist < 3/2, or c - 4 (dist - 3/2) / (p - 1) > n_range
+        if 2 * u < 3 * v or (c - n_range) * (p - 1) * v > 4 * u - 6 * v:
+            continue
+        reached = _reach(derivative_polygon(ctx, ctx.weight_of_bullet(j)).hull.hull, u, v)
         marked.update(range(max(1, c - reached + 1), min(n_range, c + reached - 1) + 1))
     return {0} | set(range(1, n_range + 1)) - marked
 
@@ -307,8 +317,7 @@ def _closed_form_runs(ctx, k, w):
     # slopes, or at/above max(s_N, M(k)); None signals "out of region"
     dp = derivative_polygon(ctx, k)
     edges, mu = dp.edges, dp.m_of_k.value
-    # nu = u / v, INF as 1 / 0, which every cross-multiplication puts on top
-    u, v = (1, 0) if w.radius.is_infinite else w.radius.value.as_integer_ratio()
+    u, v = _ratio(w.radius)  # nu = u / v
     # i is the first index with nu < s_i, N + 1 when nu >= s_N
     i = 1 + bisect_left(edges, True, key=lambda e: e[0] * v > u * e[1])
     over_m = u * mu.denominator - mu.numerator * v  # the sign of nu - M(k)

@@ -184,8 +184,9 @@ def test_derivative_polygon_matches_fraction_hull(case):
 @given(case=context_and_weight(), radius=RADII)
 @settings(max_examples=100, deadline=None)
 def test_criterion_reach_matches_fraction_bisect(case, radius):
-    # the integer reach against bisect over the Fraction increments, at a
-    # random distance, INFINITY, and every increment exactly and just below
+    # the integer reach of u / v (INF as 1 / 0) against bisect over the
+    # Fraction increments, at a random distance, INFINITY, and every
+    # increment exactly and just below
     ctx, k = case
     dp = derivative_polygon(ctx, k)
     incs = lower_hull(enumerate(dp.raw)).slope_list()
@@ -193,7 +194,8 @@ def test_criterion_reach_matches_fraction_bisect(case, radius):
     for s in incs:
         dists += [Valuation(s), Valuation(s - Fraction(1, 1000))]
     for dist in dists:
-        assert _reach(dp.hull.hull, dist) == bisect_right(incs, dist), dist
+        u, v = (1, 0) if dist.is_infinite else dist.value.as_integer_ratio()
+        assert _reach(dp.hull.hull, u, v) == bisect_right(incs, dist), dist
 
 
 @given(case=context_and_weight(), small=N_HI, extra=st.integers(1, 200))

@@ -253,6 +253,19 @@ def test_pruned_witness_agrees_with_full_scan(ctx):
         assert breakpoints_by_criterion(ctx, w, d_iw) == {0} | full, (k, r)
 
 
+@pytest.mark.parametrize("k", (511, 531, 571))
+def test_criterion_prefix_marked_by_centres_past_it(k):
+    # every prefix of the span reads the full answer cut to it: a walk that
+    # stops at the last centre in the prefix returns 252 at k = 511 with
+    # n_range = 252, which bullet 252 (centre 253, dist 4) marks; short
+    # prefixes also put the bullet bound below the anchor's bullet
+    ctx = GhostContext(p=5, a=1, s_eps=0)
+    w, d_iw = WeightPoint(k, INF), dimensions(ctx, k).d_iw
+    full = breakpoints_by_criterion(ctx, w, d_iw)
+    for n_range in range(d_iw + 1):
+        assert breakpoints_by_criterion(ctx, w, n_range) == {x for x in full if x <= n_range}, n_range
+
+
 def test_dimension_edges_are_breakpoints_at_exact_weight(ctx):
     # at w = w_k the old-form boundary indices survive as breakpoints
     for k in (24, 48, 174):
