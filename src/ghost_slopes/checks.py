@@ -1,12 +1,14 @@
 """Invariant checks shared by ``ghost-slopes verify`` and the tests.
 
 Each ``check_*`` tests one invariant on one item and raises
-VerificationError naming the item; ``check_threshold_relation`` tests the
-three facts that tie a weight's prediction to its thresholds, computing
-each of the two once.  Three invariants are checked by the function that
-computes them: the hatted duality by ``derivative_polygon``, the model
-hull by ``build_model`` and M(k) <= floor(log_p k_bullet) + 3 by
-``max_zero_distance``.  ``SUITES`` samples items for ``verify``.
+VerificationError naming the item.  Two checks test several facts on
+data they compute once: ``check_threshold_relation`` the three that tie
+a weight's L model to its thresholds, and ``check_sample_relation`` the
+two that tie its threshold sample to its derivative sample.  Three
+invariants are checked by the function that computes them: the hatted
+duality by ``derivative_polygon``, the model hull by ``build_model`` and
+M(k) <= floor(log_p k_bullet) + 3 by ``max_zero_distance``.  ``SUITES``
+samples items for ``verify``.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def check_raw_increments(ctx, k: int) -> None:
 def check_model_pattern(ctx, k: int) -> None:
     """Each column j holding an equality cell has j - 1 strict entries."""
     model = build_model(ctx, k)
-    for _, j in model.eq_cells():
+    for _, j in sorted(model.eq_cells):
         strict = [model.rel(i, j) for i in range(1, model.d + 1)].count(Rel.GT)
         if strict != j - 1:
             raise VerificationError(f"column {j} carries {strict} strict entries at k = {k}")
@@ -129,14 +131,14 @@ def check_threshold_relation(ctx, k: int) -> None:
     """Against k's thresholds: the known L-invariant block, ascending, is -(CS + 1)
     over the closed thresholds, and the exceptional count is m times the number of
     sweep thresholds and at most ``exceptional_bound``."""
-    tv, pred = k_thresholds(ctx, k), predict_slopes(ctx, k)
+    tv, model = k_thresholds(ctx, k), predict_slopes(ctx, k)
     closed = [cs.value for cs, prov in zip(tv.local_thresholds, tv.provenance) if prov == "closed"]
-    flat = [v for v, m in pred.linv_slopes_known for _ in range(m)]
+    flat = [v for v, m in model.linv_slopes_known for _ in range(m)]
     if flat != sorted(-(c + 1) for c in closed for _ in range(ctx.global_mult)):
         raise VerificationError(f"linv block != -(CS + 1) at k = {k}")
-    if pred.exceptional_count != ctx.global_mult * tv.provenance.count("sweep"):
+    if model.exceptional_count != ctx.global_mult * tv.provenance.count("sweep"):
         raise VerificationError(f"exceptional count != central block at k = {k}")
-    if pred.exceptional_count > exceptional_bound(ctx, k):
+    if model.exceptional_count > exceptional_bound(ctx, k):
         raise VerificationError(f"exceptional count above log bound at k = {k}")
 
 
@@ -177,18 +179,14 @@ def check_symmetrized_pair(a, b) -> None:
         raise VerificationError("symmetrized pair identity fails")
 
 
-def check_sample_blocks(ctx, k: int) -> None:
-    """With m = 1, threshold and derivative samples agree above 2(p+1) M(k) / ((p-1) k)."""
-    st, sd = (sample(ctx, k, kind) for kind in (SampleKind.THRESHOLD, SampleKind.DERIVATIVE))
+def check_sample_relation(ctx, k: int) -> None:
+    """With m = 1, threshold and derivative samples agree above 2(p+1) M(k) / ((p-1) k)
+    and differ in at most ``sample_difference_bound`` places."""
+    st, sd = (sample(ctx, k, kind).values for kind in (SampleKind.THRESHOLD, SampleKind.DERIVATIVE))
     cut = Fraction(2 * (ctx.p + 1), (ctx.p - 1) * k) * max_zero_distance(ctx, k).value
-    if [v for v in st.values if v > cut] != [v for v in sd.values if v > cut]:
+    if [v for v in st if v > cut] != [v for v in sd if v > cut]:
         raise VerificationError(f"threshold/derivative blocks differ at k = {k}")
-
-
-def check_sample_difference(ctx, k: int) -> None:
-    """With m = 1, threshold and derivative samples differ in few places."""
-    st, sd = (sample(ctx, k, kind) for kind in (SampleKind.THRESHOLD, SampleKind.DERIVATIVE))
-    if sum(1 for x, y in zip(st.values, sd.values) if x != y) > sample_difference_bound(ctx, k):
+    if sum(1 for x, y in zip(st, sd) if x != y) > sample_difference_bound(ctx, k):
         raise VerificationError(f"sample difference above bound at k = {k}")
 
 
@@ -266,8 +264,7 @@ def _suite_wedge(ctx, rng, ks):
 def _suite_sample_relations(ctx, rng, ks):
     for k in rng.sample(ks, min(8, len(ks))):
         if ctx.global_mult == 1:
-            check_sample_blocks(ctx, k)
-            check_sample_difference(ctx, k)
+            check_sample_relation(ctx, k)
         check_sample_moments(ctx, k)
 
 

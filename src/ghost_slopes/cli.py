@@ -13,7 +13,8 @@ JSON keys are sorted, and rationals render as "num/den" in lowest terms.
 Every command but ``verify`` prints through one renderer, :func:`_emit`,
 which picks its JSON value, CSV rows or table lines by ``--format``.
 Exit codes: 0 success, 1 invalid configuration, 2 domain error during
-computation, 3 verification failure, 141 stdout closed early.
+computation or out of memory, 3 verification failure, 141 stdout closed
+early.
 """
 
 from __future__ import annotations
@@ -302,6 +303,9 @@ def main(argv=None) -> int:
         return 1
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # a request past the machine's memory, like one past a cap
+        print("error: out of memory", file=sys.stderr)
         return 2
     except VerificationError as exc:
         print(f"{exc}", file=sys.stderr)

@@ -108,11 +108,11 @@ def sample(ctx: GhostContext, k: int, kind: SampleKind) -> DistributionSample:
         raw = [(a * (lcd // b), 2 * mult) for a, b, mult in edges]
     elif kind is SampleKind.LINV:
         # the known block -(s + 1) and the floor -(R + 1), negated
-        pred = predict_slopes(ctx, k)
-        floor_raw, floor_count = pred.R + 1, pred.exceptional_count
-        lcd = lcm(pred.den, floor_raw.denominator)
+        model = predict_slopes(ctx, k)
+        floor_raw, floor_count = model.R + 1, model.exceptional_count
+        lcd = lcm(model.L_den, floor_raw.denominator)
         floor_num = floor_raw.numerator * (lcd // floor_raw.denominator)
-        raw = [((a + pred.den) * (lcd // pred.den), mult) for a, mult in pred.known]
+        raw = [((a + model.L_den) * (lcd // model.L_den), mult) for a, mult in model.known]
     else:
         raise DomainError(f"unknown sample kind {kind!r}")
     scale = 2 * (ctx.p + 1)

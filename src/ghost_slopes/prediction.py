@@ -9,9 +9,10 @@ v_p(F_{i,j}) compares to i*(k-2) - L_j: equality exactly on the
 breakpoint diagonal cells and their mirror rows, strict above the
 doubled index, the bottom row strict everywhere.
 
-Predicted slopes come in a known block read off the closed threshold
-relation (L-invariant slope = -(threshold + 1)) plus a floor for the
-central block, whose size is the exceptional count.  A separate
+Predicted slopes are facts of the same model, which ``predict_slopes``
+returns: a known block read off the closed threshold relation
+(L-invariant slope = -(threshold + 1)) plus a floor for the central
+block, whose size is the exceptional count.  A separate
 translation by k - 3 is provided; it disagrees with the threshold
 relation by a constant 2, and both are kept, labeled by their origin.
 """
@@ -53,6 +54,11 @@ class PredictionModel:
     ``block_sizes[l-1]`` is the stretched multiplicity of s_l.
     :meth:`rel` gives the comparison kind of each entry of the d x d
     pattern.
+
+    The known multisets read ``known`` as ``Fraction``s, values ascending:
+    the L-invariant slope -(s + 1) and the derivative-matrix slope
+    k - 2 - s.  The floors, read off R, bound every remaining slope from
+    below; ``exceptional_count`` is how many slopes they account for.
     """
 
     k: int
@@ -73,76 +79,56 @@ class PredictionModel:
         return tuple(Fraction(a, self.L_den) for a in self.L_nums)
 
     @cached_property
-    def _known_size(self) -> int:
-        return 2 * sum(self.block_sizes[self.M_index - 1 :])
-
-    @cached_property
-    def _eq_cells(self) -> frozenset:
-        cells = set()
-        acc = 0
-        for size in reversed(self.block_sizes[self.M_index - 1 :]):
-            acc += size
-            cells.update(((acc, 2 * acc), (self.d - acc, 2 * acc)))
-        return frozenset(cells)
-
-    def known_blocks(self) -> Tuple[Tuple[int, int], ...]:
+    def known(self) -> Tuple[Tuple[int, int], ...]:
         """(step numerator over L_den, width 2 * block size) of the blocks
         l = N down to M_index, whose steps are the derivative slopes."""
         known = reversed(range(self.M_index - 1, len(self.steps)))
         return tuple((self.steps[l], 2 * self.block_sizes[l]) for l in known)
 
+    @cached_property
     def known_size(self) -> int:
         """Total multiplicity 2*(d_N + ... + d_M) of the known block."""
-        return self._known_size
+        return 2 * sum(self.block_sizes[self.M_index - 1 :])
 
-    def eq_cells(self) -> Tuple[Tuple[int, int], ...]:
-        """(row, column) positions of the equality entries, sorted: each
-        running total acc of the known blocks, top slope first, marks
-        (acc, 2*acc) and (d - acc, 2*acc), never on row d."""
-        return tuple(sorted(self._eq_cells))
+    @cached_property
+    def eq_cells(self) -> frozenset:
+        """(row, column) positions of the equality entries: each running
+        total acc of the known blocks, top slope first, marks (acc, 2*acc)
+        and (d - acc, 2*acc), never on row d."""
+        cells, acc = set(), 0
+        for size in reversed(self.block_sizes[self.M_index - 1 :]):
+            acc += size
+            cells.update(((acc, 2 * acc), (self.d - acc, 2 * acc)))
+        return frozenset(cells)
 
     def rel(self, i: int, j: int) -> Rel:
         """Comparison kind of the pattern entry (i, j), 1 <= i, j <= d.
 
-        The bottom row is GT and the :meth:`eq_cells` are EQ; right of
+        The bottom row is GT and the :attr:`eq_cells` are EQ; right of
         column 2*i in the top known rows, and of column 2*(d - i) in the
         bottom known rows, entries are GT; every other entry is GE.
         """
-        d, known = self.d, self._known_size // 2
+        d, known = self.d, self.known_size // 2
         if i == d:
             return Rel.GT
-        if (i, j) in self._eq_cells:
+        if (i, j) in self.eq_cells:
             return Rel.EQ
         if (i <= known and j > 2 * i) or (i >= d - known and j > 2 * (d - i)):
             return Rel.GT
         return Rel.GE
 
-
-@dataclass(frozen=True)
-class SlopePrediction:
-    """Known slope blocks and floors for one weight.
-
-    ``known`` pairs each closed threshold s_N > ... > s_M, as a numerator
-    over ``den``, with its multiplicity.  The known multisets read it as
-    ``Fraction``s, values ascending: the L-invariant slope -(s + 1) and
-    the derivative-matrix slope k - 2 - s.  The floors, read off the
-    model radius R, bound every remaining slope from below;
-    ``exceptional_count`` is how many slopes they account for.
-    """
-
-    k: int
-    known: Tuple[Tuple[int, int], ...]
-    den: int
-    R: Fraction
-    exceptional_count: int
+    @property
+    def exceptional_count(self) -> int:
+        """Size d - known_size of the central block the floor accounts for."""
+        return self.d - self.known_size
 
     @property
     def a1_slopes_known(self) -> Tuple[Tuple[Fraction, int], ...]:
-        return tuple((Fraction((self.k - 2) * self.den - a, self.den), m) for a, m in self.known)
+        return tuple((Fraction((self.k - 2) * self.L_den - a, self.L_den), m) for a, m in self.known)
 
     @property
     def linv_slopes_known(self) -> Tuple[Tuple[Fraction, int], ...]:
-        return tuple((Fraction(-a - self.den, self.den), m) for a, m in self.known)
+        return tuple((Fraction(-a - self.L_den, self.L_den), m) for a, m in self.known)
 
     a1_floor = property(lambda self: Valuation(self.k - 2 - self.R))
     linv_floor = property(lambda self: Valuation(-self.R - 1))
@@ -150,7 +136,7 @@ class SlopePrediction:
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,
-            "linv_known": [[ratio_text(-a - self.den, self.den), m] for a, m in self.known],
+            "linv_known": [[ratio_text(-a - self.L_den, self.L_den), m] for a, m in self.known],
             "floor": format_rational(self.linv_floor.value),
             "exceptional": self.exceptional_count,
         }
@@ -192,8 +178,8 @@ def _assert_model_hull(model: PredictionModel) -> None:
     # L steps by a constant r on each of these blocks, r strictly falls
     # from one block to the next and the blocks end at d: the block ends
     # are then the hull's vertices and every other point lies on an edge
-    blocks = list(model.known_blocks())
-    if flat := model.d - model.known_size():
+    blocks = list(model.known)
+    if flat := model.exceptional_count:
         blocks.append((int(model.R * model.L_den), flat))
     L = (0, *model.L_nums)
     steps, end = list(map(sub, L[1:], L)), 0
@@ -244,8 +230,8 @@ def build_model(ctx: GhostContext, k: int) -> PredictionModel:
     return model
 
 
-def predict_slopes(ctx: GhostContext, k: int) -> SlopePrediction:
-    """Known slope blocks plus floors for the weight k.
+def predict_slopes(ctx: GhostContext, k: int) -> PredictionModel:
+    """The L model of the weight k, read as its known slope blocks plus floors.
 
     The known L-invariant block applies the threshold relation
     -(threshold + 1) to the closed-form threshold values s_N..s_M; the
@@ -256,14 +242,7 @@ def predict_slopes(ctx: GhostContext, k: int) -> SlopePrediction:
     >>> predict_slopes(ctx, 24).linv_slopes_known
     ((Fraction(-10, 1), 2), (Fraction(-7, 1), 2))
     """
-    model = build_model(ctx, k)
-    return SlopePrediction(
-        k=model.k,
-        known=model.known_blocks(),
-        den=model.L_den,
-        R=model.R,
-        exceptional_count=model.d - model.known_size(),
-    )
+    return build_model(ctx, k)
 
 
 def exceptional_bound(ctx: GhostContext, k: int) -> Fraction:
@@ -291,17 +270,11 @@ def integrality_report(ctx: GhostContext, k: int) -> IntegralityReport:
     >>> integrality_report(ctx, 24).exception_count
     0
     """
-    pred = predict_slopes(ctx, k)
-    entries = []
-    bad = 0
-    for v, m in pred.linv_slopes_known:
-        ok = (v - Fraction(k, 2)).denominator == 1
-        entries.append((v, m, ok))
-        if not ok:
-            bad += m
+    model = predict_slopes(ctx, k)
+    entries = tuple((v, m, (v - Fraction(k, 2)).denominator == 1) for v, m in model.linv_slopes_known)
     return IntegralityReport(
-        k=pred.k,
-        entries=tuple(entries),
-        exception_count=bad,
-        exceptional_count=pred.exceptional_count,
+        k=model.k,
+        entries=entries,
+        exception_count=sum(m for _, m, ok in entries if not ok),
+        exceptional_count=model.exceptional_count,
     )

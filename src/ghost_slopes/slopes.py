@@ -27,7 +27,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, count, repeat
+from itertools import chain, repeat
 from math import gcd, lcm
 from typing import Iterable, List, Tuple
 
@@ -172,7 +172,7 @@ def breakpoints_by_criterion(ctx: GhostContext, w: WeightPoint, n_range: int) ->
     """
     p, kb, (ru, rv) = ctx.p, ctx.bullet(w.anchor), _ratio(w.radius)
     bound = _bullet_bound(ctx, n_range)
-    d_max = next(i for i in count(1) if p**i > max(kb, bound))  # D
+    d_max = 1 + ghost._floor_log(p, max(kb, bound))  # D
     end = min(bound, n_range + (4 * d_max - 6) // (p - 1) + ctx.delta_eps)
     marked = set()
     for j in chain(range(kb % p, end, p), [kb] if end <= kb < bound else []):

@@ -24,9 +24,10 @@ B = random_int_matrix(random.Random(1), 3)
 HATTED, PREDICT, SAMPLE = slopes.hatted_valuation_table, checks.predict_slopes, checks.sample
 
 
-def shifted(ctx, k, kind):
+def top_shifted(ctx, k, kind):
+    # the top threshold value up by 1: one more differing entry, still within the bound
     s = SAMPLE(ctx, k, kind)
-    return replace(s, nums=tuple(a + s.den * (kind is SampleKind.THRESHOLD) for a in s.nums))
+    return replace(s, nums=s.nums[:-1] + (s.nums[-1] + s.den * (kind is SampleKind.THRESHOLD),))
 
 
 def spread(ctx, k, kind):
@@ -47,16 +48,17 @@ WEIGHT_PLANTS = [
     (prediction.build_model, prediction, "model_radius", lambda ctx, k: Fraction(100)),
     (checks.check_model_pattern, PredictionModel, "rel", lambda self, i, j: Rel.GE),
     # one plant per fact of the threshold relation, each breaking that fact alone
-    pytest.param(checks.check_threshold_relation, checks, "predict_slopes",
-                 lambda ctx, k: replace(PREDICT(ctx, k), known=()),
+    pytest.param(checks.check_threshold_relation, PredictionModel, "linv_slopes_known", property(lambda self: ()),
                  id="check_threshold_relation-known_block"),
     pytest.param(checks.check_threshold_relation, checks, "predict_slopes",
-                 lambda ctx, k: replace(PREDICT(ctx, k), exceptional_count=0),
+                 lambda ctx, k: replace(model := PREDICT(ctx, k), d=model.known_size),
                  id="check_threshold_relation-exceptional_count"),
     pytest.param(checks.check_threshold_relation, checks, "exceptional_bound", lambda ctx, k: -1,
                  id="check_threshold_relation-exceptional_bound"),
-    (checks.check_sample_blocks, checks, "sample", shifted),
-    (checks.check_sample_difference, checks, "sample_difference_bound", lambda ctx, k: -1),
+    # one plant per fact of the sample relation, each breaking that fact alone
+    pytest.param(checks.check_sample_relation, checks, "sample", top_shifted, id="check_sample_relation-blocks"),
+    pytest.param(checks.check_sample_relation, checks, "sample_difference_bound", lambda ctx, k: -1,
+                 id="check_sample_relation-difference"),
     (checks.check_sample_moments, checks, "sample", spread),
 ]
 

@@ -12,7 +12,7 @@ import weakref
 
 import pytest
 
-from ghost_slopes import cli, ghost
+from ghost_slopes import checks, cli, ghost
 from ghost_slopes.cli import FORMATS, MAX_RANGE_WEIGHTS, build_parser, main
 from ghost_slopes.distribution import SampleKind
 
@@ -498,6 +498,22 @@ class TestConfigValidation:
         assert code == 2
         assert out == ""
         assert "K_CEILING = 1000000000" in err
+
+    @pytest.mark.parametrize(
+        "command, owner, attr",
+        [("dist", cli, "sample"), ("verify", checks, "breakpoints_by_criterion")],
+        ids=["dist", "verify"],
+    )
+    def test_out_of_memory_exits_2_with_one_line(self, capsys, monkeypatch, command, owner, attr):
+        # a MemoryError planted in this process, so --jobs 1: a pool worker
+        # would import the library afresh and miss the plant
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(owner, attr, out_of_memory)
+        code, out, err = run(capsys, command, "--k-range", "10:200", "--jobs", "1")
+        assert code == 2
+        assert err == "error: out of memory\n"
 
     def test_prime_above_k_ceiling_is_config_error(self, capsys):
         # rejected before the trial division of the primality test

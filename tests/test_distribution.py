@@ -151,14 +151,15 @@ class TestSampleValues:
 
 class TestThresholdDerivativeComparison:
     def test_known_blocks_agree(self):
-        # entries above the normalized zero-distance cutoff coincide
+        # entries above the normalized zero-distance cutoff coincide, and
+        # check_sample_relation also bounds the differing entries
         assert CTX.global_mult == 1
         for k in sample_weights(CTX, 10, 800, 8, seed=7):
-            checks.check_sample_blocks(CTX, k)
+            checks.check_sample_relation(CTX, k)
 
     def test_difference_count_within_bound(self):
         for k in sample_weights(CTX, 10, 2000, 12, seed=9):
-            checks.check_sample_difference(CTX, k)
+            checks.check_sample_relation(CTX, k)
 
     def test_difference_bound_frozen(self):
         assert sample_difference_bound(CTX, 24) == Fraction(11, 3)
