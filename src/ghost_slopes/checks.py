@@ -6,13 +6,14 @@ data they compute once: ``check_threshold_relation`` the three that tie
 a weight's L model to its thresholds, and ``check_sample_relation`` the
 two that tie its threshold sample to its derivative sample.  Three
 invariants are checked by the function that computes them: the hatted
-duality by ``derivative_polygon``, the model hull by ``build_model`` and
-M(k) <= floor(log_p k_bullet) + 3 by ``max_zero_distance``.  ``SUITES``
-samples items for ``verify``.
+duality by ``derivative_polygon`` (on a fresh context in its suite), the
+model hull by ``build_model`` and M(k) <= floor(log_p k_bullet) + 3 by
+``max_zero_distance``.  ``SUITES`` samples items for ``verify``.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .distribution import SampleKind, sample, sample_difference_bound
@@ -86,6 +87,11 @@ def check_criterion_matches_hull(ctx, w: WeightPoint) -> None:
     hull = certified_newton_polygon(ctx, w, d_iw)
     if crit != {x for x in hull.vertex_xs() if x <= d_iw}:
         raise VerificationError(f"criterion != hull vertices at (k, r) = ({w.anchor}, {w.radius})")
+
+
+def check_hatted_duality(ctx, k: int) -> None:
+    """The hatted duality, run by ``derivative_polygon`` on an equal context with empty caches."""
+    derivative_polygon(replace(ctx), k)
 
 
 def check_slope_integrality(ctx, k: int) -> None:
@@ -301,7 +307,7 @@ SUITES = (
     ("hull-idempotence", _suite_hull_idempotence),
     ("gauss-norm-duality", _suite_gauss_norm_duality),
     ("criterion-vs-hull", _suite_criterion_vs_hull),
-    ("hatted-duality", _sampled(10, derivative_polygon)),
+    ("hatted-duality", _sampled(10, check_hatted_duality)),
     ("slope-integrality", _sampled(20, check_slope_integrality)),
     ("threshold-consistency", _sampled(5, check_threshold_lock)),
     ("increment-lower-bound", _sampled(15, check_raw_increments)),

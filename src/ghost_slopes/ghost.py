@@ -18,7 +18,8 @@ triangles instead of looping over (n, k) pairs, and an anchored table is
 a multiple of the degree table plus one constant weight per stride of
 bullets j = kb (mod p^i) through the anchor's bullet kb.  For N zeros up
 to n_hi that costs O(N/(p-1) + n_hi) per anchor.  One degree table per
-(p, t1, t2, delta_eps), built by :func:`_degrees`, serves every context.
+(p, t1, t2, delta_eps), built by :func:`_degrees`, serves every context,
+and a second reader: the window certificates' :func:`_degree_increment_floor`.
 """
 
 from __future__ import annotations
@@ -170,6 +171,7 @@ class GhostContext:
     t1: int = field(init=False)
     t2: int = field(init=False)
 
+    # only what later calls re-read, "derivative" polygons by bullet (degree tables: _degrees)
     _caches: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
@@ -253,11 +255,6 @@ class GhostContext:
         d_ur = 2 * q + 1 + (1 if rem >= self.t2 else 0)
         d_iw = 2 * j + 2 - 2 * self.delta_eps
         return d_iw, d_ur
-
-    def _cache(self, name: str) -> dict:
-        # only what later calls re-read: "derivative" (derivative polygons
-        # by bullet); the degree table is shared, see _degrees
-        return self._caches.setdefault(name, {})
 
 
 def dimensions(ctx: GhostContext, k: int) -> DimensionTriple:
@@ -552,8 +549,9 @@ def _degrees(ctx: GhostContext, n_hi: int) -> list:
     never write.  deg is the double cumulative sum of :func:`_corner_steps`.
     Past lead = 1 + :func:`_period_span` the corners repeat with period 2p,
     each adding p(p+1) - 4p + (p+1) = (p-1)^2 to the slope, so past head =
-    lead + 2p deg[m+1] = deg[m] + (deg[m+1-2p] - deg[m-2p]) + (p-1)^2.  Below
-    head the table doubles, so small steps rebuild it O(log head) times."""
+    lead + 2p deg[m+1] = deg[m] + (deg[m+1-2p] - deg[m-2p]) + (p-1)^2, the law
+    its second reader :func:`_degree_increment_floor` reads.  Below head the
+    table doubles, so small steps rebuild it O(log head) times."""
     if n_hi > MAX_TABLE_INDEX:
         raise DomainError(f"table index {n_hi} exceeds MAX_TABLE_INDEX = {MAX_TABLE_INDEX}")
     deg = _DEGREE_TABLES.setdefault((ctx.p, ctx.t1, ctx.t2, ctx.delta_eps), [0])
@@ -565,6 +563,17 @@ def _degrees(ctx: GhostContext, n_hi: int) -> list:
         for m in range(len(deg) - 1, n_hi):
             deg.append(deg[m] + deg[m + 1 - 2 * p] - deg[m - 2 * p] + (p - 1) ** 2)
     return deg
+
+
+def _degree_increment_floor(ctx: GhostContext, n: int) -> int:
+    """The least deg g_{m+1} - deg g_m over m >= n, read from the degree table up
+    to top = max(n, head): past head an increment is (p-1)^2 above the one 2p
+    before it (see :func:`_degrees`), so one past top is c (p-1)^2, c >= 1,
+    above one in [top - 2p, top)."""
+    p, top = ctx.p, max(n, 2 * ctx.p + 1 + _period_span(ctx))
+    deg = _degrees(ctx, top)
+    steps = lambda ms: [deg[m + 1] - deg[m] for m in ms]
+    return min(steps(range(n, top)) + [min(steps(range(top - 2 * p, top))) + (p - 1) ** 2])
 
 
 def _anchored_table(ctx: GhostContext, kb: int, n_hi: int, weight_of_distance) -> list:

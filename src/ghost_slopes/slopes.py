@@ -17,8 +17,8 @@ All hull reads from finite windows are certified against the infinite
 series: a window is accepted only once every omitted coefficient
 provably stays above the supporting line at the right edge of the
 region of interest, using the exact lower bound
-v_p(g_n(w)) >= min(radius, 1) * deg(g_n) and the periodicity of the
-dimension sequences.
+v_p(g_n(w)) >= min(radius, 1) * deg(g_n) and the least increment of
+deg(g_n) past the window, read exactly from the degree table.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .ghost import (
     GhostContext,
     WeightPoint,
     _bullet_bound,
+    _degree_increment_floor,
     _degrees,
-    _period_span,
     dimensions,
     hatted_valuation_table,
     level_tables,
@@ -92,7 +92,7 @@ def derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
     ((2, 1, 1), (6, 1, 1), (9, 1, 1))
     """
     kb = ctx.bullet(k)
-    cache = ctx._cache("derivative")
+    cache = ctx._caches.setdefault("derivative", {})
     if kb in cache:
         return cache[kb]
     trip = dimensions(ctx, k)
@@ -162,9 +162,12 @@ def breakpoints_by_criterion(ctx: GhostContext, w: WeightPoint, n_range: int) ->
     of increments that the distance from w to w_{k2} reaches.  Only
     bullets j congruent to the anchor's k_bullet mod p, below ``bound`` (the
     first with d_ur >= n_range), can reach the 3/2 floor of every increment
-    and mark the range, and since the l-th increment is at least
-    3/2 + (p-1) l / 4, a center more than 4 * (dist - 3/2) / (p - 1) past
-    n_range marks nothing in range.  Off the anchor, dist is at most
+    and mark the range.  The l-th increment (from l = 0: the hull slope on
+    [l, l + 1]) averages the raw ones on [i - 1, i] over its edge [a, b], each
+    at least 3/2 + (p-1)(i-1)/2 as ``increment-lower-bound`` checks, so it is
+    at least 3/2 + (p-1)(a + b - 1)/4 >= 3/2 + (p-1) l / 4, and a center more
+    than 4 (dist - 3/2) / (p - 1) past n_range marks nothing in range.  Off
+    the anchor, dist is at most
     1 + v_p(k_bullet - j) <= D = 1 + floor(log_p max(k_bullet, bound)), as
     0 < |k_bullet - j| <= max(k_bullet, bound); so the walk ends at the
     first center past n_range + 4 (D - 3/2) / (p - 1), the anchor (dist the
@@ -192,30 +195,11 @@ def breakpoints_by_criterion(ctx: GhostContext, w: WeightPoint, n_range: int) ->
 SWEEP_PIECE_GUARD = 100000  # pieces examined per sweep window; a VerificationError names it
 
 
-def _degree_increment_floor(ctx: GhostContext, n: int) -> int:
-    """A provable lower bound for deg g_{m+1} - deg g_m, all m >= n.
-
-    Uses the exact periodicity d_ur(j + p + 1) = d_ur(j) + 2 (and the
-    analogue for spans): the count of multiplicity-raising weights at
-    level m grows linearly in m with slope (p+1)/2 + (p+1)/(2p).
-    """
-    p = ctx.p
-    max_ur = ctx.dims_of_bullet(p)[1]  # the largest d_ur over bullets 0..p, as d_ur never falls
-    max_span = _period_span(ctx)
-
-    def lower(m):
-        j1 = (p + 1) * max(0, (m - max_ur) // 2 + 1)
-        j2 = (p + 1) * max(0, (m - max_span) // (2 * p) + 1)
-        return j1 + j2 - 2 * m
-
-    return min(lower(m) for m in range(n, n + 2 * p))
-
-
 def _tail_certified(rfac, deg, inc_floor, n_window, q_hi, hull, den) -> bool:
     """Whether every coefficient past the window edge n_window lies above
     the supporting line of ``hull`` (ordinates over ``den``) at q_hi,
-    given v_p(g_n) >= rfac * deg(g_n) and deg increments >= inc_floor
-    there."""
+    given v_p(g_n) >= rfac * deg(g_n) and inc_floor, the least increment
+    of deg past n_window."""
     y_q, sigma_q = edge_at(hull, den, q_hi)
     return (
         rfac * deg[n_window] >= y_q + sigma_q * (n_window - q_hi)
@@ -224,9 +208,9 @@ def _tail_certified(rfac, deg, inc_floor, n_window, q_hi, hull, den) -> bool:
 
 
 def _windows(ctx: GhostContext, k: int, q_hi: int):
-    """Yield (n_window, the shared degree table, increment floor), doubling
-    from a first window sized to pass :func:`_tail_certified`; a window past
-    MAX_TABLE_INDEX raises DomainError, ending the walk.
+    """Yield (n_window, the shared degree table, the exact least increment
+    of deg past n_window read from it), doubling from a first window sized
+    to pass :func:`_tail_certified`; past MAX_TABLE_INDEX DomainError ends it.
 
     Past the anchor's triangle, distance i + 1 weighs on about 1/p^i of
     deg, so a hull's line at q_hi runs near p/(p-1) times deg's tangent

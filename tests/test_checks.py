@@ -101,6 +101,19 @@ def test_planted_violation_fails_item_check(monkeypatch, call, owner, attr, plan
         call()
 
 
+def test_hatted_duality_suite_checks_a_cached_weight(monkeypatch):
+    # criterion-vs-hull runs first and caches polygons on the shared context;
+    # the duality suite still rebuilds each weight it draws
+    ctx = GhostContext(7, 2, 1)
+    slopes.derivative_polygon(ctx, 24)
+    monkeypatch.setattr(slopes, "hatted_valuation_table",
+                        lambda ctx, k, n: [v + i for i, v in enumerate(HATTED(ctx, k, n))])
+    with pytest.raises(VerificationError, match="k = 24, offset 1"):
+        checks.check_hatted_duality(ctx, 24)
+    with pytest.raises(VerificationError, match="k = 24, offset 1"):
+        dict(checks.SUITES)["hatted-duality"](ctx, random.Random(0), [24])
+
+
 def test_verify_reports_a_planted_violation(monkeypatch, capsys):
     monkeypatch.setattr(checks, "ghost_multiplicity", lambda ctx, n, k: n)
     assert main(["verify"]) == 3

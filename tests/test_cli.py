@@ -117,6 +117,19 @@ class TestSlopesCommand:
                 "newslopes": ["9/2", "15/2", "11", "11", "29/2", "35/2"],
             }
 
+    @pytest.mark.parametrize("p, expected", [(31607, 0), (31627, 2)])
+    def test_windowed_request_at_a_large_prime(self, capsys, p, expected):
+        # the largest prime whose corner bullets 0..p stay under K_CEILING,
+        # and the next one: the window's degree table and its increment
+        # floor answer the first and refuse the second alike
+        code, out, err = run(capsys, "slopes", "-p", str(p), "-a", "2", "-e", "1", "-k", "6",
+                             "-r", "1/2", "--format", "json")
+        assert code == expected and "Traceback" not in err
+        if code:
+            assert out == "" and "K_CEILING" in err
+        else:
+            assert json.loads(out) == {"k": 6, "newslopes": ["1/2", "3/2"], "radius": "1/2"}
+
     def test_off_class_weight_is_domain_error(self, capsys):
         code, _, err = run(capsys, "slopes", "-k", "25", "-r", "2")
         assert code == 2

@@ -37,6 +37,7 @@ from ghost_slopes.distribution import DistributionSample, SampleKind, discrepanc
 from ghost_slopes.errors import DomainError
 from ghost_slopes.ghost import (
     _bullet_bound,
+    _degree_increment_floor,
     anchored_valuation,
     degree_table,
     dimensions,
@@ -52,7 +53,6 @@ from ghost_slopes.polygon import newton_polygon_at
 from ghost_slopes.prediction import build_model, model_radius, predict_slopes
 from ghost_slopes.slopes import (
     _closed_form_runs,
-    _degree_increment_floor,
     _hull_runs,
     _level_pieces,
     _locked_on,

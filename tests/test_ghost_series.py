@@ -20,6 +20,7 @@ from ghost_slopes.ghost import (
     GhostContext,
     WeightPoint,
     _bullet_bound,
+    _degree_increment_floor,
     _is_zero_bullet,
     _period_span,
     _triangle_table,
@@ -438,20 +439,26 @@ def test_degree_table(ctx):
         assert table[n] == ghost_polynomial(ctx, n).degree()
 
 
-@pytest.mark.parametrize(
-    "p, mode",
-    [(p, mode) for p in (5, 7, 11, 13, 17, 19, 23, 29, 31) for mode in ("strict", "exploratory")
-     if p >= 11 or mode == "exploratory"],
-)
-def test_degree_table_past_its_period(p, mode, monkeypatch):
-    # below head the table comes from the corners of bullets 0..p, past it
-    # from the period recurrence; built at once or grown from empty, it
-    # equals the walk
+PERIOD_CASES = [(p, mode) for p in (5, 7, 11, 13, 17, 19, 23, 29, 31)
+                for mode in ("strict", "exploratory") if p >= 11 or mode == "exploratory"]
+
+
+def period_contexts(p, mode):
+    """(a, s_eps, context, head) for up to four parameter sets at p: head is
+    the index past which the degree table follows its period recurrence."""
     lo = 2 if mode == "strict" else 1
     hi = p - 3 - lo
     for a, s_eps in {(lo, 0), (hi, p - 2), ((lo + hi) // 2, (p - 1) // 2), (lo, p - 2)}:
         ctx = GhostContext(p, a, s_eps, mode=mode)
-        head = 2 * p + 1 + _period_span(ctx)
+        yield a, s_eps, ctx, 2 * p + 1 + _period_span(ctx)
+
+
+@pytest.mark.parametrize("p, mode", PERIOD_CASES)
+def test_degree_table_past_its_period(p, mode, monkeypatch):
+    # below head the table comes from the corners of bullets 0..p, past it
+    # from the period recurrence; built at once or grown from empty, it
+    # equals the walk
+    for a, s_eps, ctx, head in period_contexts(p, mode):
         n = 3 * head + 5
         walk = _triangle_table(ctx, [(range(_bullet_bound(ctx, n)), 1)], n)
         monkeypatch.setattr(ghost, "_DEGREE_TABLES", {})
@@ -460,6 +467,18 @@ def test_degree_table_past_its_period(p, mode, monkeypatch):
         grown = GhostContext(p, a, s_eps, mode=mode)
         for m in (head // 2, head, n):
             assert degree_table(grown, m) == walk[: m + 1], (a, s_eps, m)
+
+
+@pytest.mark.parametrize("p, mode", PERIOD_CASES)
+def test_degree_increment_floor_is_exact(p, mode):
+    # the floor that certifies every window is the least increment of the
+    # degree table past n, not a bound below it: 30p increments from n
+    # reach well past head, where each period adds (p-1)^2
+    for a, s_eps, ctx, head in period_contexts(p, mode):
+        deg = degree_table(ctx, 3 * head + 30 * p)
+        steps = [deg[m + 1] - deg[m] for m in range(len(deg) - 1)]
+        for n in range(1, 3 * head + 1):
+            assert _degree_increment_floor(ctx, n) == min(steps[n : n + 30 * p]), (a, s_eps, n)
 
 
 # -- pointwise evaluation -------------------------------------------------------
