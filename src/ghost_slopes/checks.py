@@ -8,24 +8,29 @@ two that tie its threshold sample to its derivative sample.  Three
 invariants are checked by the function that computes them: the hatted
 duality by ``derivative_polygon`` (on a fresh context in its suite), the
 model hull by ``build_model`` and M(k) <= floor(log_p k_bullet) + 3 by
-``max_zero_distance``.  ``SUITES`` samples items for ``verify``.
+``max_zero_distance``.  The six wedge identities are checks here too, and
+``wedge`` holds only the algebra they run.  ``SUITES`` samples items for
+``verify``.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
+from math import comb
 
 from .distribution import SampleKind, sample, sample_difference_bound
-from .errors import VerificationError
+from .errors import DomainError, VerificationError
 from .ghost import WeightPoint, dimensions, ghost_multiplicity, max_zero_distance
 from .polygon import dual_graph, lower_hull
 from .prediction import Rel, build_model, exceptional_bound, predict_slopes
 from .slopes import breakpoints_by_criterion, certified_newton_polygon, derivative_polygon
-from .slopes import k_newslopes, k_thresholds
+from .slopes import k_thresholds, newslope_runs
 from .valuation import INF, weight_distance
-from .wedge import TruncationMode, binomial_vandermonde, d_matrix_truncated, determinant
-from .wedge import formal_wedge_trace, linear_system_roundtrip, random_int_matrix, wedge_collapse_check
+from .wedge import ExactMatrix, TruncationMode, binomial_vandermonde, d_matrix_truncated, determinant
+from .wedge import formal_wedge_trace, random_int_matrix, solve_unit_system
 
 # -- per-item checks ------------------------------------------------------------
 
@@ -105,14 +110,24 @@ def check_slope_integrality(ctx, k: int) -> None:
 
 
 def check_threshold_lock(ctx, k: int) -> None:
-    """Newslope n is (k-2)/2 at radius CS_n(k) + 1 and not just below CS_n(k)."""
-    half = Fraction(k - 2, 2)
+    """Newslope n is (k-2)/2 at radius CS_n(k) + 1 and not just below CS_n(k).
+
+    The newslope runs a/b are read once per radius.  They ascend strictly, so the
+    indices whose newslope is (k-2)/2 are those of the one run with 2a = (k-2)b,
+    right after the indices of the runs below it."""
+
+    @cache
+    def locked(radius) -> range:
+        runs = newslope_runs(ctx, k, WeightPoint(k, radius))
+        start = 1 + sum(m for a, b, m in runs if 2 * a < (k - 2) * b)
+        return range(start, start + sum(m for a, b, m in runs if 2 * a == (k - 2) * b))
+
     for n, cs in enumerate(k_thresholds(ctx, k).local_thresholds, 1):
         cs = cs.value
-        if k_newslopes(ctx, k, WeightPoint(k, cs + 1))[n - 1] != half:
+        if n not in locked(cs + 1):
             raise VerificationError(f"newslope {n} not locked above CS at k = {k}")
         below = cs / 2 if cs <= Fraction(1, 2) else cs - Fraction(1, 2)
-        if below > 0 and k_newslopes(ctx, k, WeightPoint(k, below))[n - 1] == half:
+        if below > 0 and n in locked(below):
             raise VerificationError(f"newslope {n} locked below CS at k = {k}")
 
 
@@ -127,7 +142,7 @@ def check_raw_increments(ctx, k: int) -> None:
 def check_model_pattern(ctx, k: int) -> None:
     """Each column j holding an equality cell has j - 1 strict entries."""
     model = build_model(ctx, k)
-    for _, j in sorted(model.eq_cells):
+    for j in sorted({j for _, j in model.eq_cells}):
         strict = [model.rel(i, j) for i in range(1, model.d + 1)].count(Rel.GT)
         if strict != j - 1:
             raise VerificationError(f"column {j} carries {strict} strict entries at k = {k}")
@@ -148,10 +163,24 @@ def check_threshold_relation(ctx, k: int) -> None:
         raise VerificationError(f"exceptional count above log bound at k = {k}")
 
 
-def check_collapse(mats, n: int, alpha) -> None:
-    """The scalar-slot collapse identity of ``wedge_collapse_check``."""
-    if not wedge_collapse_check(mats, n, alpha):
-        raise VerificationError(f"collapse identity fails for d = {mats[0].rows}")
+def check_collapse(mats, n: int, alpha, d=None) -> None:
+    """The m matrices of ``mats`` in every ordered choice of m of m + n slots, alpha *
+    identity in the rest, sum to C(d - m, n) alpha^n times their wedge trace.  They are
+    square of one size d <= WEDGE_CAP; an empty family is given its size d."""
+    m, bare = len(mats), formal_wedge_trace(mats)
+    if m:
+        d = mats[0].rows
+    elif d is None:
+        raise DomainError("an empty family needs an explicit size")
+    if n < 0 or m + n > d:
+        raise DomainError(f"need 0 <= {m} + {n} <= {d}")
+    alpha = Fraction(alpha)
+    scaled_id, lhs = ExactMatrix.identity(d, alpha), 0
+    for slots in combinations(range(m + n), m):
+        factors = iter(mats)  # placed in order, one per chosen slot
+        lhs += formal_wedge_trace([next(factors) if s in slots else scaled_id for s in range(m + n)])
+    if lhs != comb(d - m, n) * alpha**n * bare:
+        raise VerificationError(f"collapse identity fails for d = {d}")
 
 
 def check_truncated_determinants(d: int) -> None:
@@ -171,9 +200,27 @@ def check_bv_consecutive(n: int, n0: int) -> None:
 
 
 def check_roundtrip(d: int, j: int, alpha, ms) -> None:
-    """The binomial system recovers the top wedge trace from M^(1)..M^(j)."""
-    if not linear_system_roundtrip(d, j, alpha, ms):
+    """The binomial system recovers the top wedge trace from M^(1)..M^(j):
+    D_d(j) applied to alpha^(-l) M^(l), l = 1..j, solves back to them."""
+    if len(ms) != j:
+        raise DomainError(f"expected {j} mixed traces")
+    alpha = Fraction(alpha)
+    if alpha == 0:
+        raise DomainError("the scalar slot value must be invertible")
+    system = d_matrix_truncated(d, j, TruncationMode.UPPER_LEFT)
+    unknowns = [Fraction(v) * alpha**-l for l, v in enumerate(ms, 1)]
+    rhs = [sum(a * x for a, x in zip(row, unknowns)) for row in system.entries]
+    if solve_unit_system(system, rhs) != unknowns:
         raise VerificationError(f"round trip fails for (d, j) = ({d}, {j})")
+
+
+def check_minor_unit(d: int, j: int) -> None:
+    """Deleting row j/2 and the last column of D'_d(j), j even, leaves a unit
+    minor: the cofactor that isolates the top wedge trace."""
+    split = d_matrix_truncated(d, j, TruncationMode.SPLIT)
+    minor = ExactMatrix.from_rows([row[:-1] for r, row in enumerate(split.entries, 1) if r != j // 2])
+    if determinant(minor) not in (1, -1):
+        raise VerificationError(f"cofactor of D'_{d}({j}) at ({j // 2}, {j}) is not a unit")
 
 
 def check_symmetrized_pair(a, b) -> None:
@@ -256,6 +303,8 @@ def _suite_wedge(ctx, rng, ks):
         check_collapse(mats, rng.randint(0, d - len(mats)), alpha)
     for d in range(1, 9):
         check_truncated_determinants(d)
+        for j in range(2, d + 1, 2):
+            check_minor_unit(d, j)
     for n in range(1, 7):
         for n0 in range(0, 4):
             check_bv_consecutive(n, n0)

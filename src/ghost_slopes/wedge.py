@@ -1,12 +1,15 @@
-"""Exact oracle for wedge-trace and binomial-determinant identities.
+"""Exact linear algebra behind the wedge-trace and binomial-determinant identities.
 
 Everything here is desk-scale linear algebra over exact rationals: the
-formal wedge trace of a tuple of matrices, the collapse identity that
-absorbs scalar factors into a binomial multiple, the unit-determinant
-binomial matrices that link characteristic-series coefficients to the
-top wedge trace, and the binomial Vandermonde determinants behind their
-minors.  The brute-force summations are capped at d <= 8; this module
-exists to certify identities, not to compute fast.
+formal wedge trace of a tuple of matrices, the unit-determinant binomial
+matrices that link characteristic-series coefficients to the top wedge
+trace and their truncations, determinants, the binomial Vandermonde
+determinants behind their minors, and an exact solver for the binomial
+systems.  The identities themselves (the scalar-slot collapse, the unit
+determinants and cofactor, the round trip through the binomial system)
+are checks in ``checks``, which ``verify`` and the tests share.  The
+brute-force summations are capped at d <= 8; this module exists to
+certify identities, not to compute fast.
 
 Binomial Vandermonde rows carry descending column indices (top row
 C(x_j, n-1), bottom row C(x_j, 0)), the layout these determinants take
@@ -22,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import DomainError
 
@@ -78,16 +81,6 @@ def _perm_sign(perm: Tuple[int, ...]) -> int:
     return -1 if flips % 2 else 1
 
 
-def _check_square_family(mats: Sequence[ExactMatrix]) -> int:
-    d = mats[0].rows
-    for m in mats:
-        if not m.is_square() or m.rows != d:
-            raise DomainError("wedge factors must be square and share a size")
-    if d > WEDGE_CAP:
-        raise DomainError(f"d = {d} exceeds the d <= {WEDGE_CAP} brute-force cap")
-    return d
-
-
 def formal_wedge_trace(mats: Sequence[ExactMatrix]) -> Fraction:
     """Trace of the formal wedge product of n same-size square matrices.
 
@@ -103,7 +96,11 @@ def formal_wedge_trace(mats: Sequence[ExactMatrix]) -> Fraction:
     n = len(mats)
     if n == 0:
         return Fraction(1)
-    d = _check_square_family(mats)
+    d = mats[0].rows
+    if any(not m.is_square() or m.rows != d for m in mats):
+        raise DomainError("wedge factors must be square and share a size")
+    if d > WEDGE_CAP:
+        raise DomainError(f"d = {d} exceeds the d <= {WEDGE_CAP} brute-force cap")
     if n > d:
         raise DomainError(f"cannot wedge {n} factors in size {d}")
     total = Fraction(0)
@@ -115,40 +112,6 @@ def formal_wedge_trace(mats: Sequence[ExactMatrix]) -> Fraction:
                 prod *= mats[m].entries[subset[m]][subset[perm[m]]]
             total += term * prod
     return total
-
-
-def wedge_collapse_check(
-    B_list: Sequence[ExactMatrix], n: int, alpha, d: Optional[int] = None
-) -> bool:
-    """Verify the scalar-slot collapse of a mixed wedge trace.
-
-    Places the m given matrices in every ordered choice of m slots out
-    of m + n, fills the rest with alpha * identity, and compares the
-    summed traces against C(d-m, n) * alpha^n times the wedge trace of
-    the bare list.
-
-    >>> B = ExactMatrix.from_rows([[1, 2], [3, 4]])
-    >>> wedge_collapse_check([B], 1, 5)
-    True
-    """
-    m = len(B_list)
-    if m == 0:
-        if d is None:
-            raise DomainError("an empty family needs an explicit size")
-    else:
-        d = _check_square_family(B_list)
-    if n < 0 or m + n > d:
-        raise DomainError(f"need 0 <= {m} + {n} <= {d}")
-    alpha = Fraction(alpha)
-    scaled_id = ExactMatrix.identity(d, alpha)
-    lhs = Fraction(0)
-    for slots in combinations(range(m + n), m):
-        factors = [scaled_id] * (m + n)
-        for which, pos in enumerate(slots):
-            factors[pos] = B_list[which]
-        lhs += formal_wedge_trace(factors)
-    rhs = comb(d - m, n) * alpha**n * formal_wedge_trace(B_list)
-    return lhs == rhs
 
 
 def d_matrix(d: int) -> ExactMatrix:
@@ -238,26 +201,6 @@ def _binom_poly(x: int, k: int) -> Fraction:
     return Fraction(num, factorial(k))
 
 
-def minor_unit_check(d: int, j: int) -> bool:
-    """Whether the split system's cofactor at (j/2, j) is a unit.
-
-    Deletes the middle-boundary row j/2 and the last column from the
-    split truncation, then checks the remaining determinant is +-1;
-    this is the coefficient that isolates the top wedge trace.
-
-    >>> minor_unit_check(6, 2)
-    True
-    """
-    if j % 2 or not 1 <= j <= d:
-        raise DomainError(f"need even j with 1 <= {j} <= {d}")
-    split = d_matrix_truncated(d, j, TruncationMode.SPLIT)
-    keep_rows = [r for r in range(j) if r != j // 2 - 1]
-    minor = ExactMatrix.from_rows(
-        [[split.entries[r][c] for c in range(j - 1)] for r in keep_rows]
-    )
-    return determinant(minor) in (Fraction(1), Fraction(-1))
-
-
 def solve_unit_system(mat: ExactMatrix, rhs: Sequence[Fraction]) -> List[Fraction]:
     """Solve mat * x = rhs exactly (square, invertible) by Cramer's rule:
     x_c is det(mat with column c replaced by rhs) / det(mat)."""
@@ -271,35 +214,6 @@ def solve_unit_system(mat: ExactMatrix, rhs: Sequence[Fraction]) -> List[Fractio
         / det
         for c in range(mat.cols)
     ]
-
-
-def linear_system_roundtrip(
-    d: int, j: int, alpha, M_vector: Sequence
-) -> bool:
-    """Recover the top wedge trace through the binomial system.
-
-    Forms the j transformed coefficients alpha^{-i} F_{i,j} from the
-    given mixed traces M^(1)..M^(j) via the upper-left binomial system,
-    solves it back, and checks the last unknown reproduces
-    alpha^{-j} M^(j) exactly.
-
-    >>> linear_system_roundtrip(4, 2, 9, [Fraction(5), Fraction(-3)])
-    True
-    """
-    if len(M_vector) != j:
-        raise DomainError(f"expected {j} mixed traces")
-    alpha = Fraction(alpha)
-    if alpha == 0:
-        raise DomainError("the scalar slot value must be invertible")
-    ms = [Fraction(v) for v in M_vector]
-    system = d_matrix_truncated(d, j, TruncationMode.UPPER_LEFT)
-    unknowns = [ms[l - 1] * alpha ** (-l) for l in range(1, j + 1)]
-    rhs = [
-        sum(system.entries[i][l] * unknowns[l] for l in range(j))
-        for i in range(j)
-    ]
-    back = solve_unit_system(system, rhs)
-    return back == unknowns
 
 
 def random_int_matrix(rng, d: int, lo: int = -9, hi: int = 9) -> ExactMatrix:

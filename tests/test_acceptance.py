@@ -157,6 +157,8 @@ def test_criterion_7_wedge_algebra_suite():
     assert ran == 20
     for d in range(1, 11):
         checks.check_truncated_determinants(d)
+        for j in range(2, d + 1, 2):
+            checks.check_minor_unit(d, j)
     for n in range(1, 9):
         for n0 in range(0, 6):
             checks.check_bv_consecutive(n, n0)
@@ -165,7 +167,7 @@ def test_criterion_7_wedge_algebra_suite():
         j = rng.randint(1, d)
         ms = [Fraction(rng.randint(-9, 9)) for _ in range(j)]
         checks.check_roundtrip(d, j, Fraction(rng.randint(1, 7)), ms)
-    _finish(7, 30.0, t0, "collapse, determinant, BV, and round-trip identities exact")
+    _finish(7, 30.0, t0, "collapse, determinant, cofactor, BV, and round-trip identities exact")
 
 
 def test_criterion_8_equidistribution_trend():

@@ -9,8 +9,12 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from strategies import context_and_weight
 
 from ghost_slopes import GhostContext, VerificationError, WeightPoint, checks, ghost, prediction, slopes
 from ghost_slopes.cli import main
@@ -18,7 +22,7 @@ from ghost_slopes.distribution import DistributionSample, SampleKind
 from ghost_slopes.ghost import DimensionTriple
 from ghost_slopes.polygon import lower_hull
 from ghost_slopes.prediction import PredictionModel, Rel
-from ghost_slopes.wedge import formal_wedge_trace, random_int_matrix
+from ghost_slopes.wedge import formal_wedge_trace, random_int_matrix, solve_unit_system
 
 B = random_int_matrix(random.Random(1), 3)
 HATTED, PREDICT, SAMPLE = slopes.hatted_valuation_table, checks.predict_slopes, checks.sample
@@ -43,7 +47,7 @@ WEIGHT_PLANTS = [
      lambda ctx, k, n: [v + i for i, v in enumerate(HATTED(ctx, k, n))]),
     (checks.check_slope_integrality, checks, "derivative_polygon",
      lambda ctx, k: SimpleNamespace(slopes=((Fraction(1, 3), 1),))),
-    (checks.check_threshold_lock, checks, "k_newslopes", lambda ctx, k, w: [Fraction(0)] * 6),
+    (checks.check_threshold_lock, checks, "newslope_runs", lambda ctx, k, w: [(0, 1, 6)]),
     (checks.check_raw_increments, checks, "derivative_polygon", lambda ctx, k: SimpleNamespace(hull=SimpleNamespace(ys=(0, 2)))),
     (prediction.build_model, prediction, "model_radius", lambda ctx, k: Fraction(100)),
     (checks.check_model_pattern, PredictionModel, "rel", lambda self, i, j: Rel.GE),
@@ -72,11 +76,13 @@ ITEM_PLANTS = {
                            checks, "lower_hull", lambda pts: lower_hull([(x, y + (x == 1)) for x, y in pts])),
     "criterion-vs-hull": (lambda: checks.check_criterion_matches_hull(GhostContext(7, 2, 1), WeightPoint(24, 7)),
                           checks, "breakpoints_by_criterion", lambda ctx, w, n: {0}),
-    "collapse": (lambda: checks.check_collapse([B], 1, 2), checks, "wedge_collapse_check", lambda *a: False),
+    "collapse": (lambda: checks.check_collapse([B], 1, 2),
+                 checks, "formal_wedge_trace", lambda mats: formal_wedge_trace(mats) + 1),
     "determinants": (lambda: checks.check_truncated_determinants(3), checks, "determinant", lambda m: 2),
     "bv": (lambda: checks.check_bv_consecutive(3, 1), checks, "binomial_vandermonde", lambda xs: 0),
     "roundtrip": (lambda: checks.check_roundtrip(3, 2, 1, [Fraction(1), Fraction(2)]),
-                  checks, "linear_system_roundtrip", lambda *a: False),
+                  checks, "solve_unit_system", lambda mat, rhs: [x + 1 for x in solve_unit_system(mat, rhs)]),
+    "minor-unit": (lambda: checks.check_minor_unit(6, 2), checks, "determinant", lambda m: 2),
     "symmetrized-pair": (lambda: checks.check_symmetrized_pair(B, B),
                          checks, "formal_wedge_trace", lambda mats: formal_wedge_trace(mats) + 1),
 }
@@ -99,6 +105,37 @@ def test_planted_violation_fails_item_check(monkeypatch, call, owner, attr, plan
     monkeypatch.setattr(owner, attr, planted)
     with pytest.raises(VerificationError):
         call()
+
+
+@given(case=context_and_weight(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_threshold_lock_names_one_raised_threshold(case, data):
+    # the lock reads each radius's runs once for every index; a threshold
+    # raised by 1 at one index is still caught at that index alone
+    ctx, k = case
+    tv = checks.k_thresholds(ctx, k)
+    assume(tv.nums)
+    n = data.draw(st.integers(1, len(tv.nums)))
+    raised = replace(tv, nums=tv.nums[: n - 1] + (tv.nums[n - 1] + tv.den,) + tv.nums[n:])
+    with patch.object(checks, "k_thresholds", lambda ctx, k: raised), pytest.raises(VerificationError) as err:
+        checks.check_threshold_lock(ctx, k)
+    assert str(err.value) == f"newslope {n} locked below CS at k = {k}"
+
+
+@given(case=context_and_weight(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_model_pattern_names_one_weakened_column(case, data):
+    # each equality column is counted once; a bottom-row entry turned from GT
+    # to GE in one column is caught in that column
+    ctx, k = case
+    columns = sorted({j for _, j in prediction.build_model(ctx, k).eq_cells})
+    assume(columns)
+    j = data.draw(st.sampled_from(columns))
+    rel = PredictionModel.rel
+    weakened = lambda model, i, c: Rel.GE if (i, c) == (model.d, j) else rel(model, i, c)
+    with patch.object(PredictionModel, "rel", weakened), pytest.raises(VerificationError) as err:
+        checks.check_model_pattern(ctx, k)
+    assert str(err.value) == f"column {j} carries {j - 2} strict entries at k = {k}"
 
 
 def test_hatted_duality_suite_checks_a_cached_weight(monkeypatch):
