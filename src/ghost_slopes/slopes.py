@@ -9,7 +9,7 @@ are near-Steinberg for nobody are exactly the breakpoints of the ghost
 Newton polygon at w.  The increments do not decrease with l, so the
 indices near-Steinberg for one k2 form an interval around its center,
 and the breakpoints are what no such interval covers.  Newslopes follow
-a closed form above the zero radius M(k), else the certified polygon,
+a closed form from the zero radius M(k) up, else the certified polygon,
 both on integers as ascending runs (num, den, mult) of reduced slopes;
 their lock radii below M(k) come from an exact parametric sweep.
 
@@ -252,9 +252,14 @@ def certified_newton_polygon(
 def newslope_runs(ctx: GhostContext, k: int, w: WeightPoint) -> List[Tuple[int, int, int]]:
     """The d_new slopes attached to k on the ghost polygon at w, as runs
     (num, den, mult): the slope num / den in lowest terms, den > 0, mult > 0
-    times, strictly ascending.  The closed three-part description applies
-    above the zero radius M(k) and off the derivative slopes; elsewhere the
-    runs are the certified polygon's edges over [d_ur, d_iw - d_ur].
+    times, strictly ascending.  From the zero radius M(k) up the closed
+    three-part form of :func:`_closed_form_runs` gives them; below M(k), the
+    certified polygon's edges over [d_ur, d_iw - d_ur].  The closed form is
+    proved on each open interval (max(M(k), s_{i-1}), s_i) and above s_N.
+    v_p(g_n(w)) is continuous and piecewise linear in the radius nu; so are
+    the hull ordinates at integer x and the newslopes, their differences,
+    and so is each interval's formula, which thus holds on the interval's
+    closure too: at M(k) and on every derivative slope s_j > M(k).
 
     Examples
     --------
@@ -297,18 +302,15 @@ def _hull_runs(ctx, k, w):
 
 
 def _closed_form_runs(ctx, k, w):
-    # valid for radius nu > max(M(k), s_{i-1}) strictly between derivative
-    # slopes, or at/above max(s_N, M(k)); None signals "out of region"
+    # for s_{i-1} <= nu < s_i, i = N + 1 when nu >= s_N: (k-2)/2 -+ (s_j - nu),
+    # each with s_j's multiplicity, for j >= i, and (k-2)/2 on the 2 n_{i-1}
+    # central indices; valid for every radius nu >= M(k), None when nu < M(k)
     dp = derivative_polygon(ctx, k)
     edges, mu = dp.edges, dp.m_of_k.value
     u, v = _ratio(w.radius)  # nu = u / v
-    # i is the first index with nu < s_i, N + 1 when nu >= s_N
-    i = 1 + bisect_left(edges, True, key=lambda e: e[0] * v > u * e[1])
-    over_m = u * mu.denominator - mu.numerator * v  # the sign of nu - M(k)
-    if i > len(edges) and over_m >= 0:
-        return [_run(k - 2, 2, dimensions(ctx, k).d_new)]
-    if over_m <= 0 or (i > 1 and edges[i - 2][0] * v == u * edges[i - 2][1]):
+    if u * mu.denominator < mu.numerator * v:
         return None
+    i = 1 + bisect_left(edges, True, key=lambda e: e[0] * v > u * e[1])
     # (k-2)/2 -+ (a/b - nu), over 2 b v, for each s_j = a/b with j >= i
     sides = [((k - 2) * b * v, 2 * (a * v - u * b), 2 * b * v, m) for a, b, m in edges[i - 1 :]]
     centre = 2 * dp.hull.hull[i - 1][0]

@@ -216,8 +216,6 @@ def solve_unit_system(mat: ExactMatrix, rhs: Sequence[Fraction]) -> List[Fractio
     ]
 
 
-def random_int_matrix(rng, d: int, lo: int = -9, hi: int = 9) -> ExactMatrix:
-    """Seeded small-integer matrix for reproducible identity checks."""
-    return ExactMatrix.from_rows(
-        [[rng.randint(lo, hi) for _ in range(d)] for _ in range(d)]
-    )
+def random_int_matrix(rng, d: int) -> ExactMatrix:
+    """Seeded d x d matrix of integers in -9..9 for reproducible identity checks."""
+    return ExactMatrix.from_rows([[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)])

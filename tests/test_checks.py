@@ -139,16 +139,23 @@ def test_model_pattern_names_one_weakened_column(case, data):
 
 
 def test_hatted_duality_suite_checks_a_cached_weight(monkeypatch):
-    # criterion-vs-hull runs first and caches polygons on the shared context;
-    # the duality suite still rebuilds each weight it draws
+    # a polygon cached on the given context does not spare a weight the
+    # duality: the suite rebuilds each weight it draws on a context of its own
     ctx = GhostContext(7, 2, 1)
     slopes.derivative_polygon(ctx, 24)
     monkeypatch.setattr(slopes, "hatted_valuation_table",
                         lambda ctx, k, n: [v + i for i, v in enumerate(HATTED(ctx, k, n))])
     with pytest.raises(VerificationError, match="k = 24, offset 1"):
-        checks.check_hatted_duality(ctx, 24)
-    with pytest.raises(VerificationError, match="k = 24, offset 1"):
         dict(checks.SUITES)["hatted-duality"](ctx, random.Random(0), [24])
+
+
+@pytest.mark.parametrize("name, suite", checks.SUITES, ids=[name for name, _ in checks.SUITES])
+def test_suite_leaves_no_polygon_on_its_context(name, suite):
+    # every weight is checked on a context of its own, so the one ``verify``
+    # passes each suite holds no derivative polygon afterwards
+    ctx = GhostContext(7, 2, 1)
+    suite(ctx, random.Random(f"0:{name}"), list(ctx.class_members(10, 200)))
+    assert not ctx._caches.get("derivative"), name
 
 
 def test_verify_reports_a_planted_violation(monkeypatch, capsys):

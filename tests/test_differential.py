@@ -301,9 +301,8 @@ def test_newslope_runs_match_certified_hull(case):
 @given(case=context_and_weight())
 @settings(max_examples=60, deadline=None)
 def test_closed_form_region_membership(case):
-    # the closed form declines (None) exactly below max(s_N, M(k)) at or
-    # below M(k) or on a derivative slope; probed at INF, M(k), every s_j,
-    # the midpoints between them, above the top and below M(k)
+    # the closed form declines (None) exactly below M(k); probed at INF,
+    # M(k), every s_j, the midpoints between them, above the top and below M(k)
     ctx, k = case
     dp = derivative_polygon(ctx, k)
     m_k, ss = dp.m_of_k.value, [Fraction(a, b) for a, b, _ in dp.edges]
@@ -311,8 +310,23 @@ def test_closed_form_region_membership(case):
     mids = [(s + t) / 2 for s, t in zip(marks, marks[1:])]
     radii = [*marks, *mids, marks[-1] + 1, m_k - 1, m_k / 3, m_k * 2 / 3]
     for r in [INF, *(r for r in radii if r > 0)]:
-        declines = r is not INF and r < marks[-1] and (r <= m_k or r in ss)
+        declines = r is not INF and r < m_k
         assert (_closed_form_runs(ctx, k, WeightPoint(k, r)) is None) == declines, (k, r)
+
+
+@example(case=(GhostContext(7, 2, 1), 24))
+@example(case=(GhostContext(11, 2, 0), 4))  # no derivative slope
+@given(case=context_and_weight())
+@settings(max_examples=60, deadline=None)
+def test_closed_form_matches_hull_at_region_edges(case):
+    # the closed form at the ends of its open intervals, M(k) and every
+    # s_j >= M(k), where it holds by continuity, against the certified hull
+    ctx, k = case
+    dp = derivative_polygon(ctx, k)
+    m_k = dp.m_of_k.value
+    for r in [m_k, *(Fraction(a, b) for a, b, _ in dp.edges if Fraction(a, b) >= m_k)]:
+        w = WeightPoint(k, r)
+        assert _closed_form_runs(ctx, k, w) == _hull_runs(ctx, k, w), (k, r)
 
 
 # -- the sweep against a perturbed hull -------------------------------------------

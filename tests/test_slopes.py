@@ -338,7 +338,8 @@ def test_newslopes_closed_hull_agree_many(ctx):
     for k in (24, 48, 90, 174):
         dp = derivative_polygon(ctx, k)
         ss = [s for s, _ in dp.slopes]
-        probes = [Valuation(ss[-1]) + Valuation(1), INF]
+        probes = [Valuation(ss[-1]) + Valuation(1), INF, dp.m_of_k]
+        probes += [Valuation(s) for s in ss if s >= dp.m_of_k.value]
         for i in range(dp.M_index, len(ss) + 1):
             prev = ss[i - 2] if i >= 2 else Fraction(0)
             lo = max(dp.m_of_k.value, prev)
@@ -363,9 +364,11 @@ def test_newslopes_empty_without_newforms():
 
 
 def test_newslopes_closed_method_errors_off_region(ctx):
-    # below M(k) = 2, and on the derivative slope 6, the closed form is out
+    # below M(k) = 2 the closed form is out; on the derivative slope 6 it
+    # gives the certified hull's runs
     assert _closed_form_runs(ctx, 24, WeightPoint(24, Fraction(1, 2))) is None
-    assert _closed_form_runs(ctx, 24, WeightPoint(24, 6)) is None
+    w = WeightPoint(24, 6)
+    assert _closed_form_runs(ctx, 24, w) == _hull_runs(ctx, 24, w)
 
 
 # -- thresholds ---------------------------------------------------------------
