@@ -171,7 +171,8 @@ class GhostContext:
     t1: int = field(init=False)
     t2: int = field(init=False)
 
-    # only what later calls re-read, "derivative" polygons by bullet (degree tables: _degrees)
+    # only what later calls re-read, "derivative" polygons by bullet, which
+    # derivative_polygon alone fills (degree tables: _degrees)
     _caches: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
@@ -298,9 +299,10 @@ def _bullet_bound(ctx: GhostContext, n_hi: int) -> int:
     return _first_reaching(ctx, lambda j: ctx.dims_of_bullet(j)[1], n_hi, 2)
 
 
-def _period_span(ctx: GhostContext) -> int:
-    """Largest d_iw - d_ur over bullets 0..p: bullet p's, as spans never fall."""
-    return sub(*ctx.dims_of_bullet(ctx.p))
+def _degree_head(ctx: GhostContext) -> int:
+    """Index past which the degree table keeps its period law (see :func:`_degrees`):
+    2p + 1 plus the largest d_iw - d_ur over bullets 0..p, bullet p's, as spans never fall."""
+    return 2 * ctx.p + 1 + sub(*ctx.dims_of_bullet(ctx.p))
 
 
 def support_interval(ctx: GhostContext, n: int) -> tuple:
@@ -547,16 +549,16 @@ def _degrees(ctx: GhostContext, n_hi: int) -> list:
     """The degree table of ctx's (p, t1, t2, delta_eps), shared by every context
     with them and grown in place to cover n_hi; read entries 0..n_hi only,
     never write.  deg is the double cumulative sum of :func:`_corner_steps`.
-    Past lead = 1 + :func:`_period_span` the corners repeat with period 2p,
-    each adding p(p+1) - 4p + (p+1) = (p-1)^2 to the slope, so past head =
-    lead + 2p deg[m+1] = deg[m] + (deg[m+1-2p] - deg[m-2p]) + (p-1)^2, the law
+    Past lead = head - 2p, head from :func:`_degree_head`, the corners repeat
+    with period 2p, each adding p(p+1) - 4p + (p+1) = (p-1)^2 to the slope, so
+    past head deg[m+1] = deg[m] + (deg[m+1-2p] - deg[m-2p]) + (p-1)^2, the law
     its second reader :func:`_degree_increment_floor` reads.  Below head the
     table doubles, so small steps rebuild it O(log head) times."""
     if n_hi > MAX_TABLE_INDEX:
         raise DomainError(f"table index {n_hi} exceeds MAX_TABLE_INDEX = {MAX_TABLE_INDEX}")
     deg = _DEGREE_TABLES.setdefault((ctx.p, ctx.t1, ctx.t2, ctx.delta_eps), [0])
     if len(deg) <= n_hi:
-        p, head = ctx.p, 2 * ctx.p + 1 + _period_span(ctx)
+        p, head = ctx.p, _degree_head(ctx)
         if len(deg) <= min(n_hi, head):
             size = min(head, max(n_hi, 2 * (len(deg) - 1)))
             deg[:] = [0, *accumulate(accumulate(_corner_steps(ctx, size)))]
@@ -570,7 +572,7 @@ def _degree_increment_floor(ctx: GhostContext, n: int) -> int:
     to top = max(n, head): past head an increment is (p-1)^2 above the one 2p
     before it (see :func:`_degrees`), so one past top is c (p-1)^2, c >= 1,
     above one in [top - 2p, top)."""
-    p, top = ctx.p, max(n, 2 * ctx.p + 1 + _period_span(ctx))
+    p, top = ctx.p, max(n, _degree_head(ctx))
     deg = _degrees(ctx, top)
     steps = lambda ms: [deg[m + 1] - deg[m] for m in ms]
     return min(steps(range(n, top)) + [min(steps(range(top - 2 * p, top))) + (p - 1) ** 2])

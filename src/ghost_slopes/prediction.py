@@ -1,9 +1,11 @@
 """Predicted slope multisets for the derivative matrix and L-invariants.
 
-The model sequence L_1 < ... < L_d grows by r_N = s_N on the first
-2*d_N steps, then by s_{N-1}, and so on down to the model radius R on
-the last d - 2*(d_N + ... + d_M) steps, so the hull of {(j, -L_j)} and
-the origin replays the known derivative slopes and then flattens at -R.
+The L model of a weight is its known blocks and the model radius R: the
+sequence L_1 < ... < L_d grows by s_N on the first 2*d_N steps, then by
+s_{N-1}, and so on down to s_M, then by R on the last
+d - 2*(d_N + ... + d_M) steps, so the hull of {(j, -L_j)} and the origin
+replays the known derivative slopes and then flattens at -R.  The model
+holds the blocks as (step, width) pairs and R, and reads L off them.
 The comparison rule ``PredictionModel.rel`` says, entry by entry, how
 v_p(F_{i,j}) compares to i*(k-2) - L_j: equality exactly on the
 breakpoint diagonal cells and their mirror rows, strict above the
@@ -25,11 +27,10 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate, chain, repeat
 from math import lcm
-from operator import sub
 from typing import Iterable, Tuple
 
 from .errors import VerificationError
-from .ghost import GhostContext, floor_log_bullet
+from .ghost import GhostContext, dimensions, floor_log_bullet
 from .slopes import derivative_polygon
 from .valuation import Valuation, format_rational, ratio_text
 
@@ -46,14 +47,13 @@ class Rel(Enum):
 class PredictionModel:
     """The L model and its comparison rule for one weight.
 
-    The block slope r_l is the derivative slope s_l for l >= M_index and
-    the model radius R below.  The steps r_l and L_1..L_d, built block by
-    block from the top slope down, are held as integers ``steps`` and
-    ``L_nums`` over one denominator ``L_den``, the lcm of the r_l
-    denominators; ``r_list`` and ``L_seq`` read them as ``Fraction``s.
-    ``block_sizes[l-1]`` is the stretched multiplicity of s_l.
-    :meth:`rel` gives the comparison kind of each entry of the d x d
-    pattern.
+    ``known`` holds the blocks l = N down to M_index, top block first, as
+    (step numerator over ``L_den``, width): the step is the derivative
+    slope s_l, the width twice its stretched multiplicity.  R steps the
+    remaining :attr:`exceptional_count` of the d steps, and ``L_den`` is
+    the lcm of R's and the steps' denominators.  :attr:`L_seq` reads
+    L_1..L_d off the blocks; :meth:`rel` gives the comparison kind of
+    each entry of the d x d pattern.
 
     The known multisets read ``known`` as ``Fraction``s, values ascending:
     the L-invariant slope -(s + 1) and the derivative-matrix slope
@@ -63,32 +63,20 @@ class PredictionModel:
 
     k: int
     d: int
-    steps: Tuple[int, ...]
-    L_nums: Tuple[int, ...]
+    known: Tuple[Tuple[int, int], ...]
     L_den: int
     R: Fraction
-    M_index: int
-    block_sizes: Tuple[int, ...]
-
-    @property
-    def r_list(self) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(a, self.L_den) for a in self.steps)
 
     @property
     def L_seq(self) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(a, self.L_den) for a in self.L_nums)
-
-    @cached_property
-    def known(self) -> Tuple[Tuple[int, int], ...]:
-        """(step numerator over L_den, width 2 * block size) of the blocks
-        l = N down to M_index, whose steps are the derivative slopes."""
-        known = reversed(range(self.M_index - 1, len(self.steps)))
-        return tuple((self.steps[l], 2 * self.block_sizes[l]) for l in known)
+        """L_1..L_d: each known block's step over its width, then R."""
+        steps = chain.from_iterable(repeat(Fraction(a, self.L_den), w) for a, w in self.known)
+        return tuple(accumulate(chain(steps, repeat(self.R, self.exceptional_count))))
 
     @cached_property
     def known_size(self) -> int:
         """Total multiplicity 2*(d_N + ... + d_M) of the known block."""
-        return 2 * sum(self.block_sizes[self.M_index - 1 :])
+        return sum(w for _, w in self.known)
 
     @cached_property
     def eq_cells(self) -> frozenset:
@@ -96,8 +84,8 @@ class PredictionModel:
         total acc of the known blocks, top slope first, marks (acc, 2*acc)
         and (d - acc, 2*acc), never on row d."""
         cells, acc = set(), 0
-        for size in reversed(self.block_sizes[self.M_index - 1 :]):
-            acc += size
+        for _, w in self.known:
+            acc += w // 2
             cells.update(((acc, 2 * acc), (self.d - acc, 2 * acc)))
         return frozenset(cells)
 
@@ -174,33 +162,22 @@ def model_radius(ctx: GhostContext, k: int) -> Fraction:
 
 
 def _assert_model_hull(model: PredictionModel) -> None:
-    # the hull of {(j, -L_j)} u {(0,0)} replays -s_N < ... < -s_M < -R iff
-    # L steps by a constant r on each of these blocks, r strictly falls
-    # from one block to the next and the blocks end at d: the block ends
-    # are then the hull's vertices and every other point lies on an edge
-    blocks = list(model.known)
-    if flat := model.exceptional_count:
-        blocks.append((int(model.R * model.L_den), flat))
-    L = (0, *model.L_nums)
-    steps, end = list(map(sub, L[1:], L)), 0
+    # L steps by one constant per block and R fills the steps left to d, so the hull of
+    # {(j, -L_j)} u {(0,0)} replays -s_N < ... < -s_M < -R, its vertices the block ends,
+    # iff the block steps strictly fall, R last, and the known blocks fit in d
+    head = f"model hull mismatch at k = {model.k}:"
+    if model.exceptional_count < 0:
+        raise VerificationError(f"{head} the known blocks run past d = {model.d}")
+    steps = [a for a, _ in model.known] + [int(model.R * model.L_den)]
     text = partial(ratio_text, den=model.L_den)
-    for i, (r, width) in enumerate(blocks, 1):
-        seen, end = steps[end : end + width], end + width
-        if i > 1 and r >= blocks[i - 2][0]:
-            want, found = f"below {text(blocks[i - 2][0])}", text(r)
-        elif seen != [r] * width:
-            want, found = text(r), next((text(a) for a in seen if a != r), "the end of L")
-        else:
-            continue
-        raise VerificationError(
-            f"model hull mismatch at k = {model.k}: block {i} expects step {want}, found {found}"
-        )
-    if end != len(steps):
-        raise VerificationError(f"model hull mismatch at k = {model.k}: L runs past d = {end}")
+    for i, (above, r) in enumerate(zip(steps, steps[1:]), 2):
+        if r >= above:
+            raise VerificationError(f"{head} block {i} expects step below {text(above)}, found {text(r)}")
 
 
 def build_model(ctx: GhostContext, k: int) -> PredictionModel:
-    """Assemble the L sequence and block data of the model for k.
+    """Assemble the known blocks of the model for k, read off the
+    derivative slopes from M(k) up, and its radius R.
 
     >>> ctx = GhostContext(7, 2, 1)
     >>> build_model(ctx, 24).L_seq[:4]
@@ -208,23 +185,14 @@ def build_model(ctx: GhostContext, k: int) -> PredictionModel:
     """
     dp = derivative_polygon(ctx, k)
     R = model_radius(ctx, k)
-    m = dp.M_index - 1
-    # r_l = s_l = a / b for l >= M_index and R below, each a numerator over their lcm
-    pairs = [(R.numerator, R.denominator)] * m + [(a, b) for a, b, _ in dp.edges[m:]]
-    L_den = lcm(*{b for _, b in pairs})
-    steps = tuple(a * (L_den // b) for a, b in pairs)
-    block_sizes = tuple(ctx.global_mult * mult for _, _, mult in dp.edges)
-    # L grows by r_l on each of the 2 * block_sizes[l-1] steps of block l, top block first
-    blocks = (repeat(steps[l], 2 * block_sizes[l]) for l in reversed(range(len(steps))))
+    closed = dp.edges[dp.M_index - 1 :]
+    L_den = lcm(R.denominator, *(b for _, b, _ in closed))
     model = PredictionModel(
         k=dp.k,
-        d=2 * sum(block_sizes),
-        steps=steps,
-        L_nums=tuple(accumulate(chain.from_iterable(blocks))),
+        d=ctx.global_mult * dimensions(ctx, k).d_new,
+        known=tuple((a * (L_den // b), 2 * ctx.global_mult * mult) for a, b, mult in reversed(closed)),
         L_den=L_den,
         R=R,
-        M_index=dp.M_index,
-        block_sizes=block_sizes,
     )
     _assert_model_hull(model)
     return model

@@ -80,7 +80,7 @@ class DerivativePolygon:
 
 
 def derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
-    """Derivative polygon of k, with the duality check run on the way.
+    """Derivative polygon of k, held on the context by bullet, with the duality check run on the way.
 
     Examples
     --------
@@ -91,10 +91,14 @@ def derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
     >>> dp.edges
     ((2, 1, 1), (6, 1, 1), (9, 1, 1))
     """
-    kb = ctx.bullet(k)
-    cache = ctx._caches.setdefault("derivative", {})
-    if kb in cache:
-        return cache[kb]
+    kb, cache = ctx.bullet(k), ctx._caches.setdefault("derivative", {})
+    if kb not in cache:
+        cache[kb] = _derivative_polygon(ctx, k)
+    return cache[kb]
+
+
+def _derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
+    # the polygon of k built afresh, stored nowhere
     trip = dimensions(ctx, k)
     c, h = trip.d_iw // 2, trip.d_new // 2
     table = hatted_valuation_table(ctx, k, trip.d_iw)
@@ -106,8 +110,7 @@ def derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
     m_of_k = max_zero_distance(ctx, k)
     # one hull edge per distinct slope, so the reach of M(k) is vertex M_index - 1
     m_index = 1 + hull.vertex_xs().index(_reach(hull.hull, *_ratio(m_of_k)))
-    cache[kb] = dp = DerivativePolygon(k=k, hull=hull, M_index=m_index, m_of_k=m_of_k)
-    return dp
+    return DerivativePolygon(k=k, hull=hull, M_index=m_index, m_of_k=m_of_k)
 
 
 def _reach(hull, u: int, v: int) -> int:
@@ -171,13 +174,14 @@ def breakpoints_by_criterion(ctx: GhostContext, w: WeightPoint, n_range: int) ->
     1 + v_p(k_bullet - j) <= D = 1 + floor(log_p max(k_bullet, bound)), as
     0 < |k_bullet - j| <= max(k_bullet, bound); so the walk ends at the
     first center past n_range + 4 (D - 3/2) / (p - 1), the anchor (dist the
-    radius) kept.  Distances are integer pairs u / v, INF as 1 / 0.
+    radius) kept.  Distances are integer pairs u / v, INF as 1 / 0.  A walked
+    bullet's polygon is read off the context if held, else built and dropped.
     """
     p, kb, (ru, rv) = ctx.p, ctx.bullet(w.anchor), _ratio(w.radius)
     bound = _bullet_bound(ctx, n_range)
     d_max = 1 + ghost._floor_log(p, max(kb, bound))  # D
     end = min(bound, n_range + (4 * d_max - 6) // (p - 1) + ctx.delta_eps)
-    marked = set()
+    held, marked = ctx._caches.get("derivative", {}), set()
     for j in chain(range(kb % p, end, p), [kb] if end <= kb < bound else []):
         c, u, v = j + 1 - ctx.delta_eps, ru, rv  # center(k2) = d_iw(k2) / 2
         if j != kb and (d := 1 + vp_int_raw(kb - j, p)) * rv < ru:
@@ -185,7 +189,8 @@ def breakpoints_by_criterion(ctx: GhostContext, w: WeightPoint, n_range: int) ->
         # dist < 3/2, or c - 4 (dist - 3/2) / (p - 1) > n_range
         if 2 * u < 3 * v or (c - n_range) * (p - 1) * v > 4 * u - 6 * v:
             continue
-        reached = _reach(derivative_polygon(ctx, ctx.weight_of_bullet(j)).hull.hull, u, v)
+        dp = held.get(j) or _derivative_polygon(ctx, ctx.weight_of_bullet(j))
+        reached = _reach(dp.hull.hull, u, v)
         marked.update(range(max(1, c - reached + 1), min(n_range, c + reached - 1) + 1))
     return {0} | set(range(1, n_range + 1)) - marked
 

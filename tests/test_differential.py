@@ -464,15 +464,13 @@ def test_criterion_matches_certified_hull(case, radius):
 @example(case=(GhostContext(13, 5, 11), 41))
 @settings(max_examples=60, deadline=None)
 def test_model_L_matches_fraction_accumulation(case):
-    # L over one denominator against L accumulated step by step in Fractions
+    # the known blocks over one denominator, and L read off them and R,
+    # against the Fraction slopes and L accumulated step by step in Fractions
     ctx, k = case
     model = build_model(ctx, k)
-    seq, acc = [], Fraction(0)
-    for l in range(len(model.r_list), 0, -1):
-        for _ in range(2 * model.block_sizes[l - 1]):
-            acc += model.r_list[l - 1]
-            seq.append(acc)
-    assert model.L_seq == tuple(seq)
+    known, seq = _oracle_model(ctx, k)
+    assert tuple((Fraction(a, model.L_den), width) for a, width in model.known) == known
+    assert model.L_seq == seq
     assert len(seq) == model.d
 
 
@@ -519,7 +517,8 @@ def _oracle_thresholds(ctx, k):
 
 
 def _oracle_model(ctx, k):
-    """r_list and L_seq, with L accumulated step by step in Fractions."""
+    """The known blocks (s_l, width) for l = N down to M_index, and L_1..L_d
+    accumulated step by step in Fractions: by s_l for l >= M_index, R below."""
     dp = derivative_polygon(ctx, k)
     R = model_radius(ctx, k)
     r_list = tuple(s if l >= dp.M_index else R for l, (s, _) in enumerate(dp.slopes, 1))
@@ -528,7 +527,8 @@ def _oracle_model(ctx, k):
         for _ in range(2 * ctx.global_mult * dp.slopes[l - 1][1]):
             acc += r_list[l - 1]
             seq.append(acc)
-    return r_list, tuple(seq)
+    known = tuple((s, 2 * ctx.global_mult * m) for s, m in dp.slopes[dp.M_index - 1 :])[::-1]
+    return known, tuple(seq)
 
 
 def _oracle_prediction(ctx, k):
@@ -586,7 +586,8 @@ def test_integer_paths_match_fraction_oracle(case):
     assert tv.den == math.lcm(*(v.value.denominator for v in local))
     assert tv.to_json_dict()["local"] == [str(v.value) for v in local]
     model = build_model(ctx, k)
-    assert (model.r_list, model.L_seq) == _oracle_model(ctx, k)
+    known = tuple((Fraction(a, model.L_den), width) for a, width in model.known)
+    assert (known, model.L_seq) == _oracle_model(ctx, k)
     pred = predict_slopes(ctx, k)
     assert (
         pred.a1_slopes_known, pred.a1_floor, pred.linv_slopes_known, pred.linv_floor,

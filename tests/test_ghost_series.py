@@ -20,9 +20,9 @@ from ghost_slopes.ghost import (
     GhostContext,
     WeightPoint,
     _bullet_bound,
+    _degree_head,
     _degree_increment_floor,
     _is_zero_bullet,
-    _period_span,
     _triangle_table,
     anchored_valuation,
     degree_table,
@@ -450,7 +450,7 @@ def period_contexts(p, mode):
     hi = p - 3 - lo
     for a, s_eps in {(lo, 0), (hi, p - 2), ((lo + hi) // 2, (p - 1) // 2), (lo, p - 2)}:
         ctx = GhostContext(p, a, s_eps, mode=mode)
-        yield a, s_eps, ctx, 2 * p + 1 + _period_span(ctx)
+        yield a, s_eps, ctx, _degree_head(ctx)
 
 
 @pytest.mark.parametrize("p, mode", PERIOD_CASES)

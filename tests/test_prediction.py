@@ -1,9 +1,8 @@
 """Tests for the slope-prediction model, comparison rule, and floors."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +20,7 @@ from ghost_slopes import (
     slope_window,
 )
 from ghost_slopes import VerificationError, checks, prediction
-from ghost_slopes.polygon import integer_hull, lower_hull
+from ghost_slopes.polygon import lower_hull
 from ghost_slopes.prediction import PredictionModel, Rel, model_radius
 
 CTX = GhostContext(7, 2, 1)
@@ -48,12 +47,12 @@ def pattern(m):
 
 
 def test_model_frozen_k24():
+    # the model is its known blocks and R: no per-index sequence is stored
+    assert [f.name for f in fields(PredictionModel)] == ["k", "d", "known", "L_den", "R"]
     m = build_model(CTX, 24)
     assert m.d == 6
-    assert m.M_index == 2
     assert m.R == Fraction(11, 4)
-    assert m.block_sizes == (1, 1, 1)
-    assert m.r_list == (Fraction(11, 4), Fraction(6), Fraction(9))
+    assert (m.known, m.L_den) == (((36, 2), (24, 2)), 4)
     assert m.L_seq == (
         Fraction(9),
         Fraction(18),
@@ -91,10 +90,8 @@ def test_model_L_increments_match_r_list():
         diffs = [m.L_seq[0]] + [
             m.L_seq[j + 1] - m.L_seq[j] for j in range(m.d - 1)
         ]
-        expected = []
-        for l in range(len(m.block_sizes), 0, -1):
-            expected.extend([m.r_list[l - 1]] * (2 * m.block_sizes[l - 1]))
-        assert diffs == expected
+        expected = [Fraction(a, m.L_den) for a, width in m.known for _ in range(width)]
+        assert diffs == expected + [m.R] * m.exceptional_count
         # increments never increase, so the negated hull is convex
         assert diffs == sorted(diffs, reverse=True)
 
@@ -120,36 +117,28 @@ def test_model_hull_asserted_across_contexts():
 
 
 def _hull_check(model):
-    """The model hull checked by a hull: the lower hull of {(j, -L_j)} and
-    the origin has the edges (-r_l, 2 * block l) for l = N..M_index, then
-    (-R, the rest of d)."""
-    hull = integer_hull(range(model.d + 1), [0, *(-a for a in model.L_nums)], model.L_den)
-    expected = [
-        (-model.r_list[l - 1], 2 * model.block_sizes[l - 1])
-        for l in range(len(model.block_sizes), model.M_index - 1, -1)
-    ]
-    if flat := model.d - model.known_size:
+    """The model hull checked by a hull: L_1..L_d are d values, and the lower
+    hull of {(j, -L_j)} and the origin has the edges (-step, width) of the
+    known blocks, then (-R, the rest of d)."""
+    if len(model.L_seq) != model.d:
+        raise VerificationError(f"L has {len(model.L_seq)} entries, d = {model.d}")
+    hull = lower_hull([(0, Fraction(0))] + [(j, -L) for j, L in enumerate(model.L_seq, 1)])
+    expected = [(-Fraction(a, model.L_den), width) for a, width in model.known]
+    if flat := model.exceptional_count:
         expected.append((-model.R, flat))
     if list(hull.slopes) != expected:
         raise VerificationError(f"{list(hull.slopes)} != {expected}")
 
 
-def _with_steps(model, steps):
-    blocks = (repeat(steps[l], 2 * model.block_sizes[l]) for l in reversed(range(len(steps))))
-    return replace(model, steps=steps, L_nums=tuple(accumulate(chain.from_iterable(blocks))))
-
-
-# planted model faults: (plant, its error at k = 24 on (7,2,1), where L_den = 4
-# and the steps are 36, 24 and 11, top block first)
+# planted model faults: (plant, its error at k = 24 on (7,2,1), where L_den = 4,
+# d = 6 and the steps are 36, 24 and 11, top block first)
 MODEL_PLANTS = {
-    # L_2 - L_1, inside the top block, grows by 1 / L_den
-    "step-inside-block": (lambda m: replace(m, L_nums=(m.L_nums[0], *(a + 1 for a in m.L_nums[1:]))),
-                          "block 1 expects step 9, found 37/4"),
     # the second block steps by the top block's slope, so a hull merges them
-    "equal-adjacent-blocks": (lambda m: _with_steps(m, m.steps[:-2] + m.steps[-1:] * 2),
+    "equal-adjacent-blocks": (lambda m: replace(m, known=(m.known[0], (m.known[0][0], m.known[1][1]), *m.known[2:])),
                               "block 2 expects step below 9, found 9"),
-    "L-one-short": (lambda m: replace(m, L_nums=m.L_nums[:-1]),
-                    "block 3 expects step 11/4, found the end of L"),
+    # the top block widened by d, so L runs past d
+    "known-past-d": (lambda m: replace(m, known=((m.known[0][0], m.known[0][1] + m.d), *m.known[1:])),
+                     "the known blocks run past d = 6"),
 }
 
 
@@ -157,21 +146,13 @@ MODEL_PLANTS = {
 def test_model_hull_proof_fails_on_planted_faults(plant, message):
     for ctx, k in ((CTX, 24), (CTX, 366), (CTX_WRAP, 276), (CTX_ODD, 1535)):
         model = build_model(ctx, k)
-        assert len(model.steps) - model.M_index >= 1  # two known blocks to merge
+        assert len(model.known) >= 2  # two known blocks to merge
         _hull_check(model)
         planted = plant(model)
         with pytest.raises(VerificationError, match=message if k == 24 else "model hull mismatch"):
             prediction._assert_model_hull(planted)
         with pytest.raises(VerificationError):
             _hull_check(planted)
-
-
-def test_model_hull_proof_fails_on_an_entry_past_d():
-    # a hull over the abscissae 0..d never reads L_{d+1}; the proof does
-    model = build_model(CTX, 24)
-    planted = replace(model, L_nums=model.L_nums + (model.L_nums[-1] + model.steps[0],))
-    with pytest.raises(VerificationError, match="L runs past d = 6"):
-        prediction._assert_model_hull(planted)
 
 
 def test_model_empty_when_no_new_dimension():
@@ -203,11 +184,8 @@ def test_pattern_frozen_k24():
 def test_pattern_all_known_depth_four():
     # d = 8 with four unit blocks, every slope cleared: equalities walk the
     # doubled diagonal and mirror back up, bottom row strict throughout
-    # rel reads only d, block_sizes and M_index
-    m = PredictionModel(
-        k=None, d=8, steps=(), L_nums=(), L_den=1, R=Fraction(0),
-        M_index=1, block_sizes=(1, 1, 1, 1),
-    )
+    # rel reads only d and the known widths
+    m = PredictionModel(k=None, d=8, known=((0, 2),) * 4, L_den=1, R=Fraction(0))
     rows = pattern(m)
     text = ["".join({Rel.GT: ">", Rel.GE: "e", Rel.EQ: "="}[r] for r in row) for row in rows]
     assert text == [
@@ -233,8 +211,7 @@ def test_pattern_row_mirror():
 def test_pattern_equality_count():
     for ctx, k in ((CTX, 24), (CTX, 366), (CTX_WRAP, 276), (CTX_ODD, 1535)):
         m = build_model(ctx, k)
-        n_top = len(m.block_sizes)
-        enumerated = 2 * (n_top - m.M_index + 1)
+        enumerated = 2 * len(m.known)
         overlap = 1 if m.known_size == m.d else 0
         assert len(m.eq_cells) == enumerated - overlap
 

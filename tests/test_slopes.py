@@ -656,17 +656,25 @@ def test_context_keeps_only_reread_caches():
 
 
 @pytest.mark.parametrize("radius", (Fraction(3, 2), 7, INF))
-def test_criterion_scan_caches_integer_polygons(radius):
+def test_criterion_scan_caches_integer_polygons(radius, monkeypatch):
     # a derivative polygon holds its integer hull and nothing else; the
-    # criterion scan reads it without building a Fraction on it
+    # criterion scan stores none, and reads one the context holds without
+    # building it again or building a Fraction on it
     assert [f.name for f in dataclasses.fields(DerivativePolygon)] == [
         "k", "hull", "M_index", "m_of_k",
     ]
-    fresh = GhostContext(p=7, a=2, s_eps=1)
-    breakpoints_by_criterion(fresh, WeightPoint(120, radius), 400)
-    cached = fresh._caches["derivative"].values()
-    assert len(cached) > 1
-    for dp in cached:
+    fresh, w = GhostContext(p=7, a=2, s_eps=1), WeightPoint(120, radius)
+    walk = breakpoints_by_criterion(fresh, w, 400)
+    assert not fresh._caches.get("derivative")
+    built, build = [], slopes._derivative_polygon
+    monkeypatch.setattr(slopes, "_derivative_polygon", lambda ctx, k: built.append(k) or build(ctx, k))
+    breakpoints_by_criterion(fresh, w, 400)
+    for k in built:
+        derivative_polygon(fresh, k)
+    held, built[:] = list(fresh._caches["derivative"].values()), []
+    assert len(held) > 1
+    assert breakpoints_by_criterion(fresh, w, 400) == walk and built == []
+    for dp in held:
         assert all(type(y) is int for y in dp.hull.ys)
         assert "slopes" not in vars(dp.hull)
 
