@@ -348,6 +348,44 @@ def test_gs_translate_is_a_shift(shift):
 
 # -- integrality --------------------------------------------------------------
 
+# the contexts of the integrality table, with the last class weight drawn
+INTEGRALITY_CONTEXTS = (
+    (GhostContext(7, 2, 1), 2000),
+    (GhostContext(11, 6, 9, global_mult=3, mode="strict"), 2000),
+    (GhostContext(13, 5, 11), 2000),
+    (GhostContext(17, 5, 3), 2000),
+    (GhostContext(13, 7, 2), 2000),
+    (GhostContext(11, 3, 0), 2000),
+    (GhostContext(5, 1, 0), 1200),
+)
+
+
+@pytest.mark.parametrize(
+    "ctx, hi", INTEGRALITY_CONTEXTS, ids=[f"{c.p}-{c.a}-{c.s_eps}" for c, _ in INTEGRALITY_CONTEXTS]
+)
+def test_linv_integrality_follows_from_checked_facts(ctx, hi):
+    # the known L-invariant slopes are -(s + 1) of the derivative slopes s from
+    # M_index up, with multiplicity twice m times theirs; slope-integrality puts
+    # a unit-multiplicity s in a/2 + Z and every other s in Z; and k = a mod 2.
+    # So -(s + 1) lies in Z + k/2 unless k is odd and s has multiplicity >= 2.
+    for k in ctx.class_members(0, hi)[::7]:
+        dp = derivative_polygon(ctx, k)
+        closed = dp.slopes[dp.M_index - 1 :][::-1]
+        assert predict_slopes(ctx, k).linv_slopes_known == tuple(
+            (-(s + 1), 2 * ctx.global_mult * mult) for s, mult in closed
+        ), k
+        checks.check_slope_integrality(ctx, k)
+        assert k % 2 == ctx.a % 2
+        for s, mult in closed:
+            in_half_weight_class = (-(s + 1) - Fraction(k, 2)).denominator == 1
+            assert in_half_weight_class == (k % 2 == 0 or mult == 1), (k, s, mult)
+
+
+def test_linv_integer_slope_at_odd_weight_frozen():
+    # with a odd, a doubled hull slope of even multiplicity is an integer
+    # outside Z + k/2; frozen witness
+    assert (Fraction(-609), 4) in predict_slopes(CTX_ODD, 1535).linv_slopes_known
+
 
 def test_integrality_frozen_k24():
     rep = integrality_report(CTX, 24)
