@@ -10,8 +10,6 @@ from .polygon import dual_graph, lower_hull, newton_polygon_at
 from .prediction import (
     build_model,
     exceptional_bound,
-    gs_translate,
-    integrality_report,
     predict_slopes,
 )
 from .slopes import (
@@ -22,7 +20,6 @@ from .slopes import (
     is_near_steinberg,
     k_newslopes,
     k_thresholds,
-    slope_window,
     sweep_threshold,
 )
 from .valuation import INF, Valuation
@@ -40,8 +37,6 @@ __all__ = [
     "newton_polygon_at",
     "build_model",
     "exceptional_bound",
-    "gs_translate",
-    "integrality_report",
     "predict_slopes",
     "breakpoints_by_criterion",
     "certified_newton_polygon",
@@ -50,7 +45,6 @@ __all__ = [
     "is_near_steinberg",
     "k_newslopes",
     "k_thresholds",
-    "slope_window",
     "sweep_threshold",
     "INF",
     "Valuation",

@@ -227,12 +227,6 @@ class DualGraph:
             out.append((left[1], left[2] - right[2]))
         return tuple(out)
 
-    def newton_vertices(self) -> Tuple[Point, ...]:
-        """The Newton-polygon vertices (n, v_p(a_n)) this graph encodes."""
-        return tuple(
-            (slope, intercept) for _, _, slope, intercept in reversed(self.segments)
-        )
-
 
 def dual_graph(
     coefficient_valuations: Union[Mapping[int, object], Sequence[object]],

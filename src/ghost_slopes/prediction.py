@@ -1,4 +1,4 @@
-"""Predicted slope multisets for the derivative matrix and L-invariants.
+"""The L model of a weight and the L-invariant slopes it predicts.
 
 The L model of a weight is its known blocks and the model radius R: the
 sequence L_1 < ... < L_d grows by s_N on the first 2*d_N steps, then by
@@ -14,9 +14,7 @@ doubled index, the bottom row strict everywhere.
 Predicted slopes are facts of the same model, which ``predict_slopes``
 returns: a known block read off the closed threshold relation
 (L-invariant slope = -(threshold + 1)) plus a floor for the central
-block, whose size is the exceptional count.  A separate
-translation by k - 3 is provided; it disagrees with the threshold
-relation by a constant 2, and both are kept, labeled by their origin.
+block, whose size is the exceptional count.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate, chain, repeat
 from math import lcm
-from typing import Iterable, Tuple
+from typing import Tuple
 
 from .errors import VerificationError
 from .ghost import GhostContext, dimensions, floor_log_bullet
@@ -55,10 +53,10 @@ class PredictionModel:
     L_1..L_d off the blocks; :meth:`rel` gives the comparison kind of
     each entry of the d x d pattern.
 
-    The known multisets read ``known`` as ``Fraction``s, values ascending:
-    the L-invariant slope -(s + 1) and the derivative-matrix slope
-    k - 2 - s.  The floors, read off R, bound every remaining slope from
-    below; ``exceptional_count`` is how many slopes they account for.
+    The known multiset reads ``known`` as ``Fraction``s, values ascending:
+    the L-invariant slope -(s + 1).  The floor -R - 1 bounds every
+    remaining slope from below; ``exceptional_count`` is how many slopes
+    it accounts for.
     """
 
     k: int
@@ -111,14 +109,9 @@ class PredictionModel:
         return self.d - self.known_size
 
     @property
-    def a1_slopes_known(self) -> Tuple[Tuple[Fraction, int], ...]:
-        return tuple((Fraction((self.k - 2) * self.L_den - a, self.L_den), m) for a, m in self.known)
-
-    @property
     def linv_slopes_known(self) -> Tuple[Tuple[Fraction, int], ...]:
         return tuple((Fraction(-a - self.L_den, self.L_den), m) for a, m in self.known)
 
-    a1_floor = property(lambda self: Valuation(self.k - 2 - self.R))
     linv_floor = property(lambda self: Valuation(-self.R - 1))
 
     def to_json_dict(self) -> dict:
@@ -130,28 +123,13 @@ class PredictionModel:
         }
 
 
-@dataclass(frozen=True)
-class IntegralityReport:
-    """Half-weight integrality flags for the known L-invariant slopes.
-
-    Each entry is (slope, multiplicity, lies in Z + k/2).  Exceptions
-    are counted with multiplicity; the floor block of size
-    ``exceptional_count`` is never checked.
-    """
-
-    k: int
-    entries: Tuple[Tuple[Fraction, int, bool], ...]
-    exception_count: int
-    exceptional_count: int
-
-
 def model_radius(ctx: GhostContext, k: int) -> Fraction:
     """The shared radius R = M(k) + 3/4 * min(1, s_M - M(k)), s_M the first
     derivative slope above M(k), or M(k) + 1/2 when no slope clears M(k).
 
     That is the midpoint of min(M(k) + 1, s_M) and the test radius r_M =
-    M(k) + 1/2 * min(1, s_M - M(k)) of :func:`slope_window`, whose window
-    starts at M(k) as s_{M_index - 1} <= M(k).  So M(k) < R < M(k) + 1, R < s_M.
+    M(k) + 1/2 * min(1, s_M - M(k)), halfway from M(k) toward s_M but within
+    1 of M(k), as s_{M_index - 1} <= M(k).  So M(k) < R < M(k) + 1, R < s_M.
     """
     dp = derivative_polygon(ctx, k)
     m_val = dp.m_of_k.value
@@ -202,9 +180,8 @@ def predict_slopes(ctx: GhostContext, k: int) -> PredictionModel:
     """The L model of the weight k, read as its known slope blocks plus floors.
 
     The known L-invariant block applies the threshold relation
-    -(threshold + 1) to the closed-form threshold values s_N..s_M; the
-    derivative-matrix block mirrors it at k - 2 - s.  Multiplicities
-    are the doubled stretched hull multiplicities.
+    -(threshold + 1) to the closed-form threshold values s_N..s_M.
+    Multiplicities are the doubled stretched hull multiplicities.
 
     >>> ctx = GhostContext(7, 2, 1)
     >>> predict_slopes(ctx, 24).linv_slopes_known
@@ -218,31 +195,3 @@ def exceptional_bound(ctx: GhostContext, k: int) -> Fraction:
     log_kb = floor_log_bullet(ctx, k)
     return 2 * ctx.global_mult * (Fraction(2 * log_kb + 5, ctx.p - 1) + 1)
 
-
-def gs_translate(k: int, a1_slopes: Iterable) -> tuple:
-    """Shift derivative-matrix slopes by -(k - 3), keeping multiplicities.
-
-    This is the eigenvalue translation; it lands 2 above the threshold
-    relation used for the known block, and both are exposed on purpose.
-
-    >>> gs_translate(24, [(Fraction(13), 2)])
-    ((Fraction(-8, 1), 2),)
-    """
-    return tuple((Fraction(v) - (k - 3), m) for v, m in a1_slopes)
-
-
-def integrality_report(ctx: GhostContext, k: int) -> IntegralityReport:
-    """Flag each known L-invariant slope for membership in Z + k/2.
-
-    >>> ctx = GhostContext(7, 2, 1)
-    >>> integrality_report(ctx, 24).exception_count
-    0
-    """
-    model = predict_slopes(ctx, k)
-    entries = tuple((v, m, (v - Fraction(k, 2)).denominator == 1) for v, m in model.linv_slopes_known)
-    return IntegralityReport(
-        k=model.k,
-        entries=entries,
-        exception_count=sum(m for _, m, ok in entries if not ok),
-        exceptional_count=model.exceptional_count,
-    )

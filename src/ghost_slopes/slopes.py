@@ -397,24 +397,6 @@ def global_stretch(local: Iterable, m: int) -> list:
     return out
 
 
-def slope_window(ctx: GhostContext, k: int, i: int) -> tuple:
-    """(test radius r_i, max newslope, min newslope) over the i-th disc.
-
-    The radius sits just above the left edge max(M(k), s_{i-1}), which is
-    M(k) at i = M_index, as s_{M_index - 1} <= M(k), and s_{i-1} above it:
-    the midpoint of the gap up to s_i, clipped to within 1 of the edge.  The
-    extreme newslopes over the disc of that radius are (k-2)/2 +- (s_N - r_i).
-    """
-    dp = derivative_polygon(ctx, k)
-    n_top = len(dp.edges)
-    if not dp.M_index <= i <= n_top:
-        raise DomainError(f"index {i} outside [{dp.M_index}, {n_top}]")
-    lo = dp.m_of_k.value if i == dp.M_index else Fraction(*dp.edges[i - 2][:2])
-    r_i = lo + min(Fraction(1), Fraction(*dp.edges[i - 1][:2]) - lo) / 2
-    half, spread = Fraction(k - 2, 2), Fraction(*dp.edges[-1][:2]) - r_i
-    return Valuation(r_i), Valuation(half + spread), Valuation(half - spread)
-
-
 # -- the exact sweep below M(k) ---------------------------------------------------
 #
 # On each radius interval [level, level + 1] every coefficient valuation

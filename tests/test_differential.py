@@ -29,7 +29,6 @@ from ghost_slopes import (
     is_near_steinberg,
     k_thresholds,
     lower_hull,
-    slope_window,
     sweep_threshold,
 )
 from ghost_slopes import checks, slopes
@@ -494,7 +493,6 @@ def test_model_radius_matches_window_midpoint(case):
     s_m = ss[dp.M_index - 1]
     lo = max(m_k, ss[dp.M_index - 2] if dp.M_index >= 2 else Fraction(0))
     r_m = lo + min(Fraction(1), s_m - lo) / 2
-    assert slope_window(ctx, k, dp.M_index)[0] == Valuation(r_m)
     assert model_radius(ctx, k) == (r_m + min(m_k + 1, s_m)) / 2
 
 
@@ -532,14 +530,12 @@ def _oracle_model(ctx, k):
 
 
 def _oracle_prediction(ctx, k):
-    """(a1 known, a1 floor, linv known, linv floor, exceptional count), read
-    off the Fraction slopes s_N..s_M and the model radius R."""
+    """(linv known, linv floor, exceptional count), read off the Fraction
+    slopes s_N..s_M and the model radius R."""
     dp = derivative_polygon(ctx, k)
     R = model_radius(ctx, k)
     known = [(s, 2 * ctx.global_mult * m) for s, m in dp.slopes[dp.M_index - 1 :]][::-1]
     return (
-        tuple((k - 2 - s, m) for s, m in known),
-        Valuation(k - 2 - R),
         tuple((-s - 1, m) for s, m in known),
         Valuation(-R - 1),
         2 * ctx.global_mult * sum(m for _, m in dp.slopes[: dp.M_index - 1]),
@@ -555,7 +551,7 @@ def _oracle_sample(ctx, k, kind):
     elif kind is SampleKind.DERIVATIVE:
         raw = [(s, 2 * m) for s, m in derivative_polygon(ctx, k).slopes]
     else:
-        _, _, linv, linv_floor, floor_count = _oracle_prediction(ctx, k)
+        linv, linv_floor, floor_count = _oracle_prediction(ctx, k)
         floor_raw = -linv_floor.value
         raw = [(-v, m) for v, m in linv]
     lcd = math.lcm(floor_raw.denominator, *(v.denominator for v, _ in raw))
@@ -589,11 +585,8 @@ def test_integer_paths_match_fraction_oracle(case):
     known = tuple((Fraction(a, model.L_den), width) for a, width in model.known)
     assert (known, model.L_seq) == _oracle_model(ctx, k)
     pred = predict_slopes(ctx, k)
-    assert (
-        pred.a1_slopes_known, pred.a1_floor, pred.linv_slopes_known, pred.linv_floor,
-        pred.exceptional_count,
-    ) == _oracle_prediction(ctx, k)
-    assert pred.to_json_dict()["linv_known"] == [[str(v), m] for v, m in _oracle_prediction(ctx, k)[2]]
+    assert (pred.linv_slopes_known, pred.linv_floor, pred.exceptional_count) == _oracle_prediction(ctx, k)
+    assert pred.to_json_dict()["linv_known"] == [[str(v), m] for v, m in _oracle_prediction(ctx, k)[0]]
     for kind in SampleKind:
         assert sample(ctx, k, kind) == _oracle_sample(ctx, k, kind), kind
 

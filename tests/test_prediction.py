@@ -5,19 +5,13 @@ from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from ghost_slopes import (
     GhostContext,
     Valuation,
     build_model,
     derivative_polygon,
     exceptional_bound,
-    gs_translate,
-    integrality_report,
     predict_slopes,
-    slope_window,
 )
 from ghost_slopes import VerificationError, checks, prediction
 from ghost_slopes.polygon import lower_hull
@@ -81,10 +75,9 @@ def test_model_radius_bracket():
             m_val = dp.m_of_k.value
             assert m_val < r < m_val + 1
             assert r < dp.slopes[dp.M_index - 1][0]
-            assert slope_window(ctx, k, dp.M_index)[0].value < r
 
 
-def test_model_L_increments_match_r_list():
+def test_model_L_increments_are_known_steps_then_R():
     for k in (24, 90, 366):
         m = build_model(CTX, k)
         diffs = [m.L_seq[0]] + [
@@ -237,8 +230,6 @@ def test_pattern_last_row_strict():
 
 def test_predict_frozen_k24():
     p = predict_slopes(CTX, 24)
-    assert p.a1_slopes_known == ((Fraction(13), 2), (Fraction(16), 2))
-    assert p.a1_floor == Valuation(Fraction(77, 4))
     assert p.linv_slopes_known == ((Fraction(-10), 2), (Fraction(-7), 2))
     assert p.linv_floor == Valuation(Fraction(-15, 4))
     assert p.exceptional_count == 2
@@ -267,17 +258,6 @@ def test_prediction_partition():
             assert [v for v, _ in p.linv_slopes_known] == sorted(
                 v for v, _ in p.linv_slopes_known
             )
-
-
-def test_prediction_values_mirror_a1():
-    for k in (24, 90, 174, 366):
-        p = predict_slopes(CTX, k)
-        for (a_val, a_mult), (l_val, l_mult) in zip(
-            p.a1_slopes_known, p.linv_slopes_known
-        ):
-            assert a_mult == l_mult
-            assert a_val == (k - 2) + l_val + 1
-        assert p.a1_floor.value == (k - 2) + p.linv_floor.value + 1
 
 
 def test_known_block_matches_thresholds():
@@ -314,41 +294,16 @@ def test_exceptional_within_bound():
             checks.check_threshold_relation(ctx, k)
 
 
-# -- the eigenvalue translation -----------------------------------------------
-
-
-def test_gs_translate_frozen():
-    assert gs_translate(24, [(Fraction(13), 2)]) == ((Fraction(-8), 2),)
-    assert gs_translate(24, [(Fraction(0), 1)]) == ((Fraction(-21), 1),)
-
-
-def test_gs_translate_preserves_multiplicities():
-    p = predict_slopes(CTX, 366)
-    out = gs_translate(366, p.a1_slopes_known)
-    assert [m for _, m in out] == [m for _, m in p.a1_slopes_known]
-    assert len({v for v, _ in out}) == len(out)
-
-
-def test_gs_translate_offset_against_threshold_relation():
-    # the translated values sit exactly 2 above the threshold relation
-    for k in (24, 90, 174):
-        p = predict_slopes(CTX, k)
-        translated = gs_translate(k, p.a1_slopes_known)
-        for (t_val, _), (l_val, _) in zip(translated, p.linv_slopes_known):
-            assert t_val - l_val == 2
-
-
-@given(shift=st.integers(min_value=-50, max_value=50))
-@settings(max_examples=40, deadline=None)
-def test_gs_translate_is_a_shift(shift):
-    base = [(Fraction(shift), 3), (Fraction(shift + 5, 2), 1)]
-    out = gs_translate(30, base)
-    assert all(o - b == -(30 - 3) for (o, _), (b, _) in zip(out, base))
-
-
 # -- integrality --------------------------------------------------------------
 
-# the contexts of the integrality table, with the last class weight drawn
+
+def outside_half_weight_class(ctx, k):
+    """The known L-invariant slopes (value, multiplicity) outside Z + k/2."""
+    half = Fraction(k, 2)
+    return [(v, m) for v, m in predict_slopes(ctx, k).linv_slopes_known if (v - half).denominator != 1]
+
+
+# odd and even a, m = 3 in strict mode, and p = 5; each with its last weight drawn
 INTEGRALITY_CONTEXTS = (
     (GhostContext(7, 2, 1), 2000),
     (GhostContext(11, 6, 9, global_mult=3, mode="strict"), 2000),
@@ -376,25 +331,13 @@ def test_linv_integrality_follows_from_checked_facts(ctx, hi):
         ), k
         checks.check_slope_integrality(ctx, k)
         assert k % 2 == ctx.a % 2
-        for s, mult in closed:
-            in_half_weight_class = (-(s + 1) - Fraction(k, 2)).denominator == 1
-            assert in_half_weight_class == (k % 2 == 0 or mult == 1), (k, s, mult)
-
-
-def test_linv_integer_slope_at_odd_weight_frozen():
-    # with a odd, a doubled hull slope of even multiplicity is an integer
-    # outside Z + k/2; frozen witness
-    assert (Fraction(-609), 4) in predict_slopes(CTX_ODD, 1535).linv_slopes_known
+        expected = [(-(s + 1), 2 * ctx.global_mult * mult) for s, mult in closed if k % 2 and mult > 1]
+        assert outside_half_weight_class(ctx, k) == expected, k
 
 
 def test_integrality_frozen_k24():
-    rep = integrality_report(CTX, 24)
-    assert rep.entries == (
-        (Fraction(-10), 2, True),
-        (Fraction(-7), 2, True),
-    )
-    assert rep.exception_count == 0
-    assert rep.exceptional_count == 2
+    # the slopes -10 and -7, each of multiplicity 2 (test_predict_frozen_k24)
+    assert outside_half_weight_class(CTX, 24) == []
 
 
 def test_integrality_even_a_clean():
@@ -403,22 +346,16 @@ def test_integrality_even_a_clean():
         (CTX_WRAP, (56, 276, 496)),
     ):
         for k in ks:
-            assert integrality_report(ctx, k).exception_count == 0
+            assert outside_half_weight_class(ctx, k) == []
 
 
 def test_integrality_odd_a_even_multiplicity_exception():
     # with a odd the half-weight class is half-integral, but doubled hull
-    # slopes are integers, so they are flagged; frozen witness
-    rep = integrality_report(CTX_ODD, 1535)
-    flagged = [(v, m) for v, m, ok in rep.entries if not ok]
-    assert flagged == [(Fraction(-609), 4)]
-    assert rep.exception_count == 4
+    # slopes are integers, so they fall outside it; frozen witness
+    assert outside_half_weight_class(CTX_ODD, 1535) == [(Fraction(-609), 4)]
 
 
 def test_integrality_odd_a_unit_multiplicity_clean():
     # unit-multiplicity slopes land in a/2 + Z, which is the half-weight class
     for k in sample_weights(CTX_ODD, 25, 900, 10, seed=11):
-        rep = integrality_report(CTX_ODD, k)
-        for v, m, ok in rep.entries:
-            if m == 2:  # doubled unit multiplicity
-                assert ok
+        assert all(m != 2 for _, m in outside_half_weight_class(CTX_ODD, k))

@@ -28,7 +28,6 @@ from ghost_slopes import (
     lower_hull,
     newton_polygon_at,
     predict_slopes,
-    slope_window,
     sweep_threshold,
 )
 from ghost_slopes import checks, ghost, slopes
@@ -702,39 +701,28 @@ def test_global_stretch_plain():
         global_stretch([1], 0)
 
 
-# -- slope windows ------------------------------------------------------------
+# -- newslope extremes ---------------------------------------------------------
 
 
-def test_slope_window_frozen(ctx):
-    assert slope_window(ctx, 24, 2) == (
-        Valuation(Fraction(5, 2)),
-        Valuation(Fraction(35, 2)),
-        Valuation(Fraction(9, 2)),
-    )
-    assert slope_window(ctx, 24, 3) == (
-        Valuation(Fraction(13, 2)),
-        Valuation(Fraction(27, 2)),
-        Valuation(Fraction(17, 2)),
-    )
-
-
-def test_slope_window_bounds_realized(ctx):
+def test_newslope_extremes_at_test_radii(ctx):
+    # r_i sits halfway from max(M(k), s_{i-1}) toward s_i, within 1 of that
+    # edge; over the disc of radius r_i the newslopes reach (k-2)/2 +- (s_N - r_i)
     for k in (24, 90, 174):
         dp = derivative_polygon(ctx, k)
-        for i in range(dp.M_index, len(dp.slopes) + 1):
-            r_i, s_hi, s_lo = slope_window(ctx, k, i)
-            assert s_hi.value + s_lo.value == k - 2
-            assert s_hi >= s_lo
-            got = k_newslopes(ctx, k, WeightPoint(k, r_i.value))
-            assert max(got) == s_hi.value
-            assert min(got) == s_lo.value
-
-
-def test_slope_window_rejects_indices_below_m_index(ctx):
-    with pytest.raises(DomainError):
-        slope_window(ctx, 24, 1)
-    with pytest.raises(DomainError):
-        slope_window(ctx, 24, 4)
+        ss = [Fraction(a, b) for a, b, _ in dp.edges]
+        extremes = []
+        for i in range(dp.M_index, len(ss) + 1):
+            lo = dp.m_of_k.value if i == dp.M_index else ss[i - 2]
+            r_i = lo + min(Fraction(1), ss[i - 1] - lo) / 2
+            got = k_newslopes(ctx, k, WeightPoint(k, r_i))
+            spread = ss[-1] - r_i
+            assert (max(got), min(got)) == (Fraction(k - 2, 2) + spread, Fraction(k - 2, 2) - spread)
+            extremes.append((r_i, max(got), min(got)))
+        if k == 24:
+            assert extremes == [
+                (Fraction(5, 2), Fraction(35, 2), Fraction(9, 2)),
+                (Fraction(13, 2), Fraction(27, 2), Fraction(17, 2)),
+            ]
 
 
 # -- certified windows --------------------------------------------------------
