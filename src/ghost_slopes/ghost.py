@@ -396,10 +396,11 @@ def max_zero_distance(ctx: GhostContext, k: int) -> Valuation:
 
     Runs in O(log k): the zeros are the bullets below ``bound``, the first
     with d_ur >= d_iw(k), bullet 0 perhaps excepted, and bound - 1 is the
-    one farthest from k_bullet, so the largest v_p(k_bullet - j) over the
-    zeros j != k_bullet is floor(log_p(bound - 1 - k_bullet)).  Raises
-    VerificationError when M(k) exceeds the good-region bound
-    floor(log_p k_bullet) + 3, which would be an implementation bug.
+    one farthest from k_bullet, so
+    the largest v_p(k_bullet - j) over the zeros j != k_bullet is
+    floor(log_p(bound - 1 - k_bullet)).  Raises VerificationError when
+    M(k) exceeds the good-region bound floor(log_p k_bullet) + 3, which
+    would be an implementation bug.
     """
     # Every bullet j >= 1 is a zero.  With q = (j - t1) // (p + 1), in
     # either branch of GhostContext.__post_init__:

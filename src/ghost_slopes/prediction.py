@@ -177,7 +177,7 @@ def build_model(ctx: GhostContext, k: int) -> PredictionModel:
 
 
 def predict_slopes(ctx: GhostContext, k: int) -> PredictionModel:
-    """The L model of the weight k, read as its known slope blocks plus floors.
+    """The L model of the weight k, read as its known slope block plus a floor.
 
     The known L-invariant block applies the threshold relation
     -(threshold + 1) to the closed-form threshold values s_N..s_M.

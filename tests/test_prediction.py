@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
+
 from ghost_slopes import (
     GhostContext,
     Valuation,
@@ -303,7 +304,7 @@ def outside_half_weight_class(ctx, k):
     return [(v, m) for v, m in predict_slopes(ctx, k).linv_slopes_known if (v - half).denominator != 1]
 
 
-# odd and even a, m = 3 in strict mode, and p = 5; each with its last weight drawn
+# (context, last weight drawn): a even and odd, m = 3 in strict mode, and p = 5
 INTEGRALITY_CONTEXTS = (
     (GhostContext(7, 2, 1), 2000),
     (GhostContext(11, 6, 9, global_mult=3, mode="strict"), 2000),
@@ -326,12 +327,11 @@ def test_linv_integrality_follows_from_checked_facts(ctx, hi):
     for k in ctx.class_members(0, hi)[::7]:
         dp = derivative_polygon(ctx, k)
         closed = dp.slopes[dp.M_index - 1 :][::-1]
-        assert predict_slopes(ctx, k).linv_slopes_known == tuple(
-            (-(s + 1), 2 * ctx.global_mult * mult) for s, mult in closed
-        ), k
+        known = tuple((-(s + 1), 2 * ctx.global_mult * mult) for s, mult in closed)
+        assert predict_slopes(ctx, k).linv_slopes_known == known, k
         checks.check_slope_integrality(ctx, k)
         assert k % 2 == ctx.a % 2
-        expected = [(-(s + 1), 2 * ctx.global_mult * mult) for s, mult in closed if k % 2 and mult > 1]
+        expected = [slope for slope, (_, mult) in zip(known, closed) if k % 2 and mult > 1]
         assert outside_half_weight_class(ctx, k) == expected, k
 
 
