@@ -701,28 +701,37 @@ def test_global_stretch_plain():
         global_stretch([1], 0)
 
 
-# -- newslope extremes ---------------------------------------------------------
+# -- slope windows ------------------------------------------------------------
 
 
-def test_newslope_extremes_at_test_radii(ctx):
+def _slope_window(ctx, k, dp, i):
     # r_i sits halfway from max(M(k), s_{i-1}) toward s_i, within 1 of that
-    # edge; over the disc of radius r_i the newslopes reach (k-2)/2 +- (s_N - r_i)
+    # edge; returns r_i and the extreme newslopes over the disc of radius r_i
+    ss = [Fraction(a, b) for a, b, _ in dp.edges]
+    lo = dp.m_of_k.value if i == dp.M_index else ss[i - 2]
+    r_i = lo + min(Fraction(1), ss[i - 1] - lo) / 2
+    got = k_newslopes(ctx, k, WeightPoint(k, r_i))
+    return r_i, max(got), min(got)
+
+
+def test_slope_window_frozen(ctx):
+    dp = derivative_polygon(ctx, 24)
+    assert _slope_window(ctx, 24, dp, 2) == (Fraction(5, 2), Fraction(35, 2), Fraction(9, 2))
+    assert _slope_window(ctx, 24, dp, 3) == (Fraction(13, 2), Fraction(27, 2), Fraction(17, 2))
+    assert dp.M_index == 2 and len(dp.edges) == 3
+
+
+def test_slope_window_bounds_realized(ctx):
+    # over the disc of radius r_i the newslopes reach (k-2)/2 +- (s_N - r_i)
     for k in (24, 90, 174):
         dp = derivative_polygon(ctx, k)
-        ss = [Fraction(a, b) for a, b, _ in dp.edges]
-        extremes = []
-        for i in range(dp.M_index, len(ss) + 1):
-            lo = dp.m_of_k.value if i == dp.M_index else ss[i - 2]
-            r_i = lo + min(Fraction(1), ss[i - 1] - lo) / 2
-            got = k_newslopes(ctx, k, WeightPoint(k, r_i))
-            spread = ss[-1] - r_i
-            assert (max(got), min(got)) == (Fraction(k - 2, 2) + spread, Fraction(k - 2, 2) - spread)
-            extremes.append((r_i, max(got), min(got)))
-        if k == 24:
-            assert extremes == [
-                (Fraction(5, 2), Fraction(35, 2), Fraction(9, 2)),
-                (Fraction(13, 2), Fraction(27, 2), Fraction(17, 2)),
-            ]
+        s_top = Fraction(*dp.edges[-1][:2])
+        for i in range(dp.M_index, len(dp.edges) + 1):
+            r_i, s_hi, s_lo = _slope_window(ctx, k, dp, i)
+            assert s_hi + s_lo == k - 2
+            assert s_hi >= s_lo
+            spread = s_top - r_i
+            assert (s_hi, s_lo) == (Fraction(k - 2, 2) + spread, Fraction(k - 2, 2) - spread)
 
 
 # -- certified windows --------------------------------------------------------
