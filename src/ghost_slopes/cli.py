@@ -12,14 +12,15 @@ Output is canonical: identical configuration produces identical bytes,
 JSON keys are sorted, and rationals render as "num/den" in lowest terms.
 Every command but ``verify`` prints through one renderer, :func:`_emit`,
 which picks its JSON value, CSV rows or table lines by ``--format``.
-Exit codes: 0 success, 1 invalid configuration, 2 domain error during
-computation or out of memory, 3 verification failure, 141 stdout closed
-early.
+Exit codes, which :func:`main` returns, help included: 0 success, 1 invalid
+configuration, 2 domain error during computation or out of memory, 3
+verification failure, 141 stdout closed early.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -31,7 +32,7 @@ from typing import Iterable, Iterator, List, Tuple
 from .checks import SUITES
 from .distribution import SampleKind, discrepancy, sample, weyl_csv, weyl_moments
 from .errors import ConfigError, DomainError, VerificationError
-from .ghost import K_CEILING, GhostContext, WeightPoint, ghost_polynomial
+from .ghost import K_CEILING, MAX_TABLE_INDEX, GhostContext, WeightPoint, dimensions, ghost_polynomial
 from .prediction import predict_slopes
 from .slopes import k_thresholds, newslope_runs
 from .valuation import INF, format_rational, ratio_text
@@ -79,6 +80,9 @@ def _range_weights(ctx: GhostContext, text: str, lo: int, hi: int) -> List[int]:
             f"weight range {text!r} holds {len(ks)} class weights, "
             f"above MAX_RANGE_WEIGHTS = {MAX_RANGE_WEIGHTS}"
         )
+    # the top weight's tables reach its d_iw: past the table cap, refuse before any weight's work
+    if ks and (d_iw := dimensions(ctx, ks[-1]).d_iw) > MAX_TABLE_INDEX:
+        raise DomainError(f"table index {d_iw} exceeds MAX_TABLE_INDEX = {MAX_TABLE_INDEX}")
     return list(ks)
 
 
@@ -96,6 +100,7 @@ def _parse_radius(text: str):
     return radius
 
 
+@functools.cache  # one parser per process, built on first use; nothing in it depends on when it was built
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("-p", type=int, default=7, help="prime (default 7)")
@@ -105,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mode", choices=("strict", "exploratory"), default="exploratory")
     common.add_argument("--format", dest="fmt", choices=FORMATS, default="table")
     common.add_argument("--seed", type=int, default=0, help="seed for sampled verification")
-    common.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="worker processes for weight sweeps")
+    common.add_argument("--jobs", type=int, help="worker processes for weight sweeps (default: CPU count)")
 
     parser = _Parser(prog="ghost-slopes", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -200,7 +205,7 @@ def _samples_at(args, k: int) -> list:
 
 def _collect_samples(args, ks: List[int]) -> Iterator:
     """The samples of every weight in ks, yielded in weight order."""
-    workers = min(args.jobs, len(ks), os.cpu_count() or 1)
+    workers = min(args.jobs or os.cpu_count() or 1, len(ks), os.cpu_count() or 1)
     if workers == 1 or len(ks) < 8:
         yield from (s for k in ks for s in _samples_at(args, k))
         return
@@ -212,15 +217,14 @@ def _collect_samples(args, ks: List[int]) -> Iterator:
 
 def cmd_dist(args) -> str:
     lo, hi = _parse_range(args.k_range)
-    n_max = args.n
-    if not (1 <= n_max <= MAX_MOMENT_ORDER):
+    if not (1 <= args.n <= MAX_MOMENT_ORDER):
         raise ConfigError(f"moment order must lie in [1, MAX_MOMENT_ORDER = {MAX_MOMENT_ORDER}]")
 
     ks = _range_weights(_context(args), args.k_range, lo, hi)
     # each sample shrinks to its moment row; discrepancy reads the last of each kind
     moment_rows, last = [], {}
     for s in _collect_samples(args, ks):
-        moment_rows.append((s.k, s.kind, s.moments(n_max)))
+        moment_rows.append((s.k, s.kind, s.moments(args.n)))
         last[s.kind] = s
     if not moment_rows:
         raise DomainError(f"no nonempty samples for weights in [{lo}, {hi}]")
@@ -289,8 +293,11 @@ DISPATCH = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        if args.jobs < 1:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # -h printed the help; _Parser.error raises, so no other exit
+            return 0
+        if args.jobs is not None and args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         sys.stdout.write(DISPATCH[args.command](args))
         sys.stdout.flush()
@@ -298,19 +305,12 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader left; the flush at shutdown goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ConfigError) else 2
     except MemoryError:  # a request past the machine's memory, like one past a cap
         print("error: out of memory", file=sys.stderr)
         return 2
     except VerificationError as exc:
         print(f"{exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

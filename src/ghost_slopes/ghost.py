@@ -232,7 +232,7 @@ class GhostContext:
         raises DomainError for a weight outside the class or past K_CEILING."""
         if not self.in_class(k):
             raise DomainError(
-                f"k = {k} is not in the class k = {self.k_eps} mod {self.p - 1}"
+                f"k = {k} is not in the class k = {self.k_eps} + {self.p - 1}j, j >= 0"
             )
         if k > K_CEILING:
             raise DomainError(f"weight k = {k} exceeds K_CEILING = {K_CEILING}")

@@ -131,9 +131,11 @@ class TestSlopesCommand:
             assert json.loads(out) == {"k": 6, "newslopes": ["1/2", "3/2"], "radius": "1/2"}
 
     def test_off_class_weight_is_domain_error(self, capsys):
-        code, _, err = run(capsys, "slopes", "-k", "25", "-r", "2")
-        assert code == 2
-        assert "not in the class" in err
+        # 0 and -6 are 6 mod 6 but below 2, so the message names the least weight
+        for k in ("25", "0", "-6"):
+            code, _, err = run(capsys, "slopes", "-k", k, "-r", "2")
+            assert code == 2
+            assert err == f"error: k = {k} is not in the class k = 6 + 6j, j >= 0\n"
 
     def test_bad_radius_is_config_error(self, capsys):
         for radius in ("three", "-1", "0"):
@@ -306,11 +308,12 @@ class TestDistCommand:
 
     @pytest.mark.parametrize(
         "jobs, cpus, expected",
-        [("1000", 4, 4), ("1000", 64, 15), ("3", 64, 3), ("2", 1, None)],
+        [("1000", 4, 4), ("1000", 64, 15), ("3", 64, 3), ("2", 1, None), (None, 3, 3), (None, 1, None)],
     )
     def test_pool_size_is_capped(self, capsys, monkeypatch, jobs, cpus, expected):
         # a recording stand-in for the pool: no process is started
         sizes = []
+        build_parser()  # built before the CPU count changes: --jobs by default reads it per call
 
         class Recorder:
             def __init__(self, max_workers):
@@ -328,7 +331,8 @@ class TestDistCommand:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         # weights 12..96 of the class: 15 of them
-        code, out, _ = run(capsys, "dist", "--k-range", "10:100", "--format", "csv", "--jobs", jobs)
+        jobs_flag = [] if jobs is None else ["--jobs", jobs]
+        code, out, _ = run(capsys, "dist", "--k-range", "10:100", "--format", "csv", *jobs_flag)
         _, serial, _ = run(capsys, "dist", "--k-range", "10:100", "--format", "csv", "--jobs", "1")
         assert code == 0
         assert out == serial
@@ -541,6 +545,12 @@ class TestConfigValidation:
         assert args.command == "thresholds"
         assert args.k == 24
         assert args.fmt == "csv"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["thresholds", "-h"]])
+    def test_help_returns_zero(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert out.startswith("usage: ghost-slopes") and err == ""
 
 
 def test_cache_variable_is_inert(capsys, tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from ghost_slopes.cli import main
+from ghost_slopes.cli import build_parser, main
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
@@ -75,6 +75,21 @@ def test_golden_covers_every_command():
 def test_golden_bytes(case):
     code, stdout = run_cli(case["argv"])
     assert (code, stdout) == (case["code"], case["stdout"])
+
+
+def test_one_process_serves_every_request_twice():
+    # main keeps nothing from one call to the next but its parser: the
+    # golden bytes hold again after a refused configuration (exit 1) and a
+    # refused weight (exit 2), and the parser is built once
+    build_parser.cache_clear()
+    cases = _cases()
+    for case in cases:
+        assert run_cli(case["argv"]) == (case["code"], case["stdout"])
+    assert run_cli(["thresholds", "-p", "4", "-k", "24"]) == (1, "")
+    assert run_cli(["thresholds", "-k", "0"]) == (2, "")
+    for case in cases:
+        assert run_cli(case["argv"]) == (case["code"], case["stdout"])
+    assert build_parser.cache_info().misses == 1
 
 
 if __name__ == "__main__":
