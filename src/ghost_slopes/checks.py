@@ -50,7 +50,7 @@ def check_dimensions(ctx, k: int) -> None:
     trip = dimensions(ctx, k)
     if trip.d_iw != trip.d_new + 2 * trip.d_ur:
         raise VerificationError(f"d_iw != d_new + 2 d_ur at k = {k}")
-    if dimensions(ctx, k + ctx.p**2 - 1).d_ur - trip.d_ur != 2:
+    if ctx.dims_of_bullet(ctx.bullet(k) + ctx.p + 1)[1] - trip.d_ur != 2:  # weight k + p^2 - 1
         raise VerificationError(f"d_ur step != 2 at k = {k}")
     if abs(trip.d_iw - Fraction(2 * k, ctx.p - 1)) > 16:
         raise VerificationError(f"d_iw drifts from 2k/(p-1) at k = {k}")

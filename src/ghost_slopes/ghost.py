@@ -16,10 +16,10 @@ provides batch kernels (valuation tables over all n at once) used by the
 polygon and threshold layers.  They accumulate second differences of the
 triangles instead of looping over (n, k) pairs, and an anchored table is
 a multiple of the degree table plus one constant weight per stride of
-bullets j = kb (mod p^i) through the anchor's bullet kb.  For N zeros up
-to n_hi that costs O(N/(p-1) + n_hi) per anchor.  One degree table per
-(p, t1, t2, delta_eps), built by :func:`_degrees`, serves every context,
-and a second reader: the window certificates' :func:`_degree_increment_floor`.
+bullets j = kb (mod p^i) through the anchor's bullet kb.  Degree tables
+(:func:`_degrees`) and stride-1 tables (:func:`_residue_table`), one per
+(p, t1, t2, delta_eps) and residue kb mod p, serve every context, so for N
+zeros up to n_hi an anchor costs O(N/p^2 + n_hi).
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from operator import sub
+from itertools import accumulate, repeat
+from operator import add, mul, sub
 
 from .errors import ConfigError, DomainError, VerificationError
 from .valuation import INF, Valuation, vp_int_raw, weight_distance
@@ -48,6 +48,7 @@ MAX_GLOBAL_MULT = 32
 MAX_TABLE_INDEX = 500_000
 
 _DEGREE_TABLES: dict = {}  # (p, t1, t2, delta_eps) -> its degree table, see _degrees
+_RESIDUE_TABLES: dict = {}  # (p, t1, t2, delta_eps, r) -> the stride-1 table, see _residue_table
 
 
 def _is_prime(n: int) -> bool:
@@ -501,10 +502,11 @@ def anchored_valuation(ctx: GhostContext, n: int, k: int) -> int:
 #     f(n) = w(1) * deg g_n + sum_{i=1}^{I-1} (w(i+1) - w(i)) * S_i(n)
 #            + (w_anchor - w(I)) * m_n(kb),
 #
-# I the least i with p^i > max(kb, bound), where stride I holds only kb.
-# Each stride adds one constant weight, none when it is 0, so a table walks
-# at most N/(p-1) of the N ~ (p+1)/2 * n_hi bullets, plus one O(n_hi) pass
-# over the degree table, one list per parameter set that :func:`_degrees` grows.
+# for any I >= 2 with p^I > max(kb, bound), where stride I holds only kb.
+# Each stride adds one constant weight, none when it is 0.  deg and S_1 are
+# shared lists, so a table walks only N/(p(p-1)) of the N ~ (p+1)/2 * n_hi
+# bullets, the strides p^2, p^3, ..., and adds the parts in one O(n_hi) pass.
+# A parameter set keeps up to p residue lists, each <= 5/4 the longest read.
 
 
 def _triangle_table(ctx, strides, n_hi: int) -> list:
@@ -568,6 +570,17 @@ def _degrees(ctx: GhostContext, n_hi: int) -> list:
     return deg
 
 
+def _residue_table(ctx: GhostContext, r: int, n_hi: int) -> list:
+    """S_1 of residue r, shared like :func:`_degrees` and read on 0..n_hi, where a longer
+    table is exact, as bullets past _bullet_bound(n_hi) vanish; rebuilt 5/4 longer when short."""
+    table = _RESIDUE_TABLES.get(key := (ctx.p, ctx.t1, ctx.t2, ctx.delta_eps, r), [0])
+    if len(table) <= n_hi:
+        size = max(n_hi, min(MAX_TABLE_INDEX, 5 * (len(table) - 1) // 4))
+        strides = [(range(r, _bullet_bound(ctx, size), ctx.p), 1)]
+        table = _RESIDUE_TABLES[key] = _triangle_table(ctx, strides, size)
+    return table
+
+
 def _degree_increment_floor(ctx: GhostContext, n: int) -> int:
     """The least deg g_{m+1} - deg g_m over m >= n, read from the degree table up
     to top = max(n, head): past head an increment is (p-1)^2 above the one 2p
@@ -582,16 +595,19 @@ def _degree_increment_floor(ctx: GhostContext, n: int) -> int:
 def _anchored_table(ctx: GhostContext, kb: int, n_hi: int, weight_of_distance) -> list:
     """[f(0), ..., f(n_hi)] with f(n) = sum_j w(dist(kb, j)) * m_n(bullet j),
     where dist is 1 + v_p(kb - j) and ``weight_of_distance(None)`` weighs
-    the anchor j = kb itself: one stride of the sum above per distance."""
-    bound, w, w1 = _bullet_bound(ctx, n_hi), weight_of_distance, weight_of_distance(1)
-    deg = _degrees(ctx, n_hi)  # refuses n_hi past MAX_TABLE_INDEX before dg is allocated
-    strides, i, step = [], 1, ctx.p
+    the anchor j = kb itself: the sum above, I >= 2, in one pass over its parts."""
+    bound, w = _bullet_bound(ctx, n_hi), weight_of_distance
+    deg = _degrees(ctx, n_hi)  # refuses n_hi past MAX_TABLE_INDEX before any table grows
+    strides, i, step = [], 2, ctx.p**2
     while step <= max(kb, bound):
         strides.append((range(kb % step, bound, step), w(i + 1) - w(i)))
         i, step = i + 1, step * ctx.p
     strides.append((range(kb, min(kb + 1, bound)), w(None) - w(i)))
-    fix = _triangle_table(ctx, strides, n_hi)
-    return fix if w1 == 0 else [w1 * d + f for d, f in zip(deg, fix)]
+    table, w1, dw = _triangle_table(ctx, strides, n_hi), w(1), w(2) - w(1)
+    for c, part in ((w1, deg), (dw, dw and _residue_table(ctx, kb % ctx.p, n_hi))):
+        if c:  # map stops at table's end, n_hi, in the longer shared lists
+            table = map(add, table, part if c == 1 else map(mul, repeat(c), part))
+    return list(table)
 
 
 def degree_table(ctx: GhostContext, n_hi: int) -> list:

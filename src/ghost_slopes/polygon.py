@@ -128,8 +128,8 @@ def integer_hull(xs: Sequence[int], ys: Sequence[Optional[int]], den: int) -> Ra
     """The polygon of the points (xs[i], ys[i] / den): xs ascending, ys
     ints or None for INFINITY (no constraint), den positive.  Raises
     DomainError when no ordinate is finite."""
-    hull = tuple(_chain((x, y) for x, y in zip(xs, ys) if y is not None))
-    if not hull:
+    finite = zip(xs, ys) if None not in ys else ((x, y) for x, y in zip(xs, ys) if y is not None)
+    if not (hull := tuple(_chain(finite))):
         raise DomainError("no finite ordinate")
     return RationalPolygon(xs, ys, den, hull)
 

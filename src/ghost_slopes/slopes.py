@@ -29,6 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
 from math import gcd, lcm
+from operator import add, eq, itemgetter, mul, sub
 from typing import Iterable, List, Tuple
 
 from . import ghost
@@ -102,14 +103,16 @@ def _derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
     trip = dimensions(ctx, k)
     c, h = trip.d_iw // 2, trip.d_new // 2
     table = hatted_valuation_table(ctx, k, trip.d_iw)
-    for l in range(1, h + 1):
-        if table[c + l] - table[c - l] != (k - 2) * l:
-            raise VerificationError(f"anchored-valuation duality fails at k = {k}, offset {l}")
-    twice = tuple(2 * table[c + l] - (k - 2) * l for l in range(h + 1))
-    hull = integer_hull(range(h + 1), twice, 2)
+    # offsets 0..h; once the duality holds, right + left is 2 table[c + l] - (k - 2) l
+    right, left = table[c : c + h + 1], table[c - h : c + 1][::-1]
+    law = map(mul, repeat(k - 2), range(h + 1))
+    if not all(map(eq, map(sub, right, left), law)):
+        l = next(l for l in range(h + 1) if right[l] - left[l] != (k - 2) * l)
+        raise VerificationError(f"anchored-valuation duality fails at k = {k}, offset {l}")
+    hull = integer_hull(range(h + 1), tuple(map(add, right, left)), 2)
     m_of_k = max_zero_distance(ctx, k)
     # one hull edge per distinct slope, so the reach of M(k) is vertex M_index - 1
-    m_index = 1 + hull.vertex_xs().index(_reach(hull.hull, *_ratio(m_of_k)))
+    m_index = 1 + bisect_left(hull.hull, _reach(hull.hull, *_ratio(m_of_k)), key=itemgetter(0))
     return DerivativePolygon(k=k, hull=hull, M_index=m_index, m_of_k=m_of_k)
 
 
@@ -215,7 +218,8 @@ def _tail_certified(rfac, deg, inc_floor, n_window, q_hi, hull, den) -> bool:
 def _windows(ctx: GhostContext, k: int, q_hi: int):
     """Yield (n_window, the shared degree table, the exact least increment
     of deg past n_window read from it), doubling from a first window sized
-    to pass :func:`_tail_certified`; past MAX_TABLE_INDEX DomainError ends it.
+    to pass :func:`_tail_certified`; past MAX_TABLE_INDEX DomainError ends it,
+    before any table grows when the least first window, n0 + n0/64, is past it.
 
     Past the anchor's triangle, distance i + 1 weighs on about 1/p^i of
     deg, so a hull's line at q_hi runs near p/(p-1) times deg's tangent
@@ -225,7 +229,7 @@ def _windows(ctx: GhostContext, k: int, q_hi: int):
     (7,2,1), (5,1,0) and (11,6,9)), else 2 n0.
     """
     p, n_window = ctx.p, max(q_hi + 8, dimensions(ctx, k).d_iw)
-    cap = max(q_hi + 1, min(2 * n_window, ghost.MAX_TABLE_INDEX))
+    cap = max(n_window + -(-n_window // 64), min(2 * n_window, ghost.MAX_TABLE_INDEX))
     deg = _degrees(ctx, cap)
     y, s = p * deg[q_hi], p * (deg[q_hi + 1] - deg[q_hi])
     fits = (n for n in range(n_window, cap + 1) if (p - 1) * deg[n] >= y + s * (n - q_hi))
@@ -310,14 +314,13 @@ def _closed_form_runs(ctx, k, w):
     # for s_{i-1} <= nu < s_i, i = N + 1 when nu >= s_N: (k-2)/2 -+ (s_j - nu),
     # each with s_j's multiplicity, for j >= i, and (k-2)/2 on the 2 n_{i-1}
     # central indices; valid for every radius nu >= M(k), None when nu < M(k)
-    dp = derivative_polygon(ctx, k)
-    edges, mu = dp.edges, dp.m_of_k.value
-    u, v = _ratio(w.radius)  # nu = u / v
-    if u * mu.denominator < mu.numerator * v:
+    u, v, mu = *_ratio(w.radius), max_zero_distance(ctx, k).value  # nu = u / v; M(k), no table
+    if u < mu * v:
         return None
-    i = 1 + bisect_left(edges, True, key=lambda e: e[0] * v > u * e[1])
+    dp = derivative_polygon(ctx, k)
+    i = 1 + bisect_left(dp.edges, True, key=lambda e: e[0] * v > u * e[1])
     # (k-2)/2 -+ (a/b - nu), over 2 b v, for each s_j = a/b with j >= i
-    sides = [((k - 2) * b * v, 2 * (a * v - u * b), 2 * b * v, m) for a, b, m in edges[i - 1 :]]
+    sides = [((k - 2) * b * v, 2 * (a * v - u * b), 2 * b * v, m) for a, b, m in dp.edges[i - 1 :]]
     centre = 2 * dp.hull.hull[i - 1][0]
     low = [_run(c - g, e, m) for c, g, e, m in reversed(sides)]
     mid = [_run(k - 2, 2, centre)] if centre else []

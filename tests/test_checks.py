@@ -138,6 +138,15 @@ def test_model_pattern_names_one_weakened_column(case, data):
     assert str(err.value) == f"column {j} carries {j - 2} strict entries at k = {k}"
 
 
+def test_dimensions_checked_near_k_ceiling_on_a_large_prime():
+    # d_ur of weight k + p^2 - 1 is read off its bullet: at p = 31607 that
+    # weight passes K_CEILING while k does not, and k is checked, not refused
+    ctx = GhostContext(31607, 2, 1)
+    k = ctx.class_members(ghost.K_CEILING - 10**6, ghost.K_CEILING)[-1]
+    assert k + ctx.p**2 - 1 > ghost.K_CEILING
+    checks.check_dimensions(ctx, k)
+
+
 def test_hatted_duality_suite_checks_a_cached_weight(monkeypatch):
     # a polygon cached on the given context does not spare a weight the
     # duality: the suite rebuilds each weight it draws on a context of its own

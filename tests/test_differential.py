@@ -31,7 +31,7 @@ from ghost_slopes import (
     lower_hull,
     sweep_threshold,
 )
-from ghost_slopes import checks, slopes
+from ghost_slopes import checks, ghost, slopes
 from ghost_slopes.distribution import DistributionSample, SampleKind, discrepancy, sample, weyl_csv
 from ghost_slopes.errors import DomainError
 from ghost_slopes.ghost import (
@@ -106,6 +106,53 @@ def test_level_tables_match_evaluate(case, n_hi, level, step):
     assert [Valuation(a + b * r) for a, b in zip(A, B)] == [
         evaluate_ghost_valuation(ctx, n, point) for n in range(n_hi + 1)
     ]
+
+
+@given(
+    case=context_and_weight(),
+    n_hi=N_HI,
+    small=st.integers(0, 60),
+    extra=st.integers(1, 200),
+    low=st.builds(Fraction, st.integers(0, 9), st.integers(9, 9)),
+    high=st.builds(Fraction, st.integers(10, 40), st.integers(1, 9)),
+    level=st.integers(1, 3),
+)
+@settings(max_examples=40, deadline=None)
+def test_anchored_tables_ignore_the_residue_tables_held(case, n_hi, small, extra, low, high, level):
+    # the hatted table, tables at radii <= 1 and > 1 and level A/B tables
+    # against their pointwise oracles with the shared stride-1 tables empty,
+    # then the same tables built on stride-1 tables filled past n_hi, and
+    # filled small then grown: every entry of a residue table held is exact
+    ctx, k = case
+
+    def tables(n):
+        at = [valuation_table_at(ctx, k, r, n) for r in (low, high)]
+        return hatted_valuation_table(ctx, k, n), at, [level_tables(ctx, k, lv, n) for lv in (1, 2, 3)]
+
+    with mock.patch.object(ghost, "_RESIDUE_TABLES", {}):
+        hatted, at, levels = expected = tables(n_hi)
+    assert hatted == [anchored_valuation(ctx, n, k) for n in range(n_hi + 1)]
+    for r, (nums, den) in zip((low, high), at):
+        point = WeightPoint(k, r)
+        assert [Valuation(Fraction(x, den)) for x in nums] == [
+            evaluate_ghost_valuation(ctx, n, point) for n in range(n_hi + 1)
+        ], r
+    A, B = levels[level - 1]
+    r = level + low  # in [level, level + 1)
+    point = WeightPoint(k, r)
+    assert [Valuation(a + b * r) for a, b in zip(A, B)] == [
+        evaluate_ghost_valuation(ctx, n, point) for n in range(n_hi + 1)
+    ], level
+    key = (ctx.p, ctx.t1, ctx.t2, ctx.delta_eps, ctx.bullet(k) % ctx.p)
+    for history in ((n_hi + extra,), (small, small + 1)):  # the second grows it 5/4 past small
+        with mock.patch.object(ghost, "_RESIDUE_TABLES", {}):
+            for n in history:
+                tables(n)
+            top = len(ghost._RESIDUE_TABLES.get(key, [0])) - 1
+            assert top >= history[-1]  # the hatted table reads stride 1
+            held = tables(n_hi), tables(top)  # every entry held, read
+        with mock.patch.object(ghost, "_RESIDUE_TABLES", {}):
+            assert held == (expected, tables(top)), history
 
 
 def test_deep_strides_match_pointwise_oracles():

@@ -462,8 +462,10 @@ def test_degree_table_past_its_period(p, mode, monkeypatch):
         n = 3 * head + 5
         walk = _triangle_table(ctx, [(range(_bullet_bound(ctx, n)), 1)], n)
         monkeypatch.setattr(ghost, "_DEGREE_TABLES", {})
+        monkeypatch.setattr(ghost, "_RESIDUE_TABLES", {})
         assert degree_table(ctx, n) == walk, (a, s_eps)
         monkeypatch.setattr(ghost, "_DEGREE_TABLES", {})
+        monkeypatch.setattr(ghost, "_RESIDUE_TABLES", {})
         grown = GhostContext(p, a, s_eps, mode=mode)
         for m in (head // 2, head, n):
             assert degree_table(grown, m) == walk[: m + 1], (a, s_eps, m)

@@ -101,6 +101,20 @@ def test_derivative_polygon_empty_when_no_newforms():
     assert dp.hull.slope_list() == []
 
 
+@pytest.mark.parametrize("side", (1, -1), ids=("right", "left"))
+def test_duality_checked_at_every_offset(monkeypatch, side):
+    # the two half-slices are compared whole: one entry off by one at offset
+    # l on either side of the centre fails, named at l, for l = 1, h/2 and h
+    k, hatted = 444, ghost.hatted_valuation_table
+    trip = dimensions(GhostContext(p=7, a=2, s_eps=1), k)
+    c, h = trip.d_iw // 2, trip.d_new // 2
+    for l in (1, h // 2, h):
+        planted = lambda ctx, k, n: [v + (i == c + side * l) for i, v in enumerate(hatted(ctx, k, n))]
+        monkeypatch.setattr(slopes, "hatted_valuation_table", planted)
+        with pytest.raises(VerificationError, match=f"k = {k}, offset {l}$"):
+            slopes._derivative_polygon(GhostContext(p=7, a=2, s_eps=1), k)
+
+
 def test_derivative_polygon_cached(ctx):
     assert derivative_polygon(ctx, 24) is derivative_polygon(ctx, 24)
 
@@ -532,10 +546,12 @@ def test_windows_end_at_max_table_index(monkeypatch):
 
 
 def test_windows_and_thresholds_ignore_how_far_the_table_grew(monkeypatch):
-    # one degree table serves every context with the same parameters, so
-    # a table that another context grew far past a window must give the
-    # same windows, thresholds and MAX_TABLE_INDEX refusals as a fresh one
+    # one degree table, and one stride-1 table per residue, serve every
+    # context with the same parameters, so tables that another context grew
+    # far past a window must give the same windows, thresholds and
+    # MAX_TABLE_INDEX refusals as fresh ones
     monkeypatch.setattr(ghost, "_DEGREE_TABLES", {})
+    monkeypatch.setattr(ghost, "_RESIDUE_TABLES", {})
 
     def read(k):
         fresh = GhostContext(p=7, a=2, s_eps=1)
@@ -544,13 +560,20 @@ def test_windows_and_thresholds_ignore_how_far_the_table_grew(monkeypatch):
 
     ks = (24, 444, 1206)
     first = [read(k) for k in ks]
-    ghost.degree_table(GhostContext(p=7, a=2, s_eps=1, global_mult=3), 100_000)
+    other = GhostContext(p=7, a=2, s_eps=1, global_mult=3)
+    for k in ks:  # bullets 3, 73 and 200: residues 3 and 4
+        ghost.hatted_valuation_table(other, k, 100_000)
     assert len(ghost._DEGREE_TABLES[(7, 1, 5, 0)]) > 100_000
+    assert all(len(ghost._RESIDUE_TABLES[(7, 1, 5, 0, r)]) > 100_000 for r in (3, 4))
     assert [read(k) for k in ks] == first
     monkeypatch.setattr(ghost, "MAX_TABLE_INDEX", 1000)
+    monkeypatch.setattr(ghost, "_RESIDUE_TABLES", {})
     assert len(ghost.degree_table(GhostContext(p=7, a=2, s_eps=1), 1000)) == 1001
     with pytest.raises(DomainError, match="MAX_TABLE_INDEX = 1000"):
         ghost.degree_table(GhostContext(p=7, a=2, s_eps=1), 1001)
+    with pytest.raises(DomainError, match="MAX_TABLE_INDEX = 1000"):
+        ghost.hatted_valuation_table(GhostContext(p=7, a=2, s_eps=1), 24, 1001)
+    assert ghost._RESIDUE_TABLES == {}  # refused before any stride-1 table is read or grown
 
 
 def test_one_window_per_certification(monkeypatch):
