@@ -172,8 +172,8 @@ class GhostContext:
     t1: int = field(init=False)
     t2: int = field(init=False)
 
-    # only what later calls re-read, "derivative" polygons by bullet, which
-    # derivative_polygon alone fills (degree tables: _degrees)
+    # only what later calls re-read, "derivative" polygons by bullet, which derivative_polygon
+    # alone fills (shared off the context: _degrees and _residue_table)
     _caches: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
@@ -506,7 +506,7 @@ def anchored_valuation(ctx: GhostContext, n: int, k: int) -> int:
 # Each stride adds one constant weight, none when it is 0.  deg and S_1 are
 # shared lists, so a table walks only N/(p(p-1)) of the N ~ (p+1)/2 * n_hi
 # bullets, the strides p^2, p^3, ..., and adds the parts in one O(n_hi) pass.
-# A parameter set keeps up to p residue lists, each <= 5/4 the longest read.
+# The S_1 lists shared hold MAX_TABLE_INDEX + 1 entries at most in all.
 
 
 def _triangle_table(ctx, strides, n_hi: int) -> list:
@@ -571,13 +571,15 @@ def _degrees(ctx: GhostContext, n_hi: int) -> list:
 
 
 def _residue_table(ctx: GhostContext, r: int, n_hi: int) -> list:
-    """S_1 of residue r, shared like :func:`_degrees` and read on 0..n_hi, where a longer
-    table is exact, as bullets past _bullet_bound(n_hi) vanish; rebuilt 5/4 longer when short."""
+    """S_1 of residue r, shared like :func:`_degrees`, rebuilt 5/4 longer (or to n_hi) when
+    short, every prefix exact; all are dropped when they would pass MAX_TABLE_INDEX entries."""
     table = _RESIDUE_TABLES.get(key := (ctx.p, ctx.t1, ctx.t2, ctx.delta_eps, r), [0])
     if len(table) <= n_hi:
         size = max(n_hi, min(MAX_TABLE_INDEX, 5 * (len(table) - 1) // 4))
-        strides = [(range(r, _bullet_bound(ctx, size), ctx.p), 1)]
-        table = _RESIDUE_TABLES[key] = _triangle_table(ctx, strides, size)
+        table = _triangle_table(ctx, [(range(r, _bullet_bound(ctx, size), ctx.p), 1)], size)
+        if sum(map(len, _RESIDUE_TABLES.values())) + len(table) > MAX_TABLE_INDEX:
+            _RESIDUE_TABLES.clear()  # memory independent of p and of the weights asked
+        _RESIDUE_TABLES[key] = table
     return table
 
 

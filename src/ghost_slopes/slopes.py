@@ -105,8 +105,7 @@ def _derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
     table = hatted_valuation_table(ctx, k, trip.d_iw)
     # offsets 0..h; once the duality holds, right + left is 2 table[c + l] - (k - 2) l
     right, left = table[c : c + h + 1], table[c - h : c + 1][::-1]
-    law = map(mul, repeat(k - 2), range(h + 1))
-    if not all(map(eq, map(sub, right, left), law)):
+    if not all(map(eq, map(sub, right, left), map(mul, repeat(k - 2), range(h + 1)))):
         l = next(l for l in range(h + 1) if right[l] - left[l] != (k - 2) * l)
         raise VerificationError(f"anchored-valuation duality fails at k = {k}, offset {l}")
     hull = integer_hull(range(h + 1), tuple(map(add, right, left)), 2)
@@ -216,10 +215,9 @@ def _tail_certified(rfac, deg, inc_floor, n_window, q_hi, hull, den) -> bool:
 
 
 def _windows(ctx: GhostContext, k: int, q_hi: int):
-    """Yield (n_window, the shared degree table, the exact least increment
-    of deg past n_window read from it), doubling from a first window sized
-    to pass :func:`_tail_certified`; past MAX_TABLE_INDEX DomainError ends it,
-    before any table grows when the least first window, n0 + n0/64, is past it.
+    """Yield (n_window, the shared degree table, the exact least increment of deg past
+    n_window read from it), doubling from a first window sized to pass :func:`_tail_certified`;
+    past MAX_TABLE_INDEX DomainError ends it, before any table grows if n0 + n0/64 is past it.
 
     Past the anchor's triangle, distance i + 1 weighs on about 1/p^i of
     deg, so a hull's line at q_hi runs near p/(p-1) times deg's tangent

@@ -471,6 +471,25 @@ def test_degree_table_past_its_period(p, mode, monkeypatch):
             assert degree_table(grown, m) == walk[: m + 1], (a, s_eps, m)
 
 
+def test_residue_tables_held_stay_under_the_table_cap(monkeypatch):
+    # on a large prime each weight of a range asks a residue of its own; the
+    # stride-1 tables held stay within MAX_TABLE_INDEX + 1 entries in all,
+    # and the tables built across each drop equal ones built on none held
+    # (which test_differential checks against the pointwise oracles)
+    ctx, held, fresh = GhostContext(1009, 1, 0), [], {}
+    ks = [ctx.weight_of_bullet(kb) for kb in range(100, 260, 5)]
+    for k in ks:
+        monkeypatch.setattr(ghost, "_RESIDUE_TABLES", {})
+        fresh[k] = hatted_valuation_table(ctx, k, dimensions(ctx, k).d_iw)
+    monkeypatch.setattr(ghost, "_RESIDUE_TABLES", {})
+    monkeypatch.setattr(ghost, "MAX_TABLE_INDEX", 600)
+    for k in ks:
+        assert hatted_valuation_table(ctx, k, dimensions(ctx, k).d_iw) == fresh[k], k
+        assert sum(map(len, ghost._RESIDUE_TABLES.values())) <= 601
+        held.append(len(ghost._RESIDUE_TABLES))
+    assert max(held) >= 2 and held[-1] < len(ks)  # shared until the cap, then dropped
+
+
 @pytest.mark.parametrize("p, mode", PERIOD_CASES)
 def test_degree_increment_floor_is_exact(p, mode):
     # the floor that certifies every window is the least increment of the
