@@ -583,6 +583,24 @@ def _residue_table(ctx: GhostContext, r: int, n_hi: int) -> list:
     return table
 
 
+def _residue_rise_start(p: int) -> int:
+    """N0(p) = ceil(4p^2 / (p-1)^2), at most 7: every stride-1 table of
+    :func:`_residue_table` is non-decreasing on [N0(p), inf).
+
+    Lemma.  S_1(n+1) - S_1(n) = R - F, R (F) the bullets j = r (mod p) whose
+    triangle rises (falls) on [n, n+1]: d_ur(j) <= n < mid(j) = j + 1 - delta_eps
+    (mid(j) <= n < d_iw(j) - d_ur(j)).  From q = (j - t1) // (p+1),
+    2(j - t1)/(p+1) - 1 < d_ur(j) <= 2(j - t1)/(p+1) + 2, so R holds the class
+    on [n + delta_eps, (n-2)(p+1)/2 + t1] and F lies in it on
+    ((n - 2 + 2 delta_eps)(p+1)/(2p) - t1/p, n - 1 + delta_eps].  A class mod p
+    meets [a, b] at least (b - a + 2 - p)/p times and (a, b] at most
+    (b - a + p)/p times, so, as t1 >= delta_eps,
+    p (R - F) >= n (p-1)^2 / (2p) - 3p + 1 - 1/p, which passes -p once
+    n (p-1)^2 >= 4p^2; R - F is an integer, so it is >= 0 there (and R >= 0
+    when F is empty)."""
+    return -(-4 * p * p // (p - 1) ** 2)
+
+
 def _degree_increment_floor(ctx: GhostContext, n: int) -> int:
     """The least deg g_{m+1} - deg g_m over m >= n, read from the degree table up
     to top = max(n, head): past head an increment is (p-1)^2 above the one 2p

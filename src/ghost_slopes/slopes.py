@@ -17,8 +17,12 @@ All hull reads from finite windows are certified against the infinite
 series: a window is accepted only once every omitted coefficient
 provably stays above the supporting line at the right edge of the
 region of interest, using the exact lower bound
-v_p(g_n(w)) >= min(radius, 1) * deg(g_n) and the least increment of
-deg(g_n) past the window, read exactly from the degree table.
+v_p(g_n(w)) >= min(r, 1) * deg(g_n) + (min(r, 2) - min(r, 1)) * S_1(n), r the
+radius and S_1 the multiplicity sum over the bullets congruent to the
+anchor's mod p (each distance is >= 1, and >= 2 exactly on those), with the
+least increment of deg(g_n) past the window, read exactly from the degree
+table, and S_1 non-decreasing there (the lemma of
+:func:`ghost._residue_rise_start`).
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ from .ghost import (
     _bullet_bound,
     _degree_increment_floor,
     _degrees,
+    _residue_rise_start,
+    _residue_table,
     dimensions,
     hatted_valuation_table,
     level_tables,
@@ -202,38 +208,56 @@ def breakpoints_by_criterion(ctx: GhostContext, w: WeightPoint, n_range: int) ->
 SWEEP_PIECE_GUARD = 100000  # pieces examined per sweep window; a VerificationError names it
 
 
-def _tail_certified(rfac, deg, inc_floor, n_window, q_hi, hull, den) -> bool:
-    """Whether every coefficient past the window edge n_window lies above
-    the supporting line of ``hull`` (ordinates over ``den``) at q_hi,
-    given v_p(g_n) >= rfac * deg(g_n) and inc_floor, the least increment
-    of deg past n_window."""
+def _tail_certified(radius, window, q_hi, hull, den) -> bool:
+    """Whether every coefficient past the edge n of ``window`` = (n, deg g_n,
+    s1, inc_floor) lies above the supporting line of ``hull`` (ordinates over
+    ``den``) at q_hi, at ``radius`` (a Fraction, None for INF).  Every distance
+    is >= 1, and >= 2 on the bullets j = k_bullet (mod p), so v_p(g_m(w)) >=
+    L_r(m) = min(r, 1) deg(m) + c_1 S_1(m), c_1 = min(r, 2) - min(r, 1) (1 at
+    INF).  Past n, deg rises by inc_floor at least and S_1 does not fall
+    (s1 = 0 where that is unproved, see :func:`_stride_one_at`)."""
+    n, deg_n, s1, inc_floor = window
+    low, c1 = (1, 1) if radius is None else (min(radius, 1), min(radius, 2) - min(radius, 1))
     y_q, sigma_q = edge_at(hull, den, q_hi)
-    return (
-        rfac * deg[n_window] >= y_q + sigma_q * (n_window - q_hi)
-        and rfac * inc_floor >= sigma_q
-    )
+    return low * deg_n + c1 * s1 >= y_q + sigma_q * (n - q_hi) and low * inc_floor >= sigma_q
 
 
-def _windows(ctx: GhostContext, k: int, q_hi: int):
-    """Yield (n_window, the shared degree table, the exact least increment of deg past
-    n_window read from it), doubling from a first window sized to pass :func:`_tail_certified`;
-    past MAX_TABLE_INDEX DomainError ends it, before any table grows if n0 + n0/64 is past it.
+def _stride_one_at(ctx: GhostContext, kb: int, n: int) -> int:
+    """S_1(n) for S_1 the stride-1 table of kb's residue when S_1 provably does
+    not fall on [n, inf), else 0: from N0 = :func:`ghost._residue_rise_start`
+    on by its lemma, below N0 read off the table's increments."""
+    top = max(n, _residue_rise_start(ctx.p))
+    s1 = _residue_table(ctx, kb % ctx.p, top)
+    return s1[n] if all(s1[m] <= s1[m + 1] for m in range(n, top)) else 0
+
+
+def _windows(ctx: GhostContext, k: int, q_hi: int, n_min: int = 0):
+    """Yield windows (n, deg g_n, :func:`_stride_one_at` n, the exact least
+    increment of deg past n) for :func:`_tail_certified`, doubling from a first
+    one sized to pass it; past MAX_TABLE_INDEX DomainError ends the walk,
+    before any table grows if n0 + n0/64 is past it, n0 = max(q_hi + 8, n_min).
 
     Past the anchor's triangle, distance i + 1 weighs on about 1/p^i of
     deg, so a hull's line at q_hi runs near p/(p-1) times deg's tangent
-    there.  The first window is the least n in [n0, min(2 n0, cap)], n0 =
-    max(q_hi + 8, d_iw(k)), with (p-1) deg[n] above p times the tangent,
-    plus n/64 (the estimate alone fell short by one entry at most on
-    (7,2,1), (5,1,0) and (11,6,9)), else 2 n0.
+    there, and L_r = deg + S_1 (at r >= 2) near (1 + 1/p) deg.  Both the
+    slope test and, for a quadratic deg, the level test then pass from
+    about p/(p-1) q_hi on.  The first window is the least n in [n0, cap),
+    cap = max(n0 + n0/64, min(2 n0, MAX_TABLE_INDEX)), whose increment of
+    deg is p/(p-1) times the one at q_hi, plus n/64, else 2 n0.  Over the
+    sweeps of k_thresholds and hull certifications on (7,2,1) 10:1200 and
+    4200:4600, (11,6,9) 10:3000 and (5,1,0) 10:1500, the estimate alone fell
+    short of the least window that passes by one entry at most on a sweep
+    and two on a hull, and no first window failed.
     """
-    p, n_window = ctx.p, max(q_hi + 8, dimensions(ctx, k).d_iw)
-    cap = max(n_window + -(-n_window // 64), min(2 * n_window, ghost.MAX_TABLE_INDEX))
+    p, kb, n0 = ctx.p, ctx.bullet(k), max(q_hi + 8, n_min)
+    cap = max(n0 + -(-n0 // 64), min(2 * n0, ghost.MAX_TABLE_INDEX))
     deg = _degrees(ctx, cap)
-    y, s = p * deg[q_hi], p * (deg[q_hi + 1] - deg[q_hi])
-    fits = (n for n in range(n_window, cap + 1) if (p - 1) * deg[n] >= y + s * (n - q_hi))
-    n_window = next((n + -(-n // 64) for n in fits), 2 * n_window)
+    tangent = p * (deg[q_hi + 1] - deg[q_hi])
+    fits = (n for n in range(n0, cap) if (p - 1) * (deg[n + 1] - deg[n]) >= tangent)
+    n_window = next((n + -(-n // 64) for n in fits), 2 * n0)
     while True:
-        yield n_window, _degrees(ctx, n_window), _degree_increment_floor(ctx, n_window)
+        deg_n = _degrees(ctx, n_window)[n_window]
+        yield n_window, deg_n, _stride_one_at(ctx, kb, n_window), _degree_increment_floor(ctx, n_window)
         n_window *= 2
 
 
@@ -242,14 +266,14 @@ def certified_newton_polygon(
 ) -> RationalPolygon:
     """Finite-window ghost Newton polygon whose restriction to [0, q_hi]
     provably equals that of the full series: the hull of the first window
-    of :func:`_windows` that passes :func:`_tail_certified` with factor
-    min(radius, 1)."""
-    rfac = Fraction(1) if w.radius.is_infinite else min(w.radius.value, Fraction(1))
-    if rfac <= 0:
+    of :func:`_windows`, none below d_iw(anchor) as :func:`newton_polygon_at`
+    asks, that passes :func:`_tail_certified` at w's radius."""
+    radius = None if w.radius.is_infinite else w.radius.value
+    if radius is not None and radius <= 0:
         raise DomainError("hull certification needs a positive radius")
-    for n_window, deg, inc_floor in _windows(ctx, w.anchor, q_hi):
-        np_ = newton_polygon_at(ctx, n_window, w)
-        if _tail_certified(rfac, deg, inc_floor, n_window, q_hi, np_.hull, np_.den):
+    for window in _windows(ctx, w.anchor, q_hi, dimensions(ctx, w.anchor).d_iw):
+        np_ = newton_polygon_at(ctx, window[0], w)
+        if _tail_certified(radius, window, q_hi, np_.hull, np_.den):
             return np_
 
 
@@ -424,7 +448,9 @@ def global_stretch(local: Iterable, m: int) -> list:
 # turns are > 0 and its point tests <= 0 at the midpoint, so there every
 # root lies in (r1, r2).  All hull comparisons run on values scaled by the
 # radius denominator, in plain integers.  Levels start at 1, so the tail
-# bound's factor min(r, 1) is always 1.
+# bound's factor min(r, 1) is always 1 and c_1 = min(r, 2) - 1.  The tail
+# test at both ends covers the piece: a coefficient and the last edge's line
+# are both linear in r on it.
 #
 # On a piece the newslope is linear in r, so it is (k-2)/2 on the whole
 # piece iff its edge's B-difference is 0 and its A-difference is (k-2)/2
@@ -468,7 +494,7 @@ def _chain_violation(vn, xs):
     return None
 
 
-def _piece_violation(A, B, deg, xs, r: Fraction, inc_floor):
+def _piece_violation(A, B, window, xs, r: Fraction):
     """The first certificate of the sub-chain xs on the window 0..len(A)-1
     that fails at radius r: a triple from :func:`_chain_violation`, or
     "tail" when the tail leaves the last edge's line, else None."""
@@ -476,7 +502,7 @@ def _piece_violation(A, B, deg, xs, r: Fraction, inc_floor):
     viol = _chain_violation(vn, xs)
     if viol is None:
         last = [(x, vn[x]) for x in xs[-2:]]
-        if not _tail_certified(1, deg, inc_floor, len(vn) - 1, xs[-2], last, r.denominator):
+        if not _tail_certified(r, window, xs[-2], last, r.denominator):
             return "tail"
     return viol
 
@@ -505,7 +531,8 @@ def _level_pieces(ctx: GhostContext, k: int, level: int, lo: int, hi: int):
     line.  Nothing is cached: the pieces live only for the sweep that
     builds them.
     """
-    for n_window, deg, inc_floor in _windows(ctx, k, hi):
+    for window in _windows(ctx, k, hi):
+        n_window = window[0]
         A, B = level_tables(ctx, k, level, n_window)
         done: list = []
         stack = [(Fraction(level), Fraction(level + 1), 2 * (hi - lo) + 8)]
@@ -518,9 +545,7 @@ def _level_pieces(ctx: GhostContext, k: int, level: int, lo: int, hi: int):
                 )
             r1, r2, pad = stack.pop()
             xs = _midpoint_chain(A, B, (r1 + r2) / 2, lo, hi, pad)
-            viol = _piece_violation(A, B, deg, xs, r1, inc_floor) or (
-                _piece_violation(A, B, deg, xs, r2, inc_floor)
-            )
+            viol = _piece_violation(A, B, window, xs, r1) or _piece_violation(A, B, window, xs, r2)
             if viol is None:
                 done.append((r1, r2, xs))
                 continue

@@ -23,11 +23,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_in_1gb(*argv):
-    """The CLI in a subprocess whose address space is capped at 1 GiB."""
+def run_capped(*argv, cap=2**30):
+    """The CLI in a subprocess whose address space is capped at ``cap`` bytes, 1 GiB by default."""
 
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     return subprocess.run(
         [sys.executable, "-m", "ghost_slopes", *argv],
@@ -171,6 +171,20 @@ class TestSlopesCommand:
 
 
 class TestThresholdsCommand:
+    def test_weight_at_the_table_cap_is_swept_not_refused(self):
+        # d_iw = 500,000 is at the cap, and the sweep's first window, about
+        # 7/6 of its block's right end d_iw / 2 + 4, stays below it: the
+        # weight is answered (about 195 MB peak RSS), so under the 200 MB
+        # address-space cap of CI's memory steps it ends in the one-line
+        # out-of-memory error, never in a refusal after the polygon is built
+        proc = run_capped("thresholds", "-k", "1500000", "--format", "json")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        out = json.loads(proc.stdout)
+        assert len(out["local"]) == ghost.dimensions(ghost.GhostContext(7, 2, 1), 1500000).d_new
+        assert set(out["provenance"]) == {"closed", "sweep"}
+        proc = run_capped("thresholds", "-k", "1500000", cap=200_000 * 1024)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
+
     def test_table(self, capsys):
         code, out, _ = run(capsys, "thresholds", "-k", "24")
         assert code == 0
@@ -485,7 +499,7 @@ class TestConfigValidation:
     def test_range_above_max_range_weights_is_domain_error(self, command):
         # 166,666,665 class weights under K_CEILING: refused before they are
         # listed, so a 1 GB address space is plenty
-        proc = run_in_1gb(command, "--k-range", "10:1000000000", "--jobs", "1")
+        proc = run_capped(command, "--k-range", "10:1000000000", "--jobs", "1")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
@@ -509,7 +523,7 @@ class TestConfigValidation:
     )
     def test_request_above_cap_is_refused(self, argv, code, module, cap):
         # each once ran out of a 1 GB address space with a MemoryError
-        proc = run_in_1gb(*argv)
+        proc = run_capped(*argv)
         assert proc.returncode == code
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr

@@ -48,7 +48,7 @@ from ghost_slopes.ghost import (
     support_interval,
     valuation_table_at,
 )
-from ghost_slopes.polygon import newton_polygon_at
+from ghost_slopes.polygon import edge_runs, newton_polygon_at
 from ghost_slopes.prediction import build_model, model_radius, predict_slopes
 from ghost_slopes.slopes import (
     _closed_form_runs,
@@ -56,6 +56,7 @@ from ghost_slopes.slopes import (
     _level_pieces,
     _locked_on,
     _reach,
+    _stride_one_at,
     _sweep,
     _windows,
     certified_newton_polygon,
@@ -179,11 +180,11 @@ def test_deep_strides_match_pointwise_oracles():
         ], level
 
 
-def _wider_windows(ctx, k, q_hi):
+def _wider_windows(ctx, k, q_hi, n_min=0):
     # each window of _windows, 4 times wider
-    for n_window, _, _ in _windows(ctx, k, q_hi):
-        n = 4 * n_window
-        yield n, degree_table(ctx, n), _degree_increment_floor(ctx, n)
+    for window in _windows(ctx, k, q_hi, n_min):
+        n = 4 * window[0]
+        yield n, degree_table(ctx, n)[n], _stride_one_at(ctx, ctx.bullet(k), n), _degree_increment_floor(ctx, n)
 
 
 @given(case=context_and_weight(), radius=RADII)
@@ -195,12 +196,38 @@ def test_first_window_matches_a_wider_one(case, radius):
     trip = dimensions(ctx, k)
     q_hi = trip.d_iw - trip.d_ur
     w = WeightPoint(k, radius)
-    first = next(_windows(ctx, k, q_hi))[0]
+    first = next(_windows(ctx, k, q_hi, trip.d_iw))[0]
     hull = certified_newton_polygon(ctx, w, q_hi)
     assert hull.xs[-1] == first
     wide = newton_polygon_at(ctx, 4 * first, w)
     assert hull.slope_list()[:q_hi] == wide.slope_list()[:q_hi]
     ns = range(1, trip.d_new + 1)
+    thresholds = _sweep(ctx, k, ns)
+    with mock.patch.object(slopes, "_windows", _wider_windows):
+        assert _sweep(ctx, k, ns) == thresholds
+
+
+@pytest.mark.parametrize(
+    "params, k",
+    [((7, 2, 1), 49998), ((5, 1, 0), 49999), ((11, 6, 9, 3, "strict"), 49996)],
+    ids=["7-2-1", "5-1-0", "11-6-9-m3-strict"],
+)
+def test_first_window_matches_a_wider_one_at_high_weight(params, k):
+    # the certified hull on [0, q_hi] and the central block's sweep thresholds
+    # near k = 50,000, where windows run to about 20,000 points, against the
+    # same certificates on windows 4x wider; the radii give c_1 = 0 (1/2, 1),
+    # a fractional c_1 (3/2) and c_1 = 1 (5/2, INF)
+    ctx = GhostContext(*params)
+    trip, dp = dimensions(ctx, k), derivative_polygon(ctx, k)
+    q_hi = trip.d_iw - trip.d_ur
+    for radius in (Fraction(1, 2), 1, Fraction(3, 2), Fraction(5, 2), INF):
+        hull = certified_newton_polygon(ctx, WeightPoint(k, radius), q_hi)
+        with mock.patch.object(slopes, "_windows", _wider_windows):
+            wide = certified_newton_polygon(ctx, WeightPoint(k, radius), q_hi)
+        assert wide.xs[-1] == 4 * hull.xs[-1]
+        assert edge_runs(hull.hull, hull.den, 0, q_hi) == edge_runs(wide.hull, wide.den, 0, q_hi), radius
+    h, c = trip.d_new // 2, dp.breakpoints[dp.M_index - 1]
+    ns = range(h - c + 1, h + c + 1)
     thresholds = _sweep(ctx, k, ns)
     with mock.patch.object(slopes, "_windows", _wider_windows):
         assert _sweep(ctx, k, ns) == thresholds

@@ -7,7 +7,8 @@ the context (p=7, a=2, s_eps=1) before the kernels were written.
 
 import json
 from fractions import Fraction
-from operator import sub
+from operator import le, sub
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +24,8 @@ from ghost_slopes.ghost import (
     _degree_head,
     _degree_increment_floor,
     _is_zero_bullet,
+    _residue_rise_start,
+    _residue_table,
     _triangle_table,
     anchored_valuation,
     degree_table,
@@ -488,6 +491,30 @@ def test_residue_tables_held_stay_under_the_table_cap(monkeypatch):
         assert sum(map(len, ghost._RESIDUE_TABLES.values())) <= 601
         held.append(len(ghost._RESIDUE_TABLES))
     assert max(held) >= 2 and held[-1] < len(ks)  # shared until the cap, then dropped
+
+
+@st.composite
+def rise_contexts(draw):
+    """A context in either mode, its prime drawn from 5, 7, 11, 13 and 101."""
+    mode = draw(st.sampled_from(("strict", "exploratory")))
+    p = draw(st.sampled_from((11, 13, 101) if mode == "strict" else (5, 7, 11, 13, 101)))
+    a = draw(st.integers(2, p - 5) if mode == "strict" else st.integers(1, p - 4))
+    return GhostContext(p, a, draw(st.integers(0, p - 2)), mode=mode)
+
+
+@example(ctx=GhostContext(5, 1, 0))
+@example(ctx=GhostContext(101, 7, 40, mode="strict"))
+@given(ctx=rise_contexts())
+@settings(max_examples=6, deadline=None)
+def test_residue_tables_rise_from_the_lemma_start(ctx):
+    # the lemma of _residue_rise_start, which the window certificate's S_1
+    # term rests on: past N0(p) no stride-1 table falls, for any residue
+    n0 = _residue_rise_start(ctx.p)
+    assert n0 <= 7
+    for r in range(ctx.p):
+        with mock.patch.object(ghost, "_RESIDUE_TABLES", {}):
+            table = _residue_table(ctx, r, 20_000)[: 20_001]
+        assert all(map(le, table[n0:-1], table[n0 + 1 :])), (ctx, r)
 
 
 @pytest.mark.parametrize("p, mode", PERIOD_CASES)

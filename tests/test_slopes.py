@@ -33,6 +33,7 @@ from ghost_slopes import (
 from ghost_slopes import checks, ghost, slopes
 from ghost_slopes.distribution import SampleKind, sample
 from ghost_slopes.ghost import support_interval
+from ghost_slopes.polygon import edge_runs
 from ghost_slopes.slopes import DerivativePolygon, _closed_form_runs, _hull_runs
 from strategies import context_and_weight, expand_runs
 
@@ -539,8 +540,8 @@ def test_windows_end_at_max_table_index(monkeypatch):
     fresh = GhostContext(p=7, a=2, s_eps=1)
     sizes = []
     with pytest.raises(DomainError, match="MAX_TABLE_INDEX = 64"):
-        for n_window, deg, _ in slopes._windows(fresh, 24, 8):
-            assert len(deg) > n_window  # the shared table, read to n_window
+        for n_window, deg_n, _, _ in slopes._windows(fresh, 24, 8):
+            assert deg_n == ghost.degree_table(fresh, n_window)[-1]  # deg g_n at the window's edge
             sizes.append(n_window)
     assert sizes == [17, 34]
 
@@ -556,7 +557,7 @@ def test_windows_and_thresholds_ignore_how_far_the_table_grew(monkeypatch):
     def read(k):
         fresh = GhostContext(p=7, a=2, s_eps=1)
         walk = islice(slopes._windows(fresh, k, dimensions(fresh, k).d_iw), 3)
-        return [(n, deg[: n + 1], floor) for n, deg, floor in walk], k_thresholds(fresh, k)
+        return list(walk), k_thresholds(fresh, k)
 
     ks = (24, 444, 1206)
     first = [read(k) for k in ks]
@@ -600,10 +601,40 @@ def test_one_window_per_certification(monkeypatch):
     assert sum(n > 1 for n in used) <= 1
 
 
+@pytest.mark.parametrize("radius", (Fraction(3, 2), Fraction(5, 2), INF))
+def test_planted_stride_one_dip_falls_back_to_the_degree_bound(monkeypatch, radius):
+    # S_1 as the certificate reads it gets a dip just past the first window's
+    # edge n, and the lemma's start moves past the dip, so the table's
+    # increments there are read: S_1 is not proved to rise, the certificate
+    # drops its S_1 term (c_1 = 0, the degree bound alone), the first window
+    # fails that and a wider one returns the hull of the unplanted run on [0, q_hi]
+    fresh = GhostContext(p=7, a=2, s_eps=1)
+    k, kb = 2004, fresh.bullet(2004)
+    trip = dimensions(fresh, k)
+    q_hi, w = trip.d_iw - trip.d_ur, WeightPoint(k, radius)
+    expected = certified_newton_polygon(fresh, w, q_hi)
+    n = next(slopes._windows(fresh, k, q_hi, trip.d_iw))[0]
+    assert expected.xs[-1] == n and slopes._stride_one_at(fresh, kb, n) > 0
+    table = slopes._residue_table
+
+    def dipped(ctx, r, n_hi):
+        s1 = list(table(ctx, r, n_hi))
+        s1[n + 2] = s1[n + 1] - 1
+        return s1
+
+    monkeypatch.setattr(slopes, "_residue_rise_start", lambda p: n + 10)
+    assert slopes._stride_one_at(fresh, kb, n) == table(fresh, kb % 7, n)[n]  # read, and rising
+    monkeypatch.setattr(slopes, "_residue_table", dipped)
+    assert slopes._stride_one_at(fresh, kb, n) == 0
+    got = certified_newton_polygon(fresh, w, q_hi)
+    assert got.xs[-1] > n
+    assert edge_runs(got.hull, got.den, 0, q_hi) == edge_runs(expected.hull, expected.den, 0, q_hi)
+
+
 # Hand-built level tables on the window 0..4, value A[x] + B[x] * r.  Only
 # x = 2 rides the radius: it crosses the chord from (0, 0) to (4, 6) at
 # r = 4/3, a hull vertex below that radius and above the chord past it.
-SWEEP_A, SWEEP_B, SWEEP_DEG = (0, 4, -1, 5, 6), (0, 0, 3, 0, 0), (0, 10, 20, 30, 40)
+SWEEP_A, SWEEP_B = (0, 4, -1, 5, 6), (0, 0, 3, 0, 0)
 
 
 @pytest.mark.parametrize(
@@ -626,7 +657,8 @@ SWEEP_A, SWEEP_B, SWEEP_DEG = (0, 4, -1, 5, 6), (0, 0, 3, 0, 0), (0, 10, 20, 30,
     ],
 )
 def test_piece_violation_outcomes(xs, r, inc_floor, expected):
-    got = slopes._piece_violation(SWEEP_A, SWEEP_B, SWEEP_DEG, xs, r, inc_floor)
+    window = (4, 40, 0, inc_floor)  # deg g_4 = 40, S_1 left out of the tail bound
+    got = slopes._piece_violation(SWEEP_A, SWEEP_B, window, xs, r)
     assert got == expected
     if isinstance(expected, tuple):
         root = Fraction(-slopes._turn(SWEEP_A, *got), slopes._turn(SWEEP_B, *got))
@@ -635,7 +667,18 @@ def test_piece_violation_outcomes(xs, r, inc_floor, expected):
         # xs is certified at the mirror radius, so the root splits a piece
         # [2 root - r, r] strictly inside
         mirror = 2 * root - r
-        assert slopes._piece_violation(SWEEP_A, SWEEP_B, SWEEP_DEG, xs, mirror, inc_floor) is None
+        assert slopes._piece_violation(SWEEP_A, SWEEP_B, window, xs, mirror) is None
+
+
+@pytest.mark.parametrize(
+    "r, s1, expected",
+    [(Fraction(3, 2), 0, "tail"), (Fraction(3, 2), 2, None), (Fraction(4, 3), 2, "tail"), (Fraction(4, 3), 3, None)],
+)
+def test_piece_tail_reads_the_stride_one_term(r, s1, expected):
+    # the edge (0, 4) reaches 6 at the window edge 4, which deg = 5 alone
+    # misses; 5 + c_1 s1 reaches it once c_1 s1 >= 1, c_1 = min(r, 2) - 1
+    window = (4, 5, s1, 2)
+    assert slopes._piece_violation(SWEEP_A, SWEEP_B, window, (0, 4), r) == expected
 
 
 def test_midpoint_chain_widens_past_a_far_vertex(monkeypatch):
@@ -645,7 +688,7 @@ def test_midpoint_chain_widens_past_a_far_vertex(monkeypatch):
     # slice until the sub-chain runs from 0 to that point
     A, B = [q * q for q in range(41)], [0] * 41
     monkeypatch.setattr(slopes, "level_tables", lambda *args: (A, B))
-    window = (40, [100 * q for q in range(41)], 100)  # n_window, deg, inc_floor: tails certify
+    window = (40, 4000, 0, 100)  # n_window, deg g_40, S_1 left out, inc_floor: tails certify
     monkeypatch.setattr(slopes, "_windows", lambda *args: iter([window]))
     chain, pads = slopes._midpoint_chain, []
 
