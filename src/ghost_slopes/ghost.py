@@ -572,7 +572,17 @@ def _degrees(ctx: GhostContext, n_hi: int) -> list:
 
 def _residue_table(ctx: GhostContext, r: int, n_hi: int) -> list:
     """S_1 of residue r, shared like :func:`_degrees`, rebuilt 5/4 longer (or to n_hi) when
-    short, every prefix exact; all are dropped when they would pass MAX_TABLE_INDEX entries."""
+    short, every prefix exact; all are dropped when they would pass MAX_TABLE_INDEX entries.
+
+    Lemma: S_1 does not fall on [N0, inf), N0 = ceil(4p^2/(p-1)^2) <= 7 (p >= 5).
+    S_1(n+1) - S_1(n) = R - F, R (F) the bullets j = r (mod p) whose triangle
+    rises (falls) on [n, n+1]: d_ur(j) <= n < mid(j) = j + 1 - delta_eps (mid(j)
+    <= n < d_iw(j) - d_ur(j)).  As 2(j - t1)/(p+1) - 1 < d_ur(j) <= 2(j - t1)/(p+1)
+    + 2, R holds the class on [n + delta_eps, (n-2)(p+1)/2 + t1] and F lies in it
+    on ((n - 2 + 2 delta_eps)(p+1)/(2p) - t1/p, n - 1 + delta_eps].  A class mod p
+    meets [a, b] at least (b - a + 2 - p)/p times and (a, b] at most (b - a + p)/p
+    times, so as t1 >= delta_eps, p (R - F) >= n (p-1)^2/(2p) - 3p + 1 - 1/p > -p
+    once n (p-1)^2 >= 4p^2, and the integer R - F is >= 0."""
     table = _RESIDUE_TABLES.get(key := (ctx.p, ctx.t1, ctx.t2, ctx.delta_eps, r), [0])
     if len(table) <= n_hi:
         size = max(n_hi, min(MAX_TABLE_INDEX, 5 * (len(table) - 1) // 4))
@@ -581,24 +591,6 @@ def _residue_table(ctx: GhostContext, r: int, n_hi: int) -> list:
             _RESIDUE_TABLES.clear()  # memory independent of p and of the weights asked
         _RESIDUE_TABLES[key] = table
     return table
-
-
-def _residue_rise_start(p: int) -> int:
-    """N0(p) = ceil(4p^2 / (p-1)^2), at most 7: every stride-1 table of
-    :func:`_residue_table` is non-decreasing on [N0(p), inf).
-
-    Lemma.  S_1(n+1) - S_1(n) = R - F, R (F) the bullets j = r (mod p) whose
-    triangle rises (falls) on [n, n+1]: d_ur(j) <= n < mid(j) = j + 1 - delta_eps
-    (mid(j) <= n < d_iw(j) - d_ur(j)).  From q = (j - t1) // (p+1),
-    2(j - t1)/(p+1) - 1 < d_ur(j) <= 2(j - t1)/(p+1) + 2, so R holds the class
-    on [n + delta_eps, (n-2)(p+1)/2 + t1] and F lies in it on
-    ((n - 2 + 2 delta_eps)(p+1)/(2p) - t1/p, n - 1 + delta_eps].  A class mod p
-    meets [a, b] at least (b - a + 2 - p)/p times and (a, b] at most
-    (b - a + p)/p times, so, as t1 >= delta_eps,
-    p (R - F) >= n (p-1)^2 / (2p) - 3p + 1 - 1/p, which passes -p once
-    n (p-1)^2 >= 4p^2; R - F is an integer, so it is >= 0 there (and R >= 0
-    when F is empty)."""
-    return -(-4 * p * p // (p - 1) ** 2)
 
 
 def _degree_increment_floor(ctx: GhostContext, n: int) -> int:

@@ -17,12 +17,9 @@ All hull reads from finite windows are certified against the infinite
 series: a window is accepted only once every omitted coefficient
 provably stays above the supporting line at the right edge of the
 region of interest, using the exact lower bound
-v_p(g_n(w)) >= min(r, 1) * deg(g_n) + (min(r, 2) - min(r, 1)) * S_1(n), r the
-radius and S_1 the multiplicity sum over the bullets congruent to the
-anchor's mod p (each distance is >= 1, and >= 2 exactly on those), with the
-least increment of deg(g_n) past the window, read exactly from the degree
-table, and S_1 non-decreasing there (the lemma of
-:func:`ghost._residue_rise_start`).
+v_p(g_n(w)) >= min(r, 1) deg(g_n) + (min(r, 2) - min(r, 1)) S_1(n) at
+radius r (:func:`_tail_certified`), the least increment of deg(g_n) past
+the window, read exactly from the degree table, and S_1 not falling there.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ from .ghost import (
     _bullet_bound,
     _degree_increment_floor,
     _degrees,
-    _residue_rise_start,
     _residue_table,
     dimensions,
     hatted_valuation_table,
@@ -214,50 +210,38 @@ def _tail_certified(radius, window, q_hi, hull, den) -> bool:
     ``den``) at q_hi, at ``radius`` (a Fraction, None for INF).  Every distance
     is >= 1, and >= 2 on the bullets j = k_bullet (mod p), so v_p(g_m(w)) >=
     L_r(m) = min(r, 1) deg(m) + c_1 S_1(m), c_1 = min(r, 2) - min(r, 1) (1 at
-    INF).  Past n, deg rises by inc_floor at least and S_1 does not fall
-    (s1 = 0 where that is unproved, see :func:`_stride_one_at`)."""
+    INF).  Past n, deg rises by inc_floor at least and S_1 does not fall."""
     n, deg_n, s1, inc_floor = window
     low, c1 = (1, 1) if radius is None else (min(radius, 1), min(radius, 2) - min(radius, 1))
     y_q, sigma_q = edge_at(hull, den, q_hi)
     return low * deg_n + c1 * s1 >= y_q + sigma_q * (n - q_hi) and low * inc_floor >= sigma_q
 
 
-def _stride_one_at(ctx: GhostContext, kb: int, n: int) -> int:
-    """S_1(n) for S_1 the stride-1 table of kb's residue when S_1 provably does
-    not fall on [n, inf), else 0: from N0 = :func:`ghost._residue_rise_start`
-    on by its lemma, below N0 read off the table's increments."""
-    top = max(n, _residue_rise_start(ctx.p))
-    s1 = _residue_table(ctx, kb % ctx.p, top)
-    return s1[n] if all(s1[m] <= s1[m + 1] for m in range(n, top)) else 0
+def _windows(ctx: GhostContext, k: int, q_hi: int, n_min: int = 0, stride_one: bool = True):
+    """Yield windows (n, deg g_n, S_1(n) of k_bullet's residue or 0 unless
+    ``stride_one``, the exact least increment of deg past n) for
+    :func:`_tail_certified`, doubling from a first one sized to pass it; past
+    MAX_TABLE_INDEX DomainError ends the walk, before any table grows if n0 + n0/64
+    is past it, n0 = max(q_hi + 8, n_min) >= 8 > N0 of :func:`ghost._residue_table`.
 
-
-def _windows(ctx: GhostContext, k: int, q_hi: int, n_min: int = 0):
-    """Yield windows (n, deg g_n, :func:`_stride_one_at` n, the exact least
-    increment of deg past n) for :func:`_tail_certified`, doubling from a first
-    one sized to pass it; past MAX_TABLE_INDEX DomainError ends the walk,
-    before any table grows if n0 + n0/64 is past it, n0 = max(q_hi + 8, n_min).
-
-    Past the anchor's triangle, distance i + 1 weighs on about 1/p^i of
-    deg, so a hull's line at q_hi runs near p/(p-1) times deg's tangent
-    there, and L_r = deg + S_1 (at r >= 2) near (1 + 1/p) deg.  Both the
-    slope test and, for a quadratic deg, the level test then pass from
-    about p/(p-1) q_hi on.  The first window is the least n in [n0, cap),
-    cap = max(n0 + n0/64, min(2 n0, MAX_TABLE_INDEX)), whose increment of
-    deg is p/(p-1) times the one at q_hi, plus n/64, else 2 n0.  Over the
-    sweeps of k_thresholds and hull certifications on (7,2,1) 10:1200 and
-    4200:4600, (11,6,9) 10:3000 and (5,1,0) 10:1500, the estimate alone fell
-    short of the least window that passes by one entry at most on a sweep
-    and two on a hull, and no first window failed.
+    Past the anchor's triangle, distance i + 1 weighs on about 1/p^i of deg,
+    so a hull's line at q_hi runs near p/(p-1) times deg's tangent there, and
+    L_r = deg + S_1 (r >= 2) near (1 + 1/p) deg: both tests pass from about
+    p/(p-1) q_hi on.  The first window is the least n in [n0, cap), cap =
+    max(n0 + n0/64, min(2 n0, MAX_TABLE_INDEX)), where deg's increment is
+    p/(p-1) times the one at q_hi, plus n/64, else 2 n0 (on (7,2,1), (5,1,0)
+    and (11,6,9) the estimate alone fell short by 1 entry at most on a sweep
+    and 2 on a hull).
     """
-    p, kb, n0 = ctx.p, ctx.bullet(k), max(q_hi + 8, n_min)
+    p, n0 = ctx.p, max(q_hi + 8, n_min)
     cap = max(n0 + -(-n0 // 64), min(2 * n0, ghost.MAX_TABLE_INDEX))
     deg = _degrees(ctx, cap)
     tangent = p * (deg[q_hi + 1] - deg[q_hi])
     fits = (n for n in range(n0, cap) if (p - 1) * (deg[n + 1] - deg[n]) >= tangent)
     n_window = next((n + -(-n // 64) for n in fits), 2 * n0)
     while True:
-        deg_n = _degrees(ctx, n_window)[n_window]
-        yield n_window, deg_n, _stride_one_at(ctx, kb, n_window), _degree_increment_floor(ctx, n_window)
+        s1 = _residue_table(ctx, ctx.bullet(k) % p, n_window)[n_window] if stride_one else 0
+        yield n_window, _degrees(ctx, n_window)[n_window], s1, _degree_increment_floor(ctx, n_window)
         n_window *= 2
 
 
@@ -267,11 +251,12 @@ def certified_newton_polygon(
     """Finite-window ghost Newton polygon whose restriction to [0, q_hi]
     provably equals that of the full series: the hull of the first window
     of :func:`_windows`, none below d_iw(anchor) as :func:`newton_polygon_at`
-    asks, that passes :func:`_tail_certified` at w's radius."""
+    asks, that passes :func:`_tail_certified` at w's radius; S_1 is read
+    only where its weight c_1 is > 0, at radii > 1."""
     radius = None if w.radius.is_infinite else w.radius.value
     if radius is not None and radius <= 0:
         raise DomainError("hull certification needs a positive radius")
-    for window in _windows(ctx, w.anchor, q_hi, dimensions(ctx, w.anchor).d_iw):
+    for window in _windows(ctx, w.anchor, q_hi, dimensions(ctx, w.anchor).d_iw, radius is None or radius > 1):
         np_ = newton_polygon_at(ctx, window[0], w)
         if _tail_certified(radius, window, q_hi, np_.hull, np_.den):
             return np_

@@ -37,6 +37,7 @@ from ghost_slopes.errors import DomainError
 from ghost_slopes.ghost import (
     _bullet_bound,
     _degree_increment_floor,
+    _residue_table,
     anchored_valuation,
     degree_table,
     dimensions,
@@ -56,7 +57,6 @@ from ghost_slopes.slopes import (
     _level_pieces,
     _locked_on,
     _reach,
-    _stride_one_at,
     _sweep,
     _windows,
     certified_newton_polygon,
@@ -180,11 +180,12 @@ def test_deep_strides_match_pointwise_oracles():
         ], level
 
 
-def _wider_windows(ctx, k, q_hi, n_min=0):
+def _wider_windows(ctx, k, q_hi, n_min=0, stride_one=True):
     # each window of _windows, 4 times wider
-    for window in _windows(ctx, k, q_hi, n_min):
+    for window in _windows(ctx, k, q_hi, n_min, stride_one):
         n = 4 * window[0]
-        yield n, degree_table(ctx, n)[n], _stride_one_at(ctx, ctx.bullet(k), n), _degree_increment_floor(ctx, n)
+        s1 = _residue_table(ctx, ctx.bullet(k) % ctx.p, n)[n] if stride_one else 0
+        yield n, degree_table(ctx, n)[n], s1, _degree_increment_floor(ctx, n)
 
 
 @given(case=context_and_weight(), radius=RADII)

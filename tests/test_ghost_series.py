@@ -24,7 +24,6 @@ from ghost_slopes.ghost import (
     _degree_head,
     _degree_increment_floor,
     _is_zero_bullet,
-    _residue_rise_start,
     _residue_table,
     _triangle_table,
     anchored_valuation,
@@ -507,9 +506,9 @@ def rise_contexts(draw):
 @given(ctx=rise_contexts())
 @settings(max_examples=6, deadline=None)
 def test_residue_tables_rise_from_the_lemma_start(ctx):
-    # the lemma of _residue_rise_start, which the window certificate's S_1
-    # term rests on: past N0(p) no stride-1 table falls, for any residue
-    n0 = _residue_rise_start(ctx.p)
+    # the lemma of _residue_table, which the window certificate's S_1 term
+    # rests on: past N0 = ceil(4p^2/(p-1)^2) no stride-1 table falls, for any residue
+    n0 = -(-4 * ctx.p**2 // (ctx.p - 1) ** 2)
     assert n0 <= 7
     for r in range(ctx.p):
         with mock.patch.object(ghost, "_RESIDUE_TABLES", {}):

@@ -33,7 +33,6 @@ from ghost_slopes import (
 from ghost_slopes import checks, ghost, slopes
 from ghost_slopes.distribution import SampleKind, sample
 from ghost_slopes.ghost import support_interval
-from ghost_slopes.polygon import edge_runs
 from ghost_slopes.slopes import DerivativePolygon, _closed_form_runs, _hull_runs
 from strategies import context_and_weight, expand_runs
 
@@ -601,34 +600,20 @@ def test_one_window_per_certification(monkeypatch):
     assert sum(n > 1 for n in used) <= 1
 
 
-@pytest.mark.parametrize("radius", (Fraction(3, 2), Fraction(5, 2), INF))
-def test_planted_stride_one_dip_falls_back_to_the_degree_bound(monkeypatch, radius):
-    # S_1 as the certificate reads it gets a dip just past the first window's
-    # edge n, and the lemma's start moves past the dip, so the table's
-    # increments there are read: S_1 is not proved to rise, the certificate
-    # drops its S_1 term (c_1 = 0, the degree bound alone), the first window
-    # fails that and a wider one returns the hull of the unplanted run on [0, q_hi]
+@pytest.mark.parametrize("radius, reads", [(Fraction(1, 2), False), (1, False), (Fraction(3, 2), True), (INF, True)])
+def test_stride_one_read_only_past_the_lemma_start_and_where_it_weighs(monkeypatch, radius, reads):
+    # the tail bound reads S_1 at a window's edge n, sound only where S_1 does
+    # not fall past n: from N0 = ceil(4p^2/(p-1)^2) <= 7 on (the lemma of
+    # ghost._residue_table), below every window's q_hi + 8; at radii <= 1 its
+    # weight c_1 is 0, and no residue table is built
+    assert max(-(-4 * p * p // (p - 1) ** 2) for p in range(5, 10_000)) == 7
+    monkeypatch.setattr(ghost, "_RESIDUE_TABLES", {})
     fresh = GhostContext(p=7, a=2, s_eps=1)
-    k, kb = 2004, fresh.bullet(2004)
-    trip = dimensions(fresh, k)
-    q_hi, w = trip.d_iw - trip.d_ur, WeightPoint(k, radius)
-    expected = certified_newton_polygon(fresh, w, q_hi)
-    n = next(slopes._windows(fresh, k, q_hi, trip.d_iw))[0]
-    assert expected.xs[-1] == n and slopes._stride_one_at(fresh, kb, n) > 0
-    table = slopes._residue_table
-
-    def dipped(ctx, r, n_hi):
-        s1 = list(table(ctx, r, n_hi))
-        s1[n + 2] = s1[n + 1] - 1
-        return s1
-
-    monkeypatch.setattr(slopes, "_residue_rise_start", lambda p: n + 10)
-    assert slopes._stride_one_at(fresh, kb, n) == table(fresh, kb % 7, n)[n]  # read, and rising
-    monkeypatch.setattr(slopes, "_residue_table", dipped)
-    assert slopes._stride_one_at(fresh, kb, n) == 0
-    got = certified_newton_polygon(fresh, w, q_hi)
-    assert got.xs[-1] > n
-    assert edge_runs(got.hull, got.den, 0, q_hi) == edge_runs(expected.hull, expected.den, 0, q_hi)
+    assert next(slopes._windows(fresh, 24, 0))[0] >= 8
+    ghost._RESIDUE_TABLES.clear()
+    trip = dimensions(fresh, 2004)
+    certified_newton_polygon(fresh, WeightPoint(2004, radius), trip.d_iw - trip.d_ur)
+    assert bool(ghost._RESIDUE_TABLES) == reads
 
 
 # Hand-built level tables on the window 0..4, value A[x] + B[x] * r.  Only
