@@ -1,7 +1,7 @@
 """Exact ghost-series combinatorics: slopes, thresholds, and statistics.
 
-The root holds the names that the README and the tests import; every
-other public name is imported from its own module.
+The root holds the names that the README and the tests import, each in
+``__all__``; every other public name is imported from its own module.
 """
 
 from .errors import DomainError, VerificationError
@@ -16,7 +16,6 @@ from .slopes import (
     breakpoints_by_criterion,
     certified_newton_polygon,
     derivative_polygon,
-    global_stretch,
     is_near_steinberg,
     k_newslopes,
     k_thresholds,
@@ -41,7 +40,6 @@ __all__ = [
     "breakpoints_by_criterion",
     "certified_newton_polygon",
     "derivative_polygon",
-    "global_stretch",
     "is_near_steinberg",
     "k_newslopes",
     "k_thresholds",

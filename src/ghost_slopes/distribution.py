@@ -50,8 +50,7 @@ class DistributionSample:
     ``floor_count`` floor stand-ins at ``floor_num`` (LINV only; zero
     otherwise) are bounds, not values, so they are counted beside ``nums``,
     not in it.  ``values`` reads every value, stand-ins included, ascending,
-    and :meth:`genuine_values` only ``nums``, as ``Fraction``s;
-    :meth:`moments` and :func:`discrepancy` read ``nums`` alone.
+    as ``Fraction``s; :meth:`moments` and :func:`discrepancy` read ``nums`` alone.
     """
 
     k: int
@@ -65,14 +64,6 @@ class DistributionSample:
     def values(self) -> Tuple[Fraction, ...]:
         nums = sorted(self.nums + (self.floor_num,) * self.floor_count)
         return tuple(Fraction(a, self.den) for a in nums)
-
-    @property
-    def floor_value(self) -> Fraction:
-        return Fraction(self.floor_num, self.den)
-
-    def genuine_values(self) -> Tuple[Fraction, ...]:
-        """The genuine values, floor stand-ins left out."""
-        return tuple(Fraction(a, self.den) for a in self.nums)
 
     def moments(self, n_max: int) -> Tuple[Fraction, ...]:
         """Power means of orders 1..n_max over the m genuine values,

@@ -151,8 +151,7 @@ class GhostContext:
         "strict" enforces p >= 11 and 2 <= a <= p-5, the range where
         every slope statement is unconditional; "exploratory" allows
         p >= 5 and 1 <= a <= p-4 (the combinatorics is defined there).
-        Output is the same in both modes; the :attr:`warning` property
-        tells whether the parameters lie outside the strict range.
+        Output is the same in both modes.
 
     Examples
     --------
@@ -219,11 +218,6 @@ class GhostContext:
         object.__setattr__(self, "_caches", {})
 
     # -- congruence-class bookkeeping -------------------------------------
-
-    @property
-    def warning(self) -> bool:
-        """True when the parameters fall outside the strict hypotheses."""
-        return self.p < 11 or not (2 <= self.a <= self.p - 5)
 
     def in_class(self, k: int) -> bool:
         return k >= 2 and (k - self.k_eps) % (self.p - 1) == 0

@@ -31,7 +31,7 @@ from functools import cached_property
 from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, eq, itemgetter, mul, sub
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 from . import ghost
 from .errors import DomainError, VerificationError
@@ -221,8 +221,8 @@ def _windows(ctx: GhostContext, k: int, q_hi: int, n_min: int = 0, stride_one: b
     """Yield windows (n, deg g_n, S_1(n) of k_bullet's residue or 0 unless
     ``stride_one``, the exact least increment of deg past n) for
     :func:`_tail_certified`, doubling from a first one sized to pass it; past
-    MAX_TABLE_INDEX DomainError ends the walk, before any table grows if n0 + n0/64
-    is past it, n0 = max(q_hi + 8, n_min) >= 8 > N0 of :func:`ghost._residue_table`.
+    MAX_TABLE_INDEX DomainError ends the walk before S_1 grows (before any table if
+    n0 + n0/64 is past it), n0 = max(q_hi + 8, n_min) >= 8 > N0 of :func:`ghost._residue_table`.
 
     Past the anchor's triangle, distance i + 1 weighs on about 1/p^i of deg,
     so a hull's line at q_hi runs near p/(p-1) times deg's tangent there, and
@@ -240,8 +240,9 @@ def _windows(ctx: GhostContext, k: int, q_hi: int, n_min: int = 0, stride_one: b
     fits = (n for n in range(n0, cap) if (p - 1) * (deg[n + 1] - deg[n]) >= tangent)
     n_window = next((n + -(-n // 64) for n in fits), 2 * n0)
     while True:
+        deg_n = _degrees(ctx, n_window)[n_window]  # refuses before S_1 grows past the cap
         s1 = _residue_table(ctx, ctx.bullet(k) % p, n_window)[n_window] if stride_one else 0
-        yield n_window, _degrees(ctx, n_window)[n_window], s1, _degree_increment_floor(ctx, n_window)
+        yield n_window, deg_n, s1, _degree_increment_floor(ctx, n_window)
         n_window *= 2
 
 
@@ -343,8 +344,8 @@ class ThresholdVector:
 
     The threshold of newslope n, 1 <= n <= d_new, is ``nums[n-1] / den``:
     integers over one denominator, the lcm of the thresholds' own.
-    ``local_thresholds`` reads them as Valuations and ``global_thresholds``
-    repeats each global_mult times, one per stretched index.  Entries
+    ``local_thresholds`` reads them as Valuations; each stands for
+    ``global_mult`` stretched indices, as a THRESHOLD sample counts it.  Entries
     tagged "closed" equal a derivative slope s_j with j >= M_index,
     entries tagged "sweep" come from the exact parametric search below M(k).
     """
@@ -358,10 +359,6 @@ class ThresholdVector:
     @property
     def local_thresholds(self) -> Tuple[Valuation, ...]:
         return tuple(Valuation(Fraction(a, self.den)) for a in self.nums)
-
-    @property
-    def global_thresholds(self) -> Tuple[Valuation, ...]:
-        return tuple(global_stretch(self.local_thresholds, self.global_mult))
 
     def to_json_dict(self) -> dict:
         return {
@@ -395,16 +392,6 @@ def k_thresholds(ctx: GhostContext, k: int) -> ThresholdVector:
     central = [r.numerator * (den // r.denominator) for r in swept]
     nums, prov = (*right[::-1], *central, *right), ("closed",) * len(right)
     return ThresholdVector(dp.k, nums, den, (*prov, *("sweep",) * (2 * c), *prov), ctx.global_mult)
-
-
-def global_stretch(local: Iterable, m: int) -> list:
-    """Each entry of a slope or threshold multiset repeated m times."""
-    if m < 1:
-        raise DomainError("global multiplicity must be >= 1")
-    out = []
-    for v in local:
-        out.extend([v] * m)
-    return out
 
 
 # -- the exact sweep below M(k) ---------------------------------------------------

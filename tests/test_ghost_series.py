@@ -54,12 +54,10 @@ def ctx():
 
 def test_derived_constants(ctx):
     assert (ctx.k_eps, ctx.delta_eps, ctx.t1, ctx.t2) == (6, 0, 1, 5)
-    assert ctx.warning  # p = 7 is below the strict range
 
 
 def test_strict_mode_accepts_supported_range():
     c = GhostContext(p=11, a=2, s_eps=0, mode="strict")
-    assert not c.warning
     assert c.k_eps == 4
 
 

@@ -21,7 +21,6 @@ from ghost_slopes import (
     certified_newton_polygon,
     derivative_polygon,
     dimensions,
-    global_stretch,
     is_near_steinberg,
     k_newslopes,
     k_thresholds,
@@ -351,7 +350,7 @@ def test_newslopes_closed_hull_agree_many(ctx):
     for k in (24, 48, 90, 174):
         dp = derivative_polygon(ctx, k)
         ss = [s for s, _ in dp.slopes]
-        probes = [Valuation(ss[-1]) + Valuation(1), INF, dp.m_of_k]
+        probes = [Valuation(ss[-1] + 1), INF, dp.m_of_k]
         probes += [Valuation(s) for s in ss if s >= dp.m_of_k.value]
         for i in range(dp.M_index, len(ss) + 1):
             prev = ss[i - 2] if i >= 2 else Fraction(0)
@@ -392,7 +391,6 @@ def test_thresholds_frozen_k24(ctx):
     assert tv.local_thresholds == tuple(Valuation(x) for x in (9, 6, 2, 1, 6, 9))
     assert tv.provenance == ("closed", "closed", "sweep", "sweep", "closed", "closed")
     assert tv.global_mult == 1
-    assert tv.global_thresholds == tv.local_thresholds
     assert tv.to_json_dict() == {
         "k": 24,
         "local": ["9", "6", "2", "1", "6", "9"],
@@ -466,7 +464,7 @@ def test_threshold_consistency(ctx):
         tv = k_thresholds(ctx, k)
         target = Fraction(k - 2, 2)
         for n, cs in enumerate(tv.local_thresholds, start=1):
-            above = cs + Valuation(Fraction(1, 2))
+            above = Valuation(cs.value + Fraction(1, 2))
             got = k_newslopes(ctx, k, WeightPoint(k, above.value))[n - 1]
             assert got == target, (k, n, "above")
             got = k_newslopes(ctx, k, WeightPoint(k, cs.value + 2))[n - 1]
@@ -543,6 +541,18 @@ def test_windows_end_at_max_table_index(monkeypatch):
             assert deg_n == ghost.degree_table(fresh, n_window)[-1]  # deg g_n at the window's edge
             sizes.append(n_window)
     assert sizes == [17, 34]
+
+
+def test_window_fallback_past_the_cap_is_refused_before_stride_one_grows(monkeypatch):
+    # at r = 3/2 below M(k) the hull's first window on k = 1,470,000 (d_iw =
+    # 490,000) falls back to 2 d_iw, past the cap: the degree table refuses it
+    # before the shared stride-1 table is grown to it
+    monkeypatch.setattr(ghost, "_DEGREE_TABLES", {})
+    monkeypatch.setattr(ghost, "_RESIDUE_TABLES", {})
+    k, cap = 1_470_000, ghost.MAX_TABLE_INDEX
+    with pytest.raises(DomainError, match=f"^table index 980000 exceeds MAX_TABLE_INDEX = {cap}$"):
+        slopes.newslope_runs(GhostContext(p=7, a=2, s_eps=1), k, WeightPoint(k, Fraction(3, 2)))
+    assert sum(map(len, ghost._RESIDUE_TABLES.values())) <= cap + 1
 
 
 def test_windows_and_thresholds_ignore_how_far_the_table_grew(monkeypatch):
@@ -735,21 +745,15 @@ def test_thresholds_wraparound_runs(wrap_ctx):
     assert all(v is not None for v in tv.local_thresholds)
 
 
-def test_thresholds_global_stretch():
+def test_thresholds_global_stretch(ctx):
+    # the threshold sample holds each of the 6 values global_mult = 3 times
     ctx3 = GhostContext(p=7, a=2, s_eps=1, global_mult=3)
     tv = k_thresholds(ctx3, 24)
     assert tv.global_mult == 3
-    assert len(tv.global_thresholds) == 18
-    assert tv.global_thresholds[:3] == (Valuation(9),) * 3
+    stretched = sample(ctx3, 24, SampleKind.THRESHOLD).values
+    assert len(stretched) == 18
+    assert stretched == tuple(v for v in sample(ctx, 24, SampleKind.THRESHOLD).values for _ in range(3))
     assert tv.to_json_dict()["global_mult"] == 3
-
-
-def test_global_stretch_plain():
-    assert global_stretch([1, 2], 3) == [1, 1, 1, 2, 2, 2]
-    assert global_stretch([], 2) == []
-    assert global_stretch([Fraction(1, 2)], 1) == [Fraction(1, 2)]
-    with pytest.raises(DomainError):
-        global_stretch([1], 0)
 
 
 # -- slope windows ------------------------------------------------------------
