@@ -13,13 +13,9 @@ built from the dimension triple (d_iw, d_ur, d_new) of each weight.
 
 Everything here is exact integer/rational arithmetic.  The module also
 provides batch kernels (valuation tables over all n at once) used by the
-polygon and threshold layers.  They accumulate second differences of the
-triangles instead of looping over (n, k) pairs, and an anchored table is
-a multiple of the degree table plus one constant weight per stride of
-bullets j = kb (mod p^i) through the anchor's bullet kb.  Degree tables
-(:func:`_degrees`) and stride-1 tables (:func:`_residue_table`), one per
-(p, t1, t2, delta_eps) and residue kb mod p, serve every context, so for N
-zeros up to n_hi an anchor costs O(N/p^2 + n_hi).
+polygon and threshold layers: each table is the double cumulative sum of
+its second differences ("steps", small ints), summed from steps shared by
+every context, so for N zeros up to n_hi an anchor costs O(N/p^2 + n_hi).
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, cycle, islice, repeat
 from operator import add, mul, sub
 
 from .errors import ConfigError, DomainError, VerificationError
@@ -43,12 +39,13 @@ K_CEILING = 10**9
 #: and L-invariant block is stretched m times, so m bounds the output.
 MAX_GLOBAL_MULT = 32
 
-#: Largest index n a valuation table may reach, refused by :func:`_degrees`
+#: Largest index n a valuation table may reach, refused by :func:`_table_index`
 #: before any table is read, allocated or grown.
 MAX_TABLE_INDEX = 500_000
 
+_DEGREE_HEADS: dict = {}  # (p, t1, t2, delta_eps) -> deg's first steps, see _degree_steps
 _DEGREE_TABLES: dict = {}  # (p, t1, t2, delta_eps) -> its degree table, see _degrees
-_RESIDUE_TABLES: dict = {}  # (p, t1, t2, delta_eps, r) -> the stride-1 table, see _residue_table
+_RESIDUE_TABLES: dict = {}  # (p, t1, t2, delta_eps, r) -> the stride-1 steps, see _residue_table
 
 
 def _is_prime(n: int) -> bool:
@@ -295,7 +292,7 @@ def _bullet_bound(ctx: GhostContext, n_hi: int) -> int:
 
 
 def _degree_head(ctx: GhostContext) -> int:
-    """Index past which the degree table keeps its period law (see :func:`_degrees`):
+    """Index past which deg's steps keep their period law (see :func:`_degree_steps`):
     2p + 1 plus the largest d_iw - d_ur over bullets 0..p, bullet p's, as spans never fall."""
     return 2 * ctx.p + 1 + sub(*ctx.dims_of_bullet(ctx.p))
 
@@ -485,9 +482,9 @@ def anchored_valuation(ctx: GhostContext, n: int, k: int) -> int:
 
 # -- batch kernels ----------------------------------------------------------
 #
-# A table f(n) = sum_j wt(j) * m_n(bullet j), n = 0..n_hi, is built with a
-# difference array: bullet j's triangle has slope +w on [d_ur, mid) and -w
-# on [mid, d_iw - d_ur), mid = d_iw/2, so two cumulative sums give f.
+# A table f(n) = sum_j wt(j) * m_n(bullet j), n = 0..n_hi, is the double
+# cumulative sum of its steps: bullet j's triangle has slope +w on
+# [d_ur, mid) and -w on [mid, d_iw - d_ur), mid = d_iw/2.
 #
 # An anchored table weighs bullet j != kb by w(1 + v_p(kb - j)) and kb by
 # w_anchor.  With S_i(n) the sum of m_n over stride i, the bullets
@@ -497,30 +494,35 @@ def anchored_valuation(ctx: GhostContext, n: int, k: int) -> int:
 #            + (w_anchor - w(I)) * m_n(kb),
 #
 # for any I >= 2 with p^I > max(kb, bound), where stride I holds only kb.
-# Each stride adds one constant weight, none when it is 0.  deg and S_1 are
-# shared lists, so a table walks only N/(p(p-1)) of the N ~ (p+1)/2 * n_hi
-# bullets, the strides p^2, p^3, ..., and adds the parts in one O(n_hi) pass.
-# The S_1 lists shared hold MAX_TABLE_INDEX + 1 entries at most in all.
+# Each stride adds one constant weight, none when it is 0.  deg's steps
+# repeat past an O(p) head and S_1's are shared, so a table walks only
+# N/(p(p-1)) of the N ~ (p+1)/2 * n_hi bullets, the strides p^2, p^3, ...,
+# adds the parts' steps in one O(n_hi) pass and accumulates them twice.
 
 
-def _triangle_table(ctx, strides, n_hi: int) -> list:
-    """[f(0), ..., f(n_hi)] with f(n) = sum over (bullets, w) in ``strides``
-    of w * sum_{j in bullets} m_n(bullet j), every bullet below
-    _bullet_bound(ctx, n_hi)."""
-    P, t1, t2, lift = ctx.p + 1, ctx.t1, ctx.t2, 1 - ctx.delta_eps
-    dg = [0] * n_hi
+def _table_index(n: int) -> int:
+    # n, refused past MAX_TABLE_INDEX
+    if n > MAX_TABLE_INDEX:
+        raise DomainError(f"table index {n} exceeds MAX_TABLE_INDEX = {MAX_TABLE_INDEX}")
+    return n
+
+
+def _triangle_steps(ctx, strides, steps: list) -> list:
+    """``steps`` with w times the steps of m_n(bullet j) added in place for each j in
+    bullets, (bullets, w) in ``strides``, every j below _bullet_bound(ctx, len(steps))."""
+    P, t1, t2, lift, n_hi = ctx.p + 1, ctx.t1, ctx.t2, 1 - ctx.delta_eps, len(steps)
     for bullets, w in strides:
         for j in bullets if w else ():
             # ctx.dims_of_bullet inline: d_ur < n_hi below the bound, and an
             # empty triangle's corners d_ur = mid = d_iw - d_ur cancel
             q = (j - t1) // P
             d_ur, mid = 2 * q + 1 + (j - P * q >= t2), j + lift
-            dg[d_ur] += w
+            steps[d_ur] += w
             if mid < n_hi:
-                dg[mid] -= 2 * w
+                steps[mid] -= 2 * w
                 if 2 * mid - d_ur < n_hi:
-                    dg[2 * mid - d_ur] += w
-    return [0, *accumulate(accumulate(dg))]
+                    steps[2 * mid - d_ur] += w
+    return steps
 
 
 def _corner_steps(ctx: GhostContext, n: int) -> list:
@@ -542,31 +544,40 @@ def _corner_steps(ctx: GhostContext, n: int) -> list:
     return [u - 2 * (m + ctx.delta_eps >= 1) + e for m, (u, e) in enumerate(zip(ur, end))]
 
 
+def _degree_steps(ctx: GhostContext, hi: int, lo: int = 0) -> list:
+    """deg's steps [dg(lo), ..., dg(hi-1)] of :func:`_corner_steps`, a list of the caller's
+    own.  Past lead = head - 2p (:func:`_degree_head`) the corners repeat with period 2p, each
+    adding p(p+1) - 4p + (p+1) = (p-1)^2 to the slope, so past head the steps cycle the
+    head's last 2p.  The head is held per (p, t1, t2, delta_eps) once a read reaches it."""
+    head = _DEGREE_HEADS.get(key := (ctx.p, ctx.t1, ctx.t2, ctx.delta_eps))
+    if head is None:
+        if hi < _degree_head(ctx):
+            return _corner_steps(ctx, hi)[lo:]
+        head = _DEGREE_HEADS[key] = _corner_steps(ctx, _degree_head(ctx))
+    steps, start, period = head[lo:hi], max(lo, len(head)), 2 * ctx.p
+    if hi > start:
+        skip = (start - len(head)) % period
+        steps += islice(cycle(head[-period:]), skip, skip + hi - start)
+    return steps
+
+
 def _degrees(ctx: GhostContext, n_hi: int) -> list:
-    """The degree table of ctx's (p, t1, t2, delta_eps), shared by every context
-    with them and grown in place to cover n_hi; read entries 0..n_hi only,
-    never write.  deg is the double cumulative sum of :func:`_corner_steps`.
-    Past lead = head - 2p, head from :func:`_degree_head`, the corners repeat
-    with period 2p, each adding p(p+1) - 4p + (p+1) = (p-1)^2 to the slope, so
-    past head deg[m+1] = deg[m] + (deg[m+1-2p] - deg[m-2p]) + (p-1)^2, the law
-    its second reader :func:`_degree_increment_floor` reads.  Below head the
-    table doubles, so small steps rebuild it O(log head) times."""
-    if n_hi > MAX_TABLE_INDEX:
-        raise DomainError(f"table index {n_hi} exceeds MAX_TABLE_INDEX = {MAX_TABLE_INDEX}")
+    """The degree table of ctx's (p, t1, t2, delta_eps), shared by every context with
+    them and grown in place to cover n_hi by accumulating :func:`_degree_steps` twice
+    from its end; read entries 0..n_hi only, never write."""
+    _table_index(n_hi)
     deg = _DEGREE_TABLES.setdefault((ctx.p, ctx.t1, ctx.t2, ctx.delta_eps), [0])
     if len(deg) <= n_hi:
-        p, head = ctx.p, _degree_head(ctx)
-        if len(deg) <= min(n_hi, head):
-            size = min(head, max(n_hi, 2 * (len(deg) - 1)))
-            deg[:] = [0, *accumulate(accumulate(_corner_steps(ctx, size)))]
-        for m in range(len(deg) - 1, n_hi):
-            deg.append(deg[m] + deg[m + 1 - 2 * p] - deg[m - 2 * p] + (p - 1) ** 2)
+        n = len(deg) - 1  # go on from deg[n - 1] and its increment, 0 and 0 at n = 0
+        incs = accumulate(_degree_steps(ctx, n_hi, n), initial=deg[n] - deg[n - 1] if n else 0)
+        deg += islice(accumulate(incs, initial=deg[n - 1] if n else 0), 2, None)
     return deg
 
 
 def _residue_table(ctx: GhostContext, r: int, n_hi: int) -> list:
-    """S_1 of residue r, shared like :func:`_degrees`, rebuilt 5/4 longer (or to n_hi) when
-    short, every prefix exact; all are dropped when they would pass MAX_TABLE_INDEX entries.
+    """S_1's steps (at least n_hi) for residue r, shared like :func:`_degrees`, rebuilt 5/4
+    longer (or to n_hi) when short, every prefix exact; all are dropped when they would
+    pass MAX_TABLE_INDEX entries.  S_1(n) is sum(accumulate(steps[:n])).
 
     Lemma: S_1 does not fall on [N0, inf), N0 = ceil(4p^2/(p-1)^2) <= 7 (p >= 5).
     S_1(n+1) - S_1(n) = R - F, R (F) the bullets j = r (mod p) whose triangle
@@ -577,43 +588,46 @@ def _residue_table(ctx: GhostContext, r: int, n_hi: int) -> list:
     meets [a, b] at least (b - a + 2 - p)/p times and (a, b] at most (b - a + p)/p
     times, so as t1 >= delta_eps, p (R - F) >= n (p-1)^2/(2p) - 3p + 1 - 1/p > -p
     once n (p-1)^2 >= 4p^2, and the integer R - F is >= 0."""
-    table = _RESIDUE_TABLES.get(key := (ctx.p, ctx.t1, ctx.t2, ctx.delta_eps, r), [0])
-    if len(table) <= n_hi:
-        size = max(n_hi, min(MAX_TABLE_INDEX, 5 * (len(table) - 1) // 4))
-        table = _triangle_table(ctx, [(range(r, _bullet_bound(ctx, size), ctx.p), 1)], size)
-        if sum(map(len, _RESIDUE_TABLES.values())) + len(table) > MAX_TABLE_INDEX:
+    steps = _RESIDUE_TABLES.get(key := (ctx.p, ctx.t1, ctx.t2, ctx.delta_eps, r), [])
+    if len(steps) < n_hi:
+        size = max(n_hi, min(MAX_TABLE_INDEX, 5 * len(steps) // 4))
+        steps = _triangle_steps(ctx, [(range(r, _bullet_bound(ctx, size), ctx.p), 1)], [0] * size)
+        if sum(map(len, _RESIDUE_TABLES.values())) + len(steps) > MAX_TABLE_INDEX:
             _RESIDUE_TABLES.clear()  # memory independent of p and of the weights asked
-        _RESIDUE_TABLES[key] = table
-    return table
+        _RESIDUE_TABLES[key] = steps
+    return steps
 
 
 def _degree_increment_floor(ctx: GhostContext, n: int) -> int:
-    """The least deg g_{m+1} - deg g_m over m >= n, read from the degree table up
-    to top = max(n, head): past head an increment is (p-1)^2 above the one 2p
-    before it (see :func:`_degrees`), so one past top is c (p-1)^2, c >= 1,
-    above one in [top - 2p, top)."""
-    p, top = ctx.p, max(n, _degree_head(ctx))
-    deg = _degrees(ctx, top)
-    steps = lambda ms: [deg[m + 1] - deg[m] for m in ms]
-    return min(steps(range(n, top)) + [min(steps(range(top - 2 * p, top))) + (p - 1) ** 2])
+    """The least deg g_{m+1} - deg g_m over m >= n: past head an increment is (p-1)^2 above
+    the one 2p before it (see :func:`_degree_steps`), so one past top = max(n, head) is
+    c (p-1)^2, c >= 1, above one in [top - 2p, top), read off the head's steps or the table."""
+    p, top = ctx.p, _table_index(max(n, _degree_head(ctx)))
+    if n < top:
+        incs = list(accumulate(_degree_steps(ctx, top)))
+        return min(min(incs[n:]), min(incs[-2 * p :]) + (p - 1) ** 2)
+    deg = _degrees(ctx, n)
+    return min(map(sub, deg[n - 2 * p + 1 : n + 1], deg[n - 2 * p : n])) + (p - 1) ** 2
 
 
 def _anchored_table(ctx: GhostContext, kb: int, n_hi: int, weight_of_distance) -> list:
     """[f(0), ..., f(n_hi)] with f(n) = sum_j w(dist(kb, j)) * m_n(bullet j),
     where dist is 1 + v_p(kb - j) and ``weight_of_distance(None)`` weighs
     the anchor j = kb itself: the sum above, I >= 2, in one pass over its parts."""
-    bound, w = _bullet_bound(ctx, n_hi), weight_of_distance
-    deg = _degrees(ctx, n_hi)  # refuses n_hi past MAX_TABLE_INDEX before any table grows
+    bound, w = _bullet_bound(ctx, _table_index(n_hi)), weight_of_distance
     strides, i, step = [], 2, ctx.p**2
     while step <= max(kb, bound):
         strides.append((range(kb % step, bound, step), w(i + 1) - w(i)))
         i, step = i + 1, step * ctx.p
     strides.append((range(kb, min(kb + 1, bound)), w(None) - w(i)))
-    table, w1, dw = _triangle_table(ctx, strides, n_hi), w(1), w(2) - w(1)
-    for c, part in ((w1, deg), (dw, dw and _residue_table(ctx, kb % ctx.p, n_hi))):
-        if c:  # map stops at table's end, n_hi, in the longer shared lists
-            table = map(add, table, part if c == 1 else map(mul, repeat(c), part))
-    return list(table)
+    w1, dw = w(1), w(2) - w(1)
+    steps = _degree_steps(ctx, n_hi) if w1 else [0] * n_hi
+    if w1 not in (0, 1):
+        steps = list(map(mul, steps, repeat(w1)))
+    if dw:  # map stops at n_hi, in the longer shared list
+        s1 = _residue_table(ctx, kb % ctx.p, n_hi)
+        steps = list(map(add, steps, s1 if dw == 1 else map(mul, s1, repeat(dw))))
+    return [0, *accumulate(accumulate(_triangle_steps(ctx, strides, steps)))]
 
 
 def degree_table(ctx: GhostContext, n_hi: int) -> list:

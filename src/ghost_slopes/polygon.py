@@ -14,6 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
@@ -32,17 +33,24 @@ Point = Tuple[int, Valuation]
 
 
 def _chain(points: Iterable[Tuple[int, int]]) -> list:
-    """Lower monotone chain of (x, y) int pairs given in increasing x;
-    collinear points drop."""
-    stack: list = []
-    for x, y in points:
-        while len(stack) >= 2:
-            (x1, y1), (x2, y2) = stack[-2], stack[-1]
-            # keep x2 only on a strict left turn
-            if (y2 - y1) * (x - x2) < (y - y2) * (x2 - x1):
-                break
+    """Lower monotone chain of (x, y) int pairs given in increasing x; collinear points
+    drop.  The chain keeps the input's pairs, and its top two also sit in locals."""
+    stack = list(islice(points := iter(points), 2))
+    if len(stack) < 2:
+        return stack
+    (x1, y1), (x2, y2) = stack
+    for point in points:
+        x, y = point
+        # keep x2 only on a strict left turn
+        while (y2 - y1) * (x - x2) >= (y - y2) * (x2 - x1):
             stack.pop()
-        stack.append((x, y))
+            x2, y2 = x1, y1
+            if len(stack) == 1:
+                break
+            x1, y1 = stack[-2]
+        stack.append(point)
+        x1, y1 = x2, y2
+        x2, y2 = x, y
     return stack
 
 

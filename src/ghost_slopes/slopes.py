@@ -28,9 +28,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import gcd, lcm
-from operator import add, eq, itemgetter, mul, sub
+from operator import add, itemgetter, sub
 from typing import List, Tuple
 
 from . import ghost
@@ -104,11 +104,12 @@ def _derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
     # the polygon of k built afresh, stored nowhere
     trip = dimensions(ctx, k)
     c, h = trip.d_iw // 2, trip.d_new // 2
-    table = hatted_valuation_table(ctx, k, trip.d_iw)
+    table = hatted_valuation_table(ctx, k, c + h)  # c + h = d_iw - d_ur, the last row read
     # offsets 0..h; once the duality holds, right + left is 2 table[c + l] - (k - 2) l
-    right, left = table[c : c + h + 1], table[c - h : c + 1][::-1]
-    if not all(map(eq, map(sub, right, left), map(mul, repeat(k - 2), range(h + 1)))):
-        l = next(l for l in range(h + 1) if right[l] - left[l] != (k - 2) * l)
+    right, left, step = table[c:], table[c - h : c + 1][::-1], k - 2
+    duality = list(map(sub, right, left))
+    if duality != (list(range(0, step * (h + 1), step)) if step else [0] * (h + 1)):
+        l = next(l for l in range(h + 1) if duality[l] != step * l)
         raise VerificationError(f"anchored-valuation duality fails at k = {k}, offset {l}")
     hull = integer_hull(range(h + 1), tuple(map(add, right, left)), 2)
     m_of_k = max_zero_distance(ctx, k)
@@ -241,7 +242,8 @@ def _windows(ctx: GhostContext, k: int, q_hi: int, n_min: int = 0, stride_one: b
     n_window = next((n + -(-n // 64) for n in fits), 2 * n0)
     while True:
         deg_n = _degrees(ctx, n_window)[n_window]  # refuses before S_1 grows past the cap
-        s1 = _residue_table(ctx, ctx.bullet(k) % p, n_window)[n_window] if stride_one else 0
+        steps = _residue_table(ctx, ctx.bullet(k) % p, n_window) if stride_one else ()
+        s1 = sum(accumulate(islice(steps, n_window)))  # S_1(n_window), 0 unless stride_one
         yield n_window, deg_n, s1, _degree_increment_floor(ctx, n_window)
         n_window *= 2
 

@@ -161,13 +161,13 @@ class TestSlopesCommand:
         # d_iw = 500,000 is at the cap, but the first window past it is not:
         # below M(k) the request is refused before the derivative polygon or
         # any window's table is built, not after 0.75 s and a table of 500,001
-        monkeypatch.setattr(ghost, "_DEGREE_TABLES", {})
-        monkeypatch.setattr(ghost, "_RESIDUE_TABLES", {})
+        for held in ("_DEGREE_HEADS", "_DEGREE_TABLES", "_RESIDUE_TABLES"):
+            monkeypatch.setattr(ghost, held, {})
         start = time.perf_counter()
         code, out, err = run(capsys, "slopes", "-k", "1500000", "-r", "1")
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (2, "") and f"MAX_TABLE_INDEX = {ghost.MAX_TABLE_INDEX}" in err
-        assert ghost._DEGREE_TABLES == {} and ghost._RESIDUE_TABLES == {}
+        assert ghost._DEGREE_HEADS == ghost._DEGREE_TABLES == ghost._RESIDUE_TABLES == {}
 
 
 class TestThresholdsCommand:

@@ -13,6 +13,7 @@ definitions over random samples."""
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from unittest import mock
 
 import pytest
@@ -36,8 +37,12 @@ from ghost_slopes.distribution import DistributionSample, SampleKind, discrepanc
 from ghost_slopes.errors import DomainError
 from ghost_slopes.ghost import (
     _bullet_bound,
+    _corner_steps,
+    _degree_head,
     _degree_increment_floor,
+    _degree_steps,
     _residue_table,
+    _triangle_steps,
     anchored_valuation,
     degree_table,
     dimensions,
@@ -63,6 +68,7 @@ from ghost_slopes.slopes import (
     newslope_runs,
 )
 from strategies import RADII, context_and_weight, expand_runs
+from test_ghost_series import rise_contexts
 
 N_HI = st.integers(0, 120)
 
@@ -149,7 +155,7 @@ def test_anchored_tables_ignore_the_residue_tables_held(case, n_hi, small, extra
         with mock.patch.object(ghost, "_RESIDUE_TABLES", {}):
             for n in history:
                 tables(n)
-            top = len(ghost._RESIDUE_TABLES.get(key, [0])) - 1
+            top = len(ghost._RESIDUE_TABLES.get(key, ()))  # steps held: a table to top
             assert top >= history[-1]  # the hatted table reads stride 1
             held = tables(n_hi), tables(top)  # every entry held, read
         with mock.patch.object(ghost, "_RESIDUE_TABLES", {}):
@@ -180,11 +186,80 @@ def test_deep_strides_match_pointwise_oracles():
         ], level
 
 
+def _value_assembly(ctx, kb, n_hi, w):
+    """An anchored table assembled from value lists, as the kernel once did:
+    the strides' own table, plus w(1) times deg's values and w(2) - w(1)
+    times S_1's, each list added in turn."""
+    p, bound = ctx.p, _bullet_bound(ctx, n_hi)
+    values = lambda strides: [0, *accumulate(accumulate(_triangle_steps(ctx, strides, [0] * n_hi)))]
+    strides, i, step = [], 2, p * p
+    while step <= max(kb, bound):
+        strides.append((range(kb % step, bound, step), w(i + 1) - w(i)))
+        i, step = i + 1, step * p
+    strides.append((range(kb, min(kb + 1, bound)), w(None) - w(i)))
+    deg = [0, *accumulate(accumulate(_corner_steps(ctx, n_hi)))]
+    s1 = values([(range(kb % p, bound, p), 1)])
+    return [f + w(1) * d + (w(2) - w(1)) * s for f, d, s in zip(values(strides), deg, s1)]
+
+
+@given(case=context_and_weight(), wide=rise_contexts(), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_step_kernel_matches_its_oracles(case, wide, data):
+    # every anchored table, summed from the steps of deg and S_1 and the deep
+    # strides' corners, against the pointwise oracles and the value assembly,
+    # with n_hi past deg's head and across one 5/4 regrowth of S_1's steps;
+    # and deg's steps, the head and then its cycle, against the corners of
+    # bullets 0..p, up to 4 head + 6p on primes up to 101
+    ctx, k = case
+    kb, head = ctx.bullet(k), _degree_head(ctx)
+    n_hi = data.draw(st.integers(head + 1, 2 * head + 20), label="n_hi")
+    # n_hi - 1 held: the read of n_hi must regrow S_1's steps by one entry
+    small = data.draw(st.just(n_hi - 1) | st.integers(1, n_hi - 1), label="small")
+    radii = (
+        data.draw(st.builds(Fraction, st.integers(0, 9), st.just(9)), label="r <= 1"),
+        1 + data.draw(st.builds(Fraction, st.integers(1, 8), st.just(9)), label="1 < r < 2"),
+        2 + data.draw(st.builds(Fraction, st.integers(0, 40), st.integers(1, 9)), label="r >= 2"),
+    )
+
+    def tables(n):
+        at = [valuation_table_at(ctx, k, r, n) for r in radii]
+        return hatted_valuation_table(ctx, k, n), at, [level_tables(ctx, k, lv, n) for lv in (1, 2, 3)]
+
+    with mock.patch.object(ghost, "_DEGREE_HEADS", {}), mock.patch.object(ghost, "_RESIDUE_TABLES", {}):
+        tables(small)
+        hatted, at, levels = tables(n_hi)
+    ns = range(n_hi + 1)
+    assert hatted == [anchored_valuation(ctx, n, k) for n in ns]
+    assert hatted == _value_assembly(ctx, kb, n_hi, lambda d: 0 if d is None else d)
+    for r, (nums, den) in zip(radii, at):
+        point = WeightPoint(k, r)
+        assert [Valuation(Fraction(x, den)) for x in nums] == [evaluate_ghost_valuation(ctx, n, point) for n in ns], r
+        wt = lambda d: r.numerator if d is None else min(r.numerator, d * r.denominator)
+        assert nums == _value_assembly(ctx, kb, n_hi, wt), r
+    for level, (A, B) in zip((1, 2, 3), levels):
+        point = WeightPoint(k, level + Fraction(1, 3))
+        assert [Valuation(a + b * point.radius.value) for a, b in zip(A, B)] == [
+            evaluate_ghost_valuation(ctx, n, point) for n in ns
+        ], level
+        near = lambda d: d is not None and d <= level
+        assert A == _value_assembly(ctx, kb, n_hi, lambda d: d if near(d) else 0), level
+        assert B == _value_assembly(ctx, kb, n_hi, lambda d: 0 if near(d) else 1), level
+
+    wide_head = _degree_head(wide)
+    top = 4 * wide_head + 6 * wide.p
+    corners = _corner_steps(wide, top)
+    with mock.patch.object(ghost, "_DEGREE_HEADS", {}):
+        for n in (wide_head - 1, wide_head, top):  # before the head is held, then from it
+            assert _degree_steps(wide, n) == corners[:n], n
+        lo = data.draw(st.integers(0, top), label="lo")
+        assert _degree_steps(wide, top, lo) == corners[lo:]
+
+
 def _wider_windows(ctx, k, q_hi, n_min=0, stride_one=True):
     # each window of _windows, 4 times wider
     for window in _windows(ctx, k, q_hi, n_min, stride_one):
         n = 4 * window[0]
-        s1 = _residue_table(ctx, ctx.bullet(k) % ctx.p, n)[n] if stride_one else 0
+        s1 = sum(accumulate(_residue_table(ctx, ctx.bullet(k) % ctx.p, n)[:n])) if stride_one else 0
         yield n, degree_table(ctx, n)[n], s1, _degree_increment_floor(ctx, n)
 
 

@@ -7,6 +7,7 @@ the context (p=7, a=2, s_eps=1) before the kernels were written.
 
 import json
 from fractions import Fraction
+from itertools import accumulate
 from operator import le, sub
 from unittest import mock
 
@@ -25,7 +26,7 @@ from ghost_slopes.ghost import (
     _degree_increment_floor,
     _is_zero_bullet,
     _residue_table,
-    _triangle_table,
+    _triangle_steps,
     anchored_valuation,
     degree_table,
     dimensions,
@@ -460,7 +461,7 @@ def test_degree_table_past_its_period(p, mode, monkeypatch):
     # equals the walk
     for a, s_eps, ctx, head in period_contexts(p, mode):
         n = 3 * head + 5
-        walk = _triangle_table(ctx, [(range(_bullet_bound(ctx, n)), 1)], n)
+        walk = [0, *accumulate(accumulate(_triangle_steps(ctx, [(range(_bullet_bound(ctx, n)), 1)], [0] * n)))]
         monkeypatch.setattr(ghost, "_DEGREE_TABLES", {})
         monkeypatch.setattr(ghost, "_RESIDUE_TABLES", {})
         assert degree_table(ctx, n) == walk, (a, s_eps)
@@ -510,7 +511,7 @@ def test_residue_tables_rise_from_the_lemma_start(ctx):
     assert n0 <= 7
     for r in range(ctx.p):
         with mock.patch.object(ghost, "_RESIDUE_TABLES", {}):
-            table = _residue_table(ctx, r, 20_000)[: 20_001]
+            table = [0, *accumulate(accumulate(_residue_table(ctx, r, 20_000)[:20_000]))]
         assert all(map(le, table[n0:-1], table[n0 + 1 :])), (ctx, r)
 
 

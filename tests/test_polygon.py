@@ -17,7 +17,7 @@ from ghost_slopes import (
     newton_polygon_at,
 )
 from ghost_slopes.ghost import dimensions, evaluate_ghost_valuation
-from ghost_slopes.polygon import edge_at
+from ghost_slopes.polygon import _chain, edge_at
 from strategies import RADII, context_and_weight
 
 
@@ -184,6 +184,34 @@ def test_lower_hull_matches_brute_force(pts):
     values = [value(x) for x in xs]
     assert [hull.hull_value(x) for x in xs] == [Valuation(v) for v in values]
     assert hull.slope_list() == [b - a for a, b in zip(values, values[1:])]
+
+
+@st.composite
+def near_convex_point_sets(draw):
+    """Integer points as the workloads' hulls see them, most of them kept: up
+    to 80 points in long strictly convex runs (slopes rising), runs of equal
+    slopes (collinear points) and a few dents (a point moved up or down), or
+    just 0 to 2 points."""
+    n = draw(st.integers(0, 80))
+    x = draw(st.integers(-30, 30))
+    xs = [x := x + draw(st.integers(1, 3)) for _ in range(n)]
+    if n <= 2:
+        return [(x, draw(st.integers(-50, 50))) for x in xs]
+    slope, ys = draw(st.integers(-20, 20)), [draw(st.integers(-50, 50))]
+    for x0, x1 in zip(xs, xs[1:]):
+        slope += draw(st.sampled_from((0, 0, 1, 1, 1, 2, 7)))  # 0: collinear
+        ys.append(ys[-1] + slope * (x1 - x0))
+    for i, dent in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(-4, 4)), max_size=3)):
+        ys[i] += dent
+    return list(zip(xs, ys))
+
+
+@given(near_convex_point_sets())
+@settings(max_examples=200, deadline=None)
+def test_chain_on_near_convex_runs_matches_brute_force(pts):
+    assert _chain(pts) == [(x, int(y)) for x, y in brute_hull(pts)[0]]
+    if pts:
+        assert lower_hull(pts).hull == tuple(_chain(pts))
 
 
 # -- newton_polygon_at -----------------------------------------------------------
