@@ -14,8 +14,8 @@ built from the dimension triple (d_iw, d_ur, d_new) of each weight.
 Everything here is exact integer/rational arithmetic.  The module also
 provides batch kernels (valuation tables over all n at once) used by the
 polygon and threshold layers: each table is the double cumulative sum of
-its second differences ("steps", small ints), summed from steps shared by
-every context, so for N zeros up to n_hi an anchor costs O(N/p^2 + n_hi).
+its second differences ("steps", small ints), deg's and S_1's one period
+cycled, so for N zeros up to n_hi an anchor costs O(N/p^2 + n_hi).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, cycle, islice, repeat
+from itertools import accumulate, repeat
 from operator import add, mul, sub
 
 from .errors import ConfigError, DomainError, VerificationError
@@ -42,10 +42,6 @@ MAX_GLOBAL_MULT = 32
 #: Largest index n a valuation table may reach, refused by :func:`_table_index`
 #: before any table is read, allocated or grown.
 MAX_TABLE_INDEX = 500_000
-
-_DEGREE_HEADS: dict = {}  # (p, t1, t2, delta_eps) -> deg's first steps, see _degree_steps
-_DEGREE_TABLES: dict = {}  # (p, t1, t2, delta_eps) -> its degree table, see _degrees
-_RESIDUE_TABLES: dict = {}  # (p, t1, t2, delta_eps, r) -> the stride-1 steps, see _residue_table
 
 
 def _is_prime(n: int) -> bool:
@@ -168,8 +164,8 @@ class GhostContext:
     t1: int = field(init=False)
     t2: int = field(init=False)
 
-    # only what later calls re-read, "derivative" polygons by bullet, which derivative_polygon
-    # alone fills (shared off the context: _degrees and _residue_table)
+    # only what later calls re-read: "derivative" polygons by bullet, which derivative_polygon
+    # alone fills, and the "periods" of deg's and S_1's steps, which _period fills
     _caches: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
@@ -289,12 +285,6 @@ def _walk_end(ctx: GhostContext, j_end: int) -> int:
 def _bullet_bound(ctx: GhostContext, n_hi: int) -> int:
     """First bullet with d_ur >= n_hi; later ones vanish on 0..n_hi."""
     return _first_reaching(ctx, lambda j: ctx.dims_of_bullet(j)[1], n_hi, 2)
-
-
-def _degree_head(ctx: GhostContext) -> int:
-    """Index past which deg's steps keep their period law (see :func:`_degree_steps`):
-    2p + 1 plus the largest d_iw - d_ur over bullets 0..p, bullet p's, as spans never fall."""
-    return 2 * ctx.p + 1 + sub(*ctx.dims_of_bullet(ctx.p))
 
 
 def support_interval(ctx: GhostContext, n: int) -> tuple:
@@ -494,10 +484,10 @@ def anchored_valuation(ctx: GhostContext, n: int, k: int) -> int:
 #            + (w_anchor - w(I)) * m_n(kb),
 #
 # for any I >= 2 with p^I > max(kb, bound), where stride I holds only kb.
-# Each stride adds one constant weight, none when it is 0.  deg's steps
-# repeat past an O(p) head and S_1's are shared, so a table walks only
-# N/(p(p-1)) of the N ~ (p+1)/2 * n_hi bullets, the strides p^2, p^3, ...,
-# adds the parts' steps in one O(n_hi) pass and accumulates them twice.
+# Each stride adds one constant weight, none when it is 0.  deg's and S_1's
+# steps cycle one period (_period), so a table walks only N/(p(p-1)) of the
+# N ~ (p+1)/2 * n_hi bullets, the strides p^2, p^3, ..., adds the parts'
+# steps in one O(n_hi) pass and accumulates them twice.
 
 
 def _table_index(n: int) -> int:
@@ -526,12 +516,9 @@ def _triangle_steps(ctx, strides, steps: list) -> list:
 
 
 def _corner_steps(ctx: GhostContext, n: int) -> list:
-    """[dg(0), ..., dg(n-1)], where every bullet j >= 0 adds 1 to dg at its
-    triangle's corners d_ur and d_iw - d_ur and 2 below it at
-    d_iw/2 = j + 1 - delta_eps (d_new >= 0, so the corners of an empty
-    triangle cancel).  Bullet j + p + 1 has d_ur 2 and d_iw - d_ur 2p
-    higher, so the counts of bullets 0..p, carried along residues mod 2
-    and mod 2p, give every corner."""
+    """deg's steps [dg(0), ..., dg(n-1)], the corners of every bullet j >= 0 (see :func:`_period`;
+    d_new >= 0, so an empty triangle's cancel): bullet j + p + 1 has d_ur 2 and d_iw - d_ur 2p
+    higher, so the counts of bullets 0..p, carried along residues mod 2 and mod 2p, give all."""
     ur, end = [0] * n, [0] * n
     for j in range(_walk_end(ctx, min(ctx.p + 1, _bullet_bound(ctx, n)))):
         d_iw, d_ur = ctx.dims_of_bullet(j)  # d_ur < n below the bullet bound
@@ -544,70 +531,60 @@ def _corner_steps(ctx: GhostContext, n: int) -> list:
     return [u - 2 * (m + ctx.delta_eps >= 1) + e for m, (u, e) in enumerate(zip(ur, end))]
 
 
-def _degree_steps(ctx: GhostContext, hi: int, lo: int = 0) -> list:
-    """deg's steps [dg(lo), ..., dg(hi-1)] of :func:`_corner_steps`, a list of the caller's
-    own.  Past lead = head - 2p (:func:`_degree_head`) the corners repeat with period 2p, each
-    adding p(p+1) - 4p + (p+1) = (p-1)^2 to the slope, so past head the steps cycle the
-    head's last 2p.  The head is held per (p, t1, t2, delta_eps) once a read reaches it."""
-    head = _DEGREE_HEADS.get(key := (ctx.p, ctx.t1, ctx.t2, ctx.delta_eps))
-    if head is None:
-        if hi < _degree_head(ctx):
-            return _corner_steps(ctx, hi)[lo:]
-        head = _DEGREE_HEADS[key] = _corner_steps(ctx, _degree_head(ctx))
-    steps, start, period = head[lo:hi], max(lo, len(head)), 2 * ctx.p
-    if hi > start:
-        skip = (start - len(head)) % period
-        steps += islice(cycle(head[-period:]), skip, skip + hi - start)
-    return steps
+def _period(ctx: GhostContext, r, n_hi: int) -> list:
+    """[steps, values]: at least the first min(n_hi, 1 + L) steps of deg (r None, L = 2p) or of S_1
+    on the bullets j = r (mod p) (L = 2p^2), at most 1 + L, and their values once :func:`_at` reads
+    them.  The longest read so far is held in ctx._caches["periods"] and rebuilt to a longer read's
+    length; S_1's only when all p fit, p(1 + 2p^2) <= MAX_TABLE_INDEX.
 
+    Period law: past step 0 the steps have period L.  Over all integers j, d_ur and end =
+    d_iw - d_ur add 1 and mid = j + 1 - delta_eps adds -2; j + p + 1 has d_ur 2 and end 2p
+    higher, so the three counts have periods 2, 2p and 1, and over j = r (mod p), moved by
+    p(p+1) or p, periods 2p, 2p^2 and p.  No j < 0 has a corner at n >= 1: q = (j - t1) // (p+1)
+    <= -1 gives d_ur <= 2q + 2 <= 0 and mid <= 0, and end(j) <= end(-1) = 1 - 2 delta_eps -
+    [p >= t2] <= 0 (t2 <= p + delta_eps), as d_ur never falls and rises 2 over p + 1 bullets.
 
-def _degrees(ctx: GhostContext, n_hi: int) -> list:
-    """The degree table of ctx's (p, t1, t2, delta_eps), shared by every context with
-    them and grown in place to cover n_hi by accumulating :func:`_degree_steps` twice
-    from its end; read entries 0..n_hi only, never write."""
-    _table_index(n_hi)
-    deg = _DEGREE_TABLES.setdefault((ctx.p, ctx.t1, ctx.t2, ctx.delta_eps), [0])
-    if len(deg) <= n_hi:
-        n = len(deg) - 1  # go on from deg[n - 1] and its increment, 0 and 0 at n = 0
-        incs = accumulate(_degree_steps(ctx, n_hi, n), initial=deg[n] - deg[n - 1] if n else 0)
-        deg += islice(accumulate(incs, initial=deg[n - 1] if n else 0), 2, None)
-    return deg
+    Convexity: deg's steps past step 0 are U(n) - 2 + E(n) >= 1, U(n) the j with d_ur(j) = n:
+    d_ur = 2q + 1 + [rem >= t2] on rem = j - (p+1)q in [t1, t1 + p], so U(n) is t2 - t1 or
+    p + 1 - (t2 - t1), and t2 - t1 is a + 2 or p - 1 - a, in [3, p-2].  So deg's increments
+    rise, and the least one past n is deg g_{n+1} - deg g_n.
 
-
-def _residue_table(ctx: GhostContext, r: int, n_hi: int) -> list:
-    """S_1's steps (at least n_hi) for residue r, shared like :func:`_degrees`, rebuilt 5/4
-    longer (or to n_hi) when short, every prefix exact; all are dropped when they would
-    pass MAX_TABLE_INDEX entries.  S_1(n) is sum(accumulate(steps[:n])).
-
-    Lemma: S_1 does not fall on [N0, inf), N0 = ceil(4p^2/(p-1)^2) <= 7 (p >= 5).
+    S_1 does not fall on [N0, inf), N0 = ceil(4p^2/(p-1)^2) <= 7 (p >= 5).
     S_1(n+1) - S_1(n) = R - F, R (F) the bullets j = r (mod p) whose triangle
-    rises (falls) on [n, n+1]: d_ur(j) <= n < mid(j) = j + 1 - delta_eps (mid(j)
-    <= n < d_iw(j) - d_ur(j)).  As 2(j - t1)/(p+1) - 1 < d_ur(j) <= 2(j - t1)/(p+1)
-    + 2, R holds the class on [n + delta_eps, (n-2)(p+1)/2 + t1] and F lies in it
-    on ((n - 2 + 2 delta_eps)(p+1)/(2p) - t1/p, n - 1 + delta_eps].  A class mod p
-    meets [a, b] at least (b - a + 2 - p)/p times and (a, b] at most (b - a + p)/p
-    times, so as t1 >= delta_eps, p (R - F) >= n (p-1)^2/(2p) - 3p + 1 - 1/p > -p
-    once n (p-1)^2 >= 4p^2, and the integer R - F is >= 0."""
-    steps = _RESIDUE_TABLES.get(key := (ctx.p, ctx.t1, ctx.t2, ctx.delta_eps, r), [])
-    if len(steps) < n_hi:
-        size = max(n_hi, min(MAX_TABLE_INDEX, 5 * len(steps) // 4))
-        steps = _triangle_steps(ctx, [(range(r, _bullet_bound(ctx, size), ctx.p), 1)], [0] * size)
-        if sum(map(len, _RESIDUE_TABLES.values())) + len(steps) > MAX_TABLE_INDEX:
-            _RESIDUE_TABLES.clear()  # memory independent of p and of the weights asked
-        _RESIDUE_TABLES[key] = steps
-    return steps
+    rises (falls) on [n, n+1]: d_ur(j) <= n < mid(j) (mid(j) <= n < end(j)).  As
+    2(j - t1)/(p+1) - 1 < d_ur(j) <= 2(j - t1)/(p+1) + 2, R holds the class on
+    [n + delta_eps, (n-2)(p+1)/2 + t1] and F lies in it on ((n - 2 + 2 delta_eps)(p+1)/(2p)
+    - t1/p, n - 1 + delta_eps].  A class mod p meets [a, b] at least (b - a + 2 - p)/p times
+    and (a, b] at most (b - a + p)/p times, so as t1 >= delta_eps, p (R - F) >= n (p-1)^2/(2p)
+    - 3p + 1 - 1/p > -p once n (p-1)^2 >= 4p^2, and the integer R - F is >= 0."""
+    held, p = ctx._caches.setdefault("periods", {}), ctx.p
+    period = 2 * p if r is None else 2 * p * p
+    size = min(n_hi, 1 + period)
+    record = held.get(r)
+    if record is None or len(record[0]) < size:
+        record = [_corner_steps(ctx, size) if r is None else
+                  _triangle_steps(ctx, [(range(r, _bullet_bound(ctx, size), p), 1)], [0] * size), None]
+        if r is None or p * (1 + period) <= MAX_TABLE_INDEX:
+            held[r] = record
+    return record
 
 
-def _degree_increment_floor(ctx: GhostContext, n: int) -> int:
-    """The least deg g_{m+1} - deg g_m over m >= n: past head an increment is (p-1)^2 above
-    the one 2p before it (see :func:`_degree_steps`), so one past top = max(n, head) is
-    c (p-1)^2, c >= 1, above one in [top - 2p, top), read off the head's steps or the table."""
-    p, top = ctx.p, _table_index(max(n, _degree_head(ctx)))
-    if n < top:
-        incs = list(accumulate(_degree_steps(ctx, top)))
-        return min(min(incs[n:]), min(incs[-2 * p :]) + (p - 1) ** 2)
-    deg = _degrees(ctx, n)
-    return min(map(sub, deg[n - 2 * p + 1 : n + 1], deg[n - 2 * p : n])) + (p - 1) ** 2
+def _steps(ctx: GhostContext, r, n_hi: int) -> list:
+    """The first n_hi steps, a list of the caller's own: :func:`_period`'s first, its period repeated."""
+    steps = _period(ctx, r, n_hi)[0]
+    return (steps[:1] + steps[1:] * -(-n_hi // max(1, len(steps) - 1)))[:n_hi]
+
+
+def _at(period: list, n: int) -> tuple:
+    """(f(n), f(n+1) - f(n)) in O(1), f the table of ``period`` (:func:`_period` to n + 1 at
+    least): with L its period, n = cL + r and rise = f(L+1) - f(L) - f(1) what a period adds to
+    the increment, f(n) = f(r) + c f(L) + rise (L c(c-1)/2 + c r)."""
+    steps, values = period
+    if values is None:
+        values = period[1] = [0, *accumulate(accumulate(steps))]
+    L, rise = len(steps) - 1, values[-1] - values[-2] - values[1]
+    c, r = divmod(n, L) if n > L else (0, n)
+    return values[r] + c * values[L] + rise * (L * c * (c - 1) // 2 + c * r), values[r + 1] - values[r] + c * rise
 
 
 def _anchored_table(ctx: GhostContext, kb: int, n_hi: int, weight_of_distance) -> list:
@@ -621,18 +598,17 @@ def _anchored_table(ctx: GhostContext, kb: int, n_hi: int, weight_of_distance) -
         i, step = i + 1, step * ctx.p
     strides.append((range(kb, min(kb + 1, bound)), w(None) - w(i)))
     w1, dw = w(1), w(2) - w(1)
-    steps = _degree_steps(ctx, n_hi) if w1 else [0] * n_hi
-    if w1 not in (0, 1):
-        steps = list(map(mul, steps, repeat(w1)))
-    if dw:  # map stops at n_hi, in the longer shared list
-        s1 = _residue_table(ctx, kb % ctx.p, n_hi)
+    deg = _steps(ctx, None, n_hi)
+    steps = (deg if w1 == 1 else list(map(mul, deg, repeat(w1)))) if w1 else [0] * n_hi
+    if dw:
+        s1 = _steps(ctx, kb % ctx.p, n_hi)
         steps = list(map(add, steps, s1 if dw == 1 else map(mul, s1, repeat(dw))))
     return [0, *accumulate(accumulate(_triangle_steps(ctx, strides, steps)))]
 
 
 def degree_table(ctx: GhostContext, n_hi: int) -> list:
     """deg g_n for n = 0..n_hi (deg g_0 = 0), as a list of the caller's own."""
-    return _degrees(ctx, n_hi)[: n_hi + 1]
+    return [0, *accumulate(accumulate(_steps(ctx, None, _table_index(n_hi))))]
 
 
 def hatted_valuation_table(ctx: GhostContext, k: int, n_hi: int) -> list:

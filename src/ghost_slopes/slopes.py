@@ -18,8 +18,9 @@ series: a window is accepted only once every omitted coefficient
 provably stays above the supporting line at the right edge of the
 region of interest, using the exact lower bound
 v_p(g_n(w)) >= min(r, 1) deg(g_n) + (min(r, 2) - min(r, 1)) S_1(n) at
-radius r (:func:`_tail_certified`), the least increment of deg(g_n) past
-the window, read exactly from the degree table, and S_1 not falling there.
+radius r (:func:`_tail_certified`), deg(g_n) rising by at least its
+increment at the window's edge, and S_1 not falling there (the lemmas of
+:func:`ghost._period`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat
+from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, sub
 from typing import List, Tuple
@@ -38,10 +39,10 @@ from .errors import DomainError, VerificationError
 from .ghost import (
     GhostContext,
     WeightPoint,
+    _at,
     _bullet_bound,
-    _degree_increment_floor,
-    _degrees,
-    _residue_table,
+    _period,
+    _table_index,
     dimensions,
     hatted_valuation_table,
     level_tables,
@@ -219,33 +220,32 @@ def _tail_certified(radius, window, q_hi, hull, den) -> bool:
 
 
 def _windows(ctx: GhostContext, k: int, q_hi: int, n_min: int = 0, stride_one: bool = True):
-    """Yield windows (n, deg g_n, S_1(n) of k_bullet's residue or 0 unless
-    ``stride_one``, the exact least increment of deg past n) for
-    :func:`_tail_certified`, doubling from a first one sized to pass it; past
-    MAX_TABLE_INDEX DomainError ends the walk before S_1 grows (before any table if
-    n0 + n0/64 is past it), n0 = max(q_hi + 8, n_min) >= 8 > N0 of :func:`ghost._residue_table`.
+    """Yield :func:`_window` at n for :func:`_tail_certified`, doubling n from a first
+    window sized to pass it; past MAX_TABLE_INDEX DomainError ends the walk (before
+    anything if n0 + n0/64 is past it), n0 = max(q_hi + 8, n_min) >= 8 > N0 of ghost._period.
 
     Past the anchor's triangle, distance i + 1 weighs on about 1/p^i of deg,
     so a hull's line at q_hi runs near p/(p-1) times deg's tangent there, and
     L_r = deg + S_1 (r >= 2) near (1 + 1/p) deg: both tests pass from about
     p/(p-1) q_hi on.  The first window is the least n in [n0, cap), cap =
-    max(n0 + n0/64, min(2 n0, MAX_TABLE_INDEX)), where deg's increment is
-    p/(p-1) times the one at q_hi, plus n/64, else 2 n0 (on (7,2,1), (5,1,0)
-    and (11,6,9) the estimate alone fell short by 1 entry at most on a sweep
-    and 2 on a hull).
+    max(n0 + n0/64, min(2 n0, MAX_TABLE_INDEX)), where deg's increment (never
+    falling, so bisected) is p/(p-1) times the one at q_hi, plus n/64, else 2 n0
+    (on (7,2,1), (5,1,0) and (11,6,9) the estimate alone fell short by 1 entry at
+    most on a sweep and 2 on a hull).
     """
     p, n0 = ctx.p, max(q_hi + 8, n_min)
-    cap = max(n0 + -(-n0 // 64), min(2 * n0, ghost.MAX_TABLE_INDEX))
-    deg = _degrees(ctx, cap)
-    tangent = p * (deg[q_hi + 1] - deg[q_hi])
-    fits = (n for n in range(n0, cap) if (p - 1) * (deg[n + 1] - deg[n]) >= tangent)
-    n_window = next((n + -(-n // 64) for n in fits), 2 * n0)
+    deg = _period(ctx, None, cap := _table_index(max(n0 + -(-n0 // 64), min(2 * n0, ghost.MAX_TABLE_INDEX))))
+    n = n0 + bisect_left(range(n0, cap), p * _at(deg, q_hi)[1], key=lambda n: (p - 1) * _at(deg, n)[1])
+    n_window = n + -(-n // 64) if n < cap else 2 * n0
     while True:
-        deg_n = _degrees(ctx, n_window)[n_window]  # refuses before S_1 grows past the cap
-        steps = _residue_table(ctx, ctx.bullet(k) % p, n_window) if stride_one else ()
-        s1 = sum(accumulate(islice(steps, n_window)))  # S_1(n_window), 0 unless stride_one
-        yield n_window, deg_n, s1, _degree_increment_floor(ctx, n_window)
+        yield _window(ctx, k, n_window, stride_one)
         n_window *= 2
+
+
+def _window(ctx: GhostContext, k: int, n: int, stride_one: bool = True) -> tuple:
+    # (n, deg g_n, S_1(n) of k_bullet's residue or 0, deg g_{n+1} - deg g_n), n capped before S_1
+    deg_n, inc = _at(_period(ctx, None, _table_index(n) + 1), n)
+    return n, deg_n, _at(_period(ctx, ctx.bullet(k) % ctx.p, n + 1), n)[0] if stride_one else 0, inc
 
 
 def certified_newton_polygon(

@@ -10,6 +10,7 @@ against one 4x wider, over random contexts (p, a, s_eps, m) in both
 modes; and the integer sample statistics against their Fraction
 definitions over random samples."""
 
+import dataclasses
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -32,16 +33,12 @@ from ghost_slopes import (
     lower_hull,
     sweep_threshold,
 )
-from ghost_slopes import checks, ghost, slopes
+from ghost_slopes import checks, slopes
 from ghost_slopes.distribution import DistributionSample, SampleKind, discrepancy, sample, weyl_csv
 from ghost_slopes.errors import DomainError
 from ghost_slopes.ghost import (
     _bullet_bound,
     _corner_steps,
-    _degree_head,
-    _degree_increment_floor,
-    _degree_steps,
-    _residue_table,
     _triangle_steps,
     anchored_valuation,
     degree_table,
@@ -63,12 +60,12 @@ from ghost_slopes.slopes import (
     _locked_on,
     _reach,
     _sweep,
+    _window,
     _windows,
     certified_newton_polygon,
     newslope_runs,
 )
 from strategies import RADII, context_and_weight, expand_runs
-from test_ghost_series import rise_contexts
 
 N_HI = st.integers(0, 120)
 
@@ -127,17 +124,16 @@ def test_level_tables_match_evaluate(case, n_hi, level, step):
 @settings(max_examples=40, deadline=None)
 def test_anchored_tables_ignore_the_residue_tables_held(case, n_hi, small, extra, low, high, level):
     # the hatted table, tables at radii <= 1 and > 1 and level A/B tables
-    # against their pointwise oracles with the shared stride-1 tables empty,
-    # then the same tables built on stride-1 tables filled past n_hi, and
-    # filled small then grown: every entry of a residue table held is exact
+    # against their pointwise oracles on a fresh context, then the same
+    # tables on contexts that read tables past n_hi, or short then one
+    # longer, first: whatever periods a context holds, every entry is exact
     ctx, k = case
 
-    def tables(n):
+    def tables(n, ctx=ctx):
         at = [valuation_table_at(ctx, k, r, n) for r in (low, high)]
         return hatted_valuation_table(ctx, k, n), at, [level_tables(ctx, k, lv, n) for lv in (1, 2, 3)]
 
-    with mock.patch.object(ghost, "_RESIDUE_TABLES", {}):
-        hatted, at, levels = expected = tables(n_hi)
+    hatted, at, levels = expected = tables(n_hi)
     assert hatted == [anchored_valuation(ctx, n, k) for n in range(n_hi + 1)]
     for r, (nums, den) in zip((low, high), at):
         point = WeightPoint(k, r)
@@ -150,16 +146,11 @@ def test_anchored_tables_ignore_the_residue_tables_held(case, n_hi, small, extra
     assert [Valuation(a + b * r) for a, b in zip(A, B)] == [
         evaluate_ghost_valuation(ctx, n, point) for n in range(n_hi + 1)
     ], level
-    key = (ctx.p, ctx.t1, ctx.t2, ctx.delta_eps, ctx.bullet(k) % ctx.p)
-    for history in ((n_hi + extra,), (small, small + 1)):  # the second grows it 5/4 past small
-        with mock.patch.object(ghost, "_RESIDUE_TABLES", {}):
-            for n in history:
-                tables(n)
-            top = len(ghost._RESIDUE_TABLES.get(key, ()))  # steps held: a table to top
-            assert top >= history[-1]  # the hatted table reads stride 1
-            held = tables(n_hi), tables(top)  # every entry held, read
-        with mock.patch.object(ghost, "_RESIDUE_TABLES", {}):
-            assert held == (expected, tables(top)), history
+    for history in ((n_hi + extra,), (small, small + 1)):
+        warm = dataclasses.replace(ctx)
+        for n in history:
+            tables(n, warm)
+        assert (tables(n_hi, warm), tables(history[-1], warm)) == (expected, tables(history[-1])), history
 
 
 def test_deep_strides_match_pointwise_oracles():
@@ -202,18 +193,16 @@ def _value_assembly(ctx, kb, n_hi, w):
     return [f + w(1) * d + (w(2) - w(1)) * s for f, d, s in zip(values(strides), deg, s1)]
 
 
-@given(case=context_and_weight(), wide=rise_contexts(), data=st.data())
+@given(case=context_and_weight(), data=st.data())
 @settings(max_examples=25, deadline=None)
-def test_step_kernel_matches_its_oracles(case, wide, data):
+def test_step_kernel_matches_its_oracles(case, data):
     # every anchored table, summed from the steps of deg and S_1 and the deep
     # strides' corners, against the pointwise oracles and the value assembly,
-    # with n_hi past deg's head and across one 5/4 regrowth of S_1's steps;
-    # and deg's steps, the head and then its cycle, against the corners of
-    # bullets 0..p, up to 4 head + 6p on primes up to 101
+    # with n_hi past deg's period of 2p, after a shorter read on the same
+    # context (test_ghost_series checks the periods themselves)
     ctx, k = case
-    kb, head = ctx.bullet(k), _degree_head(ctx)
-    n_hi = data.draw(st.integers(head + 1, 2 * head + 20), label="n_hi")
-    # n_hi - 1 held: the read of n_hi must regrow S_1's steps by one entry
+    kb = ctx.bullet(k)
+    n_hi = data.draw(st.integers(2 * ctx.p + 2, 8 * ctx.p + 20), label="n_hi")
     small = data.draw(st.just(n_hi - 1) | st.integers(1, n_hi - 1), label="small")
     radii = (
         data.draw(st.builds(Fraction, st.integers(0, 9), st.just(9)), label="r <= 1"),
@@ -225,9 +214,8 @@ def test_step_kernel_matches_its_oracles(case, wide, data):
         at = [valuation_table_at(ctx, k, r, n) for r in radii]
         return hatted_valuation_table(ctx, k, n), at, [level_tables(ctx, k, lv, n) for lv in (1, 2, 3)]
 
-    with mock.patch.object(ghost, "_DEGREE_HEADS", {}), mock.patch.object(ghost, "_RESIDUE_TABLES", {}):
-        tables(small)
-        hatted, at, levels = tables(n_hi)
+    tables(small)
+    hatted, at, levels = tables(n_hi)
     ns = range(n_hi + 1)
     assert hatted == [anchored_valuation(ctx, n, k) for n in ns]
     assert hatted == _value_assembly(ctx, kb, n_hi, lambda d: 0 if d is None else d)
@@ -245,22 +233,11 @@ def test_step_kernel_matches_its_oracles(case, wide, data):
         assert A == _value_assembly(ctx, kb, n_hi, lambda d: d if near(d) else 0), level
         assert B == _value_assembly(ctx, kb, n_hi, lambda d: 0 if near(d) else 1), level
 
-    wide_head = _degree_head(wide)
-    top = 4 * wide_head + 6 * wide.p
-    corners = _corner_steps(wide, top)
-    with mock.patch.object(ghost, "_DEGREE_HEADS", {}):
-        for n in (wide_head - 1, wide_head, top):  # before the head is held, then from it
-            assert _degree_steps(wide, n) == corners[:n], n
-        lo = data.draw(st.integers(0, top), label="lo")
-        assert _degree_steps(wide, top, lo) == corners[lo:]
-
 
 def _wider_windows(ctx, k, q_hi, n_min=0, stride_one=True):
     # each window of _windows, 4 times wider
     for window in _windows(ctx, k, q_hi, n_min, stride_one):
-        n = 4 * window[0]
-        s1 = sum(accumulate(_residue_table(ctx, ctx.bullet(k) % ctx.p, n)[:n])) if stride_one else 0
-        yield n, degree_table(ctx, n)[n], s1, _degree_increment_floor(ctx, n)
+        yield _window(ctx, k, 4 * window[0], stride_one)
 
 
 @given(case=context_and_weight(), radius=RADII)
@@ -532,8 +509,7 @@ def _perturbed_newslopes(ctx, k, r0, s):
         # every omitted point lies above the supporting line at q_hi
         (x0, y0), sigma = _pair_edge(hull, q_hi)
         line = tuple(y + m * (n_window - x0) for y, m in zip(y0, sigma))
-        deg = degree_table(ctx, n_window)[n_window]
-        floor = _degree_increment_floor(ctx, n_window)
+        _, deg, _, floor = _window(ctx, k, n_window, False)
         if tuple(f * deg for f in rfac) >= line and tuple(f * floor for f in rfac) >= sigma:
             return [_pair_edge(hull, trip.d_ur + n - 1)[1] for n in range(1, trip.d_new + 1)]
         n_window *= 2

@@ -9,7 +9,6 @@ import json
 from fractions import Fraction
 from itertools import accumulate
 from operator import le, sub
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,11 +20,12 @@ from ghost_slopes.errors import ConfigError, DomainError
 from ghost_slopes.ghost import (
     GhostContext,
     WeightPoint,
+    _at,
     _bullet_bound,
-    _degree_head,
-    _degree_increment_floor,
+    _corner_steps,
     _is_zero_bullet,
-    _residue_table,
+    _period,
+    _steps,
     _triangle_steps,
     anchored_valuation,
     degree_table,
@@ -40,7 +40,7 @@ from ghost_slopes.ghost import (
     support_interval,
     valuation_table_at,
 )
-from ghost_slopes.slopes import derivative_polygon
+from ghost_slopes.slopes import _window, derivative_polygon
 from ghost_slopes.valuation import INF, Valuation, weight_distance
 from strategies import context_and_weight
 
@@ -445,50 +445,42 @@ PERIOD_CASES = [(p, mode) for p in (5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
 def period_contexts(p, mode):
-    """(a, s_eps, context, head) for up to four parameter sets at p: head is
-    the index past which the degree table follows its period recurrence."""
+    """(a, s_eps, context) for up to four parameter sets at p."""
     lo = 2 if mode == "strict" else 1
     hi = p - 3 - lo
     for a, s_eps in {(lo, 0), (hi, p - 2), ((lo + hi) // 2, (p - 1) // 2), (lo, p - 2)}:
-        ctx = GhostContext(p, a, s_eps, mode=mode)
-        yield a, s_eps, ctx, _degree_head(ctx)
+        yield a, s_eps, GhostContext(p, a, s_eps, mode=mode)
 
 
 @pytest.mark.parametrize("p, mode", PERIOD_CASES)
-def test_degree_table_past_its_period(p, mode, monkeypatch):
-    # below head the table comes from the corners of bullets 0..p, past it
-    # from the period recurrence; built at once or grown from empty, it
-    # equals the walk
-    for a, s_eps, ctx, head in period_contexts(p, mode):
-        n = 3 * head + 5
+def test_degree_table_past_its_period(p, mode):
+    # a first step and then one period of 2p steps, cycled; built at once or
+    # read short first (below one period, at it, past it), it equals the walk
+    for a, s_eps, ctx in period_contexts(p, mode):
+        n = 12 * p + 5
         walk = [0, *accumulate(accumulate(_triangle_steps(ctx, [(range(_bullet_bound(ctx, n)), 1)], [0] * n)))]
-        monkeypatch.setattr(ghost, "_DEGREE_TABLES", {})
-        monkeypatch.setattr(ghost, "_RESIDUE_TABLES", {})
         assert degree_table(ctx, n) == walk, (a, s_eps)
-        monkeypatch.setattr(ghost, "_DEGREE_TABLES", {})
-        monkeypatch.setattr(ghost, "_RESIDUE_TABLES", {})
         grown = GhostContext(p, a, s_eps, mode=mode)
-        for m in (head // 2, head, n):
+        for m in (p, 2 * p + 1, n):
             assert degree_table(grown, m) == walk[: m + 1], (a, s_eps, m)
+        assert len(grown._caches["periods"][None][0]) == 2 * p + 1
 
 
-def test_residue_tables_held_stay_under_the_table_cap(monkeypatch):
-    # on a large prime each weight of a range asks a residue of its own; the
-    # stride-1 tables held stay within MAX_TABLE_INDEX + 1 entries in all,
-    # and the tables built across each drop equal ones built on none held
-    # (which test_differential checks against the pointwise oracles)
-    ctx, held, fresh = GhostContext(1009, 1, 0), [], {}
-    ks = [ctx.weight_of_bullet(kb) for kb in range(100, 260, 5)]
-    for k in ks:
-        monkeypatch.setattr(ghost, "_RESIDUE_TABLES", {})
-        fresh[k] = hatted_valuation_table(ctx, k, dimensions(ctx, k).d_iw)
-    monkeypatch.setattr(ghost, "_RESIDUE_TABLES", {})
-    monkeypatch.setattr(ghost, "MAX_TABLE_INDEX", 600)
-    for k in ks:
-        assert hatted_valuation_table(ctx, k, dimensions(ctx, k).d_iw) == fresh[k], k
-        assert sum(map(len, ghost._RESIDUE_TABLES.values())) <= 601
-        held.append(len(ghost._RESIDUE_TABLES))
-    assert max(held) >= 2 and held[-1] < len(ks)  # shared until the cap, then dropped
+def test_residue_tables_held_stay_under_the_table_cap():
+    # tables past one period of S_1: the p periods fit under MAX_TABLE_INDEX
+    # at p = 61 and are held, at the next prime and at p = 1009 none is; the
+    # periods held total at most MAX_TABLE_INDEX + 2p + 1 entries, and every
+    # table equals one built on a fresh context
+    assert 61 * (1 + 2 * 61**2) <= ghost.MAX_TABLE_INDEX < 67 * (1 + 2 * 67**2)
+    for p in (61, 67, 1009):
+        ctx = GhostContext(p, 1, 0)
+        n_hi = 2 * p * p + 1 if p < 100 else 3000
+        for kb in range(p) if p == 61 else range(100, 260, 5):
+            k = ctx.weight_of_bullet(kb)
+            assert hatted_valuation_table(ctx, k, n_hi) == hatted_valuation_table(GhostContext(p, 1, 0), k, n_hi), k
+        held = ctx._caches["periods"]
+        assert sum(len(steps) for steps, _ in held.values()) <= ghost.MAX_TABLE_INDEX + 2 * p + 1, p
+        assert len(held) == (p + 1 if p == 61 else 1), p
 
 
 @st.composite
@@ -505,26 +497,60 @@ def rise_contexts(draw):
 @given(ctx=rise_contexts())
 @settings(max_examples=6, deadline=None)
 def test_residue_tables_rise_from_the_lemma_start(ctx):
-    # the lemma of _residue_table, which the window certificate's S_1 term
-    # rests on: past N0 = ceil(4p^2/(p-1)^2) no stride-1 table falls, for any residue
+    # the lemma of _period, which the window certificate's S_1 term rests on:
+    # past N0 = ceil(4p^2/(p-1)^2) no stride-1 table falls, for any residue
     n0 = -(-4 * ctx.p**2 // (ctx.p - 1) ** 2)
     assert n0 <= 7
     for r in range(ctx.p):
-        with mock.patch.object(ghost, "_RESIDUE_TABLES", {}):
-            table = [0, *accumulate(accumulate(_residue_table(ctx, r, 20_000)[:20_000]))]
+        table = [0, *accumulate(accumulate(_steps(ctx, r, 20_000)))]
         assert all(map(le, table[n0:-1], table[n0 + 1 :])), (ctx, r)
+
+
+@example(ctx=GhostContext(5, 1, 0))
+@example(ctx=GhostContext(101, 7, 40, mode="strict"))
+@given(ctx=rise_contexts())
+@settings(max_examples=8, deadline=None)
+def test_periods_match_their_oracles(ctx):
+    # the period law of _period: deg's steps against _corner_steps and S_1's
+    # against _triangle_steps over the whole residue class, 3 periods past
+    # step 0, every residue for p <= 13 and three for p = 101; and deg(n),
+    # deg(n+1) - deg(n) and S_1(n) from _at, read short first, against the
+    # value tables summed from those oracles (every n, or every 1999th at p = 101)
+    p = ctx.p
+    for r in [None, *(range(p) if p <= 13 else (0, ctx.a, p - 1))]:
+        top = 1 + 3 * (2 * p if r is None else 2 * p * p)
+        if r is None:
+            oracle = _corner_steps(ctx, top)
+        else:
+            oracle = _triangle_steps(ctx, [(range(r, _bullet_bound(ctx, top), p), 1)], [0] * top)
+        values = [0, *accumulate(accumulate(oracle))]
+        for n in range(0, top - 1, 1 if p <= 13 or r is None else 1999):
+            assert _at(_period(ctx, r, n + 1), n) == (values[n], values[n + 1] - values[n]), (r, n)
+        assert _steps(ctx, r, top) == oracle, r
 
 
 @pytest.mark.parametrize("p, mode", PERIOD_CASES)
 def test_degree_increment_floor_is_exact(p, mode):
-    # the floor that certifies every window is the least increment of the
-    # degree table past n, not a bound below it: 30p increments from n
-    # reach well past head, where each period adds (p-1)^2
-    for a, s_eps, ctx, head in period_contexts(p, mode):
-        deg = degree_table(ctx, 3 * head + 30 * p)
-        steps = [deg[m + 1] - deg[m] for m in range(len(deg) - 1)]
-        for n in range(1, 3 * head + 1):
-            assert _degree_increment_floor(ctx, n) == min(steps[n : n + 30 * p]), (a, s_eps, n)
+    # the convexity lemma of _period: t2 - t1 lies in [3, p-2], and past step
+    # 0 deg's steps are >= 1, so an increment is the least of the 30p from it
+    for a, s_eps, ctx in period_contexts(p, mode):
+        assert 3 <= ctx.t2 - ctx.t1 <= p - 2, (a, s_eps)
+        steps = _corner_steps(ctx, 12 * p + 30 * p)
+        assert min(steps[1:]) >= 1, (a, s_eps)
+        incs = list(accumulate(steps))
+        for n in range(12 * p):
+            assert _at(_period(ctx, None, n + 1), n)[1] == min(incs[n : n + 30 * p]), (a, s_eps, n)
+
+
+@given(ctx=rise_contexts())
+@settings(max_examples=10, deadline=None)
+def test_window_increment_floor_is_the_least_increment_past_it(ctx):
+    # the certificate's floor, the last entry of a window at n: the least of
+    # the next 30p increments of deg, summed from _corner_steps
+    p = ctx.p
+    incs = list(accumulate(_corner_steps(ctx, 36 * p + 11)))
+    for n in range(6 * p + 11):
+        assert _window(ctx, ctx.k_eps, n, False)[3] == min(incs[n : n + 30 * p]), n
 
 
 # -- pointwise evaluation -------------------------------------------------------

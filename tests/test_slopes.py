@@ -545,46 +545,41 @@ def test_windows_end_at_max_table_index(monkeypatch):
 
 def test_window_fallback_past_the_cap_is_refused_before_stride_one_grows(monkeypatch):
     # at r = 3/2 below M(k) the hull's first window on k = 1,470,000 (d_iw =
-    # 490,000) falls back to 2 d_iw, past the cap: the degree table refuses it
-    # before the shared stride-1 table is grown to it
-    monkeypatch.setattr(ghost, "_DEGREE_TABLES", {})
-    monkeypatch.setattr(ghost, "_RESIDUE_TABLES", {})
-    k, cap = 1_470_000, ghost.MAX_TABLE_INDEX
+    # 490,000) falls back to 2 d_iw, past the cap: the window refuses it
+    # before any stride-1 step or table is built, with deg's period alone held
+    built, triangles = [], ghost._triangle_steps
+    monkeypatch.setattr(ghost, "_triangle_steps", lambda *args: built.append(args) or triangles(*args))
+    k, cap, fresh = 1_470_000, ghost.MAX_TABLE_INDEX, GhostContext(p=7, a=2, s_eps=1)
     with pytest.raises(DomainError, match=f"^table index 980000 exceeds MAX_TABLE_INDEX = {cap}$"):
-        slopes.newslope_runs(GhostContext(p=7, a=2, s_eps=1), k, WeightPoint(k, Fraction(3, 2)))
-    assert sum(map(len, ghost._RESIDUE_TABLES.values())) <= cap + 1
+        slopes.newslope_runs(fresh, k, WeightPoint(k, Fraction(3, 2)))
+    assert built == [] and list(fresh._caches["periods"]) == [None]
 
 
 def test_windows_and_thresholds_ignore_how_far_the_table_grew(monkeypatch):
-    # one degree table, and one stride-1 table per residue, serve every
-    # context with the same parameters, so tables that another context grew
-    # far past a window must give the same windows, thresholds and
-    # MAX_TABLE_INDEX refusals as fresh ones
-    monkeypatch.setattr(ghost, "_DEGREE_TABLES", {})
-    monkeypatch.setattr(ghost, "_RESIDUE_TABLES", {})
-
-    def read(k):
-        fresh = GhostContext(p=7, a=2, s_eps=1)
-        walk = islice(slopes._windows(fresh, k, dimensions(fresh, k).d_iw), 3)
-        return list(walk), k_thresholds(fresh, k)
+    # a context holds one period of deg's steps and one of S_1's per residue,
+    # so tables it read far past a window must give the same windows,
+    # thresholds and MAX_TABLE_INDEX refusals as a fresh context
+    def read(ctx, k):
+        walk = islice(slopes._windows(ctx, k, dimensions(ctx, k).d_iw), 3)
+        return list(walk), k_thresholds(ctx, k)
 
     ks = (24, 444, 1206)
-    first = [read(k) for k in ks]
-    other = GhostContext(p=7, a=2, s_eps=1, global_mult=3)
+    first = [read(GhostContext(p=7, a=2, s_eps=1), k) for k in ks]
+    warm = GhostContext(p=7, a=2, s_eps=1)
     for k in ks:  # bullets 3, 73 and 200: residues 3 and 4
-        ghost.hatted_valuation_table(other, k, 100_000)
-    ghost.degree_table(other, 100_000)
-    assert len(ghost._DEGREE_TABLES[(7, 1, 5, 0)]) > 100_000
-    assert all(len(ghost._RESIDUE_TABLES[(7, 1, 5, 0, r)]) >= 100_000 for r in (3, 4))  # steps to S_1(100,000)
-    assert [read(k) for k in ks] == first
+        ghost.hatted_valuation_table(warm, k, 100_000)
+    ghost.degree_table(warm, 100_000)
+    held = warm._caches["periods"]  # a first step and one period each: 2p and 2p^2
+    assert {r: len(steps) for r, (steps, _) in held.items()} == {None: 15, 3: 99, 4: 99}
+    assert [read(warm, k) for k in ks] == first
     monkeypatch.setattr(ghost, "MAX_TABLE_INDEX", 1000)
-    monkeypatch.setattr(ghost, "_RESIDUE_TABLES", {})
-    assert len(ghost.degree_table(GhostContext(p=7, a=2, s_eps=1), 1000)) == 1001
+    assert len(ghost.degree_table(warm, 1000)) == 1001
     with pytest.raises(DomainError, match="MAX_TABLE_INDEX = 1000"):
-        ghost.degree_table(GhostContext(p=7, a=2, s_eps=1), 1001)
-    with pytest.raises(DomainError, match="MAX_TABLE_INDEX = 1000"):
-        ghost.hatted_valuation_table(GhostContext(p=7, a=2, s_eps=1), 24, 1001)
-    assert ghost._RESIDUE_TABLES == {}  # refused before any stride-1 table is read or grown
+        ghost.degree_table(warm, 1001)
+    for ctx in (warm, GhostContext(p=7, a=2, s_eps=1)):
+        with pytest.raises(DomainError, match="MAX_TABLE_INDEX = 1000"):
+            ghost.hatted_valuation_table(ctx, 24, 1001)
+    assert ctx._caches == {}  # refused before any period is read or built
 
 
 def test_one_window_per_certification(monkeypatch):
@@ -615,16 +610,17 @@ def test_one_window_per_certification(monkeypatch):
 def test_stride_one_read_only_past_the_lemma_start_and_where_it_weighs(monkeypatch, radius, reads):
     # the tail bound reads S_1 at a window's edge n, sound only where S_1 does
     # not fall past n: from N0 = ceil(4p^2/(p-1)^2) <= 7 on (the lemma of
-    # ghost._residue_table), below every window's q_hi + 8; at radii <= 1 its
-    # weight c_1 is 0, and no residue table is built
+    # ghost._period), below every window's q_hi + 8; at radii <= 1 its
+    # weight c_1 is 0, and no stride-1 period is built
     assert max(-(-4 * p * p // (p - 1) ** 2) for p in range(5, 10_000)) == 7
-    monkeypatch.setattr(ghost, "_RESIDUE_TABLES", {})
-    fresh = GhostContext(p=7, a=2, s_eps=1)
-    assert next(slopes._windows(fresh, 24, 0))[0] >= 8
-    ghost._RESIDUE_TABLES.clear()
+    assert next(slopes._windows(GhostContext(p=7, a=2, s_eps=1), 24, 0))[0] >= 8
+    fresh, built, triangles = GhostContext(p=7, a=2, s_eps=1), [], ghost._triangle_steps
+    monkeypatch.setattr(ghost, "_triangle_steps", lambda ctx, strides, steps: built.extend(
+        b for b, w in strides if w and b.step == ctx.p) or triangles(ctx, strides, steps))
     trip = dimensions(fresh, 2004)
     certified_newton_polygon(fresh, WeightPoint(2004, radius), trip.d_iw - trip.d_ur)
-    assert bool(ghost._RESIDUE_TABLES) == reads
+    assert bool(built) == reads
+    assert any(r is not None for r in fresh._caches["periods"]) == reads
 
 
 # Hand-built level tables on the window 0..4, value A[x] + B[x] * r.  Only
@@ -701,9 +697,9 @@ def test_midpoint_chain_widens_past_a_far_vertex(monkeypatch):
 
 
 def test_context_keeps_only_reread_caches():
-    # derivative polygons are re-read across weights; nothing else a query
-    # builds may stay on the context (the degree table is shared per
-    # parameter set, off the context)
+    # derivative polygons are re-read across weights, and the periods of deg's
+    # and S_1's steps by every table; nothing else a query builds may stay on
+    # the context
     fresh = GhostContext(p=7, a=2, s_eps=1)
     for k in (24, 66, 120, 444):
         k_thresholds(fresh, k)
@@ -713,7 +709,7 @@ def test_context_keeps_only_reread_caches():
         trip = dimensions(fresh, k)
         certified_newton_polygon(fresh, WeightPoint(k, Fraction(3, 2)), trip.d_iw - trip.d_ur)
         breakpoints_by_criterion(fresh, WeightPoint(k, 3), trip.d_iw)
-    assert set(fresh._caches) == {"derivative"}
+    assert set(fresh._caches) == {"derivative", "periods"}
 
 
 @pytest.mark.parametrize("radius", (Fraction(3, 2), 7, INF))
