@@ -242,7 +242,7 @@ def _windows(ctx: GhostContext, k: int, q_hi: int, n_min: int = 0, stride_one: b
         n_window *= 2
 
 
-def _window(ctx: GhostContext, k: int, n: int, stride_one: bool = True) -> tuple:
+def _window(ctx: GhostContext, k: int, n: int, stride_one: bool) -> tuple:
     # (n, deg g_n, S_1(n) of k_bullet's residue or 0, deg g_{n+1} - deg g_n), n capped before S_1
     deg_n, inc = _at(_period(ctx, None, _table_index(n) + 1), n)
     return n, deg_n, _at(_period(ctx, ctx.bullet(k) % ctx.p, n + 1), n)[0] if stride_one else 0, inc
