@@ -196,18 +196,21 @@ def cmd_predict(args) -> str:
     return _emit(args, data, "kind,slope,mult", rows, lines)
 
 
-def _samples_at(args, k: int) -> list:
-    """The samples of weight k that hold a genuine value, not only floor
-    stand-ins, one per kind at most, on a context of k's own."""
+def _samples_at(args, k: int, periods=None) -> list:
+    """The samples of weight k that hold a genuine value, not only floor stand-ins, one per kind at
+    most, on a context of k's own that reads deg's and S_1's periods from ``periods`` if given."""
     ctx = _context(args)
+    ctx._caches["periods"] = {} if periods is None else periods
     return [s for kind in SampleKind if (s := sample(ctx, k, kind)).nums]
 
 
 def _collect_samples(args, ks: List[int]) -> Iterator:
-    """The samples of every weight in ks, yielded in weight order."""
+    """The samples of every weight in ks, yielded in weight order; one request's serial
+    weights share deg's and S_1's periods, which depend on (p, a, s_eps) alone."""
     workers = min(args.jobs or os.cpu_count() or 1, len(ks), os.cpu_count() or 1)
     if workers == 1 or len(ks) < 8:
-        yield from (s for k in ks for s in _samples_at(args, k))
+        periods = {}
+        yield from (s for k in ks for s in _samples_at(args, k, periods))
         return
     from concurrent.futures import ProcessPoolExecutor
 

@@ -20,11 +20,10 @@ cycled, so for N zeros up to n_hi an anchor costs O(N/p^2 + n_hi).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import add, mul, sub
+from itertools import accumulate, islice
+from operator import add
 
 from .errors import ConfigError, DomainError, VerificationError
 from .valuation import INF, Valuation, vp_int_raw, weight_distance
@@ -165,7 +164,7 @@ class GhostContext:
     t2: int = field(init=False)
 
     # only what later calls re-read: "derivative" polygons by bullet, which derivative_polygon
-    # alone fills, and the "periods" of deg's and S_1's steps, which _period fills
+    # alone fills, and the "periods" of deg's and S_1's steps, which _period fills (dist shares them)
     _caches: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
@@ -261,16 +260,6 @@ def dimensions(ctx: GhostContext, k: int) -> DimensionTriple:
     return DimensionTriple(d_iw=d_iw, d_ur=d_ur, d_new=d_iw - 2 * d_ur)
 
 
-def _first_reaching(ctx: GhostContext, f, n: int, rise: int) -> int:
-    """Smallest bullet j >= 0 with f(j) >= n, for f non-decreasing with
-    f(j + p + 1) = f(j) + rise, as both dimension counts are."""
-    period = ctx.p + 1
-    # f(lo + 2 * period - 1) >= n, and f(lo - 1) < n when lo > 0, so j lies
-    # in the two periods from lo
-    lo = max(0, (n - f(period - 1)) // rise * period)
-    return lo + bisect_left(range(lo, lo + 2 * period), n, key=f)
-
-
 def _walk_end(ctx: GhostContext, j_end: int) -> int:
     """j_end, for a walk over the bullets below it one at a time, refused
     (after it is found, before it is walked) once their weights pass
@@ -283,22 +272,24 @@ def _walk_end(ctx: GhostContext, j_end: int) -> int:
 
 
 def _bullet_bound(ctx: GhostContext, n_hi: int) -> int:
-    """First bullet with d_ur >= n_hi; later ones vanish on 0..n_hi."""
-    return _first_reaching(ctx, lambda j: ctx.dims_of_bullet(j)[1], n_hi, 2)
+    """First bullet with d_ur >= n_hi; later ones vanish on 0..n_hi: as t1 < t2 <= t1 + p, d_ur = 2q
+    + 1 + [rem >= t2] on j = (p+1)q + rem, rem in [t1, t1 + p], is 2q + 1 first at rem = t1, 2q + 2 at t2."""
+    return max(0, (ctx.t1 if n_hi % 2 else ctx.t2) + (ctx.p + 1) * ((n_hi - 1) // 2))
 
 
 def support_interval(ctx: GhostContext, n: int) -> tuple:
     """Bullet range [lo, hi) of the zero support of g_n.
 
-    The support is exactly the j with d_ur(j) < n < d_iw(j) - d_ur(j).
-    Both bounding functions are non-decreasing in j and rise by 2 and 2p
-    over each period of p + 1 bullets, so the support is a contiguous
-    interval whose ends are read off within two periods.
+    The support is exactly the j with d_ur(j) < n < d_iw(j) - d_ur(j), both non-decreasing in j,
+    so it is an interval: hi is :func:`_bullet_bound`, and on j = (p+1)q + t1 + u, u in [0, p],
+    d_iw - d_ur = 2pq + 2t1 + 1 - 2 delta_eps + 2u - [u >= t2 - t1], 1 below its value at the
+    next q's u = 0, so lo is at the least u where it reaches n + 1.
     """
     if n < 1:
         return (0, 0)
     hi = _bullet_bound(ctx, n)
-    lo = _first_reaching(ctx, lambda j: sub(*ctx.dims_of_bullet(j)), n + 1, 2 * ctx.p)
+    q, y = divmod(n + 2 * ctx.delta_eps - 2 * ctx.t1, 2 * ctx.p)
+    lo = max(0, (ctx.p + 1) * q + ctx.t1 + (y + 1 + (y >= 2 * (ctx.t2 - ctx.t1) - 1)) // 2)
     return (lo, hi) if lo < hi else (0, 0)
 
 
@@ -531,11 +522,12 @@ def _corner_steps(ctx: GhostContext, n: int) -> list:
     return [u - 2 * (m + ctx.delta_eps >= 1) + e for m, (u, e) in enumerate(zip(ur, end))]
 
 
-def _period(ctx: GhostContext, r, n_hi: int) -> list:
-    """[steps, values]: at least the first min(n_hi, 1 + L) steps of deg (r None, L = 2p) or of S_1
-    on the bullets j = r (mod p) (L = 2p^2), at most 1 + L, and their values once :func:`_at` reads
-    them.  The longest read so far is held in ctx._caches["periods"] and rebuilt to a longer read's
-    length; S_1's only when all p fit, p(1 + 2p^2) <= MAX_TABLE_INDEX.
+def _period(ctx: GhostContext, r, n_hi: int) -> tuple:
+    """(steps, values): at least the first min(n_hi, 1 + L) steps of deg (r None, L = 2p) or of S_1
+    on the bullets j = r (mod p) (L = 2p^2), at most 1 + L, and their values if held, else None.
+    ctx._caches["periods"] holds the longest read of each, rebuilt to a longer read's length; an
+    S_1 read that would take the steps and values held past MAX_TABLE_INDEX drops them all first,
+    and is not held if it alone would pass it.
 
     Period law: past step 0 the steps have period L.  Over all integers j, d_ur and end =
     d_iw - d_ur add 1 and mid = j + 1 - delta_eps adds -2; j + p + 1 has d_ur 2 and end 2p
@@ -558,33 +550,40 @@ def _period(ctx: GhostContext, r, n_hi: int) -> list:
     and (a, b] at most (b - a + p)/p times, so as t1 >= delta_eps, p (R - F) >= n (p-1)^2/(2p)
     - 3p + 1 - 1/p > -p once n (p-1)^2 >= 4p^2, and the integer R - F is >= 0."""
     held, p = ctx._caches.setdefault("periods", {}), ctx.p
-    period = 2 * p if r is None else 2 * p * p
-    size = min(n_hi, 1 + period)
+    size = min(n_hi, 1 + (2 * p if r is None else 2 * p * p))
     record = held.get(r)
     if record is None or len(record[0]) < size:
-        record = [_corner_steps(ctx, size) if r is None else
-                  _triangle_steps(ctx, [(range(r, _bullet_bound(ctx, size), p), 1)], [0] * size), None]
-        if r is None or p * (1 + period) <= MAX_TABLE_INDEX:
-            held[r] = record
+        steps = (_corner_steps(ctx, size) if r is None else
+                 _triangle_steps(ctx, [(range(r, _bullet_bound(ctx, size), p), 1)], [0] * size))
+        if r is not None:
+            if 2 * size + 1 > MAX_TABLE_INDEX:
+                return steps, None
+            if 2 * size + 1 + sum(len(s) + len(v) for s, v in held.values()) > MAX_TABLE_INDEX:
+                held.clear()
+        record = held[r] = (steps, [0, *accumulate(accumulate(steps))])
     return record
 
 
-def _steps(ctx: GhostContext, r, n_hi: int) -> list:
-    """The first n_hi steps, a list of the caller's own: :func:`_period`'s first, its period repeated."""
+def _steps(ctx: GhostContext, r, n_hi: int, w: int = 1) -> list:
+    """w times the first n_hi steps, a list of the caller's own: :func:`_period`'s first, then its period."""
     steps = _period(ctx, r, n_hi)[0]
+    steps = steps if w == 1 else [w * s for s in steps]
     return (steps[:1] + steps[1:] * -(-n_hi // max(1, len(steps) - 1)))[:n_hi]
 
 
-def _at(period: list, n: int) -> tuple:
-    """(f(n), f(n+1) - f(n)) in O(1), f the table of ``period`` (:func:`_period` to n + 1 at
-    least): with L its period, n = cL + r and rise = f(L+1) - f(L) - f(1) what a period adds to
-    the increment, f(n) = f(r) + c f(L) + rise (L c(c-1)/2 + c r)."""
+def _at(period: tuple, n: int) -> tuple:
+    """(f(n), f(n+1) - f(n)), f the table of ``period`` (:func:`_period` to n + 1 at least): with L
+    its period, n = cL + m and rise = f(L+1) - f(L) - f(1) what a period adds to the increment,
+    f(n) = f(m) + c f(L) + rise (L c(c-1)/2 + c m), in O(1) from a held period's values; a read
+    of one not held sums its steps within a period, and keeps nothing."""
     steps, values = period
     if values is None:
-        values = period[1] = [0, *accumulate(accumulate(steps))]
+        if n < len(steps):
+            return sum(accumulate(islice(steps, n))), sum(islice(steps, n + 1))
+        values = [0, *accumulate(accumulate(steps))]
     L, rise = len(steps) - 1, values[-1] - values[-2] - values[1]
-    c, r = divmod(n, L) if n > L else (0, n)
-    return values[r] + c * values[L] + rise * (L * c * (c - 1) // 2 + c * r), values[r + 1] - values[r] + c * rise
+    c, m = divmod(n, L) if n > L else (0, n)
+    return values[m] + c * values[L] + rise * (L * c * (c - 1) // 2 + c * m), values[m + 1] - values[m] + c * rise
 
 
 def _anchored_table(ctx: GhostContext, kb: int, n_hi: int, weight_of_distance) -> list:
@@ -598,11 +597,9 @@ def _anchored_table(ctx: GhostContext, kb: int, n_hi: int, weight_of_distance) -
         i, step = i + 1, step * ctx.p
     strides.append((range(kb, min(kb + 1, bound)), w(None) - w(i)))
     w1, dw = w(1), w(2) - w(1)
-    deg = _steps(ctx, None, n_hi)
-    steps = (deg if w1 == 1 else list(map(mul, deg, repeat(w1)))) if w1 else [0] * n_hi
+    steps = _steps(ctx, None, n_hi, w1) if w1 else [0] * n_hi
     if dw:
-        s1 = _steps(ctx, kb % ctx.p, n_hi)
-        steps = list(map(add, steps, s1 if dw == 1 else map(mul, s1, repeat(dw))))
+        steps = list(map(add, steps, _steps(ctx, kb % ctx.p, n_hi, dw)))
     return [0, *accumulate(accumulate(_triangle_steps(ctx, strides, steps)))]
 
 

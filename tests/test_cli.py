@@ -300,6 +300,19 @@ class TestDistCommand:
         assert code == 0
         assert serial == parallel
 
+    def test_serial_weights_share_the_periods(self, capsys, monkeypatch):
+        # deg's and S_1's periods depend on (p, a, s_eps) alone: every weight of
+        # a serial request reads one dict of them, and deg's period is built
+        # again only when a read outgrows it, not once per weight
+        contexts, make, corner, built = [], cli._context, ghost._corner_steps, []
+        monkeypatch.setattr(cli, "_context", lambda args: contexts.append(make(args)) or contexts[-1])
+        monkeypatch.setattr(ghost, "_corner_steps", lambda ctx, n: built.append(n) or corner(ctx, n))
+        code, _, err = run(capsys, "dist", "--k-range", "10:400", "--jobs", "1")
+        assert code == 0, err
+        weights = contexts[1:]  # the first one lists the range's weights
+        assert len(weights) == 65 and len({id(ctx._caches["periods"]) for ctx in weights}) == 1
+        assert built == sorted(set(built)) and len(built) <= 4
+
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_report_holds_one_sample_per_kind(self, capsys, monkeypatch, fmt):
         # each sample shrinks to its moment row on arrival, so when the

@@ -467,20 +467,36 @@ def test_degree_table_past_its_period(p, mode):
 
 
 def test_residue_tables_held_stay_under_the_table_cap():
-    # tables past one period of S_1: the p periods fit under MAX_TABLE_INDEX
-    # at p = 61 and are held, at the next prime and at p = 1009 none is; the
-    # periods held total at most MAX_TABLE_INDEX + 2p + 1 entries, and every
-    # table equals one built on a fresh context
-    assert 61 * (1 + 2 * 61**2) <= ghost.MAX_TABLE_INDEX < 67 * (1 + 2 * 67**2)
+    # tables to one period of S_1 on every residue at p = 61 and 67, and to
+    # 3000 on 200 residues at p = 1009: S_1's reads are held, with their
+    # values, until the next would take the entries held past MAX_TABLE_INDEX;
+    # it drops them all, deg's too, and the count starts again; the steps
+    # held total at most MAX_TABLE_INDEX + 2p + 1, the last read is held,
+    # and every table equals one built on a fresh context
     for p in (61, 67, 1009):
         ctx = GhostContext(p, 1, 0)
-        n_hi = 2 * p * p + 1 if p < 100 else 3000
-        for kb in range(p) if p == 61 else range(100, 260, 5):
+        n_hi, residues = (2 * p * p + 1, range(p)) if p < 100 else (3000, range(100, 300))
+        for kb in residues:
             k = ctx.weight_of_bullet(kb)
             assert hatted_valuation_table(ctx, k, n_hi) == hatted_valuation_table(GhostContext(p, 1, 0), k, n_hi), k
         held = ctx._caches["periods"]
         assert sum(len(steps) for steps, _ in held.values()) <= ghost.MAX_TABLE_INDEX + 2 * p + 1, p
-        assert len(held) == (p + 1 if p == 61 else 1), p
+        assert sum(len(steps) + len(values) for steps, values in held.values()) <= ghost.MAX_TABLE_INDEX, p
+        fit = (ghost.MAX_TABLE_INDEX - 4 * p - 3) // (2 * n_hi + 1)  # after deg's 2p + 1 steps, 2p + 2 values
+        assert (fit, len(held) - 1) == {61: (33, 28), 67: (27, 13), 1009: (82, 36)}[p], p
+        assert (residues[-1] % p) in held and len(held) - 1 == (len(residues) - 1) % fit + 1, p
+
+
+def test_a_read_past_the_cap_drops_the_held_ones_or_is_not_held(monkeypatch):
+    # under MAX_TABLE_INDEX = 1000 at p = 101 (S_1's period: 20,403 steps), a
+    # read to 300 (601 entries with its values) drops the one before it, and
+    # a read to 600 (1201 entries) is not held and drops nothing
+    monkeypatch.setattr(ghost, "MAX_TABLE_INDEX", 1000)
+    ctx = GhostContext(101, 2, 1)
+    for r in (0, 1):
+        assert _period(ctx, r, 300)[1] is not None and list(ctx._caches["periods"]) == [r]
+    steps, values = _period(ctx, 2, 600)
+    assert len(steps) == 600 and values is None and list(ctx._caches["periods"]) == [1]
 
 
 @st.composite
@@ -527,6 +543,17 @@ def test_periods_match_their_oracles(ctx):
         for n in range(0, top - 1, 1 if p <= 13 or r is None else 1999):
             assert _at(_period(ctx, r, n + 1), n) == (values[n], values[n + 1] - values[n]), (r, n)
         assert _steps(ctx, r, top) == oracle, r
+
+
+def test_reads_not_held_match_held_ones(monkeypatch):
+    # with no room under MAX_TABLE_INDEX no S_1 read is held: _at sums a read
+    # within a period from its steps, reads one past it from the period's
+    # values, and keeps neither; both equal what a context holding them reads
+    held, bare = GhostContext(7, 2, 1), GhostContext(7, 2, 1)
+    want = {(r, n): _at(_period(held, r, n + 1), n) for r in [None, *range(7)] for n in range(300)}
+    monkeypatch.setattr(ghost, "MAX_TABLE_INDEX", 0)
+    assert all(_at(_period(bare, r, n + 1), n) == value for (r, n), value in want.items())
+    assert list(bare._caches["periods"]) == [None] and len(held._caches["periods"]) == 8
 
 
 @pytest.mark.parametrize("p, mode", PERIOD_CASES)
