@@ -14,8 +14,8 @@ built from the dimension triple (d_iw, d_ur, d_new) of each weight.
 Everything here is exact integer/rational arithmetic.  The module also
 provides batch kernels (valuation tables over all n at once) used by the
 polygon and threshold layers: each table is the double cumulative sum of
-its second differences ("steps", small ints), deg's and S_1's one period
-cycled, so for N zeros up to n_hi an anchor costs O(N/p^2 + n_hi).
+its second differences ("steps", small ints), one combined period of deg and
+S_1 cycled, so for N zeros up to n_hi an anchor costs O(N/p^2 + n_hi).
 """
 
 from __future__ import annotations
@@ -475,10 +475,10 @@ def anchored_valuation(ctx: GhostContext, n: int, k: int) -> int:
 #            + (w_anchor - w(I)) * m_n(kb),
 #
 # for any I >= 2 with p^I > max(kb, bound), where stride I holds only kb.
-# Each stride adds one constant weight, none when it is 0.  deg's and S_1's
-# steps cycle one period (_period), so a table walks only N/(p(p-1)) of the
-# N ~ (p+1)/2 * n_hi bullets, the strides p^2, p^3, ..., adds the parts'
-# steps in one O(n_hi) pass and accumulates them twice.
+# Each stride adds one constant weight, none when it is 0.  w(1) deg + (w(2) - w(1)) S_1 is
+# summed over one period of 2p^2 steps, which deg's 2p divides (_period), and cycled out to n_hi
+# as one list; a table then walks only N/(p(p-1)) of the N ~ (p+1)/2 * n_hi bullets, the
+# strides p^2, p^3, ..., adds their corners to it in place and accumulates the steps twice.
 
 
 def _table_index(n: int) -> int:
@@ -525,9 +525,9 @@ def _corner_steps(ctx: GhostContext, n: int) -> list:
 def _period(ctx: GhostContext, r, n_hi: int) -> tuple:
     """(steps, values): at least the first min(n_hi, 1 + L) steps of deg (r None, L = 2p) or of S_1
     on the bullets j = r (mod p) (L = 2p^2), at most 1 + L, and their values if held, else None.
-    ctx._caches["periods"] holds the longest read of each, rebuilt to a longer read's length; an
-    S_1 read that would take the steps and values held past MAX_TABLE_INDEX drops them all first,
-    and is not held if it alone would pass it.
+    ctx._caches["periods"] holds the longest read of each, rebuilt to a longer read's length (S_1's
+    to twice its held length, at most 1 + L, if that fits); an S_1 read that would take the steps
+    and values held past MAX_TABLE_INDEX drops them all first, and is not held if it alone would.
 
     Period law: past step 0 the steps have period L.  Over all integers j, d_ur and end =
     d_iw - d_ur add 1 and mid = j + 1 - delta_eps adds -2; j + p + 1 has d_ur 2 and end 2p
@@ -553,22 +553,18 @@ def _period(ctx: GhostContext, r, n_hi: int) -> tuple:
     size = min(n_hi, 1 + (2 * p if r is None else 2 * p * p))
     record = held.get(r)
     if record is None or len(record[0]) < size:
+        room = MAX_TABLE_INDEX - sum(len(s) + len(v) for s, v in held.values())
+        if r is not None and record and 2 * (grown := min(1 + 2 * p * p, 2 * len(record[0]))) + 1 <= room:
+            size = max(size, grown)
         steps = (_corner_steps(ctx, size) if r is None else
                  _triangle_steps(ctx, [(range(r, _bullet_bound(ctx, size), p), 1)], [0] * size))
         if r is not None:
             if 2 * size + 1 > MAX_TABLE_INDEX:
                 return steps, None
-            if 2 * size + 1 + sum(len(s) + len(v) for s, v in held.values()) > MAX_TABLE_INDEX:
+            if 2 * size + 1 > room:
                 held.clear()
         record = held[r] = (steps, [0, *accumulate(accumulate(steps))])
     return record
-
-
-def _steps(ctx: GhostContext, r, n_hi: int, w: int = 1) -> list:
-    """w times the first n_hi steps, a list of the caller's own: :func:`_period`'s first, then its period."""
-    steps = _period(ctx, r, n_hi)[0]
-    steps = steps if w == 1 else [w * s for s in steps]
-    return (steps[:1] + steps[1:] * -(-n_hi // max(1, len(steps) - 1)))[:n_hi]
 
 
 def _at(period: tuple, n: int) -> tuple:
@@ -587,9 +583,10 @@ def _at(period: tuple, n: int) -> tuple:
 
 
 def _anchored_table(ctx: GhostContext, kb: int, n_hi: int, weight_of_distance) -> list:
-    """[f(0), ..., f(n_hi)] with f(n) = sum_j w(dist(kb, j)) * m_n(bullet j),
-    where dist is 1 + v_p(kb - j) and ``weight_of_distance(None)`` weighs
-    the anchor j = kb itself: the sum above, I >= 2, in one pass over its parts."""
+    """[f(0), ..., f(n_hi)] with f(n) = sum_j w(dist(kb, j)) * m_n(bullet j), where dist is
+    1 + v_p(kb - j) and ``weight_of_distance(None)`` weighs the anchor j = kb itself: the sum
+    above, I >= 2, with w(1) deg + (w(2) - w(1)) S_1 summed over one period (2p^2, which deg's 2p
+    divides; 2p if w(2) = w(1)) or the first n_hi steps if fewer, and cycled to n_hi in one list."""
     bound, w = _bullet_bound(ctx, _table_index(n_hi)), weight_of_distance
     strides, i, step = [], 2, ctx.p**2
     while step <= max(kb, bound):
@@ -597,15 +594,19 @@ def _anchored_table(ctx: GhostContext, kb: int, n_hi: int, weight_of_distance) -
         i, step = i + 1, step * ctx.p
     strides.append((range(kb, min(kb + 1, bound)), w(None) - w(i)))
     w1, dw = w(1), w(2) - w(1)
-    steps = _steps(ctx, None, n_hi, w1) if w1 else [0] * n_hi
-    if dw:
-        steps = list(map(add, steps, _steps(ctx, kb % ctx.p, n_hi, dw)))
+    deg = _period(ctx, None, n_hi)[0] if w1 else [0, 0]  # zeros stand in for deg unread
+    s1 = _period(ctx, kb % ctx.p, n_hi)[0][:n_hi] if dw else deg[:n_hi]  # sets the period's length
+    deg = deg[:1] + deg[1:] * -(-len(s1) // max(1, len(deg) - 1))
+    period = list(map(add, deg if w1 == 1 else map(w1.__mul__, deg), s1 if dw == 1 else map(dw.__mul__, s1)))
+    steps = period[1:] * -(-(n_hi - 1) // max(1, len(period) - 1))
+    steps[:0] = period[:1]
+    del steps[n_hi:]
     return [0, *accumulate(accumulate(_triangle_steps(ctx, strides, steps)))]
 
 
 def degree_table(ctx: GhostContext, n_hi: int) -> list:
     """deg g_n for n = 0..n_hi (deg g_0 = 0), as a list of the caller's own."""
-    return [0, *accumulate(accumulate(_steps(ctx, None, _table_index(n_hi))))]
+    return _anchored_table(ctx, 0, n_hi, lambda d: 1)
 
 
 def hatted_valuation_table(ctx: GhostContext, k: int, n_hi: int) -> list:

@@ -29,9 +29,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, count, islice, repeat
 from math import gcd, lcm
-from operator import add, itemgetter, sub
+from operator import add, itemgetter
 from typing import List, Tuple
 
 from . import ghost
@@ -108,9 +108,8 @@ def _derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
     table = hatted_valuation_table(ctx, k, c + h)  # c + h = d_iw - d_ur, the last row read
     # offsets 0..h; once the duality holds, right + left is 2 table[c + l] - (k - 2) l
     right, left, step = table[c:], table[c - h : c + 1][::-1], k - 2
-    duality = list(map(sub, right, left))
-    if duality != (list(range(0, step * (h + 1), step)) if step else [0] * (h + 1)):
-        l = next(l for l in range(h + 1) if duality[l] != step * l)
+    if right != list(map(add, left, count(0, step))):
+        l = next(l for l in range(h + 1) if right[l] - left[l] != step * l)
         raise VerificationError(f"anchored-valuation duality fails at k = {k}, offset {l}")
     hull = integer_hull(range(h + 1), tuple(map(add, right, left)), 2)
     m_of_k = max_zero_distance(ctx, k)
@@ -124,7 +123,7 @@ def _reach(hull, u: int, v: int) -> int:
     at most the distance u / v, INF as 1 / 0: the slopes increase, so x0 on
     the first edge [x0, x1] with (y1 - y0) v > 2 (x1 - x0) u, else the last
     abscissa."""
-    for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
+    for (x0, y0), (x1, y1) in zip(hull, islice(hull, 1, None)):
         if (y1 - y0) * v > 2 * (x1 - x0) * u:
             return x0
     return hull[-1][0]

@@ -33,7 +33,7 @@ from ghost_slopes import (
     lower_hull,
     sweep_threshold,
 )
-from ghost_slopes import checks, slopes
+from ghost_slopes import checks, ghost, slopes
 from ghost_slopes.distribution import DistributionSample, SampleKind, discrepancy, sample, weyl_csv
 from ghost_slopes.errors import DomainError
 from ghost_slopes.ghost import (
@@ -51,7 +51,7 @@ from ghost_slopes.ghost import (
     support_interval,
     valuation_table_at,
 )
-from ghost_slopes.polygon import edge_runs, newton_polygon_at
+from ghost_slopes.polygon import edge_runs, integer_hull, newton_polygon_at
 from ghost_slopes.prediction import build_model, model_radius, predict_slopes
 from ghost_slopes.slopes import (
     _closed_form_runs,
@@ -234,6 +234,54 @@ def test_step_kernel_matches_its_oracles(case, data):
         assert B == _value_assembly(ctx, kb, n_hi, lambda d: 0 if near(d) else 1), level
 
 
+@st.composite
+def small_prime_context_and_weight(draw):
+    """A context on p = 5 or 7 in exploratory mode and a class weight with k_bullet < 12p."""
+    p = draw(st.sampled_from((5, 7)))
+    ctx = GhostContext(p, draw(st.integers(1, p - 4)), draw(st.integers(0, p - 2)), draw(st.integers(1, 3)))
+    return ctx, ctx.weight_of_bullet(draw(st.integers(0, 12 * p - 1)))
+
+
+@given(case=small_prime_context_and_weight(), data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_step_kernel_cycles_the_combined_period(case, data):
+    # anchored tables that cycle the combined deg + S_1 period of 1 + 2p^2 steps,
+    # against the value assembly and the pointwise oracles, at the weights
+    # (w(1), w(2) - w(1)) = (1, 1) hatted, (0, 0) at radius 0, (1, 0) at 1/3,
+    # (2, 2) at 5/2, (3, 3) at 7/3, and on levels 1-3 (1, -1), (1, 1), (0, 1),
+    # (0, 0); S_1 held, to n_hi past two periods, and not held, on a fresh
+    # context whose table cap n_hi in (1 + 2p^2, 2(1 + 2p^2)] leaves no room
+    ctx, k = case
+    kb, period = ctx.bullet(k), 1 + 2 * ctx.p**2
+    held_n = data.draw(st.integers(2 * period + 1, 2 * period + 3 * ctx.p), label="held n_hi")
+    bare_n = data.draw(st.integers(period + 1, 2 * period), label="not-held n_hi")
+    radii = (Fraction(0), Fraction(1, 3), Fraction(5, 2), Fraction(7, 3))
+    for c, n_hi, cap in ((ctx, held_n, ghost.MAX_TABLE_INDEX), (dataclasses.replace(ctx), bare_n, bare_n)):
+        with mock.patch.object(ghost, "MAX_TABLE_INDEX", cap):
+            hatted = hatted_valuation_table(c, k, n_hi)
+            at = [valuation_table_at(c, k, r, n_hi)[0] for r in radii]
+            levels = [level_tables(c, k, level, n_hi) for level in (1, 2, 3)]
+        assert (kb % c.p in c._caches["periods"]) == (c is ctx), n_hi
+        ns = range(n_hi + 1)
+        assert hatted == [anchored_valuation(c, n, k) for n in ns]
+        assert hatted == _value_assembly(c, kb, n_hi, lambda d: 0 if d is None else d)
+        for r, nums in zip(radii, at):
+            point = WeightPoint(k, r)
+            assert [Fraction(x, r.denominator) for x in nums] == [
+                evaluate_ghost_valuation(c, n, point).value for n in ns
+            ], r
+            wt = lambda d: r.numerator if d is None else min(r.numerator, d * r.denominator)
+            assert nums == _value_assembly(c, kb, n_hi, wt), r
+        for level, (A, B) in zip((1, 2, 3), levels):
+            near = lambda d: d is not None and d <= level
+            assert A == _value_assembly(c, kb, n_hi, lambda d: d if near(d) else 0), level
+            assert B == _value_assembly(c, kb, n_hi, lambda d: 0 if near(d) else 1), level
+            point = WeightPoint(k, level + Fraction(1, 3))
+            assert [a + b * point.radius.value for a, b in zip(A, B)] == [
+                evaluate_ghost_valuation(c, n, point).value for n in ns
+            ], level
+
+
 def _wider_windows(ctx, k, q_hi, n_min=0, stride_one=True):
     # each window of _windows, 4 times wider
     for window in _windows(ctx, k, q_hi, n_min, stride_one):
@@ -322,6 +370,27 @@ def test_criterion_reach_matches_fraction_bisect(case, radius):
     for dist in dists:
         u, v = (1, 0) if dist.is_infinite else dist.value.as_integer_ratio()
         assert _reach(dp.hull.hull, u, v) == bisect_right(incs, dist), dist
+
+
+@pytest.mark.parametrize(
+    "points, dists",
+    [
+        (((0, 5),), (0, 1, INF)),
+        (((0, 0), (3, 9)), (1, Fraction(3, 2), 2, INF)),
+        # increments 2, 3, 3, 7/2 (the point at x = 2 lies above the hull)
+        (((0, 0), (1, 4), (2, 11), (3, 16), (4, 23)), (1, 2, Fraction(5, 2), 3, Fraction(7, 2), 4, INF)),
+    ],
+    ids=["one-point", "one-edge", "three-edges"],
+)
+def test_criterion_reach_at_its_boundaries(points, dists):
+    # the integer reach of u / v (INF as 1 / 0) on hand-built hulls (ordinates
+    # over 2) against bisect over their Fraction increments: a distance below
+    # the first increment, equal to one, between two, above all, and INF
+    hull = integer_hull(*zip(*points), 2)
+    incs = hull.slope_list()
+    for dist in (d if d is INF else Valuation(d) for d in dists):
+        u, v = (1, 0) if dist.is_infinite else dist.value.as_integer_ratio()
+        assert _reach(hull.hull, u, v) == bisect_right(incs, dist), dist
 
 
 @given(case=context_and_weight(), small=N_HI, extra=st.integers(1, 200))

@@ -20,12 +20,12 @@ from ghost_slopes.errors import ConfigError, DomainError
 from ghost_slopes.ghost import (
     GhostContext,
     WeightPoint,
+    _anchored_table,
     _at,
     _bullet_bound,
     _corner_steps,
     _is_zero_bullet,
     _period,
-    _steps,
     _triangle_steps,
     anchored_valuation,
     degree_table,
@@ -499,6 +499,21 @@ def test_a_read_past_the_cap_drops_the_held_ones_or_is_not_held(monkeypatch):
     assert len(steps) == 600 and values is None and list(ctx._caches["periods"]) == [1]
 
 
+def test_held_residue_reads_grow_to_twice_their_length(monkeypatch):
+    # a held S_1 read that a longer read outgrows is rebuilt to twice its
+    # length, never past one period (1 + 2p^2 = 99 at p = 7) nor short of the
+    # read; where that would not fit beside what is held (a first read to 10
+    # holds 21 entries), the read is built to its own length, and held
+    ctx = GhostContext(7, 2, 1)
+    assert [len(_period(ctx, 3, n)[0]) for n in (10, 11, 30, 90, 99, 200)] == [10, 20, 40, 90, 99, 99]
+    for cap, size in ((61, 11), (62, 20)):
+        monkeypatch.setattr(ghost, "MAX_TABLE_INDEX", cap)
+        ctx = GhostContext(7, 2, 1)
+        _period(ctx, 3, 10)
+        steps, values = _period(ctx, 3, 11)
+        assert (len(steps), len(values), list(ctx._caches["periods"])) == (size, size + 1, [3]), cap
+
+
 @st.composite
 def rise_contexts(draw):
     """A context in either mode, its prime drawn from 5, 7, 11, 13 and 101."""
@@ -518,7 +533,7 @@ def test_residue_tables_rise_from_the_lemma_start(ctx):
     n0 = -(-4 * ctx.p**2 // (ctx.p - 1) ** 2)
     assert n0 <= 7
     for r in range(ctx.p):
-        table = [0, *accumulate(accumulate(_steps(ctx, r, 20_000)))]
+        table = _anchored_table(ctx, r, 20_000, lambda d: int(d != 1))  # S_1 on j = r (mod p)
         assert all(map(le, table[n0:-1], table[n0 + 1 :])), (ctx, r)
 
 
@@ -527,11 +542,12 @@ def test_residue_tables_rise_from_the_lemma_start(ctx):
 @given(ctx=rise_contexts())
 @settings(max_examples=8, deadline=None)
 def test_periods_match_their_oracles(ctx):
-    # the period law of _period: deg's steps against _corner_steps and S_1's
-    # against _triangle_steps over the whole residue class, 3 periods past
+    # the period law of _period: deg's table and S_1's, each cycled from one
+    # period by the table kernel, against the values summed from _corner_steps
+    # and from _triangle_steps over the whole residue class, 3 periods past
     # step 0, every residue for p <= 13 and three for p = 101; and deg(n),
     # deg(n+1) - deg(n) and S_1(n) from _at, read short first, against the
-    # value tables summed from those oracles (every n, or every 1999th at p = 101)
+    # same values (every n, or every 1999th at p = 101)
     p = ctx.p
     for r in [None, *(range(p) if p <= 13 else (0, ctx.a, p - 1))]:
         top = 1 + 3 * (2 * p if r is None else 2 * p * p)
@@ -542,7 +558,7 @@ def test_periods_match_their_oracles(ctx):
         values = [0, *accumulate(accumulate(oracle))]
         for n in range(0, top - 1, 1 if p <= 13 or r is None else 1999):
             assert _at(_period(ctx, r, n + 1), n) == (values[n], values[n + 1] - values[n]), (r, n)
-        assert _steps(ctx, r, top) == oracle, r
+        assert (degree_table(ctx, top) if r is None else _anchored_table(ctx, r, top, lambda d: int(d != 1))) == values, r
 
 
 def test_reads_not_held_match_held_ones(monkeypatch):
