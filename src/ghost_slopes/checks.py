@@ -128,7 +128,7 @@ def check_threshold_lock(ctx, k: int) -> None:
 
 def check_raw_increments(ctx, k: int) -> None:
     """ys[l] - ys[l-1] >= 3 + (p-1)(l-1) on the derivative hull's ordinates ys = 2 * raw."""
-    ys = derivative_polygon(ctx, k).hull.ys
+    ys = derivative_polygon(ctx, k).ys
     for l in range(1, len(ys)):
         if ys[l] - ys[l - 1] < 3 + (ctx.p - 1) * (l - 1):
             raise VerificationError(f"increment bound fails at (k, l) = ({k}, {l})")

@@ -54,15 +54,6 @@ def _chain(points: Iterable[Tuple[int, int]]) -> list:
     return stack
 
 
-def edge_at(hull: Sequence[Tuple[int, int]], den: int, x: int) -> Tuple[Fraction, Fraction]:
-    """(value, slope) at x of the polyline through the points (x_i, y_i / den)
-    of ``hull``, read on the edge [x_i, x_{i+1}] with x_i <= x < x_{i+1}."""
-    i = bisect_right(hull, x, key=itemgetter(0)) - 1
-    (x0, y0), (x1, y1) = hull[i], hull[i + 1]
-    e = (x1 - x0) * den
-    return Fraction(y0 * (x1 - x) + y1 * (x - x0), e), Fraction(y1 - y0, e)
-
-
 def edge_runs(hull: Sequence[Tuple[int, int]], den: int, lo: int, hi: int) -> list:
     """(num, d, width) for each edge of the polyline through the points
     (x_i, y_i / den) of ``hull`` that meets [lo, hi], x_0 <= lo < hi <= x_last
@@ -129,7 +120,8 @@ class RationalPolygon:
             raise DomainError(f"x = {x} outside hull range")
         if x == x_last:
             return Valuation(Fraction(y_last, self.den))
-        return Valuation(edge_at(self.hull, self.den, x)[0])
+        (x0, y0), (x1, y1) = self.hull[(i := bisect_right(self.hull, x, key=itemgetter(0))) - 1 : i + 1]
+        return Valuation(Fraction(y0 * (x1 - x) + y1 * (x - x0), (x1 - x0) * self.den))
 
 
 def integer_hull(xs: Sequence[int], ys: Sequence[Optional[int]], den: int) -> RationalPolygon:
@@ -190,9 +182,7 @@ def newton_polygon_at(ctx: GhostContext, n_range: int, w: WeightPoint) -> Ration
     """
     trip = dimensions(ctx, w.anchor)
     if n_range < trip.d_iw:
-        raise DomainError(
-            f"n_range = {n_range} is below the anchor's full span {trip.d_iw}"
-        )
+        raise DomainError(f"n_range = {n_range} is below the anchor's full span {trip.d_iw}")
     if w.radius.is_infinite:
         # the coefficients with m_n(anchor) > 0 vanish at w_anchor
         lo, hi = trip.d_ur, trip.d_iw - trip.d_ur

@@ -25,6 +25,7 @@ increment at the window's edge, and S_1 not falling there (the lemmas of
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,7 +50,7 @@ from .ghost import (
     max_zero_distance,
     point_distance,
 )
-from .polygon import RationalPolygon, edge_at, edge_runs, integer_hull, newton_polygon_at
+from .polygon import RationalPolygon, _chain, edge_runs, integer_hull, newton_polygon_at
 from .valuation import Valuation, ratio_text, vp_int_raw
 
 # -- derivative polygons ------------------------------------------------------
@@ -57,30 +58,38 @@ from .valuation import Valuation, ratio_text, vp_int_raw
 
 @dataclass(frozen=True)
 class DerivativePolygon:
-    """A weight's derivative polygon, held as its integer hull over 2.
+    """A weight's derivative polygon, held as two int64 arrays.
 
-    ``raw[l]``, the anchored valuation at center + l minus (k-2)/2 * l for
-    l = 0..d_new/2, is a half-integer; ``hull`` is the lower hull of the
-    points (l, 2 * raw[l]) over 2, and ``raw``, ``slopes`` (distinct
-    s_1 < ... < s_N with multiplicities) and ``breakpoints`` (vertex
-    abscissae 0 = n_0 < ... < n_N = d_new/2) read it as Fractions.
-    ``edges`` holds each s_i on integers, as the reduced pair (num, den)
-    with den > 0, and its multiplicity; read once, it stays on the polygon.
-    ``M_index`` is the least i with s_i > M(k), else N + 1.
+    ``ys[l]`` = 2 raw[l] for l = 0..h = d_new/2, raw[l] the half-integer anchored
+    valuation at center + l minus (k-2)/2 * l; ``vertex_xs`` holds the abscissae
+    0 = n_0 < ... < n_N = h of the lower hull of the points (l, ys[l] / 2).
+    ``raw``, ``slopes`` (distinct s_1 < ... < s_N with multiplicities) and
+    ``breakpoints`` read them as Fractions; ``edges``, kept once read, holds each
+    s_i as its reduced (num, den), den > 0, and multiplicity.  ``M_index`` is the
+    least i with s_i > M(k), else N + 1.
+
+    Each ys[l] = v(c + l) + v(c - l) fits in int64, v the hatted table read at
+    n <= MAX_TABLE_INDEX and n <= d_iw(k) <= 2 K_CEILING/(p-1) + 2: v(n) weighs each
+    bullet j below b = _bullet_bound(n) <= (p+1)(n+3)/2 by m_n(j) <= n times its
+    distance 1 + v_p(kb - j) <= 1 + log_p max(kb, b) <= 14 (p >= 5, max(kb, b) <
+    4 * 10^9 < 5^14).  So ys[l] <= 14 (p+1) n (n+3) < 3 * 10^16, 300 times below
+    2^63, as (p+1) n (n+3) < 2.1 * 10^15 both for p <= 4001 and, by n's bound, past it.
     """
 
     k: int
-    hull: RationalPolygon
+    ys: array
+    vertex_xs: array
     M_index: int
     m_of_k: Valuation
 
-    raw = property(lambda self: tuple(Fraction(y, 2) for y in self.hull.ys))
-    slopes = property(lambda self: self.hull.slopes)
-    breakpoints = property(lambda self: self.hull.vertex_xs())
+    raw = property(lambda self: tuple(Fraction(y, 2) for y in self.ys))
+    slopes = property(lambda self: tuple((Fraction(a, b), m) for a, b, m in self.edges))
+    breakpoints = property(lambda self: tuple(self.vertex_xs))
 
     @cached_property
     def edges(self) -> Tuple[Tuple[int, int, int], ...]:
-        return tuple(edge_runs(self.hull.hull, 2, 0, self.hull.hull[-1][0]))
+        ys, xs = self.ys, self.vertex_xs
+        return tuple(_run(ys[x1] - ys[x0], 2 * (x1 - x0), x1 - x0) for x0, x1 in zip(xs, xs[1:]))
 
 
 def derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
@@ -106,27 +115,30 @@ def _derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
     trip = dimensions(ctx, k)
     c, h = trip.d_iw // 2, trip.d_new // 2
     table = hatted_valuation_table(ctx, k, c + h)  # c + h = d_iw - d_ur, the last row read
-    # offsets 0..h; once the duality holds, right + left is 2 table[c + l] - (k - 2) l
-    right, left, step = table[c:], table[c - h : c + 1][::-1], k - 2
-    if right != list(map(add, left, count(0, step))):
-        l = next(l for l in range(h + 1) if right[l] - left[l] != step * l)
+    left = table[c - h : c + 1][::-1]
+    del table[:c]  # offsets 0..h on both sides; the duality asks right = left + (k - 2) l
+    right = list(map(add, left, count(0, k - 2)))
+    if table != right:
+        l = next(l for l in range(h + 1) if table[l] != right[l])
         raise VerificationError(f"anchored-valuation duality fails at k = {k}, offset {l}")
-    hull = integer_hull(range(h + 1), tuple(map(add, right, left)), 2)
-    m_of_k = max_zero_distance(ctx, k)
+    ys = list(map(add, right, left))
+    del table, left, right  # before the hull's pairs are built
+    xs = array("q", [x for x, _ in _chain(zip(range(h + 1), ys))])
+    ys, m_of_k = array("q", ys), max_zero_distance(ctx, k)
     # one hull edge per distinct slope, so the reach of M(k) is vertex M_index - 1
-    m_index = 1 + bisect_left(hull.hull, _reach(hull.hull, *_ratio(m_of_k)), key=itemgetter(0))
-    return DerivativePolygon(k=k, hull=hull, M_index=m_index, m_of_k=m_of_k)
+    m_index = 1 + bisect_left(xs, _reach(ys, xs, *_ratio(m_of_k)))
+    return DerivativePolygon(k=k, ys=ys, vertex_xs=xs, M_index=m_index, m_of_k=m_of_k)
 
 
-def _reach(hull, u: int, v: int) -> int:
-    """How many unit increments of a derivative hull (ordinates over 2) are
-    at most the distance u / v, INF as 1 / 0: the slopes increase, so x0 on
-    the first edge [x0, x1] with (y1 - y0) v > 2 (x1 - x0) u, else the last
-    abscissa."""
-    for (x0, y0), (x1, y1) in zip(hull, islice(hull, 1, None)):
-        if (y1 - y0) * v > 2 * (x1 - x0) * u:
+def _reach(ys, xs, u: int, v: int) -> int:
+    """How many unit increments of the hull with vertex abscissae xs over the
+    ordinates ys (over 2) are at most the distance u / v, INF as 1 / 0: the
+    slopes increase, so x0 on the first edge [x0, x1] with
+    (ys[x1] - ys[x0]) v > 2 (x1 - x0) u, else the last abscissa."""
+    for x0, x1 in zip(xs, islice(xs, 1, None)):
+        if (ys[x1] - ys[x0]) * v > 2 * (x1 - x0) * u:
             return x0
-    return hull[-1][0]
+    return xs[-1]
 
 
 def _ratio(val: Valuation) -> Tuple[int, int]:
@@ -155,9 +167,8 @@ def is_near_steinberg(ctx: GhostContext, n: int, w: WeightPoint, k2: int) -> boo
     trip = dimensions(ctx, k2)
     if not trip.d_ur < n < trip.d_iw - trip.d_ur:
         return False
-    l = abs(n - trip.d_iw // 2)
-    need = edge_at(derivative_polygon(ctx, k2).hull.hull, 2, l)[1]
-    return point_distance(ctx, w, k2) >= Valuation(need)
+    dp = derivative_polygon(ctx, k2)  # the increment at offset l is reached iff l < the reach
+    return abs(n - trip.d_iw // 2) < _reach(dp.ys, dp.vertex_xs, *_ratio(point_distance(ctx, w, k2)))
 
 
 def breakpoints_by_criterion(ctx: GhostContext, w: WeightPoint, n_range: int) -> set:
@@ -195,7 +206,7 @@ def breakpoints_by_criterion(ctx: GhostContext, w: WeightPoint, n_range: int) ->
         if 2 * u < 3 * v or (c - n_range) * (p - 1) * v > 4 * u - 6 * v:
             continue
         dp = held.get(j) or _derivative_polygon(ctx, ctx.weight_of_bullet(j))
-        reached = _reach(dp.hull.hull, u, v)
+        reached = _reach(dp.ys, dp.vertex_xs, u, v)
         marked.update(range(max(1, c - reached + 1), min(n_range, c + reached - 1) + 1))
     return {0} | set(range(1, n_range + 1)) - marked
 
@@ -211,11 +222,12 @@ def _tail_certified(radius, window, q_hi, hull, den) -> bool:
     ``den``) at q_hi, at ``radius`` (a Fraction, None for INF).  Every distance
     is >= 1, and >= 2 on the bullets j = k_bullet (mod p), so v_p(g_m(w)) >=
     L_r(m) = min(r, 1) deg(m) + c_1 S_1(m), c_1 = min(r, 2) - min(r, 1) (1 at
-    INF).  Past n, deg rises by inc_floor at least and S_1 does not fall."""
+    INF, as at r = 2).  Past n, deg rises by inc_floor at least and S_1 does not fall."""
     n, deg_n, s1, inc_floor = window
-    low, c1 = (1, 1) if radius is None else (min(radius, 1), min(radius, 2) - min(radius, 1))
-    y_q, sigma_q = edge_at(hull, den, q_hi)
-    return low * deg_n + c1 * s1 >= y_q + sigma_q * (n - q_hi) and low * inc_floor >= sigma_q
+    u, v = (2, 1) if radius is None else (radius.numerator, radius.denominator)  # r = u / v
+    (x0, y0), (x1, y1) = hull[(i := bisect_right(hull, q_hi, key=itemgetter(0))) - 1 : i + 1]
+    e, low, line_n = (x1 - x0) * den, min(u, v), y0 * (x1 - n) + y1 * (n - x0)  # e * the line at n
+    return (low * deg_n + (min(u, 2 * v) - low) * s1) * e >= v * line_n and low * inc_floor * e >= v * (y1 - y0)
 
 
 def _windows(ctx: GhostContext, k: int, q_hi: int, n_min: int = 0, stride_one: bool = True):
@@ -247,9 +259,7 @@ def _window(ctx: GhostContext, k: int, n: int, stride_one: bool) -> tuple:
     return n, deg_n, _at(_period(ctx, ctx.bullet(k) % ctx.p, n + 1), n)[0] if stride_one else 0, inc
 
 
-def certified_newton_polygon(
-    ctx: GhostContext, w: WeightPoint, q_hi: int
-) -> RationalPolygon:
+def certified_newton_polygon(ctx: GhostContext, w: WeightPoint, q_hi: int) -> RationalPolygon:
     """Finite-window ghost Newton polygon whose restriction to [0, q_hi]
     provably equals that of the full series: the hull of the first window
     of :func:`_windows`, none below d_iw(anchor) as :func:`newton_polygon_at`
@@ -330,7 +340,7 @@ def _closed_form_runs(ctx, k, w):
     i = 1 + bisect_left(dp.edges, True, key=lambda e: e[0] * v > u * e[1])
     # (k-2)/2 -+ (a/b - nu), over 2 b v, for each s_j = a/b with j >= i
     sides = [((k - 2) * b * v, 2 * (a * v - u * b), 2 * b * v, m) for a, b, m in dp.edges[i - 1 :]]
-    centre = 2 * dp.hull.hull[i - 1][0]
+    centre = 2 * dp.vertex_xs[i - 1]
     low = [_run(c - g, e, m) for c, g, e, m in reversed(sides)]
     mid = [_run(k - 2, 2, centre)] if centre else []
     return low + mid + [_run(c + g, e, m) for c, g, e, m in sides]
@@ -384,7 +394,7 @@ def k_thresholds(ctx: GhostContext, k: int) -> ThresholdVector:
     ['9', '6', '2', '1', '6', '9']
     """
     dp = derivative_polygon(ctx, k)
-    h, c = dimensions(ctx, k).d_new // 2, dp.breakpoints[dp.M_index - 1]
+    h, c = dimensions(ctx, k).d_new // 2, dp.vertex_xs[dp.M_index - 1]
     swept = _sweep(ctx, k, range(h - c + 1, h + c + 1))
     closed = dp.edges[dp.M_index - 1 :]
     den = lcm(*{b for _, b, _ in closed}, *{r.denominator for r in swept})

@@ -1,6 +1,8 @@
 """Hypothesis strategies and helpers shared by the property tests."""
 
+from bisect import bisect_right
 from fractions import Fraction
+from operator import itemgetter
 
 from hypothesis import strategies as st
 
@@ -30,3 +32,13 @@ def context_and_weight(draw):
 def expand_runs(runs) -> list:
     """Newslope runs (num, den, mult) as the ascending list of their Fractions."""
     return [Fraction(a, b) for a, b, m in runs for _ in range(m)]
+
+
+def edge_at(hull, den: int, x: int):
+    """(value, slope) at x, as Fractions, of the polyline through the points
+    (x_i, y_i / den) of ``hull``, read on the edge [x_i, x_{i+1}] with
+    x_i <= x < x_{i+1}."""
+    i = bisect_right(hull, x, key=itemgetter(0)) - 1
+    (x0, y0), (x1, y1) = hull[i], hull[i + 1]
+    e = (x1 - x0) * den
+    return Fraction(y0 * (x1 - x) + y1 * (x - x0), e), Fraction(y1 - y0, e)

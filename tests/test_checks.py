@@ -48,7 +48,7 @@ WEIGHT_PLANTS = [
     (checks.check_slope_integrality, checks, "derivative_polygon",
      lambda ctx, k: SimpleNamespace(slopes=((Fraction(1, 3), 1),))),
     (checks.check_threshold_lock, checks, "newslope_runs", lambda ctx, k, w: [(0, 1, 6)]),
-    (checks.check_raw_increments, checks, "derivative_polygon", lambda ctx, k: SimpleNamespace(hull=SimpleNamespace(ys=(0, 2)))),
+    (checks.check_raw_increments, checks, "derivative_polygon", lambda ctx, k: SimpleNamespace(ys=(0, 2))),
     (prediction.build_model, prediction, "model_radius", lambda ctx, k: Fraction(100)),
     (checks.check_model_pattern, PredictionModel, "rel", lambda self, i, j: Rel.GE),
     # one plant per fact of the threshold relation, each breaking that fact alone

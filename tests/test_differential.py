@@ -7,14 +7,15 @@ the certified hull, the closed form's region against its rule in Fractions,
 the model radius against its two-step definition, the sweep's thresholds against a perturbed
 hull that never runs the sweep, and the first certification window
 against one 4x wider, over random contexts (p, a, s_eps, m) in both
-modes; and the integer sample statistics against their Fraction
-definitions over random samples."""
+modes; and the integer sample statistics and the integer tail certificate
+against their Fraction definitions over random samples and hulls."""
 
 import dataclasses
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from unittest import mock
 
 import pytest
@@ -65,7 +66,7 @@ from ghost_slopes.slopes import (
     certified_newton_polygon,
     newslope_runs,
 )
-from strategies import RADII, context_and_weight, expand_runs
+from strategies import RADII, context_and_weight, edge_at, expand_runs
 
 N_HI = st.integers(0, 120)
 
@@ -350,9 +351,67 @@ def test_derivative_polygon_matches_fraction_hull(case):
     assert dp.slopes == hull.slopes
     assert dp.edges == tuple((s.numerator, s.denominator, m) for s, m in hull.slopes)
     assert dp.breakpoints == hull.vertex_xs()
-    assert dp.hull.slope_list() == hull.slope_list()
+    assert expand_runs(dp.edges) == hull.slope_list()
     cleared = [i for i, (s, _) in enumerate(hull.slopes, 1) if Valuation(s) > dp.m_of_k]
     assert dp.M_index == (cleared[0] if cleared else len(hull.slopes) + 1)
+
+
+@pytest.mark.parametrize("mode", ["strict", "exploratory"])
+@given(case=context_and_weight())
+@settings(max_examples=60, deadline=None)
+def test_held_arrays_match_fraction_hull(mode, case):
+    # the two int64 arrays a derivative polygon holds, and everything read
+    # off them, against lower_hull over the raw Fractions of the pointwise
+    # oracle, in each mode
+    ctx, k = case
+    assume(ctx.mode == mode)
+    trip, dp = dimensions(ctx, k), derivative_polygon(ctx, k)
+    c = trip.d_iw // 2
+    raw = tuple(anchored_valuation(ctx, c + l, k) - Fraction((k - 2) * l, 2) for l in range(trip.d_new // 2 + 1))
+    hull = lower_hull(enumerate(raw))
+    assert dp.ys.typecode == dp.vertex_xs.typecode == "q"
+    assert list(dp.ys) == [2 * r for r in raw]
+    assert tuple(dp.vertex_xs) == hull.vertex_xs() == dp.breakpoints
+    assert dp.raw == raw
+    assert dp.edges == tuple((s.numerator, s.denominator, m) for s, m in hull.slopes)
+    cleared = [i for i, (s, _) in enumerate(hull.slopes, 1) if Valuation(s) > dp.m_of_k]
+    assert dp.M_index == (cleared[0] if cleared else len(hull.slopes) + 1)
+
+
+def _tail_certified_oracle(radius, window, q_hi, hull, den) -> bool:
+    # slopes._tail_certified in Fractions: min(r, 1) and min(r, 2) - min(r, 1)
+    # (1 and 1 at INF) against the line of the hull's edge at q_hi and its slope
+    n, deg_n, s1, inc_floor = window
+    low, c1 = (1, 1) if radius is None else (min(radius, 1), min(radius, 2) - min(radius, 1))
+    y_q, sigma_q = edge_at(hull, den, q_hi)
+    return low * deg_n + c1 * s1 >= y_q + sigma_q * (n - q_hi) and low * inc_floor >= sigma_q
+
+
+@given(
+    radius=st.one_of(st.none(), st.builds(Fraction, st.integers(1, 60), st.integers(1, 12))),
+    ys=st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=12),
+    den=st.integers(1, 12),
+    q=st.integers(0, 10),
+    past=st.integers(0, 40),
+    window=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**5)),
+)
+@settings(max_examples=300, deadline=None)
+def test_tail_certificate_matches_its_fraction_form(radius, ys, den, q, past, window):
+    # the integer tail test against its Fraction form, over random hulls
+    # (ordinates over den), windows past q_hi and radii, INF (None) included;
+    # deg g_n and the increment floor are also set around the least values
+    # that pass each test, so both meet their boundaries
+    hull = integer_hull(range(len(ys)), ys, den).hull
+    assume(len(hull) >= 2)
+    q_hi = min(q, hull[-1][0] - 1)
+    n, (deg, s1, inc) = q_hi + past, window
+    low, c1 = (1, 1) if radius is None else (min(radius, 1), min(radius, 2) - min(radius, 1))
+    y_q, sigma_q = edge_at(hull, den, q_hi)
+    deg_0, inc_0 = math.ceil((y_q + sigma_q * (n - q_hi) - c1 * s1) / low), math.ceil(sigma_q / low)
+    for case in product([n], (deg, deg_0 - 1, deg_0, deg_0 + 1), [s1], (inc, inc_0 - 1, inc_0, inc_0 + 1)):
+        assert slopes._tail_certified(radius, case, q_hi, hull, den) == _tail_certified_oracle(
+            radius, case, q_hi, hull, den
+        ), case
 
 
 @given(case=context_and_weight(), radius=RADII)
@@ -369,14 +428,15 @@ def test_criterion_reach_matches_fraction_bisect(case, radius):
         dists += [Valuation(s), Valuation(s - Fraction(1, 1000))]
     for dist in dists:
         u, v = (1, 0) if dist.is_infinite else dist.value.as_integer_ratio()
-        assert _reach(dp.hull.hull, u, v) == bisect_right(incs, dist), dist
+        assert _reach(dp.ys, dp.vertex_xs, u, v) == bisect_right(incs, dist), dist
 
 
 @pytest.mark.parametrize(
     "points, dists",
     [
         (((0, 5),), (0, 1, INF)),
-        (((0, 0), (3, 9)), (1, Fraction(3, 2), 2, INF)),
+        # one edge, 3/2 over 3 units (the points at x = 1, 2 lie above it)
+        (((0, 0), (1, 4), (2, 7), (3, 9)), (1, Fraction(3, 2), 2, INF)),
         # increments 2, 3, 3, 7/2 (the point at x = 2 lies above the hull)
         (((0, 0), (1, 4), (2, 11), (3, 16), (4, 23)), (1, 2, Fraction(5, 2), 3, Fraction(7, 2), 4, INF)),
     ],
@@ -384,13 +444,14 @@ def test_criterion_reach_matches_fraction_bisect(case, radius):
 )
 def test_criterion_reach_at_its_boundaries(points, dists):
     # the integer reach of u / v (INF as 1 / 0) on hand-built hulls (ordinates
-    # over 2) against bisect over their Fraction increments: a distance below
-    # the first increment, equal to one, between two, above all, and INF
+    # over 2 at x = 0..h, as a derivative polygon holds them) against bisect
+    # over their Fraction increments: a distance below the first increment,
+    # equal to one, between two, above all, and INF
     hull = integer_hull(*zip(*points), 2)
     incs = hull.slope_list()
     for dist in (d if d is INF else Valuation(d) for d in dists):
         u, v = (1, 0) if dist.is_infinite else dist.value.as_integer_ratio()
-        assert _reach(hull.hull, u, v) == bisect_right(incs, dist), dist
+        assert _reach(array("q", hull.ys), array("q", hull.vertex_xs()), u, v) == bisect_right(incs, dist), dist
 
 
 @given(case=context_and_weight(), small=N_HI, extra=st.integers(1, 200))

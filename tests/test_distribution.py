@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ghost_slopes import checks
+from ghost_slopes import checks, lower_hull
 from ghost_slopes.distribution import (
     DistributionSample,
     SampleKind,
@@ -77,7 +77,7 @@ class TestSampleValues:
             s = sample(CTX, k, SampleKind.DERIVATIVE)
             norm = Fraction(2 * (CTX.p + 1), (CTX.p - 1) * k)
             expected = []
-            for sl in derivative_polygon(CTX, k).hull.slope_list():
+            for sl in lower_hull(enumerate(derivative_polygon(CTX, k).raw)).slope_list():
                 expected.extend([norm * sl, norm * sl])
             assert s.values == tuple(sorted(expected))
 

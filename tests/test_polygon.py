@@ -17,8 +17,8 @@ from ghost_slopes import (
     newton_polygon_at,
 )
 from ghost_slopes.ghost import dimensions, evaluate_ghost_valuation
-from ghost_slopes.polygon import _chain, edge_at
-from strategies import RADII, context_and_weight
+from ghost_slopes.polygon import _chain
+from strategies import RADII, context_and_weight, edge_at
 
 
 @pytest.fixture(scope="module")
@@ -270,7 +270,8 @@ def test_newton_polygon_matches_brute_force(case, radius, extra):
     assert np_.slopes == tuple(
         ((y1 - y0) / (x1 - x0), x1 - x0) for (x0, y0), (x1, y1) in zip(verts, verts[1:])
     )
-    # the shared edge reader: value and right-hand slope at every q_hi < n
+    # the Fraction edge reader of the tail certificate's oracle: value and
+    # right-hand slope at every q_hi < n
     slopes = np_.slope_list()
     for q_hi in range(n):
         assert edge_at(np_.hull, np_.den, q_hi) == (np_.hull_value(q_hi).value, slopes[q_hi])

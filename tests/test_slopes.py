@@ -70,7 +70,7 @@ def test_derivative_polygon_frozen_k24(ctx):
     assert dp.raw == (Fraction(17), Fraction(19), Fraction(25), Fraction(34))
     assert dp.slopes == ((Fraction(2), 1), (Fraction(6), 1), (Fraction(9), 1))
     assert dp.breakpoints == (0, 1, 2, 3)
-    assert dp.hull.slope_list() == [Fraction(2), Fraction(6), Fraction(9)]
+    assert (list(dp.ys), list(dp.vertex_xs)) == ([34, 38, 50, 68], [0, 1, 2, 3])
     assert dp.M_index == 2
     assert dp.m_of_k == Valuation(2)
     assert dp.k == 24
@@ -97,7 +97,7 @@ def test_derivative_polygon_empty_when_no_newforms():
     dp = derivative_polygon(ctx, 4)
     assert dp.slopes == ()
     assert dp.breakpoints == (0,)
-    assert dp.hull.slope_list() == []
+    assert dp.edges == () and len(dp.ys) == 1
 
 
 @pytest.mark.parametrize("side", (1, -1), ids=("right", "left"))
@@ -145,7 +145,7 @@ def test_hull_increment_lower_bound(p, a, s):
     ctx = GhostContext(p=p, a=a, s_eps=s)
     for k in ctx.class_members(3, 900):
         dp = derivative_polygon(ctx, k)
-        for l, inc in enumerate(dp.hull.slope_list()):
+        for l, inc in enumerate(lower_hull(enumerate(dp.raw)).slope_list()):
             assert inc >= Fraction(3, 2) + Fraction((p - 1) * l, 4), (k, l)
 
 
@@ -714,11 +714,11 @@ def test_context_keeps_only_reread_caches():
 
 @pytest.mark.parametrize("radius", (Fraction(3, 2), 7, INF))
 def test_criterion_scan_caches_integer_polygons(radius, monkeypatch):
-    # a derivative polygon holds its integer hull and nothing else; the
-    # criterion scan stores none, and reads one the context holds without
-    # building it again or building a Fraction on it
+    # a derivative polygon holds its ordinates and hull vertices as int64
+    # arrays and nothing else; the criterion scan stores none, and reads one
+    # the context holds without building it again or reading its edges
     assert [f.name for f in dataclasses.fields(DerivativePolygon)] == [
-        "k", "hull", "M_index", "m_of_k",
+        "k", "ys", "vertex_xs", "M_index", "m_of_k",
     ]
     fresh, w = GhostContext(p=7, a=2, s_eps=1), WeightPoint(120, radius)
     walk = breakpoints_by_criterion(fresh, w, 400)
@@ -732,8 +732,8 @@ def test_criterion_scan_caches_integer_polygons(radius, monkeypatch):
     assert len(held) > 1
     assert breakpoints_by_criterion(fresh, w, 400) == walk and built == []
     for dp in held:
-        assert all(type(y) is int for y in dp.hull.ys)
-        assert "slopes" not in vars(dp.hull)
+        assert dp.ys.typecode == dp.vertex_xs.typecode == "q"
+        assert "edges" not in vars(dp)
 
 
 def test_thresholds_wraparound_runs(wrap_ctx):
