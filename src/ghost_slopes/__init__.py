@@ -7,11 +7,7 @@ The root holds the names that the README and the tests import, each in
 from .errors import DomainError, VerificationError
 from .ghost import GhostContext, WeightPoint, dimensions
 from .polygon import dual_graph, lower_hull, newton_polygon_at
-from .prediction import (
-    build_model,
-    exceptional_bound,
-    predict_slopes,
-)
+from .prediction import build_model, exceptional_bound, predict_slopes
 from .slopes import (
     breakpoints_by_criterion,
     certified_newton_polygon,

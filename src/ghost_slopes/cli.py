@@ -26,16 +26,15 @@ import os
 import random
 import sys
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Iterator, List, Tuple
 
-from .checks import SUITES
 from .distribution import SampleKind, discrepancy, sample, weyl_csv, weyl_moments
 from .errors import ConfigError, DomainError, VerificationError
 from .ghost import K_CEILING, MAX_TABLE_INDEX, GhostContext, WeightPoint, dimensions, ghost_polynomial
 from .prediction import predict_slopes
 from .slopes import k_thresholds, newslope_runs
-from .valuation import INF, format_rational, ratio_text
+from .valuation import INF, format_rational, runs_text
 
 FORMATS = ("json", "csv", "table")
 
@@ -176,7 +175,7 @@ def cmd_slopes(args) -> str:
     ctx = _context(args)
     radius = _parse_radius(args.radius)
     runs = newslope_runs(ctx, args.k, WeightPoint(args.k, radius))
-    rendered = list(chain.from_iterable(repeat(ratio_text(a, b), m) for a, b, m in runs))
+    rendered = runs_text(runs)
     value = {"k": args.k, "radius": format_rational(radius), "newslopes": rendered}
     return _emit(args, value, "i,slope", enumerate(rendered, 1), rendered)
 
@@ -269,6 +268,8 @@ def cmd_verify(args) -> str:
     ks = _range_weights(ctx, args.k_range, lo, hi)
     if len(ks) < 3:
         raise ConfigError(f"range [{lo}, {hi}] holds fewer than three class weights")
+    from .checks import SUITES  # checks and wedge load for verify alone
+
     failures = []
     for name, suite in SUITES:
         rng = random.Random(f"{args.seed}:{name}")

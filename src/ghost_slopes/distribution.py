@@ -187,9 +187,7 @@ def sample_difference_bound(ctx: GhostContext, k: int) -> Fraction:
 def weyl_csv(rows: Sequence[Tuple[int, SampleKind, Tuple[Fraction, ...]]]) -> str:
     """CSV of exact moments against targets, one row per (k, kind, n),
     from ``(k, kind, moments)`` rows in any order."""
-    lines = [
-        "k,kind,n,moment_num,moment_den,target_num,target_den,abs_error_decimal"
-    ]
+    lines = ["k,kind,n,moment_num,moment_den,target_num,target_den,abs_error_decimal"]
     for k, kind, moments in sorted(rows, key=lambda r: (r[0], r[1].value)):
         for n, mo in enumerate(moments, 1):
             target = Fraction(1, n + 1)

@@ -218,9 +218,7 @@ class GhostContext:
         """k_bullet with k = k_eps + k_bullet*(p-1), the inverse of :meth:`weight_of_bullet`;
         raises DomainError for a weight outside the class or past K_CEILING."""
         if not self.in_class(k):
-            raise DomainError(
-                f"k = {k} is not in the class k = {self.k_eps} + {self.p - 1}j, j >= 0"
-            )
+            raise DomainError(f"k = {k} is not in the class k = {self.k_eps} + {self.p - 1}j, j >= 0")
         if k > K_CEILING:
             raise DomainError(f"weight k = {k} exceeds K_CEILING = {K_CEILING}")
         return (k - self.k_eps) // (self.p - 1)

@@ -20,13 +20,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
-from .ghost import (
-    GhostContext,
-    WeightPoint,
-    dimensions,
-    hatted_valuation_table,
-    valuation_table_at,
-)
+from .ghost import GhostContext, WeightPoint, dimensions, hatted_valuation_table, valuation_table_at
 from .valuation import INF, Valuation, _coerce
 
 Point = Tuple[int, Valuation]

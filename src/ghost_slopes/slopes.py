@@ -88,8 +88,13 @@ class DerivativePolygon:
 
     @cached_property
     def edges(self) -> Tuple[Tuple[int, int, int], ...]:
-        ys, xs = self.ys, self.vertex_xs
-        return tuple(_run(ys[x1] - ys[x0], 2 * (x1 - x0), x1 - x0) for x0, x1 in zip(xs, xs[1:]))
+        ys, edges, x0, y0 = self.ys, [], 0, self.ys[0]
+        for x1 in islice(self.vertex_xs, 1, None):
+            y1 = ys[x1]
+            g = gcd(y1 - y0, 2 * (x1 - x0))
+            edges.append(((y1 - y0) // g, 2 * (x1 - x0) // g, x1 - x0))
+            x0, y0 = x1, y1
+        return tuple(edges)
 
 
 def derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
@@ -317,11 +322,6 @@ def k_newslopes(ctx: GhostContext, k: int, w: WeightPoint) -> List[Fraction]:
     return list(chain.from_iterable(repeat(Fraction(a, b), m) for a, b, m in runs))
 
 
-def _run(num: int, den: int, mult: int) -> Tuple[int, int, int]:
-    g = gcd(num, den)
-    return num // g, den // g, mult
-
-
 def _hull_runs(ctx, k, w):
     # the certified polygon's edges over [d_ur, d_iw - d_ur], valid at every radius
     trip = dimensions(ctx, k)
@@ -339,11 +339,15 @@ def _closed_form_runs(ctx, k, w):
     dp = derivative_polygon(ctx, k)
     i = 1 + bisect_left(dp.edges, True, key=lambda e: e[0] * v > u * e[1])
     # (k-2)/2 -+ (a/b - nu), over 2 b v, for each s_j = a/b with j >= i
-    sides = [((k - 2) * b * v, 2 * (a * v - u * b), 2 * b * v, m) for a, b, m in dp.edges[i - 1 :]]
-    centre = 2 * dp.vertex_xs[i - 1]
-    low = [_run(c - g, e, m) for c, g, e, m in reversed(sides)]
-    mid = [_run(k - 2, 2, centre)] if centre else []
-    return low + mid + [_run(c + g, e, m) for c, g, e, m in sides]
+    low, high = [], []
+    for a, b, m in dp.edges[i - 1 :]:
+        c, t, e = (k - 2) * b * v, 2 * (a * v - u * b), 2 * b * v
+        g, h = gcd(c - t, e), gcd(c + t, e)
+        low.append(((c - t) // g, e // g, m))
+        high.append(((c + t) // h, e // h, m))
+    if centre := 2 * dp.vertex_xs[i - 1]:
+        high.insert(0, ((k - 2) // (g := gcd(k - 2, 2)), 2 // g, centre))
+    return low[::-1] + high
 
 
 # -- thresholds --------------------------------------------------------------------
@@ -374,7 +378,7 @@ class ThresholdVector:
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,
-            "local": [ratio_text(a, self.den) for a in self.nums],
+            "local": [str(a) for a in self.nums] if self.den == 1 else [ratio_text(a, self.den) for a in self.nums],
             "provenance": list(self.provenance),
             "global_mult": self.global_mult,
         }

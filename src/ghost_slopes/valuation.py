@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import Iterable, List, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -38,12 +38,9 @@ class Valuation:
     __slots__ = ("_value",)
 
     def __init__(self, value: Union[Rational, None] = None, *, _infinite: bool = False):
-        if _infinite:
-            self._value = None
-        else:
-            if value is None:
-                raise TypeError("finite Valuation requires a rational value")
-            self._value = Fraction(value)
+        if value is None and not _infinite:
+            raise TypeError("finite Valuation requires a rational value")
+        self._value = None if _infinite else Fraction(value)
 
     @property
     def is_infinite(self) -> bool:
@@ -140,7 +137,8 @@ def weight_distance(k1: int, k2: int, p: int) -> Valuation:
 def ratio_text(num: int, den: int) -> str:
     """The text of num / den, ints with den > 0: "num/den" in lowest terms,
     bare "num" when that denominator is 1, the bytes of str(Fraction(num, den)).
-    Every rational the library prints goes through here.
+    Every rational the library prints goes through here, but for runs already
+    in lowest terms, which :func:`runs_text` prints with no gcd.
 
     Examples
     --------
@@ -149,6 +147,23 @@ def ratio_text(num: int, den: int) -> str:
     """
     g = gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def runs_text(runs: Iterable[Tuple[int, int, int]]) -> List[str]:
+    """The text of each run (num, den, mult) already in lowest terms, den > 0,
+    mult times in order: the bytes of :func:`ratio_text`, with no gcd.
+
+    >>> runs_text([(-11, 2, 1), (3, 1, 2), (0, 1, 1)])
+    ['-11/2', '3', '3', '0']
+    """
+    texts = []
+    for num, den, mult in runs:
+        text = str(num) if den == 1 else f"{num}/{den}"
+        if mult == 1:
+            texts.append(text)
+        else:
+            texts += [text] * mult
+    return texts
 
 
 def format_rational(x) -> str:

@@ -48,9 +48,7 @@ class ExactMatrix:
     def __post_init__(self):
         if self.rows <= 0 or self.cols <= 0:
             raise DomainError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows or any(
-            len(row) != self.cols for row in self.entries
-        ):
+        if len(self.entries) != self.rows or any(len(row) != self.cols for row in self.entries):
             raise DomainError("entry grid does not match the declared shape")
 
     @classmethod
@@ -63,21 +61,14 @@ class ExactMatrix:
     @classmethod
     def identity(cls, d: int, scale=1) -> "ExactMatrix":
         s = Fraction(scale)
-        return cls.from_rows(
-            [[s if i == j else 0 for j in range(d)] for i in range(d)]
-        )
+        return cls.from_rows([[s if i == j else 0 for j in range(d)] for i in range(d)])
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
 
 def _perm_sign(perm: Tuple[int, ...]) -> int:
-    flips = sum(
-        1
-        for a in range(len(perm))
-        for b in range(a + 1, len(perm))
-        if perm[a] > perm[b]
-    )
+    flips = sum(perm[a] > perm[b] for a in range(len(perm)) for b in range(a + 1, len(perm)))
     return -1 if flips % 2 else 1
 
 

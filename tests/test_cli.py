@@ -624,6 +624,27 @@ def test_module_entry_point():
     assert proc.stdout == "g_1(w) = (w - w_6)\n"
 
 
+COLD_IMPORT = """
+import io, sys
+from contextlib import redirect_stdout
+from ghost_slopes.cli import main
+suites = ("ghost_slopes.checks", "ghost_slopes.wedge")
+loaded = [m for m in suites if m in sys.modules]
+with redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in (["slopes", "-k", "24", "-r", "7"], ["thresholds", "-k", "24"], ["predict", "-k", "24"])]
+    loaded.append([m for m in suites if m in sys.modules])
+    codes.append(main(["verify", "--k-range", "10:60"]))
+print(loaded, codes, [m for m in suites if m in sys.modules])
+"""
+
+
+def test_only_verify_loads_the_suites():
+    # checks and wedge are compiled for verify alone, not on import or for a point command
+    proc = subprocess.run([sys.executable, "-c", COLD_IMPORT], capture_output=True, text=True)
+    assert proc.stderr == ""
+    assert proc.stdout == "[[]] [0, 0, 0, 0] ['ghost_slopes.checks', 'ghost_slopes.wedge']\n"
+
+
 def test_closed_stdout_exits_141_without_traceback():
     # unbuffered, so each verify line is one write; the write after the
     # reader is gone raises BrokenPipeError inside main

@@ -32,7 +32,7 @@ from ghost_slopes import (
 from ghost_slopes import checks, ghost, slopes
 from ghost_slopes.distribution import SampleKind, sample
 from ghost_slopes.ghost import support_interval
-from ghost_slopes.slopes import DerivativePolygon, _closed_form_runs, _hull_runs
+from ghost_slopes.slopes import DerivativePolygon, ThresholdVector, _closed_form_runs, _hull_runs
 from strategies import context_and_weight, expand_runs
 
 
@@ -397,6 +397,15 @@ def test_thresholds_frozen_k24(ctx):
         "provenance": ["closed", "closed", "sweep", "sweep", "closed", "closed"],
         "global_mult": 1,
     }
+
+
+def test_threshold_text_over_a_denominator():
+    # no class weight up to 3000 on (7,2,1) or (11,6,9) has a threshold denominator
+    # above 1, so the text of one comes from a hand-built vector
+    nums = (9, 6, -4, 0, 12, 7)
+    tv = ThresholdVector(k=25, nums=nums, den=4, provenance=("closed",) * 6, global_mult=1)
+    assert tv.to_json_dict()["local"] == ["9/4", "3/2", "-1", "0", "3", "7/4"]
+    assert tv.to_json_dict()["local"] == [str(Fraction(a, 4)) for a in nums]
 
 
 # k_thresholds off (7,2,1), recorded before the sweep walked its levels top

@@ -1,6 +1,7 @@
 """Exact valuation arithmetic and weight distances."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from ghost_slopes.valuation import (
     INF,
     Valuation,
     ratio_text,
+    runs_text,
     vp_int_raw,
     weight_distance,
 )
@@ -97,3 +99,23 @@ def test_ratio_text_matches_fraction_text(num, den, quotient):
     # negative numerators, and denominators that divide the numerator
     assert ratio_text(num, den) == str(Fraction(num, den))
     assert ratio_text(quotient * den, den) == str(quotient)
+
+
+def _reduced(num, den, mult):
+    g = gcd(num, den)
+    return num // g, den // g, mult
+
+
+# runs in lowest terms: num of either sign or 0 (which reduces to den 1), den >= 1 coprime to it
+REDUCED_RUNS = st.lists(
+    st.builds(_reduced, st.integers(-(10**30), 10**30), st.just(1) | st.integers(1, 10**12), st.integers(1, 6)),
+    max_size=8,
+)
+
+
+@given(REDUCED_RUNS)
+def test_runs_text_matches_ratio_text(runs):
+    expanded = [(a, b) for a, b, m in runs for _ in range(m)]
+    texts = runs_text(runs)
+    assert texts == [ratio_text(a, b) for a, b in expanded]
+    assert texts == [str(Fraction(a, b)) for a, b in expanded]
