@@ -118,7 +118,6 @@ def check_threshold_lock(ctx, k: int) -> None:
         return range(start, start + sum(m for a, b, m in runs if 2 * a == (k - 2) * b))
 
     for n, cs in enumerate(k_thresholds(ctx, k).local_thresholds, 1):
-        cs = cs.value
         if n not in locked(cs + 1):
             raise VerificationError(f"newslope {n} not locked above CS at k = {k}")
         below = cs / 2 if cs <= Fraction(1, 2) else cs - Fraction(1, 2)
@@ -145,14 +144,13 @@ def check_model_pattern(ctx, k: int) -> None:
 
 def check_threshold_relation(ctx, k: int) -> None:
     """Against k's thresholds: the known L-invariant block, ascending, is -(CS + 1)
-    over the closed thresholds, and the exceptional count is m times the number of
-    sweep thresholds and at most ``exceptional_bound``."""
-    tv, model = k_thresholds(ctx, k), predict_slopes(ctx, k)
-    closed = [cs.value for cs, prov in zip(tv.local_thresholds, tv.provenance) if prov == "closed"]
-    flat = [v for v, m in model.linv_slopes_known for _ in range(m)]
-    if flat != sorted(-(c + 1) for c in closed for _ in range(ctx.global_mult)):
+    over the closed thresholds, each run CS = s at m times its two mirrored blocks,
+    and the exceptional count is m times the number of sweep thresholds and at
+    most ``exceptional_bound``."""
+    tv, model, m = k_thresholds(ctx, k), predict_slopes(ctx, k), ctx.global_mult
+    if model.linv_slopes_known != tuple((-Fraction(a, b) - 1, 2 * m * mult) for a, b, mult in reversed(tv.closed)):
         raise VerificationError(f"linv block != -(CS + 1) at k = {k}")
-    if model.exceptional_count != ctx.global_mult * tv.provenance.count("sweep"):
+    if model.exceptional_count != m * len(tv.swept):
         raise VerificationError(f"exceptional count != central block at k = {k}")
     if model.exceptional_count > exceptional_bound(ctx, k):
         raise VerificationError(f"exceptional count above log bound at k = {k}")

@@ -10,8 +10,9 @@ nonzero on any failure.
 
 Output is canonical: identical configuration produces identical bytes,
 JSON keys are sorted, and rationals render as "num/den" in lowest terms.
-Every command but ``verify`` prints through one renderer, :func:`_emit`,
-which picks its JSON value, CSV rows or table lines by ``--format``.
+A command returns its lines, which :func:`main` writes one at a time.  All
+but ``verify`` compute their answer before they return, so their errors come
+before the first byte, and make their lines with one renderer, :func:`_emit`.
 Exit codes, which :func:`main` returns, help included: 0 success, 1 invalid
 configuration, 2 domain error during computation or out of memory, 3
 verification failure, 141 stdout closed early.
@@ -26,7 +27,7 @@ import os
 import random
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from typing import Iterable, Iterator, List, Tuple
 
 from .distribution import SampleKind, discrepancy, sample, weyl_csv, weyl_moments
@@ -142,14 +143,14 @@ def _context(args) -> GhostContext:
     return GhostContext(args.p, args.a, args.s_eps, args.global_mult, args.mode)
 
 
-def _emit(args, value, header: str, rows: Iterable[tuple], lines: Iterable[str]) -> str:
-    """``value`` as sorted JSON, ``header`` and the comma-joined ``rows``
-    as CSV, or the table ``lines``, as ``--format`` asks; newline-ended."""
+def _emit(args, value, header: str, rows: Iterable[tuple], lines: Iterable[str]) -> Iterable[str]:
+    """``value`` as sorted JSON, ``header`` and the comma-joined ``rows`` as CSV, or the
+    table ``lines``, as ``--format`` asks; newline-ended, each CSV or table line made as written."""
     if args.fmt == "json":
-        return json.dumps(value, sort_keys=True) + "\n"
+        return [json.dumps(value, sort_keys=True) + "\n"]
     if args.fmt == "csv":
         lines = chain([header], (",".join(map(str, row)) for row in rows))
-    return "".join(line + "\n" for line in lines)
+    return (line + "\n" for line in lines)
 
 
 # -- command implementations ------------------------------------------------
@@ -162,7 +163,7 @@ def render_ghost_polynomial(gp) -> str:
     return f"g_{gp.n}(w) = " + (" ".join(factors) or "1")
 
 
-def cmd_ghost(args) -> str:
+def cmd_ghost(args) -> Iterable[str]:
     if not (0 <= args.n <= MAX_GHOST_N):
         raise ConfigError(f"ghost needs 0 <= -n <= MAX_GHOST_N = {MAX_GHOST_N}")
     ctx = _context(args)
@@ -171,7 +172,7 @@ def cmd_ghost(args) -> str:
     return _emit(args, [gp.to_json_dict() for gp in polys], "n,k,mult", rows, map(render_ghost_polynomial, polys))
 
 
-def cmd_slopes(args) -> str:
+def cmd_slopes(args) -> Iterable[str]:
     ctx = _context(args)
     radius = _parse_radius(args.radius)
     runs = newslope_runs(ctx, args.k, WeightPoint(args.k, radius))
@@ -180,14 +181,14 @@ def cmd_slopes(args) -> str:
     return _emit(args, value, "i,slope", enumerate(rendered, 1), rendered)
 
 
-def cmd_thresholds(args) -> str:
+def cmd_thresholds(args) -> Iterable[str]:
     data = k_thresholds(_context(args), args.k).to_json_dict()
-    rows = [(n, v, prov) for n, (v, prov) in enumerate(zip(data["local"], data["provenance"]), 1)]
+    rows = zip(count(1), data["local"], data["provenance"])  # read once, by CSV or by the table
     lines = (f"CS_{n}({args.k}) = {v} [{prov}]" for n, v, prov in rows)
     return _emit(args, data, "n,value,provenance", rows, lines)
 
 
-def cmd_predict(args) -> str:
+def cmd_predict(args) -> Iterable[str]:
     data = predict_slopes(_context(args), args.k).to_json_dict()
     known, floor, count = data["linv_known"], data["floor"], data["exceptional"]
     rows = [*(("known", v, m) for v, m in known), ("floor", floor, count)]
@@ -217,7 +218,7 @@ def _collect_samples(args, ks: List[int]) -> Iterator:
         yield from (s for group in pool.map(_samples_at, [args] * len(ks), ks) for s in group)
 
 
-def cmd_dist(args) -> str:
+def cmd_dist(args) -> Iterable[str]:
     lo, hi = _parse_range(args.k_range)
     if not (1 <= args.n <= MAX_MOMENT_ORDER):
         raise ConfigError(f"moment order must lie in [1, MAX_MOMENT_ORDER = {MAX_MOMENT_ORDER}]")
@@ -231,7 +232,7 @@ def cmd_dist(args) -> str:
     if not moment_rows:
         raise DomainError(f"no nonempty samples for weights in [{lo}, {hi}]")
     if args.fmt == "csv":
-        return weyl_csv(moment_rows)
+        return [weyl_csv(moment_rows)]
     rows = []
     for kind in SampleKind:
         group = [(k, mo) for k, kind_, mo in moment_rows if kind_ is kind]
@@ -262,7 +263,7 @@ def cmd_dist(args) -> str:
     return _emit(args, rows, "", (), lines)
 
 
-def cmd_verify(args) -> str:
+def cmd_verify(args) -> Iterator[str]:
     lo, hi = _parse_range(args.k_range)
     ctx = _context(args)
     ks = _range_weights(ctx, args.k_range, lo, hi)
@@ -277,12 +278,11 @@ def cmd_verify(args) -> str:
             suite(ctx, rng, ks)
         except VerificationError as exc:
             failures.append(name)
-            sys.stdout.write(f"FAIL {name}: {exc}\n")
+            yield f"FAIL {name}: {exc}\n"
         else:
-            sys.stdout.write(f"ok {name}\n")
+            yield f"ok {name}\n"
     if failures:
         raise VerificationError(f"{len(failures)} suite(s) failed: {', '.join(failures)}")
-    return ""
 
 
 DISPATCH = {
@@ -303,7 +303,7 @@ def main(argv=None) -> int:
             return 0
         if args.jobs is not None and args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-        sys.stdout.write(DISPATCH[args.command](args))
+        sys.stdout.writelines(DISPATCH[args.command](args))
         sys.stdout.flush()
         return 0
     except BrokenPipeError:  # the reader left; the flush at shutdown goes to devnull

@@ -9,14 +9,14 @@ the exceptional block standing in at its floor value.  Floor stand-ins
 are bounds rather than values: a sample counts them beside its
 numerators, and they stay out of moments and the discrepancy.
 
-A sample holds its genuine values as sorted integer numerators over one
-denominator, (p-1)k times the lcm of the raw denominators, and builds
-``Fraction``s only when they are read.  Moments are exact rationals,
-one ``Fraction`` per order from integer power sums; the Weyl table and
-CSV read them as one (k, kind, moments) row per sample and compare them
-to the uniform-limit targets 1/(n+1).  The discrepancy is the exact
-two-sided Kolmogorov distance of the empirical distribution from uniform
-on [0, 1], found on the numerators.  ``dist`` keeps one row per sample
+A sample holds its genuine values as ascending runs of integer numerators
+with multiplicities over one denominator, (p-1)k times the lcm of the raw
+denominators, and builds ``Fraction``s only when they are read.  Moments
+are exact rationals, one ``Fraction`` per order from integer power sums
+over the runs; the Weyl table and CSV read them as one (k, kind, moments)
+row per sample and compare them to the uniform-limit targets 1/(n+1).  The
+discrepancy is the exact two-sided Kolmogorov distance from uniform on
+[0, 1], read at each run's first and last index.  ``dist`` keeps one row per sample
 and whole only the last sample of each kind, for its discrepancy, so its
 memory no longer grows with the samples.
 """
@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate, chain, repeat
 from math import lcm
 from operator import mul
 from typing import Sequence, Tuple
@@ -44,79 +45,80 @@ class SampleKind(Enum):
 
 @dataclass(frozen=True)
 class DistributionSample:
-    """A normalized slope multiset with exact power means.
+    """A normalized slope multiset with exact power means, held as runs.
 
-    Genuine value i is ``nums[i] / den``, ``nums`` sorted ascending.  The
-    ``floor_count`` floor stand-ins at ``floor_num`` (LINV only; zero
-    otherwise) are bounds, not values, so they are counted beside ``nums``,
-    not in it.  ``values`` reads every value, stand-ins included, ascending,
-    as ``Fraction``s; :meth:`moments` and :func:`discrepancy` read ``nums`` alone.
-    """
+    Run j is the genuine value ``nums[j] / den`` ``mults[j]`` times; the runs
+    ascend, neighbours may tie.  The ``floor_count`` floor stand-ins at
+    ``floor_num`` (LINV only; zero otherwise) are bounds, not values, counted
+    beside the runs.  ``values`` reads every value, stand-ins included,
+    ascending, as ``Fraction``s; :meth:`moments` and :func:`discrepancy` read the runs."""
 
     k: int
     kind: SampleKind
     nums: Tuple[int, ...]
+    mults: Tuple[int, ...]
     den: int
     floor_num: int
     floor_count: int
 
     @property
     def values(self) -> Tuple[Fraction, ...]:
-        nums = sorted(self.nums + (self.floor_num,) * self.floor_count)
+        nums = sorted(chain(repeat(self.floor_num, self.floor_count), *map(repeat, self.nums, self.mults)))
         return tuple(Fraction(a, self.den) for a in nums)
 
     def moments(self, n_max: int) -> Tuple[Fraction, ...]:
         """Power means of orders 1..n_max over the m genuine values,
-        sum(a**n) / (m * den**n) over their numerators a; the powers of
-        each order are one elementwise product on those of the last."""
+        sum(mult * a**n) / (m * den**n) over the runs (a, mult); the terms
+        of each order are one elementwise product on those of the last."""
         if not (nums := self.nums):
             raise DomainError("no values to average")
-        sums = [sum(nums)]
-        powers = nums
+        terms = list(map(mul, self.mults, nums))
+        sums = [sum(terms)]
         for _ in range(n_max - 1):
-            powers = list(map(mul, powers, nums))
-            sums.append(sum(powers))
-        m = len(nums)
+            terms = list(map(mul, terms, nums))
+            sums.append(sum(terms))
+        m = sum(self.mults)
         return tuple(Fraction(s, m * self.den**n) for n, s in enumerate(sums, 1))
 
 
 def sample(ctx: GhostContext, k: int, kind: SampleKind) -> DistributionSample:
-    """Normalized multiset of thresholds, derivative slopes, or L-data.
+    """Normalized multiset of thresholds, derivative slopes, or L-data, as runs
+    concatenated in ascending order with no sort: DERIVATIVE the edges s_1 < ...
+    < s_N, each at twice its multiplicity; LINV the known blocks -(s + 1),
+    negated, from s_M up; THRESHOLD the swept radii, sorted, each at m =
+    global_mult, then the closed edges s_M < ... < s_N, each at 2 m mult for its
+    two mirror images.  A swept radius is the right end of a sweep piece within
+    [1, M(k)], else 1, so at most max(1, M(k)), and every closed s_j > M(k).  A
+    swept radius needs s_1 <= M(k), and s_1 >= 3/2 as every raw increment is
+    (``increment-lower-bound``); so then every swept radius is <= M(k) < s_M.
 
     >>> ctx = GhostContext(7, 2, 1)
     >>> sample(ctx, 24, SampleKind.THRESHOLD).values
     (Fraction(1, 9), Fraction(2, 9), Fraction(2, 3), Fraction(2, 3), Fraction(1, 1), Fraction(1, 1))
     """
-    # (numerator, multiplicity) pairs of the raw values over their lcm lcd,
-    # each value then scaled by 2(p+1)/((p-1)k)
-    floor_num = floor_count = 0
+    # runs (num, den, mult) of the raw values, then held over their lcm lcd,
+    # each value scaled by 2(p+1)/((p-1)k)
+    floor, floor_count = Fraction(0), 0
     if kind is SampleKind.THRESHOLD:
-        tv = k_thresholds(ctx, k)
-        lcd, raw = tv.den, [(a, tv.global_mult) for a in tv.nums]
+        tv, m = k_thresholds(ctx, k), ctx.global_mult
+        runs = [(r.numerator, r.denominator, m) for r in sorted(tv.swept)]
+        runs += [(a, b, 2 * m * mult) for a, b, mult in tv.closed]
     elif kind is SampleKind.DERIVATIVE:
-        edges = derivative_polygon(ctx, k).edges
-        lcd = lcm(*{b for _, b, _ in edges})
-        raw = [(a * (lcd // b), 2 * mult) for a, b, mult in edges]
+        runs = [(a, b, 2 * mult) for a, b, mult in derivative_polygon(ctx, k).edges]
     elif kind is SampleKind.LINV:
-        # the known block -(s + 1) and the floor -(R + 1), negated
         model = predict_slopes(ctx, k)
-        floor_raw, floor_count = model.R + 1, model.exceptional_count
-        lcd = lcm(model.L_den, floor_raw.denominator)
-        floor_num = floor_raw.numerator * (lcd // floor_raw.denominator)
-        raw = [((a + model.L_den) * (lcd // model.L_den), mult) for a, mult in model.known]
+        floor, floor_count = model.R + 1, model.exceptional_count
+        runs = [(a + model.L_den, model.L_den, w) for a, w in reversed(model.known)]
     else:
         raise DomainError(f"unknown sample kind {kind!r}")
-    scale = 2 * (ctx.p + 1)
-    nums = []
-    for a, mult in raw:
-        nums += [scale * a] * mult
-    nums.sort()
+    lcd, scale = lcm(floor.denominator, *{b for _, b, _ in runs}), 2 * (ctx.p + 1)
     return DistributionSample(
         k=k,
         kind=kind,
-        nums=tuple(nums),
+        nums=tuple(scale * a * (lcd // b) for a, b, _ in runs),
+        mults=tuple(mult for _, _, mult in runs),
         den=(ctx.p - 1) * k * lcd,
-        floor_num=scale * floor_num,
+        floor_num=scale * floor.numerator * (lcd // floor.denominator),
         floor_count=floor_count,
     )
 
@@ -169,13 +171,15 @@ def discrepancy(sample_: DistributionSample) -> Fraction:
     >>> discrepancy(sample(ctx, 24, SampleKind.THRESHOLD))
     Fraction(1, 3)
     """
-    nums, den = sample_.nums, sample_.den
+    nums, mults, den = sample_.nums, sample_.mults, sample_.den
     if not nums:
         raise DomainError("empty sample has no distribution")
-    m = len(nums)
-    # with v = a / den, v - (i-1)/m = t / (m den) and i/m - v = (den - t) / (m den)
-    ts = [a * m - i * den for i, a in enumerate(nums)]
-    return Fraction(max(0, max(ts), den - min(ts)), m * den)
+    m, ends = sum(mults), list(accumulate(mults))
+    # value i from 0 has v - i/m = t / (m den) and (i+1)/m - v = (den - t) / (m den), t = a m - i den,
+    # largest at a run's first index and least at its last
+    high = max(a * m - (e - c) * den for a, c, e in zip(nums, mults, ends))
+    low = max(e * den - a * m for a, e in zip(nums, ends))
+    return Fraction(max(0, high, low), m * den)
 
 
 def sample_difference_bound(ctx: GhostContext, k: int) -> Fraction:

@@ -117,16 +117,6 @@ class GhostPolynomial:
 
 
 @dataclass(frozen=True)
-class GhostZeroSet:
-    """Zeros of g_1 .. g_{d_iw(k)} together with M(k), the largest
-    distance from w_k to another zero (the good-region radius)."""
-
-    k: int
-    zeros: tuple  # ascending weights, k itself included when it is a zero
-    m_of_k: Valuation
-
-
-@dataclass(frozen=True)
 class GhostContext:
     """Immutable parameters of one ghost series, plus derived constants.
 
@@ -339,7 +329,7 @@ def ghost_polynomial(ctx: GhostContext, n: int) -> GhostPolynomial:
     return GhostPolynomial(n=n, zeros=zeros)
 
 
-# -- ghost zero sets and the good-region radius M(k) -----------------------
+# -- the good-region radius M(k) ----------------------------------------------
 
 
 def floor_log_bullet(ctx: GhostContext, k: int) -> int:
@@ -353,12 +343,6 @@ def floor_log_bullet(ctx: GhostContext, k: int) -> int:
     (0, 0, 1)
     """
     return _floor_log(ctx.p, ctx.bullet(k))
-
-
-def _is_zero_bullet(ctx: GhostContext, j: int) -> bool:
-    d_iw, d_ur = ctx.dims_of_bullet(j)
-    # a zero of some g_n with n >= 1 needs a nonempty triangle meeting n >= 1
-    return d_iw - 2 * d_ur >= 2 and d_iw - d_ur >= 2
 
 
 def max_zero_distance(ctx: GhostContext, k: int) -> Valuation:
@@ -392,21 +376,6 @@ def max_zero_distance(ctx: GhostContext, k: int) -> Valuation:
     if m_of_k > cap:
         raise VerificationError(f"M({k}) = {m_of_k} exceeds the log bound {cap}")
     return Valuation(m_of_k)
-
-
-def ghost_zero_set(ctx: GhostContext, k: int) -> GhostZeroSet:
-    """GZ(k), listed bullet by bullet, with its good-region radius M(k): the
-    pointwise oracle of :func:`max_zero_distance`'s closed form.
-
-    Examples
-    --------
-    >>> ctx = GhostContext(p=7, a=2, s_eps=1)
-    >>> ghost_zero_set(ctx, 24).m_of_k
-    Valuation(2)
-    """
-    bound = _walk_end(ctx, _bullet_bound(ctx, dimensions(ctx, k).d_iw))
-    zeros = tuple(ctx.weight_of_bullet(j) for j in range(bound) if _is_zero_bullet(ctx, j))
-    return GhostZeroSet(k=k, zeros=zeros, m_of_k=max_zero_distance(ctx, k))
 
 
 # -- pointwise evaluation ---------------------------------------------------

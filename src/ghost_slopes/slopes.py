@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, count, islice, repeat
-from math import gcd, lcm
+from math import gcd
 from operator import add, itemgetter
 from typing import List, Tuple
 
@@ -51,7 +51,7 @@ from .ghost import (
     point_distance,
 )
 from .polygon import RationalPolygon, _chain, edge_runs, integer_hull, newton_polygon_at
-from .valuation import Valuation, ratio_text, vp_int_raw
+from .valuation import Valuation, runs_text, vp_int_raw
 
 # -- derivative polygons ------------------------------------------------------
 
@@ -355,30 +355,34 @@ def _closed_form_runs(ctx, k, w):
 
 @dataclass(frozen=True)
 class ThresholdVector:
-    """Radii where each newslope locks to (k-2)/2, with provenance.
-
-    The threshold of newslope n, 1 <= n <= d_new, is ``nums[n-1] / den``:
-    integers over one denominator, the lcm of the thresholds' own.
-    ``local_thresholds`` reads them as Valuations; each stands for
-    ``global_mult`` stretched indices, as a THRESHOLD sample counts it.  Entries
-    tagged "closed" equal a derivative slope s_j with j >= M_index,
-    entries tagged "sweep" come from the exact parametric search below M(k).
-    """
+    """Radii where each newslope locks to (k-2)/2, with provenance, as runs:
+    ``closed`` the derivative edges (num, den, mult) from s_{M_index} up, and
+    ``swept`` the radii of the central 2 n_{M_index - 1} indices, in index order,
+    from the exact sweep below M(k).  Thresholds 1..d_new are the closed edges
+    descending, each mult times, ``swept``, then the closed edges ascending, as
+    ``local_thresholds`` expands them to ``Fraction``s, each index tagged in
+    ``provenance``; each stands for ``global_mult`` stretched indices."""
 
     k: int
-    nums: Tuple[int, ...]
-    den: int
-    provenance: Tuple[str, ...]
+    closed: Tuple[Tuple[int, int, int], ...]
+    swept: Tuple[Fraction, ...]
     global_mult: int
 
     @property
-    def local_thresholds(self) -> Tuple[Valuation, ...]:
-        return tuple(Valuation(Fraction(a, self.den)) for a in self.nums)
+    def provenance(self) -> Tuple[str, ...]:
+        side = ("closed",) * sum(m for _, _, m in self.closed)
+        return (*side, *("sweep",) * len(self.swept), *side)
+
+    @property
+    def local_thresholds(self) -> Tuple[Fraction, ...]:
+        right = [Fraction(a, b) for a, b, m in self.closed for _ in range(m)]
+        return (*right[::-1], *self.swept, *right)
 
     def to_json_dict(self) -> dict:
+        right = runs_text(self.closed)  # one text per run, shared by its mirror image
         return {
             "k": self.k,
-            "local": [str(a) for a in self.nums] if self.den == 1 else [ratio_text(a, self.den) for a in self.nums],
+            "local": [*right[::-1], *map(str, self.swept), *right],
             "provenance": list(self.provenance),
             "global_mult": self.global_mult,
         }
@@ -400,13 +404,7 @@ def k_thresholds(ctx: GhostContext, k: int) -> ThresholdVector:
     dp = derivative_polygon(ctx, k)
     h, c = dimensions(ctx, k).d_new // 2, dp.vertex_xs[dp.M_index - 1]
     swept = _sweep(ctx, k, range(h - c + 1, h + c + 1))
-    closed = dp.edges[dp.M_index - 1 :]
-    den = lcm(*{b for _, b, _ in closed}, *{r.denominator for r in swept})
-    # s_j fills the indices h + n_{j-1} + 1..h + n_j and their mirror images
-    right = list(chain.from_iterable(repeat(a * (den // b), m) for a, b, m in closed))
-    central = [r.numerator * (den // r.denominator) for r in swept]
-    nums, prov = (*right[::-1], *central, *right), ("closed",) * len(right)
-    return ThresholdVector(dp.k, nums, den, (*prov, *("sweep",) * (2 * c), *prov), ctx.global_mult)
+    return ThresholdVector(dp.k, dp.edges[dp.M_index - 1 :], tuple(swept), ctx.global_mult)
 
 
 # -- the exact sweep below M(k) ---------------------------------------------------

@@ -29,13 +29,16 @@ HATTED, PREDICT, SAMPLE = slopes.hatted_valuation_table, checks.predict_slopes, 
 
 
 def top_shifted(ctx, k, kind):
-    # the top threshold value up by 1: one more differing entry, still within the bound
+    # one copy of the top threshold value up by 1, split off its run as a run of
+    # its own: one more differing entry, still within the bound
     s = SAMPLE(ctx, k, kind)
-    return replace(s, nums=s.nums[:-1] + (s.nums[-1] + s.den * (kind is SampleKind.THRESHOLD),))
+    if kind is not SampleKind.THRESHOLD:
+        return s
+    return replace(s, nums=s.nums + (s.nums[-1] + s.den,), mults=s.mults[:-1] + (s.mults[-1] - 1, 1))
 
 
 def spread(ctx, k, kind):
-    return DistributionSample(None, kind, (-3, 1), 1, 0, 0)
+    return DistributionSample(None, kind, (-3, 1), (1, 1), 1, 0, 0)
 
 
 # (check of a weight, module or class, attribute, planted value)
@@ -113,10 +116,10 @@ def test_threshold_lock_names_one_raised_threshold(case, data):
     # the lock reads each radius's runs once for every index; a threshold
     # raised by 1 at one index is still caught at that index alone
     ctx, k = case
-    tv = checks.k_thresholds(ctx, k)
-    assume(tv.nums)
-    n = data.draw(st.integers(1, len(tv.nums)))
-    raised = replace(tv, nums=tv.nums[: n - 1] + (tv.nums[n - 1] + tv.den,) + tv.nums[n:])
+    local = checks.k_thresholds(ctx, k).local_thresholds
+    assume(local)
+    n = data.draw(st.integers(1, len(local)))
+    raised = SimpleNamespace(local_thresholds=local[: n - 1] + (local[n - 1] + 1,) + local[n:])
     with patch.object(checks, "k_thresholds", lambda ctx, k: raised), pytest.raises(VerificationError) as err:
         checks.check_threshold_lock(ctx, k)
     assert str(err.value) == f"newslope {n} locked below CS at k = {k}"

@@ -15,7 +15,7 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, chain, product, repeat
 from unittest import mock
 
 import pytest
@@ -66,6 +66,7 @@ from ghost_slopes.slopes import (
     certified_newton_polygon,
     newslope_runs,
 )
+from ghost_slopes.valuation import ratio_text
 from strategies import RADII, context_and_weight, edge_at, expand_runs
 
 N_HI = st.integers(0, 120)
@@ -526,7 +527,7 @@ def test_sweep_block_matches_certified_hull(case):
             continue
         assert sweep_threshold(ctx, k, n) == cs, (k, n)
         for t in (Fraction(1, 3), Fraction(2, 3), 1):
-            r = cs.value + t * (top - cs.value)
+            r = cs + t * (top - cs)
             assert expand_runs(_hull_runs(ctx, k, WeightPoint(k, r)))[n - 1] == target, (k, n, r)
 
 
@@ -669,7 +670,7 @@ def test_sweep_thresholds_match_perturbed_hull(case):
         return seen[r0, s][n - 1]
 
     for n, (cs, prov) in enumerate(zip(tv.local_thresholds, tv.provenance), 1):
-        c = (cs if prov == "sweep" else sweep_threshold(ctx, k, n)).value
+        c = cs if prov == "sweep" else sweep_threshold(ctx, k, n).value
         probes = [(t, -1) for t in range(math.floor(c) + 1, m_int + 1)]
         if c < m_int:
             probes.append((c, 1))
@@ -756,17 +757,17 @@ def test_model_radius_matches_window_midpoint(case):
 
 
 def _oracle_thresholds(ctx, k):
-    """Local thresholds and provenance, each threshold a Valuation of a Fraction slope."""
+    """Local thresholds and provenance, each threshold a Fraction slope, index by index."""
     dp = derivative_polygon(ctx, k)
     h = dimensions(ctx, k).d_new // 2
     ss, ns = [s for s, _ in dp.slopes], dp.breakpoints
     local, prov = [None] * (2 * h + 1), [None] * (2 * h + 1)
     for j in range(dp.M_index, len(ss) + 1):
         for n in (*range(h - ns[j] + 1, h - ns[j - 1] + 1), *range(h + ns[j - 1] + 1, h + ns[j] + 1)):
-            local[n], prov[n] = Valuation(ss[j - 1]), "closed"
+            local[n], prov[n] = ss[j - 1], "closed"
     block = range(h - ns[dp.M_index - 1] + 1, h + ns[dp.M_index - 1] + 1)
     for n, cs in zip(block, _sweep(ctx, k, block)):
-        local[n], prov[n] = Valuation(cs), "sweep"
+        local[n], prov[n] = cs, "sweep"
     return tuple(local[1:]), tuple(prov[1:])
 
 
@@ -799,28 +800,122 @@ def _oracle_prediction(ctx, k):
 
 
 def _oracle_sample(ctx, k, kind):
-    """The sample built from (Fraction value, multiplicity) pairs over their lcm."""
+    """The sample's values, ascending, stand-ins included, built from (Fraction value,
+    multiplicity) pairs, and its floor stand-in and count."""
     floor_raw, floor_count = Fraction(0), 0
     if kind is SampleKind.THRESHOLD:
         local, _ = _oracle_thresholds(ctx, k)
-        raw = [(cs.value, ctx.global_mult) for cs in local]
+        raw = [(cs, ctx.global_mult) for cs in local]
     elif kind is SampleKind.DERIVATIVE:
         raw = [(s, 2 * m) for s, m in derivative_polygon(ctx, k).slopes]
     else:
         linv, linv_floor, floor_count = _oracle_prediction(ctx, k)
         floor_raw = -linv_floor.value
         raw = [(-v, m) for v, m in linv]
-    lcd = math.lcm(floor_raw.denominator, *(v.denominator for v, _ in raw))
-    scale = 2 * (ctx.p + 1)
-    nums = sorted(scale * v.numerator * (lcd // v.denominator) for v, m in raw for _ in range(m))
-    return DistributionSample(
-        k=k,
-        kind=kind,
-        nums=tuple(nums),
-        den=(ctx.p - 1) * k * lcd,
-        floor_num=scale * floor_raw.numerator * (lcd // floor_raw.denominator),
-        floor_count=floor_count,
-    )
+    norm = Fraction(2 * (ctx.p + 1), (ctx.p - 1) * k)
+    values = sorted([norm * v for v, m in raw for _ in range(m)] + [norm * floor_raw] * floor_count)
+    return tuple(values), norm * floor_raw, floor_count
+
+
+def _expanded_thresholds(ctx, k):
+    """Threshold n as nums[n - 1] / den over the lcm den of every threshold's
+    denominator, with a provenance tag per index: each closed edge expanded to
+    its multiplicity and mirrored, around the swept block."""
+    dp = derivative_polygon(ctx, k)
+    h, c = dimensions(ctx, k).d_new // 2, dp.vertex_xs[dp.M_index - 1]
+    swept = _sweep(ctx, k, range(h - c + 1, h + c + 1))
+    closed = dp.edges[dp.M_index - 1 :]
+    den = math.lcm(*{b for _, b, _ in closed}, *{r.denominator for r in swept})
+    right = [a * (den // b) for a, b, m in closed for _ in range(m)]
+    central = [r.numerator * (den // r.denominator) for r in swept]
+    prov = ("closed",) * len(right)
+    return (*right[::-1], *central, *right), den, (*prov, *("sweep",) * (2 * c), *prov)
+
+
+def _expanded_sample(ctx, k, kind):
+    """The genuine values' numerators, one per value and sorted, over one
+    denominator: thresholds read from :func:`_expanded_thresholds`."""
+    if kind is SampleKind.THRESHOLD:
+        nums, lcd, _ = _expanded_thresholds(ctx, k)
+        raw = [(a, ctx.global_mult) for a in nums]
+    elif kind is SampleKind.DERIVATIVE:
+        edges = derivative_polygon(ctx, k).edges
+        lcd = math.lcm(*{b for _, b, _ in edges})
+        raw = [(a * (lcd // b), 2 * mult) for a, b, mult in edges]
+    else:
+        model = predict_slopes(ctx, k)
+        lcd = math.lcm(model.L_den, (model.R + 1).denominator)
+        raw = [((a + model.L_den) * (lcd // model.L_den), mult) for a, mult in model.known]
+    nums = sorted(2 * (ctx.p + 1) * a for a, mult in raw for _ in range(mult))
+    return nums, (ctx.p - 1) * k * lcd
+
+
+def _sorted_moments(nums, den, n_max):
+    """Power means of orders 1..n_max over sorted numerators, one power per value."""
+    if not nums:
+        raise DomainError("no values to average")
+    sums, powers = [sum(nums)], nums
+    for _ in range(n_max - 1):
+        powers = [a * b for a, b in zip(powers, nums)]
+        sums.append(sum(powers))
+    return tuple(Fraction(s, len(nums) * den**n) for n, s in enumerate(sums, 1))
+
+
+def _sorted_discrepancy(nums, den):
+    """The Kolmogorov distance from uniform, one t = a m - i den per sorted numerator."""
+    if not nums:
+        raise DomainError("empty sample has no distribution")
+    m = len(nums)
+    ts = [a * m - i * den for i, a in enumerate(nums)]
+    return Fraction(max(0, max(ts), den - min(ts)), m * den)
+
+
+@given(case=context_and_weight())
+@example(case=(GhostContext(5, 1, 0), 383))  # half-integer slopes and a floor over 8
+@example(case=(GhostContext(13, 5, 11, 2), 293))
+@example(case=(GhostContext(11, 2, 0), 4))  # d_new = 0
+@settings(max_examples=80, deadline=None)
+def test_runs_match_expanded_oracles(case):
+    # thresholds and samples held as runs against the same values expanded
+    # one per index and sorted: threshold text, moments and discrepancy
+    ctx, k = case
+    tv = k_thresholds(ctx, k)
+    nums, den, prov = _expanded_thresholds(ctx, k)
+    assert tv.local_thresholds == tuple(Fraction(a, den) for a in nums)
+    assert tv.provenance == prov
+    assert tv.to_json_dict() == {
+        "k": k,
+        "local": [ratio_text(a, den) for a in nums],
+        "provenance": list(prov),
+        "global_mult": ctx.global_mult,
+    }
+    for kind in SampleKind:
+        s = sample(ctx, k, kind)
+        nums, den = _expanded_sample(ctx, k, kind)
+        assert s.den == den and list(chain.from_iterable(map(repeat, s.nums, s.mults))) == nums, kind
+        assert s.values == tuple(sorted(Fraction(a, den) for a in [*nums, *[s.floor_num] * s.floor_count]))
+        if not nums:
+            for stat in (lambda: s.moments(3), lambda: discrepancy(s)):
+                with pytest.raises(DomainError):
+                    stat()
+            continue
+        assert s.moments(3) == _sorted_moments(nums, den, 3), kind
+        assert discrepancy(s) == _sorted_discrepancy(nums, den), kind
+
+
+@given(case=context_and_weight())
+@settings(max_examples=80, deadline=None)
+def test_swept_thresholds_lie_below_closed_ones(case):
+    # a THRESHOLD sample concatenates the sorted swept radii and the closed
+    # edges with no sort: every swept radius is at most max(1, M(k)), and
+    # every closed one exceeds M(k)
+    ctx, k = case
+    tv = k_thresholds(ctx, k)
+    top = max(1, max_zero_distance(ctx, k).value)
+    assert all(r <= top for r in tv.swept)
+    assert all(Fraction(a, b) > max_zero_distance(ctx, k).value for a, b, _ in tv.closed)
+    if tv.swept and tv.closed:
+        assert max(tv.swept) < Fraction(*tv.closed[0][:2])
 
 
 @given(case=context_and_weight())
@@ -834,8 +929,7 @@ def test_integer_paths_match_fraction_oracle(case):
     tv = k_thresholds(ctx, k)
     local, prov = _oracle_thresholds(ctx, k)
     assert (tv.local_thresholds, tv.provenance) == (local, prov)
-    assert tv.den == math.lcm(*(v.value.denominator for v in local))
-    assert tv.to_json_dict()["local"] == [str(v.value) for v in local]
+    assert tv.to_json_dict()["local"] == [str(v) for v in local]
     model = build_model(ctx, k)
     known = tuple((Fraction(a, model.L_den), width) for a, width in model.known)
     assert (known, model.L_seq) == _oracle_model(ctx, k)
@@ -843,7 +937,8 @@ def test_integer_paths_match_fraction_oracle(case):
     assert (pred.linv_slopes_known, pred.linv_floor, pred.exceptional_count) == _oracle_prediction(ctx, k)
     assert pred.to_json_dict()["linv_known"] == [[str(v), m] for v, m in _oracle_prediction(ctx, k)[0]]
     for kind in SampleKind:
-        assert sample(ctx, k, kind) == _oracle_sample(ctx, k, kind), kind
+        s = sample(ctx, k, kind)
+        assert (s.values, Fraction(s.floor_num, s.den), s.floor_count) == _oracle_sample(ctx, k, kind), kind
 
 
 # -- sample statistics against their Fraction definitions --------------------
@@ -883,15 +978,18 @@ def _oracle_csv_rows(k, kind, vals, n_max):
 
 @st.composite
 def integer_samples(draw):
-    """A sample over a random denominator, with floor stand-ins or without."""
+    """A sample of ascending runs over a random denominator, neighbouring runs
+    tied or not, with floor stand-ins or without."""
     den = draw(st.integers(1, 60))
     nums = draw(st.lists(st.integers(-den, 3 * den), max_size=25))
+    mults = draw(st.lists(st.integers(1, 4), min_size=len(nums), max_size=len(nums)))
     floor_count = draw(st.sampled_from((0, 0, 1, 2, 5)))
     floor_num = draw(st.integers(-den, 3 * den)) if floor_count else 0
     return DistributionSample(
         k=24,
         kind=SampleKind.LINV if floor_count else SampleKind.THRESHOLD,
         nums=tuple(sorted(nums)),
+        mults=tuple(mults),
         den=den,
         floor_num=floor_num,
         floor_count=floor_count,
@@ -901,10 +999,11 @@ def integer_samples(draw):
 @given(s=integer_samples())
 @settings(max_examples=200, deadline=None)
 def test_sample_statistics_match_fraction_oracles(s):
-    values = tuple(sorted(Fraction(a, s.den) for a in s.nums + (s.floor_num,) * s.floor_count))
+    expanded = [a for a, mult in zip(s.nums, s.mults) for _ in range(mult)]
+    values = tuple(sorted(Fraction(a, s.den) for a in expanded + [s.floor_num] * s.floor_count))
     assert s.values == values
     genuine = _oracle_genuine(values, Fraction(s.floor_num, s.den), s.floor_count)
-    assert tuple(Fraction(a, s.den) for a in s.nums) == genuine
+    assert tuple(Fraction(a, s.den) for a in expanded) == genuine
     if not genuine:
         for stat in (lambda: s.moments(1), lambda: discrepancy(s)):
             with pytest.raises(DomainError):

@@ -33,12 +33,14 @@ def sample_weights(ctx, lo, hi, count, seed):
 
 
 def make_sample(values, floor_value=Fraction(0), floor_count=0):
-    # hand-built sample for statistics-only tests, over the lcm of the denominators
+    # hand-built sample for statistics-only tests, over the lcm of the
+    # denominators: one run per value, ties kept as neighbouring runs
     den = lcm(floor_value.denominator, *(v.denominator for v in values))
     return DistributionSample(
         k=24,
         kind=SampleKind.THRESHOLD,
         nums=tuple(sorted(int(v * den) for v in values)),
+        mults=(1,) * len(values),
         den=den,
         floor_num=int(floor_value * den),
         floor_count=floor_count,
@@ -93,12 +95,8 @@ class TestSampleValues:
         )
         assert Fraction(s.floor_num, s.den) == Fraction(5, 12)
         assert s.floor_count == 2
-        assert tuple(Fraction(a, s.den) for a in s.nums) == (
-            Fraction(7, 9),
-            Fraction(7, 9),
-            Fraction(10, 9),
-            Fraction(10, 9),
-        )
+        assert tuple(Fraction(a, s.den) for a in s.nums) == (Fraction(7, 9), Fraction(10, 9))
+        assert s.mults == (2, 2)
 
     def test_linv_moment_excludes_floor_by_default(self):
         s = sample(CTX, 24, SampleKind.LINV)

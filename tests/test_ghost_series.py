@@ -5,7 +5,10 @@ formulas (dimension triples, triangle multiplicities, distance sums) for
 the context (p=7, a=2, s_eps=1) before the kernels were written.
 """
 
+import doctest
 import json
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import le, sub
@@ -24,16 +27,15 @@ from ghost_slopes.ghost import (
     _at,
     _bullet_bound,
     _corner_steps,
-    _is_zero_bullet,
     _period,
     _triangle_steps,
+    _walk_end,
     anchored_valuation,
     degree_table,
     dimensions,
     evaluate_ghost_valuation,
     ghost_multiplicity,
     ghost_polynomial,
-    ghost_zero_set,
     hatted_valuation_table,
     level_tables,
     max_zero_distance,
@@ -332,6 +334,43 @@ def test_json_schema(capsys):
 
 
 # -- zero sets and M(k) --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GhostZeroSet:
+    """Zeros of g_1 .. g_{d_iw(k)} together with M(k), the largest
+    distance from w_k to another zero (the good-region radius)."""
+
+    k: int
+    zeros: tuple  # ascending weights, k itself included when it is a zero
+    m_of_k: Valuation
+
+
+def _is_zero_bullet(ctx, j: int) -> bool:
+    d_iw, d_ur = ctx.dims_of_bullet(j)
+    # a zero of some g_n with n >= 1 needs a nonempty triangle meeting n >= 1
+    return d_iw - 2 * d_ur >= 2 and d_iw - d_ur >= 2
+
+
+def ghost_zero_set(ctx, k: int) -> GhostZeroSet:
+    """GZ(k), listed bullet by bullet, with its good-region radius M(k): the
+    pointwise oracle of :func:`max_zero_distance`'s closed form.
+
+    Examples
+    --------
+    >>> ctx = GhostContext(p=7, a=2, s_eps=1)
+    >>> ghost_zero_set(ctx, 24).m_of_k
+    Valuation(2)
+    """
+    bound = _walk_end(ctx, _bullet_bound(ctx, dimensions(ctx, k).d_iw))
+    zeros = tuple(ctx.weight_of_bullet(j) for j in range(bound) if _is_zero_bullet(ctx, j))
+    return GhostZeroSet(k=k, zeros=zeros, m_of_k=max_zero_distance(ctx, k))
+
+
+def test_zero_set_oracle_example():
+    # the oracle's docstring example, run as the library's are
+    result = doctest.testmod(sys.modules[__name__])
+    assert (result.failed, result.attempted) == (0, 2)
 
 
 def test_ghost_zero_set_24(ctx):

@@ -388,7 +388,8 @@ def test_newslopes_closed_method_errors_off_region(ctx):
 
 def test_thresholds_frozen_k24(ctx):
     tv = k_thresholds(ctx, 24)
-    assert tv.local_thresholds == tuple(Valuation(x) for x in (9, 6, 2, 1, 6, 9))
+    assert tv.local_thresholds == tuple(map(Fraction, (9, 6, 2, 1, 6, 9)))
+    assert all(type(cs) is Fraction for cs in tv.local_thresholds)
     assert tv.provenance == ("closed", "closed", "sweep", "sweep", "closed", "closed")
     assert tv.global_mult == 1
     assert tv.to_json_dict() == {
@@ -402,10 +403,10 @@ def test_thresholds_frozen_k24(ctx):
 def test_threshold_text_over_a_denominator():
     # no class weight up to 3000 on (7,2,1) or (11,6,9) has a threshold denominator
     # above 1, so the text of one comes from a hand-built vector
-    nums = (9, 6, -4, 0, 12, 7)
-    tv = ThresholdVector(k=25, nums=nums, den=4, provenance=("closed",) * 6, global_mult=1)
-    assert tv.to_json_dict()["local"] == ["9/4", "3/2", "-1", "0", "3", "7/4"]
-    assert tv.to_json_dict()["local"] == [str(Fraction(a, 4)) for a in nums]
+    tv = ThresholdVector(k=25, closed=((3, 2, 1), (7, 4, 2)), swept=(Fraction(-1), Fraction(0)), global_mult=1)
+    assert tv.to_json_dict()["local"] == ["7/4", "7/4", "3/2", "-1", "0", "3/2", "7/4", "7/4"]
+    assert tv.to_json_dict()["local"] == list(map(str, tv.local_thresholds))
+    assert tv.provenance == ("closed",) * 3 + ("sweep",) * 2 + ("closed",) * 3
 
 
 # k_thresholds off (7,2,1), recorded before the sweep walked its levels top
@@ -449,7 +450,7 @@ def test_sweep_threshold_frozen(ctx):
 def test_sweep_entries_at_most_m(ctx):
     for k in (24, 48, 90, 174):
         tv = k_thresholds(ctx, k)
-        m = derivative_polygon(ctx, k).m_of_k
+        m = derivative_polygon(ctx, k).m_of_k.value
         for cs, tag in zip(tv.local_thresholds, tv.provenance):
             if tag == "sweep":
                 assert cs <= m, (k, cs)
@@ -473,13 +474,12 @@ def test_threshold_consistency(ctx):
         tv = k_thresholds(ctx, k)
         target = Fraction(k - 2, 2)
         for n, cs in enumerate(tv.local_thresholds, start=1):
-            above = Valuation(cs.value + Fraction(1, 2))
-            got = k_newslopes(ctx, k, WeightPoint(k, above.value))[n - 1]
+            got = k_newslopes(ctx, k, WeightPoint(k, cs + Fraction(1, 2)))[n - 1]
             assert got == target, (k, n, "above")
-            got = k_newslopes(ctx, k, WeightPoint(k, cs.value + 2))[n - 1]
+            got = k_newslopes(ctx, k, WeightPoint(k, cs + 2))[n - 1]
             assert got == target, (k, n, "far above")
             if cs > 0:
-                probes = [cs.value - cs.value / 3**i for i in range(1, 5)]
+                probes = [cs - cs / 3**i for i in range(1, 5)]
                 vals = [
                     k_newslopes(ctx, k, WeightPoint(k, r))[n - 1]
                     for r in probes
