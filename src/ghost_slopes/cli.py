@@ -190,9 +190,9 @@ def cmd_thresholds(args) -> Iterable[str]:
 
 def cmd_predict(args) -> Iterable[str]:
     data = predict_slopes(_context(args), args.k).to_json_dict()
-    known, floor, count = data["linv_known"], data["floor"], data["exceptional"]
-    rows = [*(("known", v, m) for v, m in known), ("floor", floor, count)]
-    lines = [f"k = {args.k}", *(f"linv {v} x{m}" for v, m in known), f"floor {floor} x{count}"]
+    known, floor, n = data["linv_known"], data["floor"], data["exceptional"]
+    rows = chain((("known", v, m) for v, m in known), [("floor", floor, n)])  # made as written; JSON reads neither
+    lines = chain([f"k = {args.k}"], (f"linv {v} x{m}" for v, m in known), [f"floor {floor} x{n}"])
     return _emit(args, data, "kind,slope,mult", rows, lines)
 
 

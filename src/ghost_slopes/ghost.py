@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, islice
+from math import isqrt
 from operator import add
 
 from .errors import ConfigError, DomainError, VerificationError
@@ -44,27 +45,16 @@ MAX_TABLE_INDEX = 500_000
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n == 2 or n > 2 and n % 2 == 1 and all(n % f for f in range(3, isqrt(n) + 1, 2))
 
 
 def _floor_log(base: int, n: int) -> int:
     """floor(log_base(n)) for n >= 1 exactly, and 0 for n = 0."""
     if n < 0:
         raise ValueError("log of a negative integer")
-    e = 0
-    power = base
+    e, power = 0, base
     while power <= n:
-        power *= base
-        e += 1
+        e, power = e + 1, power * base
     return e
 
 
@@ -369,13 +359,16 @@ def max_zero_distance(ctx: GhostContext, k: int) -> Valuation:
     # and the lowest zero is at least delta_eps (d_iw = 0 at bullet 0 when
     # delta_eps = 1).
     kb = ctx.bullet(k)
-    bound = _bullet_bound(ctx, dimensions(ctx, k).d_iw)
-    reach = bound - 1 - kb
+    return Valuation(_zero_radius(ctx, k, kb, ctx.dims_of_bullet(kb)[0]))
+
+
+def _zero_radius(ctx: GhostContext, k: int, kb: int, d_iw: int) -> int:
+    # M(k) as an int, k of bullet kb and d_iw(k) given, checked against its log bound
+    reach = _bullet_bound(ctx, d_iw) - 1 - kb
     m_of_k = 1 + _floor_log(ctx.p, reach) if reach >= 1 else 0
-    cap = floor_log_bullet(ctx, k) + 3
-    if m_of_k > cap:
+    if m_of_k > (cap := floor_log_bullet(ctx, k) + 3):
         raise VerificationError(f"M({k}) = {m_of_k} exceeds the log bound {cap}")
-    return Valuation(m_of_k)
+    return m_of_k
 
 
 # -- pointwise evaluation ---------------------------------------------------
@@ -397,11 +390,7 @@ def evaluate_ghost_valuation(ctx: GhostContext, n: int, w: WeightPoint) -> Valua
     if n == 0:
         return Valuation(0)
     anchor_b = ctx.bullet(w.anchor)
-    if w.radius.is_infinite:
-        radius_scaled, den = None, 1
-    else:
-        den = w.radius.value.denominator
-        radius_scaled = w.radius.value.numerator
+    radius_scaled, den = (None, 1) if w.radius.is_infinite else w.radius.value.as_integer_ratio()
     total = 0
     for j, m in _zeros(ctx, n):
         if j == anchor_b:
@@ -549,11 +538,12 @@ def _at(period: tuple, n: int) -> tuple:
     return values[m] + c * values[L] + rise * (L * c * (c - 1) // 2 + c * m), values[m + 1] - values[m] + c * rise
 
 
-def _anchored_table(ctx: GhostContext, kb: int, n_hi: int, weight_of_distance) -> list:
+def _anchored_table(ctx: GhostContext, kb: int, n_hi: int, weight_of_distance, summed: bool = True) -> list:
     """[f(0), ..., f(n_hi)] with f(n) = sum_j w(dist(kb, j)) * m_n(bullet j), where dist is
-    1 + v_p(kb - j) and ``weight_of_distance(None)`` weighs the anchor j = kb itself: the sum
-    above, I >= 2, with w(1) deg + (w(2) - w(1)) S_1 summed over one period (2p^2, which deg's 2p
-    divides; 2p if w(2) = w(1)) or the first n_hi steps if fewer, and cycled to n_hi in one list."""
+    1 + v_p(kb - j) and ``weight_of_distance(None)`` weighs the anchor j = kb itself, or, unless
+    ``summed``, its n_hi steps f(n+1) - 2 f(n) + f(n-1), n < n_hi (f(-1) = 0): the sum above, I >= 2,
+    with w(1) deg + (w(2) - w(1)) S_1 summed over one period (2p^2, which deg's 2p divides; 2p if
+    w(2) = w(1)) or the first n_hi steps if fewer, and cycled to n_hi in one list."""
     bound, w = _bullet_bound(ctx, _table_index(n_hi)), weight_of_distance
     strides, i, step = [], 2, ctx.p**2
     while step <= max(kb, bound):
@@ -568,7 +558,8 @@ def _anchored_table(ctx: GhostContext, kb: int, n_hi: int, weight_of_distance) -
     steps = period[1:] * -(-(n_hi - 1) // max(1, len(period) - 1))
     steps[:0] = period[:1]
     del steps[n_hi:]
-    return [0, *accumulate(accumulate(_triangle_steps(ctx, strides, steps)))]
+    steps = _triangle_steps(ctx, strides, steps)
+    return [0, *accumulate(accumulate(steps))] if summed else steps
 
 
 def degree_table(ctx: GhostContext, n_hi: int) -> list:
@@ -581,7 +572,16 @@ def hatted_valuation_table(ctx: GhostContext, k: int, n_hi: int) -> list:
 
     Matches :func:`anchored_valuation` pointwise.
     """
-    return _anchored_table(ctx, ctx.bullet(k), n_hi, lambda d: 0 if d is None else d)
+    return _anchored_table(ctx, ctx.bullet(k), n_hi, _hatted)
+
+
+def hatted_steps(ctx: GhostContext, kb: int, n_hi: int) -> list:
+    """The n_hi steps of :func:`hatted_valuation_table` on the weight of bullet kb."""
+    return _anchored_table(ctx, kb, n_hi, _hatted, summed=False)
+
+
+def _hatted(d):
+    return 0 if d is None else d  # the hatted weight of a distance, 0 on the anchor
 
 
 def valuation_table_at(ctx: GhostContext, k: int, radius, n_hi: int) -> tuple:

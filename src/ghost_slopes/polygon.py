@@ -149,9 +149,8 @@ def lower_hull(points: Iterable[Tuple[int, object]]) -> RationalPolygon:
     if bad := [x for x, _ in pts if not isinstance(x, int)]:
         raise DomainError(f"abscissa {bad[0]!r} is not an int")
     pts.sort()
-    for i in range(1, len(pts)):
-        if pts[i][0] == pts[i - 1][0]:
-            raise DomainError(f"duplicate abscissa x = {pts[i][0]}")
+    if dup := [x for (x, _), (x1, _) in zip(pts, pts[1:]) if x == x1]:
+        raise DomainError(f"duplicate abscissa x = {dup[0]}")
     den = lcm(*(y.value.denominator for _, y in pts if not y.is_infinite))
     return integer_hull(
         tuple(x for x, _ in pts),
@@ -214,10 +213,7 @@ class DualGraph:
 
     def breakpoints(self) -> Tuple[Tuple[Valuation, int], ...]:
         """(radius, slope drop) at each join, increasing radius."""
-        out = []
-        for left, right in zip(self.segments, self.segments[1:]):
-            out.append((left[1], left[2] - right[2]))
-        return tuple(out)
+        return tuple((left[1], left[2] - right[2]) for left, right in zip(self.segments, self.segments[1:]))
 
 
 def dual_graph(
@@ -230,11 +226,8 @@ def dual_graph(
     degree to valuation; INFINITY entries are skipped.  Needs at least
     one finite entry and a finite r_min.
     """
-    if isinstance(coefficient_valuations, Mapping):
-        items = coefficient_valuations.items()
-    else:
-        items = enumerate(coefficient_valuations)
-    hull = lower_hull(items)
+    mapped = isinstance(coefficient_valuations, Mapping)
+    hull = lower_hull(coefficient_valuations.items() if mapped else enumerate(coefficient_valuations))
     if hull.xs[0] < 0:
         raise DomainError(f"coefficient degree {hull.xs[0]} is negative")
     r_min = _coerce(r_min)

@@ -30,7 +30,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, count, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import gcd
 from operator import add, itemgetter
 from typing import List, Tuple
@@ -44,8 +44,9 @@ from .ghost import (
     _bullet_bound,
     _period,
     _table_index,
+    _zero_radius,
     dimensions,
-    hatted_valuation_table,
+    hatted_steps,
     level_tables,
     max_zero_distance,
     point_distance,
@@ -116,23 +117,35 @@ def derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
 
 
 def _derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
-    # the polygon of k built afresh, stored nowhere
-    trip = dimensions(ctx, k)
-    c, h = trip.d_iw // 2, trip.d_new // 2
-    table = hatted_valuation_table(ctx, k, c + h)  # c + h = d_iw - d_ur, the last row read
-    left = table[c - h : c + 1][::-1]
-    del table[:c]  # offsets 0..h on both sides; the duality asks right = left + (k - 2) l
-    right = list(map(add, left, count(0, k - 2)))
-    if table != right:
-        l = next(l for l in range(h + 1) if table[l] != right[l])
+    """The polygon of k built afresh, stored nowhere, from the steps s(n) = f(n+1) - 2 f(n) + f(n-1)
+    of its hatted table f to c + h, c = d_iw/2, h = d_new/2: the duality f(c + l) = f(c - l) +
+    (k-2) l, l <= h, is checked on them, and only f's left half is summed.  With D(n) = f(n+1) - f(n),
+    g(l) = f(c + l) - f(c - l) - (k-2) l has g(0) = 0 and rises by e(l) = D(c + l - 1) + D(c - l) -
+    (k-2) at l >= 1, and e(l) - e(l-1) = s(c + l - 1) - s(c - l + 1) at l >= 2.  So g, the sum of
+    e(1..l), vanishes on 1..h iff e(1) = D(c - 1) + D(c) - (k-2) = 0 and s(c + m) = s(c - m) for
+    1 <= m < h, and its first nonzero offset is e's: 1 if e(1) != 0, else 1 + the least such m.
+    From l = h down, ys[l] = f(c + l) + f(c - l) = 2 f(c - l) + (k-2) l starts at 2 f(d_ur) +
+    (k-2) h and rises first by 2 D(d_ur) - (k-2), each rise 2 s(n) above the last, n = d_ur + 1..c-1."""
+    d_iw, d_ur = ctx.dims_of_bullet(kb := ctx.bullet(k))
+    c, h = d_iw // 2, d_iw // 2 - d_ur
+    steps = hatted_steps(ctx, kb, c + h)  # s(0..c + h - 1)
+    left = steps[c - 1 : c - h : -1]  # s(c - 1), ..., s(c - h + 1)
+    e1 = 2 * sum(islice(steps, c)) + steps[c] - (k - 2) if h else 0  # D(c) = D(c - 1) + s(c)
+    if e1 or steps[c + 1 : c + h] != left:
+        l = 1 if e1 else next(1 + m for m in range(1, h) if steps[c + m] != steps[c - m])
         raise VerificationError(f"anchored-valuation duality fails at k = {k}, offset {l}")
-    ys = list(map(add, right, left))
-    del table, left, right  # before the hull's pairs are built
+    y, rise = 2 * sum(accumulate(islice(steps, d_ur))) + (k - 2) * h, 2 * sum(islice(steps, d_ur + 1)) - (k - 2)
+    # steps and left live to the return: freed before the arrays are made, their space went to the
+    # arrays held and left holes (2,000 polygons on one context peaked 1.3 MB higher)
+    left.reverse()
+    ys = [*accumulate(accumulate(map(add, left, left), initial=rise), initial=y)]
+    del ys[h + 1 :]  # one ordinate when h = 0
+    ys.reverse()
     xs = array("q", [x for x, _ in _chain(zip(range(h + 1), ys))])
-    ys, m_of_k = array("q", ys), max_zero_distance(ctx, k)
+    ys, m_of_k = array("q", ys), _zero_radius(ctx, k, kb, d_iw)
     # one hull edge per distinct slope, so the reach of M(k) is vertex M_index - 1
-    m_index = 1 + bisect_left(xs, _reach(ys, xs, *_ratio(m_of_k)))
-    return DerivativePolygon(k=k, ys=ys, vertex_xs=xs, M_index=m_index, m_of_k=m_of_k)
+    m_index = 1 + bisect_left(xs, _reach(ys, xs, m_of_k, 1))
+    return DerivativePolygon(k=k, ys=ys, vertex_xs=xs, M_index=m_index, m_of_k=Valuation(m_of_k))
 
 
 def _reach(ys, xs, u: int, v: int) -> int:
@@ -523,11 +536,8 @@ def _level_pieces(ctx: GhostContext, k: int, level: int, lo: int, hi: int):
         stack = [(Fraction(level), Fraction(level + 1), 2 * (hi - lo) + 8)]
         guard = 0
         while stack:
-            guard += 1
-            if guard > SWEEP_PIECE_GUARD:
-                raise VerificationError(
-                    f"newslope sweep failed to stabilize: SWEEP_PIECE_GUARD = {SWEEP_PIECE_GUARD}"
-                )
+            if (guard := guard + 1) > SWEEP_PIECE_GUARD:
+                raise VerificationError(f"newslope sweep failed to stabilize: SWEEP_PIECE_GUARD = {SWEEP_PIECE_GUARD}")
             r1, r2, pad = stack.pop()
             xs = _midpoint_chain(A, B, (r1 + r2) / 2, lo, hi, pad)
             viol = _piece_violation(A, B, window, xs, r1) or _piece_violation(A, B, window, xs, r2)

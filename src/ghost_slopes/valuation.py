@@ -105,11 +105,9 @@ def vp_int_raw(n: int, p: int) -> int:
     """
     if n == 0:
         raise ValueError("vp_int_raw requires nonzero n")
-    n = abs(n)
-    e = 0
+    n, e = abs(n), 0
     while n % p == 0:
-        n //= p
-        e += 1
+        n, e = n // p, e + 1
     return e
 
 
@@ -129,9 +127,7 @@ def weight_distance(k1: int, k2: int, p: int) -> Valuation:
     >>> weight_distance(24, 24, 7)
     INF
     """
-    if k1 == k2:
-        return INF
-    return Valuation(1 + vp_int_raw(k1 - k2, p))
+    return INF if k1 == k2 else Valuation(1 + vp_int_raw(k1 - k2, p))
 
 
 def ratio_text(num: int, den: int) -> str:

@@ -2,11 +2,12 @@
 
 from bisect import bisect_right
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, sub
 
 from hypothesis import strategies as st
 
 from ghost_slopes import INF, GhostContext
+from ghost_slopes.ghost import hatted_valuation_table
 
 # radii of weight points: the anchor itself, the 3/2 floor of every
 # derivative-hull increment, and num/den with num in 1..40, den in 1..9
@@ -42,3 +43,16 @@ def edge_at(hull, den: int, x: int):
     (x0, y0), (x1, y1) = hull[i], hull[i + 1]
     e = (x1 - x0) * den
     return Fraction(y0 * (x1 - x) + y1 * (x - x0), e), Fraction(y1 - y0, e)
+
+
+def table_steps(table) -> list:
+    """The steps f(n+1) - 2 f(n) + f(n-1), n = 0..n_hi - 1 (f(-1) = 0), of ``table`` = [f(0) = 0,
+    ..., f(n_hi)]: the inverse of the double sum that ``ghost._anchored_table`` takes."""
+    rises = list(map(sub, table[1:], table))
+    return list(map(sub, rises, [0, *rises[:-1]]))
+
+
+def planted_steps(plant):
+    """A stand-in for ``ghost.hatted_steps(ctx, kb, n_hi)``: the steps of the hatted table to n_hi
+    with ``plant(table)`` applied to it (at entries n >= 1: the double sum puts f(0) = 0)."""
+    return lambda ctx, kb, n_hi: table_steps(plant(hatted_valuation_table(ctx, ctx.weight_of_bullet(kb), n_hi)))

@@ -14,7 +14,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from strategies import context_and_weight
+from strategies import context_and_weight, planted_steps
 
 from ghost_slopes import GhostContext, VerificationError, WeightPoint, checks, ghost, prediction, slopes
 from ghost_slopes.cli import main
@@ -25,7 +25,9 @@ from ghost_slopes.prediction import PredictionModel, Rel
 from ghost_slopes.wedge import formal_wedge_trace, random_int_matrix, solve_unit_system
 
 B = random_int_matrix(random.Random(1), 3)
-HATTED, PREDICT, SAMPLE = slopes.hatted_valuation_table, checks.predict_slopes, checks.sample
+PREDICT, SAMPLE = checks.predict_slopes, checks.sample
+# every hatted table entry n raised by n: the duality fails at offset 1
+TILTED = planted_steps(lambda table: [v + i for i, v in enumerate(table)])
 
 
 def top_shifted(ctx, k, kind):
@@ -46,8 +48,7 @@ WEIGHT_PLANTS = [
     (checks.check_dimensions, checks, "dimensions", lambda ctx, k: DimensionTriple(8, 1, 5)),
     (checks.check_multiplicity_symmetry, checks, "ghost_multiplicity", lambda ctx, n, k: n),
     (ghost.max_zero_distance, ghost, "floor_log_bullet", lambda ctx, k: -2),
-    (slopes.derivative_polygon, slopes, "hatted_valuation_table",
-     lambda ctx, k, n: [v + i for i, v in enumerate(HATTED(ctx, k, n))]),
+    (slopes.derivative_polygon, slopes, "hatted_steps", TILTED),
     (checks.check_slope_integrality, checks, "derivative_polygon",
      lambda ctx, k: SimpleNamespace(slopes=((Fraction(1, 3), 1),))),
     (checks.check_threshold_lock, checks, "newslope_runs", lambda ctx, k, w: [(0, 1, 6)]),
@@ -155,8 +156,7 @@ def test_hatted_duality_suite_checks_a_cached_weight(monkeypatch):
     # duality: the suite rebuilds each weight it draws on a context of its own
     ctx = GhostContext(7, 2, 1)
     slopes.derivative_polygon(ctx, 24)
-    monkeypatch.setattr(slopes, "hatted_valuation_table",
-                        lambda ctx, k, n: [v + i for i, v in enumerate(HATTED(ctx, k, n))])
+    monkeypatch.setattr(slopes, "hatted_steps", TILTED)
     with pytest.raises(VerificationError, match="k = 24, offset 1"):
         dict(checks.SUITES)["hatted-duality"](ctx, random.Random(0), [24])
 

@@ -1,4 +1,5 @@
-"""Every batch table kernel, the integer derivative polygon, the sweep's
+"""Every batch table kernel, the integer derivative polygon and its build from the steps of half
+the hatted table, the sweep's
 radius-free lock test and its block-local pieces, the interval-marking
 breakpoint criterion and the integer thresholds, L model, prediction, their
 JSON texts and samples against their pointwise or Fraction oracles, the
@@ -15,7 +16,8 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate, chain, product, repeat
+from itertools import accumulate, chain, count, product, repeat
+from operator import add
 from unittest import mock
 
 import pytest
@@ -36,7 +38,7 @@ from ghost_slopes import (
 )
 from ghost_slopes import checks, ghost, slopes
 from ghost_slopes.distribution import DistributionSample, SampleKind, discrepancy, sample, weyl_csv
-from ghost_slopes.errors import DomainError
+from ghost_slopes.errors import DomainError, VerificationError
 from ghost_slopes.ghost import (
     _bullet_bound,
     _corner_steps,
@@ -52,13 +54,15 @@ from ghost_slopes.ghost import (
     support_interval,
     valuation_table_at,
 )
-from ghost_slopes.polygon import edge_runs, integer_hull, newton_polygon_at
+from ghost_slopes.polygon import _chain, edge_runs, integer_hull, newton_polygon_at
 from ghost_slopes.prediction import build_model, model_radius, predict_slopes
 from ghost_slopes.slopes import (
+    DerivativePolygon,
     _closed_form_runs,
     _hull_runs,
     _level_pieces,
     _locked_on,
+    _ratio,
     _reach,
     _sweep,
     _window,
@@ -67,7 +71,7 @@ from ghost_slopes.slopes import (
     newslope_runs,
 )
 from ghost_slopes.valuation import ratio_text
-from strategies import RADII, context_and_weight, edge_at, expand_runs
+from strategies import RADII, context_and_weight, edge_at, expand_runs, table_steps
 
 N_HI = st.integers(0, 120)
 
@@ -377,6 +381,84 @@ def test_held_arrays_match_fraction_hull(mode, case):
     assert dp.edges == tuple((s.numerator, s.denominator, m) for s, m in hull.slopes)
     cleared = [i for i, (s, _) in enumerate(hull.slopes, 1) if Valuation(s) > dp.m_of_k]
     assert dp.M_index == (cleared[0] if cleared else len(hull.slopes) + 1)
+
+
+def _derivative_polygon_oracle(ctx, k, hatted=hatted_valuation_table) -> DerivativePolygon:
+    # the full-table build: the hatted table summed to c + h, its right half compared
+    # whole with its left half plus (k - 2) l, and ys the sum of the two halves
+    trip = dimensions(ctx, k)
+    c, h = trip.d_iw // 2, trip.d_new // 2
+    table = hatted(ctx, k, c + h)
+    left = table[c - h : c + 1][::-1]
+    del table[:c]
+    right = list(map(add, left, count(0, k - 2)))
+    if table != right:
+        l = next(l for l in range(h + 1) if table[l] != right[l])
+        raise VerificationError(f"anchored-valuation duality fails at k = {k}, offset {l}")
+    ys = list(map(add, right, left))
+    xs = array("q", [x for x, _ in _chain(zip(range(h + 1), ys))])
+    ys, m_of_k = array("q", ys), max_zero_distance(ctx, k)
+    m_index = 1 + bisect_left(xs, _reach(ys, xs, *_ratio(m_of_k)))
+    return DerivativePolygon(k=k, ys=ys, vertex_xs=xs, M_index=m_index, m_of_k=m_of_k)
+
+
+def _assert_half_table_build_matches_oracle(ctx, k):
+    dp, oracle = slopes._derivative_polygon(ctx, k), _derivative_polygon_oracle(ctx, k)
+    assert dp.ys == oracle.ys and dp.raw == oracle.raw
+    assert (dp.vertex_xs, dp.M_index, dp.m_of_k) == (oracle.vertex_xs, oracle.M_index, oracle.m_of_k)
+    assert dp.edges == oracle.edges
+
+
+@pytest.mark.parametrize("mode", ["strict", "exploratory"])
+@given(case=context_and_weight())
+@settings(max_examples=60, deadline=None)
+def test_half_table_build_matches_full_table_oracle(mode, case):
+    # the polygon from the steps and the left half of the hatted table
+    # against the full-table build, in each mode
+    ctx, k = case
+    assume(ctx.mode == mode)
+    _assert_half_table_build_matches_oracle(ctx, k)
+
+
+@pytest.mark.parametrize(
+    "params, k",
+    [((7, 2, 1), 49998), ((5, 1, 0), 49999), ((11, 6, 9, 3, "strict"), 49996),
+     ((7, 2, 1), 1_500_000), ((5, 1, 0), 999_999)],
+    ids=["7-2-1", "5-1-0", "11-6-9-m3-strict", "7-2-1-table-cap", "5-1-0-table-cap"],
+)
+def test_half_table_build_matches_full_table_oracle_at_high_weight(params, k):
+    # the class weights in 49996..49999, and the largest under the table cap
+    # (d_iw = 500,000 and 499,998), which CI also runs under ulimit -v 200000
+    ctx = GhostContext(*params)
+    assert k > 49999 or list(ctx.class_members(49996, 49999)) == [k]
+    _assert_half_table_build_matches_oracle(ctx, k)
+
+
+@given(case=context_and_weight(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_step_duality_names_the_offset_of_the_table_check(case, data):
+    # up to four hatted table entries moved at random: the check on the
+    # planted table's steps fails at the same offset as the full-table
+    # check, and the two builds agree when the plants keep the duality
+    ctx, k = case
+    trip = dimensions(ctx, k)
+    c, h = trip.d_iw // 2, trip.d_new // 2
+    assume(h >= 1)
+    ns = st.integers(max(1, c - h), c + h)
+    plants = data.draw(st.dictionaries(ns, st.integers(-3, 3).filter(bool), min_size=1, max_size=4), label="plants")
+    table = hatted_valuation_table(ctx, k, c + h)
+    for n, shift in plants.items():
+        table[n] += shift
+
+    def build(run):
+        try:
+            return run()
+        except VerificationError as err:
+            return str(err)
+
+    expected = build(lambda: _derivative_polygon_oracle(ctx, k, lambda *_: list(table)))
+    with mock.patch.object(slopes, "hatted_steps", lambda *_: table_steps(table)):
+        assert build(lambda: slopes._derivative_polygon(ctx, k)) == expected
 
 
 def _tail_certified_oracle(radius, window, q_hi, hull, den) -> bool:

@@ -33,7 +33,7 @@ from ghost_slopes import checks, ghost, slopes
 from ghost_slopes.distribution import SampleKind, sample
 from ghost_slopes.ghost import support_interval
 from ghost_slopes.slopes import DerivativePolygon, ThresholdVector, _closed_form_runs, _hull_runs
-from strategies import context_and_weight, expand_runs
+from strategies import context_and_weight, expand_runs, planted_steps
 
 
 @pytest.fixture(scope="module")
@@ -102,14 +102,14 @@ def test_derivative_polygon_empty_when_no_newforms():
 
 @pytest.mark.parametrize("side", (1, -1), ids=("right", "left"))
 def test_duality_checked_at_every_offset(monkeypatch, side):
-    # the two half-slices are compared whole: one entry off by one at offset
-    # l on either side of the centre fails, named at l, for l = 1, h/2 and h
-    k, hatted = 444, ghost.hatted_valuation_table
+    # the duality runs on the table's steps: one table entry off by one at
+    # offset l on either side of the centre fails, named at l, for l = 1, h/2 and h
+    k = 444
     trip = dimensions(GhostContext(p=7, a=2, s_eps=1), k)
     c, h = trip.d_iw // 2, trip.d_new // 2
     for l in (1, h // 2, h):
-        planted = lambda ctx, k, n: [v + (i == c + side * l) for i, v in enumerate(hatted(ctx, k, n))]
-        monkeypatch.setattr(slopes, "hatted_valuation_table", planted)
+        planted = planted_steps(lambda table: [v + (i == c + side * l) for i, v in enumerate(table)])
+        monkeypatch.setattr(slopes, "hatted_steps", planted)
         with pytest.raises(VerificationError, match=f"k = {k}, offset {l}$"):
             slopes._derivative_polygon(GhostContext(p=7, a=2, s_eps=1), k)
 
