@@ -3,10 +3,10 @@
 Subcommands map one-to-one onto the library layers: ``ghost`` renders
 coefficient polynomials, ``slopes`` evaluates newslopes at a radius,
 ``thresholds`` and ``predict`` emit the threshold and L-invariant
-pipelines, ``dist`` sweeps a weight range for equidistribution tables,
-and ``verify`` runs the sampled invariant suites of
-:mod:`ghost_slopes.checks`, whose checks the tests call too, and exits
-nonzero on any failure.
+pipelines, ``dist`` sweeps a weight range for equidistribution tables in
+one loop, in-process or per pool worker, that shares periods and returns
+moment rows, and ``verify`` runs the sampled invariant suites of
+:mod:`ghost_slopes.checks`, which the tests share, and exits nonzero on failure.
 
 Output is canonical: identical configuration produces identical bytes,
 JSON keys are sorted, and rationals render as "num/den" in lowest terms.
@@ -196,26 +196,19 @@ def cmd_predict(args) -> Iterable[str]:
     return _emit(args, data, "kind,slope,mult", rows, lines)
 
 
-def _samples_at(args, k: int, periods=None) -> list:
-    """The samples of weight k that hold a genuine value, not only floor stand-ins, one per kind at
-    most, on a context of k's own that reads deg's and S_1's periods from ``periods`` if given."""
-    ctx = _context(args)
-    ctx._caches["periods"] = {} if periods is None else periods
-    return [s for kind in SampleKind if (s := sample(ctx, k, kind)).nums]
-
-
-def _collect_samples(args, ks: List[int]) -> Iterator:
-    """The samples of every weight in ks, yielded in weight order; one request's serial
-    weights share deg's and S_1's periods, which depend on (p, a, s_eps) alone."""
-    workers = min(args.jobs or os.cpu_count() or 1, len(ks), os.cpu_count() or 1)
-    if workers == 1 or len(ks) < 8:
-        periods = {}
-        yield from (s for k in ks for s in _samples_at(args, k, periods))
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from (s for group in pool.map(_samples_at, [args] * len(ks), ks) for s in group)
+def _moment_rows(args, ks: List[int]) -> tuple:
+    """(rows, last): the (k, kind, moments) row of each sample of ks that holds a genuine value, not only
+    floor stand-ins, in weight order, and the last such sample of each kind.  Each weight samples on a
+    context of its own; all read one dict of deg's and S_1's periods, which depend on (p, a, s_eps) alone."""
+    rows, last, periods = [], {}, {}
+    for k in ks:
+        ctx = _context(args)
+        ctx._caches["periods"] = periods
+        for kind in SampleKind:
+            if (s := sample(ctx, k, kind)).nums:
+                rows.append((k, kind, s.moments(args.n)))
+                last[kind] = s
+    return rows, last
 
 
 def cmd_dist(args) -> Iterable[str]:
@@ -224,11 +217,18 @@ def cmd_dist(args) -> Iterable[str]:
         raise ConfigError(f"moment order must lie in [1, MAX_MOMENT_ORDER = {MAX_MOMENT_ORDER}]")
 
     ks = _range_weights(_context(args), args.k_range, lo, hi)
-    # each sample shrinks to its moment row; discrepancy reads the last of each kind
-    moment_rows, last = [], {}
-    for s in _collect_samples(args, ks):
-        moment_rows.append((s.k, s.kind, s.moments(args.n)))
-        last[s.kind] = s
+    workers = min(args.jobs or os.cpu_count() or 1, len(ks), os.cpu_count() or 1)
+    if workers == 1 or len(ks) < 8:
+        parts = [_moment_rows(args, ks)]
+    else:  # cost grows with k, so each worker takes every workers-th weight
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_moment_rows, [args] * workers, [ks[i::workers] for i in range(workers)]))
+    # a stable sort by k keeps each weight's kinds in order; the highest-k sample of a kind comes last
+    moment_rows = sorted(chain.from_iterable(rows for rows, _ in parts), key=lambda row: row[0])
+    last = {s.kind: s for s in sorted((s for _, held in parts for s in held.values()), key=lambda s: s.k)}
+    del parts  # the workers' last samples: the report starts with one of each kind alive
     if not moment_rows:
         raise DomainError(f"no nonempty samples for weights in [{lo}, {hi}]")
     if args.fmt == "csv":

@@ -16,9 +16,9 @@ are exact rationals, one ``Fraction`` per order from integer power sums
 over the runs; the Weyl table and CSV read them as one (k, kind, moments)
 row per sample and compare them to the uniform-limit targets 1/(n+1).  The
 discrepancy is the exact two-sided Kolmogorov distance from uniform on
-[0, 1], read at each run's first and last index.  ``dist`` keeps one row per sample
-and whole only the last sample of each kind, for its discrepancy, so its
-memory no longer grows with the samples.
+[0, 1], read at each run's first and last index.  Every ``dist`` worker, the
+in-process loop included, shares its weights' periods and returns one moment row per
+sample and whole only its last sample of each kind, for the discrepancy.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from typing import Tuple
 from .errors import VerificationError
 from .ghost import GhostContext, dimensions, floor_log_bullet
 from .slopes import derivative_polygon
-from .valuation import Valuation, format_rational, ratio_text
+from .valuation import format_rational, ratio_text
 
 
 class Rel(Enum):
@@ -112,13 +112,13 @@ class PredictionModel:
     def linv_slopes_known(self) -> Tuple[Tuple[Fraction, int], ...]:
         return tuple((Fraction(-a - self.L_den, self.L_den), m) for a, m in self.known)
 
-    linv_floor = property(lambda self: Valuation(-self.R - 1))
+    linv_floor = property(lambda self: -self.R - 1)
 
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,
             "linv_known": [[ratio_text(-a - self.L_den, self.L_den), m] for a, m in self.known],
-            "floor": format_rational(self.linv_floor.value),
+            "floor": format_rational(self.linv_floor),
             "exceptional": self.exceptional_count,
         }
 

@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import time
+import types
 import weakref
 
 import pytest
@@ -15,6 +16,31 @@ import pytest
 from ghost_slopes import checks, cli, ghost
 from ghost_slopes.cli import FORMATS, MAX_RANGE_WEIGHTS, build_parser, main
 from ghost_slopes.distribution import SampleKind
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """A recording stand-in for ``dist``'s process pool on a 4-CPU count: its map runs each task
+    in-process, in order, so no process starts; ``sizes`` lists the size of each pool made."""
+    record = types.SimpleNamespace(sizes=[])
+    build_parser()  # built before the CPU count changes: --jobs by default reads it per call
+
+    class Recorder:
+        def __init__(self, max_workers):
+            record.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    return record
 
 
 def run(capsys, *argv):
@@ -300,23 +326,42 @@ class TestDistCommand:
         assert code == 0
         assert serial == parallel
 
-    def test_serial_weights_share_the_periods(self, capsys, monkeypatch):
-        # deg's and S_1's periods depend on (p, a, s_eps) alone: every weight of
-        # a serial request reads one dict of them, and deg's period is built
-        # again only when a read outgrows it, not once per weight
-        contexts, make, corner, built = [], cli._context, ghost._corner_steps, []
-        monkeypatch.setattr(cli, "_context", lambda args: contexts.append(make(args)) or contexts[-1])
-        monkeypatch.setattr(ghost, "_corner_steps", lambda ctx, n: built.append(n) or corner(ctx, n))
-        code, _, err = run(capsys, "dist", "--k-range", "10:400", "--jobs", "1")
-        assert code == 0, err
-        weights = contexts[1:]  # the first one lists the range's weights
-        assert len(weights) == 65 and len({id(ctx._caches["periods"]) for ctx in weights}) == 1
-        assert built == sorted(set(built)) and len(built) <= 4
+    def test_serial_weights_share_the_periods(self, capsys, monkeypatch, in_process_pool):
+        # deg's and S_1's periods depend on (p, a, s_eps) alone: the weights one
+        # loop walks in order, in-process or in a pool worker, read one dict of
+        # them, and deg's period is built again only when a read outgrows it,
+        # not once per weight; a pool deals the weights out interleaved
+        loop, make, corner = cli._moment_rows, cli._context, ghost._corner_steps
+        ks = list(ghost.GhostContext(7, 2, 1).class_members(10, 400))
+        for jobs in (1, 2):
+            workers = []
+
+            def worker(args, dealt):
+                workers.append((dealt, [], []))
+                return loop(args, dealt)
+
+            def context(args):
+                ctx = make(args)
+                if workers:  # the first one lists the range's weights
+                    workers[-1][1].append(ctx)
+                return ctx
+
+            monkeypatch.setattr(cli, "_moment_rows", worker)
+            monkeypatch.setattr(cli, "_context", context)
+            monkeypatch.setattr(ghost, "_corner_steps", lambda ctx, n: workers[-1][2].append(n) or corner(ctx, n))
+            code, _, err = run(capsys, "dist", "--k-range", "10:400", "--jobs", str(jobs))
+            assert code == 0, err
+            assert len(ks) == 65 and [dealt for dealt, _, _ in workers] == [ks[i::jobs] for i in range(jobs)]
+            for dealt, contexts, built in workers:
+                assert len(contexts) == len(dealt) and len({id(ctx._caches["periods"]) for ctx in contexts}) == 1
+                assert built == sorted(set(built)) and len(built) <= 4
+        assert in_process_pool.sizes == [2]
 
     @pytest.mark.parametrize("fmt", FORMATS)
-    def test_report_holds_one_sample_per_kind(self, capsys, monkeypatch, fmt):
-        # each sample shrinks to its moment row on arrival, so when the
-        # report starts only the last sample of each kind is still alive
+    def test_report_holds_one_sample_per_kind(self, capsys, monkeypatch, in_process_pool, fmt):
+        # each sample shrinks to its moment row on arrival, and the workers'
+        # last samples are merged and released, so when the report starts
+        # only the last sample of each kind is still alive
         alive, make, entered = weakref.WeakSet(), cli.sample, []
 
         def recording(*args):
@@ -336,10 +381,13 @@ class TestDistCommand:
         monkeypatch.setattr(cli, "sample", recording)
         for name in ("weyl_moments", "weyl_csv"):
             monkeypatch.setattr(cli, name, checked(getattr(cli, name)))
-        # weights 12..198 of the class: 32 of them
-        code, _, err = run(capsys, "dist", "--k-range", "10:200", "--format", fmt, "--jobs", "1")
-        assert code == 0, err
-        assert entered
+        # weights 12..198 of the class: 32 of them, in-process and then in a pool of 2
+        for jobs in ("1", "2"):
+            entered.clear()
+            code, _, err = run(capsys, "dist", "--k-range", "10:200", "--format", fmt, "--jobs", jobs)
+            assert code == 0, err
+            assert entered
+        assert in_process_pool.sizes == [2]
 
     @pytest.mark.parametrize("jobs", ["0", "-5"])
     def test_jobs_below_one_rejected(self, capsys, jobs):
@@ -352,25 +400,7 @@ class TestDistCommand:
         "jobs, cpus, expected",
         [("1000", 4, 4), ("1000", 64, 15), ("3", 64, 3), ("2", 1, None), (None, 3, 3), (None, 1, None)],
     )
-    def test_pool_size_is_capped(self, capsys, monkeypatch, jobs, cpus, expected):
-        # a recording stand-in for the pool: no process is started
-        sizes = []
-        build_parser()  # built before the CPU count changes: --jobs by default reads it per call
-
-        class Recorder:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    def test_pool_size_is_capped(self, capsys, monkeypatch, in_process_pool, jobs, cpus, expected):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         # weights 12..96 of the class: 15 of them
         jobs_flag = [] if jobs is None else ["--jobs", jobs]
@@ -378,11 +408,11 @@ class TestDistCommand:
         _, serial, _ = run(capsys, "dist", "--k-range", "10:100", "--format", "csv", "--jobs", "1")
         assert code == 0
         assert out == serial
-        assert sizes == ([] if expected is None else [expected])
+        assert in_process_pool.sizes == ([] if expected is None else [expected])
 
-    def test_no_context_outlives_its_weight(self, capsys, monkeypatch):
-        # every weight samples on a context of its own, in-process too, so
-        # no context holds the derivative polygons of two weights
+    def test_no_context_outlives_its_weight(self, capsys, monkeypatch, in_process_pool):
+        # every weight samples on a context of its own, in a worker or
+        # in-process, so no context holds the derivative polygons of two weights
         make, built = cli._context, []
 
         def recording(args):
@@ -390,9 +420,10 @@ class TestDistCommand:
             return built[-1]
 
         monkeypatch.setattr(cli, "_context", recording)
-        code, _, _ = run(capsys, "dist", "--k-range", "10:200", "--jobs", "1")
-        assert code == 0
-        assert len(built) > 1
+        for jobs in ("1", "2"):  # in-process, then in a pool of 2
+            code, _, _ = run(capsys, "dist", "--k-range", "10:200", "--jobs", jobs)
+            assert code == 0
+        assert len(built) > 2 and in_process_pool.sizes == [2]
         assert all(len(ctx._caches.get("derivative", {})) <= 1 for ctx in built)
 
     def test_zero_moment_order_rejected(self, capsys):
