@@ -1,16 +1,16 @@
 """Invariant checks shared by ``ghost-slopes verify`` and the tests.
 
-Each ``check_*`` tests one invariant on one item and raises
-VerificationError naming the item.  Two checks test several facts on
-data they compute once: ``check_threshold_relation`` the three that tie
-a weight's L model to its thresholds, and ``check_sample_relation`` the
-two that tie its threshold sample to its derivative sample.  Three
-invariants are checked by the function that computes them: the hatted
-duality by ``derivative_polygon``, the model hull by ``build_model`` and
-M(k) <= floor(log_p k_bullet) + 3 by ``max_zero_distance``.  The six wedge
-identities are checks here too, and ``wedge`` holds only the algebra they
-run.  ``SUITES`` samples items for ``verify`` and checks each weight on a
-context of its own, with empty caches, so no polygon outlives its weight.
+Each ``check_*`` tests one invariant on one item and raises VerificationError
+naming the item.  Two checks test several facts on data they compute once:
+``check_threshold_relation`` the three that tie a weight's L model to its
+thresholds, and ``check_sample_relation`` the two that tie its threshold sample
+to its derivative sample.  ``check_model_pattern`` counts the model's pattern off
+its blocks, not its d x d cells.  Three invariants are checked by the function that
+computes them: the hatted duality by ``derivative_polygon``, the model hull by
+``build_model`` and M(k) <= floor(log_p k_bullet) + 3 by ``max_zero_distance``.
+The six wedge identities are checks here too, and ``wedge`` holds only the
+algebra they run.  ``SUITES`` samples items for ``verify`` and checks each weight
+on a context of its own, with empty caches, so no polygon outlives its weight.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 from .distribution import SampleKind, sample, sample_difference_bound
 from .errors import DomainError, VerificationError
 from .ghost import WeightPoint, dimensions, ghost_multiplicity, max_zero_distance
 from .polygon import dual_graph, lower_hull
-from .prediction import Rel, build_model, exceptional_bound, predict_slopes
+from .prediction import build_model, exceptional_bound, predict_slopes
 from .slopes import breakpoints_by_criterion, certified_newton_polygon, derivative_polygon
 from .slopes import k_thresholds, newslope_runs
 from .valuation import INF, weight_distance
@@ -133,11 +133,27 @@ def check_raw_increments(ctx, k: int) -> None:
             raise VerificationError(f"increment bound fails at (k, l) = ({k}, {l})")
 
 
+def pattern_strict_counts(model):
+    """(j, strict entries) of each equality column j of the model's pattern, in O(blocks).
+
+    Entry (i, j) compares v_p(F_{i,j}) to i*(k-2) - L_j.  Let acc run over the totals of the
+    half block widths w // 2, top block first, and K = known_size // 2.  The entry is strict on
+    row d, else equal at (acc, 2*acc) and (d - acc, 2*acc), else strict for i <= K and j > 2i
+    or i >= d - K and j > 2(d - i).  As acc <= K, column 2*acc is strict on row d and on the
+    rows of [1, d - 1] outside [acc, d - acc], rows acc and d - acc aside.  For 1 <= acc and
+    2*acc <= d that is 1 + (d - 1) - (d - 2*acc + 1) = j - 1 rows; for 2*acc > d it is d - 2
+    or d, below j - 1 but at d = acc = 1.  ``build_model`` keeps blocks of width >= 2 within d.
+    """
+    d = model.d
+    for acc in accumulate(w // 2 for _, w in model.known):
+        rows, gap = range(1, d), range(max(acc, 1), min(d - acc, d - 1) + 1)
+        equal = sum(i in rows and i not in gap for i in {acc, d - acc})
+        yield 2 * acc, min(d, 1) + len(rows) - len(gap) - equal
+
+
 def check_model_pattern(ctx, k: int) -> None:
-    """Each column j holding an equality cell has j - 1 strict entries."""
-    model = build_model(ctx, k)
-    for j in sorted({j for _, j in model.eq_cells}):
-        strict = [model.rel(i, j) for i in range(1, model.d + 1)].count(Rel.GT)
+    """Each equality column j of the model's pattern has j - 1 strict entries."""
+    for j, strict in pattern_strict_counts(build_model(ctx, k)):
         if strict != j - 1:
             raise VerificationError(f"column {j} carries {strict} strict entries at k = {k}")
 

@@ -5,11 +5,8 @@ sequence L_1 < ... < L_d grows by s_N on the first 2*d_N steps, then by
 s_{N-1}, and so on down to s_M, then by R on the last
 d - 2*(d_N + ... + d_M) steps, so the hull of {(j, -L_j)} and the origin
 replays the known derivative slopes and then flattens at -R.  The model
-holds the blocks as (step, width) pairs and R, and reads L off them.
-The comparison rule ``PredictionModel.rel`` says, entry by entry, how
-v_p(F_{i,j}) compares to i*(k-2) - L_j: equality exactly on the
-breakpoint diagonal cells and their mirror rows, strict above the
-doubled index, the bottom row strict everywhere.
+holds the blocks as (step, width) pairs and R, and reads L off them;
+``checks.pattern_strict_counts`` counts its comparison pattern off d and the widths.
 
 Predicted slopes are facts of the same model, which ``predict_slopes``
 returns: a known block read off the closed threshold relation
@@ -20,7 +17,6 @@ block, whose size is the exceptional count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate, chain, repeat
@@ -33,25 +29,15 @@ from .slopes import derivative_polygon
 from .valuation import format_rational, ratio_text
 
 
-class Rel(Enum):
-    """Comparison kind between v_p(F_{i,j}) and (k-2)i - L_j."""
-
-    GT = ">"
-    GE = ">="
-    EQ = "="
-
-
 @dataclass(frozen=True)
 class PredictionModel:
-    """The L model and its comparison rule for one weight.
+    """The L model of one weight.
 
     ``known`` holds the blocks l = N down to M_index, top block first, as
     (step numerator over ``L_den``, width): the step is the derivative
     slope s_l, the width twice its stretched multiplicity.  R steps the
     remaining :attr:`exceptional_count` of the d steps, and ``L_den`` is
-    the lcm of R's and the steps' denominators.  :attr:`L_seq` reads
-    L_1..L_d off the blocks; :meth:`rel` gives the comparison kind of
-    each entry of the d x d pattern.
+    the lcm of R's and the steps' denominators.  :attr:`L_seq` reads L_1..L_d off the blocks.
 
     The known multiset reads ``known`` as ``Fraction``s, values ascending:
     the L-invariant slope -(s + 1).  The floor -R - 1 bounds every
@@ -75,33 +61,6 @@ class PredictionModel:
     def known_size(self) -> int:
         """Total multiplicity 2*(d_N + ... + d_M) of the known block."""
         return sum(w for _, w in self.known)
-
-    @cached_property
-    def eq_cells(self) -> frozenset:
-        """(row, column) positions of the equality entries: each running
-        total acc of the known blocks, top slope first, marks (acc, 2*acc)
-        and (d - acc, 2*acc), never on row d."""
-        cells, acc = set(), 0
-        for _, w in self.known:
-            acc += w // 2
-            cells.update(((acc, 2 * acc), (self.d - acc, 2 * acc)))
-        return frozenset(cells)
-
-    def rel(self, i: int, j: int) -> Rel:
-        """Comparison kind of the pattern entry (i, j), 1 <= i, j <= d.
-
-        The bottom row is GT and the :attr:`eq_cells` are EQ; right of
-        column 2*i in the top known rows, and of column 2*(d - i) in the
-        bottom known rows, entries are GT; every other entry is GE.
-        """
-        d, known = self.d, self.known_size // 2
-        if i == d:
-            return Rel.GT
-        if (i, j) in self.eq_cells:
-            return Rel.EQ
-        if (i <= known and j > 2 * i) or (i >= d - known and j > 2 * (d - i)):
-            return Rel.GT
-        return Rel.GE
 
     @property
     def exceptional_count(self) -> int:

@@ -51,7 +51,7 @@ from .ghost import (
     max_zero_distance,
     point_distance,
 )
-from .polygon import RationalPolygon, _chain, edge_runs, integer_hull, newton_polygon_at
+from .polygon import RationalPolygon, _chain, edge_runs, newton_polygon_at
 from .valuation import Valuation, runs_text, vp_int_raw
 
 # -- derivative polygons ------------------------------------------------------
@@ -511,7 +511,7 @@ def _midpoint_chain(A, B, r: Fraction, lo, hi, pad):
     to its first at or right of hi: a proposal that :func:`_level_pieces` certifies."""
     s0, s1 = max(0, lo - 1 - pad), min(len(A) - 1, hi + pad)
     vn = _values(A[s0 : s1 + 1], B[s0 : s1 + 1], r)
-    xs = integer_hull(range(s0, s1 + 1), vn, r.denominator).vertex_xs()
+    xs = [x for x, _ in _chain(zip(range(s0, s1 + 1), vn))]
     return xs[bisect_right(xs, lo - 1) - 1 : bisect_left(xs, hi) + 1]
 
 

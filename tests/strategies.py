@@ -1,7 +1,9 @@
 """Hypothesis strategies and helpers shared by the property tests."""
 
 from bisect import bisect_right
+from enum import Enum
 from fractions import Fraction
+from functools import cache
 from operator import itemgetter, sub
 
 from hypothesis import strategies as st
@@ -56,3 +58,46 @@ def planted_steps(plant):
     """A stand-in for ``ghost.hatted_steps(ctx, kb, n_hi)``: the steps of the hatted table to n_hi
     with ``plant(table)`` applied to it (at entries n >= 1: the double sum puts f(0) = 0)."""
     return lambda ctx, kb, n_hi: table_steps(plant(hatted_valuation_table(ctx, ctx.weight_of_bullet(kb), n_hi)))
+
+
+class Rel(Enum):
+    """Comparison kind between v_p(F_{i,j}) and (k-2)i - L_j."""
+
+    GT = ">"
+    GE = ">="
+    EQ = "="
+
+
+@cache
+def eq_cells(model) -> frozenset:
+    """(row, column) positions of the equality entries of the model's pattern: each
+    running total acc of the known blocks' half widths, top slope first, marks
+    (acc, 2*acc) and (d - acc, 2*acc), never on row d."""
+    cells, acc = set(), 0
+    for _, w in model.known:
+        acc += w // 2
+        cells.update(((acc, 2 * acc), (model.d - acc, 2 * acc)))
+    return frozenset(cells)
+
+
+def rel(model, i: int, j: int) -> Rel:
+    """The per-cell rule: comparison kind of the pattern entry (i, j), 1 <= i <= d.
+
+    The bottom row is GT and the :func:`eq_cells` are EQ; right of column 2*i in
+    the top known rows, and of column 2*(d - i) in the bottom known rows, entries
+    are GT; every other entry is GE.  The oracle of ``checks.pattern_strict_counts``.
+    """
+    d, known = model.d, model.known_size // 2
+    if i == d:
+        return Rel.GT
+    if (i, j) in eq_cells(model):
+        return Rel.EQ
+    if (i <= known and j > 2 * i) or (i >= d - known and j > 2 * (d - i)):
+        return Rel.GT
+    return Rel.GE
+
+
+def pattern_strict_counts_oracle(model) -> list:
+    """(j, strict entries) of each equality column j, ascending, counted cell by cell."""
+    columns = sorted({j for _, j in eq_cells(model)})
+    return [(j, [rel(model, i, j) for i in range(1, model.d + 1)].count(Rel.GT)) for j in columns]

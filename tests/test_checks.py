@@ -8,24 +8,25 @@ invariant; so no check that ``verify`` and the tests share is vacuous.
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
 from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from strategies import context_and_weight, planted_steps
+from strategies import context_and_weight, pattern_strict_counts_oracle, planted_steps
 
 from ghost_slopes import GhostContext, VerificationError, WeightPoint, checks, ghost, prediction, slopes
 from ghost_slopes.cli import main
 from ghost_slopes.distribution import DistributionSample, SampleKind
 from ghost_slopes.ghost import DimensionTriple
 from ghost_slopes.polygon import lower_hull
-from ghost_slopes.prediction import PredictionModel, Rel
+from ghost_slopes.prediction import PredictionModel
 from ghost_slopes.wedge import formal_wedge_trace, random_int_matrix, solve_unit_system
 
 B = random_int_matrix(random.Random(1), 3)
-PREDICT, SAMPLE = checks.predict_slopes, checks.sample
+BUILD, PREDICT, SAMPLE = checks.build_model, checks.predict_slopes, checks.sample
 # every hatted table entry n raised by n: the duality fails at offset 1
 TILTED = planted_steps(lambda table: [v + i for i, v in enumerate(table)])
 
@@ -54,7 +55,8 @@ WEIGHT_PLANTS = [
     (checks.check_threshold_lock, checks, "newslope_runs", lambda ctx, k, w: [(0, 1, 6)]),
     (checks.check_raw_increments, checks, "derivative_polygon", lambda ctx, k: SimpleNamespace(ys=(0, 2))),
     (prediction.build_model, prediction, "model_radius", lambda ctx, k: Fraction(100)),
-    (checks.check_model_pattern, PredictionModel, "rel", lambda self, i, j: Rel.GE),
+    # the last known block runs past d / 2
+    (checks.check_model_pattern, checks, "build_model", lambda ctx, k: replace(m := BUILD(ctx, k), d=m.known_size - 1)),
     # one plant per fact of the threshold relation, each breaking that fact alone
     pytest.param(checks.check_threshold_relation, PredictionModel, "linv_slopes_known", property(lambda self: ()),
                  id="check_threshold_relation-known_block"),
@@ -129,17 +131,21 @@ def test_threshold_lock_names_one_raised_threshold(case, data):
 @given(case=context_and_weight(), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_model_pattern_names_one_weakened_column(case, data):
-    # each equality column is counted once; a bottom-row entry turned from GT
-    # to GE in one column is caught in that column
+    # d shrunk so that block t, and no block above it, runs past d / 2: its
+    # column 2*acc counts fewer than j - 1 strict entries, and the check names
+    # that column with the count of the per-cell rule
     ctx, k = case
-    columns = sorted({j for _, j in prediction.build_model(ctx, k).eq_cells})
-    assume(columns)
-    j = data.draw(st.sampled_from(columns))
-    rel = PredictionModel.rel
-    weakened = lambda model, i, c: Rel.GE if (i, c) == (model.d, j) else rel(model, i, c)
-    with patch.object(PredictionModel, "rel", weakened), pytest.raises(VerificationError) as err:
+    model = BUILD(ctx, k)
+    assume(model.known)
+    accs = [0, *accumulate(w // 2 for _, w in model.known)]
+    t = data.draw(st.integers(1, len(accs) - 1))
+    d = data.draw(st.integers(2 * accs[t - 1], 2 * accs[t] - 1))
+    assume((d, accs[t]) != (1, 1))  # the one overrun whose column still counts j - 1
+    shrunk, j = replace(model, d=d), 2 * accs[t]
+    strict = dict(pattern_strict_counts_oracle(shrunk))[j]
+    with patch.object(checks, "build_model", lambda ctx, k: shrunk), pytest.raises(VerificationError) as err:
         checks.check_model_pattern(ctx, k)
-    assert str(err.value) == f"column {j} carries {j - 2} strict entries at k = {k}"
+    assert str(err.value) == f"column {j} carries {strict} strict entries at k = {k}"
 
 
 def test_dimensions_checked_near_k_ceiling_on_a_large_prime():

@@ -5,6 +5,8 @@ from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ghost_slopes import (
     GhostContext,
@@ -16,7 +18,8 @@ from ghost_slopes import (
 )
 from ghost_slopes import VerificationError, checks, prediction
 from ghost_slopes.polygon import lower_hull
-from ghost_slopes.prediction import PredictionModel, Rel, model_radius
+from ghost_slopes.prediction import PredictionModel, model_radius
+from strategies import Rel, context_and_weight, eq_cells, pattern_strict_counts_oracle, rel
 
 CTX = GhostContext(7, 2, 1)
 CTX_WRAP = GhostContext(11, 6, 9)
@@ -32,9 +35,9 @@ def sample_weights(ctx, lo, hi, count, seed):
 
 
 def pattern(m):
-    """The d x d comparison table, entry by entry through ``rel``."""
+    """The d x d comparison table, entry by entry through the per-cell rule ``rel``."""
     return tuple(
-        tuple(m.rel(i, j) for j in range(1, m.d + 1)) for i in range(1, m.d + 1)
+        tuple(rel(m, i, j) for j in range(1, m.d + 1)) for i in range(1, m.d + 1)
     )
 
 
@@ -172,7 +175,7 @@ def test_pattern_frozen_k24():
         (GE, EQ, GT, GT, GT, GT),
         (GT, GT, GT, GT, GT, GT),
     )
-    assert tuple(sorted(m.eq_cells)) == ((1, 2), (2, 4), (4, 4), (5, 2))
+    assert tuple(sorted(eq_cells(m))) == ((1, 2), (2, 4), (4, 4), (5, 2))
 
 
 def test_pattern_all_known_depth_four():
@@ -207,15 +210,15 @@ def test_pattern_equality_count():
         m = build_model(ctx, k)
         enumerated = 2 * len(m.known)
         overlap = 1 if m.known_size == m.d else 0
-        assert len(m.eq_cells) == enumerated - overlap
+        assert len(eq_cells(m)) == enumerated - overlap
 
 
 def test_pattern_strict_count_in_equality_columns():
     # each column holding an equality carries exactly j - 1 strict entries
     for ctx, k in ((CTX, 24), (CTX, 90), (CTX_WRAP, 276), (CTX_ODD, 1535)):
         m = build_model(ctx, k)
-        for j in sorted({c for _, c in m.eq_cells}):
-            col = [m.rel(i, j) for i in range(1, m.d + 1)]
+        for j in sorted({c for _, c in eq_cells(m)}):
+            col = [rel(m, i, j) for i in range(1, m.d + 1)]
             assert col.count(Rel.GT) == j - 1
             assert col.count(Rel.EQ) in (1, 2)
 
@@ -224,6 +227,34 @@ def test_pattern_last_row_strict():
     for k in (24, 48, 90):
         m = build_model(CTX, k)
         assert set(pattern(m)[-1]) == {Rel.GT}
+
+
+@example(case=(GhostContext(7, 2, 1), 24))
+@example(case=(GhostContext(11, 2, 0), 4))  # no known block
+@given(case=context_and_weight())
+@settings(max_examples=100, deadline=None)
+def test_pattern_counted_off_the_blocks_matches_per_cell_rule(case):
+    # every equality column of a built model: the O(blocks) count is the
+    # per-cell count, and both read j - 1
+    m = build_model(*case)
+    counts = list(checks.pattern_strict_counts(m))
+    assert counts == pattern_strict_counts_oracle(m)
+    assert all(strict == j - 1 for j, strict in counts)
+
+
+@example(d=1, halves=[1])  # 2*acc > d, yet the one column counts j - 1
+@example(d=6, halves=[0, 2, 0, 1])  # zero-width blocks repeat a column, the first one 0
+@given(d=st.integers(0, 40), halves=st.lists(st.integers(0, 12), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_pattern_count_matches_per_cell_rule_on_synthetic_blocks(d, halves):
+    # any d and widths, blocks that run past d included: the count off the
+    # blocks is the per-cell count on every equality column, and j - 1 exactly
+    # when 2*acc <= d, but for a column 0 and at d = acc = 1
+    m = PredictionModel(k=None, d=d, known=tuple((0, 2 * w) for w in halves), L_den=1, R=Fraction(0))
+    counts = list(checks.pattern_strict_counts(m))
+    assert sorted(set(counts)) == pattern_strict_counts_oracle(m)
+    for j, strict in counts:
+        assert (strict == j - 1) == (0 < j <= d or j == 2 == 2 * d), (d, j, strict)
 
 
 # -- predictions --------------------------------------------------------------

@@ -699,7 +699,7 @@ def test_midpoint_chain_widens_past_a_far_vertex(monkeypatch):
 
     monkeypatch.setattr(slopes, "_midpoint_chain", spied)
     fresh = GhostContext(p=7, a=2, s_eps=1)
-    for deep, widened, xs in ((-1000, [8, 32], (0, 30)), (900, [8], (1, 2))):  # 900: on the parabola
+    for deep, widened, xs in ((-1000, [8, 32], [0, 30]), (900, [8], [1, 2])):  # 900: on the parabola
         A[30], pads[:] = deep, []
         assert slopes._level_pieces(fresh, 24, 1, 2, 2) == [(1, 2, xs, A, B)]
         assert pads == widened
