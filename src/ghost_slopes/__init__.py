@@ -6,7 +6,7 @@ The root holds the names that the README and the tests import, each in
 
 from .errors import DomainError, VerificationError
 from .ghost import GhostContext, WeightPoint, dimensions
-from .polygon import dual_graph, lower_hull, newton_polygon_at
+from .polygon import lower_hull, newton_polygon_at
 from .prediction import build_model, exceptional_bound, predict_slopes
 from .slopes import (
     breakpoints_by_criterion,
@@ -27,7 +27,6 @@ __all__ = [
     "GhostContext",
     "WeightPoint",
     "dimensions",
-    "dual_graph",
     "lower_hull",
     "newton_polygon_at",
     "build_model",

@@ -4,10 +4,11 @@ Each ``check_*`` tests one invariant on one item and raises VerificationError
 naming the item.  Two checks test several facts on data they compute once:
 ``check_threshold_relation`` the three that tie a weight's L model to its
 thresholds, and ``check_sample_relation`` the two that tie its threshold sample
-to its derivative sample.  ``check_model_pattern`` counts the model's pattern off
-its blocks, not its d x d cells.  Three invariants are checked by the function that
-computes them: the hatted duality by ``derivative_polygon``, the model hull by
-``build_model`` and M(k) <= floor(log_p k_bullet) + 3 by ``max_zero_distance``.
+to its derivative sample.  ``check_gauss_norm_duality`` finds each kink of the Gauss
+norm by brute force, not from the hull it checks.  Three invariants are checked by
+the function that computes them: the hatted duality by ``derivative_polygon``, the
+model hull, and with it the model's comparison pattern, by ``build_model`` and
+M(k) <= floor(log_p k_bullet) + 3 by ``max_zero_distance``.
 The six wedge identities are checks here too, and ``wedge`` holds only the
 algebra they run.  ``SUITES`` samples items for ``verify`` and checks each weight
 on a context of its own, with empty caches, so no polygon outlives its weight.
@@ -18,13 +19,13 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb
 
 from .distribution import SampleKind, sample, sample_difference_bound
 from .errors import DomainError, VerificationError
 from .ghost import WeightPoint, dimensions, ghost_multiplicity, max_zero_distance
-from .polygon import dual_graph, lower_hull
+from .polygon import lower_hull
 from .prediction import build_model, exceptional_bound, predict_slopes
 from .slopes import breakpoints_by_criterion, certified_newton_polygon, derivative_polygon
 from .slopes import k_thresholds, newslope_runs
@@ -74,15 +75,23 @@ def check_hull_idempotent(pts) -> None:
 
 
 def check_gauss_norm_duality(vals) -> None:
-    """The dual graph's kinks are the negated hull slopes; its intercepts are values."""
-    hull = lower_hull(list(enumerate(vals)))
-    dg = dual_graph(vals, -max(s for s, _ in hull.slopes) - 1)
-    kinks = [(-r.value, drop) for r, drop in dg.breakpoints()]
-    if sorted(kinks) != sorted((s, m) for s, m in hull.slopes):
+    """The hull of the points (n, vals[n]) spans 0..len(vals) - 1 with vertices on those
+    points, and each hull slope s of multiplicity m is a kink of the Gauss norm
+    r -> min_n (vals[n] + n r) at r = -s with drop m: the minimisers of vals[n] - n s over
+    every n, found by brute force and not read off the hull, run from the slope's left
+    vertex x0 to x0 + m."""
+    hull = lower_hull(enumerate(vals))
+    xs = hull.vertex_xs()
+    found = [(xs[0], xs[-1]), [y.value for _, y in hull.vertices]]
+    expected = [(0, len(vals) - 1), [vals[x] for x in xs]]
+    for x0, (s, m) in zip(xs, hull.slopes):
+        heights = [v - n * s for n, v in enumerate(vals)]
+        lowest = min(heights)
+        minimisers = [n for n, h in enumerate(heights) if h == lowest]
+        found.append((minimisers[0], minimisers[-1]))
+        expected.append((x0, x0 + m))
+    if found != expected:
         raise VerificationError(f"polygon/dual mismatch on {vals}")
-    for r_lo, r_hi, n, intercept in dg.segments:
-        if intercept != vals[n]:
-            raise VerificationError(f"dual intercept != v_p(a_{n}) on {vals}")
 
 
 def check_criterion_matches_hull(ctx, w: WeightPoint) -> None:
@@ -131,31 +140,6 @@ def check_raw_increments(ctx, k: int) -> None:
     for l in range(1, len(ys)):
         if ys[l] - ys[l - 1] < 3 + (ctx.p - 1) * (l - 1):
             raise VerificationError(f"increment bound fails at (k, l) = ({k}, {l})")
-
-
-def pattern_strict_counts(model):
-    """(j, strict entries) of each equality column j of the model's pattern, in O(blocks).
-
-    Entry (i, j) compares v_p(F_{i,j}) to i*(k-2) - L_j.  Let acc run over the totals of the
-    half block widths w // 2, top block first, and K = known_size // 2.  The entry is strict on
-    row d, else equal at (acc, 2*acc) and (d - acc, 2*acc), else strict for i <= K and j > 2i
-    or i >= d - K and j > 2(d - i).  As acc <= K, column 2*acc is strict on row d and on the
-    rows of [1, d - 1] outside [acc, d - acc], rows acc and d - acc aside.  For 1 <= acc and
-    2*acc <= d that is 1 + (d - 1) - (d - 2*acc + 1) = j - 1 rows; for 2*acc > d it is d - 2
-    or d, below j - 1 but at d = acc = 1.  ``build_model`` keeps blocks of width >= 2 within d.
-    """
-    d = model.d
-    for acc in accumulate(w // 2 for _, w in model.known):
-        rows, gap = range(1, d), range(max(acc, 1), min(d - acc, d - 1) + 1)
-        equal = sum(i in rows and i not in gap for i in {acc, d - acc})
-        yield 2 * acc, min(d, 1) + len(rows) - len(gap) - equal
-
-
-def check_model_pattern(ctx, k: int) -> None:
-    """Each equality column j of the model's pattern has j - 1 strict entries."""
-    for j, strict in pattern_strict_counts(build_model(ctx, k)):
-        if strict != j - 1:
-            raise VerificationError(f"column {j} carries {strict} strict entries at k = {k}")
 
 
 def check_threshold_relation(ctx, k: int) -> None:
@@ -371,7 +355,7 @@ SUITES = (
     ("slope-integrality", _sampled(20, check_slope_integrality)),
     ("threshold-consistency", _sampled(5, check_threshold_lock)),
     ("increment-lower-bound", _sampled(15, check_raw_increments)),
-    ("model-hull-and-pattern", _sampled(10, check_model_pattern)),
+    ("model-hull-and-pattern", _sampled(10, build_model)),
     ("threshold-relation", _sampled(10, check_threshold_relation)),
     ("wedge-identities", _suite_wedge),
     ("sample-relations", _suite_sample_relations),

@@ -1,11 +1,8 @@
-"""Exact lower convex hulls, Newton polygons, and Gauss-norm dual graphs.
+"""Exact lower convex hulls and Newton polygons.
 
 Every hull runs on integer ordinates over one positive denominator, with
 Valuations built only when read: hull membership and vertex
-classification are structural facts, never tolerance calls.  The two
-transforms determine each other: the dual graph of a power series has a
-breakpoint at r exactly when -r is a slope of its Newton polygon, and
-the multiplicity of the slope equals the slope drop at the breakpoint.
+classification are structural facts, never tolerance calls.
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ from functools import cached_property
 from itertools import islice
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .ghost import GhostContext, WeightPoint, dimensions, hatted_valuation_table, valuation_table_at
@@ -184,67 +181,3 @@ def newton_polygon_at(ctx: GhostContext, n_range: int, w: WeightPoint) -> Ration
     else:
         nums, den = valuation_table_at(ctx, w.anchor, w.radius.value, n_range)
     return integer_hull(range(n_range + 1), nums, den)
-
-
-@dataclass(frozen=True)
-class DualGraph:
-    """The Gauss-norm profile r -> nu_r(f) = min_n (v_p(a_n) + n r).
-
-    ``segments`` lists (r_lo, r_hi, slope, intercept), increasing in r,
-    with nu_r = intercept + slope * r on each piece; the last piece has
-    r_hi = INFINITY.  Concavity means the integer slopes strictly
-    decrease left to right, and each intercept is exactly v_p(a_slope).
-    """
-
-    segments: Tuple[Tuple[Valuation, Valuation, int, Valuation], ...]
-
-    def nu(self, r) -> Valuation:
-        """nu_r at any radius >= the graph's left edge."""
-        r = _coerce(r)
-        if r.is_infinite:
-            _, _, slope, intercept = self.segments[-1]
-            return INF if slope > 0 else intercept
-        if r < self.segments[0][0]:
-            raise DomainError(f"radius {r!r} below the graph domain")
-        for r_lo, r_hi, slope, intercept in self.segments:
-            if r <= r_hi:
-                return Valuation(intercept.value + slope * r.value)
-        raise AssertionError("unreachable: last segment is unbounded")
-
-    def breakpoints(self) -> Tuple[Tuple[Valuation, int], ...]:
-        """(radius, slope drop) at each join, increasing radius."""
-        return tuple((left[1], left[2] - right[2]) for left, right in zip(self.segments, self.segments[1:]))
-
-
-def dual_graph(
-    coefficient_valuations: Union[Mapping[int, object], Sequence[object]],
-    r_min,
-) -> DualGraph:
-    """Piecewise-linear nu_r over [r_min, INFINITY) from coefficient data.
-
-    Accepts a sequence (index = coefficient degree) or a mapping from
-    degree to valuation; INFINITY entries are skipped.  Needs at least
-    one finite entry and a finite r_min.
-    """
-    mapped = isinstance(coefficient_valuations, Mapping)
-    hull = lower_hull(coefficient_valuations.items() if mapped else enumerate(coefficient_valuations))
-    if hull.xs[0] < 0:
-        raise DomainError(f"coefficient degree {hull.xs[0]} is negative")
-    r_min = _coerce(r_min)
-    if r_min.is_infinite:
-        raise DomainError("r_min must be finite")
-
-    verts = hull.vertices
-    # line n_i cuts line n_{i-1} at r = -slope(v_{i-1}, v_i); walking r
-    # upward the active degree steps down from n_t to n_0
-    cuts = [Valuation(-s) for s, _ in hull.slopes]
-    segments = []
-    lo: Valuation = r_min
-    for i in range(len(verts) - 1, 0, -1):
-        hi = cuts[i - 1]
-        if hi <= lo:
-            continue
-        segments.append((lo, hi, *verts[i]))
-        lo = hi
-    segments.append((lo, INF, *verts[0]))
-    return DualGraph(segments=tuple(segments))

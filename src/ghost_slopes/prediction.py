@@ -5,8 +5,9 @@ sequence L_1 < ... < L_d grows by s_N on the first 2*d_N steps, then by
 s_{N-1}, and so on down to s_M, then by R on the last
 d - 2*(d_N + ... + d_M) steps, so the hull of {(j, -L_j)} and the origin
 replays the known derivative slopes and then flattens at -R.  The model
-holds the blocks as (step, width) pairs and R, and reads L off them;
-``checks.pattern_strict_counts`` counts its comparison pattern off d and the widths.
+holds the blocks as (step, width) pairs and R, and reads L off them.
+``build_model`` asserts that hull, which fixes the model's comparison
+pattern: entry (i, j) compares v_p(F_{i,j}) with i*(k-2) - L_j.
 
 Predicted slopes are facts of the same model, which ``predict_slopes``
 returns: a known block read off the closed threshold relation
@@ -101,7 +102,8 @@ def model_radius(ctx: GhostContext, k: int) -> Fraction:
 def _assert_model_hull(model: PredictionModel) -> None:
     # L steps by one constant per block and R fills the steps left to d, so the hull of
     # {(j, -L_j)} u {(0,0)} replays -s_N < ... < -s_M < -R, its vertices the block ends,
-    # iff the block steps strictly fall, R last, and the known blocks fit in d
+    # iff the block steps strictly fall, R last, and the known blocks fit in d.  Blocks of
+    # width >= 2 that fit in d give every equality column j of the pattern j - 1 strict entries
     head = f"model hull mismatch at k = {model.k}:"
     if model.exceptional_count < 0:
         raise VerificationError(f"{head} the known blocks run past d = {model.d}")

@@ -85,7 +85,8 @@ def rel(model, i: int, j: int) -> Rel:
 
     The bottom row is GT and the :func:`eq_cells` are EQ; right of column 2*i in
     the top known rows, and of column 2*(d - i) in the bottom known rows, entries
-    are GT; every other entry is GE.  The oracle of ``checks.pattern_strict_counts``.
+    are GT; every other entry is GE.  The j - 1 count that ``build_model``'s hull
+    assertion implies is read off this rule in ``tests/test_prediction.py``.
     """
     d, known = model.d, model.known_size // 2
     if i == d:

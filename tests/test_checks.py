@@ -8,7 +8,6 @@ invariant; so no check that ``verify`` and the tests share is vacuous.
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import accumulate
 from types import SimpleNamespace
 from unittest.mock import patch
 
@@ -27,6 +26,7 @@ from ghost_slopes.wedge import formal_wedge_trace, random_int_matrix, solve_unit
 
 B = random_int_matrix(random.Random(1), 3)
 BUILD, PREDICT, SAMPLE = checks.build_model, checks.predict_slopes, checks.sample
+DIMS = prediction.dimensions
 # every hatted table entry n raised by n: the duality fails at offset 1
 TILTED = planted_steps(lambda table: [v + i for i, v in enumerate(table)])
 
@@ -55,8 +55,9 @@ WEIGHT_PLANTS = [
     (checks.check_threshold_lock, checks, "newslope_runs", lambda ctx, k, w: [(0, 1, 6)]),
     (checks.check_raw_increments, checks, "derivative_polygon", lambda ctx, k: SimpleNamespace(ys=(0, 2))),
     (prediction.build_model, prediction, "model_radius", lambda ctx, k: Fraction(100)),
-    # the last known block runs past d / 2
-    (checks.check_model_pattern, checks, "build_model", lambda ctx, k: replace(m := BUILD(ctx, k), d=m.known_size - 1)),
+    # d_new halved: the known blocks run past d
+    pytest.param(prediction.build_model, prediction, "dimensions",
+                 lambda ctx, k: replace(t := DIMS(ctx, k), d_new=t.d_new // 2), id="build_model-known-past-d"),
     # one plant per fact of the threshold relation, each breaking that fact alone
     pytest.param(checks.check_threshold_relation, PredictionModel, "linv_slopes_known", property(lambda self: ()),
                  id="check_threshold_relation-known_block"),
@@ -130,22 +131,20 @@ def test_threshold_lock_names_one_raised_threshold(case, data):
 
 @given(case=context_and_weight(), data=st.data())
 @settings(max_examples=100, deadline=None)
-def test_model_pattern_names_one_weakened_column(case, data):
-    # d shrunk so that block t, and no block above it, runs past d / 2: its
-    # column 2*acc counts fewer than j - 1 strict entries, and the check names
-    # that column with the count of the per-cell rule
+def test_build_model_refuses_known_blocks_past_a_shrunk_d(case, data):
+    # d_new shrunk below the known blocks' total: some equality column of the
+    # pattern then counts fewer than j - 1 strict entries (but at d = acc = 1),
+    # and build_model refuses the model before any reader sees it
     ctx, k = case
-    model = BUILD(ctx, k)
+    model, trip, m = BUILD(ctx, k), DIMS(ctx, k), ctx.global_mult
     assume(model.known)
-    accs = [0, *accumulate(w // 2 for _, w in model.known)]
-    t = data.draw(st.integers(1, len(accs) - 1))
-    d = data.draw(st.integers(2 * accs[t - 1], 2 * accs[t] - 1))
-    assume((d, accs[t]) != (1, 1))  # the one overrun whose column still counts j - 1
-    shrunk, j = replace(model, d=d), 2 * accs[t]
-    strict = dict(pattern_strict_counts_oracle(shrunk))[j]
-    with patch.object(checks, "build_model", lambda ctx, k: shrunk), pytest.raises(VerificationError) as err:
-        checks.check_model_pattern(ctx, k)
-    assert str(err.value) == f"column {j} carries {strict} strict entries at k = {k}"
+    d_new = data.draw(st.integers(0, model.known_size // m - 1))
+    counts = pattern_strict_counts_oracle(replace(model, d=m * d_new))
+    assert any(strict != j - 1 for j, strict in counts) or (m * d_new, model.known_size) == (1, 2)
+    shrunk = replace(trip, d_new=d_new)
+    with patch.object(prediction, "dimensions", lambda ctx, k: shrunk), pytest.raises(VerificationError) as err:
+        prediction.build_model(replace(ctx), k)
+    assert str(err.value) == f"model hull mismatch at k = {k}: the known blocks run past d = {m * d_new}"
 
 
 def test_dimensions_checked_near_k_ceiling_on_a_large_prime():

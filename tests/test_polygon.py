@@ -1,6 +1,9 @@
-"""Hulls, Newton polygons, and dual graphs: frozen examples, duality, and
-a brute-force hull oracle built from chords alone."""
+"""Hulls and Newton polygons: frozen examples, a brute-force hull oracle
+built from chords alone, and the Gauss-norm duality check against planted
+faults of the hull chain."""
 
+import inspect
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,10 +14,12 @@ from ghost_slopes import (
     DomainError,
     GhostContext,
     Valuation,
+    VerificationError,
     WeightPoint,
-    dual_graph,
+    checks,
     lower_hull,
     newton_polygon_at,
+    polygon,
 )
 from ghost_slopes.ghost import dimensions, evaluate_ghost_valuation
 from ghost_slopes.polygon import _chain
@@ -277,69 +282,129 @@ def test_newton_polygon_matches_brute_force(case, radius, extra):
         assert edge_at(np_.hull, np_.den, q_hi) == (np_.hull_value(q_hi).value, slopes[q_hi])
 
 
-# -- dual graphs -----------------------------------------------------------------
+# -- the Gauss-norm duality check ------------------------------------------------
+
+CHAIN = inspect.getsource(polygon._chain)
+
+
+def planted_chain(line: str, replacement: str):
+    """``polygon._chain`` with its one occurrence of ``line`` replaced."""
+    assert CHAIN.count(line) == 1
+    namespace = dict(vars(polygon))
+    exec(CHAIN.replace(line, replacement), namespace)
+    return namespace["_chain"]
+
+
+def parent_rule(vals) -> bool:
+    # the rule the duality check replaced: the dual graph built from the hull's
+    # own vertices and slopes, its kinks then compared with those same slopes
+    hull = lower_hull(enumerate(vals))
+    verts, cuts = hull.vertices, [-s for s, _ in hull.slopes]
+    segments, lo = [], -max(s for s, _ in hull.slopes) - 1
+    for i in range(len(verts) - 1, 0, -1):
+        if cuts[i - 1] > lo:
+            segments.append((lo, cuts[i - 1], *verts[i]))
+            lo = cuts[i - 1]
+    segments.append((lo, None, *verts[0]))
+    kinks = [(-left[1], left[2] - right[2]) for left, right in zip(segments, segments[1:])]
+    return sorted(kinks) == sorted(hull.slopes) and all(y.value == vals[n] for _, _, n, y in segments)
+
+
+# (source line of _chain, its replacement, an input the plant breaks, whether
+# the parent rule passes the broken hull)
+CHAIN_PLANTS = {
+    # the point at x = 3, a hull vertex, never reaches the chain: a convex but wrong hull
+    "index-dropped": ("for point in points:", "for point in (q for q in points if q[0] != 3):",
+                      [0, Fraction(1, 2), 0, -3, 0], True),
+    # a point on the line through the top two is kept as a vertex
+    "collinear-kept": ("(y2 - y1) * (x - x2) >= (y - y2) * (x2 - x1)", "(y2 - y1) * (x - x2) > (y - y2) * (x2 - x1)",
+                       [0, 1, 2], False),
+    # a new point pops the top point at most, never past the top two
+    "no-pop-past-two": ("if len(stack) == 1:", "if stack:", [0, -1, -1, -5], False),
+}
+
+
+@pytest.mark.parametrize("line, replacement, vals, parent_passes", CHAIN_PLANTS.values(), ids=CHAIN_PLANTS)
+def test_duality_check_fails_on_planted_chain(monkeypatch, line, replacement, vals, parent_passes):
+    checks.check_gauss_norm_duality(vals)
+    assert parent_rule(vals)
+    monkeypatch.setattr(polygon, "_chain", planted_chain(line, replacement))
+    assert lower_hull(enumerate(vals)).vertex_xs() != tuple(x for x, _ in _chain(enumerate(vals)))
+    assert parent_rule(vals) == parent_passes
+    with pytest.raises(VerificationError, match="polygon/dual mismatch"):
+        checks.check_gauss_norm_duality(vals)
+
+
+def test_duality_check_fails_on_shifted_vertices(monkeypatch):
+    # every vertex one higher: the slopes and the kinks stay, the vertices leave the points
+    def raised(points):
+        hull = lower_hull(points)
+        return replace(hull, hull=tuple((x, y + hull.den) for x, y in hull.hull))
+
+    monkeypatch.setattr(checks, "lower_hull", raised)
+    with pytest.raises(VerificationError, match="polygon/dual mismatch"):
+        checks.check_gauss_norm_duality([0, 1, 4])
+
+
+@st.composite
+def value_lists(draw):
+    """Dense lists of negative and fractional values, joined from runs on lines,
+    so that collinear points fall on the hull as well as above it."""
+    fracs = st.fractions(min_value=-40, max_value=40, max_denominator=6)
+    vals = [draw(fracs)]
+    for jump, step, length in draw(st.lists(st.tuples(fracs, fracs, st.integers(1, 6)), max_size=6)):
+        start = vals[-1] + jump
+        vals.extend(start + i * step for i in range(length))
+    return vals
+
+
+@given(value_lists())
+def test_duality_check_passes_on_every_hull(vals):
+    checks.check_gauss_norm_duality(vals)
+
+
+# -- the Gauss-norm duality on sparse coefficients --------------------------------
+#
+# nu_r = min_n (v_n + n r) kinks at r = -s with drop m for each hull slope s of
+# multiplicity m; every value and minimiser below is found by brute force
+
+
+def gauss_norm(coeffs, r):
+    return min(Fraction(v) + n * r for n, v in coeffs.items())
+
+
+def minimisers(coeffs, s) -> list:
+    """The degrees n minimising v_n - n s, ascending."""
+    heights = {n: Fraction(v) - n * s for n, v in coeffs.items()}
+    lowest = min(heights.values())
+    return sorted(n for n, h in heights.items() if h == lowest)
 
 
 def test_dual_graph_single_slope():
     # NP slope -3 with multiplicity 2: a_0 = 6, a_2 = 0
-    dg = dual_graph({0: 6, 2: 0}, -10)
-    assert dg.breakpoints() == ((Valuation(3), 2),)
-    assert dg.nu(3) == Valuation(6)
-    assert dg.nu(0) == Valuation(0)
-    assert dg.nu(10) == Valuation(6)
+    coeffs = {0: 6, 2: 0}
+    assert lower_hull(coeffs.items()).slopes == ((Fraction(-3), 2),)
+    assert minimisers(coeffs, -3) == [0, 2]
+    assert [gauss_norm(coeffs, r) for r in (0, 3, 10)] == [0, 6, 6]
 
 
 def test_dual_graph_direct_min():
-    dg = dual_graph([0, 2, 6], -10)
-    assert dg.nu(1) == Valuation(0)
-    assert [r for r, _ in dg.breakpoints()] == [Valuation(-4), Valuation(-2)]
-    assert [d for _, d in dg.breakpoints()] == [1, 1]
-    assert dg.nu(-4) == Valuation(-2)  # min(0, -2, -2)
-
-
-def test_dual_graph_concave_and_continuous():
-    dg = dual_graph({0: 0, 1: 2, 3: 3, 7: 5}, -10)
-    slopes = [seg[2] for seg in dg.segments]
-    assert slopes == sorted(slopes, reverse=True)
-    for left, right in zip(dg.segments, dg.segments[1:]):
-        r = left[1]
-        assert left[3].value + left[2] * r.value == right[3].value + right[2] * r.value
-
-
-def test_dual_graph_clipping():
-    dg = dual_graph([0, 2, 6], 0)  # both breakpoints sit below r_min = 0
-    assert dg.segments == ((Valuation(0), INF, 0, Valuation(0)),)
-    assert dg.nu(INF) == Valuation(0)
+    coeffs = dict(enumerate([0, 2, 6]))
+    assert lower_hull(coeffs.items()).slopes == ((Fraction(2), 1), (Fraction(4), 1))
+    assert [minimisers(coeffs, s) for s in (2, 4)] == [[0, 1], [1, 2]]
+    assert gauss_norm(coeffs, 1) == 0
+    assert gauss_norm(coeffs, -4) == -2  # min(0, -2, -2)
 
 
 def test_dual_graph_roundtrip_vertices():
+    # between adjacent kinks one degree alone attains nu_r, and these degrees
+    # are the hull's vertices, right to left as r grows
     coeffs = {0: 0, 1: 2, 3: 3, 7: 5, 2: 100}  # a_2 far above the hull
-    dg = dual_graph(coeffs, -50)
-    hull = lower_hull([(n, v) for n, v in coeffs.items()])
-    # each segment's slope and intercept are a Newton vertex (n, v_p(a_n))
-    assert tuple((n, v) for _, _, n, v in reversed(dg.segments)) == hull.vertices
-
-
-def test_dual_graph_errors():
-    with pytest.raises(DomainError):
-        dual_graph({0: INF, 3: INF}, 0)
-    with pytest.raises(DomainError):
-        dual_graph({}, 0)
-    with pytest.raises(DomainError):
-        dual_graph({-1: 0}, 0)
-    with pytest.raises(DomainError):
-        dual_graph({0: 0}, INF)
-
-
-def test_dual_graph_rejects_inexact_input():
-    with pytest.raises(DomainError, match="1.5"):
-        dual_graph({0: 0, 1.5: 1, 3: 2}, 0)
-    with pytest.raises(TypeError):
-        dual_graph([0, 0.5], 0)
-    with pytest.raises(TypeError):
-        dual_graph([0, 1], 0.5)
-    with pytest.raises(TypeError):
-        dual_graph([0, 1], 0).nu(0.5)
+    hull = lower_hull(coeffs.items())
+    cuts = [-s for s, _ in reversed(hull.slopes)]
+    probes = [cuts[0] - 1, *((a + b) / 2 for a, b in zip(cuts, cuts[1:])), cuts[-1] + 1]
+    attained = [minimisers(coeffs, -r) for r in probes]
+    assert attained == [[x] for x in reversed(hull.vertex_xs())]
 
 
 @st.composite
@@ -357,17 +422,16 @@ def coefficient_families(draw):
 
 @given(coefficient_families())
 def test_dual_graph_matches_newton_polygon(coeffs):
-    # slopes of NP with multiplicity == negated breakpoints with slope drop
-    hull = lower_hull(list(coeffs.items()))
-    dg = dual_graph(coeffs, -1000)
-    np_pairs = [(-s, m) for s, m in hull.slopes]
-    dual_pairs = [(r.value, d) for r, d in dg.breakpoints()]
-    assert sorted(np_pairs) == sorted(dual_pairs)
-    assert tuple((n, v) for _, _, n, v in reversed(dg.segments)) == hull.vertices
+    # each NP slope s of multiplicity m, from vertex x0: the minimisers of
+    # v_n - n s over the given degrees run from x0 to x0 + m
+    hull = lower_hull(coeffs.items())
+    for x0, (s, m) in zip(hull.vertex_xs(), hull.slopes):
+        low = minimisers(coeffs, s)
+        assert (low[0], low[-1]) == (x0, x0 + m)
 
 
 @given(coefficient_families(), st.fractions(min_value=-30, max_value=30, max_denominator=7))
 def test_dual_graph_is_pointwise_min(coeffs, r):
-    dg = dual_graph(coeffs, -1000)
-    expected = min(Fraction(v) + n * r for n, v in coeffs.items())
-    assert dg.nu(r) == Valuation(expected)
+    # the hull's vertices alone attain nu_r
+    vertices = lower_hull(coeffs.items()).vertices
+    assert gauss_norm(coeffs, r) == min(y.value + x * r for x, y in vertices)
