@@ -280,6 +280,8 @@ def _suite_hull_idempotence(ctx, rng, ks):
 def _suite_gauss_norm_duality(ctx, rng, ks):
     for _ in range(25):
         check_gauss_norm_duality([Fraction(rng.randint(0, 30)) for _ in range(rng.randint(2, 10))])
+    for _ in range(25):  # denominators up to 4, drawn after the integer lists so those stay
+        check_gauss_norm_duality([Fraction(rng.randint(0, 60), rng.randint(1, 4)) for _ in range(rng.randint(2, 10))])
 
 
 def _suite_criterion_vs_hull(ctx, rng, ks):

@@ -27,7 +27,7 @@ from math import isqrt
 from operator import add
 
 from .errors import ConfigError, DomainError, VerificationError
-from .valuation import INF, Valuation, vp_int_raw, weight_distance
+from .valuation import Valuation, vp_int_raw, weight_distance
 
 #: Largest weight a query may name, and the largest weight a walk over
 #: bullets one at a time may reach; either raises past it.  Strided table
@@ -255,32 +255,15 @@ def _bullet_bound(ctx: GhostContext, n_hi: int) -> int:
     return max(0, (ctx.t1 if n_hi % 2 else ctx.t2) + (ctx.p + 1) * ((n_hi - 1) // 2))
 
 
-def support_interval(ctx: GhostContext, n: int) -> tuple:
-    """Bullet range [lo, hi) of the zero support of g_n.
-
-    The support is exactly the j with d_ur(j) < n < d_iw(j) - d_ur(j), both non-decreasing in j,
-    so it is an interval: hi is :func:`_bullet_bound`, and on j = (p+1)q + t1 + u, u in [0, p],
-    d_iw - d_ur = 2pq + 2t1 + 1 - 2 delta_eps + 2u - [u >= t2 - t1], 1 below its value at the
-    next q's u = 0, so lo is at the least u where it reaches n + 1.
-    """
-    if n < 1:
-        return (0, 0)
-    hi = _bullet_bound(ctx, n)
-    q, y = divmod(n + 2 * ctx.delta_eps - 2 * ctx.t1, 2 * ctx.p)
-    lo = max(0, (ctx.p + 1) * q + ctx.t1 + (y + 1 + (y >= 2 * (ctx.t2 - ctx.t1) - 1)) // 2)
-    return (lo, hi) if lo < hi else (0, 0)
-
-
 def _multiplicity(d_iw: int, d_ur: int, n: int) -> int:
     # the ghost multiplicity triangle at n of a weight with dimensions (d_iw, d_ur)
     return max(0, min(n - d_ur, d_iw - d_ur - n))
 
 
 def _zeros(ctx: GhostContext, n: int):
-    """(bullet j, m_n(bullet j)) for each zero of g_n, walking
-    :func:`support_interval` upward."""
-    lo, hi = support_interval(ctx, n)
-    for j in range(lo, _walk_end(ctx, hi)):
+    """(bullet j, m_n(bullet j)) for each zero of g_n, ascending: every bullet below
+    :func:`_bullet_bound` is walked, and those with m_n > 0 are kept."""
+    for j in range(_walk_end(ctx, _bullet_bound(ctx, n))):
         m = _multiplicity(*ctx.dims_of_bullet(j), n)
         if m:
             yield j, m
@@ -379,28 +362,6 @@ def point_distance(ctx: GhostContext, w: WeightPoint, k2: int) -> Valuation:
     if k2 == w.anchor:
         return w.radius
     return min(w.radius, weight_distance(w.anchor, k2, ctx.p))
-
-
-def evaluate_ghost_valuation(ctx: GhostContext, n: int, w: WeightPoint) -> Valuation:
-    """v_p(g_n(w_*)) = sum over zeros k' of m_n(k') * v_p(w_* - w_{k'}).
-
-    INFINITY exactly when w_* is a ghost zero of g_n (infinite radius at
-    an anchor with m_n(anchor) > 0).
-    """
-    if n == 0:
-        return Valuation(0)
-    anchor_b = ctx.bullet(w.anchor)
-    radius_scaled, den = (None, 1) if w.radius.is_infinite else w.radius.value.as_integer_ratio()
-    total = 0
-    for j, m in _zeros(ctx, n):
-        if j == anchor_b:
-            if radius_scaled is None:
-                return INF  # anchor itself is a zero: g_n(w_k) = 0
-            total += m * radius_scaled  # min(radius, INF) = radius
-            continue
-        d = 1 + vp_int_raw(anchor_b - j, ctx.p)
-        total += m * (d if radius_scaled is None else min(radius_scaled, d * den))
-    return Valuation(Fraction(total, den))
 
 
 def anchored_valuation(ctx: GhostContext, n: int, k: int) -> int:

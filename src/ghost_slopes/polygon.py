@@ -1,4 +1,4 @@
-"""Exact lower convex hulls and Newton polygons.
+"""Exact lower convex hulls and Newton polygons, each held as its hull alone.
 
 Every hull runs on integer ordinates over one positive denominator, with
 Valuations built only when read: hull membership and vertex
@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .ghost import GhostContext, WeightPoint, dimensions, hatted_valuation_table, valuation_table_at
-from .valuation import INF, Valuation, _coerce
+from .valuation import Valuation, _coerce
 
 Point = Tuple[int, Valuation]
 
@@ -60,27 +60,17 @@ def edge_runs(hull: Sequence[Tuple[int, int]], den: int, lo: int, hi: int) -> li
 
 @dataclass(frozen=True)
 class RationalPolygon:
-    """A lower convex hull over points with integer x, held on integers.
+    """A lower convex hull over points with integer x, held as its hull alone.
 
-    Input point i is (xs[i], ys[i] / den), sorted by x, with ys[i] None
-    for INFINITY; ``hull`` is the chain of (x, y) with vertex (x, y / den).
-    ``points`` is the full input.  ``vertices`` are the hull points where
-    the slope strictly increases (endpoints always qualify).  ``slopes``
-    pairs each distinct hull slope with its multiplicity (the x-extent it
-    covers), strictly increasing.
+    ``hull`` is the chain of (x, y) with vertex (x, y / den); the input
+    points are not kept.  ``vertices`` are the hull points where the slope
+    strictly increases (endpoints always qualify).  ``slopes`` pairs each
+    distinct hull slope with its multiplicity (the x-extent it covers),
+    strictly increasing.
     """
 
-    xs: Sequence[int]
-    ys: Sequence[Optional[int]]
     den: int
     hull: Tuple[Tuple[int, int], ...]
-
-    @property
-    def points(self) -> Tuple[Point, ...]:
-        return tuple(
-            (x, INF if y is None else Valuation(Fraction(y, self.den)))
-            for x, y in zip(self.xs, self.ys)
-        )
 
     @property
     def vertices(self) -> Tuple[Point, ...]:
@@ -97,23 +87,6 @@ class RationalPolygon:
         """Breakpoint abscissae, ascending."""
         return tuple(x for x, _ in self.hull)
 
-    def slope_list(self) -> list:
-        """All hull slopes, one per unit of x-extent, non-decreasing."""
-        out: list = []
-        for s, m in self.slopes:
-            out.extend([s] * m)
-        return out
-
-    def hull_value(self, x: int) -> Valuation:
-        """Exact ordinate of the hull at integer x inside the x-range."""
-        (x_first, _), (x_last, y_last) = self.hull[0], self.hull[-1]
-        if x < x_first or x > x_last:
-            raise DomainError(f"x = {x} outside hull range")
-        if x == x_last:
-            return Valuation(Fraction(y_last, self.den))
-        (x0, y0), (x1, y1) = self.hull[(i := bisect_right(self.hull, x, key=itemgetter(0))) - 1 : i + 1]
-        return Valuation(Fraction(y0 * (x1 - x) + y1 * (x - x0), (x1 - x0) * self.den))
-
 
 def integer_hull(xs: Sequence[int], ys: Sequence[Optional[int]], den: int) -> RationalPolygon:
     """The polygon of the points (xs[i], ys[i] / den): xs ascending, ys
@@ -122,7 +95,7 @@ def integer_hull(xs: Sequence[int], ys: Sequence[Optional[int]], den: int) -> Ra
     finite = zip(xs, ys) if None not in ys else ((x, y) for x, y in zip(xs, ys) if y is not None)
     if not (hull := tuple(_chain(finite))):
         raise DomainError("no finite ordinate")
-    return RationalPolygon(xs, ys, den, hull)
+    return RationalPolygon(den, hull)
 
 
 def lower_hull(points: Iterable[Tuple[int, object]]) -> RationalPolygon:
@@ -167,8 +140,8 @@ def newton_polygon_at(ctx: GhostContext, n_range: int, w: WeightPoint) -> Ration
     --------
     >>> ctx = GhostContext(p=7, a=2, s_eps=1)
     >>> np = newton_polygon_at(ctx, 8, WeightPoint(24, 10))
-    >>> np.slope_list()[1:7]
-    [Fraction(11, 1), Fraction(11, 1), Fraction(11, 1), Fraction(11, 1), Fraction(11, 1), Fraction(11, 1)]
+    >>> np.slopes
+    ((Fraction(1, 1), 1), (Fraction(11, 1), 6), (Fraction(22, 1), 1))
     """
     trip = dimensions(ctx, w.anchor)
     if n_range < trip.d_iw:

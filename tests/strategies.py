@@ -8,8 +8,9 @@ from operator import itemgetter, sub
 
 from hypothesis import strategies as st
 
-from ghost_slopes import INF, GhostContext
-from ghost_slopes.ghost import hatted_valuation_table
+from ghost_slopes import INF, GhostContext, Valuation
+from ghost_slopes.ghost import _zeros, hatted_valuation_table
+from ghost_slopes.valuation import vp_int_raw
 
 # radii of weight points: the anchor itself, the 3/2 floor of every
 # derivative-hull increment, and num/den with num in 1..40, den in 1..9
@@ -45,6 +46,42 @@ def edge_at(hull, den: int, x: int):
     (x0, y0), (x1, y1) = hull[i], hull[i + 1]
     e = (x1 - x0) * den
     return Fraction(y0 * (x1 - x) + y1 * (x - x0), e), Fraction(y1 - y0, e)
+
+
+def slope_list(polygon) -> list:
+    """All hull slopes of a RationalPolygon, one per unit of x-extent, non-decreasing."""
+    return [s for s, m in polygon.slopes for _ in range(m)]
+
+
+def hull_value(polygon, x: int) -> Valuation:
+    """Exact ordinate of a RationalPolygon's hull at integer x inside its x-range."""
+    (x_first, _), (x_last, y_last) = polygon.hull[0], polygon.hull[-1]
+    assert x_first <= x <= x_last, (x, x_first, x_last)
+    if x == x_last:
+        return Valuation(Fraction(y_last, polygon.den))
+    return Valuation(edge_at(polygon.hull, polygon.den, x)[0])
+
+
+def evaluate_ghost_valuation(ctx, n: int, w) -> Valuation:
+    """v_p(g_n(w_*)) = sum over zeros k' of m_n(k') * v_p(w_* - w_{k'}), zero by zero.
+
+    INFINITY exactly when w_* is a ghost zero of g_n (infinite radius at
+    an anchor with m_n(anchor) > 0).
+    """
+    if n == 0:
+        return Valuation(0)
+    anchor_b = ctx.bullet(w.anchor)
+    radius_scaled, den = (None, 1) if w.radius.is_infinite else w.radius.value.as_integer_ratio()
+    total = 0
+    for j, m in _zeros(ctx, n):
+        if j == anchor_b:
+            if radius_scaled is None:
+                return INF  # anchor itself is a zero: g_n(w_k) = 0
+            total += m * radius_scaled  # min(radius, INF) = radius
+            continue
+        d = 1 + vp_int_raw(anchor_b - j, ctx.p)
+        total += m * (d if radius_scaled is None else min(radius_scaled, d * den))
+    return Valuation(Fraction(total, den))
 
 
 def table_steps(table) -> list:

@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+from strategies import slope_list
 from test_ghost_series import FROZEN_ZERO_TABLES
 
 from ghost_slopes import checks
@@ -97,7 +98,7 @@ def test_criterion_3_threshold_tables():
         ),
     ):
         hull = certified_newton_polygon(CTX, WeightPoint(24, nu), 8)
-        assert hull.slope_list()[:8] == expected, f"slope table at nu = {nu}"
+        assert slope_list(hull)[:8] == expected, f"slope table at nu = {nu}"
     _finish(3, 5.0, t0, "thresholds (9,6,2,1,6,9) and both 8-slope tables exact")
 
 

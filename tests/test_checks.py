@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from strategies import context_and_weight, pattern_strict_counts_oracle, planted_steps
 
-from ghost_slopes import GhostContext, VerificationError, WeightPoint, checks, ghost, prediction, slopes
+from ghost_slopes import GhostContext, VerificationError, WeightPoint, checks, ghost, polygon, prediction, slopes
 from ghost_slopes.cli import main
 from ghost_slopes.distribution import DistributionSample, SampleKind
 from ghost_slopes.ghost import DimensionTriple
@@ -179,6 +179,15 @@ def test_verify_reports_a_planted_violation(monkeypatch, capsys):
     monkeypatch.setattr(checks, "ghost_multiplicity", lambda ctx, n, k: n)
     assert main(["verify"]) == 3
     assert "FAIL multiplicity-symmetry: m_n(k) asymmetric" in capsys.readouterr().out
+
+
+def test_verify_sees_a_hull_that_drops_denominators(monkeypatch, capsys):
+    # every ordinate of lower_hull truncated to an integer: the fractional draws
+    # of gauss-norm-duality fail, and no other suite does
+    monkeypatch.setattr(polygon, "lcm", lambda *dens: 1)
+    assert main(["verify", "--k-range", "10:600"]) == 3
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert [line.split(":")[0] for line in failed] == ["FAIL gauss-norm-duality"]
 
 
 def test_moment_trend_needs_three_nonempty_samples():

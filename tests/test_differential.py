@@ -46,12 +46,10 @@ from ghost_slopes.ghost import (
     anchored_valuation,
     degree_table,
     dimensions,
-    evaluate_ghost_valuation,
     ghost_polynomial,
     hatted_valuation_table,
     level_tables,
     max_zero_distance,
-    support_interval,
     valuation_table_at,
 )
 from ghost_slopes.polygon import _chain, edge_runs, integer_hull, newton_polygon_at
@@ -71,7 +69,16 @@ from ghost_slopes.slopes import (
     newslope_runs,
 )
 from ghost_slopes.valuation import ratio_text
-from strategies import RADII, context_and_weight, edge_at, expand_runs, table_steps
+from strategies import (
+    RADII,
+    context_and_weight,
+    edge_at,
+    evaluate_ghost_valuation,
+    expand_runs,
+    hull_value,
+    slope_list,
+    table_steps,
+)
 
 N_HI = st.integers(0, 120)
 
@@ -305,9 +312,9 @@ def test_first_window_matches_a_wider_one(case, radius):
     w = WeightPoint(k, radius)
     first = next(_windows(ctx, k, q_hi, trip.d_iw))[0]
     hull = certified_newton_polygon(ctx, w, q_hi)
-    assert hull.xs[-1] == first
+    assert hull.hull[-1][0] == first  # the window's end, finite and a vertex
     wide = newton_polygon_at(ctx, 4 * first, w)
-    assert hull.slope_list()[:q_hi] == wide.slope_list()[:q_hi]
+    assert slope_list(hull)[:q_hi] == slope_list(wide)[:q_hi]
     ns = range(1, trip.d_new + 1)
     thresholds = _sweep(ctx, k, ns)
     with mock.patch.object(slopes, "_windows", _wider_windows):
@@ -331,7 +338,7 @@ def test_first_window_matches_a_wider_one_at_high_weight(params, k):
         hull = certified_newton_polygon(ctx, WeightPoint(k, radius), q_hi)
         with mock.patch.object(slopes, "_windows", _wider_windows):
             wide = certified_newton_polygon(ctx, WeightPoint(k, radius), q_hi)
-        assert wide.xs[-1] == 4 * hull.xs[-1]
+        assert wide.hull[-1][0] == 4 * hull.hull[-1][0]
         assert edge_runs(hull.hull, hull.den, 0, q_hi) == edge_runs(wide.hull, wide.den, 0, q_hi), radius
     h, c = trip.d_new // 2, dp.breakpoints[dp.M_index - 1]
     ns = range(h - c + 1, h + c + 1)
@@ -356,7 +363,7 @@ def test_derivative_polygon_matches_fraction_hull(case):
     assert dp.slopes == hull.slopes
     assert dp.edges == tuple((s.numerator, s.denominator, m) for s, m in hull.slopes)
     assert dp.breakpoints == hull.vertex_xs()
-    assert expand_runs(dp.edges) == hull.slope_list()
+    assert expand_runs(dp.edges) == slope_list(hull)
     cleared = [i for i, (s, _) in enumerate(hull.slopes, 1) if Valuation(s) > dp.m_of_k]
     assert dp.M_index == (cleared[0] if cleared else len(hull.slopes) + 1)
 
@@ -505,7 +512,7 @@ def test_criterion_reach_matches_fraction_bisect(case, radius):
     # increment exactly and just below
     ctx, k = case
     dp = derivative_polygon(ctx, k)
-    incs = lower_hull(enumerate(dp.raw)).slope_list()
+    incs = slope_list(lower_hull(enumerate(dp.raw)))
     dists = [INF, radius if radius is INF else Valuation(radius)]
     for s in incs:
         dists += [Valuation(s), Valuation(s - Fraction(1, 1000))]
@@ -530,11 +537,12 @@ def test_criterion_reach_at_its_boundaries(points, dists):
     # over 2 at x = 0..h, as a derivative polygon holds them) against bisect
     # over their Fraction increments: a distance below the first increment,
     # equal to one, between two, above all, and INF
-    hull = integer_hull(*zip(*points), 2)
-    incs = hull.slope_list()
+    xs, ys = zip(*points)
+    hull = integer_hull(xs, ys, 2)
+    incs = slope_list(hull)
     for dist in (d if d is INF else Valuation(d) for d in dists):
         u, v = (1, 0) if dist.is_infinite else dist.value.as_integer_ratio()
-        assert _reach(array("q", hull.ys), array("q", hull.vertex_xs()), u, v) == bisect_right(incs, dist), dist
+        assert _reach(array("q", ys), array("q", hull.vertex_xs()), u, v) == bisect_right(incs, dist), dist
 
 
 @given(case=context_and_weight(), small=N_HI, extra=st.integers(1, 200))
@@ -560,7 +568,7 @@ def test_lock_test_matches_hull_slope(case):
     for level in range(1, m_int):
         for r1, r2, xs, A, B in _level_pieces(ctx, k, level, trip.d_ur + 1, trip.d_ur + trip.d_new):
             ends = [
-                lower_hull((q, A[q] + B[q] * r) for q in range(len(A))).slope_list()
+                slope_list(lower_hull((q, A[q] + B[q] * r) for q in range(len(A))))
                 for r in (r1, r2)
             ]
             for n in range(1, trip.d_new + 1):
@@ -592,7 +600,7 @@ def test_level_pieces_match_fraction_hull_on_spans(case, data):
                 x0, x1 = xs[i], xs[i + 1]
                 for x in (x_pos - 1, x_pos):
                     on_edge = (ys[x0] * (x1 - x) + ys[x1] * (x - x0)) / (x1 - x0)
-                    assert hull.hull_value(x) == Valuation(on_edge), (k, level, r, x_pos, xs)
+                    assert hull_value(hull, x) == Valuation(on_edge), (k, level, r, x_pos, xs)
 
 
 @given(case=context_and_weight())
@@ -630,7 +638,7 @@ def test_newslope_runs_match_certified_hull(case):
     for r in (r for r in radii if r > 0):
         w = WeightPoint(k, r)
         runs = newslope_runs(ctx, k, w)
-        assert expand_runs(runs) == certified_newton_polygon(ctx, w, hi).slope_list()[lo:hi], (k, r)
+        assert expand_runs(runs) == slope_list(certified_newton_polygon(ctx, w, hi))[lo:hi], (k, r)
         assert all(b > 0 and m > 0 and math.gcd(a, b) == 1 for a, b, m in runs), (k, r)
         assert all(a * d < c * b for (a, b, _), (c, d, _) in zip(runs, runs[1:])), (k, r)
 
@@ -779,7 +787,7 @@ def test_criterion_matches_unpruned_walk(case, radius, eighths):
         for n in range(1, d_iw + 1)
         if not any(
             is_near_steinberg(ctx, n, w, ctx.weight_of_bullet(j))
-            for j in range(*support_interval(ctx, n))
+            for j in range(_bullet_bound(ctx, n))
         )
     }
     assert breakpoints_by_criterion(ctx, w, d_iw) == walk

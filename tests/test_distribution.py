@@ -21,6 +21,7 @@ from ghost_slopes.distribution import (
 from ghost_slopes.errors import DomainError
 from ghost_slopes.ghost import GhostContext
 from ghost_slopes.slopes import derivative_polygon
+from strategies import slope_list
 
 CTX = GhostContext(7, 2, 1)
 CTX_WRAP = GhostContext(11, 6, 9)
@@ -79,7 +80,7 @@ class TestSampleValues:
             s = sample(CTX, k, SampleKind.DERIVATIVE)
             norm = Fraction(2 * (CTX.p + 1), (CTX.p - 1) * k)
             expected = []
-            for sl in lower_hull(enumerate(derivative_polygon(CTX, k).raw)).slope_list():
+            for sl in slope_list(lower_hull(enumerate(derivative_polygon(CTX, k).raw))):
                 expected.extend([norm * sl, norm * sl])
             assert s.values == tuple(sorted(expected))
 

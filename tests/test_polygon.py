@@ -21,9 +21,9 @@ from ghost_slopes import (
     newton_polygon_at,
     polygon,
 )
-from ghost_slopes.ghost import dimensions, evaluate_ghost_valuation
+from ghost_slopes.ghost import dimensions, hatted_valuation_table, valuation_table_at
 from ghost_slopes.polygon import _chain
-from strategies import RADII, context_and_weight, edge_at
+from strategies import RADII, context_and_weight, edge_at, evaluate_ghost_valuation, hull_value, slope_list
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,7 @@ def test_single_point_hull():
 def test_infinite_ordinates_skipped():
     hull = lower_hull([(0, 0), (1, INF), (2, 4)])
     assert hull.vertex_xs() == (0, 2)
-    assert len(hull.points) == 3  # input retained, hull unconstrained
+    assert hull.hull == ((0, 0), (2, 4))  # the hull alone is held, unconstrained at x = 1
 
 
 def test_hull_errors():
@@ -89,16 +89,15 @@ def test_hull_rejects_inexact_input():
 
 def test_hull_value_and_range():
     hull = lower_hull([(0, 0), (1, 5), (2, 6)])
-    assert hull.hull_value(1) == Valuation(3)
-    assert hull.hull_value(2) == Valuation(6)
-    with pytest.raises(DomainError):
-        hull.hull_value(3)
+    assert hull_value(hull, 1) == Valuation(3)
+    assert hull_value(hull, 2) == Valuation(6)
+    assert (hull.hull[0][0], hull.hull[-1][0]) == (0, 2)
 
 
 def test_slope_multiplicities_cover_extent():
     hull = lower_hull([(0, 0), (2, 1), (5, 9), (6, 20)])
     assert sum(m for _, m in hull.slopes) == 6
-    slopes = hull.slope_list()
+    slopes = slope_list(hull)
     assert slopes == sorted(slopes)
 
 
@@ -122,7 +121,7 @@ def test_hull_idempotent_and_below_points(pts):
     assert again.vertices == hull.vertices
     assert again.slopes == hull.slopes
     for x, y in sorted(pts):
-        assert hull.hull_value(x) <= Valuation(y)
+        assert hull_value(hull, x) <= Valuation(y)
     # vertices are exactly strict slope increases, endpoints included
     slopes = [s for s, _ in hull.slopes]
     assert slopes == sorted(set(slopes))
@@ -182,13 +181,10 @@ def test_lower_hull_matches_brute_force(pts):
     assert hull.slopes == tuple(
         ((y1 - y0) / (x1 - x0), x1 - x0) for (x0, y0), (x1, y1) in zip(verts, verts[1:])
     )
-    assert hull.points == tuple(
-        (x, y if y is INF else Valuation(y)) for x, y in sorted(pts, key=lambda pt: pt[0])
-    )
     xs = range(verts[0][0], verts[-1][0] + 1)
     values = [value(x) for x in xs]
-    assert [hull.hull_value(x) for x in xs] == [Valuation(v) for v in values]
-    assert hull.slope_list() == [b - a for a, b in zip(values, values[1:])]
+    assert [hull_value(hull, x) for x in xs] == [Valuation(v) for v in values]
+    assert slope_list(hull) == [b - a for a, b in zip(values, values[1:])]
 
 
 @st.composite
@@ -224,18 +220,18 @@ def test_chain_on_near_convex_runs_matches_brute_force(pts):
 
 def test_newton_polygon_large_radius(ctx):
     np_ = newton_polygon_at(ctx, 8, WeightPoint(24, 10))
-    assert np_.slope_list() == [Fraction(s) for s in (1, 11, 11, 11, 11, 11, 11, 22)]
+    assert slope_list(np_) == [Fraction(s) for s in (1, 11, 11, 11, 11, 11, 11, 22)]
 
 
 def test_newton_polygon_mid_radius(ctx):
     np_ = newton_polygon_at(ctx, 8, WeightPoint(24, 7))
-    assert np_.slope_list() == [Fraction(s) for s in (1, 9, 11, 11, 11, 11, 13, 22)]
+    assert slope_list(np_) == [Fraction(s) for s in (1, 9, 11, 11, 11, 11, 13, 22)]
 
 
 def test_newton_polygon_small_radius(ctx):
     nu = Fraction(1, 2)
     np_ = newton_polygon_at(ctx, 8, WeightPoint(24, nu))
-    assert np_.slope_list() == [
+    assert slope_list(np_) == [
         nu * c for c in (1, 3, 6, 9, 11, 14, 16, 19)
     ]
 
@@ -256,7 +252,6 @@ def test_newton_polygon_range_guard(ctx):
 
 def test_newton_polygon_leading_point(ctx):
     np_ = newton_polygon_at(ctx, 10, WeightPoint(6, 2))
-    assert np_.points[0] == (0, Valuation(0))
     assert np_.vertices[0] == (0, Valuation(0))
 
 
@@ -269,7 +264,16 @@ def test_newton_polygon_matches_brute_force(case, radius, extra):
     n = dimensions(ctx, k).d_iw + extra
     pts = [(q, evaluate_ghost_valuation(ctx, q, w)) for q in range(n + 1)]
     np_ = newton_polygon_at(ctx, n, w)
-    assert np_.points == tuple(pts)
+    # the table the polygon is built from: at the anchor, the hatted table with
+    # the coefficients vanishing there at INFINITY
+    if w.radius.is_infinite:
+        trip = dimensions(ctx, k)
+        vanish = range(trip.d_ur + 1, trip.d_iw - trip.d_ur)
+        table = [None if q in vanish else Fraction(y) for q, y in enumerate(hatted_valuation_table(ctx, k, n))]
+    else:
+        nums, den = valuation_table_at(ctx, k, w.radius.value, n)
+        table = [Fraction(y, den) for y in nums]
+    assert table == [None if v.is_infinite else v.value for _, v in pts]
     verts, _ = brute_hull([(q, v if v.is_infinite else v.value) for q, v in pts])
     assert np_.vertices == tuple((x, Valuation(y)) for x, y in verts)
     assert np_.slopes == tuple(
@@ -277,9 +281,9 @@ def test_newton_polygon_matches_brute_force(case, radius, extra):
     )
     # the Fraction edge reader of the tail certificate's oracle: value and
     # right-hand slope at every q_hi < n
-    slopes = np_.slope_list()
+    slopes = slope_list(np_)
     for q_hi in range(n):
-        assert edge_at(np_.hull, np_.den, q_hi) == (np_.hull_value(q_hi).value, slopes[q_hi])
+        assert edge_at(np_.hull, np_.den, q_hi) == (hull_value(np_, q_hi).value, slopes[q_hi])
 
 
 # -- the Gauss-norm duality check ------------------------------------------------

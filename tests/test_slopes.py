@@ -31,9 +31,9 @@ from ghost_slopes import (
 )
 from ghost_slopes import checks, ghost, slopes
 from ghost_slopes.distribution import SampleKind, sample
-from ghost_slopes.ghost import support_interval
+from ghost_slopes.ghost import _bullet_bound
 from ghost_slopes.slopes import DerivativePolygon, ThresholdVector, _closed_form_runs, _hull_runs
-from strategies import context_and_weight, expand_runs, planted_steps
+from strategies import context_and_weight, expand_runs, hull_value, planted_steps, slope_list
 
 
 @pytest.fixture(scope="module")
@@ -48,10 +48,9 @@ def wrap_ctx():
 
 
 def _full_scan_witnesses(ctx, n, w, lo_k=None, hi_k=None):
-    """Every witness weight, by unpruned scan over the whole support."""
-    lo, hi = support_interval(ctx, n)
+    """Every witness weight, by unpruned scan over every bullet below the bound."""
     out = []
-    for j in range(lo, hi):
+    for j in range(_bullet_bound(ctx, n)):
         k2 = ctx.weight_of_bullet(j)
         if lo_k is not None and k2 <= lo_k:
             continue
@@ -145,7 +144,7 @@ def test_hull_increment_lower_bound(p, a, s):
     ctx = GhostContext(p=p, a=a, s_eps=s)
     for k in ctx.class_members(3, 900):
         dp = derivative_polygon(ctx, k)
-        for l, inc in enumerate(lower_hull(enumerate(dp.raw)).slope_list()):
+        for l, inc in enumerate(slope_list(lower_hull(enumerate(dp.raw)))):
             assert inc >= Fraction(3, 2) + Fraction((p - 1) * l, 4), (k, l)
 
 
@@ -157,7 +156,7 @@ def test_raw_minus_hull_log_square_bound(ctx):
         dp = derivative_polygon(ctx, k)
         hull = lower_hull(enumerate(dp.raw))
         for l in range(1, len(dp.raw)):
-            gap = dp.raw[l] - hull.hull_value(l).value
+            gap = dp.raw[l] - hull_value(hull, l).value
             assert gap <= 3 * math.log(l, 7) ** 2 + 1e-12, (k, l, gap)
 
 
@@ -167,7 +166,7 @@ def test_raw_equals_hull_below_2p_except_p(ctx):
         dp = derivative_polygon(ctx, k)
         hull = lower_hull(enumerate(dp.raw))
         for l in range(1, min(len(dp.raw), 2 * p)):
-            gap = dp.raw[l] - hull.hull_value(l).value
+            gap = dp.raw[l] - hull_value(hull, l).value
             if l == p:
                 assert gap <= 1, (k, l)
             else:
@@ -339,10 +338,10 @@ def test_newslopes_full_polygon_rows(ctx):
     w = WeightPoint(24, Fraction(1, 2))
     hull = certified_newton_polygon(ctx, w, 8)
     nu = Fraction(1, 2)
-    assert hull.slope_list()[:8] == [nu * c for c in (1, 3, 6, 9, 11, 14, 16, 19)]
+    assert slope_list(hull)[:8] == [nu * c for c in (1, 3, 6, 9, 11, 14, 16, 19)]
     w = WeightPoint(24, 10)
     hull = certified_newton_polygon(ctx, w, 8)
-    assert hull.slope_list()[:8] == [Fraction(x) for x in (1, 11, 11, 11, 11, 11, 11, 22)]
+    assert slope_list(hull)[:8] == [Fraction(x) for x in (1, 11, 11, 11, 11, 11, 11, 22)]
 
 
 def test_newslopes_closed_hull_agree_many(ctx):
@@ -808,7 +807,7 @@ def test_certified_polygon_matches_plain_window(ctx):
         px = [v for v in plain.vertex_xs() if v <= trip.d_iw]
         assert cx == px
         for x in cx:
-            assert cert.hull_value(x) == plain.hull_value(x)
+            assert hull_value(cert, x) == hull_value(plain, x)
 
 
 def test_certified_polygon_needs_positive_radius(ctx):
