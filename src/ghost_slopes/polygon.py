@@ -1,4 +1,4 @@
-"""Exact lower convex hulls and Newton polygons, each held as its hull alone.
+"""Exact lower convex hulls and Newton polygons, each held as its hull alone or as the points it skips.
 
 Every hull runs on integer ordinates over one positive denominator, with
 Valuations built only when read: hull membership and vertex
@@ -7,13 +7,14 @@ classification are structural facts, never tolerance calls.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import DomainError
@@ -43,6 +44,60 @@ def _chain(points: Iterable[Tuple[int, int]]) -> list:
         x1, y1 = x2, y2
         x2, y2 = x, y
     return stack
+
+
+def _hull_gaps(ys, dents) -> array:
+    """The abscissae 0 < l < h = len(ys) - 1, ascending, that are not vertices of the lower hull of
+    the points (l, ys[l]), given ``dents``: the l, ascending, where ys's second difference is <= 0.
+
+    The dents drop first.  Then each round drops those kept neighbours b of the last round's drops
+    that make no strict left turn with their kept neighbours a < b < c, judged before any drop, until
+    a round drops nothing.  This is exact.  Every kept point turns strictly left: as no dent, if no
+    point beside it dropped, else as last judged.  So the kept points form a convex chain F.  A run
+    of points one round drops turns right or goes straight at each of them, so lies on or above the
+    chord between its kept ends, which by induction from the last round back lie on or above F, as
+    does the chord, F being convex.  So every point lies on or above F: F is the lower hull, and its
+    points are the vertices :func:`_chain` returns.  The kept chain is held as links prv and nxt only
+    where a point dropped, defaulting to the next abscissa down and up."""
+    prv, nxt, gone, drop = {}, {}, set(), dents
+    while drop:
+        gone.update(drop)
+        beside = set()
+        for b in drop:  # unlink b from the kept chain
+            a, c = prv.pop(b, b - 1), nxt.pop(b, b + 1)
+            nxt[a], prv[c] = c, a
+            beside.add(a)
+            beside.add(c)
+        beside.difference_update(gone, (0, len(ys) - 1))
+        drop = []
+        for b in beside:  # no strict left turn at b
+            a, c = prv.get(b, b - 1), nxt.get(b, b + 1)
+            if (ys[c] - ys[b]) * (b - a) <= (ys[b] - ys[a]) * (c - b):
+                drop.append(b)
+    return array("q", sorted(gone))
+
+
+def gap_edges(ys, gaps) -> Tuple[Tuple[int, int, int], ...]:
+    """(num, d, width) for each edge of the lower hull of the points (x, ys[x] / 2), x = 0..h,
+    whose abscissae that are not vertices are ``gaps``, ascending: its slope num / d in lowest
+    terms, d > 0.  Each run of gaps from a + 1 to b - 1 gives the edge [a, b], and the unit edges
+    run from b to the next run; len(ys) = h + 1 closes the last run."""
+    edges, a, b = [], 0, 0
+    for g in [*gaps, len(ys)]:
+        if g == b:  # the run goes on
+            b += 1
+            continue
+        if b > a:
+            e = gcd(dy := ys[b] - ys[a], 2 * (b - a))
+            edges.append((dy // e, 2 * (b - a) // e, b - a))
+        edges += map(_unit_edge, map(sub, ys[b + 1 : g], ys[b : g - 1]))
+        a, b = g - 1, g + 1
+    return tuple(edges)
+
+
+def _unit_edge(dy: int) -> Tuple[int, int, int]:
+    # the edge [x, x + 1] with slope dy / 2, reduced
+    return (dy, 2, 1) if dy & 1 else (dy >> 1, 1, 1)
 
 
 def edge_runs(hull: Sequence[Tuple[int, int]], den: int, lo: int, hi: int) -> list:

@@ -30,7 +30,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, filterfalse, islice, repeat
 from math import gcd
 from operator import add, itemgetter
 from typing import List, Tuple
@@ -51,7 +51,7 @@ from .ghost import (
     max_zero_distance,
     point_distance,
 )
-from .polygon import RationalPolygon, _chain, edge_runs, newton_polygon_at
+from .polygon import RationalPolygon, _chain, _hull_gaps, edge_runs, gap_edges, newton_polygon_at
 from .valuation import Valuation, runs_text, vp_int_raw
 
 # -- derivative polygons ------------------------------------------------------
@@ -62,12 +62,13 @@ class DerivativePolygon:
     """A weight's derivative polygon, held as two int64 arrays.
 
     ``ys[l]`` = 2 raw[l] for l = 0..h = d_new/2, raw[l] the half-integer anchored
-    valuation at center + l minus (k-2)/2 * l; ``vertex_xs`` holds the abscissae
-    0 = n_0 < ... < n_N = h of the lower hull of the points (l, ys[l] / 2).
-    ``raw``, ``slopes`` (distinct s_1 < ... < s_N with multiplicities) and
-    ``breakpoints`` read them as Fractions; ``edges``, kept once read, holds each
-    s_i as its reduced (num, den), den > 0, and multiplicity.  ``M_index`` is the
-    least i with s_i > M(k), else N + 1.
+    valuation at center + l minus (k-2)/2 * l; ``gaps`` holds, ascending, the l in
+    0 < l < h that are not vertices of the lower hull of the points (l, ys[l] / 2):
+    its vertices 0 = n_0 < ... < n_N = h, n_i = ``vertex(i)``, are the other l, read on
+    demand as ``vertex_xs`` and ``breakpoints``.  ``raw`` and ``slopes`` (distinct
+    s_1 < ... < s_N with multiplicities) read them as Fractions; ``edges``, kept once
+    read, holds each s_i as its reduced (num, den), den > 0, and multiplicity.
+    ``M_index`` is the least i with s_i > M(k), else N + 1.
 
     Each ys[l] = v(c + l) + v(c - l) fits in int64, v the hatted table read at
     n <= MAX_TABLE_INDEX and n <= d_iw(k) <= 2 K_CEILING/(p-1) + 2: v(n) weighs each
@@ -79,23 +80,20 @@ class DerivativePolygon:
 
     k: int
     ys: array
-    vertex_xs: array
+    gaps: array
     M_index: int
     m_of_k: Valuation
 
     raw = property(lambda self: tuple(Fraction(y, 2) for y in self.ys))
     slopes = property(lambda self: tuple((Fraction(a, b), m) for a, b, m in self.edges))
+    vertex_xs = property(lambda self: array("q", filterfalse(set(self.gaps).__contains__, range(len(self.ys)))))
     breakpoints = property(lambda self: tuple(self.vertex_xs))
 
-    @cached_property
-    def edges(self) -> Tuple[Tuple[int, int, int], ...]:
-        ys, edges, x0, y0 = self.ys, [], 0, self.ys[0]
-        for x1 in islice(self.vertex_xs, 1, None):
-            y1 = ys[x1]
-            g = gcd(y1 - y0, 2 * (x1 - x0))
-            edges.append(((y1 - y0) // g, 2 * (x1 - x0) // g, x1 - x0))
-            x0, y0 = x1, y1
-        return tuple(edges)
+    def vertex(self, i: int) -> int:
+        # n_i: x less the gaps up to x never falls, and counts the vertices below x at a vertex x
+        return bisect_left(range(len(self.ys)), i, key=lambda x: x - bisect_right(self.gaps, x))
+
+    edges = cached_property(lambda self: gap_edges(self.ys, self.gaps))
 
 
 def derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
@@ -125,7 +123,8 @@ def _derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
     e(1..l), vanishes on 1..h iff e(1) = D(c - 1) + D(c) - (k-2) = 0 and s(c + m) = s(c - m) for
     1 <= m < h, and its first nonzero offset is e's: 1 if e(1) != 0, else 1 + the least such m.
     From l = h down, ys[l] = f(c + l) + f(c - l) = 2 f(c - l) + (k-2) l starts at 2 f(d_ur) +
-    (k-2) h and rises first by 2 D(d_ur) - (k-2), each rise 2 s(n) above the last, n = d_ur + 1..c-1."""
+    (k-2) h and rises first by 2 D(d_ur) - (k-2), each rise 2 s(n) above the last, n = d_ur + 1..c-1.
+    So ys's second difference at 0 < l < h is 2 s(c - l), whose signs :func:`polygon._hull_gaps` starts from."""
     d_iw, d_ur = ctx.dims_of_bullet(kb := ctx.bullet(k))
     c, h = d_iw // 2, d_iw // 2 - d_ur
     steps = hatted_steps(ctx, kb, c + h)  # s(0..c + h - 1)
@@ -135,28 +134,36 @@ def _derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
         l = 1 if e1 else next(1 + m for m in range(1, h) if steps[c + m] != steps[c - m])
         raise VerificationError(f"anchored-valuation duality fails at k = {k}, offset {l}")
     y, rise = 2 * sum(accumulate(islice(steps, d_ur))) + (k - 2) * h, 2 * sum(islice(steps, d_ur + 1)) - (k - 2)
+    dents = [l for l, s in zip(range(1, h), left) if s <= 0]  # the l with s(c - l) <= 0
     # steps and left live to the return: freed before the arrays are made, their space went to the
     # arrays held and left holes (2,000 polygons on one context peaked 1.3 MB higher)
     left.reverse()
     ys = [*accumulate(accumulate(map(add, left, left), initial=rise), initial=y)]
     del ys[h + 1 :]  # one ordinate when h = 0
     ys.reverse()
-    xs = array("q", [x for x, _ in _chain(zip(range(h + 1), ys))])
+    gaps = _hull_gaps(ys, dents)
     ys, m_of_k = array("q", ys), _zero_radius(ctx, k, kb, d_iw)
-    # one hull edge per distinct slope, so the reach of M(k) is vertex M_index - 1
-    m_index = 1 + bisect_left(xs, _reach(ys, xs, m_of_k, 1))
-    return DerivativePolygon(k=k, ys=ys, vertex_xs=xs, M_index=m_index, m_of_k=Valuation(m_of_k))
+    # one hull edge per distinct slope, so M_index - 1 counts the vertices below the reach of M(k)
+    reach = _reach(ys, gaps, m_of_k, 1)
+    m_index = 1 + reach - bisect_left(gaps, reach)
+    return DerivativePolygon(k=k, ys=ys, gaps=gaps, M_index=m_index, m_of_k=Valuation(m_of_k))
 
 
-def _reach(ys, xs, u: int, v: int) -> int:
-    """How many unit increments of the hull with vertex abscissae xs over the
-    ordinates ys (over 2) are at most the distance u / v, INF as 1 / 0: the
-    slopes increase, so x0 on the first edge [x0, x1] with
-    (ys[x1] - ys[x0]) v > 2 (x1 - x0) u, else the last abscissa."""
-    for x0, x1 in zip(xs, islice(xs, 1, None)):
+def _reach(ys, gaps, u: int, v: int) -> int:
+    """How many unit increments of the hull over the ordinates ys (over 2),
+    with non-vertex abscissae gaps, are at most the distance u / v, INF as
+    1 / 0: the slopes increase, so x0 on the first edge [x0, x1] with
+    (ys[x1] - ys[x0]) v > 2 (x1 - x0) u, else the last abscissa h.  Each
+    x1 is the first abscissa past x0 that is no gap; INF reaches them all."""
+    x0, i, h = 0, 0, len(ys) - 1
+    while x0 < h and v:
+        x1 = x0 + 1
+        while i < len(gaps) and gaps[i] == x1:
+            i, x1 = i + 1, x1 + 1
         if (ys[x1] - ys[x0]) * v > 2 * (x1 - x0) * u:
             return x0
-    return xs[-1]
+        x0 = x1
+    return h
 
 
 def _ratio(val: Valuation) -> Tuple[int, int]:
@@ -186,7 +193,7 @@ def is_near_steinberg(ctx: GhostContext, n: int, w: WeightPoint, k2: int) -> boo
     if not trip.d_ur < n < trip.d_iw - trip.d_ur:
         return False
     dp = derivative_polygon(ctx, k2)  # the increment at offset l is reached iff l < the reach
-    return abs(n - trip.d_iw // 2) < _reach(dp.ys, dp.vertex_xs, *_ratio(point_distance(ctx, w, k2)))
+    return abs(n - trip.d_iw // 2) < _reach(dp.ys, dp.gaps, *_ratio(point_distance(ctx, w, k2)))
 
 
 def breakpoints_by_criterion(ctx: GhostContext, w: WeightPoint, n_range: int) -> set:
@@ -224,7 +231,7 @@ def breakpoints_by_criterion(ctx: GhostContext, w: WeightPoint, n_range: int) ->
         if 2 * u < 3 * v or (c - n_range) * (p - 1) * v > 4 * u - 6 * v:
             continue
         dp = held.get(j) or _derivative_polygon(ctx, ctx.weight_of_bullet(j))
-        reached = _reach(dp.ys, dp.vertex_xs, u, v)
+        reached = _reach(dp.ys, dp.gaps, u, v)
         marked.update(range(max(1, c - reached + 1), min(n_range, c + reached - 1) + 1))
     return {0} | set(range(1, n_range + 1)) - marked
 
@@ -358,7 +365,7 @@ def _closed_form_runs(ctx, k, w):
         g, h = gcd(c - t, e), gcd(c + t, e)
         low.append(((c - t) // g, e // g, m))
         high.append(((c + t) // h, e // h, m))
-    if centre := 2 * dp.vertex_xs[i - 1]:
+    if centre := 2 * dp.vertex(i - 1):
         high.insert(0, ((k - 2) // (g := gcd(k - 2, 2)), 2 // g, centre))
     return low[::-1] + high
 
@@ -415,7 +422,7 @@ def k_thresholds(ctx: GhostContext, k: int) -> ThresholdVector:
     ['9', '6', '2', '1', '6', '9']
     """
     dp = derivative_polygon(ctx, k)
-    h, c = dimensions(ctx, k).d_new // 2, dp.vertex_xs[dp.M_index - 1]
+    h, c = dimensions(ctx, k).d_new // 2, dp.vertex(dp.M_index - 1)
     swept = _sweep(ctx, k, range(h - c + 1, h + c + 1))
     return ThresholdVector(dp.k, dp.edges[dp.M_index - 1 :], tuple(swept), ctx.global_mult)
 

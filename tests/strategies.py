@@ -22,15 +22,23 @@ RADII = st.one_of(
 
 
 @st.composite
-def context_and_weight(draw):
-    """A random context (p, a, s_eps, m) in either mode and a class weight <= 300."""
+def context_and_weight(draw, k_max: int = 300):
+    """A random context (p, a, s_eps, m) in either mode and a class weight <= k_max."""
     mode = draw(st.sampled_from(("strict", "exploratory")))
     p = draw(st.sampled_from((11, 13) if mode == "strict" else (5, 7, 11, 13)))
     a = draw(st.integers(2, p - 5) if mode == "strict" else st.integers(1, p - 4))
     ctx = GhostContext(
         p, a, draw(st.integers(0, p - 2)), draw(st.integers(1, 3)), mode
     )
-    return ctx, draw(st.sampled_from(list(ctx.class_members(ctx.k_eps, 300))))
+    return ctx, draw(st.sampled_from(list(ctx.class_members(ctx.k_eps, k_max))))
+
+
+def high_weight():
+    """A random context, drawn as :func:`context_and_weight` draws it, and a class weight
+    <= 50,000, where the derivative polygons, windows and sweep blocks reach the sizes
+    the point commands serve; for the oracles that stay cheap there, with few examples
+    and no deadline."""
+    return context_and_weight(k_max=50_000)
 
 
 def expand_runs(runs) -> list:

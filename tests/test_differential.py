@@ -1,5 +1,5 @@
-"""Every batch table kernel, the integer derivative polygon and its build from the steps of half
-the hatted table, the sweep's
+"""Every batch table kernel, the integer derivative polygon, its hull gaps against the monotone
+chain, and its build from the steps of half the hatted table, the sweep's
 radius-free lock test and its block-local pieces, the interval-marking
 breakpoint criterion and the integer thresholds, L model, prediction, their
 JSON texts and samples against their pointwise or Fraction oracles, the
@@ -52,7 +52,7 @@ from ghost_slopes.ghost import (
     max_zero_distance,
     valuation_table_at,
 )
-from ghost_slopes.polygon import _chain, edge_runs, integer_hull, newton_polygon_at
+from ghost_slopes.polygon import _chain, _hull_gaps, edge_runs, integer_hull, newton_polygon_at
 from ghost_slopes.prediction import build_model, model_radius, predict_slopes
 from ghost_slopes.slopes import (
     DerivativePolygon,
@@ -60,7 +60,6 @@ from ghost_slopes.slopes import (
     _hull_runs,
     _level_pieces,
     _locked_on,
-    _ratio,
     _reach,
     _sweep,
     _window,
@@ -75,6 +74,7 @@ from strategies import (
     edge_at,
     evaluate_ghost_valuation,
     expand_runs,
+    high_weight,
     hull_value,
     slope_list,
     table_steps,
@@ -381,13 +381,79 @@ def test_held_arrays_match_fraction_hull(mode, case):
     c = trip.d_iw // 2
     raw = tuple(anchored_valuation(ctx, c + l, k) - Fraction((k - 2) * l, 2) for l in range(trip.d_new // 2 + 1))
     hull = lower_hull(enumerate(raw))
-    assert dp.ys.typecode == dp.vertex_xs.typecode == "q"
+    assert dp.ys.typecode == dp.gaps.typecode == "q"
     assert list(dp.ys) == [2 * r for r in raw]
+    assert list(dp.gaps) == [x for x in range(len(raw)) if x not in hull.vertex_xs()]
     assert tuple(dp.vertex_xs) == hull.vertex_xs() == dp.breakpoints
+    assert tuple(map(dp.vertex, range(len(hull.hull)))) == hull.vertex_xs()
     assert dp.raw == raw
     assert dp.edges == tuple((s.numerator, s.denominator, m) for s, m in hull.slopes)
     cleared = [i for i, (s, _) in enumerate(hull.slopes, 1) if Valuation(s) > dp.m_of_k]
     assert dp.M_index == (cleared[0] if cleared else len(hull.slopes) + 1)
+
+
+def _chain_skips(ys) -> list:
+    # the abscissae that the monotone chain over the points (x, ys[x]) drops
+    kept = {x for x, _ in _chain(enumerate(ys))}
+    return [x for x in range(len(ys)) if x not in kept]
+
+
+def _assert_gaps_are_what_chain_skips(ctx, k):
+    dp = slopes._derivative_polygon(ctx, k)
+    assert list(dp.gaps) == _chain_skips(dp.ys)
+
+
+@pytest.mark.parametrize("mode", ["strict", "exploratory"])
+@given(case=context_and_weight())
+@settings(max_examples=60, deadline=None)
+def test_gaps_are_the_abscissae_the_chain_skips(mode, case):
+    # the gaps found from the signs of the hatted steps and the later turn
+    # rounds against the monotone chain over the same ordinates, in each mode
+    ctx, k = case
+    assume(ctx.mode == mode)
+    _assert_gaps_are_what_chain_skips(ctx, k)
+
+
+@given(case=high_weight())
+@example(case=(GhostContext(5, 1, 0), 49991))  # later turn rounds drop points here
+@settings(max_examples=6, deadline=None)
+def test_gaps_are_the_abscissae_the_chain_skips_at_high_weight(case):
+    _assert_gaps_are_what_chain_skips(*case)
+
+
+def _dents(ys) -> list:
+    # the l in 1..h-1 where the second difference of ys is <= 0
+    return [l for l in range(1, len(ys) - 1) if ys[l + 1] - 2 * ys[l] + ys[l - 1] <= 0]
+
+
+@pytest.mark.parametrize(
+    "ys",
+    [
+        # a run of five dents, and the point beside it that then turns right
+        [30, 12, 13, 14, 15, 16, 17, 11, 10, 11, 30],
+        # every other point a dent: the kept points between them turn right
+        [50, 9, 10, 8, 9, 7, 8, 6, 7, 5, 6, 40],
+        # dents at the top of a convex ramp that then falls: later rounds drop
+        # the ramp a point at a time (five rounds, and three on the wider one)
+        [0, 1, 3, 6, 10, 15, 15, 15, 0, 0],
+        [0, 2, 5, 9, 14, 14, 14, 14, 3, 3, 4, 20],
+    ],
+    ids=["run", "alternate", "ramp", "ramp-wide"],
+)
+def test_clustered_dents_need_later_rounds(ys):
+    # the dents alone leave a chain that is not convex: a later round drops more
+    dents = _dents(ys)
+    gaps = list(_hull_gaps(ys, dents))
+    assert set(gaps) > set(dents)
+    assert gaps == _chain_skips(ys)
+
+
+@given(ys=st.lists(st.integers(0, 6), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_hull_gaps_match_chain_on_small_integers(ys):
+    # few distinct ordinates: collinear runs (second difference 0) and
+    # clustered dents, which the chain drops and the gaps must hold
+    assert list(_hull_gaps(ys, _dents(ys))) == _chain_skips(ys)
 
 
 def _derivative_polygon_oracle(ctx, k, hatted=hatted_valuation_table) -> DerivativePolygon:
@@ -403,16 +469,17 @@ def _derivative_polygon_oracle(ctx, k, hatted=hatted_valuation_table) -> Derivat
         l = next(l for l in range(h + 1) if table[l] != right[l])
         raise VerificationError(f"anchored-valuation duality fails at k = {k}, offset {l}")
     ys = list(map(add, right, left))
-    xs = array("q", [x for x, _ in _chain(zip(range(h + 1), ys))])
-    ys, m_of_k = array("q", ys), max_zero_distance(ctx, k)
-    m_index = 1 + bisect_left(xs, _reach(ys, xs, *_ratio(m_of_k)))
-    return DerivativePolygon(k=k, ys=ys, vertex_xs=xs, M_index=m_index, m_of_k=m_of_k)
+    xs = [x for x, _ in _chain(zip(range(h + 1), ys))]
+    gaps, m_of_k = array("q", sorted(set(range(h + 1)) - set(xs))), max_zero_distance(ctx, k)
+    # the hull slopes increase: M_index is one past the edges with slopes up to M(k)
+    m_index = 1 + sum(Valuation(Fraction(ys[x1] - ys[x0], 2 * (x1 - x0))) <= m_of_k for x0, x1 in zip(xs, xs[1:]))
+    return DerivativePolygon(k=k, ys=array("q", ys), gaps=gaps, M_index=m_index, m_of_k=m_of_k)
 
 
 def _assert_half_table_build_matches_oracle(ctx, k):
     dp, oracle = slopes._derivative_polygon(ctx, k), _derivative_polygon_oracle(ctx, k)
     assert dp.ys == oracle.ys and dp.raw == oracle.raw
-    assert (dp.vertex_xs, dp.M_index, dp.m_of_k) == (oracle.vertex_xs, oracle.M_index, oracle.m_of_k)
+    assert (dp.gaps, dp.M_index, dp.m_of_k) == (oracle.gaps, oracle.M_index, oracle.m_of_k)
     assert dp.edges == oracle.edges
 
 
@@ -518,7 +585,7 @@ def test_criterion_reach_matches_fraction_bisect(case, radius):
         dists += [Valuation(s), Valuation(s - Fraction(1, 1000))]
     for dist in dists:
         u, v = (1, 0) if dist.is_infinite else dist.value.as_integer_ratio()
-        assert _reach(dp.ys, dp.vertex_xs, u, v) == bisect_right(incs, dist), dist
+        assert _reach(dp.ys, dp.gaps, u, v) == bisect_right(incs, dist), dist
 
 
 @pytest.mark.parametrize(
@@ -539,10 +606,10 @@ def test_criterion_reach_at_its_boundaries(points, dists):
     # equal to one, between two, above all, and INF
     xs, ys = zip(*points)
     hull = integer_hull(xs, ys, 2)
-    incs = slope_list(hull)
+    incs, gaps = slope_list(hull), array("q", sorted(set(xs) - set(hull.vertex_xs())))
     for dist in (d if d is INF else Valuation(d) for d in dists):
         u, v = (1, 0) if dist.is_infinite else dist.value.as_integer_ratio()
-        assert _reach(array("q", ys), array("q", hull.vertex_xs()), u, v) == bisect_right(incs, dist), dist
+        assert _reach(array("q", ys), gaps, u, v) == bisect_right(incs, dist), dist
 
 
 @given(case=context_and_weight(), small=N_HI, extra=st.integers(1, 200))

@@ -69,7 +69,7 @@ def test_derivative_polygon_frozen_k24(ctx):
     assert dp.raw == (Fraction(17), Fraction(19), Fraction(25), Fraction(34))
     assert dp.slopes == ((Fraction(2), 1), (Fraction(6), 1), (Fraction(9), 1))
     assert dp.breakpoints == (0, 1, 2, 3)
-    assert (list(dp.ys), list(dp.vertex_xs)) == ([34, 38, 50, 68], [0, 1, 2, 3])
+    assert (list(dp.ys), list(dp.gaps), list(dp.vertex_xs)) == ([34, 38, 50, 68], [], [0, 1, 2, 3])
     assert dp.M_index == 2
     assert dp.m_of_k == Valuation(2)
     assert dp.k == 24
@@ -722,11 +722,11 @@ def test_context_keeps_only_reread_caches():
 
 @pytest.mark.parametrize("radius", (Fraction(3, 2), 7, INF))
 def test_criterion_scan_caches_integer_polygons(radius, monkeypatch):
-    # a derivative polygon holds its ordinates and hull vertices as int64
+    # a derivative polygon holds its ordinates and its non-vertex abscissae as int64
     # arrays and nothing else; the criterion scan stores none, and reads one
     # the context holds without building it again or reading its edges
     assert [f.name for f in dataclasses.fields(DerivativePolygon)] == [
-        "k", "ys", "vertex_xs", "M_index", "m_of_k",
+        "k", "ys", "gaps", "M_index", "m_of_k",
     ]
     fresh, w = GhostContext(p=7, a=2, s_eps=1), WeightPoint(120, radius)
     walk = breakpoints_by_criterion(fresh, w, 400)
@@ -740,7 +740,7 @@ def test_criterion_scan_caches_integer_polygons(radius, monkeypatch):
     assert len(held) > 1
     assert breakpoints_by_criterion(fresh, w, 400) == walk and built == []
     for dp in held:
-        assert dp.ys.typecode == dp.vertex_xs.typecode == "q"
+        assert dp.ys.typecode == dp.gaps.typecode == "q"
         assert "edges" not in vars(dp)
 
 
