@@ -197,8 +197,8 @@ def cmd_predict(args) -> Iterable[str]:
 
 
 def _moment_rows(args, ks: List[int]) -> tuple:
-    """(rows, last): the (k, kind, moments) row of each sample of ks that holds a genuine value, not only
-    floor stand-ins, in weight order, and the last such sample of each kind.  Each weight samples on a
+    """(rows, last): the (k, kind, moments) row of each nonempty sample of ks, in weight order, and
+    the last such sample of each kind.  Each weight samples on a
     context of its own; all read one dict of deg's and S_1's periods, which depend on (p, a, s_eps) alone."""
     rows, last, periods = [], {}, {}
     for k in ks:

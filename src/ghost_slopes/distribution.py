@@ -4,12 +4,11 @@ Each sample normalizes a weight's slope data by 2(p+1)/((p-1)k), which
 squeezes the full threshold profile into (roughly) the unit interval.
 THRESHOLD samples normalize the stretched threshold vector, DERIVATIVE
 samples duplicate each derivative-polygon hull slope twice, and LINV
-samples normalize the predicted inverse L-invariant valuations, with
-the exceptional block standing in at its floor value.  Floor stand-ins
-are bounds rather than values: a sample counts them beside its
-numerators, and they stay out of moments and the discrepancy.
+samples normalize the known inverse L-invariant valuations, read off the
+L model's closed runs.  The exceptional block's floor is a bound, not a
+value, so no sample holds it.
 
-A sample holds its genuine values as ascending runs of integer numerators
+A sample holds its values as ascending runs of integer numerators
 with multiplicities over one denominator, (p-1)k times the lcm of the raw
 denominators, and builds ``Fraction``s only when they are read.  Moments
 are exact rationals, one ``Fraction`` per order from integer power sums
@@ -47,27 +46,22 @@ class SampleKind(Enum):
 class DistributionSample:
     """A normalized slope multiset with exact power means, held as runs.
 
-    Run j is the genuine value ``nums[j] / den`` ``mults[j]`` times; the runs
-    ascend, neighbours may tie.  The ``floor_count`` floor stand-ins at
-    ``floor_num`` (LINV only; zero otherwise) are bounds, not values, counted
-    beside the runs.  ``values`` reads every value, stand-ins included,
-    ascending, as ``Fraction``s; :meth:`moments` and :func:`discrepancy` read the runs."""
+    Run j is the value ``nums[j] / den`` ``mults[j]`` times; the runs ascend,
+    neighbours may tie.  ``values`` reads every value, ascending, as
+    ``Fraction``s; :meth:`moments` and :func:`discrepancy` read the runs."""
 
     k: int
     kind: SampleKind
     nums: Tuple[int, ...]
     mults: Tuple[int, ...]
     den: int
-    floor_num: int
-    floor_count: int
 
     @property
     def values(self) -> Tuple[Fraction, ...]:
-        nums = sorted(chain(repeat(self.floor_num, self.floor_count), *map(repeat, self.nums, self.mults)))
-        return tuple(Fraction(a, self.den) for a in nums)
+        return tuple(Fraction(a, self.den) for a in chain.from_iterable(map(repeat, self.nums, self.mults)))
 
     def moments(self, n_max: int) -> Tuple[Fraction, ...]:
-        """Power means of orders 1..n_max over the m genuine values,
+        """Power means of orders 1..n_max over the m values,
         sum(mult * a**n) / (m * den**n) over the runs (a, mult); the terms
         of each order are one elementwise product on those of the last."""
         if not (nums := self.nums):
@@ -84,10 +78,10 @@ class DistributionSample:
 def sample(ctx: GhostContext, k: int, kind: SampleKind) -> DistributionSample:
     """Normalized multiset of thresholds, derivative slopes, or L-data, as runs
     concatenated in ascending order with no sort: DERIVATIVE the edges s_1 < ...
-    < s_N, each at twice its multiplicity; LINV the known blocks -(s + 1),
-    negated, from s_M up; THRESHOLD the swept radii, sorted, each at m =
-    global_mult, then the closed edges s_M < ... < s_N, each at 2 m mult for its
-    two mirror images.  A swept radius is the right end of a sweep piece within
+    < s_N, each at twice its multiplicity; LINV s + 1 over the model's closed
+    runs s_M < ... < s_N, each at 2 m mult, m = global_mult; THRESHOLD the swept
+    radii, sorted, each at m, then the closed edges s_M < ... < s_N, each at
+    2 m mult for its two mirror images.  A swept radius is the right end of a sweep piece within
     [1, M(k)], else 1, so at most max(1, M(k)), and every closed s_j > M(k).  A
     swept radius needs s_1 <= M(k), and s_1 >= 3/2 as every raw increment is
     (``increment-lower-bound``); so then every swept radius is <= M(k) < s_M.
@@ -98,7 +92,6 @@ def sample(ctx: GhostContext, k: int, kind: SampleKind) -> DistributionSample:
     """
     # runs (num, den, mult) of the raw values, then held over their lcm lcd,
     # each value scaled by 2(p+1)/((p-1)k)
-    floor, floor_count = Fraction(0), 0
     if kind is SampleKind.THRESHOLD:
         tv, m = k_thresholds(ctx, k), ctx.global_mult
         runs = [(r.numerator, r.denominator, m) for r in sorted(tv.swept)]
@@ -107,19 +100,16 @@ def sample(ctx: GhostContext, k: int, kind: SampleKind) -> DistributionSample:
         runs = [(a, b, 2 * mult) for a, b, mult in derivative_polygon(ctx, k).edges]
     elif kind is SampleKind.LINV:
         model = predict_slopes(ctx, k)
-        floor, floor_count = model.R + 1, model.exceptional_count
-        runs = [(a + model.L_den, model.L_den, w) for a, w in reversed(model.known)]
+        runs = [(a + b, b, 2 * model.global_mult * mult) for a, b, mult in model.closed]
     else:
         raise DomainError(f"unknown sample kind {kind!r}")
-    lcd, scale = lcm(floor.denominator, *{b for _, b, _ in runs}), 2 * (ctx.p + 1)
+    lcd, scale = lcm(*{b for _, b, _ in runs}), 2 * (ctx.p + 1)
     return DistributionSample(
         k=k,
         kind=kind,
         nums=tuple(scale * a * (lcd // b) for a, b, _ in runs),
         mults=tuple(mult for _, _, mult in runs),
         den=(ctx.p - 1) * k * lcd,
-        floor_num=scale * floor.numerator * (lcd // floor.denominator),
-        floor_count=floor_count,
     )
 
 

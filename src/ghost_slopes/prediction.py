@@ -5,7 +5,7 @@ sequence L_1 < ... < L_d grows by s_N on the first 2*d_N steps, then by
 s_{N-1}, and so on down to s_M, then by R on the last
 d - 2*(d_N + ... + d_M) steps, so the hull of {(j, -L_j)} and the origin
 replays the known derivative slopes and then flattens at -R.  The model
-holds the blocks as (step, width) pairs and R, and reads L off them.
+holds the blocks as closed derivative runs and R, and reads L off them.
 ``build_model`` asserts that hull, which fixes the model's comparison
 pattern: entry (i, j) compares v_p(F_{i,j}) with i*(k-2) - L_j.
 
@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate, chain, repeat
-from math import lcm
 from typing import Tuple
 
 from .errors import VerificationError
@@ -34,13 +33,13 @@ from .valuation import format_rational, ratio_text
 class PredictionModel:
     """The L model of one weight.
 
-    ``known`` holds the blocks l = N down to M_index, top block first, as
-    (step numerator over ``L_den``, width): the step is the derivative
-    slope s_l, the width twice its stretched multiplicity.  R steps the
-    remaining :attr:`exceptional_count` of the d steps, and ``L_den`` is
-    the lcm of R's and the steps' denominators.  :attr:`L_seq` reads L_1..L_d off the blocks.
+    ``closed`` holds the derivative slopes s_M < ... < s_N as runs (a, b, mult) of
+    reduced a/b: the slice ``dp.edges[dp.M_index - 1:]``, which ``ThresholdVector.closed``
+    holds too.  Run l, read from the top, is the block that steps by s_l over a width of
+    2 * ``global_mult`` * mult; R steps the remaining :attr:`exceptional_count` of the
+    d steps.  :attr:`L_seq` reads L_1..L_d off the runs.
 
-    The known multiset reads ``known`` as ``Fraction``s, values ascending:
+    The known multiset reads ``closed`` as ``Fraction``s, values ascending:
     the L-invariant slope -(s + 1).  The floor -R - 1 bounds every
     remaining slope from below; ``exceptional_count`` is how many slopes
     it accounts for.
@@ -48,20 +47,20 @@ class PredictionModel:
 
     k: int
     d: int
-    known: Tuple[Tuple[int, int], ...]
-    L_den: int
+    closed: Tuple[Tuple[int, int, int], ...]
+    global_mult: int
     R: Fraction
 
     @property
     def L_seq(self) -> Tuple[Fraction, ...]:
-        """L_1..L_d: each known block's step over its width, then R."""
-        steps = chain.from_iterable(repeat(Fraction(a, self.L_den), w) for a, w in self.known)
+        """L_1..L_d: each closed run's step over its block's width, top run first, then R."""
+        steps = (Fraction(a, b) for a, b, m in reversed(self.closed) for _ in range(2 * self.global_mult * m))
         return tuple(accumulate(chain(steps, repeat(self.R, self.exceptional_count))))
 
     @cached_property
     def known_size(self) -> int:
         """Total multiplicity 2*(d_N + ... + d_M) of the known block."""
-        return sum(w for _, w in self.known)
+        return 2 * self.global_mult * sum(mult for _, _, mult in self.closed)
 
     @property
     def exceptional_count(self) -> int:
@@ -70,14 +69,14 @@ class PredictionModel:
 
     @property
     def linv_slopes_known(self) -> Tuple[Tuple[Fraction, int], ...]:
-        return tuple((Fraction(-a - self.L_den, self.L_den), m) for a, m in self.known)
+        return tuple((Fraction(-a - b, b), 2 * self.global_mult * m) for a, b, m in reversed(self.closed))
 
     linv_floor = property(lambda self: -self.R - 1)
 
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,
-            "linv_known": [[ratio_text(-a - self.L_den, self.L_den), m] for a, m in self.known],
+            "linv_known": [[ratio_text(-a - b, b), 2 * self.global_mult * m] for a, b, m in reversed(self.closed)],
             "floor": format_rational(self.linv_floor),
             "exceptional": self.exceptional_count,
         }
@@ -92,11 +91,10 @@ def model_radius(ctx: GhostContext, k: int) -> Fraction:
     1 of M(k), as s_{M_index - 1} <= M(k).  So M(k) < R < M(k) + 1, R < s_M.
     """
     dp = derivative_polygon(ctx, k)
-    m_val = dp.m_of_k.value
     if dp.M_index > len(dp.edges):
-        return m_val + Fraction(1, 2)
+        return dp.m_of_k + Fraction(1, 2)
     a, b, _ = dp.edges[dp.M_index - 1]
-    return m_val + 3 * min(Fraction(1), Fraction(a, b) - m_val) / 4
+    return dp.m_of_k + 3 * min(Fraction(1), Fraction(a, b) - dp.m_of_k) / 4
 
 
 def _assert_model_hull(model: PredictionModel) -> None:
@@ -107,11 +105,11 @@ def _assert_model_hull(model: PredictionModel) -> None:
     head = f"model hull mismatch at k = {model.k}:"
     if model.exceptional_count < 0:
         raise VerificationError(f"{head} the known blocks run past d = {model.d}")
-    steps = [a for a, _ in model.known] + [int(model.R * model.L_den)]
-    text = partial(ratio_text, den=model.L_den)
-    for i, (above, r) in enumerate(zip(steps, steps[1:]), 2):
-        if r >= above:
-            raise VerificationError(f"{head} block {i} expects step below {text(above)}, found {text(r)}")
+    steps = [run[:2] for run in reversed(model.closed)] + [model.R.as_integer_ratio()]
+    for i, ((a0, b0), (a1, b1)) in enumerate(zip(steps, steps[1:]), 2):
+        if a1 * b0 >= a0 * b1:
+            raise VerificationError(
+                f"{head} block {i} expects step below {ratio_text(a0, b0)}, found {ratio_text(a1, b1)}")
 
 
 def build_model(ctx: GhostContext, k: int) -> PredictionModel:
@@ -123,15 +121,12 @@ def build_model(ctx: GhostContext, k: int) -> PredictionModel:
     (Fraction(9, 1), Fraction(18, 1), Fraction(24, 1), Fraction(30, 1))
     """
     dp = derivative_polygon(ctx, k)
-    R = model_radius(ctx, k)
-    closed = dp.edges[dp.M_index - 1 :]
-    L_den = lcm(R.denominator, *(b for _, b, _ in closed))
     model = PredictionModel(
         k=dp.k,
         d=ctx.global_mult * dimensions(ctx, k).d_new,
-        known=tuple((a * (L_den // b), 2 * ctx.global_mult * mult) for a, b, mult in reversed(closed)),
-        L_den=L_den,
-        R=R,
+        closed=dp.edges[dp.M_index - 1 :],
+        global_mult=ctx.global_mult,
+        R=model_radius(ctx, k),
     )
     _assert_model_hull(model)
     return model

@@ -65,10 +65,10 @@ class DerivativePolygon:
     valuation at center + l minus (k-2)/2 * l; ``gaps`` holds, ascending, the l in
     0 < l < h that are not vertices of the lower hull of the points (l, ys[l] / 2):
     its vertices 0 = n_0 < ... < n_N = h, n_i = ``vertex(i)``, are the other l, read on
-    demand as ``vertex_xs`` and ``breakpoints``.  ``raw`` and ``slopes`` (distinct
-    s_1 < ... < s_N with multiplicities) read them as Fractions; ``edges``, kept once
-    read, holds each s_i as its reduced (num, den), den > 0, and multiplicity.
-    ``M_index`` is the least i with s_i > M(k), else N + 1.
+    demand as ``vertex_xs``.  ``raw`` and ``slopes`` (distinct s_1 < ... < s_N with
+    multiplicities) read them as Fractions; ``edges``, kept once read, holds each s_i as
+    its reduced (num, den), den > 0, and multiplicity.  ``m_of_k`` is the zero radius
+    M(k), an int, and ``M_index`` the least i with s_i > M(k), else N + 1.
 
     Each ys[l] = v(c + l) + v(c - l) fits in int64, v the hatted table read at
     n <= MAX_TABLE_INDEX and n <= d_iw(k) <= 2 K_CEILING/(p-1) + 2: v(n) weighs each
@@ -82,12 +82,11 @@ class DerivativePolygon:
     ys: array
     gaps: array
     M_index: int
-    m_of_k: Valuation
+    m_of_k: int
 
     raw = property(lambda self: tuple(Fraction(y, 2) for y in self.ys))
     slopes = property(lambda self: tuple((Fraction(a, b), m) for a, b, m in self.edges))
     vertex_xs = property(lambda self: array("q", filterfalse(set(self.gaps).__contains__, range(len(self.ys)))))
-    breakpoints = property(lambda self: tuple(self.vertex_xs))
 
     def vertex(self, i: int) -> int:
         # n_i: x less the gaps up to x never falls, and counts the vertices below x at a vertex x
@@ -146,7 +145,7 @@ def _derivative_polygon(ctx: GhostContext, k: int) -> DerivativePolygon:
     # one hull edge per distinct slope, so M_index - 1 counts the vertices below the reach of M(k)
     reach = _reach(ys, gaps, m_of_k, 1)
     m_index = 1 + reach - bisect_left(gaps, reach)
-    return DerivativePolygon(k=k, ys=ys, gaps=gaps, M_index=m_index, m_of_k=Valuation(m_of_k))
+    return DerivativePolygon(k=k, ys=ys, gaps=gaps, M_index=m_index, m_of_k=m_of_k)
 
 
 def _reach(ys, gaps, u: int, v: int) -> int:

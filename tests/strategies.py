@@ -116,11 +116,11 @@ class Rel(Enum):
 @cache
 def eq_cells(model) -> frozenset:
     """(row, column) positions of the equality entries of the model's pattern: each
-    running total acc of the known blocks' half widths, top slope first, marks
-    (acc, 2*acc) and (d - acc, 2*acc), never on row d."""
+    running total acc of the known blocks' half widths m * mult, top slope first,
+    marks (acc, 2*acc) and (d - acc, 2*acc), never on row d."""
     cells, acc = set(), 0
-    for _, w in model.known:
-        acc += w // 2
+    for *_, mult in reversed(model.closed):
+        acc += model.global_mult * mult
         cells.update(((acc, 2 * acc), (model.d - acc, 2 * acc)))
     return frozenset(cells)
 

@@ -41,7 +41,7 @@ def top_shifted(ctx, k, kind):
 
 
 def spread(ctx, k, kind):
-    return DistributionSample(None, kind, (-3, 1), (1, 1), 1, 0, 0)
+    return DistributionSample(None, kind, (-3, 1), (1, 1), 1)
 
 
 # (check of a weight, module or class, attribute, planted value)
@@ -137,7 +137,7 @@ def test_build_model_refuses_known_blocks_past_a_shrunk_d(case, data):
     # and build_model refuses the model before any reader sees it
     ctx, k = case
     model, trip, m = BUILD(ctx, k), DIMS(ctx, k), ctx.global_mult
-    assume(model.known)
+    assume(model.closed)
     d_new = data.draw(st.integers(0, model.known_size // m - 1))
     counts = pattern_strict_counts_oracle(replace(model, d=m * d_new))
     assert any(strict != j - 1 for j, strict in counts) or (m * d_new, model.known_size) == (1, 2)

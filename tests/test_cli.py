@@ -320,7 +320,7 @@ class TestDistCommand:
     )
     def test_jobs_do_not_change_bytes(self, capsys, argv, fmt):
         # pins the streamed weight order and the last sample of each kind;
-        # (5,1,0) has weights whose LINV sample holds only floor stand-ins
+        # (5,1,0) has weights that predict only the floor, whose LINV sample is empty
         _, serial, _ = run(capsys, "dist", *argv, "--format", fmt, "--jobs", "1")
         code, parallel, _ = run(capsys, "dist", *argv, "--format", fmt, "--jobs", "2")
         assert code == 0
@@ -441,7 +441,7 @@ class TestDistCommand:
         ids=["p5-k7", "p7-k11"],
     )
     def test_floor_only_linv_sample_is_left_out(self, capsys, context, k_range):
-        # (5,1,0) k = 7 and (7,3,0) k = 11 predict only floor stand-ins
+        # (5,1,0) k = 7 and (7,3,0) k = 11 predict only the floor
         code, _, err = run(capsys, "dist", *context, "--k-range", k_range, "--jobs", "1")
         assert code == 0, err
 

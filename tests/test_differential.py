@@ -14,7 +14,7 @@ against their Fraction definitions over random samples and hulls."""
 import dataclasses
 import math
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, chain, count, product, repeat
 from operator import add
@@ -340,7 +340,7 @@ def test_first_window_matches_a_wider_one_at_high_weight(params, k):
             wide = certified_newton_polygon(ctx, WeightPoint(k, radius), q_hi)
         assert wide.hull[-1][0] == 4 * hull.hull[-1][0]
         assert edge_runs(hull.hull, hull.den, 0, q_hi) == edge_runs(wide.hull, wide.den, 0, q_hi), radius
-    h, c = trip.d_new // 2, dp.breakpoints[dp.M_index - 1]
+    h, c = trip.d_new // 2, dp.vertex_xs[dp.M_index - 1]
     ns = range(h - c + 1, h + c + 1)
     thresholds = _sweep(ctx, k, ns)
     with mock.patch.object(slopes, "_windows", _wider_windows):
@@ -362,9 +362,9 @@ def test_derivative_polygon_matches_fraction_hull(case):
     hull = lower_hull(enumerate(dp.raw))
     assert dp.slopes == hull.slopes
     assert dp.edges == tuple((s.numerator, s.denominator, m) for s, m in hull.slopes)
-    assert dp.breakpoints == hull.vertex_xs()
+    assert tuple(dp.vertex_xs) == hull.vertex_xs()
     assert expand_runs(dp.edges) == slope_list(hull)
-    cleared = [i for i, (s, _) in enumerate(hull.slopes, 1) if Valuation(s) > dp.m_of_k]
+    cleared = [i for i, (s, _) in enumerate(hull.slopes, 1) if s > dp.m_of_k]
     assert dp.M_index == (cleared[0] if cleared else len(hull.slopes) + 1)
 
 
@@ -384,11 +384,11 @@ def test_held_arrays_match_fraction_hull(mode, case):
     assert dp.ys.typecode == dp.gaps.typecode == "q"
     assert list(dp.ys) == [2 * r for r in raw]
     assert list(dp.gaps) == [x for x in range(len(raw)) if x not in hull.vertex_xs()]
-    assert tuple(dp.vertex_xs) == hull.vertex_xs() == dp.breakpoints
+    assert tuple(dp.vertex_xs) == hull.vertex_xs()
     assert tuple(map(dp.vertex, range(len(hull.hull)))) == hull.vertex_xs()
     assert dp.raw == raw
     assert dp.edges == tuple((s.numerator, s.denominator, m) for s, m in hull.slopes)
-    cleared = [i for i, (s, _) in enumerate(hull.slopes, 1) if Valuation(s) > dp.m_of_k]
+    cleared = [i for i, (s, _) in enumerate(hull.slopes, 1) if s > dp.m_of_k]
     assert dp.M_index == (cleared[0] if cleared else len(hull.slopes) + 1)
 
 
@@ -473,7 +473,7 @@ def _derivative_polygon_oracle(ctx, k, hatted=hatted_valuation_table) -> Derivat
     gaps, m_of_k = array("q", sorted(set(range(h + 1)) - set(xs))), max_zero_distance(ctx, k)
     # the hull slopes increase: M_index is one past the edges with slopes up to M(k)
     m_index = 1 + sum(Valuation(Fraction(ys[x1] - ys[x0], 2 * (x1 - x0))) <= m_of_k for x0, x1 in zip(xs, xs[1:]))
-    return DerivativePolygon(k=k, ys=array("q", ys), gaps=gaps, M_index=m_index, m_of_k=m_of_k)
+    return DerivativePolygon(k=k, ys=array("q", ys), gaps=gaps, M_index=m_index, m_of_k=m_of_k.value)
 
 
 def _assert_half_table_build_matches_oracle(ctx, k):
@@ -699,7 +699,7 @@ def test_newslope_runs_match_certified_hull(case):
     trip = dimensions(ctx, k)
     lo, hi = trip.d_ur, trip.d_iw - trip.d_ur
     dp = derivative_polygon(ctx, k)
-    m_k, ss = dp.m_of_k.value, [Fraction(a, b) for a, b, _ in dp.edges]
+    m_k, ss = dp.m_of_k, [Fraction(a, b) for a, b, _ in dp.edges]
     between = [(max(s, m_k) + t) / 2 for s, t in zip([Fraction(0), *ss], ss) if t > m_k]
     radii = [INF, m_k, *ss, *((s + t) / 2 for s, t in zip(ss, ss[1:])), *between, m_k - 1, m_k / 3]
     for r in (r for r in radii if r > 0):
@@ -719,7 +719,7 @@ def test_closed_form_region_membership(case):
     # M(k), every s_j, the midpoints between them, above the top and below M(k)
     ctx, k = case
     dp = derivative_polygon(ctx, k)
-    m_k, ss = dp.m_of_k.value, [Fraction(a, b) for a, b, _ in dp.edges]
+    m_k, ss = dp.m_of_k, [Fraction(a, b) for a, b, _ in dp.edges]
     marks = sorted({m_k, *ss})
     mids = [(s + t) / 2 for s, t in zip(marks, marks[1:])]
     radii = [*marks, *mids, marks[-1] + 1, m_k - 1, m_k / 3, m_k * 2 / 3]
@@ -739,8 +739,24 @@ def test_closed_form_matches_hull_at_region_edges(case):
     # the hull is certified at positive radii only, so a zero M(k) is skipped
     ctx, k = case
     dp = derivative_polygon(ctx, k)
-    m_k = dp.m_of_k.value
+    m_k = dp.m_of_k
     edges = [m_k, *(Fraction(a, b) for a, b, _ in dp.edges if Fraction(a, b) >= m_k)]
+    for r in (r for r in edges if r > 0):
+        w = WeightPoint(k, r)
+        assert _closed_form_runs(ctx, k, w) == _hull_runs(ctx, k, w), (k, r)
+
+
+@given(case=high_weight(), data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_closed_form_matches_hull_at_region_edges_at_high_weight(case, data):
+    # the same oracle at weights up to 50,000: M(k), s_M, s_N and two drawn
+    # closed s_j, each a region edge where the closed form holds by continuity
+    ctx, k = case
+    dp = derivative_polygon(ctx, k)
+    closed = [Fraction(a, b) for a, b, _ in dp.edges[dp.M_index - 1 :]]
+    edges = [dp.m_of_k]
+    if closed:
+        edges += [closed[0], closed[-1], *(data.draw(st.sampled_from(closed)) for _ in range(2))]
     for r in (r for r in edges if r > 0):
         w = WeightPoint(k, r)
         assert _closed_form_runs(ctx, k, w) == _hull_runs(ctx, k, w), (k, r)
@@ -877,12 +893,12 @@ def test_criterion_matches_certified_hull(case, radius):
 @example(case=(GhostContext(13, 5, 11), 41))
 @settings(max_examples=60, deadline=None)
 def test_model_L_matches_fraction_accumulation(case):
-    # the known blocks over one denominator, and L read off them and R,
+    # the known blocks read off the closed runs, and L read off them and R,
     # against the Fraction slopes and L accumulated step by step in Fractions
     ctx, k = case
     model = build_model(ctx, k)
     known, seq = _oracle_model(ctx, k)
-    assert tuple((Fraction(a, model.L_den), width) for a, width in model.known) == known
+    assert tuple((Fraction(a, b), 2 * model.global_mult * mult) for a, b, mult in reversed(model.closed)) == known
     assert model.L_seq == seq
     assert len(seq) == model.d
 
@@ -900,7 +916,7 @@ def test_model_radius_matches_window_midpoint(case):
     # min(M(k) + 1, s_M); M(k) + 1/2 when no slope clears M(k)
     ctx, k = case
     dp = derivative_polygon(ctx, k)
-    m_k, ss = dp.m_of_k.value, [Fraction(a, b) for a, b, _ in dp.edges]
+    m_k, ss = dp.m_of_k, [Fraction(a, b) for a, b, _ in dp.edges]
     if dp.M_index > len(ss):
         assert model_radius(ctx, k) == m_k + Fraction(1, 2)
         return
@@ -917,7 +933,7 @@ def _oracle_thresholds(ctx, k):
     """Local thresholds and provenance, each threshold a Fraction slope, index by index."""
     dp = derivative_polygon(ctx, k)
     h = dimensions(ctx, k).d_new // 2
-    ss, ns = [s for s, _ in dp.slopes], dp.breakpoints
+    ss, ns = [s for s, _ in dp.slopes], dp.vertex_xs
     local, prov = [None] * (2 * h + 1), [None] * (2 * h + 1)
     for j in range(dp.M_index, len(ss) + 1):
         for n in (*range(h - ns[j] + 1, h - ns[j - 1] + 1), *range(h + ns[j - 1] + 1, h + ns[j] + 1)):
@@ -957,21 +973,16 @@ def _oracle_prediction(ctx, k):
 
 
 def _oracle_sample(ctx, k, kind):
-    """The sample's values, ascending, stand-ins included, built from (Fraction value,
-    multiplicity) pairs, and its floor stand-in and count."""
-    floor_raw, floor_count = Fraction(0), 0
+    """The sample's values, ascending, built from (Fraction value, multiplicity) pairs."""
     if kind is SampleKind.THRESHOLD:
         local, _ = _oracle_thresholds(ctx, k)
         raw = [(cs, ctx.global_mult) for cs in local]
     elif kind is SampleKind.DERIVATIVE:
         raw = [(s, 2 * m) for s, m in derivative_polygon(ctx, k).slopes]
     else:
-        linv, linv_floor, floor_count = _oracle_prediction(ctx, k)
-        floor_raw = -linv_floor.value
-        raw = [(-v, m) for v, m in linv]
+        raw = [(-v, m) for v, m in _oracle_prediction(ctx, k)[0]]
     norm = Fraction(2 * (ctx.p + 1), (ctx.p - 1) * k)
-    values = sorted([norm * v for v, m in raw for _ in range(m)] + [norm * floor_raw] * floor_count)
-    return tuple(values), norm * floor_raw, floor_count
+    return tuple(sorted(norm * v for v, m in raw for _ in range(m)))
 
 
 def _expanded_thresholds(ctx, k):
@@ -990,7 +1001,7 @@ def _expanded_thresholds(ctx, k):
 
 
 def _expanded_sample(ctx, k, kind):
-    """The genuine values' numerators, one per value and sorted, over one
+    """The values' numerators, one per value and sorted, over one
     denominator: thresholds read from :func:`_expanded_thresholds`."""
     if kind is SampleKind.THRESHOLD:
         nums, lcd, _ = _expanded_thresholds(ctx, k)
@@ -1000,9 +1011,9 @@ def _expanded_sample(ctx, k, kind):
         lcd = math.lcm(*{b for _, b, _ in edges})
         raw = [(a * (lcd // b), 2 * mult) for a, b, mult in edges]
     else:
-        model = predict_slopes(ctx, k)
-        lcd = math.lcm(model.L_den, (model.R + 1).denominator)
-        raw = [((a + model.L_den) * (lcd // model.L_den), mult) for a, mult in model.known]
+        linv = _oracle_prediction(ctx, k)[0]
+        lcd = math.lcm(*{v.denominator for v, _ in linv})
+        raw = [(int(-v * lcd), mult) for v, mult in linv]
     nums = sorted(2 * (ctx.p + 1) * a for a, mult in raw for _ in range(mult))
     return nums, (ctx.p - 1) * k * lcd
 
@@ -1050,7 +1061,7 @@ def test_runs_match_expanded_oracles(case):
         s = sample(ctx, k, kind)
         nums, den = _expanded_sample(ctx, k, kind)
         assert s.den == den and list(chain.from_iterable(map(repeat, s.nums, s.mults))) == nums, kind
-        assert s.values == tuple(sorted(Fraction(a, den) for a in [*nums, *[s.floor_num] * s.floor_count]))
+        assert s.values == tuple(Fraction(a, den) for a in nums)
         if not nums:
             for stat in (lambda: s.moments(3), lambda: discrepancy(s)):
                 with pytest.raises(DomainError):
@@ -1088,22 +1099,17 @@ def test_integer_paths_match_fraction_oracle(case):
     assert (tv.local_thresholds, tv.provenance) == (local, prov)
     assert tv.to_json_dict()["local"] == [str(v) for v in local]
     model = build_model(ctx, k)
-    known = tuple((Fraction(a, model.L_den), width) for a, width in model.known)
+    known = tuple((Fraction(a, b), 2 * model.global_mult * mult) for a, b, mult in reversed(model.closed))
     assert (known, model.L_seq) == _oracle_model(ctx, k)
     pred = predict_slopes(ctx, k)
     assert (pred.linv_slopes_known, pred.linv_floor, pred.exceptional_count) == _oracle_prediction(ctx, k)
     assert pred.to_json_dict()["linv_known"] == [[str(v), m] for v, m in _oracle_prediction(ctx, k)[0]]
     for kind in SampleKind:
         s = sample(ctx, k, kind)
-        assert (s.values, Fraction(s.floor_num, s.den), s.floor_count) == _oracle_sample(ctx, k, kind), kind
+        assert s.values == _oracle_sample(ctx, k, kind), kind
 
 
 # -- sample statistics against their Fraction definitions --------------------
-
-
-def _oracle_genuine(values, floor_value, floor_count):
-    i = bisect_left(values, floor_value)
-    return values[:i] + values[i + floor_count :]
 
 
 def _oracle_moment(vals, n):
@@ -1136,20 +1142,16 @@ def _oracle_csv_rows(k, kind, vals, n_max):
 @st.composite
 def integer_samples(draw):
     """A sample of ascending runs over a random denominator, neighbouring runs
-    tied or not, with floor stand-ins or without."""
+    tied or not."""
     den = draw(st.integers(1, 60))
     nums = draw(st.lists(st.integers(-den, 3 * den), max_size=25))
     mults = draw(st.lists(st.integers(1, 4), min_size=len(nums), max_size=len(nums)))
-    floor_count = draw(st.sampled_from((0, 0, 1, 2, 5)))
-    floor_num = draw(st.integers(-den, 3 * den)) if floor_count else 0
     return DistributionSample(
         k=24,
-        kind=SampleKind.LINV if floor_count else SampleKind.THRESHOLD,
+        kind=draw(st.sampled_from(SampleKind)),
         nums=tuple(sorted(nums)),
         mults=tuple(mults),
         den=den,
-        floor_num=floor_num,
-        floor_count=floor_count,
     )
 
 
@@ -1157,17 +1159,15 @@ def integer_samples(draw):
 @settings(max_examples=200, deadline=None)
 def test_sample_statistics_match_fraction_oracles(s):
     expanded = [a for a, mult in zip(s.nums, s.mults) for _ in range(mult)]
-    values = tuple(sorted(Fraction(a, s.den) for a in expanded + [s.floor_num] * s.floor_count))
-    assert s.values == values
-    genuine = _oracle_genuine(values, Fraction(s.floor_num, s.den), s.floor_count)
-    assert tuple(Fraction(a, s.den) for a in expanded) == genuine
-    if not genuine:
+    values = tuple(sorted(Fraction(a, s.den) for a in expanded))
+    assert s.values == values == tuple(Fraction(a, s.den) for a in expanded)
+    if not values:
         for stat in (lambda: s.moments(1), lambda: discrepancy(s)):
             with pytest.raises(DomainError):
                 stat()
         return
-    assert s.moments(4) == tuple(_oracle_moment(genuine, n) for n in range(1, 5))
-    assert [s.moments(n)[-1] for n in (1, 3)] == [_oracle_moment(genuine, n) for n in (1, 3)]
-    assert discrepancy(s) == _oracle_discrepancy(genuine)
+    assert s.moments(4) == tuple(_oracle_moment(values, n) for n in range(1, 5))
+    assert [s.moments(n)[-1] for n in (1, 3)] == [_oracle_moment(values, n) for n in (1, 3)]
+    assert discrepancy(s) == _oracle_discrepancy(values)
     rows = weyl_csv([(s.k, s.kind, s.moments(4))]).splitlines()[1:]
-    assert rows == list(_oracle_csv_rows(s.k, s.kind.value, genuine, 4))
+    assert rows == list(_oracle_csv_rows(s.k, s.kind.value, values, 4))

@@ -20,6 +20,7 @@ from ghost_slopes.distribution import (
 )
 from ghost_slopes.errors import DomainError
 from ghost_slopes.ghost import GhostContext
+from ghost_slopes.prediction import predict_slopes
 from ghost_slopes.slopes import derivative_polygon
 from strategies import slope_list
 
@@ -33,18 +34,16 @@ def sample_weights(ctx, lo, hi, count, seed):
     return sorted(rng.sample(pool, min(count, len(pool))))
 
 
-def make_sample(values, floor_value=Fraction(0), floor_count=0):
+def make_sample(values):
     # hand-built sample for statistics-only tests, over the lcm of the
     # denominators: one run per value, ties kept as neighbouring runs
-    den = lcm(floor_value.denominator, *(v.denominator for v in values))
+    den = lcm(*(v.denominator for v in values))
     return DistributionSample(
         k=24,
         kind=SampleKind.THRESHOLD,
         nums=tuple(sorted(int(v * den) for v in values)),
         mults=(1,) * len(values),
         den=den,
-        floor_num=int(floor_value * den),
-        floor_count=floor_count,
     )
 
 
@@ -87,15 +86,15 @@ class TestSampleValues:
     def test_linv_values_frozen(self):
         s = sample(CTX, 24, SampleKind.LINV)
         assert s.values == (
-            Fraction(5, 12),
-            Fraction(5, 12),
             Fraction(7, 9),
             Fraction(7, 9),
             Fraction(10, 9),
             Fraction(10, 9),
         )
-        assert Fraction(s.floor_num, s.den) == Fraction(5, 12)
-        assert s.floor_count == 2
+        # the floor, normalized, and the exceptional count it stands for sit on the model
+        model = predict_slopes(CTX, 24)
+        assert Fraction(2 * (CTX.p + 1), (CTX.p - 1) * 24) * (model.R + 1) == Fraction(5, 12)
+        assert model.exceptional_count == 2
         assert tuple(Fraction(a, s.den) for a in s.nums) == (Fraction(7, 9), Fraction(10, 9))
         assert s.mults == (2, 2)
 
@@ -104,10 +103,10 @@ class TestSampleValues:
         assert s.moments(1)[-1] == Fraction(17, 18)
 
     def test_floor_only_sample_has_no_numerators(self):
-        # (5,1,0) k = 7 predicts only floor stand-ins
+        # (5,1,0) k = 7 predicts only the floor
         s = sample(GhostContext(5, 1, 0), 7, SampleKind.LINV)
-        assert s.nums == () and s.floor_count > 0
-        assert s.values == (Fraction(s.floor_num, s.den),) * s.floor_count
+        assert s.nums == () and predict_slopes(GhostContext(5, 1, 0), 7).exceptional_count > 0
+        assert s.values == ()
         with pytest.raises(DomainError):
             s.moments(1)
         with pytest.raises(DomainError):
@@ -115,12 +114,13 @@ class TestSampleValues:
 
     def test_floor_sits_below_known_block(self):
         # the model radius is below every closed-form slope, so the
-        # floor stand-in can never collide with a genuine value
+        # normalized floor R + 1 lies below every value of the sample
         for ctx in (CTX, CTX_WRAP):
             for k in sample_weights(ctx, 10, 500, 5, seed=3):
-                s = sample(ctx, k, SampleKind.LINV)
-                if s.floor_count and s.nums:
-                    assert s.floor_num < s.nums[0]
+                s, model = sample(ctx, k, SampleKind.LINV), predict_slopes(ctx, k)
+                if model.exceptional_count and s.nums:
+                    floor = Fraction(2 * (ctx.p + 1), (ctx.p - 1) * k) * (model.R + 1)
+                    assert floor < Fraction(s.nums[0], s.den)
 
     def test_sizes(self):
         for ctx in (CTX, CTX_WRAP):
@@ -131,7 +131,8 @@ class TestSampleValues:
                 m = ctx.global_mult
                 assert len(sample(ctx, k, SampleKind.THRESHOLD).values) == m * d_new
                 assert len(sample(ctx, k, SampleKind.DERIVATIVE).values) == d_new
-                assert len(sample(ctx, k, SampleKind.LINV).values) == m * d_new
+                exceptional = predict_slopes(ctx, k).exceptional_count
+                assert len(sample(ctx, k, SampleKind.LINV).values) + exceptional == m * d_new
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):

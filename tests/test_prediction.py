@@ -45,12 +45,13 @@ def pattern(m):
 
 
 def test_model_frozen_k24():
-    # the model is its known blocks and R: no per-index sequence is stored
-    assert [f.name for f in fields(PredictionModel)] == ["k", "d", "known", "L_den", "R"]
+    # the model is its closed runs and R: no per-index sequence is stored
+    assert [f.name for f in fields(PredictionModel)] == ["k", "d", "closed", "global_mult", "R"]
     m = build_model(CTX, 24)
     assert m.d == 6
     assert m.R == Fraction(11, 4)
-    assert (m.known, m.L_den) == (((36, 2), (24, 2)), 4)
+    assert (m.closed, m.global_mult) == (((6, 1, 1), (9, 1, 1)), 1)
+    assert m.closed == derivative_polygon(CTX, 24).edges[1:]
     assert m.L_seq == (
         Fraction(9),
         Fraction(18),
@@ -76,7 +77,7 @@ def test_model_radius_bracket():
             if not dp.raw or dp.M_index > len(dp.slopes):
                 continue
             r = model_radius(ctx, k)
-            m_val = dp.m_of_k.value
+            m_val = dp.m_of_k
             assert m_val < r < m_val + 1
             assert r < dp.slopes[dp.M_index - 1][0]
 
@@ -87,7 +88,7 @@ def test_model_L_increments_are_known_steps_then_R():
         diffs = [m.L_seq[0]] + [
             m.L_seq[j + 1] - m.L_seq[j] for j in range(m.d - 1)
         ]
-        expected = [Fraction(a, m.L_den) for a, width in m.known for _ in range(width)]
+        expected = [Fraction(a, b) for a, b, mult in reversed(m.closed) for _ in range(2 * m.global_mult * mult)]
         assert diffs == expected + [m.R] * m.exceptional_count
         # increments never increase, so the negated hull is convex
         assert diffs == sorted(diffs, reverse=True)
@@ -120,21 +121,22 @@ def _hull_check(model):
     if len(model.L_seq) != model.d:
         raise VerificationError(f"L has {len(model.L_seq)} entries, d = {model.d}")
     hull = lower_hull([(0, Fraction(0))] + [(j, -L) for j, L in enumerate(model.L_seq, 1)])
-    expected = [(-Fraction(a, model.L_den), width) for a, width in model.known]
+    expected = [(-Fraction(a, b), 2 * model.global_mult * mult) for a, b, mult in reversed(model.closed)]
     if flat := model.exceptional_count:
         expected.append((-model.R, flat))
     if list(hull.slopes) != expected:
         raise VerificationError(f"{list(hull.slopes)} != {expected}")
 
 
-# planted model faults: (plant, its error at k = 24 on (7,2,1), where L_den = 4,
-# d = 6 and the steps are 36, 24 and 11, top block first)
+# planted model faults: (plant, its error at k = 24 on (7,2,1), where d = 6 and
+# the steps are 9, 6 and 11/4, top block first; the top block is the last run)
 MODEL_PLANTS = {
     # the second block steps by the top block's slope, so a hull merges them
-    "equal-adjacent-blocks": (lambda m: replace(m, known=(m.known[0], (m.known[0][0], m.known[1][1]), *m.known[2:])),
+    "equal-adjacent-blocks": (lambda m: replace(m, closed=(*m.closed[:-2], (*m.closed[-1][:2], m.closed[-2][2]),
+                                                           m.closed[-1])),
                               "block 2 expects step below 9, found 9"),
-    # the top block widened by d, so L runs past d
-    "known-past-d": (lambda m: replace(m, known=((m.known[0][0], m.known[0][1] + m.d), *m.known[1:])),
+    # the top block widened by 2 m d, so L runs past d
+    "known-past-d": (lambda m: replace(m, closed=(*m.closed[:-1], (*m.closed[-1][:2], m.closed[-1][2] + m.d))),
                      "the known blocks run past d = 6"),
 }
 
@@ -143,7 +145,7 @@ MODEL_PLANTS = {
 def test_model_hull_proof_fails_on_planted_faults(plant, message):
     for ctx, k in ((CTX, 24), (CTX, 366), (CTX_WRAP, 276), (CTX_ODD, 1535)):
         model = build_model(ctx, k)
-        assert len(model.known) >= 2  # two known blocks to merge
+        assert len(model.closed) >= 2  # two known blocks to merge
         _hull_check(model)
         planted = plant(model)
         with pytest.raises(VerificationError, match=message if k == 24 else "model hull mismatch"):
@@ -182,7 +184,7 @@ def test_pattern_all_known_depth_four():
     # d = 8 with four unit blocks, every slope cleared: equalities walk the
     # doubled diagonal and mirror back up, bottom row strict throughout
     # rel reads only d and the known widths
-    m = PredictionModel(k=None, d=8, known=((0, 2),) * 4, L_den=1, R=Fraction(0))
+    m = PredictionModel(k=None, d=8, closed=((0, 1, 1),) * 4, global_mult=1, R=Fraction(0))
     rows = pattern(m)
     text = ["".join({Rel.GT: ">", Rel.GE: "e", Rel.EQ: "="}[r] for r in row) for row in rows]
     assert text == [
@@ -208,7 +210,7 @@ def test_pattern_row_mirror():
 def test_pattern_equality_count():
     for ctx, k in ((CTX, 24), (CTX, 366), (CTX_WRAP, 276), (CTX_ODD, 1535)):
         m = build_model(ctx, k)
-        enumerated = 2 * len(m.known)
+        enumerated = 2 * len(m.closed)
         overlap = 1 if m.known_size == m.d else 0
         assert len(eq_cells(m)) == enumerated - overlap
 
@@ -249,7 +251,7 @@ def test_pattern_count_matches_per_cell_rule_on_synthetic_blocks(d, halves):
     # j = 2*acc counts j - 1 strict entries exactly when 2*acc <= d, but for a
     # column 0 and at d = acc = 1.  So blocks of width >= 2 that fit in d, which
     # build_model's hull assertion requires, give every column j - 1
-    m = PredictionModel(k=None, d=d, known=tuple((0, 2 * w) for w in halves), L_den=1, R=Fraction(0))
+    m = PredictionModel(k=None, d=d, closed=tuple((0, 1, w) for w in reversed(halves)), global_mult=1, R=Fraction(0))
     for j, strict in pattern_strict_counts_oracle(m):
         assert (strict == j - 1) == (0 < j <= d or j == 2 == 2 * d), (d, j, strict)
 

@@ -68,10 +68,10 @@ def test_derivative_polygon_frozen_k24(ctx):
     dp = derivative_polygon(ctx, 24)
     assert dp.raw == (Fraction(17), Fraction(19), Fraction(25), Fraction(34))
     assert dp.slopes == ((Fraction(2), 1), (Fraction(6), 1), (Fraction(9), 1))
-    assert dp.breakpoints == (0, 1, 2, 3)
+    assert tuple(dp.vertex_xs) == (0, 1, 2, 3)
     assert (list(dp.ys), list(dp.gaps), list(dp.vertex_xs)) == ([34, 38, 50, 68], [], [0, 1, 2, 3])
     assert dp.M_index == 2
-    assert dp.m_of_k == Valuation(2)
+    assert type(dp.m_of_k) is int and dp.m_of_k == 2
     assert dp.k == 24
 
 
@@ -85,9 +85,9 @@ def test_derivative_polygon_wraparound_frozen(wrap_ctx):
     )
     assert [s for s, _ in dp.slopes[:3]] == [Fraction(2), Fraction(10), Fraction(12)]
     assert dp.slopes[-1] == (Fraction(112), 2)
-    assert dp.breakpoints[-1] == dimensions(wrap_ctx, 276).d_new // 2
+    assert dp.vertex_xs[-1] == dimensions(wrap_ctx, 276).d_new // 2
     assert dp.M_index == 2
-    assert dp.m_of_k == Valuation(3)
+    assert dp.m_of_k == 3
 
 
 def test_derivative_polygon_empty_when_no_newforms():
@@ -95,7 +95,7 @@ def test_derivative_polygon_empty_when_no_newforms():
     assert dimensions(ctx, 4).d_new == 0
     dp = derivative_polygon(ctx, 4)
     assert dp.slopes == ()
-    assert dp.breakpoints == (0,)
+    assert tuple(dp.vertex_xs) == (0,)
     assert dp.edges == () and len(dp.ys) == 1
 
 
@@ -120,8 +120,8 @@ def test_derivative_polygon_cached(ctx):
 def test_last_breakpoint_is_half_dnew(ctx):
     for k in ctx.class_members(3, 400):
         dp = derivative_polygon(ctx, k)
-        assert dp.breakpoints[0] == 0
-        assert dp.breakpoints[-1] == dimensions(ctx, k).d_new // 2
+        assert dp.vertex_xs[0] == 0
+        assert dp.vertex_xs[-1] == dimensions(ctx, k).d_new // 2
 
 
 @pytest.mark.parametrize(
@@ -221,7 +221,7 @@ def test_triple_equivalence(ctx):
         trip = dimensions(ctx, k)
         c, h = trip.d_iw // 2, trip.d_new // 2
         w_k = WeightPoint(k, INF)
-        vx = set(dp.breakpoints)
+        vx = set(dp.vertex_xs)
         for l in range(h):
             below = _full_scan_witnesses(ctx, c - l, w_k, hi_k=k)
             above = _full_scan_witnesses(ctx, c + l, w_k, lo_k=k)
@@ -235,7 +235,7 @@ def test_triple_equivalence_wraparound(wrap_ctx):
     trip = dimensions(wrap_ctx, k)
     c, h = trip.d_iw // 2, trip.d_new // 2
     w_k = WeightPoint(k, INF)
-    vx = set(dp.breakpoints)
+    vx = set(dp.vertex_xs)
     for l in range(h):
         below = _full_scan_witnesses(wrap_ctx, c - l, w_k, hi_k=k)
         above = _full_scan_witnesses(wrap_ctx, c + l, w_k, lo_k=k)
@@ -349,11 +349,11 @@ def test_newslopes_closed_hull_agree_many(ctx):
     for k in (24, 48, 90, 174):
         dp = derivative_polygon(ctx, k)
         ss = [s for s, _ in dp.slopes]
-        probes = [Valuation(ss[-1] + 1), INF, dp.m_of_k]
-        probes += [Valuation(s) for s in ss if s >= dp.m_of_k.value]
+        probes = [Valuation(ss[-1] + 1), INF, Valuation(dp.m_of_k)]
+        probes += [Valuation(s) for s in ss if s >= dp.m_of_k]
         for i in range(dp.M_index, len(ss) + 1):
             prev = ss[i - 2] if i >= 2 else Fraction(0)
-            lo = max(dp.m_of_k.value, prev)
+            lo = max(dp.m_of_k, prev)
             if ss[i - 1] > lo:
                 probes.append(Valuation((lo + ss[i - 1]) / 2))
         for r in probes:
@@ -449,7 +449,7 @@ def test_sweep_threshold_frozen(ctx):
 def test_sweep_entries_at_most_m(ctx):
     for k in (24, 48, 90, 174):
         tv = k_thresholds(ctx, k)
-        m = derivative_polygon(ctx, k).m_of_k.value
+        m = derivative_polygon(ctx, k).m_of_k
         for cs, tag in zip(tv.local_thresholds, tv.provenance):
             if tag == "sweep":
                 assert cs <= m, (k, cs)
@@ -496,7 +496,7 @@ def test_thresholds_central_block_size_bound(ctx):
         kb = ctx.bullet(k)
         if kb < 1 or not dp.slopes:
             continue
-        central = 2 * dp.breakpoints[dp.M_index - 1]
+        central = 2 * dp.vertex_xs[dp.M_index - 1]
         cap = 2 * ((2 * math.floor(math.log(kb, ctx.p)) + 5) / (ctx.p - 1) + 1)
         assert central <= cap, (k, central, cap)
 
@@ -768,7 +768,7 @@ def _slope_window(ctx, k, dp, i):
     # r_i sits halfway from max(M(k), s_{i-1}) toward s_i, within 1 of that
     # edge; returns r_i and the extreme newslopes over the disc of radius r_i
     ss = [Fraction(a, b) for a, b, _ in dp.edges]
-    lo = dp.m_of_k.value if i == dp.M_index else ss[i - 2]
+    lo = dp.m_of_k if i == dp.M_index else ss[i - 2]
     r_i = lo + min(Fraction(1), ss[i - 1] - lo) / 2
     got = k_newslopes(ctx, k, WeightPoint(k, r_i))
     return r_i, max(got), min(got)
