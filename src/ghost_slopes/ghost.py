@@ -557,11 +557,10 @@ def valuation_table_at(ctx: GhostContext, k: int, radius, n_hi: int) -> tuple:
 
 
 def level_tables(ctx: GhostContext, k: int, level: int, n_hi: int) -> tuple:
-    """(A, B) with v_p(g_n(w_*)) = A[n] + B[n]*r exactly for every radius
-    r in [level, level+1] (level >= 0): distances <= level contribute their
-    full weight to A, strictly larger ones ride the radius in B."""
-    kb = ctx.bullet(k)
-    return (
-        _anchored_table(ctx, kb, n_hi, lambda d: d if d is not None and d <= level else 0),
-        _anchored_table(ctx, kb, n_hi, lambda d: 0 if d is not None and d <= level else 1),
-    )
+    """(A, B) with v_p(g_n(w_*)) = A[n] + B[n]*r exactly for every radius r in [level, level+1]
+    (level >= 0): distances <= level contribute their full weight to A, strictly larger ones ride the
+    radius in B.  The sweep reads A + level B and A + (level + 1) B instead, the tables at the radii
+    level and level + 1; these are its tier-1 oracle, and ``perfbench/tracing.py`` traces this name."""
+    kb, near = ctx.bullet(k), lambda d: d is not None and d <= level
+    A = _anchored_table(ctx, kb, n_hi, lambda d: d if near(d) else 0)
+    return A, _anchored_table(ctx, kb, n_hi, lambda d: 0 if near(d) else 1)

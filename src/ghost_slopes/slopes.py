@@ -47,9 +47,9 @@ from .ghost import (
     _zero_radius,
     dimensions,
     hatted_steps,
-    level_tables,
     max_zero_distance,
     point_distance,
+    valuation_table_at,
 )
 from .polygon import RationalPolygon, _chain, _hull_gaps, edge_runs, gap_edges, newton_polygon_at
 from .valuation import Valuation, runs_text, vp_int_raw
@@ -428,8 +428,10 @@ def k_thresholds(ctx: GhostContext, k: int) -> ThresholdVector:
 
 # -- the exact sweep below M(k) ---------------------------------------------------
 #
-# On each radius interval [level, level + 1] every coefficient valuation
-# is A_n + B_n * r with integer tables, so the n-th newslope is piecewise
+# On [L, L + 1], L an integer, v_p(g_n(w)) = sum_j m_n(j) min(r, d_j) is
+# linear in r, as each distance d_j is an integer or INF: min(r, d) is d if
+# d <= L, else r.  So it is V_L[n] (L + 1 - r) + V_{L+1}[n] (r - L), V_L the
+# valuation table at the integer radius L, and each newslope is piecewise
 # linear in r.  The sweep reads only the hull edges over [lo - 1, hi],
 # lo..hi the abscissae d_ur + n of the indices asked for, so a piece
 # [r1, r2] certifies only the sub-chain of hull vertices from the last one
@@ -444,28 +446,27 @@ def k_thresholds(ctx: GhostContext, k: int) -> ThresholdVector:
 # block, which nothing reads, goes unchecked.
 #
 # The turn and point tests are signs of one orientation test, _turn,
-# which is linear in the table and so in r: a sign that holds at both
-# endpoints holds on the whole piece.  The midpoint's hull chain over a
-# slice around the block proposes the sub-chain.  A test that fails at an
-# endpoint splits the piece at its root -_turn(A)/_turn(B) when that lies
-# in (r1, r2), else the slice widens 4x.  On the whole window the chain's
-# turns are > 0 and its point tests <= 0 at the midpoint, so there every
-# root lies in (r1, r2).  All hull comparisons run on values scaled by the
-# radius denominator, in plain integers.  Levels start at 1, so the tail
-# bound's factor min(r, 1) is always 1 and c_1 = min(r, 2) - 1.  The tail
-# test at both ends covers the piece: a coefficient and the last edge's line
-# are both linear in r on it.
+# linear in the table and so in r: t_L (L + 1 - r) + t_{L+1} (r - L), t_L
+# its value on V_L, so a sign that holds at both endpoints holds on the
+# whole piece.  The midpoint's hull chain over a slice around the block
+# proposes the sub-chain.  A test that fails at an endpoint splits the
+# piece at its root L + t_L / (t_L - t_{L+1}) when that lies in (r1, r2),
+# else the slice widens 4x.  On the whole window the chain's turns are > 0
+# and its point tests <= 0 at the midpoint, so there every root lies in
+# (r1, r2).  Values are scaled by the radius denominator, in plain
+# integers.  As levels start at 1, the tail bound's min(r, 1) is 1 and
+# c_1 = min(r, 2) - 1, and a tail test at both ends covers the piece.
 #
-# On a piece the newslope is linear in r, so it is (k-2)/2 on the whole
-# piece iff its edge's B-difference is 0 and its A-difference is (k-2)/2
-# times the edge width: the lock test needs no radius.  A threshold is the
-# largest r2 of a piece where its index is unlocked, else 1.  Walking the
-# levels M(k)-1 down to 1, each right to left, meets the r2 in decreasing
-# order, so an index is settled exactly at its first unlocked piece.  An
-# index locked everywhere needs every level and keeps 1: below radius 1
-# the newslope is r times a fixed slope, never locked.  The walk stops
-# after the first level that leaves no index open, since _level_pieces
-# certifies a whole level at once.
+# On a piece the newslope is one edge's slope, linear in r on the level,
+# so it is (k-2)/2 on the piece iff it is on V_L and on V_{L+1}.  A
+# threshold is the largest r2 of a piece where its index is unlocked, else
+# 1 (below radius 1 the newslope is r times a fixed slope, never locked).
+# Walking the levels M(k)-1 down to 1, each right to left, meets the r2 in
+# decreasing order, so an index is settled at its first unlocked piece,
+# and the walk stops after the first level that leaves no index open.
+# V_L is also level L - 1's upper table, so a sweep builds levels + 1
+# tables, and a check passed on the same radius, window and sub-chain, as
+# at L when level L - 1's top piece keeps L's bottom one, is not run again.
 
 
 def _turn(T, a, b, c):
@@ -474,102 +475,102 @@ def _turn(T, a, b, c):
     return (T[c] - T[b]) * (b - a) - (T[b] - T[a]) * (c - b)
 
 
-def _values(A, B, r: Fraction):
-    """v_p(g_q) = A[q] + B[q] * r over every q of the tables, times r's denominator."""
+def _values(V0, V1, level: int, r: Fraction):
+    """v times v_p(g_q) at r = u / v in [level, level + 1], q over V0 and V1, the tables at
+    the radii level and level + 1: V0 ((level + 1) v - u) + V1 (u - level v), V0 or V1 itself at an end."""
     u, v = r.numerator, r.denominator
-    return [a * v + b * u for a, b in zip(A, B)]
+    c0, c1 = (level + 1) * v - u, u - level * v
+    if not (c0 and c1):
+        return V1 if c1 else V0
+    return [a * c0 + b * c1 for a, b in zip(V0, V1)]
 
 
-def _chain_violation(vn, xs):
-    """The first triple (a, b, c) of the sub-chain xs, on values vn, whose
-    _turn has the wrong sign: a vertex b of xs that turns right, or a point
-    q below the line of its edge [x0, x1], the first edge for q < xs[0] and
-    the last for q > xs[-1], as the sorted triple of q, x0 and x1; else None."""
+def _piece_violation(V0, V1, level, window, xs, r: Fraction, passed: set):
+    """The first certificate of the sub-chain xs on the window 0..len(V0)-1 that fails at
+    radius r in [level, level + 1]: a triple whose _turn has the wrong sign, a vertex b of
+    xs turning right as (a, b, c) or a point q below its edge's line [x0, x1] (the first
+    edge's left of xs, the last's right of it) as the sorted (q, x0, x1); else "tail" if
+    the tail leaves the last edge's line, else None.  A check passed adds (u, v, len(V0),
+    *xs), r = u / v, to ``passed``, which a sweep holds, and is not run again."""
+    if (key := (r.numerator, r.denominator, len(V0), *xs)) in passed:
+        return None
+    vn = _values(V0, V1, level, r)
     for a, b, c in zip(xs, xs[1:], xs[2:]):
         if _turn(vn, a, b, c) < 0:
             return (a, b, c)
     bounds = [0, *xs[1:-1], len(vn)]  # edge i judges the points bounds[i]..bounds[i+1]-1
     for q0, q1, x0, x1 in zip(bounds, bounds[1:], xs, xs[1:]):
         e, dy, c0 = x1 - x0, vn[x1] - vn[x0], vn[x0] * x1 - vn[x1] * x0
-        # e * (the line at q) is c0 + dy * q; a point on it never fails
-        for q in range(q0, q1):
-            if vn[q] * e < c0 + dy * q:
-                return tuple(sorted((q, x0, x1)))
+        line = c0 + dy * q0  # e * (the line at q) is c0 + dy * q; a point on it never fails
+        for y in vn[q0:q1]:
+            if y * e < line:
+                return tuple(sorted((next(q for q in range(q0, q1) if vn[q] * e < c0 + dy * q), x0, x1)))
+            line += dy
+    if not _tail_certified(r, window, xs[-2], [(x, vn[x]) for x in xs[-2:]], r.denominator):
+        return "tail"
+    passed.add(key)
     return None
 
 
-def _piece_violation(A, B, window, xs, r: Fraction):
-    """The first certificate of the sub-chain xs on the window 0..len(A)-1
-    that fails at radius r: a triple from :func:`_chain_violation`, or
-    "tail" when the tail leaves the last edge's line, else None."""
-    vn = _values(A, B, r)
-    viol = _chain_violation(vn, xs)
-    if viol is None:
-        last = [(x, vn[x]) for x in xs[-2:]]
-        if not _tail_certified(r, window, xs[-2], last, r.denominator):
-            return "tail"
-    return viol
-
-
-def _midpoint_chain(A, B, r: Fraction, lo, hi, pad):
+def _midpoint_chain(V0, V1, level, r: Fraction, lo, hi, pad):
     """The sub-chain over [lo - 1, hi] of the hull at radius r of the slice
     lo - 1 - pad .. hi + pad alone, from its last vertex at or left of lo - 1
     to its first at or right of hi: a proposal that :func:`_level_pieces` certifies."""
-    s0, s1 = max(0, lo - 1 - pad), min(len(A) - 1, hi + pad)
-    vn = _values(A[s0 : s1 + 1], B[s0 : s1 + 1], r)
+    s0, s1 = max(0, lo - 1 - pad), min(len(V0) - 1, hi + pad)
+    vn = _values(V0[s0 : s1 + 1], V1[s0 : s1 + 1], level, r)
     xs = [x for x, _ in _chain(zip(range(s0, s1 + 1), vn))]
     return xs[bisect_right(xs, lo - 1) - 1 : bisect_left(xs, hi) + 1]
 
 
-def _level_pieces(ctx: GhostContext, k: int, level: int, lo: int, hi: int):
-    """Certified pieces of [level, level + 1], for level >= 1, on each of
-    which the hull edges over [lo - 1, hi] stay fixed, 1 <= lo <= hi.
-
-    Returns [(r1, r2, vertex_xs, A, B)], consecutive, covering the range,
-    with r1 < r2 on every piece and vertex_xs the sub-chain from the last
-    vertex at or left of lo - 1 to the first at or right of hi, so
-    :func:`_locked_on` decides a lock at any x_pos in lo..hi on a whole
-    piece without a radius.  Each piece is certified on the sub-chain
-    alone (see the comment above :func:`_turn`), in the first window of
-    :func:`_windows` for q_hi = hi whose tail stays above the last edge's
-    line.  Nothing is cached: the pieces live only for the sweep that
-    builds them.
-    """
+def _level_pieces(ctx: GhostContext, k: int, level: int, lo: int, hi: int, held: dict, passed: set):
+    """Certified pieces of [level, level + 1], level >= 1, on each of which
+    the hull edges over [lo - 1, hi] stay fixed, 1 <= lo <= hi: a list of
+    (r1, r2, vertex_xs, V0, V1), consecutive, covering the range, r1 < r2,
+    vertex_xs the sub-chain from the last vertex at or left of lo - 1 to the
+    first at or right of hi, and V0, V1 the valuation tables at the radii
+    level and level + 1 that :func:`_locked_on` reads.  Each piece is
+    certified on the sub-chain alone (see the comment above :func:`_turn`),
+    in the first window of :func:`_windows` for q_hi = hi whose tail stays
+    above the last edge's line.  ``held`` maps (level, n_window) to the
+    last V0 built, which the next level reads as its V1, and ``passed``
+    holds the checks passed."""
     for window in _windows(ctx, k, hi):
         n_window = window[0]
-        A, B = level_tables(ctx, k, level, n_window)
-        done: list = []
-        stack = [(Fraction(level), Fraction(level + 1), 2 * (hi - lo) + 8)]
-        guard = 0
+        V1 = held.pop((level + 1, n_window), None) or valuation_table_at(ctx, k, level + 1, n_window)[0]
+        held.clear()
+        V0 = held[level, n_window] = valuation_table_at(ctx, k, level, n_window)[0]
+        done, guard, stack = [], 0, [(Fraction(level), Fraction(level + 1), 2 * (hi - lo) + 8)]
         while stack:
             if (guard := guard + 1) > SWEEP_PIECE_GUARD:
                 raise VerificationError(f"newslope sweep failed to stabilize: SWEEP_PIECE_GUARD = {SWEEP_PIECE_GUARD}")
             r1, r2, pad = stack.pop()
-            xs = _midpoint_chain(A, B, (r1 + r2) / 2, lo, hi, pad)
-            viol = _piece_violation(A, B, window, xs, r1) or _piece_violation(A, B, window, xs, r2)
+            xs = _midpoint_chain(V0, V1, level, (r1 + r2) / 2, lo, hi, pad)
+            viol = _piece_violation(V0, V1, level, window, xs, r1, passed) or _piece_violation(
+                V0, V1, level, window, xs, r2, passed)
             if viol is None:
                 done.append((r1, r2, xs))
                 continue
             if viol == "tail":
                 break  # on to a wider window
-            rate = _turn(B, *viol)  # the turn is _turn(A) + rate * r
-            if rate and r1 < (root := Fraction(-_turn(A, *viol), rate)) < r2:
+            t0, t1 = _turn(V0, *viol), _turn(V1, *viol)  # the turn at r is t0 (level + 1 - r) + t1 (r - level)
+            if t0 != t1 and r1 < (root := level + Fraction(t0, t0 - t1)) < r2:
                 stack += [(r1, root, pad), (root, r2, pad)]
             elif pad < max(lo - 1, n_window - hi):  # the slice misses some of the window
                 stack.append((r1, r2, 4 * pad))
             else:
                 raise VerificationError("sweep certificate root escaped its piece")
         else:
-            return [(r1, r2, xs, A, B) for r1, r2, xs in sorted(done)]
+            return [(r1, r2, xs, V0, V1) for r1, r2, xs in sorted(done)]
 
 
-def _locked_on(xs, A, B, x_pos, k) -> bool:
+def _locked_on(xs, V0, V1, x_pos, k) -> bool:
     """Whether the newslope over [x_pos - 1, x_pos] is (k-2)/2 on the whole
     piece, read on the one hull edge [x0, x1] that contains that unit
-    interval: the edge's slope (dA + dB * r) / (x1 - x0) is constant."""
+    interval: the edge's slope is linear in r on the level, so it is
+    (k-2)/2 on the piece iff it is on V0 and on V1, at both integer ends."""
     i = bisect_right(xs, x_pos - 1) - 1
     x0, x1 = xs[i], xs[i + 1]
-    return B[x1] == B[x0] and 2 * (A[x1] - A[x0]) == (k - 2) * (x1 - x0)
+    return 2 * (V0[x1] - V0[x0]) == (k - 2) * (x1 - x0) == 2 * (V1[x1] - V1[x0])
 
 
 def _sweep(ctx: GhostContext, k: int, ns) -> List[Fraction]:
@@ -577,15 +578,15 @@ def _sweep(ctx: GhostContext, k: int, ns) -> List[Fraction]:
     d_ur = dimensions(ctx, k).d_ur
     settled = [Fraction(1)] * len(ns)
     open_ = dict(enumerate(ns))
-    level = int(max_zero_distance(ctx, k).value)
+    level, held, passed = derivative_polygon(ctx, k).m_of_k, {}, set()
     while open_ and level > 1:
         level -= 1
-        pieces = _level_pieces(ctx, k, level, d_ur + min(ns), d_ur + max(ns))
-        for r1, r2, xs, A, B in reversed(pieces):
+        for r1, r2, xs, V0, V1 in reversed(_level_pieces(ctx, k, level, d_ur + min(ns), d_ur + max(ns), held, passed)):
             for i, n in list(open_.items()):
-                if not _locked_on(xs, A, B, d_ur + n, k):
+                if not _locked_on(xs, V0, V1, d_ur + n, k):
                     settled[i] = r2
                     del open_[i]
+        del V0, V1  # frees V1 before the next level builds a table
     return settled
 
 

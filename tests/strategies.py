@@ -1,6 +1,6 @@
 """Hypothesis strategies and helpers shared by the property tests."""
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from fractions import Fraction
 from functools import cache
@@ -8,8 +8,10 @@ from operator import itemgetter, sub
 
 from hypothesis import strategies as st
 
-from ghost_slopes import INF, GhostContext, Valuation
-from ghost_slopes.ghost import _zeros, hatted_valuation_table
+from ghost_slopes import INF, GhostContext, Valuation, slopes
+from ghost_slopes.errors import VerificationError
+from ghost_slopes.ghost import _zeros, dimensions, hatted_valuation_table, level_tables, max_zero_distance
+from ghost_slopes.polygon import _chain
 from ghost_slopes.valuation import vp_int_raw
 
 # radii of weight points: the anchor itself, the 3/2 floor of every
@@ -147,3 +149,105 @@ def pattern_strict_counts_oracle(model) -> list:
     """(j, strict entries) of each equality column j, ascending, counted cell by cell."""
     columns = sorted({j for _, j in eq_cells(model)})
     return [(j, [rel(model, i, j) for i in range(1, model.d + 1)].count(Rel.GT)) for j in columns]
+
+
+# -- the sweep's A/B piece walk: the oracle of slopes._level_pieces, _locked_on and _sweep
+#
+# Each level [L, L + 1] builds the pair of level tables (A, B), v_p(g_n) = A[n] + B[n] r,
+# evaluates A + B r over the whole window at both ends of every piece, splits a piece at the
+# root -_turn(A) / _turn(B), and locks an index where its edge's B-difference is 0 and its
+# A-difference (k-2)/2 times the edge width.  No table is shared and no check is skipped.
+
+
+def ab_values(A, B, r: Fraction) -> list:
+    """v_p(g_q) = A[q] + B[q] * r over every q of the tables, times r's denominator."""
+    u, v = r.numerator, r.denominator
+    return [a * v + b * u for a, b in zip(A, B)]
+
+
+def ab_chain_violation(vn, xs):
+    """The first triple of the sub-chain xs, on values vn, whose turn has the
+    wrong sign: a vertex b that turns right as (a, b, c), or a point q below the
+    line of its edge [x0, x1] (the first edge's for q < xs[0], the last's for
+    q > xs[-1]) as the sorted (q, x0, x1); else None."""
+    for a, b, c in zip(xs, xs[1:], xs[2:]):
+        if slopes._turn(vn, a, b, c) < 0:
+            return (a, b, c)
+    bounds = [0, *xs[1:-1], len(vn)]
+    for q0, q1, x0, x1 in zip(bounds, bounds[1:], xs, xs[1:]):
+        e, dy, c0 = x1 - x0, vn[x1] - vn[x0], vn[x0] * x1 - vn[x1] * x0
+        for q in range(q0, q1):
+            if vn[q] * e < c0 + dy * q:
+                return tuple(sorted((q, x0, x1)))
+    return None
+
+
+def ab_piece_violation(A, B, window, xs, r: Fraction):
+    """The first certificate of xs on the window 0..len(A)-1 that fails at r:
+    a triple from :func:`ab_chain_violation`, "tail", or None."""
+    vn = ab_values(A, B, r)
+    viol = ab_chain_violation(vn, xs)
+    if viol is None:
+        last = [(x, vn[x]) for x in xs[-2:]]
+        if not slopes._tail_certified(r, window, xs[-2], last, r.denominator):
+            return "tail"
+    return viol
+
+
+def ab_midpoint_chain(A, B, r: Fraction, lo, hi, pad) -> list:
+    """The sub-chain over [lo - 1, hi] of the hull at r of the slice lo - 1 - pad .. hi + pad."""
+    s0, s1 = max(0, lo - 1 - pad), min(len(A) - 1, hi + pad)
+    vn = ab_values(A[s0 : s1 + 1], B[s0 : s1 + 1], r)
+    xs = [x for x, _ in _chain(zip(range(s0, s1 + 1), vn))]
+    return xs[bisect_right(xs, lo - 1) - 1 : bisect_left(xs, hi) + 1]
+
+
+def ab_level_pieces(ctx, k, level, lo, hi, tables=level_tables) -> list:
+    """[(r1, r2, vertex_xs, A, B)], the certified pieces of [level, level + 1]
+    over [lo - 1, hi], on the level tables ``tables(ctx, k, level, n_window)``."""
+    for window in slopes._windows(ctx, k, hi):
+        n_window = window[0]
+        A, B = tables(ctx, k, level, n_window)
+        done, guard, stack = [], 0, [(Fraction(level), Fraction(level + 1), 2 * (hi - lo) + 8)]
+        while stack:
+            if (guard := guard + 1) > slopes.SWEEP_PIECE_GUARD:
+                raise VerificationError("newslope sweep failed to stabilize")
+            r1, r2, pad = stack.pop()
+            xs = ab_midpoint_chain(A, B, (r1 + r2) / 2, lo, hi, pad)
+            viol = ab_piece_violation(A, B, window, xs, r1) or ab_piece_violation(A, B, window, xs, r2)
+            if viol is None:
+                done.append((r1, r2, xs))
+                continue
+            if viol == "tail":
+                break
+            rate = slopes._turn(B, *viol)
+            if rate and r1 < (root := Fraction(-slopes._turn(A, *viol), rate)) < r2:
+                stack += [(r1, root, pad), (root, r2, pad)]
+            elif pad < max(lo - 1, n_window - hi):
+                stack.append((r1, r2, 4 * pad))
+            else:
+                raise VerificationError("sweep certificate root escaped its piece")
+        else:
+            return [(r1, r2, xs, A, B) for r1, r2, xs in sorted(done)]
+
+
+def ab_locked_on(xs, A, B, x_pos, k) -> bool:
+    """Whether the edge over [x_pos - 1, x_pos] has slope (k-2)/2 at every r of the level."""
+    i = bisect_right(xs, x_pos - 1) - 1
+    x0, x1 = xs[i], xs[i + 1]
+    return B[x1] == B[x0] and 2 * (A[x1] - A[x0]) == (k - 2) * (x1 - x0)
+
+
+def ab_sweep(ctx, k, ns) -> list:
+    """Lock radii of the newslopes ns: each level's pieces, from M(k) - 1 down, right to left."""
+    d_ur = dimensions(ctx, k).d_ur
+    settled, open_ = [Fraction(1)] * len(ns), dict(enumerate(ns))
+    level = int(max_zero_distance(ctx, k).value)
+    while open_ and level > 1:
+        level -= 1
+        for r1, r2, xs, A, B in reversed(ab_level_pieces(ctx, k, level, d_ur + min(ns), d_ur + max(ns))):
+            for i, n in list(open_.items()):
+                if not ab_locked_on(xs, A, B, d_ur + n, k):
+                    settled[i] = r2
+                    del open_[i]
+    return settled

@@ -70,6 +70,9 @@ from ghost_slopes.slopes import (
 from ghost_slopes.valuation import ratio_text
 from strategies import (
     RADII,
+    ab_level_pieces,
+    ab_locked_on,
+    ab_sweep,
     context_and_weight,
     edge_at,
     evaluate_ghost_valuation,
@@ -123,6 +126,18 @@ def test_level_tables_match_evaluate(case, n_hi, level, step):
     assert [Valuation(a + b * r) for a, b in zip(A, B)] == [
         evaluate_ghost_valuation(ctx, n, point) for n in range(n_hi + 1)
     ]
+
+
+@given(case=context_and_weight(), n_hi=N_HI, level=st.integers(0, 4))
+@settings(max_examples=100, deadline=None)
+def test_level_tables_are_the_differences_of_integer_radius_tables(case, n_hi, level):
+    # the sweep reads V_L and V_{L+1}, the tables at the integer radii L and L + 1
+    # (den 1), in place of the level tables, which are (V_L - L (V_{L+1} - V_L), V_{L+1} - V_L)
+    ctx, k = case
+    (V0, den0), (V1, den1) = (valuation_table_at(ctx, k, r, n_hi) for r in (level, level + 1))
+    assert den0 == den1 == 1
+    B = [b - a for a, b in zip(V0, V1)]
+    assert level_tables(ctx, k, level, n_hi) == ([a - level * b for a, b in zip(V0, B)], B)
 
 
 @given(
@@ -626,22 +641,23 @@ def test_degree_table_prefix_matches_polynomials(case, small, extra):
 @settings(max_examples=60, deadline=None)
 def test_lock_test_matches_hull_slope(case):
     # the radius-free lock test holds iff the Fraction hull's newslope is
-    # (k-2)/2 at both ends of the piece, for every index of the full span
+    # (k-2)/2 at both ends of the piece, for every index of the full span;
+    # the values at r are V0 (level + 1 - r) + V1 (r - level)
     ctx, k = case
     trip = dimensions(ctx, k)
     m_int = int(max_zero_distance(ctx, k).value)
     assume(trip.d_new > 0 and m_int >= 2)
     target = Fraction(k - 2, 2)
     for level in range(1, m_int):
-        for r1, r2, xs, A, B in _level_pieces(ctx, k, level, trip.d_ur + 1, trip.d_ur + trip.d_new):
+        for r1, r2, xs, V0, V1 in _level_pieces(ctx, k, level, trip.d_ur + 1, trip.d_ur + trip.d_new, {}, set()):
             ends = [
-                slope_list(lower_hull((q, A[q] + B[q] * r) for q in range(len(A))))
+                slope_list(lower_hull((q, V0[q] * (level + 1 - r) + V1[q] * (r - level)) for q in range(len(V0))))
                 for r in (r1, r2)
             ]
             for n in range(1, trip.d_new + 1):
                 x_pos = trip.d_ur + n
                 locked = all(slopes[x_pos - 1] == target for slopes in ends)
-                assert _locked_on(xs, A, B, x_pos, k) == locked, (k, level, r1, r2, n)
+                assert _locked_on(xs, V0, V1, x_pos, k) == locked, (k, level, r1, r2, n)
 
 
 @given(case=context_and_weight(), data=st.data())
@@ -657,7 +673,7 @@ def test_level_pieces_match_fraction_hull_on_spans(case, data):
     level = data.draw(st.integers(1, max(1, int(max_zero_distance(ctx, k).value) - 1)), label="level")
     n_wide = 4 * next(_windows(ctx, k, hi))[0]
     A, B = level_tables(ctx, k, level, n_wide)
-    for r1, r2, xs, _, _ in _level_pieces(ctx, k, level, lo, hi):
+    for r1, r2, xs, _, _ in _level_pieces(ctx, k, level, lo, hi, {}, set()):
         assert xs[0] <= lo - 1 and hi <= xs[-1], (lo, hi, xs)
         for r in (r1, r2):
             ys = [A[q] + B[q] * r for q in range(n_wide + 1)]
@@ -668,6 +684,79 @@ def test_level_pieces_match_fraction_hull_on_spans(case, data):
                 for x in (x_pos - 1, x_pos):
                     on_edge = (ys[x0] * (x1 - x) + ys[x1] * (x - x0)) / (x1 - x0)
                     assert hull_value(hull, x) == Valuation(on_edge), (k, level, r, x_pos, xs)
+
+
+def _assert_sweep_matches_ab_walk(ctx, k) -> int:
+    # every level's pieces, their tables, the lock answer at each index of the
+    # full span and the settled radii, over the full span and the central block,
+    # against the A/B piece walk: levels from M(k) - 1 down, sharing one sweep's
+    # held table and passed checks; returns the most pieces on one level
+    trip, dp = dimensions(ctx, k), derivative_polygon(ctx, k)
+    lo, hi, held, passed, most = trip.d_ur + 1, trip.d_ur + trip.d_new, {}, set(), 0
+    for level in range(dp.m_of_k - 1, 0, -1) if trip.d_new else ():
+        pieces = _level_pieces(ctx, k, level, lo, hi, held, passed)
+        oracle = ab_level_pieces(ctx, k, level, lo, hi)
+        assert [piece[:3] for piece in pieces] == [piece[:3] for piece in oracle], (k, level)
+        for (*_, xs, V0, V1), (*_, A, B) in zip(pieces, oracle):
+            assert (V0, V1) == tuple([a + r * b for a, b in zip(A, B)] for r in (level, level + 1)), (k, level)
+            for x_pos in range(lo, hi + 1):
+                assert _locked_on(xs, V0, V1, x_pos, k) == ab_locked_on(xs, A, B, x_pos, k), (k, level, x_pos)
+        most = max(most, len(pieces))
+    h, c = trip.d_new // 2, dp.vertex(dp.M_index - 1)
+    for ns in (range(1, trip.d_new + 1), range(h - c + 1, h + c + 1)):
+        if ns:
+            assert _sweep(ctx, k, ns) == ab_sweep(ctx, k, ns), (k, ns)
+    return most
+
+
+@pytest.mark.parametrize("mode", ("strict", "exploratory"))
+@given(case=context_and_weight())
+@example(case=(GhostContext(5, 1, 0), 299))
+@settings(max_examples=40, deadline=None)
+def test_sweep_matches_the_ab_piece_walk(mode, case):
+    ctx, k = case
+    assume(ctx.mode == mode)
+    _assert_sweep_matches_ab_walk(ctx, k)
+
+
+@pytest.mark.parametrize(
+    "params, k", [((5, 1, 0), 23), ((5, 1, 1), 29), ((5, 1, 0, 2), 43), ((7, 1, 0), 93)],
+    ids=["5-1-0", "5-1-1", "5-1-0-m2", "7-1-0"],
+)
+def test_sweep_matches_the_ab_piece_walk_where_pieces_split(params, k):
+    # p = 5 (and (7,1,0)) split sweep pieces at roots inside a level, which the
+    # strict contexts never do
+    assert _assert_sweep_matches_ab_walk(GhostContext(*params), k) >= 2
+
+
+def _assert_swept_radii_lock_on_full_tables(ctx, k):
+    # each swept CS_n as check_threshold_lock reads it: newslope n is (k-2)/2
+    # at CS_n + 1 and not at CS_n - 1/2 (CS_n / 2 when CS_n <= 1/2), each read
+    # off the hull of one valuation table to 2 d_iw + 64, past every first
+    # window, with no window walk, certificate or sweep
+    trip, tv, hulls = dimensions(ctx, k), k_thresholds(ctx, k), {}
+    target = Fraction(k - 2, 2)
+
+    def newslope(n, r):
+        if r not in hulls:
+            hulls[r] = newton_polygon_at(ctx, 2 * trip.d_iw + 64, WeightPoint(k, r))
+        return edge_at(hulls[r].hull, hulls[r].den, trip.d_ur + n - 1)[1]
+
+    for n, cs in enumerate(tv.swept, 1 + sum(m for *_, m in tv.closed)):
+        assert newslope(n, cs + 1) == target, (k, n, cs)
+        assert newslope(n, cs / 2 if cs <= Fraction(1, 2) else cs - Fraction(1, 2)) != target, (k, n, cs)
+
+
+@given(case=high_weight())
+@settings(max_examples=6, deadline=None)
+def test_swept_radii_lock_on_full_tables_at_high_weight(case):
+    _assert_swept_radii_lock_on_full_tables(*case)
+
+
+@pytest.mark.parametrize("params, k", [((7, 2, 1), 49998), ((5, 1, 0), 49999)], ids=["7-2-1", "5-1-0"])
+def test_swept_radii_lock_on_full_tables_near_50000(params, k):
+    # the pinned thresholds weights, which CI also runs under ulimit -v 200000
+    _assert_swept_radii_lock_on_full_tables(GhostContext(*params), k)
 
 
 @given(case=context_and_weight())

@@ -33,7 +33,7 @@ from ghost_slopes import checks, ghost, slopes
 from ghost_slopes.distribution import SampleKind, sample
 from ghost_slopes.ghost import _bullet_bound
 from ghost_slopes.slopes import DerivativePolygon, ThresholdVector, _closed_form_runs, _hull_runs
-from strategies import context_and_weight, expand_runs, hull_value, planted_steps, slope_list
+from strategies import ab_piece_violation, context_and_weight, expand_runs, hull_value, planted_steps, slope_list
 
 
 @pytest.fixture(scope="module")
@@ -631,10 +631,13 @@ def test_stride_one_read_only_past_the_lemma_start_and_where_it_weighs(monkeypat
     assert any(r is not None for r in fresh._caches["periods"]) == reads
 
 
-# Hand-built level tables on the window 0..4, value A[x] + B[x] * r.  Only
-# x = 2 rides the radius: it crosses the chord from (0, 0) to (4, 6) at
-# r = 4/3, a hull vertex below that radius and above the chord past it.
+# Hand-built tables on the window 0..4 at the integer radii 1 and 2, the value
+# V1[x] (2 - r) + V2[x] (r - 1) on [1, 2]; as level tables (A, B), A[x] + B[x] r,
+# they are V1 = A + B and V2 = A + 2 B.  Only x = 2 rides the radius: it crosses
+# the chord from (0, 0) to (4, 6) at r = 4/3, a hull vertex below that radius
+# and above the chord past it.
 SWEEP_A, SWEEP_B = (0, 4, -1, 5, 6), (0, 0, 3, 0, 0)
+SWEEP_V1, SWEEP_V2 = ([a + level * b for a, b in zip(SWEEP_A, SWEEP_B)] for level in (1, 2))
 
 
 @pytest.mark.parametrize(
@@ -658,16 +661,20 @@ SWEEP_A, SWEEP_B = (0, 4, -1, 5, 6), (0, 0, 3, 0, 0)
 )
 def test_piece_violation_outcomes(xs, r, inc_floor, expected):
     window = (4, 40, 0, inc_floor)  # deg g_4 = 40, S_1 left out of the tail bound
-    got = slopes._piece_violation(SWEEP_A, SWEEP_B, window, xs, r)
+    passed = set()
+    got = slopes._piece_violation(SWEEP_V1, SWEEP_V2, 1, window, xs, r, passed)
     assert got == expected
+    assert got == ab_piece_violation(SWEEP_A, SWEEP_B, window, xs, r)  # the A/B walk's answer
+    assert passed == ({(r.numerator, r.denominator, 5, *xs)} if got is None else set())
     if isinstance(expected, tuple):
-        root = Fraction(-slopes._turn(SWEEP_A, *got), slopes._turn(SWEEP_B, *got))
-        assert root == Fraction(4, 3)
-        assert slopes._turn([a + b * root for a, b in zip(SWEEP_A, SWEEP_B)], *got) == 0
+        t1, t2 = slopes._turn(SWEEP_V1, *got), slopes._turn(SWEEP_V2, *got)
+        root = 1 + Fraction(t1, t1 - t2)
+        assert root == Fraction(4, 3) == Fraction(-slopes._turn(SWEEP_A, *got), slopes._turn(SWEEP_B, *got))
+        assert slopes._turn(slopes._values(SWEEP_V1, SWEEP_V2, 1, root), *got) == 0
         # xs is certified at the mirror radius, so the root splits a piece
         # [2 root - r, r] strictly inside
         mirror = 2 * root - r
-        assert slopes._piece_violation(SWEEP_A, SWEEP_B, window, xs, mirror) is None
+        assert slopes._piece_violation(SWEEP_V1, SWEEP_V2, 1, window, xs, mirror, passed) is None
 
 
 @pytest.mark.parametrize(
@@ -678,16 +685,31 @@ def test_piece_tail_reads_the_stride_one_term(r, s1, expected):
     # the edge (0, 4) reaches 6 at the window edge 4, which deg = 5 alone
     # misses; 5 + c_1 s1 reaches it once c_1 s1 >= 1, c_1 = min(r, 2) - 1
     window = (4, 5, s1, 2)
-    assert slopes._piece_violation(SWEEP_A, SWEEP_B, window, (0, 4), r) == expected
+    assert slopes._piece_violation(SWEEP_V1, SWEEP_V2, 1, window, (0, 4), r, set()) == expected
+    assert ab_piece_violation(SWEEP_A, SWEEP_B, window, (0, 4), r) == expected
+
+
+def test_piece_check_passed_is_not_run_again():
+    # a check passed at a radius on a window and sub-chain is skipped when asked
+    # again, and only then: a point planted below the chord afterwards goes unseen
+    # by the same key and is found on another window length or sub-chain
+    window, V1, V2 = (4, 40, 0, 2), list(SWEEP_V1), list(SWEEP_V2)
+    passed = set()
+    assert slopes._piece_violation(V1, V2, 1, window, (0, 4), Fraction(3, 2), passed) is None
+    V1[1] = V2[1] = -10
+    assert slopes._piece_violation(V1, V2, 1, window, (0, 4), Fraction(3, 2), passed) is None
+    assert slopes._piece_violation(V1, V2, 1, window, (0, 4), Fraction(5, 3), passed) == (0, 1, 4)
+    assert slopes._piece_violation(V1 + [99], V2 + [99], 1, window, (0, 4), Fraction(3, 2), passed) == (0, 1, 4)
 
 
 def test_midpoint_chain_widens_past_a_far_vertex(monkeypatch):
     # on the convex points (q, q^2) one deep point at q = 30 lies outside
     # the first slice around x = 1..2, below the narrow chain's first-edge
-    # line; B = 0, so that test's rate is 0 and the piece loop widens the
-    # slice until the sub-chain runs from 0 to that point
-    A, B = [q * q for q in range(41)], [0] * 41
-    monkeypatch.setattr(slopes, "level_tables", lambda *args: (A, B))
+    # line; the tables at both radii are equal, so that test's turn does
+    # not move with r and the piece loop widens the slice until the
+    # sub-chain runs from 0 to that point
+    V = [q * q for q in range(41)]
+    monkeypatch.setattr(slopes, "valuation_table_at", lambda ctx, k, r, n: (V, 1))
     window = (40, 4000, 0, 100)  # n_window, deg g_40, S_1 left out, inc_floor: tails certify
     monkeypatch.setattr(slopes, "_windows", lambda *args: iter([window]))
     chain, pads = slopes._midpoint_chain, []
@@ -699,9 +721,39 @@ def test_midpoint_chain_widens_past_a_far_vertex(monkeypatch):
     monkeypatch.setattr(slopes, "_midpoint_chain", spied)
     fresh = GhostContext(p=7, a=2, s_eps=1)
     for deep, widened, xs in ((-1000, [8, 32], [0, 30]), (900, [8], [1, 2])):  # 900: on the parabola
-        A[30], pads[:] = deep, []
-        assert slopes._level_pieces(fresh, 24, 1, 2, 2) == [(1, 2, xs, A, B)]
+        V[30], pads[:] = deep, []
+        assert slopes._level_pieces(fresh, 24, 1, 2, 2, {}, set()) == [(1, 2, xs, V, V)]
         assert pads == widened
+
+
+def test_sweep_shares_each_level_table_with_the_next(monkeypatch):
+    # a sweep of L levels reads L + 1 tables at the integer radii M(k) down to
+    # M(k) - L, each once and none a level table, and holds at most two; a level
+    # skips its top check when it keeps the sub-chain the level above ended on
+    built, held, at, skipped = [], [], ghost.valuation_table_at, []
+    monkeypatch.setattr(ghost, "level_tables", lambda *args: pytest.fail("level tables read"))
+    monkeypatch.setattr(slopes, "valuation_table_at", lambda ctx, k, r, n: built.append(r) or at(ctx, k, r, n))
+    pieces, check = slopes._level_pieces, slopes._piece_violation
+
+    def spied_pieces(ctx, k, level, lo, hi, tables, passed):
+        held.append(len(tables))
+        return pieces(ctx, k, level, lo, hi, tables, passed)
+
+    def spied_check(V0, V1, level, window, xs, r, passed):
+        skipped.append((r.numerator, r.denominator, len(V0), *xs) in passed)
+        return check(V0, V1, level, window, xs, r, passed)
+
+    monkeypatch.setattr(slopes, "_level_pieces", spied_pieces)
+    monkeypatch.setattr(slopes, "_piece_violation", spied_check)
+    fresh = GhostContext(p=7, a=2, s_eps=1)
+    for k in (4200, 4602, 49998):
+        built[:], held[:], skipped[:] = [], [], []
+        m, d_new = derivative_polygon(fresh, k).m_of_k, dimensions(fresh, k).d_new
+        slopes._sweep(fresh, k, range(1, d_new + 1))
+        levels = len(held)
+        assert levels >= 2
+        assert built == list(range(m, m - levels - 1, -1)), k
+        assert max(held) <= 1 and any(skipped), k
 
 
 def test_context_keeps_only_reread_caches():
