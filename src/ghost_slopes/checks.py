@@ -16,7 +16,6 @@ on a context of its own, with empty caches, so no polygon outlives its weight.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -24,7 +23,7 @@ from math import comb
 
 from .distribution import SampleKind, sample, sample_difference_bound
 from .errors import DomainError, VerificationError
-from .ghost import WeightPoint, dimensions, ghost_multiplicity, max_zero_distance
+from .ghost import GhostContext, WeightPoint, dimensions, ghost_multiplicity, max_zero_distance
 from .polygon import lower_hull
 from .prediction import build_model, exceptional_bound, predict_slopes
 from .slopes import breakpoints_by_criterion, certified_newton_polygon, derivative_polygon
@@ -254,7 +253,7 @@ def _sampled(count: int, *checks):
     """A suite running the checks, in order, on ``count`` weights drawn from ks."""
     def suite(ctx, rng, ks):
         for k in rng.sample(ks, min(count, len(ks))):
-            cold = replace(ctx)
+            cold = GhostContext(*ctx)
             for check in checks:
                 check(cold, k)
     return suite
@@ -288,7 +287,7 @@ def _suite_criterion_vs_hull(ctx, rng, ks):
     radii = [Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(5, 2), 4, INF]
     for k in rng.sample(ks, min(8, len(ks))):
         if dimensions(ctx, k).d_iw >= 2:
-            check_criterion_matches_hull(replace(ctx), WeightPoint(k, rng.choice(radii)))
+            check_criterion_matches_hull(GhostContext(*ctx), WeightPoint(k, rng.choice(radii)))
 
 
 def _suite_wedge(ctx, rng, ks):
@@ -314,7 +313,7 @@ def _suite_wedge(ctx, rng, ks):
 
 def _suite_sample_relations(ctx, rng, ks):
     for k in rng.sample(ks, min(8, len(ks))):
-        cold = replace(ctx)
+        cold = GhostContext(*ctx)
         if ctx.global_mult == 1:
             check_sample_relation(cold, k)
         check_sample_moments(cold, k)
@@ -324,7 +323,7 @@ def _suite_moment_trend(ctx, rng, ks):
     def nonempty(indices):
         # the first index of ``indices`` whose threshold sample is nonempty, and that sample
         for i in indices:
-            if (s := sample(replace(ctx), ks[i], SampleKind.THRESHOLD)).nums:
+            if (s := sample(GhostContext(*ctx), ks[i], SampleKind.THRESHOLD)).nums:
                 return i, s
         return len(ks), None
 

@@ -24,7 +24,6 @@ import argparse
 import functools
 import json
 import os
-import random
 import sys
 from fractions import Fraction
 from itertools import chain, count
@@ -269,7 +268,9 @@ def cmd_verify(args) -> Iterator[str]:
     ks = _range_weights(ctx, args.k_range, lo, hi)
     if len(ks) < 3:
         raise ConfigError(f"range [{lo}, {hi}] holds fewer than three class weights")
-    from .checks import SUITES  # checks and wedge load for verify alone
+    import random
+
+    from .checks import SUITES  # random, checks and wedge load for verify alone
 
     failures = []
     for name, suite in SUITES:

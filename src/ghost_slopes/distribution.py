@@ -22,13 +22,12 @@ sample and whole only its last sample of each kind, for the discrepancy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from math import lcm
 from operator import mul
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .errors import DomainError
 from .ghost import GhostContext, floor_log_bullet
@@ -42,8 +41,7 @@ class SampleKind(Enum):
     LINV = "linv"
 
 
-@dataclass(frozen=True)
-class DistributionSample:
+class DistributionSample(NamedTuple):
     """A normalized slope multiset with exact power means, held as runs.
 
     Run j is the value ``nums[j] / den`` ``mults[j]`` times; the runs ascend,
@@ -113,8 +111,7 @@ def sample(ctx: GhostContext, k: int, kind: SampleKind) -> DistributionSample:
     )
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(NamedTuple):
     """One Weyl-criterion row: a moment order against its limit."""
 
     n: int

@@ -20,11 +20,11 @@ S_1 cycled, so for N zeros up to n_hi an anchor costs O(N/p^2 + n_hi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import isqrt
 from operator import add
+from typing import NamedTuple
 
 from .errors import ConfigError, DomainError, VerificationError
 from .valuation import Valuation, vp_int_raw, weight_distance
@@ -58,8 +58,7 @@ def _floor_log(base: int, n: int) -> int:
     return e
 
 
-@dataclass(frozen=True)
-class DimensionTriple:
+class DimensionTriple(NamedTuple):
     """(d_iw, d_ur, d_new) for one weight; d_iw = d_new + 2*d_ur always.
 
     d_ur >= 0 for every weight.  Bullet 0 is degenerate, with d_new = 0,
@@ -72,8 +71,12 @@ class DimensionTriple:
     d_new: int
 
 
-@dataclass(frozen=True)
-class WeightPoint:
+class _WeightPointFields(NamedTuple):
+    anchor: int
+    radius: Valuation
+
+
+class WeightPoint(_WeightPointFields):
     """A generic point w_* of weight space, located by its distance to an
     anchor weight: radius = v_p(w_* - w_anchor), INFINITY meaning w_* is
     w_anchor exactly.
@@ -82,18 +85,18 @@ class WeightPoint:
     weight k' is min(radius, weight_distance(anchor, k')).
     """
 
-    anchor: int
-    radius: Valuation
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.radius, Valuation):
-            object.__setattr__(self, "radius", Valuation(self.radius))
-        if self.radius < 0:
+    def __new__(cls, anchor: int, radius):
+        radius = radius if isinstance(radius, Valuation) else Valuation(radius)
+        if radius < 0:
             raise DomainError("weight point radius must be >= 0")
+        return super().__new__(cls, anchor, radius)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace coerces and checks too
 
 
-@dataclass(frozen=True)
-class GhostPolynomial:
+class GhostPolynomial(NamedTuple):
     """g_n(w) as a sparse zero -> multiplicity map (absent means zero)."""
 
     n: int
@@ -106,8 +109,15 @@ class GhostPolynomial:
         return {"n": self.n, "zeros": [{"k": k, "mult": m} for k, m in self.zeros]}
 
 
-@dataclass(frozen=True)
-class GhostContext:
+class _ContextFields(NamedTuple):
+    p: int
+    a: int
+    s_eps: int
+    global_mult: int = 1
+    mode: str = "exploratory"
+
+
+class GhostContext(_ContextFields):
     """Immutable parameters of one ghost series, plus derived constants.
 
     Parameters
@@ -125,6 +135,10 @@ class GhostContext:
         p >= 5 and 1 <= a <= p-4 (the combinatorics is defined there).
         Output is the same in both modes.
 
+    A context is the tuple of these five, by which it hashes and compares;
+    ``GhostContext(*ctx)`` is an equal context with empty caches.  The derived
+    constants k_eps, delta_eps, t1 and t2 are attributes, set once here.
+
     Examples
     --------
     >>> ctx = GhostContext(p=7, a=2, s_eps=1, mode="exploratory")
@@ -132,30 +146,15 @@ class GhostContext:
     (6, 0, 1, 5)
     """
 
-    p: int
-    a: int
-    s_eps: int
-    global_mult: int = 1
-    mode: str = "exploratory"
-
-    k_eps: int = field(init=False)
-    delta_eps: int = field(init=False)
-    t1: int = field(init=False)
-    t2: int = field(init=False)
-
-    # only what later calls re-read: "derivative" polygons by bullet, which derivative_polygon
-    # alone fills, and the "periods" of deg's and S_1's steps, which _period fills (dist shares them)
-    _caches: dict = field(init=False, repr=False, compare=False, hash=False)
-
-    def __post_init__(self):
-        p, a, s = self.p, self.a, self.s_eps
-        if self.mode not in ("strict", "exploratory"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
+    def __new__(cls, p: int, a: int, s_eps: int, global_mult: int = 1, mode: str = "exploratory"):
+        s = s_eps
+        if mode not in ("strict", "exploratory"):
+            raise ConfigError(f"unknown mode {mode!r}")
         if p > K_CEILING:
             raise ConfigError(f"p = {p} exceeds K_CEILING = {K_CEILING}")
         if not _is_prime(p):
             raise ConfigError(f"p = {p} is not prime")
-        if self.mode == "strict":
+        if mode == "strict":
             if p < 11:
                 raise ConfigError(f"strict mode requires p >= 11, got {p}")
             if not (2 <= a <= p - 5):
@@ -167,27 +166,30 @@ class GhostContext:
                 raise ConfigError(f"a must satisfy 1 <= a <= p-4, got a={a}")
         if not (0 <= s <= p - 2):
             raise ConfigError(f"s_eps must lie in [0, p-2], got {s}")
-        if not (1 <= self.global_mult <= MAX_GLOBAL_MULT):
+        if not (1 <= global_mult <= MAX_GLOBAL_MULT):
             raise ConfigError(
                 f"global_mult must lie in [1, MAX_GLOBAL_MULT = {MAX_GLOBAL_MULT}], "
-                f"got {self.global_mult}"
+                f"got {global_mult}"
             )
 
+        self = super().__new__(cls, p, a, s_eps, global_mult, mode)
         pm1 = p - 1
         bar = lambda x: x % pm1  # representative in [0, p-2]
-        object.__setattr__(self, "k_eps", 2 + bar(a + 2 * s))
-        delta = (s + bar(a + s)) // pm1
-        object.__setattr__(self, "delta_eps", delta)
+        self.k_eps = 2 + bar(a + 2 * s)
+        self.delta_eps = delta = (s + bar(a + s)) // pm1
         if a + s < pm1:
-            t1, t2 = s + delta, a + s + delta + 2
+            self.t1, self.t2 = s + delta, a + s + delta + 2
         else:
             # t2 here makes t1 + t2 = k_eps mod (p+1), which the duality
             # of anchored valuations forces; it also keeps both dimension
             # counts nonnegative for every weight k >= 2 of the class.
-            t1, t2 = bar(a + s) + delta + 1, s + delta + 1
-        object.__setattr__(self, "t1", t1)
-        object.__setattr__(self, "t2", t2)
-        object.__setattr__(self, "_caches", {})
+            self.t1, self.t2 = bar(a + s) + delta + 1, s + delta + 1
+        # only what later calls re-read: "derivative" polygons by bullet, which derivative_polygon
+        # alone fills, and the "periods" of deg's and S_1's steps, which _period fills (dist shares them)
+        self._caches = {}
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates and derives too
 
     # -- congruence-class bookkeeping -------------------------------------
 
@@ -331,7 +333,7 @@ def max_zero_distance(ctx: GhostContext, k: int) -> Valuation:
     would be an implementation bug.
     """
     # Every bullet j >= 1 is a zero.  With q = (j - t1) // (p + 1), in
-    # either branch of GhostContext.__post_init__:
+    # either branch of GhostContext.__new__:
     # - j < t1: q = -1 and j + p + 1 >= t2, so d_ur = 0 <= j - delta_eps;
     # - q >= 1: d_ur <= 2q + 2 < q(p + 1) <= j - delta_eps;
     # - q = 0: d_ur <= j - delta_eps fails only at j = 0 with s_eps = 0,

@@ -9,13 +9,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import islice
 from math import gcd, lcm
 from operator import itemgetter, sub
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .ghost import GhostContext, WeightPoint, dimensions, hatted_valuation_table, valuation_table_at
@@ -113,8 +111,7 @@ def edge_runs(hull: Sequence[Tuple[int, int]], den: int, lo: int, hi: int) -> li
     return runs
 
 
-@dataclass(frozen=True)
-class RationalPolygon:
+class RationalPolygon(NamedTuple):
     """A lower convex hull over points with integer x, held as its hull alone.
 
     ``hull`` is the chain of (x, y) with vertex (x, y / den); the input
@@ -131,7 +128,7 @@ class RationalPolygon:
     def vertices(self) -> Tuple[Point, ...]:
         return tuple((x, Valuation(Fraction(y, self.den))) for x, y in self.hull)
 
-    @cached_property
+    @property
     def slopes(self) -> Tuple[Tuple[Fraction, int], ...]:
         return tuple(
             (Fraction(y1 - y0, (x1 - x0) * self.den), x1 - x0)

@@ -17,11 +17,9 @@ block, whose size is the exceptional count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, chain, repeat
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import VerificationError
 from .ghost import GhostContext, dimensions, floor_log_bullet
@@ -29,8 +27,7 @@ from .slopes import derivative_polygon
 from .valuation import format_rational, ratio_text
 
 
-@dataclass(frozen=True)
-class PredictionModel:
+class PredictionModel(NamedTuple):
     """The L model of one weight.
 
     ``closed`` holds the derivative slopes s_M < ... < s_N as runs (a, b, mult) of
@@ -57,7 +54,7 @@ class PredictionModel:
         steps = (Fraction(a, b) for a, b, m in reversed(self.closed) for _ in range(2 * self.global_mult * m))
         return tuple(accumulate(chain(steps, repeat(self.R, self.exceptional_count))))
 
-    @cached_property
+    @property
     def known_size(self) -> int:
         """Total multiplicity 2*(d_N + ... + d_M) of the known block."""
         return 2 * self.global_mult * sum(mult for _, _, mult in self.closed)

@@ -27,13 +27,12 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, filterfalse, islice, repeat
 from math import gcd
 from operator import add, itemgetter
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from . import ghost
 from .errors import DomainError, VerificationError
@@ -57,8 +56,15 @@ from .valuation import Valuation, runs_text, vp_int_raw
 # -- derivative polygons ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DerivativePolygon:
+class _DerivativeFields(NamedTuple):
+    k: int
+    ys: array
+    gaps: array
+    M_index: int
+    m_of_k: int
+
+
+class DerivativePolygon(_DerivativeFields):
     """A weight's derivative polygon, held as two int64 arrays.
 
     ``ys[l]`` = 2 raw[l] for l = 0..h = d_new/2, raw[l] the half-integer anchored
@@ -77,12 +83,6 @@ class DerivativePolygon:
     4 * 10^9 < 5^14).  So ys[l] <= 14 (p+1) n (n+3) < 3 * 10^16, 300 times below
     2^63, as (p+1) n (n+3) < 2.1 * 10^15 both for p <= 4001 and, by n's bound, past it.
     """
-
-    k: int
-    ys: array
-    gaps: array
-    M_index: int
-    m_of_k: int
 
     raw = property(lambda self: tuple(Fraction(y, 2) for y in self.ys))
     slopes = property(lambda self: tuple((Fraction(a, b), m) for a, b, m in self.edges))
@@ -372,8 +372,7 @@ def _closed_form_runs(ctx, k, w):
 # -- thresholds --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThresholdVector:
+class ThresholdVector(NamedTuple):
     """Radii where each newslope locks to (k-2)/2, with provenance, as runs:
     ``closed`` the derivative edges (num, den, mult) from s_{M_index} up, and
     ``swept`` the radii of the central 2 n_{M_index - 1} indices, in index order,

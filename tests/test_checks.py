@@ -6,7 +6,6 @@ invariant; so no check that ``verify`` and the tests share is vacuous.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -37,7 +36,7 @@ def top_shifted(ctx, k, kind):
     s = SAMPLE(ctx, k, kind)
     if kind is not SampleKind.THRESHOLD:
         return s
-    return replace(s, nums=s.nums + (s.nums[-1] + s.den,), mults=s.mults[:-1] + (s.mults[-1] - 1, 1))
+    return s._replace(nums=s.nums + (s.nums[-1] + s.den,), mults=s.mults[:-1] + (s.mults[-1] - 1, 1))
 
 
 def spread(ctx, k, kind):
@@ -57,12 +56,12 @@ WEIGHT_PLANTS = [
     (prediction.build_model, prediction, "model_radius", lambda ctx, k: Fraction(100)),
     # d_new halved: the known blocks run past d
     pytest.param(prediction.build_model, prediction, "dimensions",
-                 lambda ctx, k: replace(t := DIMS(ctx, k), d_new=t.d_new // 2), id="build_model-known-past-d"),
+                 lambda ctx, k: (t := DIMS(ctx, k))._replace(d_new=t.d_new // 2), id="build_model-known-past-d"),
     # one plant per fact of the threshold relation, each breaking that fact alone
     pytest.param(checks.check_threshold_relation, PredictionModel, "linv_slopes_known", property(lambda self: ()),
                  id="check_threshold_relation-known_block"),
     pytest.param(checks.check_threshold_relation, checks, "predict_slopes",
-                 lambda ctx, k: replace(model := PREDICT(ctx, k), d=model.known_size),
+                 lambda ctx, k: (model := PREDICT(ctx, k))._replace(d=model.known_size),
                  id="check_threshold_relation-exceptional_count"),
     pytest.param(checks.check_threshold_relation, checks, "exceptional_bound", lambda ctx, k: -1,
                  id="check_threshold_relation-exceptional_bound"),
@@ -139,11 +138,11 @@ def test_build_model_refuses_known_blocks_past_a_shrunk_d(case, data):
     model, trip, m = BUILD(ctx, k), DIMS(ctx, k), ctx.global_mult
     assume(model.closed)
     d_new = data.draw(st.integers(0, model.known_size // m - 1))
-    counts = pattern_strict_counts_oracle(replace(model, d=m * d_new))
+    counts = pattern_strict_counts_oracle(model._replace(d=m * d_new))
     assert any(strict != j - 1 for j, strict in counts) or (m * d_new, model.known_size) == (1, 2)
-    shrunk = replace(trip, d_new=d_new)
+    shrunk = trip._replace(d_new=d_new)
     with patch.object(prediction, "dimensions", lambda ctx, k: shrunk), pytest.raises(VerificationError) as err:
-        prediction.build_model(replace(ctx), k)
+        prediction.build_model(GhostContext(*ctx), k)
     assert str(err.value) == f"model hull mismatch at k = {k}: the known blocks run past d = {m * d_new}"
 
 

@@ -11,7 +11,6 @@ against one 4x wider, over random contexts (p, a, s_eps, m) in both
 modes; and the integer sample statistics and the integer tail certificate
 against their Fraction definitions over random samples and hulls."""
 
-import dataclasses
 import math
 from array import array
 from bisect import bisect_right
@@ -175,7 +174,7 @@ def test_anchored_tables_ignore_the_residue_tables_held(case, n_hi, small, extra
         evaluate_ghost_valuation(ctx, n, point) for n in range(n_hi + 1)
     ], level
     for history in ((n_hi + extra,), (small, small + 1)):
-        warm = dataclasses.replace(ctx)
+        warm = GhostContext(*ctx)
         for n in history:
             tables(n, warm)
         assert (tables(n_hi, warm), tables(history[-1], warm)) == (expected, tables(history[-1])), history
@@ -284,7 +283,7 @@ def test_step_kernel_cycles_the_combined_period(case, data):
     held_n = data.draw(st.integers(2 * period + 1, 2 * period + 3 * ctx.p), label="held n_hi")
     bare_n = data.draw(st.integers(period + 1, 2 * period), label="not-held n_hi")
     radii = (Fraction(0), Fraction(1, 3), Fraction(5, 2), Fraction(7, 3))
-    for c, n_hi, cap in ((ctx, held_n, ghost.MAX_TABLE_INDEX), (dataclasses.replace(ctx), bare_n, bare_n)):
+    for c, n_hi, cap in ((ctx, held_n, ghost.MAX_TABLE_INDEX), (GhostContext(*ctx), bare_n, bare_n)):
         with mock.patch.object(ghost, "MAX_TABLE_INDEX", cap):
             hatted = hatted_valuation_table(c, k, n_hi)
             at = [valuation_table_at(c, k, r, n_hi)[0] for r in radii]

@@ -3,7 +3,6 @@ built from chords alone, and the Gauss-norm duality check against planted
 faults of the hull chain."""
 
 import inspect
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -343,7 +342,7 @@ def test_duality_check_fails_on_shifted_vertices(monkeypatch):
     # every vertex one higher: the slopes and the kinks stay, the vertices leave the points
     def raised(points):
         hull = lower_hull(points)
-        return replace(hull, hull=tuple((x, y + hull.den) for x, y in hull.hull))
+        return hull._replace(hull=tuple((x, y + hull.den) for x, y in hull.hull))
 
     monkeypatch.setattr(checks, "lower_hull", raised)
     with pytest.raises(VerificationError, match="polygon/dual mismatch"):

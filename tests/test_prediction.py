@@ -1,7 +1,6 @@
 """Tests for the slope-prediction model, comparison rule, and floors."""
 
 import json
-from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -46,7 +45,7 @@ def pattern(m):
 
 def test_model_frozen_k24():
     # the model is its closed runs and R: no per-index sequence is stored
-    assert [f.name for f in fields(PredictionModel)] == ["k", "d", "closed", "global_mult", "R"]
+    assert PredictionModel._fields == ("k", "d", "closed", "global_mult", "R")
     m = build_model(CTX, 24)
     assert m.d == 6
     assert m.R == Fraction(11, 4)
@@ -132,11 +131,11 @@ def _hull_check(model):
 # the steps are 9, 6 and 11/4, top block first; the top block is the last run)
 MODEL_PLANTS = {
     # the second block steps by the top block's slope, so a hull merges them
-    "equal-adjacent-blocks": (lambda m: replace(m, closed=(*m.closed[:-2], (*m.closed[-1][:2], m.closed[-2][2]),
-                                                           m.closed[-1])),
+    "equal-adjacent-blocks": (lambda m: m._replace(closed=(*m.closed[:-2], (*m.closed[-1][:2], m.closed[-2][2]),
+                                                          m.closed[-1])),
                               "block 2 expects step below 9, found 9"),
     # the top block widened by 2 m d, so L runs past d
-    "known-past-d": (lambda m: replace(m, closed=(*m.closed[:-1], (*m.closed[-1][:2], m.closed[-1][2] + m.d))),
+    "known-past-d": (lambda m: m._replace(closed=(*m.closed[:-1], (*m.closed[-1][:2], m.closed[-1][2] + m.d))),
                      "the known blocks run past d = 6"),
 }
 

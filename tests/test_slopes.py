@@ -1,6 +1,5 @@
 """Derivative polygons, near-Steinberg breakpoints, newslopes, thresholds."""
 
-import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -777,9 +776,7 @@ def test_criterion_scan_caches_integer_polygons(radius, monkeypatch):
     # a derivative polygon holds its ordinates and its non-vertex abscissae as int64
     # arrays and nothing else; the criterion scan stores none, and reads one
     # the context holds without building it again or reading its edges
-    assert [f.name for f in dataclasses.fields(DerivativePolygon)] == [
-        "k", "ys", "gaps", "M_index", "m_of_k",
-    ]
+    assert DerivativePolygon._fields == ("k", "ys", "gaps", "M_index", "m_of_k")
     fresh, w = GhostContext(p=7, a=2, s_eps=1), WeightPoint(120, radius)
     walk = breakpoints_by_criterion(fresh, w, 400)
     assert not fresh._caches.get("derivative")
